@@ -48,7 +48,6 @@ from brokenchains.sampler import (
 )
 from brokenchains.unembed import (
     ChainReadout,
-    LogicalSample,
     UnembedContext,
     decompose,
     majority_vote,

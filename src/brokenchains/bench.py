@@ -10,9 +10,11 @@ reproduces at desk scale:
 * ``run_fig4``  - tailored-method quality across a chain-strength grid,
   normalized per (problem, density) group.
 
-Rows recompute every reported number from the raw witnesses and samples at
-emission time; nothing is copied from intermediate caches.  A fixed seed
-makes the emitted CSV byte-identical across runs.
+``run_graph_pipeline`` decomposes every read once and records its
+broken-chain fraction and, for each method the experiment scores, its
+witness; ``repair`` is the one place a method name turns into a repair
+call.  Rows score those witnesses at emission time.  A fixed seed makes
+the emitted CSV byte-identical across runs.
 """
 
 import csv
@@ -75,8 +77,15 @@ FIG2_CHAIN_STRENGTH = {
     "graph_partitioning": 10.0,
 }
 
-BASELINES = ("majority_vote", "random_weighted", "minimize_energy")
-METHODS = BASELINES + ("tailored",)
+# repair method -> short name, as in the CLI's --method and fig3's ratio_vs_*
+SHORT_NAMES = {
+    "majority_vote": "majority",
+    "random_weighted": "random",
+    "minimize_energy": "minenergy",
+    "tailored": "tailored",
+}
+METHODS = tuple(SHORT_NAMES)
+BASELINES = METHODS[:-1]
 
 CSV_COLUMNS = [
     "problem",
@@ -202,15 +211,8 @@ def normalize_objectives(rows):
     return rows
 
 
-def broken_chain_proportion(samples: SampleSet, e) -> tuple:
-    """Mean and population std over reads of (#broken chains) / (#chains)."""
-    chains = [e.chain(v) for v in e.variables()]
-    fractions = []
-    for sample in samples:
-        broken = sum(
-            1 for chain in chains if len({sample.spins[q] for q in chain}) > 1
-        )
-        fractions.append(broken / len(chains))
+def broken_chain_proportion(fractions) -> tuple:
+    """Mean and population std of per-read (#broken chains) / (#chains)."""
     arr = np.array(fractions)
     return float(arr.mean()), float(arr.std())
 
@@ -244,6 +246,27 @@ def score_witness(problem: str, g: Graph, witness):
     raise ValueError(f"unknown problem {problem!r}")
 
 
+def repair(method: str, readouts, problem: str, g: Graph, model, seed: int, read: int):
+    """Witness of one read's chain readouts under one repair method.
+
+    ``model`` is the logical problem model (for minimize energy).  Random
+    weighting and the tailored algorithm draw from their own sub-stream of
+    ``seed`` for ``read``, so which other methods run changes nothing here.
+    """
+    if method == "majority_vote":
+        values = majority_vote(readouts)
+    elif method == "random_weighted":
+        values = random_weighted(readouts, derive_seed(seed, STREAM_WEIGHTED, read))
+    elif method == "minimize_energy":
+        values = minimize_energy(readouts, model)
+    elif method == "tailored":
+        ctx = UnembedContext(g, problem, derive_seed(seed, STREAM_TAILORED, read))
+        return unembed_tailored(readouts, ctx)
+    else:
+        raise ValueError(f"unknown repair method {method!r}")
+    return witness_from_values(problem, values, g)
+
+
 @dataclass
 class GraphRun:
     """Raw material of one (graph, chain strength) pipeline execution."""
@@ -251,8 +274,8 @@ class GraphRun:
     graph: Graph
     graph_seed: int
     chain_strength: float
-    embedding: object
-    samples: SampleSet
+    ising: object  # logical Ising model, as embedded
+    broken_fracs: list  # per read: broken chains / chains
     witnesses: dict = field(default_factory=dict)  # method -> list per read
 
 
@@ -302,8 +325,12 @@ def run_graph_pipeline(
     index: int,
     strength,
     scale: bool = False,
+    methods=METHODS,
 ) -> GraphRun:
-    """Generate one instance, embed it, sample it, and unembed every read."""
+    """Generate one instance, embed it, sample it, and repair every read.
+
+    Only ``methods`` run; each read's broken-chain fraction is always kept.
+    """
     graph_seed = derive_seed(config.seed, STREAM_GRAPH, int(round(density * 1e9)), index)
     g = erdos_renyi(config.n, density, graph_seed)
     problem_model = bqmlib.build_model(config.problem, g)
@@ -317,35 +344,16 @@ def run_graph_pipeline(
     pm = embed_bqm(ising, embedding, hw, chain_strength)
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
-    domain = problem_model.domain
-    witnesses = {name: [] for name in METHODS}
+    broken_fracs = []
+    witnesses = {name: [] for name in methods}
     for read, sample in enumerate(samples):
-        readouts = decompose(sample, embedding, domain=domain)
-        witnesses["majority_vote"].append(
-            witness_from_values(config.problem, majority_vote(readouts).values, g)
-        )
-        witnesses["random_weighted"].append(
-            witness_from_values(
-                config.problem,
-                random_weighted(
-                    readouts, derive_seed(graph_seed, STREAM_WEIGHTED, read)
-                ).values,
-                g,
+        readouts = decompose(sample, embedding, domain=problem_model.domain)
+        broken_fracs.append(sum(r.broken for r in readouts) / len(readouts))
+        for name in methods:
+            witnesses[name].append(
+                repair(name, readouts, config.problem, g, problem_model, graph_seed, read)
             )
-        )
-        witnesses["minimize_energy"].append(
-            witness_from_values(
-                config.problem, minimize_energy(readouts, problem_model).values, g
-            )
-        )
-        ctx = UnembedContext(
-            g, config.problem, derive_seed(graph_seed, STREAM_TAILORED, read)
-        )
-        tailored = unembed_tailored(readouts, ctx)
-        if config.problem == "graph_partitioning":
-            tailored = tailored[0]  # balance flag recomputed at scoring time
-        witnesses["tailored"].append(tailored)
-    return GraphRun(g, graph_seed, chain_strength, embedding, samples, witnesses)
+    return GraphRun(g, graph_seed, chain_strength, ising, broken_fracs, witnesses)
 
 
 def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
@@ -385,13 +393,9 @@ def run_fig2(config: ExperimentConfig):
     rows = []
     for density in config.densities:
         for index in range(config.graphs_per_density):
-            run = run_graph_pipeline(config, density, index, strength)
-            mean, std = broken_chain_proportion(run.samples, run.embedding)
-            degenerate = not any(
-                c != 0.0 for c in convert(
-                    bqmlib.build_model(config.problem, run.graph), ISING
-                ).quadratic.values()
-            )
+            run = run_graph_pipeline(config, density, index, strength, methods=())
+            mean, std = broken_chain_proportion(run.broken_fracs)
+            degenerate = not any(c != 0.0 for c in run.ising.quadratic.values())
             rows.append(
                 MetricRow(
                     problem=config.problem,
@@ -415,10 +419,12 @@ def run_fig3(config: ExperimentConfig):
     for density in config.densities:
         for index in range(config.graphs_per_density):
             run = run_graph_pipeline(config, density, index, strength)
-            mean, std = broken_chain_proportion(run.samples, run.embedding)
+            mean, std = broken_chain_proportion(run.broken_fracs)
             scores = {m: aggregate_objective(config, run, m) for m in METHODS}
             ratios = {
-                b: improvement_ratio(config.problem, scores["tailored"][0], scores[b][0])
+                f"ratio_vs_{SHORT_NAMES[b]}": improvement_ratio(
+                    config.problem, scores["tailored"][0], scores[b][0]
+                )
                 for b in BASELINES
             }
             for method in METHODS:
@@ -434,9 +440,7 @@ def run_fig3(config: ExperimentConfig):
                         feasible=feasible,
                         broken_frac_mean=mean,
                         broken_frac_std=std,
-                        ratio_vs_majority=ratios["majority_vote"] if method == "tailored" else None,
-                        ratio_vs_random=ratios["random_weighted"] if method == "tailored" else None,
-                        ratio_vs_minenergy=ratios["minimize_energy"] if method == "tailored" else None,
+                        **(ratios if method == "tailored" else {}),
                     )
                 )
     return rows
@@ -462,8 +466,10 @@ def run_fig4(config: ExperimentConfig):
         for strength in config.chain_strength_grid:
             per_graph = []
             for index in range(config.graphs_per_density):
-                run = run_graph_pipeline(config, density, index, strength, scale=scale)
-                mean, std = broken_chain_proportion(run.samples, run.embedding)
+                run = run_graph_pipeline(
+                    config, density, index, strength, scale=scale, methods=("tailored",)
+                )
+                mean, std = broken_chain_proportion(run.broken_fracs)
                 objective, feasible = aggregate_objective(config, run, "tailored")
                 per_graph.append(objective)
                 rows.append(

@@ -63,9 +63,6 @@ class BinaryQuadraticModel:
     def variables(self):
         return sorted(self.linear)
 
-    def num_variables(self) -> int:
-        return len(self.linear)
-
     def interaction_graph(self) -> Graph:
         """Graph on 0..max_var with an edge per nonzero quadratic term."""
         n = max(self.linear, default=-1) + 1
@@ -141,14 +138,6 @@ def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
             linear[v] -= 2.0 * j
             offset += j
     return BinaryQuadraticModel(target, linear, quadratic, offset, dict(m.metadata))
-
-
-def spin_to_bit(value: int) -> int:
-    return (value + 1) // 2
-
-
-def bit_to_spin(value: int) -> int:
-    return 2 * value - 1
 
 
 def build_max_clique_qubo(g: Graph) -> BinaryQuadraticModel:

@@ -23,7 +23,6 @@ from brokenchains.sampler import (
     sampleset_to_json,
     simulated_anneal,
 )
-from brokenchains.seeding import STREAM_TAILORED, STREAM_WEIGHTED, derive_seed
 from brokenchains.topology import (
     chimera,
     clique_embedding,
@@ -32,14 +31,20 @@ from brokenchains.topology import (
     embedding_to_json,
     uniform_torque_compensation,
 )
-from brokenchains.unembed import (
-    UnembedContext,
-    decompose,
+from brokenchains.unembed import decompose
+
+# bench.repair calls these; they stay bound here because perfbench/spans.py
+# wraps them by name on this module
+from brokenchains.unembed import (  # noqa: F401
     majority_vote,
     minimize_energy,
     random_weighted,
     unembed_tailored,
 )
+
+
+class ConfigError(ValueError):
+    """Bad or mismatched input, found before any work starts (exit code 2)."""
 
 
 def _topology(text):
@@ -155,6 +160,21 @@ def cmd_sample(args):
     return 0
 
 
+def _check_artifacts(args, g, e, model, samples):
+    """The graph, model, embedding and samples must belong to one ``sample`` run."""
+    if bqmlib.build_model(args.problem, g) != model:
+        raise ConfigError(f"{args.model} is not the {args.problem} model of {args.graph}")
+    if e.variables() != model.variables():
+        raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
+    qubits = set(samples.samples[0].spins) if len(samples) else set()
+    missing = sorted(q for v in e.variables() for q in e.chain(v) if q not in qubits)
+    if missing:
+        raise ConfigError(
+            f"{len(missing)} chain qubits of {args.embedding} are not in {args.samples},"
+            f" e.g. qubit {missing[0]}"
+        )
+
+
 def cmd_unembed(args):
     g = read_edge_list(args.graph)
     with open(args.embedding) as fh:
@@ -163,7 +183,9 @@ def cmd_unembed(args):
         model = bqmlib.from_json(fh.read())
     with open(args.samples) as fh:
         samples = sampleset_from_json(fh.read())
+    _check_artifacts(args, g, e, model, samples)
 
+    method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")
     with open(path, "w", newline="") as fh:
@@ -173,26 +195,8 @@ def cmd_unembed(args):
         )
         for read, sample in enumerate(samples):
             readouts = decompose(sample, e, domain=model.domain)
-            broken = sum(1 for r in readouts if r.broken)
-            if args.method == "majority":
-                witness = bench.witness_from_values(
-                    args.problem, majority_vote(readouts).values, g
-                )
-            elif args.method == "random":
-                logical = random_weighted(
-                    readouts, derive_seed(args.seed, STREAM_WEIGHTED, read)
-                )
-                witness = bench.witness_from_values(args.problem, logical.values, g)
-            elif args.method == "minenergy":
-                logical = minimize_energy(readouts, model)
-                witness = bench.witness_from_values(args.problem, logical.values, g)
-            else:
-                ctx = UnembedContext(
-                    g, args.problem, derive_seed(args.seed, STREAM_TAILORED, read)
-                )
-                witness = unembed_tailored(readouts, ctx)
-                if args.problem == "graph_partitioning":
-                    witness = witness[0]
+            broken = sum(r.broken for r in readouts)
+            witness = bench.repair(method, readouts, args.problem, g, model, args.seed, read)
             objective, feasible = bench.score_witness(args.problem, g, witness)
             writer.writerow(
                 [read, args.method, objective, feasible, broken, broken / len(readouts)]
@@ -264,10 +268,7 @@ def build_parser():
     p.add_argument("--samples", required=True, help="samples JSON from 'sample'")
     p.add_argument("--embedding", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument(
-        "--method", choices=("majority", "random", "minenergy", "tailored"),
-        required=True,
-    )
+    p.add_argument("--method", choices=tuple(bench.SHORT_NAMES.values()), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_unembed)
 
@@ -292,6 +293,9 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure after config was accepted
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -299,25 +303,31 @@ def main(argv=None):
 
 def _validate_args(args):
     """Config-level checks that should fail fast with exit code 2."""
-    if getattr(args, "command", None) in ("fig2", "fig3", "fig4"):
+    command = args.command
+    if command in ("fig2", "fig3", "fig4"):
         grid = ()
-        if args.command == "fig4":
+        if command == "fig4":
             grid = tuple(float(s) for s in args.grid.split(","))
             for s in grid:
                 if s <= 0:
                     raise ValueError(f"chain strength {s} must be positive")
         _config_from_args(args, grid=grid).validate()
-    if getattr(args, "command", None) == "gen":
+    if command == "gen":
         if not (0.0 <= args.density <= 1.0):
             raise ValueError(f"density {args.density} outside [0, 1]")
         if args.n < 1:
             raise ValueError("n must be >= 1")
-    if getattr(args, "command", None) == "embed":
+    if command in ("embed", "sample"):
         m, n, t = args.topology
         if m != n:
             raise ValueError(f"clique embedding requires a square Chimera, got {m}x{n}")
-        if not (1 <= args.k <= t * m + 1):
+        if command == "embed" and not (1 <= args.k <= t * m + 1):
             raise ValueError(f"k must be in 1..{t * m + 1} for chimera{tuple(args.topology)}")
+    if command == "sample":
+        if args.reads < 1 or args.sweeps < 1:
+            raise ValueError("reads and sweeps must be >= 1")
+        if args.chain_strength not in (None, "utc") and args.chain_strength <= 0:
+            raise ValueError("chain_strength must be positive")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel
+from brokenchains.bqm import BinaryQuadraticModel, energy
 from brokenchains.seeding import STREAM_READ, rng_from
 from brokenchains.topology import Embedding, PhysicalModel
 
@@ -55,9 +55,6 @@ class AnnealParams:
 class PhysicalSample:
     spins: dict  # qubit id -> -1 | +1
     energy: float
-
-    def spin_vector(self, qubits) -> np.ndarray:
-        return np.array([self.spins[q] for q in qubits], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -153,15 +150,6 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     return SampleSet(tuple(samples), params, pm)
 
 
-def sample_energy(pm: PhysicalModel, spins: dict) -> float:
-    total = pm.ising.offset
-    for q, c in pm.ising.linear.items():
-        total += c * spins[q]
-    for (p, q), c in pm.ising.quadratic.items():
-        total += c * spins[p] * spins[q]
-    return total
-
-
 def inject_chain_breaks(
     logical: dict,
     e: Embedding,
@@ -192,7 +180,7 @@ def inject_chain_breaks(
     for q, flip in zip(qubits, flips):
         if flip:
             spins[q] = -spins[q]
-    return PhysicalSample(spins, sample_energy(pm, spins))
+    return PhysicalSample(spins, energy(pm.ising, spins))
 
 
 def chain_break_probability(p_break: float, length: int) -> float:

@@ -13,7 +13,6 @@ _MASK = (1 << 64) - 1
 # fixed stream tags so derived seeds do not collide across purposes
 STREAM_READ = 0x01
 STREAM_GRAPH = 0x02
-STREAM_ANNEAL = 0x03
 STREAM_INJECT = 0x04
 STREAM_WEIGHTED = 0x05
 STREAM_TAILORED = 0x06

@@ -90,9 +90,6 @@ class Embedding:
     def chain(self, v: int) -> tuple:
         return self.chains[v]
 
-    def all_qubits(self) -> set:
-        return {q for chain in self.chains.values() for q in chain}
-
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains.values()), default=0)
 

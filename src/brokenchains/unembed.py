@@ -1,9 +1,10 @@
 """Resolve chained-qubit samples into logical assignments.
 
-``decompose`` splits a physical sample into per-chain readouts.  Three
-generic strategies (majority vote, random weighted, minimize energy) work
-on any model; four problem-tailored algorithms use the instance graph to
-guarantee a feasible witness:
+``decompose`` splits a physical sample into per-chain readouts and is the
+one place that decides whether a chain is broken.  Three generic
+strategies (majority vote, random weighted, minimize energy) work on any
+model and return a ``{variable: value}`` assignment; four problem-tailored
+algorithms use the instance graph to return a feasible witness:
 
 * ``unembed_max_clique`` grows the unbroken value-1 clique greedily by
   degree, preferring chains with more 1s on ties.
@@ -37,13 +38,6 @@ class ChainReadout:
     broken: bool
     frac_ones: float
 
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
-    def one_value(self) -> int:
-        return 1
-
     def zero_value(self) -> int:
         return 0 if self.domain == QUBO else -1
 
@@ -52,13 +46,7 @@ class ChainReadout:
 
     def majority_value(self) -> int:
         """Most common chain value; exact ties resolve to 1 / +1."""
-        return self.one_value() if self.frac_ones >= 0.5 else self.zero_value()
-
-
-@dataclass(frozen=True)
-class LogicalSample:
-    values: dict
-    provenance: str
+        return 1 if self.frac_ones >= 0.5 else self.zero_value()
 
 
 @dataclass(frozen=True)
@@ -102,13 +90,12 @@ def broken_variables(readouts):
     return [r.variable for r in readouts if r.broken]
 
 
-def majority_vote(readouts) -> LogicalSample:
+def majority_vote(readouts) -> dict:
     """Per chain, the most common value; exact ties go to 1 / +1."""
-    values = {r.variable: r.majority_value() for r in readouts}
-    return LogicalSample(values, "majority_vote")
+    return {r.variable: r.majority_value() for r in readouts}
 
 
-def random_weighted(readouts, seed: int) -> LogicalSample:
+def random_weighted(readouts, seed: int) -> dict:
     """Broken chains draw 1 / +1 with probability equal to their fraction of ones.
 
     Unbroken chains keep their value.  One uniform is consumed per broken
@@ -122,11 +109,11 @@ def random_weighted(readouts, seed: int) -> LogicalSample:
             values[r.variable] = r.unbroken_value()
         else:
             hit = rng.random() < r.frac_ones
-            values[r.variable] = r.one_value() if hit else r.zero_value()
-    return LogicalSample(values, "random_weighted")
+            values[r.variable] = 1 if hit else r.zero_value()
+    return values
 
 
-def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> LogicalSample:
+def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> dict:
     """Greedy chain repair by largest energy swing first.
 
     With the unbroken chains fixed, each broken chain i gets the partial
@@ -179,7 +166,7 @@ def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> LogicalSam
         for nb, j in neighbors[best]:
             if nb in coupling:
                 coupling[nb] += j * value
-    return LogicalSample(values, "minimize_energy")
+    return values
 
 
 def _require_domain(readouts, domain: str, algorithm: str):
@@ -263,15 +250,16 @@ def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
     )
 
 
-def unembed_graph_partitioning(readouts, ctx: UnembedContext):
-    """Balanced variant of the cut placement; returns (partition, balanced).
+def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
+    """Balanced variant of the cut placement.
 
     Each broken vertex, visited in seeded random order, goes to the side
     that minimizes its cut contribution, i.e. the side already holding more
     of its placed neighbors.  Placement stops as soon as one side has
     reached floor(|V|/2) vertices; every still-unplaced broken vertex then
     goes to the smaller side.  Full ties during placement prefer the
-    smaller side (minus side when equal).
+    smaller side (minus side when equal).  The partition can still be
+    unbalanced when the intact chains already are; ``is_balanced`` says so.
     """
     _require_domain(readouts, ISING, "unembed_graph_partitioning")
     g = ctx.graph
@@ -304,11 +292,10 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext):
         smaller = -1 if size(-1) <= size(1) else 1
         for x in remaining:
             side[x] = smaller
-    partition = Bipartition(
+    return Bipartition(
         side_minus=frozenset(v for v, s in side.items() if s == -1),
         side_plus=frozenset(v for v, s in side.items() if s == 1),
     )
-    return partition, partition.is_balanced()
 
 
 def unembed_vertex_cover(readouts, ctx: UnembedContext) -> frozenset:

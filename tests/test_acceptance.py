@@ -183,12 +183,13 @@ class TestCriterion2FeasibilitySuite:
                     )
                     if not cut.is_complete_for(g):
                         failures += 1
-                    part, balanced = unembed_graph_partitioning(
+                    part = unembed_graph_partitioning(
                         ising_readouts, UnembedContext(g, "graph_partitioning", rep)
                     )
                     if not part.is_complete_for(g):
                         failures += 1
-                    if balanced != (abs(len(part.side_minus) - len(part.side_plus)) <= 1):
+                    skew = len(part.side_minus) - len(part.side_plus)
+                    if part.is_balanced() != (abs(skew) <= 1):
                         failures += 1
         passed = failures == 0 and total_readouts >= 10_000
         report(
@@ -230,9 +231,9 @@ class TestCriterion3AgreementOnUnbroken:
                 readouts = decompose(sample, e, domain=model.domain)
                 raw = {r.variable: r.unbroken_value() for r in readouts}
 
-                assert majority_vote(readouts).values == raw
-                assert random_weighted(readouts, k).values == raw
-                assert minimize_energy(readouts, model).values == raw
+                assert majority_vote(readouts) == raw
+                assert random_weighted(readouts, k) == raw
+                assert minimize_energy(readouts, model) == raw
                 ctx = UnembedContext(g, problem, k)
                 if problem == "max_clique":
                     ones = frozenset(v for v, x in raw.items() if x == 1)
@@ -246,7 +247,7 @@ class TestCriterion3AgreementOnUnbroken:
                     out = unembed_max_cut(readouts, ctx)
                     assert out.side_plus == {v for v, x in raw.items() if x == 1}
                 else:
-                    out, _ = unembed_graph_partitioning(readouts, ctx)
+                    out = unembed_graph_partitioning(readouts, ctx)
                     assert out.side_plus == {v for v, x in raw.items() if x == 1}
                 agreements += 1
                 instances += 1
@@ -305,7 +306,7 @@ class TestCriterion4MinimizeEnergyOracle:
                 else:
                     s = int(rng.choice((-1, 1)))
                     readouts.append(ChainReadout(v, (s, s), ISING, False, (s + 1) / 2))
-            got = minimize_energy(readouts, model).values
+            got = minimize_energy(readouts, model)
             fixed = {r.variable: r.values[0] for r in readouts if not r.broken}
             best = min(
                 energy(model, {**fixed, **dict(zip(broken, combo))})

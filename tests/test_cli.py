@@ -76,6 +76,76 @@ class TestSampleUnembedRoundTrip:
             }
 
 
+class TestSampleValidation:
+    @pytest.mark.parametrize("flag,value", [
+        ("--reads", "0"),
+        ("--sweeps", "0"),
+        ("--chain-strength", "-1"),
+        ("--topology", "4,3,4"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, flag, value):
+        assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
+        args = {"--reads": "4", "--sweeps": "5", "--chain-strength": "2", "--topology": "2,2,4"}
+        args[flag] = value
+        rc = main(
+            ["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
+             "--out", str(tmp_path / "out")]
+            + [x for item in args.items() for x in item]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnembedRejectsMismatchedArtifacts:
+    def sampled(self, tmp_path):
+        for name, seed in (("g.txt", "1"), ("other.txt", "2")):
+            rc = main(["gen", "--n", "6", "--density", "0.5", "--seed", seed,
+                       "--out", str(tmp_path), "--name", name])
+            assert rc == 0
+        rc = main(["sample", "--graph", str(tmp_path / "g.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+
+    def unembed(self, tmp_path, graph="g.txt", problem="max_cut"):
+        return main([
+            "unembed", "--graph", str(tmp_path / graph), "--problem", problem,
+            "--samples", str(tmp_path / "samples.json"),
+            "--embedding", str(tmp_path / "embedding.json"),
+            "--model", str(tmp_path / "model.json"),
+            "--method", "majority", "--out", str(tmp_path / "out"),
+        ])
+
+    def test_matching_artifacts_accepted(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        assert self.unembed(tmp_path) == 0
+
+    def test_wrong_graph_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        capsys.readouterr()
+        assert self.unembed(tmp_path, graph="other.txt") == 2
+        err = capsys.readouterr().err
+        assert "model.json is not the max_cut model of" in err and "other.txt" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_problem_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        capsys.readouterr()
+        assert self.unembed(tmp_path, problem="graph_partitioning") == 2
+        err = capsys.readouterr().err
+        assert "model.json is not the graph_partitioning model of" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_chain_qubits_outside_samples_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        # same six variables, but the chains sit on a 3x3 Chimera's qubits
+        assert main(["embed", "--k", "6", "--topology", "3,3,4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        assert "chain qubits of" in capsys.readouterr().err
+
+
 class TestExperimentCommands:
     def test_fig3_writes_csv_and_manifest(self, tmp_path, capsys):
         rc = main([

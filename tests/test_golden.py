@@ -6,6 +6,8 @@ that keeps behaviour keeps every digest; a change that is meant to alter
 output bytes must regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the ``GOLDEN`` entries to paste below.
 """
 
 import contextlib

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from brokenchains.bqm import ISING, BinaryQuadraticModel, build_max_cut_ising
+from brokenchains.bqm import ISING, BinaryQuadraticModel, build_max_cut_ising, energy
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
     chain_break_probability,
     inject_chain_breaks,
-    sample_energy,
     sampleset_from_json,
     sampleset_to_csv,
     sampleset_to_json,
@@ -79,7 +78,7 @@ class TestSimulatedAnneal:
         ss = simulated_anneal(pm, AnnealParams(num_reads=20, sweeps=30, seed=2))
         for s in ss:
             assert math.isfinite(s.energy)
-            assert abs(s.energy - sample_energy(pm, s.spins)) <= 1e-9
+            assert abs(s.energy - energy(pm.ising, s.spins)) <= 1e-9
 
     def test_annealing_beats_random(self):
         g = erdos_renyi(14, 0.5, 13)
@@ -89,7 +88,7 @@ class TestSimulatedAnneal:
         rng = rng_from(1)
         qubits = pm.ising.variables()
         random_mean = np.mean([
-            sample_energy(pm, {q: int(rng.choice((-1, 1))) for q in qubits})
+            energy(pm.ising, {q: int(rng.choice((-1, 1))) for q in qubits})
             for _ in range(200)
         ])
         assert ss.energies().mean() <= random_mean
@@ -126,7 +125,7 @@ class TestInjectChainBreaks:
 
     def test_energy_recomputed(self):
         s = inject_chain_breaks(self.logical, self.e, 0.3, 5, self.pm)
-        assert abs(s.energy - sample_energy(self.pm, s.spins)) <= 1e-9
+        assert abs(s.energy - energy(self.pm.ising, s.spins)) <= 1e-9
 
     def test_break_statistics(self):
         # chains of length 5: broken with probability 1 - p^5 - (1-p)^5

@@ -101,53 +101,53 @@ class TestDecompose:
 
 class TestMajorityVote:
     def test_majority(self):
-        assert majority_vote([ro(0, [1, 1, 0], QUBO)]).values[0] == 1
+        assert majority_vote([ro(0, [1, 1, 0], QUBO)])[0] == 1
 
     def test_tie_goes_to_plus_one(self):
-        assert majority_vote([ro(0, [1, -1], ISING)]).values[0] == 1
-        assert majority_vote([ro(0, [1, 0], QUBO)]).values[0] == 1
+        assert majority_vote([ro(0, [1, -1], ISING)])[0] == 1
+        assert majority_vote([ro(0, [1, 0], QUBO)])[0] == 1
 
     def test_unbroken_zero(self):
-        assert majority_vote([ro(0, [0, 0, 0], QUBO)]).values[0] == 0
+        assert majority_vote([ro(0, [0, 0, 0], QUBO)])[0] == 0
 
     def test_minority_ising(self):
-        assert majority_vote([ro(0, [-1, -1, 1], ISING)]).values[0] == -1
+        assert majority_vote([ro(0, [-1, -1, 1], ISING)])[0] == -1
 
 
 class TestRandomWeighted:
     def test_unbroken_kept(self):
         for seed in range(20):
-            assert random_weighted([ro(0, [1, 1], QUBO)], seed).values[0] == 1
+            assert random_weighted([ro(0, [1, 1], QUBO)], seed)[0] == 1
 
     def test_half_split_frequency(self):
         hits = sum(
-            random_weighted([ro(0, [1, 0], QUBO)], seed).values[0]
+            random_weighted([ro(0, [1, 0], QUBO)], seed)[0]
             for seed in range(10000)
         )
         assert abs(hits / 10000 - 0.5) <= 0.05
 
     def test_three_quarter_frequency(self):
         hits = sum(
-            random_weighted([ro(0, [1, 1, 1, 0], QUBO)], seed).values[0]
+            random_weighted([ro(0, [1, 1, 1, 0], QUBO)], seed)[0]
             for seed in range(10000)
         )
         assert abs(hits / 10000 - 0.75) <= 0.05
 
     def test_deterministic_per_seed(self):
         readouts = random_readouts(10, ISING, {2, 5, 7}, seed=4)
-        assert random_weighted(readouts, 3).values == random_weighted(readouts, 3).values
+        assert random_weighted(readouts, 3) == random_weighted(readouts, 3)
 
 
 class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
         m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
         out = minimize_energy([ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)], m)
-        assert out.values == {0: 1, 1: -1}
+        assert out == {0: 1, 1: -1}
 
     def test_no_broken_is_identity(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
         out = minimize_energy([ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)], m)
-        assert out.values == {0: -1, 1: -1}
+        assert out == {0: -1, 1: -1}
 
     def test_two_broken_coupled_to_fixed_only(self):
         m = BinaryQuadraticModel(
@@ -158,7 +158,7 @@ class TestMinimizeEnergy:
             ro(1, [1, -1], ISING),
             ro(2, [-1, 1], ISING),
         ]
-        got = minimize_energy(readouts, m).values
+        got = minimize_energy(readouts, m)
         best = min(
             (dict(zip((1, 2), combo)) for combo in itertools.product((-1, 1), repeat=2)),
             key=lambda c: energy(m, {0: -1, **c}),
@@ -179,7 +179,7 @@ class TestMinimizeEnergy:
                 },
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
-            got = minimize_energy(readouts, m).values
+            got = minimize_energy(readouts, m)
             fixed = {r.variable: r.unbroken_value() for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
@@ -187,7 +187,7 @@ class TestMinimizeEnergy:
     def test_qubo_tie_takes_zero(self):
         m = BinaryQuadraticModel(QUBO, {0: 0.0}, {})
         out = minimize_energy([ro(0, [1, 0], QUBO)], m)
-        assert out.values[0] == 0
+        assert out[0] == 0
 
     def test_variable_mismatch(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 1.0}, {})
@@ -290,10 +290,10 @@ class TestGraphPartitioningUnembed:
     def test_unbroken_passthrough_balanced(self):
         g = empty_graph(4)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, 1), (2, -1), (3, -1))]
-        part, balanced = unembed_graph_partitioning(
+        part = unembed_graph_partitioning(
             readouts, UnembedContext(g, "graph_partitioning", 0)
         )
-        assert balanced and part.side_plus == {0, 1}
+        assert part.is_balanced() and part.side_plus == {0, 1}
 
     def test_isolated_broken_follow_majority(self):
         g = empty_graph(5)
@@ -304,10 +304,10 @@ class TestGraphPartitioningUnembed:
             ro(3, [-1, -1, 1], ISING),
             ro(4, [-1, -1, 1], ISING),
         ]
-        part, balanced = unembed_graph_partitioning(
+        part = unembed_graph_partitioning(
             readouts, UnembedContext(g, "graph_partitioning", 2)
         )
-        assert part.side_minus == {2, 3, 4} and balanced
+        assert part.side_minus == {2, 3, 4} and part.is_balanced()
 
     def test_cap_trigger_forces_other_side(self):
         g = empty_graph(4)
@@ -317,10 +317,10 @@ class TestGraphPartitioningUnembed:
             ro(2, [1, -1], ISING),
             ro(3, [1, -1], ISING),
         ]
-        part, balanced = unembed_graph_partitioning(
+        part = unembed_graph_partitioning(
             readouts, UnembedContext(g, "graph_partitioning", 2)
         )
-        assert part.side_minus == {2, 3} and balanced
+        assert part.side_minus == {2, 3} and part.is_balanced()
 
     def test_degree_rule_minimizes_cut_contribution(self):
         g = Graph(6, [(3, 0), (3, 1), (3, 2)])
@@ -332,7 +332,7 @@ class TestGraphPartitioningUnembed:
             ro(4, [1, 1], ISING),
             ro(5, [-1, -1, 1, 1], ISING),
         ]
-        part, _ = unembed_graph_partitioning(
+        part = unembed_graph_partitioning(
             readouts, UnembedContext(g, "graph_partitioning", 0)
         )
         assert 3 in part.side_minus
@@ -340,10 +340,10 @@ class TestGraphPartitioningUnembed:
     def test_unbalanced_core_flagged(self):
         g = empty_graph(5)
         readouts = [ro(v, [1, 1], ISING) for v in range(4)] + [ro(4, [1, -1], ISING)]
-        part, balanced = unembed_graph_partitioning(
+        part = unembed_graph_partitioning(
             readouts, UnembedContext(g, "graph_partitioning", 0)
         )
-        assert not balanced
+        assert not part.is_balanced()
         assert part.side_minus == {4}
 
     def test_balance_flag_truthful(self):
@@ -352,11 +352,12 @@ class TestGraphPartitioningUnembed:
             rng = rng_from(seed + 50)
             broken = {int(v) for v in rng.choice(11, size=4, replace=False)}
             readouts = random_readouts(11, ISING, broken, seed=seed)
-            part, balanced = unembed_graph_partitioning(
+            part = unembed_graph_partitioning(
                 readouts, UnembedContext(g, "graph_partitioning", seed)
             )
             assert part.is_complete_for(g)
-            assert balanced == (abs(len(part.side_minus) - len(part.side_plus)) <= 1)
+            skew = len(part.side_minus) - len(part.side_plus)
+            assert part.is_balanced() == (abs(skew) <= 1)
 
 
 class TestVertexCoverUnembed:
@@ -403,14 +404,14 @@ class TestAgreementOnUnbroken:
             qubo_readouts = [ro(v, [b, b], QUBO) for v, b in sorted(bits.items())]
 
             m = build_max_cut_ising(g)
-            assert majority_vote(ising_readouts).values == spins
-            assert random_weighted(ising_readouts, seed).values == spins
-            assert minimize_energy(ising_readouts, m).values == spins
+            assert majority_vote(ising_readouts) == spins
+            assert random_weighted(ising_readouts, seed) == spins
+            assert minimize_energy(ising_readouts, m) == spins
 
             cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", seed))
             assert cut.side_plus == {v for v, s in spins.items() if s == 1}
 
-            part, _ = unembed_graph_partitioning(
+            part = unembed_graph_partitioning(
                 ising_readouts, UnembedContext(g, "graph_partitioning", seed)
             )
             assert part.side_plus == {v for v, s in spins.items() if s == 1}
