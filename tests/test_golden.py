@@ -1,9 +1,10 @@
 """Golden digests: the SHA-256 of small fig2/3/4 and CLI CSVs.
 
 Each case runs one small instance (n=8 on chimera(2,2,4), 8 reads of 20
-sweeps, one density, one graph) and hashes the CSV it emits.  A refactor
-that keeps behaviour keeps every digest; a change that is meant to alter
-output bytes must regenerate them with
+sweeps, one density, one graph) and hashes the CSV it emits; the CLI cases
+also hash the ``samples.json`` and ``samples.csv`` that ``sample`` writes.
+A refactor that keeps behaviour keeps every digest; a change that is meant
+to alter output bytes must regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,6 +27,7 @@ from brokenchains.graphs import PROBLEMS
 FIGS = {"fig2": bench.run_fig2, "fig3": bench.run_fig3, "fig4": bench.run_fig4}
 SOURCES = ("anneal", "inject")
 CLI_METHODS = ("majority", "random", "minenergy", "tailored")
+SAMPLE_FILES = ("samples.json", "samples.csv")
 SEED = 11
 
 
@@ -51,7 +53,8 @@ def fig_csv(fig, source, problem):
 
 @functools.lru_cache(maxsize=None)
 def cli_csvs(problem):
-    """``unembedded.csv`` of every method on one sampled instance of ``problem``."""
+    """``unembedded.csv`` of every method on one sampled instance of ``problem``,
+    plus the ``samples.json`` and ``samples.csv`` of that ``sample`` call."""
     with tempfile.TemporaryDirectory() as tmp:
         graph = f"{tmp}/graph.txt"
         calls = [
@@ -72,7 +75,9 @@ def cli_csvs(problem):
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in calls:
                 assert main(argv) == 0, argv
-        return {m: Path(f"{tmp}/{m}/unembedded.csv").read_text() for m in CLI_METHODS}
+        files = {m: f"{m}/unembedded.csv" for m in CLI_METHODS}
+        files.update({name: name for name in SAMPLE_FILES})
+        return {key: Path(f"{tmp}/{name}").read_text() for key, name in files.items()}
 
 
 def output(case):
@@ -84,6 +89,7 @@ def output(case):
 
 CASES = [f"{fig}/{source}/{problem}" for fig in FIGS for source in SOURCES for problem in PROBLEMS]
 CASES += [f"cli/{method}/{problem}" for method in CLI_METHODS for problem in PROBLEMS]
+CASES += [f"cli/{name}/{problem}" for name in SAMPLE_FILES for problem in PROBLEMS]
 
 GOLDEN = {
     "fig2/anneal/max_clique": "8c028b33d0ed8fc861a09884c4036aad13a6048c714678236fb5584d90574b64",
@@ -126,6 +132,14 @@ GOLDEN = {
     "cli/tailored/max_cut": "d3420027f59aa7289a5015c05a961058e23f80b3ab6959293993f4b8c61cede5",
     "cli/tailored/min_vertex_cover": "897b7cd4cc672623b1552117eeb3dbba757e43783b589fb5b5d1ca6a7c5d2e9f",
     "cli/tailored/graph_partitioning": "63feee9804bbc4f2e28dc92293ba58e78a49af4dbe384cf37bf9b012e0782c76",
+    "cli/samples.json/max_clique": "a84afed61fe5bd38feadd3bd43977d8207800eac6dd8d73190139e74296017ae",
+    "cli/samples.json/max_cut": "316f193a6321f74fcad682b80333fe3d7180b3fd3ed236b61632111bde46e735",
+    "cli/samples.json/min_vertex_cover": "66deda6a864cfd669b8d6273a4797d37fc6e695a8aca19f3c5392ac0aa83d1fe",
+    "cli/samples.json/graph_partitioning": "f77c2afd6013e1c536098e7d9a8d612f48404430c4c3f9d646031b1256e992c1",
+    "cli/samples.csv/max_clique": "3488a613d64ee8e17009fae7617c9897d079120a854a3ad793b163eaa6637ccf",
+    "cli/samples.csv/max_cut": "407227e86b651e5b1a99af73c30333e19f993203cb5d40232e67c33e5fdb9f61",
+    "cli/samples.csv/min_vertex_cover": "83c1f7c1b7234058db7a1d0bcfc5b481f1f550b9959f9dbc2c1984eccc192f70",
+    "cli/samples.csv/graph_partitioning": "3b03afa13da2c618151207bddfa5116147d39cc5cf4da0f92f8c3d621a86f11e",
 }
 
 
