@@ -35,13 +35,13 @@ from brokenchains.topology import (
     PhysicalModel,
     chimera,
     clique_embedding,
+    chain_columns,
     validate_embedding,
     uniform_torque_compensation,
     embed_bqm,
 )
 from brokenchains.sampler import (
     AnnealParams,
-    PhysicalSample,
     SampleSet,
     simulated_anneal,
     inject_chain_breaks,

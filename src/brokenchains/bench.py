@@ -36,15 +36,9 @@ from brokenchains.graphs import (
     is_clique,
     is_vertex_cover,
 )
-from brokenchains.sampler import (
-    AnnealParams,
-    SampleSet,
-    inject_chain_breaks,
-    simulated_anneal,
-)
+from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
 from brokenchains.seeding import (
     STREAM_GRAPH,
-    STREAM_INJECT,
     STREAM_LOGICAL,
     STREAM_TAILORED,
     STREAM_WEIGHTED,
@@ -52,6 +46,7 @@ from brokenchains.seeding import (
 )
 from brokenchains.topology import (
     PhysicalModel,
+    chain_columns,
     chimera,
     clique_embedding,
     embed_bqm,
@@ -150,6 +145,11 @@ class ExperimentConfig:
             raise ValueError("chain_strength must be a number or 'utc'")
         if isinstance(self.chain_strength, (int, float)) and self.chain_strength <= 0:
             raise ValueError("chain_strength must be positive")
+        if self.prefactor <= 0:
+            raise ValueError("prefactor must be positive")
+        for s in self.chain_strength_grid:
+            if s <= 0:
+                raise ValueError(f"chain strength {s} must be positive")
 
 
 @dataclass
@@ -286,37 +286,22 @@ def _resolve_chain_strength(strength, ising, prefactor):
 
 
 def _draw_physical_samples(config, pm, ising, graph_seed):
-    if config.source == "anneal":
-        params = AnnealParams(
-            num_reads=config.reads,
-            sweeps=config.sweeps,
-            beta_range=tuple(config.beta_range),
-            seed=derive_seed(graph_seed, STREAM_GRAPH),
-        )
-        return simulated_anneal(pm, params)
-    # inject: anneal the *logical* model, then copy each read onto the
-    # chains and flip qubits with probability p_break
-    logical_pm = PhysicalModel(
-        ising, 1.0, identity_embedding(ising.variables()), ()
-    )
+    stream = STREAM_GRAPH if config.source == "anneal" else STREAM_LOGICAL
     params = AnnealParams(
         num_reads=config.reads,
         sweeps=config.sweeps,
         beta_range=tuple(config.beta_range),
-        seed=derive_seed(graph_seed, STREAM_LOGICAL),
+        seed=derive_seed(graph_seed, stream),
     )
+    if config.source == "anneal":
+        return simulated_anneal(pm, params)
+    # inject: anneal the *logical* model, then copy each read onto the
+    # chains and flip qubits with probability p_break
+    logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()), ())
     logical_samples = simulated_anneal(logical_pm, params)
-    injected = tuple(
-        inject_chain_breaks(
-            sample.spins,
-            pm.source_embedding,
-            config.p_break,
-            derive_seed(graph_seed, STREAM_INJECT, read),
-            pm,
-        )
-        for read, sample in enumerate(logical_samples)
+    return inject_chain_breaks(
+        logical_samples, pm.source_embedding, config.p_break, graph_seed, pm
     )
-    return SampleSet(injected, params, pm)
 
 
 def run_graph_pipeline(
@@ -344,10 +329,11 @@ def run_graph_pipeline(
     pm = embed_bqm(ising, embedding, hw, chain_strength)
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
+    chains = chain_columns(embedding, samples.qubits)
     broken_fracs = []
     witnesses = {name: [] for name in methods}
-    for read, sample in enumerate(samples):
-        readouts = decompose(sample, embedding, domain=problem_model.domain)
+    for read, spins in enumerate(samples.spins):
+        readouts = decompose(spins, chains, domain=problem_model.domain)
         broken_fracs.append(sum(r.broken for r in readouts) / len(readouts))
         for name in methods:
             witnesses[name].append(
@@ -520,7 +506,10 @@ def rows_to_csv(rows) -> str:
 
 
 def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started: float):
-    """Write <name>.csv and <name>_manifest.json into ``out_dir``."""
+    """Write <name>.csv and <name>_manifest.json into ``out_dir``.
+
+    ``started`` is the run's ``time.perf_counter()`` reading at its start.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
@@ -532,7 +521,7 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
         "config": asdict(config),
         "rows": len(rows),
         "tool_version": __import__("brokenchains").__version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
     }
     with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=list)

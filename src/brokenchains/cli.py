@@ -24,6 +24,7 @@ from brokenchains.sampler import (
     simulated_anneal,
 )
 from brokenchains.topology import (
+    chain_columns,
     chimera,
     clique_embedding,
     embed_bqm,
@@ -90,7 +91,10 @@ def _add_experiment_args(parser):
     _add_common(parser)
 
 
-def _config_from_args(args, grid=()):
+def _config_from_args(args):
+    grid = ()
+    if args.command == "fig4":
+        grid = tuple(float(s) for s in args.grid.split(","))
     return ExperimentConfig(
         problem=args.problem,
         densities=tuple(args.density),
@@ -129,7 +133,14 @@ def cmd_embed(args):
     return 0
 
 
-def _build_physical(args, g):
+def cmd_sample(args):
+    g = read_edge_list(args.graph)
+    m, _, t = args.topology
+    if g.n > t * m + 1:
+        raise ConfigError(
+            f"{args.graph} has {g.n} vertices; chimera{tuple(args.topology)}"
+            f" embeds at most {t * m + 1}"
+        )
     model = bqmlib.build_model(args.problem, g)
     ising = convert(model, ISING)
     if args.chain_strength in (None, "utc"):
@@ -138,12 +149,7 @@ def _build_physical(args, g):
         strength = float(args.chain_strength)
     hw = chimera(*args.topology)
     e = clique_embedding(g.n, hw)
-    return model, embed_bqm(ising, e, hw, strength), e
-
-
-def cmd_sample(args):
-    g = read_edge_list(args.graph)
-    model, pm, e = _build_physical(args, g)
+    pm = embed_bqm(ising, e, hw, strength)
     params = AnnealParams(args.reads, args.sweeps, seed=args.seed)
     samples = simulated_anneal(pm, params)
     os.makedirs(args.out, exist_ok=True)
@@ -160,19 +166,12 @@ def cmd_sample(args):
     return 0
 
 
-def _check_artifacts(args, g, e, model, samples):
-    """The graph, model, embedding and samples must belong to one ``sample`` run."""
+def _check_artifacts(args, g, e, model):
+    """The graph, model and embedding must belong to one ``sample`` run."""
     if bqmlib.build_model(args.problem, g) != model:
         raise ConfigError(f"{args.model} is not the {args.problem} model of {args.graph}")
     if e.variables() != model.variables():
         raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
-    qubits = set(samples.samples[0].spins) if len(samples) else set()
-    missing = sorted(q for v in e.variables() for q in e.chain(v) if q not in qubits)
-    if missing:
-        raise ConfigError(
-            f"{len(missing)} chain qubits of {args.embedding} are not in {args.samples},"
-            f" e.g. qubit {missing[0]}"
-        )
 
 
 def cmd_unembed(args):
@@ -181,9 +180,13 @@ def cmd_unembed(args):
         e = embedding_from_json(fh.read())
     with open(args.model) as fh:
         model = bqmlib.from_json(fh.read())
+    _check_artifacts(args, g, e, model)
     with open(args.samples) as fh:
-        samples = sampleset_from_json(fh.read())
-    _check_artifacts(args, g, e, model, samples)
+        try:
+            samples = sampleset_from_json(fh.read())
+            chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
+        except ValueError as exc:
+            raise ConfigError(f"{args.samples}: {exc}")
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     os.makedirs(args.out, exist_ok=True)
@@ -193,8 +196,8 @@ def cmd_unembed(args):
         writer.writerow(
             ["read", "method", "objective", "feasible", "broken_chains", "broken_frac"]
         )
-        for read, sample in enumerate(samples):
-            readouts = decompose(sample, e, domain=model.domain)
+        for read, spins in enumerate(samples.spins):
+            readouts = decompose(spins, chains, domain=model.domain)
             broken = sum(r.broken for r in readouts)
             witness = bench.repair(method, readouts, args.problem, g, model, args.seed, read)
             objective, feasible = bench.score_witness(args.problem, g, witness)
@@ -205,28 +208,12 @@ def cmd_unembed(args):
     return 0
 
 
-def cmd_fig2(args):
-    started = time.time()
+def cmd_experiment(args):
+    """Run fig2, fig3 or fig4, as named by the subcommand."""
+    started = time.perf_counter()
     config = _config_from_args(args)
-    rows = bench.run_fig2(config)
-    print(bench.write_experiment(args.out, "fig2", config, rows, started))
-    return 0
-
-
-def cmd_fig3(args):
-    started = time.time()
-    config = _config_from_args(args)
-    rows = bench.run_fig3(config)
-    print(bench.write_experiment(args.out, "fig3", config, rows, started))
-    return 0
-
-
-def cmd_fig4(args):
-    started = time.time()
-    grid = tuple(float(s) for s in args.grid.split(","))
-    config = _config_from_args(args, grid=grid)
-    rows = bench.run_fig4(config)
-    print(bench.write_experiment(args.out, "fig4", config, rows, started))
+    rows = getattr(bench, f"run_{args.command}")(config)
+    print(bench.write_experiment(args.out, args.command, config, rows, started))
     return 0
 
 
@@ -272,14 +259,14 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_unembed)
 
-    for name, func in (("fig2", cmd_fig2), ("fig3", cmd_fig3), ("fig4", cmd_fig4)):
+    for name in ("fig2", "fig3", "fig4"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_experiment_args(p)
         if name == "fig4":
             p.add_argument(
                 "--grid", required=True, help="comma-separated chain strengths"
             )
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_experiment)
     return parser
 
 
@@ -305,13 +292,7 @@ def _validate_args(args):
     """Config-level checks that should fail fast with exit code 2."""
     command = args.command
     if command in ("fig2", "fig3", "fig4"):
-        grid = ()
-        if command == "fig4":
-            grid = tuple(float(s) for s in args.grid.split(","))
-            for s in grid:
-                if s <= 0:
-                    raise ValueError(f"chain strength {s} must be positive")
-        _config_from_args(args, grid=grid).validate()
+        _config_from_args(args).validate()
     if command == "gen":
         if not (0.0 <= args.density <= 1.0):
             raise ValueError(f"density {args.density} outside [0, 1]")
@@ -328,6 +309,8 @@ def _validate_args(args):
             raise ValueError("reads and sweeps must be >= 1")
         if args.chain_strength not in (None, "utc") and args.chain_strength <= 0:
             raise ValueError("chain_strength must be positive")
+        if args.prefactor <= 0:
+            raise ValueError("prefactor must be positive")
 
 
 if __name__ == "__main__":

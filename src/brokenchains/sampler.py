@@ -6,11 +6,15 @@ ladder.  ``inject_chain_breaks`` manufactures physical samples with a
 controlled per-qubit flip probability so unembedding behaviour can be
 tested without any annealing at all.
 
-Determinism contract: read ``r`` consumes only the PCG64 stream seeded by
-``derive_seed(params.seed, STREAM_READ, r)``, drawing the initial state
-first and then one uniform per spin per sweep.  Reads are therefore
-independent, order-insensitive, and reproducible; batching them (as done
-here for speed) returns bit-identical results to a sequential loop.
+Determinism contract: read ``r`` of ``simulated_anneal`` consumes only the
+PCG64 stream seeded by ``derive_seed(params.seed, STREAM_READ, r)``,
+drawing the initial state first and then one uniform per spin per sweep.
+Reads are therefore independent, order-insensitive, and reproducible;
+batching them (as done here for speed) returns bit-identical results to a
+sequential loop.  Read ``r`` of ``inject_chain_breaks`` likewise draws one
+uniform per physical qubit, in ascending qubit id, from
+``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the first
+k reads of a logical set gives the first k injected reads.
 
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
@@ -27,9 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel, energy
-from brokenchains.seeding import STREAM_READ, rng_from
-from brokenchains.topology import Embedding, PhysicalModel
+from brokenchains.bqm import BinaryQuadraticModel
+from brokenchains.seeding import STREAM_INJECT, STREAM_READ, derive_seed, rng_from
+from brokenchains.topology import (
+    Embedding,
+    PhysicalModel,
+    chain_columns,
+    identity_embedding,
+)
 
 _READ_BATCH = 64
 
@@ -51,33 +60,25 @@ class AnnealParams:
             raise ValueError("beta_range must satisfy 0 < beta_min < beta_max")
 
 
-@dataclass(frozen=True)
-class PhysicalSample:
-    spins: dict  # qubit id -> -1 | +1
-    energy: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    samples: tuple
+    """Reads of one model: ``spins[r, i]`` is read ``r``'s spin on ``qubits[i]``."""
+
+    qubits: tuple  # ascending qubit ids
+    spins: np.ndarray  # (reads, len(qubits)) int8 of -1 | +1
+    energies: np.ndarray  # float64, one per read
     params: AnnealParams
     model: PhysicalModel = field(repr=False, default=None)
 
     def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
+        return len(self.spins)
 
 
 class _CompiledModel:
     """Array form of a physical Ising model for vectorized sweeps."""
 
     def __init__(self, model: BinaryQuadraticModel):
-        self.qubits = model.variables()
+        self.qubits = tuple(model.variables())
         index = {q: i for i, q in enumerate(self.qubits)}
         n = len(self.qubits)
         self.h = np.zeros(n)
@@ -127,7 +128,7 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     n = len(compiled.qubits)
     betas = np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
 
-    samples = []
+    spins, energies = [], []
     for start in range(0, params.num_reads, _READ_BATCH):
         reads = range(start, min(start + _READ_BATCH, params.num_reads))
         rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
@@ -144,43 +145,45 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
                     uniforms[:, cls] < np.exp(-beta * np.clip(delta, 0.0, None))
                 )
                 states[:, cls] = np.where(accept, -states[:, cls], states[:, cls])
-        for row, e in zip(states, compiled.energies(states)):
-            spins = {q: int(s) for q, s in zip(compiled.qubits, row)}
-            samples.append(PhysicalSample(spins, float(e)))
-    return SampleSet(tuple(samples), params, pm)
+        spins.append(states.astype(np.int8))
+        energies.append(compiled.energies(states))
+    return SampleSet(
+        compiled.qubits, np.concatenate(spins), np.concatenate(energies), params, pm
+    )
 
 
 def inject_chain_breaks(
-    logical: dict,
+    logical: SampleSet,
     e: Embedding,
     p_break: float,
     seed: int,
     pm: PhysicalModel,
-) -> PhysicalSample:
-    """Copy each chain from its logical spin, then flip qubits independently.
+) -> SampleSet:
+    """Copy each read's logical spins onto the chains of ``pm``, then flip qubits.
 
-    Every physical qubit is flipped with probability ``p_break`` (one
-    uniform per qubit, ascending qubit id), so a chain of length L stays
-    unbroken exactly when all or none of its qubits flip.
+    ``logical`` has one column per variable of ``e``.  Every physical
+    qubit is flipped with probability ``p_break`` (one uniform per qubit,
+    ascending qubit id, from read ``r``'s own stream), so a chain of
+    length L stays unbroken exactly when all or none of its qubits flip.
     """
     if not (0.0 <= p_break <= 1.0):
         raise ValueError("p_break must be in [0, 1]")
-    for v in e.variables():
-        if v not in logical:
-            raise ValueError(f"logical assignment missing variable {v}")
-        if logical[v] not in (-1, 1):
-            raise ValueError("logical assignment must be Ising spins (-1/+1)")
-    spins = {}
-    for v in e.variables():
-        for q in e.chain(v):
-            spins[q] = logical[v]
-    rng = rng_from(seed)
-    qubits = sorted(spins)
-    flips = rng.random(len(qubits)) < p_break
-    for q, flip in zip(qubits, flips):
-        if flip:
-            spins[q] = -spins[q]
-    return PhysicalSample(spins, energy(pm.ising, spins))
+    variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
+    if not np.all(np.abs(logical.spins) == 1):
+        raise ValueError("logical samples must be Ising spins (-1/+1)")
+    compiled = _CompiledModel(pm.ising)
+    qubits = compiled.qubits
+    chains = chain_columns(e, qubits)
+    if len(chains.columns) != len(qubits):
+        raise ValueError("the physical model has qubits outside the chains")
+    source = np.empty(len(qubits), dtype=np.intp)  # logical column of each qubit
+    source[chains.columns] = np.repeat(variables.columns, chains.lengths)
+    copied = logical.spins[:, source]
+    rngs = [rng_from(derive_seed(seed, STREAM_INJECT, r)) for r in range(len(logical))]
+    flips = np.array([rng.random(len(qubits)) < p_break for rng in rngs])
+    spins = np.where(flips, -copied, copied)
+    energies = compiled.energies(spins.astype(np.float64))
+    return SampleSet(qubits, spins, energies, logical.params, pm)
 
 
 def chain_break_probability(p_break: float, length: int) -> float:
@@ -198,15 +201,16 @@ def _model_hash(model: BinaryQuadraticModel) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-def _spin_string(sample: PhysicalSample, qubits) -> str:
-    return "".join("+" if sample.spins[q] > 0 else "-" for q in qubits)
+def _spin_strings(ss: SampleSet) -> list:
+    """One '+'/'-' string per read, in column order."""
+    chars = np.where(ss.spins > 0, ord("+"), ord("-")).astype(np.uint8)
+    return [row.tobytes().decode("ascii") for row in chars]
 
 
 def sampleset_to_json(ss: SampleSet) -> str:
-    qubits = ss.model.ising.variables()
     doc = {
         "model_hash": _model_hash(ss.model.ising),
-        "qubits": qubits,
+        "qubits": list(ss.qubits),
         "params": {
             "num_reads": ss.params.num_reads,
             "sweeps": ss.params.sweeps,
@@ -214,32 +218,37 @@ def sampleset_to_json(ss: SampleSet) -> str:
             "seed": ss.params.seed,
         },
         "samples": [
-            {"energy": s.energy, "spins": _spin_string(s, qubits)} for s in ss.samples
+            {"energy": energy, "spins": spins}
+            for energy, spins in zip(ss.energies.tolist(), _spin_strings(ss))
         ],
     }
     return json.dumps(doc, indent=2)
 
 
 def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
+    """Read ``sampleset_to_json`` output; raises ``ValueError`` on malformed qubits or spins."""
     doc = json.loads(text)
-    qubits = doc["qubits"]
+    qubits = tuple(doc["qubits"])
+    if list(qubits) != sorted(set(qubits)):
+        raise ValueError("qubits must be distinct and ascending")
     p = doc["params"]
     params = AnnealParams(p["num_reads"], p["sweeps"], tuple(p["beta_range"]), p["seed"])
-    samples = tuple(
-        PhysicalSample(
-            {q: (1 if ch == "+" else -1) for q, ch in zip(qubits, rec["spins"])},
-            rec["energy"],
-        )
-        for rec in doc["samples"]
-    )
-    return SampleSet(samples, params, pm)
+    rows = [rec["spins"] for rec in doc["samples"]]
+    for read, row in enumerate(rows):
+        # strip leaves something exactly when a character is neither '+' nor '-'
+        if not isinstance(row, str) or len(row) != len(qubits) or row.strip("+-"):
+            raise ValueError(
+                f"read {read}: spins must be {len(qubits)} characters of '+' and '-'"
+            )
+    chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), len(qubits))
+    energies = np.array([rec["energy"] for rec in doc["samples"]], dtype=np.float64)
+    return SampleSet(qubits, spins, energies, params, pm)
 
 
 def sampleset_to_csv(ss: SampleSet) -> str:
-    qubits = ss.model.ising.variables()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["energy", "spins"])
-    for s in ss.samples:
-        writer.writerow([repr(s.energy), _spin_string(s, qubits)])
+    writer.writerows(zip(map(repr, ss.energies.tolist()), _spin_strings(ss)))
     return buf.getvalue()

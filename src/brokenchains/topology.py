@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from brokenchains.bqm import ISING, BinaryQuadraticModel, convert
 from brokenchains.graphs import Graph
 
@@ -92,6 +94,39 @@ class Embedding:
 
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains.values()), default=0)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainColumns:
+    """An embedding laid over the columns of a sample set's spin array."""
+
+    variables: tuple  # ascending logical variables
+    columns: np.ndarray  # column of every chain qubit, chains in variable order
+    starts: np.ndarray  # offset of each chain in ``columns``
+    lengths: tuple  # chain lengths
+
+
+def chain_columns(e: Embedding, qubits) -> ChainColumns:
+    """Each chain's column indices in a spin array whose columns are ``qubits``.
+
+    The one check that a sample set holds every chain qubit: raises
+    ``ValueError`` when a chain qubit is not a column.
+    """
+    column = {q: i for i, q in enumerate(qubits)}
+    chains = [e.chain(v) for v in e.variables()]
+    missing = sorted(q for chain in chains for q in chain if q not in column)
+    if missing:
+        raise ValueError(
+            f"{len(missing)} chain qubits of the embedding are not sample columns,"
+            f" e.g. qubit {missing[0]}"
+        )
+    lengths = tuple(len(chain) for chain in chains)
+    return ChainColumns(
+        variables=tuple(e.variables()),
+        columns=np.array([column[q] for chain in chains for q in chain], dtype=np.intp),
+        starts=np.cumsum(lengths, dtype=np.intp) - lengths,
+        lengths=lengths,
+    )
 
 
 def identity_embedding(variables) -> Embedding:

@@ -1,7 +1,8 @@
 """Resolve chained-qubit samples into logical assignments.
 
-``decompose`` splits a physical sample into per-chain readouts and is the
-one place that decides whether a chain is broken.  Three generic
+``decompose`` splits one row of a sample set's spin array into per-chain
+readouts, through the columns ``chain_columns`` assigns each chain, and is
+the one place that decides whether a chain is broken.  Three generic
 strategies (majority vote, random weighted, minimize energy) work on any
 model and return a ``{variable: value}`` assignment; four problem-tailored
 algorithms use the instance graph to return a feasible witness:
@@ -23,30 +24,24 @@ never revisited.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
 from brokenchains.graphs import Bipartition, Graph, is_clique
-from brokenchains.sampler import PhysicalSample
 from brokenchains.seeding import rng_from
-from brokenchains.topology import Embedding
+from brokenchains.topology import ChainColumns
 
 
 @dataclass(frozen=True)
 class ChainReadout:
     variable: int
-    values: tuple  # physical values in chain order, in the readout domain
+    value: int  # value of the chain's first qubit, in the readout domain
     domain: str
     broken: bool
     frac_ones: float
 
     def zero_value(self) -> int:
         return 0 if self.domain == QUBO else -1
-
-    def unbroken_value(self) -> int:
-        return self.values[0]
-
-    def majority_value(self) -> int:
-        """Most common chain value; exact ties resolve to 1 / +1."""
-        return 1 if self.frac_ones >= 0.5 else self.zero_value()
 
 
 @dataclass(frozen=True)
@@ -58,32 +53,22 @@ class UnembedContext:
     seed: int = 0
 
 
-def decompose(s: PhysicalSample, e: Embedding, domain: str = ISING):
-    """One readout per logical variable, values mapped into ``domain``."""
-    readouts = []
-    for v in e.variables():
-        raw = []
-        for q in e.chain(v):
-            if q not in s.spins:
-                raise ValueError(f"sample missing qubit {q} of chain {v}")
-            raw.append(s.spins[q])
-        ones = sum(1 for x in raw if x > 0)
-        if domain == QUBO:
-            values = tuple((x + 1) // 2 for x in raw)
-        elif domain == ISING:
-            values = tuple(raw)
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
-        readouts.append(
-            ChainReadout(
-                variable=v,
-                values=values,
-                domain=domain,
-                broken=len(set(raw)) > 1,
-                frac_ones=ones / len(raw),
-            )
-        )
-    return readouts
+def decompose(spins, chains: ChainColumns, domain: str = ISING):
+    """One readout per logical variable of one read, values mapped into ``domain``.
+
+    ``spins`` is one row of a sample set's spin array and ``chains`` the
+    embedding laid over its columns by ``chain_columns``.
+    """
+    if domain not in (ISING, QUBO):
+        raise ValueError(f"unknown domain {domain!r}")
+    raw = spins[chains.columns]
+    ones = np.add.reduceat(raw > 0, chains.starts).tolist()
+    first = raw[chains.starts].tolist()
+    zero = 0 if domain == QUBO else -1
+    return [
+        ChainReadout(v, 1 if x > 0 else zero, domain, 0 < k < n, k / n)
+        for v, x, k, n in zip(chains.variables, first, ones, chains.lengths)
+    ]
 
 
 def broken_variables(readouts):
@@ -92,7 +77,7 @@ def broken_variables(readouts):
 
 def majority_vote(readouts) -> dict:
     """Per chain, the most common value; exact ties go to 1 / +1."""
-    return {r.variable: r.majority_value() for r in readouts}
+    return {r.variable: 1 if r.frac_ones >= 0.5 else r.zero_value() for r in readouts}
 
 
 def random_weighted(readouts, seed: int) -> dict:
@@ -106,7 +91,7 @@ def random_weighted(readouts, seed: int) -> dict:
     values = {}
     for r in sorted(readouts, key=lambda r: r.variable):
         if not r.broken:
-            values[r.variable] = r.unbroken_value()
+            values[r.variable] = r.value
         else:
             hit = rng.random() < r.frac_ones
             values[r.variable] = 1 if hit else r.zero_value()
@@ -130,9 +115,7 @@ def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> dict:
         raise ValueError("model variables do not match readout variables")
     low = -1 if logical_model.domain == ISING else 0
 
-    values = {
-        r.variable: r.unbroken_value() for r in readouts if not r.broken
-    }
+    values = {r.variable: r.value for r in readouts if not r.broken}
     undecided = sorted(v for v in by_var if by_var[v].broken)
 
     # coupling of each undecided variable to the determined set; fixing a
@@ -186,7 +169,7 @@ def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
     _require_domain(readouts, QUBO, "unembed_max_clique")
     g = ctx.graph
     by_var = {r.variable: r for r in readouts}
-    clique = {r.variable for r in readouts if not r.broken and r.unbroken_value() == 1}
+    clique = {r.variable for r in readouts if not r.broken and r.value == 1}
     if not is_clique(g, clique):
         return frozenset()
     broken = set(broken_variables(readouts))
@@ -224,9 +207,7 @@ def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
     _require_domain(readouts, ISING, "unembed_max_cut")
     g = ctx.graph
     by_var = {r.variable: r for r in readouts}
-    side = {
-        r.variable: r.unbroken_value() for r in readouts if not r.broken
-    }
+    side = {r.variable: r.value for r in readouts if not r.broken}
     rng = rng_from(ctx.seed)
     order = rng.permutation(sorted(broken_variables(readouts)))
     for x in order:
@@ -264,7 +245,7 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
     _require_domain(readouts, ISING, "unembed_graph_partitioning")
     g = ctx.graph
     by_var = {r.variable: r for r in readouts}
-    side = {r.variable: r.unbroken_value() for r in readouts if not r.broken}
+    side = {r.variable: r.value for r in readouts if not r.broken}
     cap = g.n // 2
 
     def size(s):
@@ -310,8 +291,8 @@ def unembed_vertex_cover(readouts, ctx: UnembedContext) -> frozenset:
     _require_domain(readouts, QUBO, "unembed_vertex_cover")
     g = ctx.graph
     by_var = {r.variable: r for r in readouts}
-    cover = {r.variable for r in readouts if not r.broken and r.unbroken_value() == 1}
-    zeros = {r.variable for r in readouts if not r.broken and r.unbroken_value() == 0}
+    cover = {r.variable for r in readouts if not r.broken and r.value == 1}
+    zeros = {r.variable for r in readouts if not r.broken and r.value == 0}
     for u, v in g.edges:
         if u in zeros and v in zeros:
             return frozenset(g.vertices())

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
+
 from brokenchains.graphs import Graph
+from brokenchains.sampler import AnnealParams, SampleSet
 
 
 def complete_graph(n):
@@ -21,3 +24,22 @@ def star_graph(leaves):
 
 def empty_graph(n):
     return Graph(n, [])
+
+
+def sample_set(rows, qubits):
+    """A SampleSet over ``qubits`` holding ``rows``, one sequence of +-1 per read."""
+    spins = np.array(rows, dtype=np.int8).reshape(-1, len(qubits))
+    return SampleSet(
+        tuple(qubits), spins, np.zeros(len(spins)), AnnealParams(num_reads=len(spins))
+    )
+
+
+def one_read(assignment, reads=1):
+    """``reads`` copies of one ``{variable: spin}`` assignment as a SampleSet."""
+    qubits = sorted(assignment)
+    return sample_set([[assignment[q] for q in qubits]] * reads, qubits)
+
+
+def spins_of(ss, read):
+    """Read ``read`` of ``ss`` as a ``{qubit: spin}`` dict."""
+    return dict(zip(ss.qubits, ss.spins[read].tolist()))

@@ -52,6 +52,7 @@ from brokenchains.sampler import (
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
     PhysicalModel,
+    chain_columns,
     chimera,
     clique_embedding,
     embed_bqm,
@@ -70,7 +71,7 @@ from brokenchains.unembed import (
     unembed_max_cut,
     unembed_vertex_cover,
 )
-from conftest import complete_graph, empty_graph
+from conftest import complete_graph, empty_graph, one_read, sample_set, spins_of
 
 
 def report(number, passed, detail):
@@ -155,16 +156,17 @@ class TestCriterion2FeasibilitySuite:
         for graph_index in range(20):
             g = erdos_renyi(30, 0.2 + 0.03 * graph_index, 9000 + graph_index)
             pm = embed_bqm(convert(build_max_cut_ising(g), ISING), embedding, hw, 2.0)
+            chains = chain_columns(embedding, pm.qubits())
             rng = rng_from(4242, graph_index)
             for p_break in p_breaks:
-                for rep in range(samples_per_cell):
-                    logical = {v: int(rng.choice((-1, 1))) for v in range(30)}
-                    sample = inject_chain_breaks(
-                        logical, embedding, p_break,
-                        int(rng.integers(0, 2**62)), pm,
-                    )
-                    ising_readouts = decompose(sample, embedding, domain=ISING)
-                    qubo_readouts = decompose(sample, embedding, domain=QUBO)
+                rows = rng.choice((-1, 1), size=(samples_per_cell, 30))
+                logical = sample_set(rows, range(30))
+                samples = inject_chain_breaks(
+                    logical, embedding, p_break, int(rng.integers(0, 2**62)), pm
+                )
+                for rep, spins in enumerate(samples.spins):
+                    ising_readouts = decompose(spins, chains, domain=ISING)
+                    qubo_readouts = decompose(spins, chains, domain=QUBO)
                     total_samples += 1
                     total_readouts += len(ising_readouts)
 
@@ -222,14 +224,18 @@ class TestCriterion3AgreementOnUnbroken:
                 ss = simulated_anneal(
                     logical_pm, AnnealParams(num_reads=20, sweeps=300, seed=500 + k)
                 )
-                best = min(ss, key=lambda s: s.energy)
+                best = int(np.argmin(ss.energies))
 
                 hw = chimera(8, 8, 4)
                 e = clique_embedding(20, hw)
                 pm = embed_bqm(ising, e, hw, 2.0)
-                sample = inject_chain_breaks(best.spins, e, 0.0, k, pm)
-                readouts = decompose(sample, e, domain=model.domain)
-                raw = {r.variable: r.unbroken_value() for r in readouts}
+                sample = inject_chain_breaks(
+                    sample_set([ss.spins[best]], ss.qubits), e, 0.0, k, pm
+                )
+                readouts = decompose(
+                    sample.spins[0], chain_columns(e, sample.qubits), domain=model.domain
+                )
+                raw = {r.variable: r.value for r in readouts}
 
                 assert majority_vote(readouts) == raw
                 assert random_weighted(readouts, k) == raw
@@ -301,13 +307,13 @@ class TestCriterion4MinimizeEnergyOracle:
                     ones = int(rng.integers(1, length))
                     values = [1] * ones + [-1] * (length - ones)
                     readouts.append(
-                        ChainReadout(v, tuple(values), ISING, True, ones / length)
+                        ChainReadout(v, values[0], ISING, True, ones / length)
                     )
                 else:
                     s = int(rng.choice((-1, 1)))
-                    readouts.append(ChainReadout(v, (s, s), ISING, False, (s + 1) / 2))
+                    readouts.append(ChainReadout(v, s, ISING, False, (s + 1) / 2))
             got = minimize_energy(readouts, model)
-            fixed = {r.variable: r.values[0] for r in readouts if not r.broken}
+            fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min(
                 energy(model, {**fixed, **dict(zip(broken, combo))})
                 for combo in itertools.product((-1, 1), repeat=len(broken))
@@ -360,15 +366,16 @@ class TestCriterion6InjectorStatistics:
             assert all(len(e.chain(v)) == length for v in e.variables())
             model = convert(build_max_cut_ising(empty_graph(k)), ISING)
             pm = embed_bqm(model, e, hw, 1.0)
-            logical = {v: 1 for v in range(k)}
+            logical = one_read({v: 1 for v in range(k)}, reads=1000)
             for p in (0.1, 0.2, 0.5):
                 expect = chain_break_probability(p, length)
                 broken = 0
-                for seed in range(1000):
-                    sample = inject_chain_breaks(logical, e, p, seed, pm)
+                samples = inject_chain_breaks(logical, e, p, 0, pm)
+                for read in range(1000):
+                    spins = spins_of(samples, read)
                     broken += sum(
                         1 for v in e.variables()
-                        if len({sample.spins[q] for q in e.chain(v)}) > 1
+                        if len({spins[q] for q in e.chain(v)}) > 1
                     )
                 trials = 1000 * k
                 sigma = math.sqrt(trials * expect * (1 - expect))

@@ -19,9 +19,9 @@ from brokenchains.bench import (
 from brokenchains.bqm import build_max_cut_ising
 from brokenchains.graphs import Bipartition, erdos_renyi
 from brokenchains.sampler import inject_chain_breaks
-from brokenchains.topology import chimera, clique_embedding, embed_bqm
+from brokenchains.topology import chain_columns, chimera, clique_embedding, embed_bqm
 from brokenchains.unembed import decompose
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, one_read, path_graph, spins_of
 
 
 def small_config(**kw):
@@ -92,16 +92,16 @@ class TestBrokenChainProportion:
 
     def _fractions(self, samples):
         """Per-read broken fraction, as run_graph_pipeline records it."""
+        chains = chain_columns(self.e, samples.qubits)
         fractions = []
-        for sample in samples:
-            readouts = decompose(sample, self.e)
+        for spins in samples.spins:
+            readouts = decompose(spins, chains)
             fractions.append(sum(r.broken for r in readouts) / len(readouts))
         return fractions
 
     def _injected(self, p, reads):
         return self._fractions(
-            inject_chain_breaks(self.logical, self.e, p, seed, self.pm)
-            for seed in range(reads)
+            inject_chain_breaks(one_read(self.logical, reads), self.e, p, 0, self.pm)
         )
 
     def test_p_zero(self):
@@ -109,13 +109,14 @@ class TestBrokenChainProportion:
         assert mean == 0.0 and std == 0.0
 
     def test_half_and_half(self):
-        intact = inject_chain_breaks(self.logical, self.e, 0.0, 0, self.pm)
-        broken = inject_chain_breaks(self.logical, self.e, 0.5, 3, self.pm)
+        intact = inject_chain_breaks(one_read(self.logical), self.e, 0.0, 0, self.pm)
+        broken = inject_chain_breaks(one_read(self.logical), self.e, 0.5, 3, self.pm)
         per_read_broken = sum(
-            1 for r in [broken] for v in self.e.variables()
-            if len({r.spins[q] for q in self.e.chain(v)}) > 1
+            1 for r in [spins_of(broken, 0)] for v in self.e.variables()
+            if len({r[q] for q in self.e.chain(v)}) > 1
         ) / 12
-        mean, _ = broken_chain_proportion(self._fractions([intact, broken]))
+        fractions = self._fractions(intact) + self._fractions(broken)
+        mean, _ = broken_chain_proportion(fractions)
         assert mean == pytest.approx(per_read_broken / 2)
 
     def test_matches_injector_statistics(self):
@@ -169,6 +170,12 @@ class TestConfigValidation:
             small_config(chain_strength="auto").validate()
         with pytest.raises(ValueError):
             small_config(chain_strength=-1.0).validate()
+        with pytest.raises(ValueError):
+            small_config(chain_strength_grid=(1.0, 0.0)).validate()
+
+    def test_bad_prefactor(self):
+        with pytest.raises(ValueError):
+            small_config(prefactor=0.0).validate()
 
 
 class TestFig2:

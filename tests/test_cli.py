@@ -82,6 +82,7 @@ class TestSampleValidation:
         ("--sweeps", "0"),
         ("--chain-strength", "-1"),
         ("--topology", "4,3,4"),
+        ("--prefactor", "0"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, value):
         assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
@@ -94,6 +95,15 @@ class TestSampleValidation:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_graph_over_capacity_exit_2(self, tmp_path, capsys):
+        assert main(["gen", "--n", "20", "--density", "0.5", "--out", str(tmp_path)]) == 0
+        rc = main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "embeds at most 9" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -135,6 +145,33 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert self.unembed(tmp_path, problem="graph_partitioning") == 2
         err = capsys.readouterr().err
         assert "model.json is not the graph_partitioning model of" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", [
+        "bad_character", "short_later_row", "short_then_long", "not_a_string", "qubit_order",
+    ])
+    def test_malformed_samples_exit_2(self, tmp_path, capsys, edit):
+        self.sampled(tmp_path)
+        path = tmp_path / "samples.json"
+        doc = json.loads(path.read_text())
+        reads = doc["samples"]
+        if edit == "bad_character":
+            reads[1]["spins"] = "x" + reads[1]["spins"][1:]
+        elif edit == "short_later_row":
+            reads[2]["spins"] = reads[2]["spins"][:-1]
+        elif edit == "short_then_long":  # the total still fits the reads x qubits array
+            reads[1]["spins"] = reads[1]["spins"][:-1]
+            reads[2]["spins"] += "+"
+        elif edit == "not_a_string":
+            reads[1]["spins"] = 5
+        else:
+            doc["qubits"][:2] = doc["qubits"][1::-1]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        expect = "qubits must be" if edit == "qubit_order" else "samples.json: read"
+        assert err.startswith("configuration error:") and expect in err
         assert not (tmp_path / "out").exists()
 
     def test_chain_qubits_outside_samples_exit_2(self, tmp_path, capsys):
@@ -196,6 +233,18 @@ class TestExperimentCommands:
             "--graphs", "1", "--reads", "5", "--out", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4"])
+    def test_nonpositive_prefactor_exit_2(self, tmp_path, capsys, command):
+        grid = ["--grid", "1.0"] if command == "fig4" else []
+        rc = main([
+            command, "--problem", "max_cut", "--n", "6", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--prefactor", "-1", "--out", str(tmp_path / "out"),
+        ] + grid)
+        assert rc == 2
+        assert "prefactor must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = [

@@ -17,6 +17,7 @@ from brokenchains.sampler import (
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
     PhysicalModel,
+    chain_columns,
     chimera,
     clique_embedding,
     embed_bqm,
@@ -24,7 +25,7 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import decompose
 from brokenchains.graphs import erdos_renyi
-from conftest import complete_graph
+from conftest import complete_graph, one_read, spins_of
 
 
 def logical_pm(model):
@@ -50,13 +51,13 @@ class TestSimulatedAnneal:
     def test_single_qubit_boltzmann(self):
         m = BinaryQuadraticModel(ISING, {0: -1.0}, {})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=1000, sweeps=60, seed=3))
-        freq = sum(1 for s in ss if s.spins[0] == 1) / len(ss)
+        freq = np.mean(ss.spins[:, ss.qubits.index(0)] == 1)
         assert freq > 0.99
 
     def test_two_qubit_ferromagnet(self):
         m = BinaryQuadraticModel(ISING, {}, {(0, 1): -1.0})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=1000, sweeps=60, seed=4))
-        aligned = sum(1 for s in ss if s.spins[0] == s.spins[1]) / len(ss)
+        aligned = np.mean(ss.spins[:, 0] == ss.spins[:, 1])
         assert aligned > 0.95
 
     def test_deterministic(self):
@@ -64,7 +65,7 @@ class TestSimulatedAnneal:
         params = AnnealParams(num_reads=50, sweeps=40, seed=11)
         a = simulated_anneal(logical_pm(m), params)
         b = simulated_anneal(logical_pm(m), params)
-        assert all(x.spins == y.spins and x.energy == y.energy for x, y in zip(a, b))
+        assert np.array_equal(a.spins, b.spins) and np.array_equal(a.energies, b.energies)
 
     def test_read_count(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0}, {})
@@ -76,9 +77,9 @@ class TestSimulatedAnneal:
         m = build_max_cut_ising(g)
         pm = logical_pm(m)
         ss = simulated_anneal(pm, AnnealParams(num_reads=20, sweeps=30, seed=2))
-        for s in ss:
-            assert math.isfinite(s.energy)
-            assert abs(s.energy - energy(pm.ising, s.spins)) <= 1e-9
+        for read, e in enumerate(ss.energies):
+            assert math.isfinite(e)
+            assert abs(e - energy(pm.ising, spins_of(ss, read))) <= 1e-9
 
     def test_annealing_beats_random(self):
         g = erdos_renyi(14, 0.5, 13)
@@ -91,7 +92,7 @@ class TestSimulatedAnneal:
             energy(pm.ising, {q: int(rng.choice((-1, 1))) for q in qubits})
             for _ in range(200)
         ])
-        assert ss.energies().mean() <= random_mean
+        assert ss.energies.mean() <= random_mean
 
     def test_batch_boundary_independence(self):
         # reads are seeded individually, so truncating num_reads keeps a prefix
@@ -99,8 +100,7 @@ class TestSimulatedAnneal:
         pm = logical_pm(m)
         long = simulated_anneal(pm, AnnealParams(num_reads=70, sweeps=20, seed=9))
         short = simulated_anneal(pm, AnnealParams(num_reads=65, sweeps=20, seed=9))
-        for a, b in zip(short, long):
-            assert a.spins == b.spins
+        assert np.array_equal(short.spins, long.spins[: len(short)])
 
 
 class TestInjectChainBreaks:
@@ -111,43 +111,46 @@ class TestInjectChainBreaks:
         self.pm = embed_bqm(self.model, self.e, self.hw, 2.0)
         self.logical = {v: 1 if v % 3 == 0 else -1 for v in range(16)}
 
+    def readouts(self, s, read=0):
+        return decompose(s.spins[read], chain_columns(self.e, s.qubits))
+
     def test_p_zero_round_trips(self):
-        s = inject_chain_breaks(self.logical, self.e, 0.0, 1, self.pm)
-        readouts = decompose(s, self.e)
+        s = inject_chain_breaks(one_read(self.logical), self.e, 0.0, 1, self.pm)
+        readouts = self.readouts(s)
         assert all(not r.broken for r in readouts)
-        assert {r.variable: r.unbroken_value() for r in readouts} == self.logical
+        assert {r.variable: r.value for r in readouts} == self.logical
 
     def test_p_one_global_flip(self):
-        s = inject_chain_breaks(self.logical, self.e, 1.0, 1, self.pm)
-        readouts = decompose(s, self.e)
+        s = inject_chain_breaks(one_read(self.logical), self.e, 1.0, 1, self.pm)
+        readouts = self.readouts(s)
         assert all(not r.broken for r in readouts)
-        assert all(r.unbroken_value() == -self.logical[r.variable] for r in readouts)
+        assert all(r.value == -self.logical[r.variable] for r in readouts)
 
     def test_energy_recomputed(self):
-        s = inject_chain_breaks(self.logical, self.e, 0.3, 5, self.pm)
-        assert abs(s.energy - energy(self.pm.ising, s.spins)) <= 1e-9
+        s = inject_chain_breaks(one_read(self.logical), self.e, 0.3, 5, self.pm)
+        assert abs(s.energies[0] - energy(self.pm.ising, spins_of(s, 0))) <= 1e-9
 
     def test_break_statistics(self):
         # chains of length 5: broken with probability 1 - p^5 - (1-p)^5
         p = 0.2
         expect = chain_break_probability(p, 5)
         trials = 400
-        broken = 0
-        for seed in range(trials):
-            s = inject_chain_breaks(self.logical, self.e, p, seed, self.pm)
-            broken += sum(1 for r in decompose(s, self.e) if r.broken)
+        s = inject_chain_breaks(one_read(self.logical, trials), self.e, p, 0, self.pm)
+        broken = sum(
+            1 for read in range(trials) for r in self.readouts(s, read) if r.broken
+        )
         total = trials * 16
         sigma = math.sqrt(total * expect * (1 - expect))
         assert abs(broken - total * expect) <= 3 * sigma
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            inject_chain_breaks(self.logical, self.e, 1.5, 0, self.pm)
+            inject_chain_breaks(one_read(self.logical), self.e, 1.5, 0, self.pm)
 
     def test_domain_mismatch(self):
         bits = {v: 1 if v % 3 == 0 else 0 for v in range(16)}
         with pytest.raises(ValueError):
-            inject_chain_breaks(bits, self.e, 0.1, 0, self.pm)
+            inject_chain_breaks(one_read(bits), self.e, 0.1, 0, self.pm)
 
 
 class TestSampleSetExport:
@@ -157,8 +160,9 @@ class TestSampleSetExport:
         ss = simulated_anneal(pm, AnnealParams(num_reads=5, sweeps=10, seed=1))
         back = sampleset_from_json(sampleset_to_json(ss), pm)
         assert len(back) == len(ss)
-        for a, b in zip(ss, back):
-            assert a.spins == b.spins and a.energy == b.energy
+        assert back.qubits == ss.qubits
+        assert np.array_equal(back.spins, ss.spins)
+        assert np.array_equal(back.energies, ss.energies)
 
     def test_csv_shape(self):
         m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))

@@ -18,7 +18,13 @@ from brokenchains.graphs import (
 )
 from brokenchains.sampler import inject_chain_breaks
 from brokenchains.seeding import rng_from
-from brokenchains.topology import PhysicalModel, chimera, clique_embedding, embed_bqm
+from brokenchains.topology import (
+    PhysicalModel,
+    chain_columns,
+    chimera,
+    clique_embedding,
+    embed_bqm,
+)
 from brokenchains.unembed import (
     ChainReadout,
     UnembedContext,
@@ -32,15 +38,19 @@ from brokenchains.unembed import (
     unembed_tailored,
     unembed_vertex_cover,
 )
-from conftest import complete_graph, empty_graph, path_graph, star_graph
+from conftest import complete_graph, empty_graph, one_read, path_graph, star_graph
 
 
 def ro(var, values, domain):
     values = tuple(values)
     ones = sum(1 for x in values if x == 1)
     return ChainReadout(
-        var, values, domain, broken=len(set(values)) > 1, frac_ones=ones / len(values)
+        var, values[0], domain, broken=len(set(values)) > 1, frac_ones=ones / len(values)
     )
+
+
+def decompose_read(ss, e, domain=ISING, read=0):
+    return decompose(ss.spins[read], chain_columns(e, ss.qubits), domain)
 
 
 def random_readouts(nvars, domain, broken_vars, seed):
@@ -67,8 +77,8 @@ class TestDecompose:
         e = clique_embedding(3, hw)
         m = build_max_cut_ising(complete_graph(3))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks({0: 1, 1: -1, 2: 1}, e, 0.0, 0, pm)
-        readouts = decompose(s, e)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1, 2: 1}), e, 0.0, 0, pm)
+        readouts = decompose_read(s, e)
         by_var = {r.variable: r for r in readouts}
         assert not by_var[0].broken and by_var[0].frac_ones == 1.0
         assert by_var[1].frac_ones == 0.0
@@ -82,10 +92,10 @@ class TestDecompose:
         e = clique_embedding(2, hw)
         m = build_max_cut_ising(complete_graph(2))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks({0: 1, 1: -1}, e, 0.0, 0, pm)
-        readouts = decompose(s, e, domain=QUBO)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1}), e, 0.0, 0, pm)
+        readouts = decompose_read(s, e, domain=QUBO)
         by_var = {r.variable: r for r in readouts}
-        assert set(by_var[1].values) == {0}
+        assert by_var[1].value == 0 and not by_var[1].broken
         assert by_var[0].frac_ones == 1.0
 
     def test_missing_qubit_rejected(self):
@@ -93,10 +103,10 @@ class TestDecompose:
         e = clique_embedding(2, hw)
         m = build_max_cut_ising(complete_graph(2))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks({0: 1, 1: -1}, e, 0.0, 0, pm)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1}), e, 0.0, 0, pm)
         bigger = clique_embedding(3, hw)
         with pytest.raises(ValueError):
-            decompose(s, bigger)
+            decompose_read(s, bigger)
 
 
 class TestMajorityVote:
@@ -180,7 +190,7 @@ class TestMinimizeEnergy:
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
             got = minimize_energy(readouts, m)
-            fixed = {r.variable: r.unbroken_value() for r in readouts if not r.broken}
+            fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
 
