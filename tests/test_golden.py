@@ -3,6 +3,9 @@
 Each case runs one small instance (n=8 on chimera(2,2,4), 8 reads of 20
 sweeps, one density, one graph) and hashes the CSV it emits; the CLI cases
 also hash the ``samples.json`` and ``samples.csv`` that ``sample`` writes.
+The ``anneal`` case hashes the ``sampleset_to_csv`` of 130 reads, which
+crosses two read batches of the annealer, on a random model over every
+coupler of chimera(2,2,4), whose greedy colouring has three classes.
 A refactor that keeps behaviour keeps every digest; a change that is meant
 to alter output bytes must regenerate them with
 
@@ -21,8 +24,12 @@ from pathlib import Path
 import pytest
 
 from brokenchains import bench
+from brokenchains.bqm import ISING, BinaryQuadraticModel
 from brokenchains.cli import main
 from brokenchains.graphs import PROBLEMS
+from brokenchains.sampler import AnnealParams, sampleset_to_csv, simulated_anneal
+from brokenchains.seeding import rng_from
+from brokenchains.topology import PhysicalModel, chimera, identity_embedding
 
 FIGS = {"fig2": bench.run_fig2, "fig3": bench.run_fig3, "fig4": bench.run_fig4}
 SOURCES = ("anneal", "inject")
@@ -80,16 +87,32 @@ def cli_csvs(problem):
         return {key: Path(f"{tmp}/{name}").read_text() for key, name in files.items()}
 
 
+def multi_batch_csv():
+    """``sampleset_to_csv`` of a 130-read x 20-sweep anneal of a random model
+    over all of chimera(2,2,4)."""
+    hw = chimera(2, 2, 4)
+    rng = rng_from(SEED)
+    qubits, couplers = sorted(hw.qubits), sorted(hw.couplers)
+    linear = dict(zip(qubits, rng.uniform(-1.0, 1.0, len(qubits)).tolist()))
+    quadratic = dict(zip(couplers, rng.uniform(-1.0, 1.0, len(couplers)).tolist()))
+    ising = BinaryQuadraticModel(ISING, linear, quadratic)
+    pm = PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
+    return sampleset_to_csv(simulated_anneal(pm, AnnealParams(130, 20, seed=SEED)))
+
+
 def output(case):
     kind, variant, problem = case.split("/")
     if kind == "cli":
         return cli_csvs(problem)[variant]
+    if kind == "anneal":
+        return multi_batch_csv()
     return fig_csv(kind, variant, problem)
 
 
 CASES = [f"{fig}/{source}/{problem}" for fig in FIGS for source in SOURCES for problem in PROBLEMS]
 CASES += [f"cli/{method}/{problem}" for method in CLI_METHODS for problem in PROBLEMS]
 CASES += [f"cli/{name}/{problem}" for name in SAMPLE_FILES for problem in PROBLEMS]
+CASES += ["anneal/130x20/chimera(2,2,4)"]
 
 GOLDEN = {
     "fig2/anneal/max_clique": "8c028b33d0ed8fc861a09884c4036aad13a6048c714678236fb5584d90574b64",
@@ -140,6 +163,7 @@ GOLDEN = {
     "cli/samples.csv/max_cut": "407227e86b651e5b1a99af73c30333e19f993203cb5d40232e67c33e5fdb9f61",
     "cli/samples.csv/min_vertex_cover": "83c1f7c1b7234058db7a1d0bcfc5b481f1f550b9959f9dbc2c1984eccc192f70",
     "cli/samples.csv/graph_partitioning": "3b03afa13da2c618151207bddfa5116147d39cc5cf4da0f92f8c3d621a86f11e",
+    "anneal/130x20/chimera(2,2,4)": "693cb73e3f0ade827e05ab0a7b4d6c681456df70b5cd27a6f0f76c25a39e3db9",
 }
 
 
