@@ -9,12 +9,16 @@ tested without any annealing at all.
 Determinism contract: read ``r`` of ``simulated_anneal`` consumes only the
 PCG64 stream seeded by ``derive_seed(params.seed, STREAM_READ, r)``,
 drawing the initial state first and then one uniform per spin per sweep.
-Reads are therefore independent, order-insensitive, and reproducible;
-batching them (as done here for speed) returns bit-identical results to a
-sequential loop.  Read ``r`` of ``inject_chain_breaks`` likewise draws one
-uniform per physical qubit, in ascending qubit id, from
-``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the first
-k reads of a logical set gives the first k injected reads.
+Reads are therefore independent, order-insensitive, and reproducible:
+the spins of read ``r`` are the same whether reads run one at a time or in
+the batches of ``_READ_BATCH`` used here for speed.  Energies are summed
+per batch with BLAS and scipy products, so read ``r``'s energy agrees with
+``bqm.energy`` to 1e-9 but can differ in the last bit between two read
+counts that cut the reads into different batches.  Read ``r`` of
+``inject_chain_breaks`` likewise draws one uniform per physical qubit, in
+ascending qubit id, from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``,
+so injecting the first k reads of a logical set gives the first k
+injected reads.
 
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
@@ -132,19 +136,29 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     for start in range(0, params.num_reads, _READ_BATCH):
         reads = range(start, min(start + _READ_BATCH, params.num_reads))
         rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
+        # column r of ``states`` is one read, so a class's CSR rows multiply
+        # the block as it lies, with no transposed copy of either operand
         states = np.stack(
-            [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs]
+            [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
+            axis=1,
         )
+        draws = np.empty((len(rngs), n))
+        uniforms = draws.T  # uniforms[i, r] is read r's draw for qubit i
         for beta in betas:
-            uniforms = np.stack([rng.random(n) for rng in rngs])
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
             for cls, j_rows in zip(compiled.classes, compiled.class_rows):
-                fields = compiled.h[cls] + states @ j_rows.T
+                spins_cls = states[cls]
+                fields = compiled.h[cls][:, None] + j_rows @ states
                 # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
-                delta = -2.0 * states[:, cls] * fields
+                delta = -2.0 * spins_cls * fields
                 accept = (delta <= 0.0) | (
-                    uniforms[:, cls] < np.exp(-beta * np.clip(delta, 0.0, None))
+                    uniforms[cls] < np.exp(-beta * np.clip(delta, 0.0, None))
                 )
-                states[:, cls] = np.where(accept, -states[:, cls], states[:, cls])
+                states[cls] = np.where(accept, -spins_cls, spins_cls)
+        # energies are summed over C-ordered (reads, qubits) rows: the last
+        # bits of a BLAS sum depend on the layout it is given
+        states = np.ascontiguousarray(states.T)
         spins.append(states.astype(np.int8))
         energies.append(compiled.energies(states))
     return SampleSet(
@@ -226,7 +240,11 @@ def sampleset_to_json(ss: SampleSet) -> str:
 
 
 def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
-    """Read ``sampleset_to_json`` output; raises ``ValueError`` on malformed qubits or spins."""
+    """Read ``sampleset_to_json`` output.
+
+    Raises ``ValueError`` on malformed qubits or spins, or when
+    ``params.num_reads`` is not the number of stored reads.
+    """
     doc = json.loads(text)
     qubits = tuple(doc["qubits"])
     if list(qubits) != sorted(set(qubits)):
@@ -234,6 +252,10 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     p = doc["params"]
     params = AnnealParams(p["num_reads"], p["sweeps"], tuple(p["beta_range"]), p["seed"])
     rows = [rec["spins"] for rec in doc["samples"]]
+    if params.num_reads != len(rows):
+        raise ValueError(
+            f"params.num_reads is {params.num_reads} but {len(rows)} reads are stored"
+        )
     for read, row in enumerate(rows):
         # strip leaves something exactly when a character is neither '+' nor '-'
         if not isinstance(row, str) or len(row) != len(qubits) or row.strip("+-"):

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 
+from brokenchains.bqm import ISING, BinaryQuadraticModel
 from brokenchains.graphs import Graph
 from brokenchains.sampler import AnnealParams, SampleSet
+from brokenchains.seeding import rng_from
+from brokenchains.topology import PhysicalModel, identity_embedding
 
 
 def complete_graph(n):
@@ -43,3 +46,14 @@ def one_read(assignment, reads=1):
 def spins_of(ss, read):
     """Read ``read`` of ``ss`` as a ``{qubit: spin}`` dict."""
     return dict(zip(ss.qubits, ss.spins[read].tolist()))
+
+
+def spin_glass(hw, seed):
+    """A PhysicalModel with uniform [-1, 1) fields and couplers on every qubit
+    and coupler of ``hw``, drawn from ``rng_from(seed)``."""
+    rng = rng_from(seed)
+    qubits, couplers = sorted(hw.qubits), sorted(hw.couplers)
+    linear = dict(zip(qubits, rng.uniform(-1.0, 1.0, len(qubits)).tolist()))
+    quadratic = dict(zip(couplers, rng.uniform(-1.0, 1.0, len(couplers)).tolist()))
+    ising = BinaryQuadraticModel(ISING, linear, quadratic)
+    return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())

@@ -149,6 +149,7 @@ class TestUnembedRejectsMismatchedArtifacts:
 
     @pytest.mark.parametrize("edit", [
         "bad_character", "short_later_row", "short_then_long", "not_a_string", "qubit_order",
+        "num_reads",
     ])
     def test_malformed_samples_exit_2(self, tmp_path, capsys, edit):
         self.sampled(tmp_path)
@@ -164,13 +165,16 @@ class TestUnembedRejectsMismatchedArtifacts:
             reads[2]["spins"] += "+"
         elif edit == "not_a_string":
             reads[1]["spins"] = 5
+        elif edit == "num_reads":
+            doc["params"]["num_reads"] = 99
         else:
             doc["qubits"][:2] = doc["qubits"][1::-1]
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert self.unembed(tmp_path) == 2
         err = capsys.readouterr().err
-        expect = "qubits must be" if edit == "qubit_order" else "samples.json: read"
+        messages = {"qubit_order": "qubits must be", "num_reads": "samples.json: params.num_reads"}
+        expect = messages.get(edit, "samples.json: read")
         assert err.startswith("configuration error:") and expect in err
         assert not (tmp_path / "out").exists()
 

@@ -24,12 +24,11 @@ from pathlib import Path
 import pytest
 
 from brokenchains import bench
-from brokenchains.bqm import ISING, BinaryQuadraticModel
 from brokenchains.cli import main
 from brokenchains.graphs import PROBLEMS
 from brokenchains.sampler import AnnealParams, sampleset_to_csv, simulated_anneal
-from brokenchains.seeding import rng_from
-from brokenchains.topology import PhysicalModel, chimera, identity_embedding
+from brokenchains.topology import chimera
+from conftest import spin_glass
 
 FIGS = {"fig2": bench.run_fig2, "fig3": bench.run_fig3, "fig4": bench.run_fig4}
 SOURCES = ("anneal", "inject")
@@ -90,13 +89,7 @@ def cli_csvs(problem):
 def multi_batch_csv():
     """``sampleset_to_csv`` of a 130-read x 20-sweep anneal of a random model
     over all of chimera(2,2,4)."""
-    hw = chimera(2, 2, 4)
-    rng = rng_from(SEED)
-    qubits, couplers = sorted(hw.qubits), sorted(hw.couplers)
-    linear = dict(zip(qubits, rng.uniform(-1.0, 1.0, len(qubits)).tolist()))
-    quadratic = dict(zip(couplers, rng.uniform(-1.0, 1.0, len(couplers)).tolist()))
-    ising = BinaryQuadraticModel(ISING, linear, quadratic)
-    pm = PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
+    pm = spin_glass(chimera(2, 2, 4), SEED)
     return sampleset_to_csv(simulated_anneal(pm, AnnealParams(130, 20, seed=SEED)))
 
 

@@ -3,6 +3,9 @@
 * ``decompose`` agrees with a per-qubit dict reference on random chains;
 * injecting the first k reads of a logical set gives the first k
   injected reads, since read ``r`` draws from its own stream;
+* read ``r`` of an anneal does not depend on batching: the first k1
+  reads of a k1-read and a k2-read anneal agree when the two sets are cut
+  into different 64-read batches, and every energy matches ``bqm.energy``;
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover).
@@ -13,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenchains import bench
-from brokenchains.bqm import ISING, QUBO, build_model, convert
+from brokenchains.bqm import ISING, QUBO, build_model, convert, energy
 from brokenchains.graphs import PROBLEMS, Bipartition, erdos_renyi, is_clique
-from brokenchains.sampler import inject_chain_breaks
+from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
 from brokenchains.topology import (
     Embedding,
     chain_columns,
@@ -24,7 +27,7 @@ from brokenchains.topology import (
     embed_bqm,
 )
 from brokenchains.unembed import decompose
-from conftest import sample_set
+from conftest import sample_set, spin_glass, spins_of
 
 HW = chimera(2, 2, 4)
 QUBITS = tuple(sorted(HW.qubits))
@@ -90,6 +93,20 @@ def test_injecting_a_prefix_gives_the_prefix(n, data, p_break, seed):
     assert head.qubits == full.qubits
     assert np.array_equal(head.spins, full.spins[:k])
     assert np.allclose(head.energies, full.energies[:k], rtol=0, atol=1e-9)
+
+
+@PROPERTY
+@given(st.sampled_from((64, 128)), st.data(), st.integers(1, 4), seeds, seeds)
+def test_read_does_not_depend_on_batching(boundary, data, sweeps, model_seed, seed):
+    k1 = data.draw(st.integers(1, boundary))
+    k2 = data.draw(st.integers(boundary + 1, boundary + 64))
+    pm = spin_glass(HW, model_seed)
+    head, full = (simulated_anneal(pm, AnnealParams(k, sweeps, seed=seed)) for k in (k1, k2))
+    assert head.qubits == full.qubits
+    assert np.array_equal(head.spins, full.spins[:k1])
+    for ss in (head, full):
+        expected = [energy(pm.ising, spins_of(ss, r)) for r in range(len(ss))]
+        assert np.allclose(ss.energies, expected, rtol=0, atol=1e-9)
 
 
 def witness_values(witness, g):
