@@ -10,10 +10,11 @@ reproduces at desk scale:
 * ``run_fig4``  - tailored-method quality across a chain-strength grid,
   normalized per (problem, density) group.
 
-``run_graph_pipeline`` decomposes every read once and records its
-broken-chain fraction and, for each method the experiment scores, its
-witness; ``repair`` is the one place a method name turns into a repair
-call.  Rows score those witnesses at emission time.  A fixed seed makes
+Each experiment builds its Chimera graph and clique embedding once;
+``run_graph_pipeline`` compiles every graph onto them, decomposes every
+read once and records its broken-chain fraction and, for each method the
+experiment scores, its witness; ``repair`` is the one place a method
+name turns into a repair call.  Rows score those witnesses at emission time.  A fixed seed makes
 the emitted CSV byte-identical across runs.
 """
 
@@ -45,6 +46,8 @@ from brokenchains.seeding import (
     derive_seed,
 )
 from brokenchains.topology import (
+    Embedding,
+    HardwareGraph,
     PhysicalModel,
     chain_columns,
     chimera,
@@ -306,15 +309,20 @@ def _draw_physical_samples(config, pm, ising, graph_seed):
 
 def run_graph_pipeline(
     config: ExperimentConfig,
+    hw: HardwareGraph,
+    embedding: Embedding,
     density: float,
     index: int,
     strength,
     scale: bool = False,
     methods=METHODS,
 ) -> GraphRun:
-    """Generate one instance, embed it, sample it, and repair every read.
+    """Generate one instance, compile it onto ``embedding`` over ``hw``,
+    sample it, and repair every read.
 
-    Only ``methods`` run; each read's broken-chain fraction is always kept.
+    ``hw`` and ``embedding`` are the experiment's ``chimera(*topology)``
+    and ``clique_embedding(n, hw)``.  Only ``methods`` run; each read's
+    broken-chain fraction is always kept.
     """
     graph_seed = derive_seed(config.seed, STREAM_GRAPH, int(round(density * 1e9)), index)
     g = erdos_renyi(config.n, density, graph_seed)
@@ -323,9 +331,6 @@ def run_graph_pipeline(
     if scale:
         ising = scale_to_unit_range(ising)
     chain_strength = _resolve_chain_strength(strength, ising, config.prefactor)
-
-    hw = chimera(*config.topology)
-    embedding = clique_embedding(config.n, hw)
     pm = embed_bqm(ising, embedding, hw, chain_strength)
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
@@ -370,16 +375,36 @@ def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
     return min(objectives), False
 
 
+def chain_strength_setting(experiment: str, config: ExperimentConfig):
+    """The chain strength an experiment runs at, with its default resolved.
+
+    fig2 defaults to ``FIG2_CHAIN_STRENGTH`` of the problem, fig3 to
+    ``"utc"``; fig4 runs at every strength of its grid.
+    """
+    if experiment == "fig4":
+        return list(config.chain_strength_grid)
+    if config.chain_strength is not None:
+        return config.chain_strength
+    return FIG2_CHAIN_STRENGTH[config.problem] if experiment == "fig2" else "utc"
+
+
+def _topology(config: ExperimentConfig):
+    """The experiment's hardware graph and the clique embedding on it."""
+    hw = chimera(*config.topology)
+    return hw, clique_embedding(config.n, hw)
+
+
 def run_fig2(config: ExperimentConfig):
     """Broken-chain proportion per graph at a fixed per-problem chain strength."""
     config.validate()
-    strength = config.chain_strength
-    if strength is None:
-        strength = FIG2_CHAIN_STRENGTH[config.problem]
+    strength = chain_strength_setting("fig2", config)
+    hw, embedding = _topology(config)
     rows = []
     for density in config.densities:
         for index in range(config.graphs_per_density):
-            run = run_graph_pipeline(config, density, index, strength, methods=())
+            run = run_graph_pipeline(
+                config, hw, embedding, density, index, strength, methods=()
+            )
             mean, std = broken_chain_proportion(run.broken_fracs)
             degenerate = not any(c != 0.0 for c in run.ising.quadratic.values())
             rows.append(
@@ -400,11 +425,12 @@ def run_fig2(config: ExperimentConfig):
 def run_fig3(config: ExperimentConfig):
     """Per-graph objectives for every method plus tailored-vs-baseline ratios."""
     config.validate()
-    strength = config.chain_strength if config.chain_strength is not None else "utc"
+    strength = chain_strength_setting("fig3", config)
+    hw, embedding = _topology(config)
     rows = []
     for density in config.densities:
         for index in range(config.graphs_per_density):
-            run = run_graph_pipeline(config, density, index, strength)
+            run = run_graph_pipeline(config, hw, embedding, density, index, strength)
             mean, std = broken_chain_proportion(run.broken_fracs)
             scores = {m: aggregate_objective(config, run, m) for m in METHODS}
             ratios = {
@@ -445,6 +471,7 @@ def run_fig4(config: ExperimentConfig):
     if not config.chain_strength_grid:
         raise ValueError("run_fig4 requires a chain_strength_grid")
     scale = config.problem == "graph_partitioning"
+    hw, embedding = _topology(config)
     rows = []
     aggregate_rows = []
     for density in config.densities:
@@ -453,7 +480,8 @@ def run_fig4(config: ExperimentConfig):
             per_graph = []
             for index in range(config.graphs_per_density):
                 run = run_graph_pipeline(
-                    config, density, index, strength, scale=scale, methods=("tailored",)
+                    config, hw, embedding, density, index, strength,
+                    scale=scale, methods=("tailored",),
                 )
                 mean, std = broken_chain_proportion(run.broken_fracs)
                 objective, feasible = aggregate_objective(config, run, "tailored")
@@ -508,7 +536,9 @@ def rows_to_csv(rows) -> str:
 def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started: float):
     """Write <name>.csv and <name>_manifest.json into ``out_dir``.
 
-    ``started`` is the run's ``time.perf_counter()`` reading at its start.
+    The manifest echoes the config and records the chain strength the run
+    used (``chain_strength_setting``), version and wall time.  ``started``
+    is the run's ``time.perf_counter()`` reading at its start.
     """
     import os
 
@@ -519,6 +549,7 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
     manifest = {
         "experiment": name,
         "config": asdict(config),
+        "chain_strength": chain_strength_setting(name, config),
         "rows": len(rows),
         "tool_version": __import__("brokenchains").__version__,
         "wall_time_s": time.perf_counter() - started,

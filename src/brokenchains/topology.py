@@ -44,9 +44,6 @@ class HardwareGraph:
             adj[q].add(p)
         return adj
 
-    def has_coupler(self, p: int, q: int) -> bool:
-        return (min(p, q), max(p, q)) in self.couplers
-
 
 def chimera_qubit(m: int, n: int, t: int, row: int, col: int, shore: int, k: int) -> int:
     return ((row * n + col) * 2 + shore) * t + k
@@ -202,50 +199,92 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
     return Embedding(chains)
 
 
+@dataclass(frozen=True, eq=False)
+class _ChainCouplers:
+    """The hardware couplers of an embedding, sorted by the chains they join."""
+
+    inside: dict  # variable -> couplers inside its chain, ascending
+    between: dict  # (u, v) with u < v -> couplers joining chains u and v, ascending
+    violations: list  # chains in variable order, then edges in ascending order
+
+
+def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
+    """One pass over the hardware couplers through a qubit -> chain owner map.
+
+    The one place that decides whether an embedding is valid for the
+    logical ``edges``: a chain must be nonempty, repeat no qubit, use only
+    hardware qubits, share none with another chain and be connected by
+    the couplers inside it, and each edge needs a coupler between the
+    chains of its endpoints.
+    """
+    found = {v: [] for v in e.variables()}
+    owners = {}  # qubit -> variables whose chains hold it, usually one
+    for v, problems in found.items():
+        chain = e.chain(v)
+        if not chain:
+            problems.append(f"chain {v} is empty")
+            continue
+        if len(set(chain)) != len(chain):
+            problems.append(f"chain {v} repeats a qubit")
+        for q in chain:
+            if q not in hw.qubits:
+                problems.append(f"chain {v} uses qubit {q} absent from hardware")
+                continue
+            holders = owners.setdefault(q, [])
+            if holders:
+                problems.append(f"chains {holders[0]} and {v} overlap on qubit {q}")
+            if v not in holders:
+                holders.append(v)
+
+    inside = {v: [] for v in found}
+    between = {}
+    for p, q in sorted(hw.couplers):
+        for a in owners.get(p, ()):
+            for b in owners.get(q, ()):
+                if a == b:
+                    inside[a].append((p, q))
+                else:
+                    between.setdefault((min(a, b), max(a, b)), []).append((p, q))
+
+    for v, problems in found.items():
+        chain = e.chain(v)
+        if chain and all(q in hw.qubits for q in chain):
+            if not _connected(chain, inside[v]):
+                problems.append(f"chain {v} is disconnected")
+    violations = [text for problems in found.values() for text in problems]
+    for u, v in sorted(edges):
+        if u not in e.chains or v not in e.chains:
+            violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
+        elif (u, v) not in between:
+            violations.append(f"logical edge ({u}, {v}) has no inter-chain coupler")
+    return _ChainCouplers(inside, between, violations)
+
+
+def _connected(chain, couplers) -> bool:
+    """Whether ``couplers`` (all inside ``chain``) connect every chain qubit."""
+    adj = {q: [] for q in chain}
+    for p, q in couplers:
+        adj[p].append(q)
+        adj[q].append(p)
+    frontier, reached = [chain[0]], {chain[0]}
+    while frontier:
+        for nb in adj[frontier.pop()]:
+            if nb not in reached:
+                reached.add(nb)
+                frontier.append(nb)
+    return len(reached) == len(adj)
+
+
 def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
     """List of violation strings; empty when the embedding is a valid minor.
 
     Checks chain qubits exist in the hardware graph, chains are nonempty
     and pairwise disjoint, each chain induces a connected subgraph, and
     every logical edge has at least one coupler between its two chains.
+    The violations come from the same pass over the hardware couplers
+    that ``embed_bqm`` compiles from, so the two always agree.
     """
-    violations = []
-    adj = hw.adjacency()
-    seen = {}
-    for v in e.variables():
-        chain = e.chain(v)
-        if not chain:
-            violations.append(f"chain {v} is empty")
-            continue
-        if len(set(chain)) != len(chain):
-            violations.append(f"chain {v} repeats a qubit")
-        for q in chain:
-            if q not in hw.qubits:
-                violations.append(f"chain {v} uses qubit {q} absent from hardware")
-            elif q in seen:
-                violations.append(f"chains {seen[q]} and {v} overlap on qubit {q}")
-            else:
-                seen[q] = v
-        members = set(chain)
-        if all(q in hw.qubits for q in chain):
-            frontier = [chain[0]]
-            reached = {chain[0]}
-            while frontier:
-                q = frontier.pop()
-                for nb in adj[q]:
-                    if nb in members and nb not in reached:
-                        reached.add(nb)
-                        frontier.append(nb)
-            if reached != members:
-                violations.append(f"chain {v} is disconnected")
-    for u, v in sorted(logical.edges):
-        if u not in e.chains or v not in e.chains:
-            violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
-            continue
-        cu, cv = set(e.chain(u)), set(e.chain(v))
-        if not any(nb in cv for q in cu if q in adj for nb in adj[q]):
-            violations.append(f"logical edge ({u}, {v}) has no inter-chain coupler")
-    return violations
+    return _chain_couplers(e, hw, logical.edges).violations
 
 
 def uniform_torque_compensation(
@@ -299,14 +338,22 @@ def embed_bqm(
     ``-chain_strength``.  For any chain-consistent physical assignment the
     physical energy equals the logical energy minus ``chain_strength``
     times the number of intra-chain couplers.
+
+    One pass over the hardware couplers both sorts them by chain and
+    decides validity: raises ``ValueError`` when a model variable has no
+    chain or when ``validate_embedding`` would report a violation for the
+    model's nonzero couplers.
     """
     if m.domain != ISING:
         raise ValueError("embed_bqm requires an Ising model; convert QUBO input first")
     if chain_strength <= 0:
         raise ValueError("chain strength must be positive")
-    problems = validate_embedding(e, m.interaction_graph(), hw)
-    if problems:
-        raise ValueError("invalid embedding: " + "; ".join(problems))
+    unmapped = [v for v in m.variables() if v not in e.chains]
+    if unmapped:
+        raise ValueError(f"model variable {unmapped[0]} has no chain in the embedding")
+    links = _chain_couplers(e, hw, [uv for uv, j in m.quadratic.items() if j != 0.0])
+    if links.violations:
+        raise ValueError("invalid embedding: " + "; ".join(links.violations))
 
     linear = {}
     for v, h in m.linear.items():
@@ -316,32 +363,20 @@ def embed_bqm(
             linear[q] = linear.get(q, 0.0) + share
 
     quadratic = {}
-    for (u, v), j in m.quadratic.items():
+    for uv, j in m.quadratic.items():
         if j == 0.0:
             continue
-        links = [
-            (p, q)
-            for p in e.chain(u)
-            for q in e.chain(v)
-            if hw.has_coupler(p, q)
-        ]
-        share = j / len(links)
-        for p, q in links:
-            key = (min(p, q), max(p, q))
-            quadratic[key] = quadratic.get(key, 0.0) + share
+        couplers = links.between[uv]
+        share = j / len(couplers)
+        for key in couplers:
+            quadratic[key] = share
 
-    intra = []
-    for v in e.variables():
-        chain = e.chain(v)
-        for i, p in enumerate(chain):
-            for q in chain[i + 1:]:
-                if hw.has_coupler(p, q):
-                    key = (min(p, q), max(p, q))
-                    quadratic[key] = -chain_strength
-                    intra.append(key)
+    intra = sorted(key for couplers in links.inside.values() for key in couplers)
+    for key in intra:
+        quadratic[key] = -chain_strength
 
     physical = BinaryQuadraticModel(ISING, linear, quadratic, m.offset)
-    return PhysicalModel(physical, chain_strength, e, tuple(sorted(intra)))
+    return PhysicalModel(physical, chain_strength, e, tuple(intra))
 
 
 def embedding_to_json(e: Embedding) -> str:

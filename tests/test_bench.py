@@ -1,3 +1,6 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from brokenchains.bench import (
     run_fig4,
     score_witness,
     witness_from_values,
+    write_experiment,
 )
 from brokenchains.bqm import build_max_cut_ising
 from brokenchains.graphs import Bipartition, erdos_renyi
@@ -290,3 +294,29 @@ class TestCsvFormat:
         row = MetricRow("max_cut", 0.5, 1.0, "tailored", "", objective=None)
         text = rows_to_csv([row]).splitlines()[1]
         assert text.split(",")[5] == ""
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "name,settings,expected",
+        [
+            ("fig2", {}, 2.0),  # FIG2_CHAIN_STRENGTH["max_cut"]
+            ("fig2", {"chain_strength": 0.7}, 0.7),
+            ("fig3", {}, "utc"),
+            ("fig3", {"chain_strength": 3.0}, 3.0),
+            ("fig4", {"chain_strength_grid": (0.5, 2.0)}, [0.5, 2.0]),
+        ],
+    )
+    def test_records_resolved_chain_strength(self, tmp_path, name, settings, expected):
+        cfg = small_config(**settings)
+        write_experiment(tmp_path, name, cfg, [], time.perf_counter())
+        manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+        assert manifest["chain_strength"] == expected
+
+    def test_fig2_rows_ran_at_the_recorded_strength(self, tmp_path):
+        cfg = small_config(reads=4, sweeps=10)
+        rows = run_fig2(cfg)
+        write_experiment(tmp_path, "fig2", cfg, rows, time.perf_counter())
+        manifest = json.loads((tmp_path / "fig2_manifest.json").read_text())
+        assert manifest["config"]["chain_strength"] is None
+        assert {row.chain_strength for row in rows} == {manifest["chain_strength"]}

@@ -189,6 +189,23 @@ class TestEmbedBqm:
         with pytest.raises(ValueError):
             embed_bqm(m, bad, hw, 1.0)
 
+    def test_rejects_linear_only_variable_without_chain(self):
+        m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 0.5}, {})
+        with pytest.raises(ValueError, match="variable 5 has no chain"):
+            embed_bqm(m, identity_embedding([0]), chimera(1, 1, 4), 1.0)
+
+    def test_rejects_zero_coupler_to_variable_without_chain(self):
+        m = BinaryQuadraticModel(ISING, {0: 1.0}, {(0, 1): 0.0})
+        with pytest.raises(ValueError, match="variable 1 has no chain"):
+            embed_bqm(m, identity_embedding([0]), chimera(1, 1, 4), 1.0)
+
+    def test_zero_coupler_needs_no_inter_chain_coupler(self):
+        # horizontal qubits 0 and 1 share no coupler; a zero J_01 asks for none
+        m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.0})
+        pm = embed_bqm(m, Embedding({0: (0,), 1: (1,)}), chimera(1, 1, 4), 1.0)
+        assert pm.ising.linear == {0: 1.0, 1: -1.0}
+        assert pm.ising.quadratic == {}
+
     def test_coupler_values_on_hardware(self):
         g = complete_graph(5)
         m = build_max_cut_ising(g)
@@ -196,7 +213,7 @@ class TestEmbedBqm:
         e = clique_embedding(5, hw)
         pm = embed_bqm(m, e, hw, 2.5)
         for key in pm.ising.quadratic:
-            assert hw.has_coupler(*key)
+            assert key in hw.couplers
         for key in pm.intra_chain_couplers:
             assert pm.ising.quadratic[key] == -2.5
 
