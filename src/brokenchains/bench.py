@@ -14,8 +14,8 @@ Each experiment builds its Chimera graph and clique embedding once;
 ``run_graph_pipeline`` compiles every graph onto them, decomposes every
 read once and records its broken-chain fraction and, for each method the
 experiment scores, its witness; ``repair`` is the one place a method
-name turns into a repair call.  Rows score those witnesses at emission time.  A fixed seed makes
-the emitted CSV byte-identical across runs.
+name turns into a repair call.  Rows score those witnesses at emission
+time.  A fixed seed makes the emitted CSV byte-identical across runs.
 """
 
 import csv
