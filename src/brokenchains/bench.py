@@ -13,8 +13,8 @@ reproduces at desk scale:
 Each experiment builds its Chimera graph and clique embedding once;
 ``run_graph_pipeline`` compiles every graph onto them, decomposes every
 read once and records its broken-chain fraction and, for each method the
-experiment scores, its witness; ``repair`` is the one place a method
-name turns into a repair call.  Rows score those witnesses at emission
+experiment scores, the witnesses of all reads; ``repair`` is the one place
+a method name turns into a repair call, once per sample set.  Rows score those witnesses at emission
 time.  A fixed seed makes the emitted CSV byte-identical across runs.
 """
 
@@ -249,25 +249,35 @@ def score_witness(problem: str, g: Graph, witness):
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def repair(method: str, readouts, problem: str, g: Graph, model, seed: int, read: int):
-    """Witness of one read's chain readouts under one repair method.
+def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> list:
+    """One witness per read of a sample set under one repair method.
 
-    ``model`` is the logical problem model (for minimize energy).  Random
-    weighting and the tailored algorithm draw from their own sub-stream of
-    ``seed`` for ``read``, so which other methods run changes nothing here.
+    ``reads`` is an iterable of per-read chain readout lists, consumed once
+    in read order.  ``model`` is the logical problem model (for minimize
+    energy, which repairs the whole set in one call).  Random weighting and
+    the tailored algorithm give read ``r`` its own sub-stream of ``seed``,
+    taken from its position, so which other methods run changes nothing
+    here.
     """
     if method == "majority_vote":
-        values = majority_vote(readouts)
+        values = map(majority_vote, reads)
     elif method == "random_weighted":
-        values = random_weighted(readouts, derive_seed(seed, STREAM_WEIGHTED, read))
+        values = (
+            random_weighted(readouts, derive_seed(seed, STREAM_WEIGHTED, read))
+            for read, readouts in enumerate(reads)
+        )
     elif method == "minimize_energy":
-        values = minimize_energy(readouts, model)
+        values = minimize_energy(reads, model)
     elif method == "tailored":
-        ctx = UnembedContext(g, problem, derive_seed(seed, STREAM_TAILORED, read))
-        return unembed_tailored(readouts, ctx)
+        return [
+            unembed_tailored(
+                readouts, UnembedContext(g, problem, derive_seed(seed, STREAM_TAILORED, read))
+            )
+            for read, readouts in enumerate(reads)
+        ]
     else:
         raise ValueError(f"unknown repair method {method!r}")
-    return witness_from_values(problem, values, g)
+    return [witness_from_values(problem, v, g) for v in values]
 
 
 @dataclass
@@ -335,15 +345,12 @@ def run_graph_pipeline(
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
     chains = chain_columns(embedding, samples.qubits)
-    broken_fracs = []
-    witnesses = {name: [] for name in methods}
-    for read, spins in enumerate(samples.spins):
-        readouts = decompose(spins, chains, domain=problem_model.domain)
-        broken_fracs.append(sum(r.broken for r in readouts) / len(readouts))
-        for name in methods:
-            witnesses[name].append(
-                repair(name, readouts, config.problem, g, problem_model, graph_seed, read)
-            )
+    reads = [decompose(spins, chains, domain=problem_model.domain) for spins in samples.spins]
+    broken_fracs = [sum(r.broken for r in readouts) / len(readouts) for readouts in reads]
+    witnesses = {
+        name: repair(name, reads, config.problem, g, problem_model, graph_seed)
+        for name in methods
+    }
     return GraphRun(g, graph_seed, chain_strength, ising, broken_fracs, witnesses)
 
 

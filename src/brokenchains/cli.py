@@ -189,6 +189,15 @@ def cmd_unembed(args):
             raise ConfigError(f"{args.samples}: {exc}")
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
+    broken = []  # broken chains per read, counted as repair consumes the reads
+
+    def reads():
+        for spins in samples.spins:
+            readouts = decompose(spins, chains, domain=model.domain)
+            broken.append(sum(r.broken for r in readouts))
+            yield readouts
+
+    witnesses = bench.repair(method, reads(), args.problem, g, model, args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")
     with open(path, "w", newline="") as fh:
@@ -196,13 +205,10 @@ def cmd_unembed(args):
         writer.writerow(
             ["read", "method", "objective", "feasible", "broken_chains", "broken_frac"]
         )
-        for read, spins in enumerate(samples.spins):
-            readouts = decompose(spins, chains, domain=model.domain)
-            broken = sum(r.broken for r in readouts)
-            witness = bench.repair(method, readouts, args.problem, g, model, args.seed, read)
+        for read, (witness, count) in enumerate(zip(witnesses, broken)):
             objective, feasible = bench.score_witness(args.problem, g, witness)
             writer.writerow(
-                [read, args.method, objective, feasible, broken, broken / len(readouts)]
+                [read, args.method, objective, feasible, count, count / len(chains.variables)]
             )
     print(path)
     return 0

@@ -3,9 +3,11 @@
 ``decompose`` splits one row of a sample set's spin array into per-chain
 readouts, through the columns ``chain_columns`` assigns each chain, and is
 the one place that decides whether a chain is broken.  Three generic
-strategies (majority vote, random weighted, minimize energy) work on any
-model and return a ``{variable: value}`` assignment; four problem-tailored
-algorithms use the instance graph to return a feasible witness:
+strategies work on any model and return ``{variable: value}``
+assignments: majority vote and random weighting one per read, minimize
+energy one per read of a whole set in a single call.  Four
+problem-tailored algorithms use the instance graph to return a feasible
+witness:
 
 * ``unembed_max_clique`` grows the unbroken value-1 clique greedily by
   degree, preferring chains with more 1s on ties.
@@ -98,8 +100,11 @@ def random_weighted(readouts, seed: int) -> dict:
     return values
 
 
-def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> dict:
-    """Greedy chain repair by largest energy swing first.
+def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
+    """Greedy chain repair by largest energy swing first, for every read of a set.
+
+    ``reads`` is an iterable of per-read readout lists, consumed once; the
+    result holds one ``{variable: value}`` per read, in read order.
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -108,48 +113,79 @@ def minimize_energy(readouts, logical_model: BinaryQuadraticModel) -> dict:
     (ties to the lowest variable id), taking the low value (0 / -1) when
     v_i(low) <= v_i(high), and all remaining priorities are recomputed over
     the enlarged determined set after every fix.
+
+    All reads run together over ``(reads, variables)`` arrays.  Each
+    chain's coupling to the determined set receives its additions in the
+    order a read-by-read greedy makes them (quadratic terms in model order,
+    then one per fix), so read ``r``'s result does not depend on which
+    other reads share the call.
     """
-    by_var = {r.variable: r for r in readouts}
-    model_vars = set(logical_model.linear)
-    if model_vars != set(by_var):
-        raise ValueError("model variables do not match readout variables")
-    low = -1 if logical_model.domain == ISING else 0
+    variables = sorted(logical_model.linear)
+    position = {v: i for i, v in enumerate(variables)}
+    layout = columns = None
+    placements, values, broken = [], [], []
+    for readouts in reads:
+        order = [r.variable for r in readouts]
+        if order != layout:
+            if sorted(order) != variables:
+                raise ValueError("model variables do not match readout variables")
+            layout, columns = order, [position[v] for v in order]
+        placements.append(columns)
+        values.append([r.value for r in readouts])
+        broken.append([r.broken for r in readouts])
+    if not values:
+        return []
+    shape = (len(values), len(variables))
+    placements = np.array(placements, dtype=np.intp).reshape(shape)
+    value = np.empty(shape)
+    undecided = np.empty(shape, dtype=bool)
+    np.put_along_axis(value, placements, np.array(values, dtype=np.float64).reshape(shape), 1)
+    np.put_along_axis(undecided, placements, np.array(broken, dtype=bool).reshape(shape), 1)
 
-    values = {r.variable: r.value for r in readouts if not r.broken}
-    undecided = sorted(v for v in by_var if by_var[v].broken)
-
-    # coupling of each undecided variable to the determined set; fixing a
-    # chain only shifts the coupling of its undecided neighbors, which is
-    # exactly the recomputation the full-model definition prescribes
-    coupling = {v: logical_model.linear[v] for v in undecided}
-    neighbors = {v: [] for v in undecided}
+    # dense symmetric J, and each variable's quadratic terms in model order
+    # as slots: slot k of variable i couples it to other[i, k] by coef[i, k]
+    n = len(variables)
+    j_dense = np.zeros((n, n))
+    terms = [[] for _ in variables]
     for (u, v), c in logical_model.quadratic.items():
-        if u in coupling and v in coupling:
-            neighbors[u].append((v, c))
-            neighbors[v].append((u, c))
-        elif u in coupling:
-            coupling[u] += c * values[v]
-        elif v in coupling:
-            coupling[v] += c * values[u]
+        i, j = position[u], position[v]
+        j_dense[i, j] = j_dense[j, i] = c
+        terms[i].append((j, c))
+        terms[j].append((i, c))
+    slots = max(map(len, terms), default=0)
+    other = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, slots))
+    coef = np.zeros((n, slots))
+    for i, row in enumerate(terms):
+        if row:
+            other[i, : len(row)], coef[i, : len(row)] = zip(*row)
 
-    def priority(v):
+    # coupling of each undecided chain to the determined set, summed term by
+    # term; an undecided neighbour or an empty slot adds a signed zero
+    fixed = np.where(undecided, 0.0, value)
+    coupling = np.repeat(
+        np.array([logical_model.linear[v] for v in variables])[None, :], shape[0], axis=0
+    )
+    for k in range(slots):
+        coupling += coef[:, k] * fixed[:, other[:, k]]
+
+    ising = logical_model.domain == ISING
+    low = -1 if ising else 0
+    rows = np.flatnonzero(undecided.any(axis=1))
+    while rows.size:
+        c_rows = coupling[rows]
         # v0 - min over the two completions of the partial model value
-        c = coupling[v]
-        if logical_model.domain == ISING:
-            return abs(c)
-        return max(0.0, -c)
-
-    while undecided:
-        best = max(undecided, key=lambda v: (priority(v), -v))
-        c = coupling.pop(best)
+        priority = np.abs(c_rows) if ising else np.maximum(0.0, -c_rows)
+        priority[~undecided[rows]] = -1.0
+        best = priority.argmax(axis=1)  # first maximum: the lowest variable id
         # v_low <= v_high reduces to c >= 0 in both domains
-        value = low if c >= 0 else 1
-        values[best] = value
-        undecided.remove(best)
-        for nb, j in neighbors[best]:
-            if nb in coupling:
-                coupling[nb] += j * value
-    return values
+        chosen = np.where(c_rows[np.arange(rows.size), best] >= 0, low, 1)
+        value[rows, best] = chosen
+        undecided[rows, best] = False
+        # fixing a chain only shifts the coupling of its neighbours, which is
+        # exactly the recomputation the full-model definition prescribes
+        coupling[rows] += j_dense[best] * chosen[:, None]
+        rows = rows[undecided[rows].any(axis=1)]
+    return [dict(zip(variables, row)) for row in value.astype(np.int64).tolist()]
 
 
 def _require_domain(readouts, domain: str, algorithm: str):

@@ -239,7 +239,7 @@ class TestCriterion3AgreementOnUnbroken:
 
                 assert majority_vote(readouts) == raw
                 assert random_weighted(readouts, k) == raw
-                assert minimize_energy(readouts, model) == raw
+                assert minimize_energy([readouts], model)[0] == raw
                 ctx = UnembedContext(g, problem, k)
                 if problem == "max_clique":
                     ones = frozenset(v for v, x in raw.items() if x == 1)
@@ -312,7 +312,7 @@ class TestCriterion4MinimizeEnergyOracle:
                 else:
                     s = int(rng.choice((-1, 1)))
                     readouts.append(ChainReadout(v, s, ISING, False, (s + 1) / 2))
-            got = minimize_energy(readouts, model)
+            got = minimize_energy([readouts], model)[0]
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min(
                 energy(model, {**fixed, **dict(zip(broken, combo))})

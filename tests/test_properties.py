@@ -9,6 +9,10 @@
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover);
+* set-level ``minimize_energy`` equals a one-read-at-a-time reference on
+  random models of both domains with float, tenth and zero coefficients
+  (tenths make the sum order show in the last bits), and
+  read ``r``'s result is the same alone, in a prefix and in the whole set;
 * ``embed_bqm`` keeps the energy of every chain-consistent state, less
   the chain strength per intra-chain coupler, for random models on
   ``clique_embedding`` over chimera(m,m,4), m = 1-3;
@@ -38,7 +42,7 @@ from brokenchains.topology import (
     embed_bqm,
     validate_embedding,
 )
-from brokenchains.unembed import decompose
+from brokenchains.unembed import ChainReadout, decompose, minimize_energy
 from conftest import sample_set, spin_glass, spins_of
 
 HW = chimera(2, 2, 4)
@@ -139,7 +143,7 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
     ones = {v for v, x in intact.items() if x == 1}
     zeros = set(intact) - ones
     for method in bench.METHODS:
-        witness = bench.repair(method, readouts, problem, g, model, seed, 0)
+        (witness,) = bench.repair(method, [readouts], problem, g, model, seed)
         if method == "tailored" and problem == "max_clique" and not is_clique(g, ones):
             assert witness == frozenset()
             continue
@@ -156,14 +160,85 @@ coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
 chain_strengths = st.floats(0.1, 10.0)
 
 
-def ising_model(draw, variables):
-    """A random Ising model over ``variables`` on a random logical graph;
+# multiples of 0.1 are inexact, so their sums depend on the order of addition
+tenths = st.integers(-9, 9).map(lambda k: k / 10)
+
+
+def random_model(draw, variables, domain=ISING, coefficient=coefficients):
+    """A random model over ``variables`` on a random logical graph;
     zero-weight couplers are kept, so they reach ``embed_bqm``."""
     pairs = list(itertools.combinations(sorted(variables), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    linear = {v: draw(coefficients) for v in variables}
-    quadratic = {uv: draw(coefficients) for uv in edges}
-    return BinaryQuadraticModel(ISING, linear, quadratic, offset=draw(coefficients))
+    linear = {v: draw(coefficient) for v in variables}
+    quadratic = {uv: draw(coefficient) for uv in edges}
+    return BinaryQuadraticModel(domain, linear, quadratic, offset=draw(coefficient))
+
+
+def reference_minimize_energy(readouts, logical_model):
+    """Greedy repair of one read, as a dict walk over the undecided chains."""
+    by_var = {r.variable: r for r in readouts}
+    if set(logical_model.linear) != set(by_var):
+        raise ValueError("model variables do not match readout variables")
+    low = -1 if logical_model.domain == ISING else 0
+    values = {r.variable: r.value for r in readouts if not r.broken}
+    undecided = sorted(v for v in by_var if by_var[v].broken)
+    coupling = {v: logical_model.linear[v] for v in undecided}
+    neighbors = {v: [] for v in undecided}
+    for (u, v), c in logical_model.quadratic.items():
+        if u in coupling and v in coupling:
+            neighbors[u].append((v, c))
+            neighbors[v].append((u, c))
+        elif u in coupling:
+            coupling[u] += c * values[v]
+        elif v in coupling:
+            coupling[v] += c * values[u]
+
+    def priority(v):
+        c = coupling[v]
+        return abs(c) if logical_model.domain == ISING else max(0.0, -c)
+
+    while undecided:
+        best = max(undecided, key=lambda v: (priority(v), -v))
+        c = coupling.pop(best)
+        value = low if c >= 0 else 1
+        values[best] = value
+        undecided.remove(best)
+        for nb, j in neighbors[best]:
+            if nb in coupling:
+                coupling[nb] += j * value
+    return values
+
+
+@st.composite
+def readout_sets(draw):
+    """(model, reads): a random model of either domain and 1-12 reads of
+    random chain readouts over its variables."""
+    domain = draw(st.sampled_from((ISING, QUBO)))
+    variables = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10, unique=True))
+    model = random_model(draw, variables, domain, draw(st.sampled_from((coefficients, tenths))))
+    low = -1 if domain == ISING else 0
+    readout = st.tuples(st.booleans(), st.sampled_from((low, 1)), st.integers(1, 8),
+                        st.integers(0, 8))
+    reads = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = []
+        for v in sorted(variables):
+            broken, value, length, ones = draw(readout)
+            row.append(ChainReadout(v, value, domain, broken, min(ones, length) / length))
+        reads.append(row)
+    return model, reads
+
+
+@PROPERTY
+@given(readout_sets(), st.data())
+def test_minimize_energy_matches_per_read_reference(case, data):
+    model, reads = case
+    expected = [reference_minimize_energy(readouts, model) for readouts in reads]
+    assert minimize_energy(iter(reads), model) == expected
+    k = data.draw(st.integers(1, len(reads)))
+    assert minimize_energy(reads[:k], model) == expected[:k]
+    r = data.draw(st.integers(0, len(reads) - 1))
+    assert minimize_energy([reads[r]], model) == [expected[r]]
 
 
 @PROPERTY
@@ -172,7 +247,7 @@ def test_embedding_keeps_chain_consistent_energies(m, data, chain_strength):
     hw = chimera(m, m, 4)
     n = data.draw(st.integers(1, 4 * m + 1))
     e = clique_embedding(n, hw)
-    model = ising_model(data.draw, range(n))
+    model = random_model(data.draw, range(n))
     pm = embed_bqm(model, e, hw, chain_strength)
     shift = chain_strength * len(pm.intra_chain_couplers)
     for row in data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n,
@@ -258,7 +333,7 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
 @given(st.one_of(embeddings(), st.integers(1, 9).map(lambda k: clique_embedding(k, HW))),
        st.data(), chain_strengths)
 def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
-    model = ising_model(data.draw, e.variables())
+    model = random_model(data.draw, e.variables())
     problems = validate_embedding(e, model.interaction_graph(), HW)
     assert problems == reference_violations(e, model.interaction_graph(), HW)
     event("invalid" if problems else "valid")

@@ -151,12 +151,12 @@ class TestRandomWeighted:
 class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
         m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
-        out = minimize_energy([ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)], m)
+        out = minimize_energy([[ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]], m)[0]
         assert out == {0: 1, 1: -1}
 
     def test_no_broken_is_identity(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
-        out = minimize_energy([ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)], m)
+        out = minimize_energy([[ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]], m)[0]
         assert out == {0: -1, 1: -1}
 
     def test_two_broken_coupled_to_fixed_only(self):
@@ -168,7 +168,7 @@ class TestMinimizeEnergy:
             ro(1, [1, -1], ISING),
             ro(2, [-1, 1], ISING),
         ]
-        got = minimize_energy(readouts, m)
+        got = minimize_energy([readouts], m)[0]
         best = min(
             (dict(zip((1, 2), combo)) for combo in itertools.product((-1, 1), repeat=2)),
             key=lambda c: energy(m, {0: -1, **c}),
@@ -189,20 +189,29 @@ class TestMinimizeEnergy:
                 },
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
-            got = minimize_energy(readouts, m)
+            got = minimize_energy([readouts], m)[0]
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
 
+    def test_coupling_summed_in_model_order(self):
+        # -0.2 - 0.1 + 0.2 + 0.1 is 0 in exact arithmetic, but -2.8e-17 when
+        # added term by term in model order, which is what the greedy sees
+        m = BinaryQuadraticModel(
+            ISING, {0: 0.0, 1: -0.2, 2: 0.0, 3: 0.0}, {(0, 1): -0.1, (1, 2): -0.2, (1, 3): 0.1}
+        )
+        readouts = [ro(0, [1], ISING), ro(1, [1, -1], ISING), ro(2, [-1], ISING), ro(3, [1], ISING)]
+        assert minimize_energy([readouts], m)[0][1] == 1
+
     def test_qubo_tie_takes_zero(self):
         m = BinaryQuadraticModel(QUBO, {0: 0.0}, {})
-        out = minimize_energy([ro(0, [1, 0], QUBO)], m)
+        out = minimize_energy([[ro(0, [1, 0], QUBO)]], m)[0]
         assert out[0] == 0
 
     def test_variable_mismatch(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 1.0}, {})
         with pytest.raises(ValueError):
-            minimize_energy([ro(0, [1, 1], ISING)], m)
+            minimize_energy([[ro(0, [1, 1], ISING)]], m)
 
 
 class TestMaxCliqueUnembed:
@@ -416,7 +425,7 @@ class TestAgreementOnUnbroken:
             m = build_max_cut_ising(g)
             assert majority_vote(ising_readouts) == spins
             assert random_weighted(ising_readouts, seed) == spins
-            assert minimize_energy(ising_readouts, m) == spins
+            assert minimize_energy([ising_readouts], m)[0] == spins
 
             cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", seed))
             assert cut.side_plus == {v for v, s in spins.items() if s == 1}
