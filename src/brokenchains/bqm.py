@@ -239,11 +239,32 @@ def to_json(m: BinaryQuadraticModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def require_keys(doc, keys, what: str):
+    """``doc``, once it is a JSON object holding every one of ``keys``.
+
+    Raises ``ValueError`` naming ``what`` and its shape or first missing
+    key, so that a malformed file fails with a message, not a ``KeyError``.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} has no {key!r}")
+    return doc
+
+
 def from_json(text: str) -> BinaryQuadraticModel:
-    doc = json.loads(text)
+    """Read ``to_json`` output; raises ``ValueError`` on a missing key or bad shape."""
+    doc = require_keys(json.loads(text), ("domain", "linear", "quadratic"), "model")
+    require_keys(doc["linear"], (), "model linear")
+    quadratic = doc["quadratic"]
+    if not isinstance(quadratic, list) or not all(
+        isinstance(term, list) and len(term) == 3 for term in quadratic
+    ):
+        raise ValueError("model quadratic must be a list of [u, v, coefficient] triples")
     return BinaryQuadraticModel(
         doc["domain"],
         {int(v): c for v, c in doc["linear"].items()},
-        {(int(u), int(v)): c for u, v, c in doc["quadratic"]},
+        {(int(u), int(v)): c for u, v, c in quadratic},
         doc.get("offset", 0.0),
     )

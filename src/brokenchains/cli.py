@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -174,19 +175,25 @@ def _check_artifacts(args, g, e, model):
         raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
 
 
+@contextlib.contextmanager
+def _blame(path):
+    """Report a ``ValueError`` raised inside as a ``ConfigError`` naming ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_unembed(args):
     g = read_edge_list(args.graph)
-    with open(args.embedding) as fh:
+    with open(args.embedding) as fh, _blame(args.embedding):
         e = embedding_from_json(fh.read())
-    with open(args.model) as fh:
+    with open(args.model) as fh, _blame(args.model):
         model = bqmlib.from_json(fh.read())
     _check_artifacts(args, g, e, model)
-    with open(args.samples) as fh:
-        try:
-            samples = sampleset_from_json(fh.read())
-            chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
-        except ValueError as exc:
-            raise ConfigError(f"{args.samples}: {exc}")
+    with open(args.samples) as fh, _blame(args.samples):
+        samples = sampleset_from_json(fh.read())
+        chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     broken = []  # broken chains per read, counted as repair consumes the reads

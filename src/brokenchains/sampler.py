@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel
+from brokenchains.bqm import BinaryQuadraticModel, require_keys
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, derive_seed, rng_from
 from brokenchains.topology import (
     Embedding,
@@ -242,16 +242,21 @@ def sampleset_to_json(ss: SampleSet) -> str:
 def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     """Read ``sampleset_to_json`` output.
 
-    Raises ``ValueError`` on malformed qubits or spins, or when
-    ``params.num_reads`` is not the number of stored reads.
+    Raises ``ValueError`` on a missing key, on malformed qubits or spins,
+    or when ``params.num_reads`` is not the number of stored reads.
     """
-    doc = json.loads(text)
+    doc = require_keys(json.loads(text), ("qubits", "params", "samples"), "sample set")
     qubits = tuple(doc["qubits"])
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
-    p = doc["params"]
+    p = require_keys(doc["params"], ("num_reads", "sweeps", "beta_range", "seed"), "params")
     params = AnnealParams(p["num_reads"], p["sweeps"], tuple(p["beta_range"]), p["seed"])
-    rows = [rec["spins"] for rec in doc["samples"]]
+    records = doc["samples"]
+    if not isinstance(records, list):
+        raise ValueError("samples must be a list of reads")
+    for read, rec in enumerate(records):
+        require_keys(rec, ("energy", "spins"), f"read {read}")
+    rows = [rec["spins"] for rec in records]
     if params.num_reads != len(rows):
         raise ValueError(
             f"params.num_reads is {params.num_reads} but {len(rows)} reads are stored"
@@ -264,7 +269,7 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
             )
     chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), len(qubits))
-    energies = np.array([rec["energy"] for rec in doc["samples"]], dtype=np.float64)
+    energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
     return SampleSet(qubits, spins, energies, params, pm)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from brokenchains.bqm import ISING, BinaryQuadraticModel, convert
+from brokenchains.bqm import ISING, BinaryQuadraticModel, convert, require_keys
 from brokenchains.graphs import Graph
 
 HORIZONTAL = 0
@@ -386,5 +386,9 @@ def embedding_to_json(e: Embedding) -> str:
 
 
 def embedding_from_json(text: str) -> Embedding:
-    doc = json.loads(text)
+    """Read ``embedding_to_json`` output; raises ``ValueError`` on a bad shape."""
+    doc = require_keys(json.loads(text), (), "embedding")
+    for v, chain in doc.items():
+        if not isinstance(chain, list):
+            raise ValueError(f"the chain of variable {v} must be a list of qubits")
     return Embedding({int(v): tuple(chain) for v, chain in doc.items()})

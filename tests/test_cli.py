@@ -178,6 +178,31 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert err.startswith("configuration error:") and expect in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name,edit,expect", [
+        ("samples.json", "no_params", "sample set has no 'params'"),
+        ("samples.json", "no_energy", "read 2 has no 'energy'"),
+        ("embedding.json", "list", "embedding must be a JSON object, not list"),
+        ("model.json", "no_linear", "model has no 'linear'"),
+    ])
+    def test_malformed_artifact_exit_2(self, tmp_path, capsys, name, edit, expect):
+        self.sampled(tmp_path)
+        path = tmp_path / name
+        doc = json.loads(path.read_text())
+        if edit == "no_params":
+            del doc["params"]
+        elif edit == "no_energy":
+            del doc["samples"][2]["energy"]
+        elif edit == "list":
+            doc = [1, 2]
+        else:
+            del doc["linear"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"{name}: {expect}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_chain_qubits_outside_samples_exit_2(self, tmp_path, capsys):
         self.sampled(tmp_path)
         # same six variables, but the chains sit on a 3x3 Chimera's qubits
