@@ -19,6 +19,7 @@ from brokenchains.bqm import ISING, convert
 from brokenchains.graphs import PROBLEMS, read_edge_list, write_edge_list, erdos_renyi
 from brokenchains.sampler import (
     AnnealParams,
+    model_hash,
     sampleset_from_json,
     sampleset_to_csv,
     sampleset_to_json,
@@ -155,8 +156,13 @@ def cmd_sample(args):
     samples = simulated_anneal(pm, params)
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, "samples")
+    provenance = {
+        "chain_strength": strength,
+        "prefactor": args.prefactor,
+        "topology": list(args.topology),
+    }
     with open(base + ".json", "w") as fh:
-        fh.write(sampleset_to_json(samples))
+        fh.write(sampleset_to_json(samples, provenance))
     with open(base + ".csv", "w") as fh:
         fh.write(sampleset_to_csv(samples))
     with open(os.path.join(args.out, "embedding.json"), "w") as fh:
@@ -173,6 +179,21 @@ def _check_artifacts(args, g, e, model):
         raise ConfigError(f"{args.model} is not the {args.problem} model of {args.graph}")
     if e.variables() != model.variables():
         raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
+
+
+def _check_provenance(samples, e, model):
+    """The reads must come from the physical model that ``sample`` built out
+    of ``model`` and ``e`` at the chain strength and topology it recorded."""
+    if samples.provenance is None:
+        raise ValueError("no provenance record; draw the samples again with 'sample'")
+    strength = samples.provenance["chain_strength"]
+    m, n, t = samples.provenance["topology"]
+    pm = embed_bqm(convert(model, ISING), e, chimera(m, n, t), strength)
+    if model_hash(pm.ising) != samples.model_hash:
+        raise ValueError(
+            f"model_hash differs from that of the physical model at chain strength"
+            f" {strength} on chimera({m}, {n}, {t})"
+        )
 
 
 @contextlib.contextmanager
@@ -194,6 +215,7 @@ def cmd_unembed(args):
     with open(args.samples) as fh, _blame(args.samples):
         samples = sampleset_from_json(fh.read())
         chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
+        _check_provenance(samples, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     broken = []  # broken chains per read, counted as repair consumes the reads

@@ -73,6 +73,11 @@ class SampleSet:
     energies: np.ndarray  # float64, one per read
     params: AnnealParams
     model: PhysicalModel = field(repr=False, default=None)
+    # read back by ``sampleset_from_json``: the stored ``model_hash`` of the
+    # physical model the reads came from, and the provenance record of how
+    # ``brokenchains sample`` built it (chain strength, prefactor, topology)
+    model_hash: str = None
+    provenance: dict = None
 
     def __len__(self):
         return len(self.spins)
@@ -205,7 +210,7 @@ def chain_break_probability(p_break: float, length: int) -> float:
     return 1.0 - p_break**length - (1.0 - p_break) ** length
 
 
-def _model_hash(model: BinaryQuadraticModel) -> str:
+def model_hash(model: BinaryQuadraticModel) -> str:
     doc = {
         "domain": model.domain,
         "linear": sorted(model.linear.items()),
@@ -221,21 +226,25 @@ def _spin_strings(ss: SampleSet) -> list:
     return [row.tobytes().decode("ascii") for row in chars]
 
 
-def sampleset_to_json(ss: SampleSet) -> str:
-    doc = {
-        "model_hash": _model_hash(ss.model.ising),
-        "qubits": list(ss.qubits),
-        "params": {
+def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
+    """The sample set as JSON, with the hash of its physical model and, when
+    given, the ``provenance`` record of how that model was built."""
+    doc = {"model_hash": model_hash(ss.model.ising)}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    doc.update(
+        qubits=list(ss.qubits),
+        params={
             "num_reads": ss.params.num_reads,
             "sweeps": ss.params.sweeps,
             "beta_range": list(ss.params.beta_range),
             "seed": ss.params.seed,
         },
-        "samples": [
+        samples=[
             {"energy": energy, "spins": spins}
             for energy, spins in zip(ss.energies.tolist(), _spin_strings(ss))
         ],
-    }
+    )
     return json.dumps(doc, indent=2)
 
 
@@ -245,7 +254,12 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
     or when ``params.num_reads`` is not the number of stored reads.
     """
-    doc = require_keys(json.loads(text), ("qubits", "params", "samples"), "sample set")
+    doc = require_keys(
+        json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
+    )
+    provenance = doc.get("provenance")
+    if provenance is not None:
+        require_keys(provenance, ("chain_strength", "prefactor", "topology"), "provenance")
     qubits = tuple(doc["qubits"])
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
@@ -270,7 +284,7 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), len(qubits))
     energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
-    return SampleSet(qubits, spins, energies, params, pm)
+    return SampleSet(qubits, spins, energies, params, pm, doc["model_hash"], provenance)
 
 
 def sampleset_to_csv(ss: SampleSet) -> str:

@@ -203,6 +203,45 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert err.startswith("configuration error:") and f"{name}: {expect}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_samples_of_another_chain_strength_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        path = tmp_path / "samples.json"
+        record = json.loads(path.read_text())["provenance"]
+        rc = main(["sample", "--graph", str(tmp_path / "g.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--chain-strength", "3.0", "--out", str(tmp_path / "strong")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "strong" / "samples.json").read_text())
+        assert doc["provenance"]["chain_strength"] == 3.0 != record["chain_strength"]
+        doc["provenance"] = record  # reads drawn at 3.0 that claim the first strength
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "samples.json: model_hash differs" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_samples_of_another_graph_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        rc = main(["sample", "--graph", str(tmp_path / "other.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--out", str(tmp_path / "other")])
+        assert rc == 0
+        (tmp_path / "samples.json").write_text((tmp_path / "other" / "samples.json").read_text())
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        assert "samples.json: model_hash differs" in capsys.readouterr().err
+
+    def test_samples_without_provenance_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        path = tmp_path / "samples.json"
+        doc = json.loads(path.read_text())
+        del doc["provenance"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        assert "samples.json: no provenance record" in capsys.readouterr().err
+
     def test_chain_qubits_outside_samples_exit_2(self, tmp_path, capsys):
         self.sampled(tmp_path)
         # same six variables, but the chains sit on a 3x3 Chimera's qubits

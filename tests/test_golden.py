@@ -148,10 +148,10 @@ GOLDEN = {
     "cli/tailored/max_cut": "d3420027f59aa7289a5015c05a961058e23f80b3ab6959293993f4b8c61cede5",
     "cli/tailored/min_vertex_cover": "897b7cd4cc672623b1552117eeb3dbba757e43783b589fb5b5d1ca6a7c5d2e9f",
     "cli/tailored/graph_partitioning": "63feee9804bbc4f2e28dc92293ba58e78a49af4dbe384cf37bf9b012e0782c76",
-    "cli/samples.json/max_clique": "a84afed61fe5bd38feadd3bd43977d8207800eac6dd8d73190139e74296017ae",
-    "cli/samples.json/max_cut": "316f193a6321f74fcad682b80333fe3d7180b3fd3ed236b61632111bde46e735",
-    "cli/samples.json/min_vertex_cover": "66deda6a864cfd669b8d6273a4797d37fc6e695a8aca19f3c5392ac0aa83d1fe",
-    "cli/samples.json/graph_partitioning": "f77c2afd6013e1c536098e7d9a8d612f48404430c4c3f9d646031b1256e992c1",
+    "cli/samples.json/max_clique": "5a2055546adad3e36f8172dcd002ea45aa116ca56830524c7955b94097f1c3d8",
+    "cli/samples.json/max_cut": "f5bcdd63589d87a6839a564982bb48b1578fcf8c3e2db7c4c388d9d1b6dd948a",
+    "cli/samples.json/min_vertex_cover": "fb690ebb9242aa0a630236a920ee9a049df066aac4d7c797cb7e3a8b3102b2e5",
+    "cli/samples.json/graph_partitioning": "05dc97041616fb122912aad832e4adfb476cedf9e020cd06e428b875b9cf2a70",
     "cli/samples.csv/max_clique": "3488a613d64ee8e17009fae7617c9897d079120a854a3ad793b163eaa6637ccf",
     "cli/samples.csv/max_cut": "407227e86b651e5b1a99af73c30333e19f993203cb5d40232e67c33e5fdb9f61",
     "cli/samples.csv/min_vertex_cover": "83c1f7c1b7234058db7a1d0bcfc5b481f1f550b9959f9dbc2c1984eccc192f70",
