@@ -121,52 +121,31 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
     other reads share the call.
     """
     variables = sorted(logical_model.linear)
-    position = {v: i for i, v in enumerate(variables)}
-    layout = columns = None
-    placements, values, broken = [], [], []
+    values, broken = [], []
     for readouts in reads:
-        order = [r.variable for r in readouts]
-        if order != layout:
-            if sorted(order) != variables:
-                raise ValueError("model variables do not match readout variables")
-            layout, columns = order, [position[v] for v in order]
-        placements.append(columns)
+        if [r.variable for r in readouts] != variables:
+            raise ValueError("readouts must cover the model variables in ascending order")
         values.append([r.value for r in readouts])
         broken.append([r.broken for r in readouts])
     if not values:
         return []
     shape = (len(values), len(variables))
-    placements = np.array(placements, dtype=np.intp).reshape(shape)
-    value = np.empty(shape)
-    undecided = np.empty(shape, dtype=bool)
-    np.put_along_axis(value, placements, np.array(values, dtype=np.float64).reshape(shape), 1)
-    np.put_along_axis(undecided, placements, np.array(broken, dtype=bool).reshape(shape), 1)
-
-    # dense symmetric J, and each variable's quadratic terms in model order
-    # as slots: slot k of variable i couples it to other[i, k] by coef[i, k]
-    n = len(variables)
-    j_dense = np.zeros((n, n))
-    terms = [[] for _ in variables]
-    for (u, v), c in logical_model.quadratic.items():
-        i, j = position[u], position[v]
-        j_dense[i, j] = j_dense[j, i] = c
-        terms[i].append((j, c))
-        terms[j].append((i, c))
-    slots = max(map(len, terms), default=0)
-    other = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, slots))
-    coef = np.zeros((n, slots))
-    for i, row in enumerate(terms):
-        if row:
-            other[i, : len(row)], coef[i, : len(row)] = zip(*row)
+    value = np.array(values, dtype=np.float64).reshape(shape)
+    undecided = np.array(broken, dtype=bool).reshape(shape)
 
     # coupling of each undecided chain to the determined set, summed term by
-    # term; an undecided neighbour or an empty slot adds a signed zero
+    # term in model order; an undecided neighbour adds a signed zero
+    position = {v: i for i, v in enumerate(variables)}
     fixed = np.where(undecided, 0.0, value)
     coupling = np.repeat(
         np.array([logical_model.linear[v] for v in variables])[None, :], shape[0], axis=0
     )
-    for k in range(slots):
-        coupling += coef[:, k] * fixed[:, other[:, k]]
+    j_dense = np.zeros((shape[1], shape[1]))
+    for (u, v), c in logical_model.quadratic.items():
+        i, j = position[u], position[v]
+        j_dense[i, j] = j_dense[j, i] = c
+        coupling[:, i] += c * fixed[:, j]
+        coupling[:, j] += c * fixed[:, i]
 
     ising = logical_model.domain == ISING
     low = -1 if ising else 0
