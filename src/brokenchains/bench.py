@@ -14,8 +14,9 @@ Each experiment builds its Chimera graph and clique embedding once;
 ``run_graph_pipeline`` compiles every graph onto them, decomposes every
 read once and records its broken-chain fraction and, for each method the
 experiment scores, the witnesses of all reads; ``repair`` is the one place
-a method name turns into a repair call, once per sample set.  Rows score those witnesses at emission
-time.  A fixed seed makes the emitted CSV byte-identical across runs.
+a method name turns into a repair call, once per sample set.  Rows score
+those witnesses at emission time.  A fixed seed makes the emitted CSV
+byte-identical across runs.
 """
 
 import csv

@@ -106,9 +106,11 @@ def energy(m: BinaryQuadraticModel, assignment: dict) -> float:
 def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
     """Equivalent model in the target domain under bit b <-> spin 2b - 1.
 
-    Energies agree exactly for every assignment and its image; constants
-    are absorbed into the offset.  Converting to the same domain returns
-    the model unchanged.
+    Energies agree for every assignment and its image: exactly when every
+    coefficient is a small dyadic rational (as those of the four builders
+    are), and otherwise up to rounding, a few units in the last place.
+    Constants are absorbed into the offset.  Converting to the same domain
+    returns the model unchanged.
     """
     if target not in (QUBO, ISING):
         raise ValueError(f"target must be {QUBO!r} or {ISING!r}")

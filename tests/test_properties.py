@@ -9,10 +9,17 @@
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover);
+* tailored witnesses of random graphs, rows and ``p_break``, repaired as
+  one set through ``bench.repair``, are feasible: a clique, a cover, a
+  partition of every vertex, and a balanced one for partitioning whenever
+  neither side holds more than floor(n/2) intact chains;
 * set-level ``minimize_energy`` equals a one-read-at-a-time reference on
   random models of both domains with float, tenth and zero coefficients
   (tenths make the sum order show in the last bits), and
   read ``r``'s result is the same alone, in a prefix and in the whole set;
+* ``convert`` keeps every energy, QUBO to Ising, Ising to QUBO and on the
+  round trip: exactly on coefficients in multiples of 1/8 (and the round
+  trip gives the model back), to 1e-9 on floats;
 * ``embed_bqm`` keeps the energy of every chain-consistent state, less
   the chain strength per intra-chain coupler, for random models on
   ``clique_embedding`` over chimera(m,m,4), m = 1-3;
@@ -32,7 +39,14 @@ from hypothesis import strategies as st
 
 from brokenchains import bench
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel, build_model, convert, energy
-from brokenchains.graphs import PROBLEMS, Bipartition, Graph, erdos_renyi, is_clique
+from brokenchains.graphs import (
+    PROBLEMS,
+    Bipartition,
+    Graph,
+    erdos_renyi,
+    is_clique,
+    is_vertex_cover,
+)
 from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
 from brokenchains.topology import (
     Embedding,
@@ -90,8 +104,8 @@ def test_decompose_matches_dict_reference(e, row, domain):
     assert all(r.domain == domain for r in readouts)
 
 
-def physical(problem, n, graph_seed):
-    g = erdos_renyi(n, 0.5, graph_seed)
+def physical(problem, n, graph_seed, density=0.5):
+    g = erdos_renyi(n, density, graph_seed)
     model = build_model(problem, g)
     e = clique_embedding(n, HW)
     return g, model, e, embed_bqm(convert(model, ISING), e, HW, 1.0)
@@ -154,6 +168,31 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
             continue
         values = witness_values(witness, g)
         assert {v: values[v] for v in intact} == intact, method
+
+
+@PROPERTY
+@given(st.sampled_from(PROBLEMS), st.integers(1, 9), st.floats(0.0, 1.0), seeds, st.data(),
+       p_breaks, seeds)
+def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, p_break, seed):
+    g, model, e, pm = physical(problem, n, graph_seed, density)
+    rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    samples = inject_chain_breaks(sample_set(rows, range(n)), e, p_break, seed, pm)
+    chains = chain_columns(e, samples.qubits)
+    reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
+    witnesses = bench.repair("tailored", reads, problem, g, model, seed)
+    assert len(witnesses) == len(reads)
+    for readouts, witness in zip(reads, witnesses):
+        if problem == "max_clique":
+            assert is_clique(g, witness)
+        elif problem == "min_vertex_cover":
+            assert is_vertex_cover(g, witness)
+        else:
+            assert witness.is_complete_for(g)
+            intact = [r.value for r in readouts if not r.broken]
+            if problem == "graph_partitioning" and max(intact.count(-1), intact.count(1)) <= n // 2:
+                assert witness.is_balanced()
+                event("partitioning: intact sides within the cap")
 
 
 coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
@@ -239,6 +278,31 @@ def test_minimize_energy_matches_per_read_reference(case, data):
     assert minimize_energy(reads[:k], model) == expected[:k]
     r = data.draw(st.integers(0, len(reads) - 1))
     assert minimize_energy([reads[r]], model) == [expected[r]]
+
+
+# multiples of 1/8 up to 8: products and sums of a few stay exact in binary
+eighths = st.integers(-64, 64).map(lambda k: k / 8)
+
+
+@PROPERTY
+@given(st.sampled_from((ISING, QUBO)), st.booleans(), st.integers(1, 6), st.data())
+def test_convert_keeps_energies(domain, dyadic, n, data):
+    model = random_model(data.draw, range(n), domain, eighths if dyadic else coefficients)
+    target = QUBO if domain == ISING else ISING
+    image = convert(model, target)
+    back = convert(image, domain)
+    low = -1 if domain == ISING else 0
+    for values in itertools.product((low, 1), repeat=n):
+        assignment = dict(enumerate(values))
+        # bit b <-> spin 2b - 1
+        mapped = {v: 2 * x - 1 if domain == QUBO else (x + 1) // 2 for v, x in assignment.items()}
+        energies = energy(model, assignment), energy(image, mapped), energy(back, assignment)
+        if dyadic:
+            assert energies[0] == energies[1] == energies[2]
+        else:
+            assert max(energies) - min(energies) <= 1e-9
+    if dyadic:
+        assert back == model
 
 
 @PROPERTY
