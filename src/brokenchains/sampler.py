@@ -260,6 +260,10 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     provenance = doc.get("provenance")
     if provenance is not None:
         require_keys(provenance, ("chain_strength", "prefactor", "topology"), "provenance")
+        topology = provenance["topology"]
+        if not (isinstance(topology, list) and len(topology) == 3
+                and all(isinstance(x, int) for x in topology)):
+            raise ValueError("provenance topology must be a list of three integers")
     qubits = tuple(doc["qubits"])
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")

@@ -183,6 +183,7 @@ class TestUnembedRejectsMismatchedArtifacts:
         ("samples.json", "no_energy", "read 2 has no 'energy'"),
         ("embedding.json", "list", "embedding must be a JSON object, not list"),
         ("model.json", "no_linear", "model has no 'linear'"),
+        ("samples.json", "topology", "provenance topology must be a list of three integers"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, name, edit, expect):
         self.sampled(tmp_path)
@@ -194,6 +195,8 @@ class TestUnembedRejectsMismatchedArtifacts:
             del doc["samples"][2]["energy"]
         elif edit == "list":
             doc = [1, 2]
+        elif edit == "topology":
+            doc["provenance"]["topology"] = 4
         else:
             del doc["linear"]
         path.write_text(json.dumps(doc))
