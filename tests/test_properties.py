@@ -190,7 +190,8 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
         else:
             assert witness.is_complete_for(g)
             intact = [r.value for r in readouts if not r.broken]
-            if problem == "graph_partitioning" and max(intact.count(-1), intact.count(1)) <= n // 2:
+            largest_side = max(intact.count(-1), intact.count(1))
+            if problem == "graph_partitioning" and largest_side <= n // 2:
                 assert witness.is_balanced()
                 event("partitioning: intact sides within the cap")
 

@@ -200,7 +200,9 @@ class TestMinimizeEnergy:
         m = BinaryQuadraticModel(
             ISING, {0: 0.0, 1: -0.2, 2: 0.0, 3: 0.0}, {(0, 1): -0.1, (1, 2): -0.2, (1, 3): 0.1}
         )
-        readouts = [ro(0, [1], ISING), ro(1, [1, -1], ISING), ro(2, [-1], ISING), ro(3, [1], ISING)]
+        readouts = [
+            ro(0, [1], ISING), ro(1, [1, -1], ISING), ro(2, [-1], ISING), ro(3, [1], ISING)
+        ]
         assert minimize_energy([readouts], m)[0][1] == 1
 
     def test_qubo_tie_takes_zero(self):
