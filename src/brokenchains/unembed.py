@@ -127,8 +127,6 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
             raise ValueError("readouts must cover the model variables in ascending order")
         values.append([r.value for r in readouts])
         broken.append([r.broken for r in readouts])
-    if not values:
-        return []
     shape = (len(values), len(variables))
     value = np.array(values, dtype=np.float64).reshape(shape)
     undecided = np.array(broken, dtype=bool).reshape(shape)
