@@ -19,6 +19,7 @@ maximum cliques.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from brokenchains.graphs import Graph, complement
@@ -255,18 +256,35 @@ def require_keys(doc, keys, what: str):
     return doc
 
 
+def require_real(value, what: str, positive: bool = False):
+    """``value``, once it is a finite real number (``bool`` is not one), and a
+    positive one when ``positive``; otherwise ``ValueError`` naming ``what``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (positive and value <= 0)
+    ):
+        kind = "a positive real number" if positive else "a real number"
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
 def from_json(text: str) -> BinaryQuadraticModel:
-    """Read ``to_json`` output; raises ``ValueError`` on a missing key or bad shape."""
+    """Read ``to_json`` output; raises ``ValueError`` on a missing key, a bad
+    shape or a coefficient that is not a real number."""
     doc = require_keys(json.loads(text), ("domain", "linear", "quadratic"), "model")
-    require_keys(doc["linear"], (), "model linear")
+    linear = require_keys(doc["linear"], (), "model linear")
     quadratic = doc["quadratic"]
     if not isinstance(quadratic, list) or not all(
-        isinstance(term, list) and len(term) == 3 for term in quadratic
+        isinstance(term, list) and len(term) == 3
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in term[:2])
+        for term in quadratic
     ):
         raise ValueError("model quadratic must be a list of [u, v, coefficient] triples")
     return BinaryQuadraticModel(
         doc["domain"],
-        {int(v): c for v, c in doc["linear"].items()},
-        {(int(u), int(v)): c for u, v, c in quadratic},
-        doc.get("offset", 0.0),
+        {int(v): require_real(c, f"model linear {v}") for v, c in linear.items()},
+        {(u, v): require_real(c, f"model quadratic ({u}, {v})") for u, v, c in quadratic},
+        require_real(doc.get("offset", 0.0), "model offset"),
     )

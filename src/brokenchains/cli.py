@@ -136,7 +136,8 @@ def cmd_embed(args):
 
 
 def cmd_sample(args):
-    g = read_edge_list(args.graph)
+    with _blame(args.graph):
+        g = read_edge_list(args.graph)
     m, _, t = args.topology
     if g.n > t * m + 1:
         raise ConfigError(
@@ -206,7 +207,8 @@ def _blame(path):
 
 
 def cmd_unembed(args):
-    g = read_edge_list(args.graph)
+    with _blame(args.graph):
+        g = read_edge_list(args.graph)
     with open(args.embedding) as fh, _blame(args.embedding):
         e = embedding_from_json(fh.read())
     with open(args.model) as fh, _blame(args.model):

@@ -21,9 +21,15 @@ BRUTE_FORCE_MAX_N = 24
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices ``0..n-1``."""
+    """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    __slots__ = ("n", "edges", "_adj")
+    ``masks[v]`` is the neighbourhood of ``v`` as a Python-int bitmask (bit
+    ``u`` set when ``u`` and ``v`` are adjacent), built once with the
+    adjacency sets; the witness checks and the tailored unembeddings work
+    on these masks.
+    """
+
+    __slots__ = ("n", "edges", "_adj", "masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -42,6 +48,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "masks", tuple(sum(1 << u for u in s) for s in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -72,6 +79,14 @@ class Graph:
 
     def vertices(self) -> range:
         return range(self.n)
+
+    def mask_of(self, vertices) -> int:
+        """The bitmask of a vertex subset; ``ValueError`` on an out-of-range vertex."""
+        mask = 0
+        for v in vertices:
+            self._check_vertex(v)
+            mask |= 1 << v
+        return mask
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -137,37 +152,35 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-def _check_subset(g: Graph, s) -> frozenset:
-    s = frozenset(s)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return s
+def vertices_of(mask: int) -> list:
+    """The vertices whose bits are set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_clique(g: Graph, s) -> bool:
     """True iff every pair of vertices in ``s`` is adjacent (vacuously for |s| <= 1)."""
-    s = sorted(_check_subset(g, s))
-    for i, u in enumerate(s):
-        nb = g.neighbors(u)
-        for v in s[i + 1:]:
-            if v not in nb:
-                return False
-    return True
+    mask = g.mask_of(s)
+    # the only vertex of s that v is not adjacent to is v itself
+    return all(mask & ~g.masks[v] == 1 << v for v in vertices_of(mask))
 
 
 def is_vertex_cover(g: Graph, s) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    s = _check_subset(g, s)
-    return all(u in s or v in s for u, v in g.edges)
+    outside = ((1 << g.n) - 1) ^ g.mask_of(s)
+    return not any(g.masks[v] & outside for v in vertices_of(outside))
 
 
 def cut_size(g: Graph, b: Bipartition) -> int:
     """Number of edges with endpoints on different sides of a complete partition."""
     if not b.is_complete_for(g):
         raise ValueError("partition does not cover all vertices exactly once")
-    minus = b.side_minus
-    return sum(1 for u, v in g.edges if (u in minus) != (v in minus))
+    plus = g.mask_of(b.side_plus)
+    return sum((g.masks[v] & plus).bit_count() for v in b.side_minus)
 
 
 def _subset_matrix(lo: int, hi: int, n: int) -> np.ndarray:
@@ -244,13 +257,14 @@ def write_edge_list(g: Graph, path):
 
 
 def read_edge_list(path) -> Graph:
+    """Read ``write_edge_list`` output; ``ValueError`` on a malformed file."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
-        raise ValueError(f"{path}: expected header line 'n m'")
+        raise ValueError("expected header line 'n m'")
     n, m = int(tokens[0]), int(tokens[1])
     body = tokens[2:]
     if len(body) != 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, found {len(body) // 2}")
+        raise ValueError(f"expected {m} edges, found {len(body) // 2}")
     edges = [(int(body[2 * i]), int(body[2 * i + 1])) for i in range(m)]
     return Graph(n, edges)

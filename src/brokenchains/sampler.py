@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel, require_keys
+from brokenchains.bqm import BinaryQuadraticModel, require_keys, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, derive_seed, rng_from
 from brokenchains.topology import (
     Embedding,
@@ -252,7 +252,8 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     """Read ``sampleset_to_json`` output.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
-    or when ``params.num_reads`` is not the number of stored reads.
+    on a provenance chain strength or prefactor that is not a positive real
+    number, or when ``params.num_reads`` is not the number of stored reads.
     """
     doc = require_keys(
         json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
@@ -260,6 +261,8 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     provenance = doc.get("provenance")
     if provenance is not None:
         require_keys(provenance, ("chain_strength", "prefactor", "topology"), "provenance")
+        for key in ("chain_strength", "prefactor"):
+            require_real(provenance[key], f"provenance {key}", positive=True)
         topology = provenance["topology"]
         if not (isinstance(topology, list) and len(topology) == 3
                 and all(isinstance(x, int) for x in topology)):

@@ -22,6 +22,12 @@ witness:
 
 Only broken chains are ever resolved; values fixed by unbroken chains are
 never revisited.
+
+The tailored algorithms work on the instance graph's neighbourhood
+bitmasks (``Graph.masks``).  Each read's intact and broken chains become
+vertex masks, the candidate set, the sides and the cover are masks updated
+as vertices are placed, and a degree within a set is one popcount.  This
+is bookkeeping only: every witness is the one the definitions above give.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Bipartition, Graph, is_clique
+from brokenchains.graphs import Bipartition, Graph, is_clique, vertices_of
 from brokenchains.seeding import rng_from
 from brokenchains.topology import ChainColumns
 
@@ -71,10 +77,6 @@ def decompose(spins, chains: ChainColumns, domain: str = ISING):
         ChainReadout(v, 1 if x > 0 else zero, domain, 0 < k < n, k / n)
         for v, x, k, n in zip(chains.variables, first, ones, chains.lengths)
     ]
-
-
-def broken_variables(readouts):
-    return [r.variable for r in readouts if r.broken]
 
 
 def majority_vote(readouts) -> dict:
@@ -165,10 +167,24 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
     return [dict(zip(variables, row)) for row in value.astype(np.int64).tolist()]
 
 
-def _require_domain(readouts, domain: str, algorithm: str):
+def _split(readouts, ctx: UnembedContext, domain: str, algorithm: str):
+    """One read as bitmasks over ``ctx.graph``: its intact chains of value 1,
+    its other intact chains and its broken chains, plus each variable's
+    fraction of ones.  ``ValueError`` on another domain or a variable that
+    is not a vertex."""
+    high, low, broken, frac = [], [], [], {}
     for r in readouts:
         if r.domain != domain:
             raise ValueError(f"{algorithm} expects {domain} readouts")
+        frac[r.variable] = r.frac_ones
+        if r.broken:
+            broken.append(r.variable)
+        elif r.value == 1:
+            high.append(r.variable)
+        else:
+            low.append(r.variable)
+    g = ctx.graph
+    return g.mask_of(high), g.mask_of(low), g.mask_of(broken), frac
 
 
 def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
@@ -178,35 +194,34 @@ def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
     Otherwise broken vertices adjacent to the whole current clique are
     candidates; the highest degree within the candidate set wins, then the
     highest fraction of ones, then the lowest id.
+
+    The candidates are one bitmask: the broken vertices ANDed with the
+    neighbourhood mask of every core vertex, then with that of each pick,
+    so a candidate's degree is one popcount.
     """
-    _require_domain(readouts, QUBO, "unembed_max_clique")
+    clique, _, broken, frac = _split(readouts, ctx, QUBO, "unembed_max_clique")
     g = ctx.graph
-    by_var = {r.variable: r for r in readouts}
-    clique = {r.variable for r in readouts if not r.broken and r.value == 1}
-    if not is_clique(g, clique):
+    core = vertices_of(clique)
+    if not is_clique(g, core):
         return frozenset()
-    broken = set(broken_variables(readouts))
-    while broken:
-        candidates = [
-            x for x in broken if all(g.has_edge(x, u) for u in clique)
-        ]
-        if not candidates:
-            break
-        cand_set = set(candidates)
-        degree_in = {x: len(g.neighbors(x) & cand_set) for x in candidates}
-        top = max(degree_in.values())
-        pool = [x for x in candidates if degree_in[x] == top]
-        pick = max(pool, key=lambda x: (by_var[x].frac_ones, -x))
-        broken.remove(pick)
-        clique.add(pick)
-    return frozenset(clique)
+    candidates = broken
+    for u in core:
+        candidates &= g.masks[u]
+    while candidates:
+        pick = max(
+            vertices_of(candidates),
+            key=lambda x: ((g.masks[x] & candidates).bit_count(), frac[x], -x),
+        )
+        clique |= 1 << pick
+        candidates &= g.masks[pick]
+    return frozenset(vertices_of(clique))
 
 
-def _majority_side(readout: ChainReadout):
+def _majority_side(frac_ones: float):
     """-1, +1, or None when the chain holds both values equally often."""
-    if readout.frac_ones > 0.5:
+    if frac_ones > 0.5:
         return 1
-    if readout.frac_ones < 0.5:
+    if frac_ones < 0.5:
         return -1
     return None
 
@@ -216,32 +231,26 @@ def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
 
     Broken vertices are visited in seeded random order; degree ties follow
     the chain's majority value, and an even chain falls to a seeded coin.
+    Each side is a bitmask of its placed vertices, so a vertex's placed
+    neighbours on a side are one popcount.
     """
-    _require_domain(readouts, ISING, "unembed_max_cut")
-    g = ctx.graph
-    by_var = {r.variable: r for r in readouts}
-    side = {r.variable: r.value for r in readouts if not r.broken}
+    plus, minus, broken, frac = _split(readouts, ctx, ISING, "unembed_max_cut")
+    masks = ctx.graph.masks
     rng = rng_from(ctx.seed)
-    order = rng.permutation(sorted(broken_variables(readouts)))
-    for x in order:
-        x = int(x)
-        placed = [u for u in g.neighbors(x) if u in side]
-        deg_minus = sum(1 for u in placed if side[u] == -1)
-        deg_plus = len(placed) - deg_minus
-        if deg_minus < deg_plus:
-            side[x] = -1
-        elif deg_plus < deg_minus:
-            side[x] = 1
+    for x in rng.permutation(vertices_of(broken)).tolist():
+        deg_minus = (masks[x] & minus).bit_count()
+        deg_plus = (masks[x] & plus).bit_count()
+        if deg_minus != deg_plus:
+            side = -1 if deg_minus < deg_plus else 1
         else:
-            majority = _majority_side(by_var[x])
-            if majority is not None:
-                side[x] = majority
-            else:
-                side[x] = 1 if rng.random() < 0.5 else -1
-    return Bipartition(
-        side_minus=frozenset(v for v, s in side.items() if s == -1),
-        side_plus=frozenset(v for v, s in side.items() if s == 1),
-    )
+            side = _majority_side(frac[x])
+            if side is None:
+                side = 1 if rng.random() < 0.5 else -1
+        if side == -1:
+            minus |= 1 << x
+        else:
+            plus |= 1 << x
+    return Bipartition(frozenset(vertices_of(minus)), frozenset(vertices_of(plus)))
 
 
 def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
@@ -254,42 +263,40 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
     goes to the smaller side.  Full ties during placement prefer the
     smaller side (minus side when equal).  The partition can still be
     unbalanced when the intact chains already are; ``is_balanced`` says so.
+
+    Sides are bitmasks as in ``unembed_max_cut``, and their sizes are two
+    counters that each placement increments.
     """
-    _require_domain(readouts, ISING, "unembed_graph_partitioning")
-    g = ctx.graph
-    by_var = {r.variable: r for r in readouts}
-    side = {r.variable: r.value for r in readouts if not r.broken}
-    cap = g.n // 2
-
-    def size(s):
-        return sum(1 for v in side.values() if v == s)
-
+    plus, minus, broken, frac = _split(readouts, ctx, ISING, "unembed_graph_partitioning")
+    masks = ctx.graph.masks
+    cap = ctx.graph.n // 2
+    n_minus, n_plus = minus.bit_count(), plus.bit_count()
     rng = rng_from(ctx.seed)
-    order = [int(x) for x in rng.permutation(sorted(broken_variables(readouts)))]
-    remaining = list(order)
-    while remaining and size(-1) < cap and size(1) < cap:
-        x = remaining.pop(0)
-        placed = [u for u in g.neighbors(x) if u in side]
-        deg_minus = sum(1 for u in placed if side[u] == -1)
-        deg_plus = len(placed) - deg_minus
-        if deg_minus > deg_plus:
-            side[x] = -1
-        elif deg_plus > deg_minus:
-            side[x] = 1
+    order = rng.permutation(vertices_of(broken)).tolist()
+    placed = 0
+    while placed < len(order) and n_minus < cap and n_plus < cap:
+        x = order[placed]
+        placed += 1
+        deg_minus = (masks[x] & minus).bit_count()
+        deg_plus = (masks[x] & plus).bit_count()
+        if deg_minus != deg_plus:
+            side = -1 if deg_minus > deg_plus else 1
         else:
-            majority = _majority_side(by_var[x])
-            if majority is not None:
-                side[x] = majority
-            else:
-                side[x] = -1 if size(-1) <= size(1) else 1
-    if remaining:
-        smaller = -1 if size(-1) <= size(1) else 1
-        for x in remaining:
-            side[x] = smaller
-    return Bipartition(
-        side_minus=frozenset(v for v, s in side.items() if s == -1),
-        side_plus=frozenset(v for v, s in side.items() if s == 1),
-    )
+            side = _majority_side(frac[x])
+            if side is None:
+                side = -1 if n_minus <= n_plus else 1
+        if side == -1:
+            minus |= 1 << x
+            n_minus += 1
+        else:
+            plus |= 1 << x
+            n_plus += 1
+    rest = sum(1 << x for x in order[placed:])
+    if n_minus <= n_plus:
+        minus |= rest
+    else:
+        plus |= rest
+    return Bipartition(frozenset(vertices_of(minus)), frozenset(vertices_of(plus)))
 
 
 def unembed_vertex_cover(readouts, ctx: UnembedContext) -> frozenset:
@@ -300,30 +307,37 @@ def unembed_vertex_cover(readouts, ctx: UnembedContext) -> frozenset:
     neighbors of zeros are forced into the cover; the rest drain by
     descending degree-within-remaining plus fraction of ones (ties to the
     lowest id), joining the cover exactly when they touch a zero.
+
+    The cover, the zeros and the remaining vertices are bitmasks, so each
+    test against the zeros is one AND and each degree within the remaining
+    vertices one popcount.  Every remaining vertex keeps its drain key, and
+    a drain recomputes only the keys of its remaining neighbours, the only
+    degrees it changes.
     """
-    _require_domain(readouts, QUBO, "unembed_vertex_cover")
-    g = ctx.graph
-    by_var = {r.variable: r for r in readouts}
-    cover = {r.variable for r in readouts if not r.broken and r.value == 1}
-    zeros = {r.variable for r in readouts if not r.broken and r.value == 0}
-    for u, v in g.edges:
-        if u in zeros and v in zeros:
-            return frozenset(g.vertices())
-    remaining = set(broken_variables(readouts))
-    forced = {x for x in remaining if g.neighbors(x) & zeros}
-    cover |= forced
-    remaining -= forced
-    while remaining:
-        v = max(
-            remaining,
-            key=lambda v: (len(g.neighbors(v) & remaining) + by_var[v].frac_ones, -v),
-        )
-        remaining.remove(v)
-        if g.neighbors(v) & zeros:
-            cover.add(v)
+    cover, zeros, remaining, frac = _split(readouts, ctx, QUBO, "unembed_vertex_cover")
+    masks = ctx.graph.masks
+    if any(masks[v] & zeros for v in vertices_of(zeros)):
+        return frozenset(ctx.graph.vertices())
+    for x in vertices_of(remaining):
+        if masks[x] & zeros:
+            cover |= 1 << x
+    remaining &= ~cover
+
+    def key(v):
+        return (masks[v] & remaining).bit_count() + frac[v], -v
+
+    keys = {v: key(v) for v in vertices_of(remaining)}
+    while keys:
+        v = -max(keys.values())[1]
+        del keys[v]
+        remaining ^= 1 << v
+        for u in vertices_of(masks[v] & remaining):
+            keys[u] = key(u)
+        if masks[v] & zeros:
+            cover |= 1 << v
         else:
-            zeros.add(v)
-    return frozenset(cover)
+            zeros |= 1 << v
+    return frozenset(vertices_of(cover))
 
 
 TAILORED = {

@@ -184,6 +184,12 @@ class TestUnembedRejectsMismatchedArtifacts:
         ("embedding.json", "list", "embedding must be a JSON object, not list"),
         ("model.json", "no_linear", "model has no 'linear'"),
         ("samples.json", "topology", "provenance topology must be a list of three integers"),
+        ("model.json", "null_linear", "model linear 0 must be a real number, not None"),
+        ("model.json", "bool_offset", "model offset must be a real number, not True"),
+        ("model.json", "null_variable", "model quadratic must be a list of [u, v, coefficient]"),
+        ("samples.json", "chain_strength",
+         "provenance chain_strength must be a positive real number, not 'x'"),
+        ("samples.json", "prefactor", "provenance prefactor must be a positive real number, not 0"),
     ])
     def test_malformed_artifact_exit_2(self, tmp_path, capsys, name, edit, expect):
         self.sampled(tmp_path)
@@ -197,6 +203,14 @@ class TestUnembedRejectsMismatchedArtifacts:
             doc = [1, 2]
         elif edit == "topology":
             doc["provenance"]["topology"] = 4
+        elif edit == "null_linear":
+            doc["linear"]["0"] = None
+        elif edit == "bool_offset":
+            doc["offset"] = True
+        elif edit == "null_variable":
+            doc["quadratic"][0][0] = None
+        elif edit in ("chain_strength", "prefactor"):
+            doc["provenance"][edit] = "x" if edit == "chain_strength" else 0
         else:
             del doc["linear"]
         path.write_text(json.dumps(doc))
@@ -204,6 +218,26 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert self.unembed(tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and f"{name}: {expect}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "unembed"])
+    @pytest.mark.parametrize("text,expect", [
+        ("6 x\n", "invalid literal for int()"),
+        ("6 1\n0 9\n", "edge (0, 9) out of range for n=6"),
+    ])
+    def test_malformed_graph_exit_2(self, tmp_path, capsys, command, text, expect):
+        self.sampled(tmp_path)
+        (tmp_path / "bad.txt").write_text(text)
+        capsys.readouterr()
+        if command == "sample":
+            rc = main(["sample", "--graph", str(tmp_path / "bad.txt"), "--problem", "max_cut",
+                       "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                       "--out", str(tmp_path / "out")])
+        else:
+            rc = self.unembed(tmp_path, graph="bad.txt")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"bad.txt: {expect}" in err
         assert not (tmp_path / "out").exists()
 
     def test_samples_of_another_chain_strength_exit_2(self, tmp_path, capsys):

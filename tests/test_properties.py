@@ -13,6 +13,14 @@
   one set through ``bench.repair``, are feasible: a clique, a cover, a
   partition of every vertex, and a balanced one for partitioning whenever
   neither side holds more than floor(n/2) intact chains;
+* the bitmask tailored algorithms return the witness of today's
+  set-based ones (kept here as ``reference_unembed_*``) on random graphs
+  of 1-9 and 65 vertices (masks wider than 64 bits) and random readouts
+  whose chain lengths 1, 2 and 4 tie many fractions of ones;
+* ``is_clique``, ``is_vertex_cover`` and ``cut_size`` equal edge-scan
+  references on random graphs and subsets, still raise ``ValueError`` on
+  an out-of-range vertex or an incomplete partition, and ``Graph.masks``
+  holds each vertex's neighbourhood;
 * set-level ``minimize_energy`` equals a one-read-at-a-time reference on
   random models of both domains with float, tenth and zero coefficients
   (tenths make the sum order show in the last bits), and
@@ -43,11 +51,13 @@ from brokenchains.graphs import (
     PROBLEMS,
     Bipartition,
     Graph,
+    cut_size,
     erdos_renyi,
     is_clique,
     is_vertex_cover,
 )
 from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
+from brokenchains.seeding import rng_from
 from brokenchains.topology import (
     Embedding,
     chain_columns,
@@ -56,7 +66,13 @@ from brokenchains.topology import (
     embed_bqm,
     validate_embedding,
 )
-from brokenchains.unembed import ChainReadout, decompose, minimize_energy
+from brokenchains.unembed import (
+    TAILORED,
+    ChainReadout,
+    UnembedContext,
+    decompose,
+    minimize_energy,
+)
 from conftest import sample_set, spin_glass, spins_of
 
 HW = chimera(2, 2, 4)
@@ -194,6 +210,221 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
             if problem == "graph_partitioning" and largest_side <= n // 2:
                 assert witness.is_balanced()
                 event("partitioning: intact sides within the cap")
+
+
+@st.composite
+def graphs(draw):
+    """G(n, p) on 1-9 vertices, or on 65 so that neighbourhood masks pass 64 bits."""
+    n = draw(st.one_of(st.integers(1, 9), st.just(65)))
+    return erdos_renyi(n, draw(st.floats(0.0, 1.0)), draw(seeds))
+
+
+def reference_is_clique(g, s):
+    return all((min(u, v), max(u, v)) in g.edges for u, v in itertools.combinations(set(s), 2))
+
+
+def reference_is_vertex_cover(g, s):
+    return all(u in s or v in s for u, v in g.edges)
+
+
+def reference_cut_size(g, b):
+    return sum(1 for u, v in g.edges if (u in b.side_minus) != (v in b.side_minus))
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_mask_checks_match_edge_scans(g, data):
+    for v in g.vertices():
+        assert g.masks[v] == sum(1 << u for u in g.neighbors(v))
+    vertices = st.sampled_from(range(g.n))
+    subset = data.draw(st.lists(vertices, unique=True))
+    # grow a clique and a cover out of the subset, so that both answers occur
+    clique = []
+    for v in subset:
+        if all(g.has_edge(u, v) for u in clique):
+            clique.append(v)
+    cover = set(subset) | {u for u, v in g.edges if u not in subset and v not in subset}
+    cover -= set(data.draw(st.lists(vertices, max_size=2)))
+    for s in (subset, clique):
+        assert is_clique(g, s) == reference_is_clique(g, s)
+    for s in (set(subset), cover):
+        assert is_vertex_cover(g, s) == reference_is_vertex_cover(g, s)
+    event(f"clique {is_clique(g, subset)}, cover {is_vertex_cover(g, cover)}")
+    minus = frozenset(subset)
+    b = Bipartition(minus, frozenset(g.vertices()) - minus)
+    assert cut_size(g, b) == reference_cut_size(g, b)
+
+    stray = data.draw(st.sampled_from((-1, g.n, g.n + 5)))
+    for check in (is_clique, is_vertex_cover):
+        with pytest.raises(ValueError, match="out of range"):
+            check(g, subset + [stray])
+    with pytest.raises(ValueError, match="does not cover"):
+        cut_size(g, Bipartition(minus, frozenset(g.vertices()) - minus | {stray}))
+    with pytest.raises(ValueError, match="does not cover"):  # vertex 0 on neither side
+        cut_size(g, Bipartition(minus - {0}, frozenset(g.vertices()) - minus - {0}))
+
+
+def reference_majority_side(readout):
+    if readout.frac_ones > 0.5:
+        return 1
+    if readout.frac_ones < 0.5:
+        return -1
+    return None
+
+
+def reference_unembed_max_clique(readouts, ctx):
+    """Greedy clique growth over neighbour sets, recomputed at every step."""
+    g = ctx.graph
+    by_var = {r.variable: r for r in readouts}
+    clique = {r.variable for r in readouts if not r.broken and r.value == 1}
+    if not reference_is_clique(g, clique):
+        return frozenset()
+    broken = {r.variable for r in readouts if r.broken}
+    while broken:
+        candidates = [
+            x for x in broken if all(g.has_edge(x, u) for u in clique)
+        ]
+        if not candidates:
+            break
+        cand_set = set(candidates)
+        degree_in = {x: len(g.neighbors(x) & cand_set) for x in candidates}
+        top = max(degree_in.values())
+        pool = [x for x in candidates if degree_in[x] == top]
+        pick = max(pool, key=lambda x: (by_var[x].frac_ones, -x))
+        broken.remove(pick)
+        clique.add(pick)
+    return frozenset(clique)
+
+
+def reference_unembed_max_cut(readouts, ctx):
+    """Cut placement over a side dict, counting placed neighbours one by one."""
+    g = ctx.graph
+    by_var = {r.variable: r for r in readouts}
+    side = {r.variable: r.value for r in readouts if not r.broken}
+    rng = rng_from(ctx.seed)
+    order = rng.permutation(sorted(r.variable for r in readouts if r.broken))
+    for x in order:
+        x = int(x)
+        placed = [u for u in g.neighbors(x) if u in side]
+        deg_minus = sum(1 for u in placed if side[u] == -1)
+        deg_plus = len(placed) - deg_minus
+        if deg_minus < deg_plus:
+            side[x] = -1
+        elif deg_plus < deg_minus:
+            side[x] = 1
+        else:
+            majority = reference_majority_side(by_var[x])
+            if majority is not None:
+                side[x] = majority
+            else:
+                side[x] = 1 if rng.random() < 0.5 else -1
+    return Bipartition(
+        side_minus=frozenset(v for v, s in side.items() if s == -1),
+        side_plus=frozenset(v for v, s in side.items() if s == 1),
+    )
+
+
+def reference_unembed_graph_partitioning(readouts, ctx):
+    """Balanced placement that recounts both side sizes at every step."""
+    g = ctx.graph
+    by_var = {r.variable: r for r in readouts}
+    side = {r.variable: r.value for r in readouts if not r.broken}
+    cap = g.n // 2
+
+    def size(s):
+        return sum(1 for v in side.values() if v == s)
+
+    rng = rng_from(ctx.seed)
+    order = [int(x) for x in rng.permutation(sorted(r.variable for r in readouts if r.broken))]
+    remaining = list(order)
+    while remaining and size(-1) < cap and size(1) < cap:
+        x = remaining.pop(0)
+        placed = [u for u in g.neighbors(x) if u in side]
+        deg_minus = sum(1 for u in placed if side[u] == -1)
+        deg_plus = len(placed) - deg_minus
+        if deg_minus > deg_plus:
+            side[x] = -1
+        elif deg_plus > deg_minus:
+            side[x] = 1
+        else:
+            majority = reference_majority_side(by_var[x])
+            if majority is not None:
+                side[x] = majority
+            else:
+                side[x] = -1 if size(-1) <= size(1) else 1
+    if remaining:
+        smaller = -1 if size(-1) <= size(1) else 1
+        for x in remaining:
+            side[x] = smaller
+    return Bipartition(
+        side_minus=frozenset(v for v, s in side.items() if s == -1),
+        side_plus=frozenset(v for v, s in side.items() if s == 1),
+    )
+
+
+def reference_unembed_vertex_cover(readouts, ctx):
+    """Cover completion over vertex sets, draining by a max over the rest."""
+    g = ctx.graph
+    by_var = {r.variable: r for r in readouts}
+    cover = {r.variable for r in readouts if not r.broken and r.value == 1}
+    zeros = {r.variable for r in readouts if not r.broken and r.value == 0}
+    for u, v in g.edges:
+        if u in zeros and v in zeros:
+            return frozenset(g.vertices())
+    remaining = {r.variable for r in readouts if r.broken}
+    forced = {x for x in remaining if g.neighbors(x) & zeros}
+    cover |= forced
+    remaining -= forced
+    while remaining:
+        v = max(
+            remaining,
+            key=lambda v: (len(g.neighbors(v) & remaining) + by_var[v].frac_ones, -v),
+        )
+        remaining.remove(v)
+        if g.neighbors(v) & zeros:
+            cover.add(v)
+        else:
+            zeros.add(v)
+    return frozenset(cover)
+
+
+REFERENCE_TAILORED = {
+    "max_clique": reference_unembed_max_clique,
+    "max_cut": reference_unembed_max_cut,
+    "graph_partitioning": reference_unembed_graph_partitioning,
+    "min_vertex_cover": reference_unembed_vertex_cover,
+}
+
+
+def random_readouts(rng, n, domain, p_break, p_one):
+    """One read of chains of 1, 2 or 4 qubits, so fractions of ones often tie;
+    a chain breaks with probability ``p_break`` when it can, and an intact
+    chain holds 1 / +1 with probability ``p_one``."""
+    low = 0 if domain == QUBO else -1
+    readouts = []
+    for v in range(n):
+        length = int(rng.choice((1, 2, 4)))
+        if length > 1 and rng.random() < p_break:
+            ones = int(rng.integers(1, length))
+            value = int(rng.choice((low, 1)))
+        else:
+            value = 1 if rng.random() < p_one else low
+            ones = length if value == 1 else 0
+        readouts.append(ChainReadout(v, value, domain, 0 < ones < length, ones / length))
+    return readouts
+
+
+@PROPERTY
+@given(st.sampled_from(PROBLEMS), graphs(), p_breaks, st.floats(0.0, 1.0), seeds, seeds)
+def test_tailored_matches_set_reference(problem, g, p_break, p_one, readout_seed, seed):
+    domain = QUBO if problem in ("max_clique", "min_vertex_cover") else ISING
+    rng = np.random.default_rng(readout_seed)
+    for read in range(4):
+        readouts = random_readouts(rng, g.n, domain, p_break, p_one)
+        ctx = UnembedContext(g, problem, seed + read)
+        witness = TAILORED[problem](readouts, ctx)
+        assert witness == REFERENCE_TAILORED[problem](readouts, ctx)
+    event(f"{problem}, n {'65' if g.n == 65 else '1-9'}")
 
 
 coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))

@@ -402,6 +402,18 @@ class TestVertexCoverUnembed:
         out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
         assert out == {1, 2, 3, 4}
 
+    def test_drain_degrees_follow_removals(self):
+        # all broken; 0 (3.75) drains first and 5 joins the cover, then 3 and 4
+        # tie at one remaining neighbour each, so 3 becomes a zero and 4 joins
+        # the cover; degrees left at their starting values would drain 4 (2.25)
+        # before 3 and cover 3 instead
+        g = Graph(6, [(0, 1), (0, 2), (0, 5), (1, 5), (3, 4), (4, 5)])
+        chains = [[1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],
+                  [1, 1, 1, 0]]
+        readouts = [ro(v, chain, QUBO) for v, chain in enumerate(chains)]
+        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
+        assert out == {1, 2, 4, 5}
+
     def test_cover_always_feasible(self):
         for seed in range(30):
             g = erdos_renyi(12, 0.5, seed)
