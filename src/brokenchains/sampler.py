@@ -9,6 +9,9 @@ tested without any annealing at all.
 Determinism contract: read ``r`` of ``simulated_anneal`` consumes only the
 PCG64 stream seeded by ``derive_seed(params.seed, STREAM_READ, r)``,
 drawing the initial state first and then one uniform per spin per sweep.
+Those uniforms are taken several sweeps at a time (``_DRAWS_PER_CALL``)
+by one ``rng.random`` call per read; one call fills its values in stream
+order, so each sweep gets the uniforms that a call per sweep would draw.
 Reads are therefore independent, order-insensitive, and reproducible:
 the spins of read ``r`` are the same whether reads run one at a time or in
 the batches of ``_READ_BATCH`` used here for speed.  Energies are summed
@@ -24,6 +27,18 @@ Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
 within a class.  Spins in one class share no coupler, so the simultaneous
 class update equals sequential single-spin updates in that order.
+
+A flip of spin ``s`` in local field ``f`` changes the energy by
+``delta = -2 s f`` and is accepted when ``delta <= 0`` or
+``u < exp(-beta delta)``.  The class update computes ``x = 2 beta s f`` in
+place instead: ``s f`` is exact for ``s = +-1`` and ``2 beta`` is an exact
+doubling, so ``x`` is the same rounding of the same real number as
+``-beta delta``, and ``u < exp(x)`` is the whole test, because a downhill
+move has ``exp(x) >= 1 > u`` (``exp`` may overflow to inf there).  The
+update takes that test as the sign of ``u - exp(x)``, which is negative
+exactly when ``u < exp(x)`` and +0 when they are equal, and the new spin is
+``copysign(1, s (u - exp(x)))``.  Accept decisions, and so spins, are those
+of the explicit ``delta`` form bit for bit.
 """
 
 import csv
@@ -45,6 +60,10 @@ from brokenchains.topology import (
 )
 
 _READ_BATCH = 64
+# uniforms one ``rng.random`` call fills per read: each call covers
+# max(1, _DRAWS_PER_CALL // qubits) sweeps, so a 64-read batch's draw buffer
+# stays within 512 KiB unless one sweep alone is larger
+_DRAWS_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,14 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     """Independent Metropolis anneals of the physical model, one per read."""
     compiled = _CompiledModel(pm.ising)
     n = len(compiled.qubits)
-    betas = np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
+    two_betas = (
+        2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
+    ).tolist()
+    chunk = min(max(1, _DRAWS_PER_CALL // max(n, 1)), params.sweeps)
+    classes = [
+        (cls, compiled.h[cls][:, None], j_rows)
+        for cls, j_rows in zip(compiled.classes, compiled.class_rows)
+    ]
 
     spins, energies = [], []
     for start in range(0, params.num_reads, _READ_BATCH):
@@ -147,20 +173,28 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
             [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
             axis=1,
         )
-        draws = np.empty((len(rngs), n))
-        uniforms = draws.T  # uniforms[i, r] is read r's draw for qubit i
-        for beta in betas:
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row)
-            for cls, j_rows in zip(compiled.classes, compiled.class_rows):
-                spins_cls = states[cls]
-                fields = compiled.h[cls][:, None] + j_rows @ states
-                # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
-                delta = -2.0 * spins_cls * fields
-                accept = (delta <= 0.0) | (
-                    uniforms[cls] < np.exp(-beta * np.clip(delta, 0.0, None))
-                )
-                states[cls] = np.where(accept, -spins_cls, spins_cls)
+        draws = np.empty((len(rngs), chunk, n))  # draws[r, t, i]: read r, sweep t, qubit i
+        # exp overflows to inf on steep downhill moves, which accept all the same
+        with np.errstate(over="ignore"):
+            for first in range(0, params.sweeps, chunk):
+                chunk_two_betas = two_betas[first : first + chunk]
+                for rng, block in zip(rngs, draws):
+                    rng.random(out=block[: len(chunk_two_betas)])
+                for t, two_beta in enumerate(chunk_two_betas):
+                    uniforms = draws[:, t].T  # uniforms[i, r]
+                    for cls, h_cls, j_rows in classes:
+                        s = states[cls]
+                        # x = 2 beta s_i f_i, where f_i = h_i + sum_j J_ij s_j
+                        x = j_rows @ states
+                        x += h_cls
+                        x *= s
+                        x *= two_beta
+                        np.exp(x, out=x)
+                        # u - exp(x) < 0 exactly when the flip is accepted, and
+                        # its sign times s is the new spin (a zero keeps s)
+                        np.subtract(uniforms[cls], x, out=x)
+                        x *= s
+                        states[cls] = np.copysign(1.0, x, out=x)
         # energies are summed over C-ordered (reads, qubits) rows: the last
         # bits of a BLAS sum depend on the layout it is given
         states = np.ascontiguousarray(states.T)
@@ -248,12 +282,18 @@ def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     """Read ``sampleset_to_json`` output.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
-    on a provenance chain strength or prefactor that is not a positive real
-    number, or when ``params.num_reads`` is not the number of stored reads.
+    on a ``params`` value of the wrong type, on an energy that is not a
+    finite real number, on a provenance chain strength or prefactor that is
+    not a positive real number, or when ``params.num_reads`` is not the
+    number of stored reads.
     """
     doc = require_keys(
         json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
@@ -267,16 +307,30 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
         if not (isinstance(topology, list) and len(topology) == 3
                 and all(isinstance(x, int) for x in topology)):
             raise ValueError("provenance topology must be a list of three integers")
-    qubits = tuple(doc["qubits"])
+    qubits = doc["qubits"]
+    if not (isinstance(qubits, list) and all(map(_is_int, qubits))):
+        raise ValueError("qubits must be a list of integers")
+    qubits = tuple(qubits)
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
     p = require_keys(doc["params"], ("num_reads", "sweeps", "beta_range", "seed"), "params")
-    params = AnnealParams(p["num_reads"], p["sweeps"], tuple(p["beta_range"]), p["seed"])
+    for key in ("num_reads", "sweeps", "seed"):
+        if not _is_int(p[key]):
+            raise ValueError(f"params.{key} must be an integer, not {p[key]!r}")
+    beta_range = p["beta_range"]
+    if not (isinstance(beta_range, list) and len(beta_range) == 2):
+        raise ValueError(
+            f"params.beta_range must be a list of two real numbers, not {beta_range!r}"
+        )
+    for beta in beta_range:
+        require_real(beta, "params.beta_range entry")
+    params = AnnealParams(p["num_reads"], p["sweeps"], tuple(beta_range), p["seed"])
     records = doc["samples"]
     if not isinstance(records, list):
         raise ValueError("samples must be a list of reads")
     for read, rec in enumerate(records):
         require_keys(rec, ("energy", "spins"), f"read {read}")
+        require_real(rec["energy"], f"read {read} energy")
     rows = [rec["spins"] for rec in records]
     if params.num_reads != len(rows):
         raise ValueError(

@@ -48,12 +48,12 @@ def spins_of(ss, read):
     return dict(zip(ss.qubits, ss.spins[read].tolist()))
 
 
-def spin_glass(hw, seed):
-    """A PhysicalModel with uniform [-1, 1) fields and couplers on every qubit
-    and coupler of ``hw``, drawn from ``rng_from(seed)``."""
+def spin_glass(hw, seed, scale=1.0):
+    """A PhysicalModel with uniform [-1, 1) fields and couplers, times ``scale``,
+    on every qubit and coupler of ``hw``, drawn from ``rng_from(seed)``."""
     rng = rng_from(seed)
     qubits, couplers = sorted(hw.qubits), sorted(hw.couplers)
-    linear = dict(zip(qubits, rng.uniform(-1.0, 1.0, len(qubits)).tolist()))
-    quadratic = dict(zip(couplers, rng.uniform(-1.0, 1.0, len(couplers)).tolist()))
+    linear = dict(zip(qubits, (scale * rng.uniform(-1.0, 1.0, len(qubits))).tolist()))
+    quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
     ising = BinaryQuadraticModel(ISING, linear, quadratic)
     return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())

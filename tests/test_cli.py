@@ -220,6 +220,33 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert err.startswith("configuration error:") and f"{name}: {expect}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("keys,value,expect", [
+        (("params", "num_reads"), "4", "params.num_reads must be an integer, not '4'"),
+        (("params", "sweeps"), "x", "params.sweeps must be an integer, not 'x'"),
+        (("params", "seed"), True, "params.seed must be an integer, not True"),
+        (("params", "beta_range"), 5,
+         "params.beta_range must be a list of two real numbers, not 5"),
+        (("params", "beta_range", 1), "a",
+         "params.beta_range entry must be a real number, not 'a'"),
+        (("qubits", 3), "a", "qubits must be a list of integers"),
+        (("samples", 1, "energy"), None, "read 1 energy must be a real number, not None"),
+        (("samples", 0, "energy"), float("nan"), "read 0 energy must be a real number, not nan"),
+    ])
+    def test_wrong_typed_samples_value_exit_2(self, tmp_path, capsys, keys, value, expect):
+        self.sampled(tmp_path)
+        path = tmp_path / "samples.json"
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"samples.json: {expect}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sample", "unembed"])
     @pytest.mark.parametrize("text,expect", [
         ("6 x\n", "invalid literal for int()"),

@@ -6,6 +6,11 @@
 * read ``r`` of an anneal does not depend on batching: the first k1
   reads of a k1-read and a k2-read anneal agree when the two sets are cut
   into different 64-read batches, and every energy matches ``bqm.energy``;
+* ``simulated_anneal`` equals the per-sweep loop it replaced (kept here as
+  ``reference_simulated_anneal``) byte for byte, spins and energies, on
+  random spin glasses over 1-140 reads and sweep counts below, at and past
+  the sweeps one draw call covers; with couplings strong enough that
+  ``exp`` overflows on downhill moves it still does, and warns of nothing;
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover);
@@ -39,6 +44,7 @@
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -56,8 +62,16 @@ from brokenchains.graphs import (
     is_clique,
     is_vertex_cover,
 )
-from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
-from brokenchains.seeding import rng_from
+from brokenchains.sampler import (
+    _DRAWS_PER_CALL,
+    _READ_BATCH,
+    AnnealParams,
+    SampleSet,
+    _CompiledModel,
+    inject_chain_breaks,
+    simulated_anneal,
+)
+from brokenchains.seeding import STREAM_READ, rng_from
 from brokenchains.topology import (
     Embedding,
     chain_columns,
@@ -153,6 +167,78 @@ def test_read_does_not_depend_on_batching(boundary, data, sweeps, model_seed, se
     for ss in (head, full):
         expected = [energy(pm.ising, spins_of(ss, r)) for r in range(len(ss))]
         assert np.allclose(ss.energies, expected, rtol=0, atol=1e-9)
+
+
+def reference_simulated_anneal(pm, params):
+    """The anneal with one ``rng.random`` call per read per sweep and the
+    explicit ``delta`` accept test, as ``simulated_anneal`` ran before its
+    draws were chunked and its class update made in place."""
+    compiled = _CompiledModel(pm.ising)
+    n = len(compiled.qubits)
+    betas = np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
+
+    spins, energies = [], []
+    for start in range(0, params.num_reads, _READ_BATCH):
+        reads = range(start, min(start + _READ_BATCH, params.num_reads))
+        rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
+        states = np.stack(
+            [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
+            axis=1,
+        )
+        draws = np.empty((len(rngs), n))
+        uniforms = draws.T  # uniforms[i, r] is read r's draw for qubit i
+        for beta in betas:
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            for cls, j_rows in zip(compiled.classes, compiled.class_rows):
+                spins_cls = states[cls]
+                fields = compiled.h[cls][:, None] + j_rows @ states
+                # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
+                delta = -2.0 * spins_cls * fields
+                accept = (delta <= 0.0) | (
+                    uniforms[cls] < np.exp(-beta * np.clip(delta, 0.0, None))
+                )
+                states[cls] = np.where(accept, -spins_cls, spins_cls)
+        states = np.ascontiguousarray(states.T)
+        spins.append(states.astype(np.int8))
+        energies.append(compiled.energies(states))
+    return SampleSet(
+        compiled.qubits, np.concatenate(spins), np.concatenate(energies), params, pm
+    )
+
+
+def assert_same_anneal(got, want):
+    assert got.qubits == want.qubits
+    assert got.spins.tobytes() == want.spins.tobytes()
+    assert got.energies.tobytes() == want.energies.tobytes()
+
+
+CHUNK = _DRAWS_PER_CALL // len(QUBITS)  # sweeps per draw call on chimera(2,2,4)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 140),
+    st.one_of(st.integers(1, CHUNK - 1), st.sampled_from((CHUNK, 2 * CHUNK)),
+              st.integers(CHUNK + 1, 2 * CHUNK - 1)),
+    seeds,
+    seeds,
+)
+def test_anneal_matches_per_sweep_reference(reads, sweeps, model_seed, seed):
+    pm = spin_glass(HW, model_seed)
+    params = AnnealParams(reads, sweeps, seed=seed)
+    assert_same_anneal(simulated_anneal(pm, params), reference_simulated_anneal(pm, params))
+
+
+def test_strong_couplings_overflow_exp_silently():
+    # fields of order 1e3 at beta up to 10 put 2 beta s f far past exp's
+    # float64 range (about 709) on downhill moves
+    pm = spin_glass(HW, 3, scale=1e3)
+    params = AnnealParams(70, CHUNK + 5, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = simulated_anneal(pm, params)
+    assert_same_anneal(got, reference_simulated_anneal(pm, params))
 
 
 def witness_values(witness, g):

@@ -72,6 +72,11 @@ class TestSimulatedAnneal:
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=7, sweeps=5, seed=0))
         assert len(ss) == 7
 
+    def test_model_without_qubits(self):
+        m = BinaryQuadraticModel(ISING, {}, {})
+        ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=3, sweeps=5, seed=0))
+        assert ss.spins.shape == (3, 0) and ss.energies.tolist() == [0.0] * 3
+
     def test_energies_finite_and_match_recompute(self):
         g = erdos_renyi(12, 0.5, 8)
         m = build_max_cut_ising(g)
