@@ -48,6 +48,7 @@ from brokenchains.sampler import (
 )
 from brokenchains.unembed import (
     ChainReadout,
+    Readout,
     UnembedContext,
     decompose,
     majority_vote,

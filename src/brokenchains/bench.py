@@ -253,12 +253,12 @@ def score_witness(problem: str, g: Graph, witness):
 def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> list:
     """One witness per read of a sample set under one repair method.
 
-    ``reads`` is an iterable of per-read chain readout lists, consumed once
-    in read order.  ``model`` is the logical problem model (for minimize
-    energy, which repairs the whole set in one call).  Random weighting and
-    the tailored algorithm give read ``r`` its own sub-stream of ``seed``,
-    taken from its position, so which other methods run changes nothing
-    here.
+    ``reads`` is an iterable of per-read readouts (``decompose`` results or
+    lists of ``ChainReadout`` records), consumed once in read order.
+    ``model`` is the logical problem model (for minimize energy, which
+    repairs the whole set in one call).  Random weighting and the tailored
+    algorithm give read ``r`` its own sub-stream of ``seed``, taken from its
+    position, so which other methods run changes nothing here.
     """
     if method == "majority_vote":
         values = map(majority_vote, reads)
@@ -347,7 +347,7 @@ def run_graph_pipeline(
 
     chains = chain_columns(embedding, samples.qubits)
     reads = [decompose(spins, chains, domain=problem_model.domain) for spins in samples.spins]
-    broken_fracs = [sum(r.broken for r in readouts) / len(readouts) for readouts in reads]
+    broken_fracs = [sum(readout.broken) / len(readout) for readout in reads]
     witnesses = {
         name: repair(name, reads, config.problem, g, problem_model, graph_seed)
         for name in methods

@@ -224,9 +224,9 @@ def cmd_unembed(args):
 
     def reads():
         for spins in samples.spins:
-            readouts = decompose(spins, chains, domain=model.domain)
-            broken.append(sum(r.broken for r in readouts))
-            yield readouts
+            readout = decompose(spins, chains, domain=model.domain)
+            broken.append(sum(readout.broken))
+            yield readout
 
     witnesses = bench.repair(method, reads(), args.problem, g, model, args.seed)
     os.makedirs(args.out, exist_ok=True)

@@ -81,10 +81,14 @@ class Graph:
         return range(self.n)
 
     def mask_of(self, vertices) -> int:
-        """The bitmask of a vertex subset; ``ValueError`` on an out-of-range vertex."""
+        """The bitmask of a vertex subset; ``ValueError`` naming the first
+        out-of-range vertex."""
+        vertices = tuple(vertices)
+        if vertices and not (0 <= min(vertices) and max(vertices) < self.n):
+            bad = next(v for v in vertices if not 0 <= v < self.n)
+            raise ValueError(f"vertex {bad} out of range for n={self.n}")
         mask = 0
         for v in vertices:
-            self._check_vertex(v)
             mask |= 1 << v
         return mask
 

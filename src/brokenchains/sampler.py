@@ -42,6 +42,7 @@ of the explicit ``delta`` form bit for bit.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -121,10 +122,12 @@ class _CompiledModel:
         self.j_sym = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         self.j_upper = sp.triu(self.j_sym, k=1).tocsr()
         self.offset = model.offset
-        self.classes = self._color_classes(n)
-        self.class_rows = [self.j_sym[cls] for cls in self.classes]
 
-    def _color_classes(self, n):
+    @functools.cached_property
+    def classes(self):
+        """Colour classes of the interaction graph, built on first use: only
+        the anneal needs them."""
+        n = len(self.qubits)
         adj = [set() for _ in range(n)]
         mat = self.j_sym.tocoo()
         for i, j in zip(mat.row, mat.col):
@@ -142,6 +145,11 @@ class _CompiledModel:
             np.array([v for v in range(n) if color[v] == c], dtype=np.intp)
             for c in range(ncolors)
         ]
+
+    @functools.cached_property
+    def class_rows(self):
+        """The rows of ``j_sym`` of each colour class."""
+        return [self.j_sym[cls] for cls in self.classes]
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         # states: (reads, n) of +-1

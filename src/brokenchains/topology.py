@@ -100,7 +100,7 @@ class ChainColumns:
     variables: tuple  # ascending logical variables
     columns: np.ndarray  # column of every chain qubit, chains in variable order
     starts: np.ndarray  # offset of each chain in ``columns``
-    lengths: tuple  # chain lengths
+    lengths: np.ndarray  # chain lengths
 
 
 def chain_columns(e: Embedding, qubits) -> ChainColumns:
@@ -117,7 +117,7 @@ def chain_columns(e: Embedding, qubits) -> ChainColumns:
             f"{len(missing)} chain qubits of the embedding are not sample columns,"
             f" e.g. qubit {missing[0]}"
         )
-    lengths = tuple(len(chain) for chain in chains)
+    lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
     return ChainColumns(
         variables=tuple(e.variables()),
         columns=np.array([column[q] for chain in chains for q in chain], dtype=np.intp),

@@ -1,13 +1,17 @@
 """Resolve chained-qubit samples into logical assignments.
 
-``decompose`` splits one row of a sample set's spin array into per-chain
-readouts, through the columns ``chain_columns`` assigns each chain, and is
-the one place that decides whether a chain is broken.  Three generic
-strategies work on any model and return ``{variable: value}``
-assignments: majority vote and random weighting one per read, minimize
-energy one per read of a whole set in a single call.  Four
-problem-tailored algorithms use the instance graph to return a feasible
-witness:
+``decompose`` turns one row of a sample set's spin array into a
+``Readout``: the read's chains as columns (variables, values, broken flags
+and fractions of ones) in ascending variable order, through the columns
+``chain_columns`` assigns each chain.  It is the one place that decides
+whether a chain is broken.  A ``Readout`` also iterates as one
+``ChainReadout`` per chain, and ``Readout.of`` turns a list of
+``ChainReadout`` records into columns; every repair method calls it first
+and then reads the columns.  Three generic strategies work on any model
+and return ``{variable: value}`` assignments: majority vote and random
+weighting one per read, minimize energy one per read of a whole set in a
+single call.  Four problem-tailored algorithms use the instance graph to
+return a feasible witness:
 
 * ``unembed_max_clique`` grows the unbroken value-1 clique greedily by
   degree, preferring chains with more 1s on ties.
@@ -42,14 +46,58 @@ from brokenchains.topology import ChainColumns
 
 @dataclass(frozen=True)
 class ChainReadout:
+    """One chain of one read."""
+
     variable: int
     value: int  # value of the chain's first qubit, in the readout domain
     domain: str
     broken: bool
     frac_ones: float
 
-    def zero_value(self) -> int:
-        return 0 if self.domain == QUBO else -1
+
+@dataclass(frozen=True)
+class Readout:
+    """One read's chains as columns, in ascending variable order.
+
+    Entry ``i`` of each list belongs to chain ``variables[i]``: ``values``
+    holds its first qubit's value in ``domain``, ``broken`` whether its
+    qubits disagree, ``frac_ones`` the fraction of them at 1 / +1.
+    ``len`` is the number of chains, and iterating yields one
+    ``ChainReadout`` per chain.
+    """
+
+    variables: tuple
+    values: list
+    broken: list
+    frac_ones: list
+    domain: str
+
+    def __len__(self):
+        return len(self.variables)
+
+    def __iter__(self):
+        domain = self.domain
+        for v, x, b, f in zip(self.variables, self.values, self.broken, self.frac_ones):
+            yield ChainReadout(v, x, domain, b, f)
+
+    @classmethod
+    def of(cls, readouts) -> "Readout":
+        """``readouts`` as columns: a ``Readout`` is returned unchanged, an
+        iterable of ``ChainReadout`` records is sorted by variable.  An empty
+        iterable has domain ``None``; ``ValueError`` on mixed domains."""
+        if isinstance(readouts, Readout):
+            return readouts
+        chains = sorted(readouts, key=lambda r: r.variable)
+        domains = {r.domain for r in chains}
+        if len(domains) > 1:
+            raise ValueError(f"readouts mix the domains {sorted(domains)}")
+        return cls(
+            tuple(r.variable for r in chains),
+            [r.value for r in chains],
+            [r.broken for r in chains],
+            [r.frac_ones for r in chains],
+            domains.pop() if domains else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -61,27 +109,31 @@ class UnembedContext:
     seed: int = 0
 
 
-def decompose(spins, chains: ChainColumns, domain: str = ISING):
-    """One readout per logical variable of one read, values mapped into ``domain``.
+def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
+    """The chains of one read as a ``Readout``, values mapped into ``domain``.
 
     ``spins`` is one row of a sample set's spin array and ``chains`` the
-    embedding laid over its columns by ``chain_columns``.
+    embedding laid over its columns by ``chain_columns``.  A chain is
+    broken when some but not all of its qubits are at +1.
     """
     if domain not in (ISING, QUBO):
         raise ValueError(f"unknown domain {domain!r}")
-    raw = spins[chains.columns]
-    ones = np.add.reduceat(raw > 0, chains.starts).tolist()
-    first = raw[chains.starts].tolist()
-    zero = 0 if domain == QUBO else -1
-    return [
-        ChainReadout(v, 1 if x > 0 else zero, domain, 0 < k < n, k / n)
-        for v, x, k, n in zip(chains.variables, first, ones, chains.lengths)
-    ]
+    high = spins[chains.columns] > 0
+    ones = np.add.reduceat(high, chains.starts)
+    return Readout(
+        chains.variables,
+        np.where(high[chains.starts], 1, 0 if domain == QUBO else -1).tolist(),
+        ((ones > 0) & (ones < chains.lengths)).tolist(),
+        (ones / chains.lengths).tolist(),  # the IEEE quotient k / n of each chain
+        domain,
+    )
 
 
 def majority_vote(readouts) -> dict:
     """Per chain, the most common value; exact ties go to 1 / +1."""
-    return {r.variable: 1 if r.frac_ones >= 0.5 else r.zero_value() for r in readouts}
+    r = Readout.of(readouts)
+    zero = 0 if r.domain == QUBO else -1
+    return {v: 1 if f >= 0.5 else zero for v, f in zip(r.variables, r.frac_ones)}
 
 
 def random_weighted(readouts, seed: int) -> dict:
@@ -89,24 +141,25 @@ def random_weighted(readouts, seed: int) -> dict:
 
     Unbroken chains keep their value.  One uniform is consumed per broken
     chain in ascending variable order, so the draw is a pure function of
-    the seed.
+    the seed; the k uniforms of a read come from one ``rng.random(k)``
+    call, which gives the values of k calls for one uniform each.
     """
-    rng = rng_from(seed)
-    values = {}
-    for r in sorted(readouts, key=lambda r: r.variable):
-        if not r.broken:
-            values[r.variable] = r.value
-        else:
-            hit = rng.random() < r.frac_ones
-            values[r.variable] = 1 if hit else r.zero_value()
-    return values
+    r = Readout.of(readouts)
+    zero = 0 if r.domain == QUBO else -1
+    draws = iter(rng_from(seed).random(sum(r.broken)).tolist())
+    values = [
+        (1 if next(draws) < f else zero) if b else x
+        for x, b, f in zip(r.values, r.broken, r.frac_ones)
+    ]
+    return dict(zip(r.variables, values))
 
 
 def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
     """Greedy chain repair by largest energy swing first, for every read of a set.
 
-    ``reads`` is an iterable of per-read readout lists, consumed once; the
-    result holds one ``{variable: value}`` per read, in read order.
+    ``reads`` is an iterable of per-read readouts (a ``Readout`` or a list
+    of ``ChainReadout`` records), consumed once; the result holds one
+    ``{variable: value}`` per read, in read order.
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -122,13 +175,14 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
     then one per fix), so read ``r``'s result does not depend on which
     other reads share the call.
     """
-    variables = sorted(logical_model.linear)
+    variables = tuple(sorted(logical_model.linear))
     values, broken = [], []
     for readouts in reads:
-        if [r.variable for r in readouts] != variables:
-            raise ValueError("readouts must cover the model variables in ascending order")
-        values.append([r.value for r in readouts])
-        broken.append([r.broken for r in readouts])
+        r = Readout.of(readouts)
+        if r.variables != variables:
+            raise ValueError("readouts must cover exactly the model variables")
+        values.append(r.values)
+        broken.append(r.broken)
     shape = (len(values), len(variables))
     value = np.array(values, dtype=np.float64).reshape(shape)
     undecided = np.array(broken, dtype=bool).reshape(shape)
@@ -172,18 +226,19 @@ def _split(readouts, ctx: UnembedContext, domain: str, algorithm: str):
     its other intact chains and its broken chains, plus each variable's
     fraction of ones.  ``ValueError`` on another domain or a variable that
     is not a vertex."""
-    high, low, broken, frac = [], [], [], {}
-    for r in readouts:
-        if r.domain != domain:
-            raise ValueError(f"{algorithm} expects {domain} readouts")
-        frac[r.variable] = r.frac_ones
-        if r.broken:
-            broken.append(r.variable)
-        elif r.value == 1:
-            high.append(r.variable)
+    r = Readout.of(readouts)
+    if r.variables and r.domain != domain:
+        raise ValueError(f"{algorithm} expects {domain} readouts")
+    high, low, broken = [], [], []
+    for v, x, b in zip(r.variables, r.values, r.broken):
+        if b:
+            broken.append(v)
+        elif x == 1:
+            high.append(v)
         else:
-            low.append(r.variable)
+            low.append(v)
     g = ctx.graph
+    frac = dict(zip(r.variables, r.frac_ones))
     return g.mask_of(high), g.mask_of(low), g.mask_of(broken), frac
 
 

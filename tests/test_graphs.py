@@ -41,6 +41,18 @@ class TestGraph:
         assert star_graph(4).max_degree() == 4
         assert empty_graph(3).max_degree() == 0
 
+    def test_mask_of(self):
+        g = path_graph(4)
+        assert g.mask_of([]) == 0
+        assert g.mask_of(iter([3, 0])) == 0b1001
+
+    @pytest.mark.parametrize(
+        "vertices, bad", [([1, -1, 4], -1), ([1, 4, -1], 4), ([-2], -2), (iter([0, 9]), 9)]
+    )
+    def test_mask_of_names_first_out_of_range_vertex(self, vertices, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            path_graph(4).mask_of(vertices)
+
 
 class TestErdosRenyi:
     def test_p_zero_is_empty(self):

@@ -1,6 +1,13 @@
 """Properties over generated inputs, checked with hypothesis.
 
 * ``decompose`` agrees with a per-qubit dict reference on random chains;
+* every repair method (majority vote, random weighting, minimize energy
+  and the four tailored algorithms) gives the same result on a
+  ``decompose`` ``Readout`` as on its ``ChainReadout`` records, and
+  ``Readout.of`` turns the records, in any order, back into that readout;
+* ``random_weighted``'s one draw call per read equals the per-chain loop
+  it replaced (kept here as ``reference_random_weighted``) on random
+  readouts in any order;
 * injecting the first k reads of a logical set gives the first k
   injected reads, since read ``r`` draws from its own stream;
 * read ``r`` of an anneal does not depend on batching: the first k1
@@ -83,9 +90,12 @@ from brokenchains.topology import (
 from brokenchains.unembed import (
     TAILORED,
     ChainReadout,
+    Readout,
     UnembedContext,
     decompose,
+    majority_vote,
     minimize_energy,
+    random_weighted,
 )
 from conftest import sample_set, spin_glass, spins_of
 
@@ -132,6 +142,20 @@ def test_decompose_matches_dict_reference(e, row, domain):
     got = [(r.variable, r.broken, r.frac_ones, r.value) for r in readouts]
     assert got == reference_readouts(dict(zip(QUBITS, row)), e, domain)
     assert all(r.domain == domain for r in readouts)
+
+
+def reference_random_weighted(readouts, seed):
+    """Random weighting one chain at a time: one scalar draw per broken chain,
+    in ascending variable order."""
+    rng = rng_from(seed)
+    values = {}
+    for r in sorted(readouts, key=lambda r: r.variable):
+        if not r.broken:
+            values[r.variable] = r.value
+        else:
+            hit = rng.random() < r.frac_ones
+            values[r.variable] = 1 if hit else (0 if r.domain == QUBO else -1)
+    return values
 
 
 def physical(problem, n, graph_seed, density=0.5):
@@ -511,6 +535,48 @@ def test_tailored_matches_set_reference(problem, g, p_break, p_one, readout_seed
         witness = TAILORED[problem](readouts, ctx)
         assert witness == REFERENCE_TAILORED[problem](readouts, ctx)
     event(f"{problem}, n {'65' if g.n == 65 else '1-9'}")
+
+
+@PROPERTY
+@given(st.integers(1, 9), st.floats(0.0, 1.0), seeds, st.data(), p_breaks, seeds)
+def test_methods_read_columns_as_records(n, density, graph_seed, data, p_break, seed):
+    g, _, e, pm = physical("max_cut", n, graph_seed, density)
+    rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+                              min_size=1, max_size=4))
+    samples = inject_chain_breaks(sample_set(rows, range(n)), e, p_break, seed, pm)
+    chains = chain_columns(e, samples.qubits)
+    for problem in PROBLEMS:
+        model = build_model(problem, g)
+        reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
+        records = [list(readout) for readout in reads]
+        assert minimize_energy(reads, model) == minimize_energy(records, model)
+        for read, (readout, chain_records) in enumerate(zip(reads, records)):
+            assert len(readout) == len(chain_records) == n
+            assert Readout.of(data.draw(st.permutations(chain_records))) == readout
+            assert majority_vote(readout) == majority_vote(chain_records)
+            assert random_weighted(readout, seed) == random_weighted(chain_records, seed)
+            ctx = UnembedContext(g, problem, seed + read)
+            assert TAILORED[problem](readout, ctx) == TAILORED[problem](chain_records, ctx)
+
+
+@PROPERTY
+@given(st.sampled_from((ISING, QUBO)), st.integers(0, 40), p_breaks, st.floats(0.0, 1.0),
+       seeds, st.randoms(use_true_random=False), seeds)
+def test_random_weighted_matches_per_chain_reference(domain, n, p_break, p_one,
+                                                     readout_seed, shuffle, seed):
+    readouts = random_readouts(np.random.default_rng(readout_seed), n, domain, p_break, p_one)
+    shuffle.shuffle(readouts)
+    got = random_weighted(readouts, seed)
+    assert list(got.items()) == list(reference_random_weighted(readouts, seed).items())
+    assert random_weighted(Readout.of(readouts), seed) == got
+
+
+def test_readout_of_rejects_mixed_domains():
+    readouts = [ChainReadout(0, 1, ISING, False, 1.0), ChainReadout(1, 0, QUBO, False, 0.0)]
+    with pytest.raises(ValueError, match="mix the domains"):
+        Readout.of(readouts)
+    with pytest.raises(ValueError, match="mix the domains"):
+        majority_vote(readouts)
 
 
 coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
