@@ -10,23 +10,27 @@ reproduces at desk scale:
 * ``run_fig4``  - tailored-method quality across a chain-strength grid,
   normalized per (problem, density) group.
 
-Each experiment builds its Chimera graph and clique embedding once;
-``run_graph_pipeline`` compiles every graph onto them, decomposes every
-read once and records its broken-chain fraction and, for each method the
-experiment scores, the witnesses of all reads; ``repair`` is the one place
-a method name turns into a repair call, once per sample set.  Rows score
-those witnesses at emission time.  A fixed seed makes the emitted CSV
-byte-identical across runs.
+All three are reports over one loop, ``_graph_runs``, which builds the
+Chimera graph and clique embedding once and yields one ``GraphRun`` per
+graph in CSV row order.  ``run_graph_pipeline`` compiles each graph onto
+them, decomposes every read once and records its broken-chain fraction
+and, for each method the experiment scores, the witnesses of all reads;
+``repair`` is the one place a method name turns into a repair call, once
+per sample set.  ``_row`` fills the cells every row shares; the report
+adds the scores, computed from those witnesses at emission time.  A fixed
+seed makes the emitted CSV byte-identical across runs.
 """
 
 import csv
 import io
 import json
+import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from brokenchains import __version__
 from brokenchains import bqm as bqmlib
 from brokenchains.bqm import ISING, convert, scale_to_unit_range
 from brokenchains.graphs import (
@@ -66,6 +70,10 @@ from brokenchains.unembed import (
     unembed_tailored,
 )
 
+# The layer calls above are looked up as module globals each time they run,
+# never bound into tables or defaults at import: the perf harness times each
+# layer by replacing these names on this module.
+
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
 
@@ -85,21 +93,6 @@ SHORT_NAMES = {
 }
 METHODS = tuple(SHORT_NAMES)
 BASELINES = METHODS[:-1]
-
-CSV_COLUMNS = [
-    "problem",
-    "density",
-    "chain_strength",
-    "method",
-    "graph_seed",
-    "objective",
-    "feasible",
-    "broken_frac_mean",
-    "broken_frac_std",
-    "ratio_vs_majority",
-    "ratio_vs_random",
-    "ratio_vs_minenergy",
-]
 
 
 @dataclass(frozen=True)
@@ -170,6 +163,9 @@ class MetricRow:
     ratio_vs_majority: float = None
     ratio_vs_random: float = None
     ratio_vs_minenergy: float = None
+
+
+CSV_COLUMNS = [f.name for f in fields(MetricRow)]
 
 
 def improvement_ratio(problem: str, ours: float, baseline: float):
@@ -313,9 +309,7 @@ def _draw_physical_samples(config, pm, ising, graph_seed):
     # chains and flip qubits with probability p_break
     logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()), ())
     logical_samples = simulated_anneal(logical_pm, params)
-    return inject_chain_breaks(
-        logical_samples, pm.source_embedding, config.p_break, graph_seed, pm
-    )
+    return inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm)
 
 
 def run_graph_pipeline(
@@ -396,73 +390,69 @@ def chain_strength_setting(experiment: str, config: ExperimentConfig):
     return FIG2_CHAIN_STRENGTH[config.problem] if experiment == "fig2" else "utc"
 
 
-def _topology(config: ExperimentConfig):
-    """The experiment's hardware graph and the clique embedding on it."""
+def _graph_runs(config: ExperimentConfig, strengths, methods, scale: bool = False):
+    """Every graph of an experiment through ``run_graph_pipeline``, in CSV
+    row order: density, then strength, then graph index.
+
+    Builds the experiment's hardware graph and clique embedding once and
+    yields ``(density, strength, run)``; ``strength`` is the setting as
+    given, ``run.chain_strength`` its resolved value.
+    """
     hw = chimera(*config.topology)
-    return hw, clique_embedding(config.n, hw)
+    embedding = clique_embedding(config.n, hw)
+    for density in config.densities:
+        for strength in strengths:
+            for index in range(config.graphs_per_density):
+                run = run_graph_pipeline(
+                    config, hw, embedding, density, index, strength, scale, methods
+                )
+                yield density, strength, run
+
+
+def _row(config: ExperimentConfig, density: float, run: GraphRun, method: str, **cells):
+    """One CSV row of ``run``: the cells every experiment fills, plus ``cells``."""
+    mean, std = broken_chain_proportion(run.broken_fracs)
+    return MetricRow(
+        problem=config.problem,
+        density=density,
+        chain_strength=run.chain_strength,
+        method=method,
+        graph_seed=run.graph_seed,
+        broken_frac_mean=mean,
+        broken_frac_std=std,
+        **cells,
+    )
 
 
 def run_fig2(config: ExperimentConfig):
     """Broken-chain proportion per graph at a fixed per-problem chain strength."""
     config.validate()
     strength = chain_strength_setting("fig2", config)
-    hw, embedding = _topology(config)
-    rows = []
-    for density in config.densities:
-        for index in range(config.graphs_per_density):
-            run = run_graph_pipeline(
-                config, hw, embedding, density, index, strength, methods=()
-            )
-            mean, std = broken_chain_proportion(run.broken_fracs)
-            degenerate = not any(c != 0.0 for c in run.ising.quadratic.values())
-            rows.append(
-                MetricRow(
-                    problem=config.problem,
-                    density=density,
-                    chain_strength=run.chain_strength,
-                    method="",
-                    graph_seed=run.graph_seed,
-                    feasible="degenerate" if degenerate else "",
-                    broken_frac_mean=mean,
-                    broken_frac_std=std,
-                )
-            )
-    return rows
+    return [
+        _row(config, density, run, "",
+             feasible="" if any(run.ising.quadratic.values()) else "degenerate")
+        for density, _, run in _graph_runs(config, [strength], methods=())
+    ]
 
 
 def run_fig3(config: ExperimentConfig):
     """Per-graph objectives for every method plus tailored-vs-baseline ratios."""
     config.validate()
     strength = chain_strength_setting("fig3", config)
-    hw, embedding = _topology(config)
     rows = []
-    for density in config.densities:
-        for index in range(config.graphs_per_density):
-            run = run_graph_pipeline(config, hw, embedding, density, index, strength)
-            mean, std = broken_chain_proportion(run.broken_fracs)
-            scores = {m: aggregate_objective(config, run, m) for m in METHODS}
-            ratios = {
-                f"ratio_vs_{SHORT_NAMES[b]}": improvement_ratio(
-                    config.problem, scores["tailored"][0], scores[b][0]
-                )
-                for b in BASELINES
-            }
-            for method in METHODS:
-                objective, feasible = scores[method]
-                rows.append(
-                    MetricRow(
-                        problem=config.problem,
-                        density=density,
-                        chain_strength=run.chain_strength,
-                        method=method,
-                        graph_seed=run.graph_seed,
-                        objective=objective,
-                        feasible=feasible,
-                        broken_frac_mean=mean,
-                        broken_frac_std=std,
-                        **(ratios if method == "tailored" else {}),
-                    )
-                )
+    for density, _, run in _graph_runs(config, [strength], METHODS):
+        scores = {m: aggregate_objective(config, run, m) for m in METHODS}
+        ratios = {
+            f"ratio_vs_{SHORT_NAMES[b]}": improvement_ratio(
+                config.problem, scores["tailored"][0], scores[b][0]
+            )
+            for b in BASELINES
+        }
+        for method, (objective, feasible) in scores.items():
+            extra = ratios if method == "tailored" else {}
+            rows.append(
+                _row(config, density, run, method, objective=objective, feasible=feasible, **extra)
+            )
     return rows
 
 
@@ -472,54 +462,32 @@ def run_fig4(config: ExperimentConfig):
     Emits one row per (density, strength, graph) with the raw objective,
     plus one aggregate row per (density, strength) with ``graph_seed``
     empty whose objective is the graph mean, normalized within each
-    (problem, density) group.  Graph partitioning models are scaled into
-    (-1, 1) before embedding.
+    (problem, density) group.  Each aggregate row averages one consecutive
+    block of ``graphs_per_density`` rows, so a density or strength listed
+    twice gets two.  Graph partitioning models are scaled into (-1, 1)
+    before embedding.
     """
     config.validate()
     if not config.chain_strength_grid:
         raise ValueError("run_fig4 requires a chain_strength_grid")
     scale = config.problem == "graph_partitioning"
-    hw, embedding = _topology(config)
     rows = []
-    aggregate_rows = []
-    for density in config.densities:
-        per_strength = []
-        for strength in config.chain_strength_grid:
-            per_graph = []
-            for index in range(config.graphs_per_density):
-                run = run_graph_pipeline(
-                    config, hw, embedding, density, index, strength,
-                    scale=scale, methods=("tailored",),
-                )
-                mean, std = broken_chain_proportion(run.broken_fracs)
-                objective, feasible = aggregate_objective(config, run, "tailored")
-                per_graph.append(objective)
-                rows.append(
-                    MetricRow(
-                        problem=config.problem,
-                        density=density,
-                        chain_strength=run.chain_strength,
-                        method="tailored",
-                        graph_seed=run.graph_seed,
-                        objective=objective,
-                        feasible=feasible,
-                        broken_frac_mean=mean,
-                        broken_frac_std=std,
-                    )
-                )
-            per_strength.append(
-                MetricRow(
-                    problem=config.problem,
-                    density=density,
-                    chain_strength=float(strength),
-                    method="tailored",
-                    graph_seed="",
-                    objective=float(np.mean(per_graph)),
-                )
-            )
-        aggregate_rows.extend(per_strength)
-    normalize_objectives(aggregate_rows)
-    return rows + aggregate_rows
+    for density, _, run in _graph_runs(config, config.chain_strength_grid, ("tailored",), scale):
+        objective, feasible = aggregate_objective(config, run, "tailored")
+        rows.append(_row(config, density, run, "tailored", objective=objective, feasible=feasible))
+    k = config.graphs_per_density
+    aggregate_rows = [
+        MetricRow(
+            problem=config.problem,
+            density=block[0].density,
+            chain_strength=block[0].chain_strength,
+            method="tailored",
+            graph_seed="",
+            objective=float(np.mean([row.objective for row in block])),
+        )
+        for block in (rows[i : i + k] for i in range(0, len(rows), k))
+    ]
+    return rows + normalize_objectives(aggregate_rows)
 
 
 def _format_cell(value):
@@ -548,8 +516,6 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
     used (``chain_strength_setting``), version and wall time.  ``started``
     is the run's ``time.perf_counter()`` reading at its start.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     with open(csv_path, "w") as fh:
@@ -559,7 +525,7 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
         "config": asdict(config),
         "chain_strength": chain_strength_setting(name, config),
         "rows": len(rows),
-        "tool_version": __import__("brokenchains").__version__,
+        "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
     with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:

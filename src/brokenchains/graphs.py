@@ -24,12 +24,12 @@ class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     ``masks[v]`` is the neighbourhood of ``v`` as a Python-int bitmask (bit
-    ``u`` set when ``u`` and ``v`` are adjacent), built once with the
-    adjacency sets; the witness checks and the tailored unembeddings work
-    on these masks.
+    ``u`` set when ``u`` and ``v`` are adjacent).  The masks are the graph's
+    one adjacency representation: the queries below, the witness checks and
+    the tailored unembeddings all read them.
     """
 
-    __slots__ = ("n", "edges", "_adj", "masks")
+    __slots__ = ("n", "edges", "masks")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -43,12 +43,11 @@ class Graph:
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
-        adj = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in normalized:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "masks", tuple(sum(1 << u for u in s) for s in adj))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -64,18 +63,19 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(vertices_of(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        self._check_vertex(v)
+        return self.masks[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max((mask.bit_count() for mask in self.masks), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def vertices(self) -> range:
         return range(self.n)

@@ -53,12 +53,7 @@ import scipy.sparse as sp
 
 from brokenchains.bqm import BinaryQuadraticModel, require_keys, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, derive_seed, rng_from
-from brokenchains.topology import (
-    Embedding,
-    PhysicalModel,
-    chain_columns,
-    identity_embedding,
-)
+from brokenchains.topology import PhysicalModel, chain_columns, identity_embedding
 
 _READ_BATCH = 64
 # uniforms one ``rng.random`` call fills per read: each call covers
@@ -215,20 +210,21 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
 
 def inject_chain_breaks(
     logical: SampleSet,
-    e: Embedding,
     p_break: float,
     seed: int,
     pm: PhysicalModel,
 ) -> SampleSet:
     """Copy each read's logical spins onto the chains of ``pm``, then flip qubits.
 
-    ``logical`` has one column per variable of ``e``.  Every physical
-    qubit is flipped with probability ``p_break`` (one uniform per qubit,
-    ascending qubit id, from read ``r``'s own stream), so a chain of
-    length L stays unbroken exactly when all or none of its qubits flip.
+    The chains are those of ``pm.source_embedding``, and ``logical`` has one
+    column per variable of that embedding.  Every physical qubit is flipped
+    with probability ``p_break`` (one uniform per qubit, ascending qubit id,
+    from read ``r``'s own stream), so a chain of length L stays unbroken
+    exactly when all or none of its qubits flip.
     """
     if not (0.0 <= p_break <= 1.0):
         raise ValueError("p_break must be in [0, 1]")
+    e = pm.source_embedding
     variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
     if not np.all(np.abs(logical.spins) == 1):
         raise ValueError("logical samples must be Ising spins (-1/+1)")

@@ -162,7 +162,7 @@ class TestCriterion2FeasibilitySuite:
                 rows = rng.choice((-1, 1), size=(samples_per_cell, 30))
                 logical = sample_set(rows, range(30))
                 samples = inject_chain_breaks(
-                    logical, embedding, p_break, int(rng.integers(0, 2**62)), pm
+                    logical, p_break, int(rng.integers(0, 2**62)), pm
                 )
                 for rep, spins in enumerate(samples.spins):
                     ising_readouts = decompose(spins, chains, domain=ISING)
@@ -230,7 +230,7 @@ class TestCriterion3AgreementOnUnbroken:
                 e = clique_embedding(20, hw)
                 pm = embed_bqm(ising, e, hw, 2.0)
                 sample = inject_chain_breaks(
-                    sample_set([ss.spins[best]], ss.qubits), e, 0.0, k, pm
+                    sample_set([ss.spins[best]], ss.qubits), 0.0, k, pm
                 )
                 readouts = decompose(
                     sample.spins[0], chain_columns(e, sample.qubits), domain=model.domain
@@ -370,7 +370,7 @@ class TestCriterion6InjectorStatistics:
             for p in (0.1, 0.2, 0.5):
                 expect = chain_break_probability(p, length)
                 broken = 0
-                samples = inject_chain_breaks(logical, e, p, 0, pm)
+                samples = inject_chain_breaks(logical, p, 0, pm)
                 for read in range(1000):
                     spins = spins_of(samples, read)
                     broken += sum(

@@ -105,7 +105,7 @@ class TestBrokenChainProportion:
 
     def _injected(self, p, reads):
         return self._fractions(
-            inject_chain_breaks(one_read(self.logical, reads), self.e, p, 0, self.pm)
+            inject_chain_breaks(one_read(self.logical, reads), p, 0, self.pm)
         )
 
     def test_p_zero(self):
@@ -113,8 +113,8 @@ class TestBrokenChainProportion:
         assert mean == 0.0 and std == 0.0
 
     def test_half_and_half(self):
-        intact = inject_chain_breaks(one_read(self.logical), self.e, 0.0, 0, self.pm)
-        broken = inject_chain_breaks(one_read(self.logical), self.e, 0.5, 3, self.pm)
+        intact = inject_chain_breaks(one_read(self.logical), 0.0, 0, self.pm)
+        broken = inject_chain_breaks(one_read(self.logical), 0.5, 3, self.pm)
         per_read_broken = sum(
             1 for r in [spins_of(broken, 0)] for v in self.e.variables()
             if len({r[q] for q in self.e.chain(v)}) > 1

@@ -1,8 +1,12 @@
 """Golden digests: the SHA-256 of small fig2/3/4 and CLI CSVs.
 
 Each case runs one small instance (n=8 on chimera(2,2,4), 8 reads of 20
-sweeps, one density, one graph) and hashes the CSV it emits; the CLI cases
-also hash the ``samples.json`` and ``samples.csv`` that ``sample`` writes.
+sweeps, one density, one graph) and hashes the CSV it emits.  Two more
+variants of the inject case change one setting each: ``mean`` runs fig3
+with ``aggregate="mean"``, and ``repeated`` runs fig4 with the density and
+the chain strength each listed twice, so that its four aggregate rows are
+told apart only by position.  The CLI cases also hash the ``samples.json``
+and ``samples.csv`` that ``sample`` writes.
 The ``anneal`` case hashes the ``sampleset_to_csv`` of 130 reads, which
 crosses two read batches of the annealer, on a random model over every
 coupler of chimera(2,2,4), whose greedy colouring has three classes.
@@ -15,6 +19,7 @@ which prints the ``GOLDEN`` entries to paste below.
 """
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -35,9 +40,15 @@ SOURCES = ("anneal", "inject")
 CLI_METHODS = ("majority", "random", "minenergy", "tailored")
 SAMPLE_FILES = ("samples.json", "samples.csv")
 SEED = 11
+# variant -> the settings it changes in the inject case of its figure
+VARIANTS = {
+    "mean": {"aggregate": "mean"},
+    "repeated": {"densities": (0.5, 0.5), "chain_strength_grid": (0.5, 0.5)},
+}
 
 
-def fig_csv(fig, source, problem):
+def fig_config(fig, variant, problem):
+    source = variant if variant in SOURCES else "inject"
     config = bench.ExperimentConfig(
         problem=problem,
         densities=(0.5,),
@@ -54,7 +65,11 @@ def fig_csv(fig, source, problem):
         chain_strength=0.5 if (fig, source) == ("fig3", "anneal") else None,
         chain_strength_grid=(0.5, 2.0) if fig == "fig4" else (),
     )
-    return bench.rows_to_csv(FIGS[fig](config))
+    return dataclasses.replace(config, **VARIANTS.get(variant, {}))
+
+
+def fig_csv(fig, variant, problem):
+    return bench.rows_to_csv(FIGS[fig](fig_config(fig, variant, problem)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,6 +120,8 @@ def output(case):
 CASES = [f"{fig}/{source}/{problem}" for fig in FIGS for source in SOURCES for problem in PROBLEMS]
 CASES += [f"cli/{method}/{problem}" for method in CLI_METHODS for problem in PROBLEMS]
 CASES += [f"cli/{name}/{problem}" for name in SAMPLE_FILES for problem in PROBLEMS]
+CASES += [f"fig3/mean/{problem}" for problem in PROBLEMS]
+CASES += ["fig4/repeated/max_cut"]
 CASES += ["anneal/130x20/chimera(2,2,4)"]
 
 GOLDEN = {
@@ -156,6 +173,11 @@ GOLDEN = {
     "cli/samples.csv/max_cut": "407227e86b651e5b1a99af73c30333e19f993203cb5d40232e67c33e5fdb9f61",
     "cli/samples.csv/min_vertex_cover": "83c1f7c1b7234058db7a1d0bcfc5b481f1f550b9959f9dbc2c1984eccc192f70",
     "cli/samples.csv/graph_partitioning": "3b03afa13da2c618151207bddfa5116147d39cc5cf4da0f92f8c3d621a86f11e",
+    "fig3/mean/max_clique": "9a567935bfcd8663dfec85557496fcaccffb8d88dd100f2288e1c245c2474ee5",
+    "fig3/mean/max_cut": "6b4344580ec2c90898bb4a1cc7b1fe30f232f02a26de285fb5a9b80f9c69e667",
+    "fig3/mean/min_vertex_cover": "9e061aaa5d55d5c9589e16ae87c6422ccadc2a874a991dea7b83d38f401a3a16",
+    "fig3/mean/graph_partitioning": "7b0d46bda8433146fa9105e390a14a1c8b34288d50386a263721a72ce9a22285",
+    "fig4/repeated/max_cut": "f785415ff3a3e40281c5b3893a8cc636d22549f9dbee7c85bac55ecd8292a5d5",
     "anneal/130x20/chimera(2,2,4)": "693cb73e3f0ade827e05ab0a7b4d6c681456df70b5cd27a6f0f76c25a39e3db9",
 }
 
@@ -164,6 +186,17 @@ GOLDEN = {
 def test_digest(case):
     text = output(case)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+
+
+def test_repeated_grid_points_keep_one_aggregate_row_each():
+    """fig4 groups its aggregate rows by position: a density or strength
+    listed twice still gets a row of its own, after all per-graph rows."""
+    rows = bench.run_fig4(fig_config("fig4", "repeated", "max_cut"))
+    assert [r.graph_seed == "" for r in rows] == [False] * 4 + [True] * 4
+    per_graph, aggregate = rows[:4], rows[4:]
+    assert [(r.density, r.chain_strength) for r in aggregate] == [(0.5, 0.5)] * 4
+    scale = abs(min(r.objective for r in per_graph))
+    assert [r.objective for r in aggregate] == [r.objective / scale for r in per_graph]
 
 
 if __name__ == "__main__":

@@ -41,6 +41,28 @@ class TestGraph:
         assert star_graph(4).max_degree() == 4
         assert empty_graph(3).max_degree() == 0
 
+    def test_queries_agree_with_edges(self):
+        g = erdos_renyi(12, 0.4, 3)
+        for u in g.vertices():
+            expect = {v for v in g.vertices() if (min(u, v), max(u, v)) in g.edges}
+            assert g.neighbors(u) == expect and g.degree(u) == len(expect)
+            assert all(g.has_edge(u, v) == (v in expect) for v in g.vertices())
+        assert g.max_degree() == max(g.degree(u) for u in g.vertices())
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g, v: g.neighbors(v),
+            lambda g, v: g.degree(v),
+            lambda g, v: g.has_edge(v, 0),
+            lambda g, v: g.has_edge(0, v),
+        ],
+    )
+    def test_queries_name_out_of_range_vertex(self, query, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            query(path_graph(4), bad)
+
     def test_mask_of(self):
         g = path_graph(4)
         assert g.mask_of([]) == 0

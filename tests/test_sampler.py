@@ -16,6 +16,7 @@ from brokenchains.sampler import (
 )
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
+    Embedding,
     PhysicalModel,
     chain_columns,
     chimera,
@@ -120,19 +121,19 @@ class TestInjectChainBreaks:
         return decompose(s.spins[read], chain_columns(self.e, s.qubits))
 
     def test_p_zero_round_trips(self):
-        s = inject_chain_breaks(one_read(self.logical), self.e, 0.0, 1, self.pm)
+        s = inject_chain_breaks(one_read(self.logical), 0.0, 1, self.pm)
         readouts = self.readouts(s)
         assert all(not r.broken for r in readouts)
         assert {r.variable: r.value for r in readouts} == self.logical
 
     def test_p_one_global_flip(self):
-        s = inject_chain_breaks(one_read(self.logical), self.e, 1.0, 1, self.pm)
+        s = inject_chain_breaks(one_read(self.logical), 1.0, 1, self.pm)
         readouts = self.readouts(s)
         assert all(not r.broken for r in readouts)
         assert all(r.value == -self.logical[r.variable] for r in readouts)
 
     def test_energy_recomputed(self):
-        s = inject_chain_breaks(one_read(self.logical), self.e, 0.3, 5, self.pm)
+        s = inject_chain_breaks(one_read(self.logical), 0.3, 5, self.pm)
         assert abs(s.energies[0] - energy(self.pm.ising, spins_of(s, 0))) <= 1e-9
 
     def test_break_statistics(self):
@@ -140,7 +141,7 @@ class TestInjectChainBreaks:
         p = 0.2
         expect = chain_break_probability(p, 5)
         trials = 400
-        s = inject_chain_breaks(one_read(self.logical, trials), self.e, p, 0, self.pm)
+        s = inject_chain_breaks(one_read(self.logical, trials), p, 0, self.pm)
         broken = sum(
             1 for read in range(trials) for r in self.readouts(s, read) if r.broken
         )
@@ -149,13 +150,20 @@ class TestInjectChainBreaks:
         assert abs(broken - total * expect) <= 3 * sigma
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            inject_chain_breaks(one_read(self.logical), self.e, 1.5, 0, self.pm)
+        with pytest.raises(ValueError, match=r"^p_break must be in \[0, 1\]$"):
+            inject_chain_breaks(one_read(self.logical), 1.5, 0, self.pm)
 
     def test_domain_mismatch(self):
         bits = {v: 1 if v % 3 == 0 else 0 for v in range(16)}
-        with pytest.raises(ValueError):
-            inject_chain_breaks(one_read(bits), self.e, 0.1, 0, self.pm)
+        with pytest.raises(ValueError, match=r"^logical samples must be Ising spins \(-1/\+1\)$"):
+            inject_chain_breaks(one_read(bits), 0.1, 0, self.pm)
+
+    def test_qubit_outside_the_chains(self):
+        # qubit 2 carries a field, but no chain of the embedding holds it
+        ising = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
+        pm = PhysicalModel(ising, 1.0, Embedding({0: (0, 1)}))
+        with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
+            inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
 
 
 class TestSampleSetExport:

@@ -77,7 +77,7 @@ class TestDecompose:
         e = clique_embedding(3, hw)
         m = build_max_cut_ising(complete_graph(3))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks(one_read({0: 1, 1: -1, 2: 1}), e, 0.0, 0, pm)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1, 2: 1}), 0.0, 0, pm)
         readouts = decompose_read(s, e)
         by_var = {r.variable: r for r in readouts}
         assert not by_var[0].broken and by_var[0].frac_ones == 1.0
@@ -92,7 +92,7 @@ class TestDecompose:
         e = clique_embedding(2, hw)
         m = build_max_cut_ising(complete_graph(2))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks(one_read({0: 1, 1: -1}), e, 0.0, 0, pm)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1}), 0.0, 0, pm)
         readouts = decompose_read(s, e, domain=QUBO)
         by_var = {r.variable: r for r in readouts}
         assert by_var[1].value == 0 and not by_var[1].broken
@@ -103,7 +103,7 @@ class TestDecompose:
         e = clique_embedding(2, hw)
         m = build_max_cut_ising(complete_graph(2))
         pm = embed_bqm(m, e, hw, 1.0)
-        s = inject_chain_breaks(one_read({0: 1, 1: -1}), e, 0.0, 0, pm)
+        s = inject_chain_breaks(one_read({0: 1, 1: -1}), 0.0, 0, pm)
         bigger = clique_embedding(3, hw)
         with pytest.raises(ValueError):
             decompose_read(s, bigger)
