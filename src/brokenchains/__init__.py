@@ -46,6 +46,7 @@ from brokenchains.sampler import (
     simulated_anneal,
     inject_chain_breaks,
 )
+from brokenchains.seeding import rng_from
 from brokenchains.unembed import (
     ChainReadout,
     Readout,

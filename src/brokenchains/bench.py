@@ -32,7 +32,7 @@ import numpy as np
 
 from brokenchains import __version__
 from brokenchains import bqm as bqmlib
-from brokenchains.bqm import ISING, convert, scale_to_unit_range
+from brokenchains.bqm import ISING, convert, require_real, scale_to_unit_range
 from brokenchains.graphs import (
     Bipartition,
     Graph,
@@ -49,6 +49,7 @@ from brokenchains.seeding import (
     STREAM_TAILORED,
     STREAM_WEIGHTED,
     derive_seed,
+    streams,
 )
 from brokenchains.topology import (
     Embedding,
@@ -114,12 +115,14 @@ class ExperimentConfig:
     chain_strength_grid: tuple = ()
 
     def validate(self):
+        """``ValueError`` naming the first bad setting and its value, a
+        non-number where a number belongs included."""
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if not self.densities:
             raise ValueError("at least one density is required")
         for p in self.densities:
-            if not (0.0 <= p <= 1.0):
+            if not (0.0 <= require_real(p, "density") <= 1.0):
                 raise ValueError(f"density {p} outside [0, 1]")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -131,22 +134,30 @@ class ExperimentConfig:
             raise ValueError("aggregate must be 'best' or 'mean'")
         if self.source not in ("anneal", "inject"):
             raise ValueError("source must be 'anneal' or 'inject'")
-        if not (0.0 <= self.p_break <= 1.0):
-            raise ValueError("p_break must be in [0, 1]")
+        if not (0.0 <= require_real(self.p_break, "p_break") <= 1.0):
+            raise ValueError(f"p_break must be in [0, 1], not {self.p_break!r}")
         m, n, t = self.topology
         if self.n > t * m + 1 or m != n:
             raise ValueError(
                 f"{self.n} logical vertices do not fit chimera{tuple(self.topology)}"
             )
-        if isinstance(self.chain_strength, str) and self.chain_strength != "utc":
-            raise ValueError("chain_strength must be a number or 'utc'")
-        if isinstance(self.chain_strength, (int, float)) and self.chain_strength <= 0:
-            raise ValueError("chain_strength must be positive")
-        if self.prefactor <= 0:
-            raise ValueError("prefactor must be positive")
+        if isinstance(self.chain_strength, str):
+            if self.chain_strength != "utc":
+                raise ValueError(
+                    f"chain_strength must be a number or 'utc', not {self.chain_strength!r}"
+                )
+        elif self.chain_strength is not None:
+            _require_positive(self.chain_strength, "chain_strength")
+        _require_positive(self.prefactor, "prefactor")
         for s in self.chain_strength_grid:
-            if s <= 0:
-                raise ValueError(f"chain strength {s} must be positive")
+            _require_positive(s, "chain_strength_grid entry")
+
+
+def _require_positive(value, what: str):
+    """``ValueError`` naming ``what`` and ``value`` unless it is a positive
+    real number."""
+    if require_real(value, what) <= 0:
+        raise ValueError(f"{what} must be positive, not {value!r}")
 
 
 @dataclass
@@ -196,7 +207,11 @@ def normalize_group(values):
 
 
 def normalize_objectives(rows):
-    """Normalize ``objective`` across rows grouped by (problem, density)."""
+    """Normalize ``objective`` across rows grouped by (problem, density).
+
+    Groups are keyed by the value of that pair, not by position: the rows
+    of a density listed twice share one group and one |min|.
+    """
     groups = {}
     for row in rows:
         groups.setdefault((row.problem, row.density), []).append(row)
@@ -254,23 +269,23 @@ def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> list
     ``model`` is the logical problem model (for minimize energy, which
     repairs the whole set in one call).  Random weighting and the tailored
     algorithm give read ``r`` its own sub-stream of ``seed``, taken from its
-    position, so which other methods run changes nothing here.
+    position, so which other methods run changes nothing here: the
+    generator ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
+    ``STREAM_TAILORED``), built by ``streams`` as the read arrives.
     """
     if method == "majority_vote":
         values = map(majority_vote, reads)
     elif method == "random_weighted":
         values = (
-            random_weighted(readouts, derive_seed(seed, STREAM_WEIGHTED, read))
-            for read, readouts in enumerate(reads)
+            random_weighted(readouts, rng)
+            for readouts, rng in zip(reads, streams(seed, STREAM_WEIGHTED, 0))
         )
     elif method == "minimize_energy":
         values = minimize_energy(reads, model)
     elif method == "tailored":
         return [
-            unembed_tailored(
-                readouts, UnembedContext(g, problem, derive_seed(seed, STREAM_TAILORED, read))
-            )
-            for read, readouts in enumerate(reads)
+            unembed_tailored(readouts, UnembedContext(g, problem, rng))
+            for readouts, rng in zip(reads, streams(seed, STREAM_TAILORED, 0))
         ]
     else:
         raise ValueError(f"unknown repair method {method!r}")

@@ -14,14 +14,19 @@ by one ``rng.random`` call per read; one call fills its values in stream
 order, so each sweep gets the uniforms that a call per sweep would draw.
 Reads are therefore independent, order-insensitive, and reproducible:
 the spins of read ``r`` are the same whether reads run one at a time or in
-the batches of ``_READ_BATCH`` used here for speed.  Energies are summed
-per batch with BLAS and scipy products, so read ``r``'s energy agrees with
+batches.  The anneal sizes its spin batches to the model
+(``_batch_shape``): at least ``_READ_BATCH`` reads, and as many as keep
+the draw buffer within ``_DRAW_BUFFER`` bytes, so a small model anneals
+all its reads in one batch.  Energies are still summed per block of
+``_READ_BATCH`` reads (reads 0-63, 64-127, ...) with BLAS and scipy
+products, whatever the spin batches, so read ``r``'s energy agrees with
 ``bqm.energy`` to 1e-9 but can differ in the last bit between two read
-counts that cut the reads into different batches.  Read ``r`` of
+counts that end in a different last block.  Read ``r`` of
 ``inject_chain_breaks`` likewise draws one uniform per physical qubit, in
 ascending qubit id, from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``,
 so injecting the first k reads of a logical set gives the first k
-injected reads.
+injected reads.  Both take their per-read generators from
+``seeding.streams``, which builds exactly these streams.
 
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
@@ -45,6 +50,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -52,14 +58,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from brokenchains.bqm import BinaryQuadraticModel, require_keys, require_real
-from brokenchains.seeding import STREAM_INJECT, STREAM_READ, derive_seed, rng_from
+from brokenchains.seeding import STREAM_INJECT, STREAM_READ, streams
 from brokenchains.topology import PhysicalModel, chain_columns, identity_embedding
 
+# reads per energy block, and the fewest reads per spin batch
 _READ_BATCH = 64
 # uniforms one ``rng.random`` call fills per read: each call covers
-# max(1, _DRAWS_PER_CALL // qubits) sweeps, so a 64-read batch's draw buffer
-# stays within 512 KiB unless one sweep alone is larger
+# max(1, _DRAWS_PER_CALL // qubits) sweeps
 _DRAWS_PER_CALL = 1024
+# bytes of a spin batch's draw buffer: a batch holds as many reads as fit,
+# but never fewer than _READ_BATCH, so a sweep of more than 1024 qubits
+# takes a larger buffer
+_DRAW_BUFFER = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -153,6 +163,15 @@ class _CompiledModel:
         ) + self.offset
 
 
+def _batch_shape(n: int, sweeps: int) -> tuple:
+    """(reads per spin batch, sweeps per draw call) of an anneal of ``n``
+    qubits: a batch's draws, ``reads * chunk * n`` float64s, fill at most
+    ``_DRAW_BUFFER`` bytes unless ``_READ_BATCH`` reads alone do."""
+    n = max(n, 1)
+    chunk = min(max(1, _DRAWS_PER_CALL // n), sweeps)
+    return max(_READ_BATCH, _DRAW_BUFFER // (8 * n * chunk)), chunk
+
+
 def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     """Independent Metropolis anneals of the physical model, one per read."""
     compiled = _CompiledModel(pm.ising)
@@ -160,23 +179,26 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     two_betas = (
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
-    chunk = min(max(1, _DRAWS_PER_CALL // max(n, 1)), params.sweeps)
+    batch, chunk = _batch_shape(n, params.sweeps)
     classes = [
         (cls, compiled.h[cls][:, None], j_rows)
         for cls, j_rows in zip(compiled.classes, compiled.class_rows)
     ]
 
-    spins, energies = [], []
-    for start in range(0, params.num_reads, _READ_BATCH):
-        reads = range(start, min(start + _READ_BATCH, params.num_reads))
-        rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
+    read_rngs = streams(params.seed, STREAM_READ)
+    # one draw buffer serves every batch: buffer[r, t, i] is the uniform of
+    # read r for qubit i in sweep t of the current draw call
+    buffer = np.empty((min(batch, params.num_reads), chunk, n))
+    spins = []
+    for start in range(0, params.num_reads, batch):
+        rngs = list(itertools.islice(read_rngs, min(batch, params.num_reads - start)))
         # column r of ``states`` is one read, so a class's CSR rows multiply
         # the block as it lies, with no transposed copy of either operand
         states = np.stack(
             [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
             axis=1,
         )
-        draws = np.empty((len(rngs), chunk, n))  # draws[r, t, i]: read r, sweep t, qubit i
+        draws = buffer[: len(rngs)]
         # exp overflows to inf on steep downhill moves, which accept all the same
         with np.errstate(over="ignore"):
             for first in range(0, params.sweeps, chunk):
@@ -198,14 +220,16 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
                         np.subtract(uniforms[cls], x, out=x)
                         x *= s
                         states[cls] = np.copysign(1.0, x, out=x)
-        # energies are summed over C-ordered (reads, qubits) rows: the last
-        # bits of a BLAS sum depend on the layout it is given
-        states = np.ascontiguousarray(states.T)
-        spins.append(states.astype(np.int8))
-        energies.append(compiled.energies(states))
-    return SampleSet(
-        compiled.qubits, np.concatenate(spins), np.concatenate(energies), params, pm
-    )
+        spins.append(states.T.astype(np.int8, order="C"))
+    spins = np.concatenate(spins)
+    # energies are summed over C-ordered (reads, qubits) blocks of
+    # _READ_BATCH rows: the last bits of a BLAS sum depend on the shape and
+    # layout it is given
+    energies = [
+        compiled.energies(spins[first : first + _READ_BATCH].astype(np.float64))
+        for first in range(0, len(spins), _READ_BATCH)
+    ]
+    return SampleSet(compiled.qubits, spins, np.concatenate(energies), params, pm)
 
 
 def inject_chain_breaks(
@@ -236,8 +260,9 @@ def inject_chain_breaks(
     source = np.empty(len(qubits), dtype=np.intp)  # logical column of each qubit
     source[chains.columns] = np.repeat(variables.columns, chains.lengths)
     copied = logical.spins[:, source]
-    rngs = [rng_from(derive_seed(seed, STREAM_INJECT, r)) for r in range(len(logical))]
-    flips = np.array([rng.random(len(qubits)) < p_break for rng in rngs])
+    flips = np.empty(copied.shape, dtype=bool)
+    for row, rng in zip(flips, streams(seed, STREAM_INJECT, 0)):
+        np.less(rng.random(len(qubits)), p_break, out=row)
     spins = np.where(flips, -copied, copied)
     energies = compiled.energies(spins.astype(np.float64))
     return SampleSet(qubits, spins, energies, logical.params, pm)

@@ -40,7 +40,6 @@ import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
 from brokenchains.graphs import Bipartition, Graph, is_clique, vertices_of
-from brokenchains.seeding import rng_from
 from brokenchains.topology import ChainColumns
 
 
@@ -102,11 +101,17 @@ class Readout:
 
 @dataclass(frozen=True)
 class UnembedContext:
-    """Instance data for the tailored algorithms: graph, problem kind, tie seed."""
+    """Instance data for the tailored algorithms: graph, problem kind, and
+    the read's generator.
+
+    Max cut and partitioning draw their visiting order, and max cut its
+    coin for an even chain, from ``rng``; one context serves one read, as
+    its draws advance the generator.
+    """
 
     graph: Graph
     problem: str
-    seed: int = 0
+    rng: np.random.Generator
 
 
 def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
@@ -136,17 +141,18 @@ def majority_vote(readouts) -> dict:
     return {v: 1 if f >= 0.5 else zero for v, f in zip(r.variables, r.frac_ones)}
 
 
-def random_weighted(readouts, seed: int) -> dict:
+def random_weighted(readouts, rng: np.random.Generator) -> dict:
     """Broken chains draw 1 / +1 with probability equal to their fraction of ones.
 
-    Unbroken chains keep their value.  One uniform is consumed per broken
-    chain in ascending variable order, so the draw is a pure function of
-    the seed; the k uniforms of a read come from one ``rng.random(k)``
-    call, which gives the values of k calls for one uniform each.
+    Unbroken chains keep their value.  One uniform is drawn from ``rng``
+    per broken chain in ascending variable order, so the result is a pure
+    function of the generator's state; the k uniforms of a read come from
+    one ``rng.random(k)`` call, which gives the values of k calls for one
+    uniform each.
     """
     r = Readout.of(readouts)
     zero = 0 if r.domain == QUBO else -1
-    draws = iter(rng_from(seed).random(sum(r.broken)).tolist())
+    draws = iter(rng.random(sum(r.broken)).tolist())
     values = [
         (1 if next(draws) < f else zero) if b else x
         for x, b, f in zip(r.values, r.broken, r.frac_ones)
@@ -291,7 +297,7 @@ def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
     """
     plus, minus, broken, frac = _split(readouts, ctx, ISING, "unembed_max_cut")
     masks = ctx.graph.masks
-    rng = rng_from(ctx.seed)
+    rng = ctx.rng
     for x in rng.permutation(vertices_of(broken)).tolist():
         deg_minus = (masks[x] & minus).bit_count()
         deg_plus = (masks[x] & plus).bit_count()
@@ -326,7 +332,7 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
     masks = ctx.graph.masks
     cap = ctx.graph.n // 2
     n_minus, n_plus = minus.bit_count(), plus.bit_count()
-    rng = rng_from(ctx.seed)
+    rng = ctx.rng
     order = rng.permutation(vertices_of(broken)).tolist()
     placed = 0
     while placed < len(order) and n_minus < cap and n_plus < cap:

@@ -171,22 +171,22 @@ class TestCriterion2FeasibilitySuite:
                     total_readouts += len(ising_readouts)
 
                     clique = unembed_max_clique(
-                        qubo_readouts, UnembedContext(g, "max_clique", rep)
+                        qubo_readouts, UnembedContext(g, "max_clique", rng_from(rep))
                     )
                     if not is_clique(g, clique):
                         failures += 1
                     cover = unembed_vertex_cover(
-                        qubo_readouts, UnembedContext(g, "min_vertex_cover", rep)
+                        qubo_readouts, UnembedContext(g, "min_vertex_cover", rng_from(rep))
                     )
                     if not is_vertex_cover(g, cover):
                         failures += 1
                     cut = unembed_max_cut(
-                        ising_readouts, UnembedContext(g, "max_cut", rep)
+                        ising_readouts, UnembedContext(g, "max_cut", rng_from(rep))
                     )
                     if not cut.is_complete_for(g):
                         failures += 1
                     part = unembed_graph_partitioning(
-                        ising_readouts, UnembedContext(g, "graph_partitioning", rep)
+                        ising_readouts, UnembedContext(g, "graph_partitioning", rng_from(rep))
                     )
                     if not part.is_complete_for(g):
                         failures += 1
@@ -238,9 +238,9 @@ class TestCriterion3AgreementOnUnbroken:
                 raw = {r.variable: r.value for r in readouts}
 
                 assert majority_vote(readouts) == raw
-                assert random_weighted(readouts, k) == raw
+                assert random_weighted(readouts, rng_from(k)) == raw
                 assert minimize_energy([readouts], model)[0] == raw
-                ctx = UnembedContext(g, problem, k)
+                ctx = UnembedContext(g, problem, rng_from(k))
                 if problem == "max_clique":
                     ones = frozenset(v for v, x in raw.items() if x == 1)
                     assert is_clique(g, ones)

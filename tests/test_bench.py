@@ -181,6 +181,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(prefactor=0.0).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("chain_strength_grid", ("utc",),
+             "chain_strength_grid entry must be a real number, not 'utc'"),
+            ("densities", ("x",), "density must be a real number, not 'x'"),
+            ("prefactor", None, "prefactor must be a real number, not None"),
+            ("p_break", "0.3", "p_break must be a real number, not '0.3'"),
+            ("chain_strength", [2.0], "chain_strength must be a real number, not [2.0]"),
+            ("chain_strength_grid", (1.0, 0.0),
+             "chain_strength_grid entry must be positive, not 0.0"),
+        ],
+    )
+    def test_non_numbers_name_field_and_value(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            small_config(**{field: value}).validate()
+        assert str(info.value) == message
+
 
 class TestFig2:
     def test_smoke_row_shape(self):

@@ -8,8 +8,9 @@ the chain strength each listed twice, so that its four aggregate rows are
 told apart only by position.  The CLI cases also hash the ``samples.json``
 and ``samples.csv`` that ``sample`` writes.
 The ``anneal`` case hashes the ``sampleset_to_csv`` of 130 reads, which
-crosses two read batches of the annealer, on a random model over every
-coupler of chimera(2,2,4), whose greedy colouring has three classes.
+cross a spin batch of the annealer (102 reads at this size) and two
+64-read energy blocks, on a random model over every coupler of
+chimera(2,2,4), whose greedy colouring has three classes.
 A refactor that keeps behaviour keeps every digest; a change that is meant
 to alter output bytes must regenerate them with
 
@@ -197,6 +198,21 @@ def test_repeated_grid_points_keep_one_aggregate_row_each():
     assert [(r.density, r.chain_strength) for r in aggregate] == [(0.5, 0.5)] * 4
     scale = abs(min(r.objective for r in per_graph))
     assert [r.objective for r in aggregate] == [r.objective / scale for r in per_graph]
+
+
+def test_repeated_density_shares_one_normalization_group():
+    """``normalize_objectives`` keys its groups by (problem, density) value,
+    so both listings of fig4/repeated's density share one group and one
+    |min|.  A positional group per listing would scale fig4's bytes the
+    same way: a graph's seed comes from the density value, so both listings
+    run the same graphs."""
+    rows = bench.run_fig4(fig_config("fig4", "repeated", "max_cut"))
+    per_graph, aggregate = rows[:4], rows[4:]
+    assert per_graph[:2] == per_graph[2:]
+    for row, objective in zip(aggregate, (4.0, 8.0, 2.0, 6.0)):
+        row.objective = objective
+    bench.normalize_objectives(aggregate)
+    assert [r.objective for r in aggregate] == [2.0, 4.0, 1.0, 3.0]
 
 
 if __name__ == "__main__":

@@ -11,8 +11,14 @@
 * injecting the first k reads of a logical set gives the first k
   injected reads, since read ``r`` draws from its own stream;
 * read ``r`` of an anneal does not depend on batching: the first k1
-  reads of a k1-read and a k2-read anneal agree when the two sets are cut
-  into different 64-read batches, and every energy matches ``bqm.energy``;
+  reads of a k1-read and a k2-read anneal agree when the k2 reads take one
+  more spin batch than the k1 reads, or one more 64-read energy block
+  inside one spin batch, and every energy matches ``bqm.energy``;
+* ``seeding.streams`` gives, for every read, the generator
+  ``np.random.default_rng(derive_seed(...))`` gives (state and draws), with
+  and without a trailing 0 index, ``derive_seeds`` equals ``derive_seed``
+  elementwise, and the seed words equal ``SeedSequence``'s, edge seeds
+  included: this pins the reimplemented numpy seeding;
 * ``simulated_anneal`` equals the per-sweep loop it replaced (kept here as
   ``reference_simulated_anneal``) byte for byte, spins and energies, on
   random spin glasses over 1-140 reads and sweep counts below, at and past
@@ -74,11 +80,23 @@ from brokenchains.sampler import (
     _READ_BATCH,
     AnnealParams,
     SampleSet,
+    _batch_shape,
     _CompiledModel,
     inject_chain_breaks,
     simulated_anneal,
 )
-from brokenchains.seeding import STREAM_READ, rng_from
+from brokenchains.seeding import (
+    STREAM_INJECT,
+    STREAM_READ,
+    STREAM_TAILORED,
+    STREAM_WEIGHTED,
+    _BLOCK as _SEED_BLOCK,
+    _pcg64_words,
+    derive_seed,
+    derive_seeds,
+    rng_from,
+    streams,
+)
 from brokenchains.topology import (
     Embedding,
     chain_columns,
@@ -144,10 +162,9 @@ def test_decompose_matches_dict_reference(e, row, domain):
     assert all(r.domain == domain for r in readouts)
 
 
-def reference_random_weighted(readouts, seed):
+def reference_random_weighted(readouts, rng):
     """Random weighting one chain at a time: one scalar draw per broken chain,
     in ascending variable order."""
-    rng = rng_from(seed)
     values = {}
     for r in sorted(readouts, key=lambda r: r.variable):
         if not r.broken:
@@ -156,6 +173,12 @@ def reference_random_weighted(readouts, seed):
             hit = rng.random() < r.frac_ones
             values[r.variable] = 1 if hit else (0 if r.domain == QUBO else -1)
     return values
+
+
+def context(g, problem, seed):
+    """A fresh ``UnembedContext`` drawing from ``rng_from(seed)``: a context
+    serves one call, as the call advances its generator."""
+    return UnembedContext(g, problem, rng_from(seed))
 
 
 def physical(problem, n, graph_seed, density=0.5):
@@ -180,10 +203,16 @@ def test_injecting_a_prefix_gives_the_prefix(n, data, p_break, seed):
 
 
 @PROPERTY
-@given(st.sampled_from((64, 128)), st.data(), st.integers(1, 4), seeds, seeds)
-def test_read_does_not_depend_on_batching(boundary, data, sweeps, model_seed, seed):
+@given(st.integers(1, 4), st.data(), seeds, seeds)
+def test_read_does_not_depend_on_batching(sweeps, data, model_seed, seed):
+    batch, _ = _batch_shape(len(QUBITS), sweeps)
+    assert batch >= 2 * _READ_BATCH
+    # the k2 reads take one more spin batch, or one more energy block
+    # inside their one spin batch, than the first k1 reads
+    boundary = data.draw(st.sampled_from((batch, _READ_BATCH)))
     k1 = data.draw(st.integers(1, boundary))
-    k2 = data.draw(st.integers(boundary + 1, boundary + 64))
+    k2 = data.draw(st.integers(boundary + 1, boundary + _READ_BATCH))
+    event("spin batch" if boundary == batch else "energy block")
     pm = spin_glass(HW, model_seed)
     head, full = (simulated_anneal(pm, AnnealParams(k, sweeps, seed=seed)) for k in (k1, k2))
     assert head.qubits == full.qubits
@@ -191,6 +220,42 @@ def test_read_does_not_depend_on_batching(boundary, data, sweeps, model_seed, se
     for ss in (head, full):
         expected = [energy(pm.ising, spins_of(ss, r)) for r in range(len(ss))]
         assert np.allclose(ss.energies, expected, rtol=0, atol=1e-9)
+
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+STREAMS = (STREAM_READ, STREAM_INJECT, STREAM_WEIGHTED, STREAM_TAILORED)
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(EDGE_SEEDS), seeds), st.sampled_from(STREAMS),
+       st.booleans(), st.integers(1, 600), st.integers(1, 40))
+def test_streams_equal_default_rng(seed, stream, trailing_zero, count, k):
+    after = (0,) if trailing_zero else ()
+    event(f"{-(-count // _SEED_BLOCK)} seed blocks")
+    for r, rng in zip(range(count), streams(seed, stream, *after)):
+        want = np.random.default_rng(derive_seed(seed, stream, r, *after))
+        if trailing_zero:
+            # the form bench.repair and inject_chain_breaks replace
+            assert rng_from(derive_seed(seed, stream, r)).bit_generator.state == (
+                want.bit_generator.state
+            )
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.random(k), want.random(k))
+        assert np.array_equal(rng.integers(0, 2, k), want.integers(0, 2, k))
+        assert np.array_equal(rng.permutation(k), want.permutation(k))
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(EDGE_SEEDS), seeds), st.sampled_from(STREAMS),
+       st.lists(seeds, min_size=1, max_size=20), st.lists(seeds, max_size=2))
+def test_derive_seeds_equal_derive_seed(seed, stream, reads, after):
+    got = derive_seeds(seed, stream, np.array(reads, dtype=np.uint64), *after)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(seed, stream, r, *after) for r in reads]
+    # the edge values as seeds of SeedSequence itself, not only as masters
+    words = np.array(reads + list(EDGE_SEEDS), dtype=np.uint64)
+    for s, row in zip(words.tolist(), _pcg64_words(words)):
+        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
 
 
 def reference_simulated_anneal(pm, params):
@@ -412,7 +477,7 @@ def reference_unembed_max_cut(readouts, ctx):
     g = ctx.graph
     by_var = {r.variable: r for r in readouts}
     side = {r.variable: r.value for r in readouts if not r.broken}
-    rng = rng_from(ctx.seed)
+    rng = ctx.rng
     order = rng.permutation(sorted(r.variable for r in readouts if r.broken))
     for x in order:
         x = int(x)
@@ -445,7 +510,7 @@ def reference_unembed_graph_partitioning(readouts, ctx):
     def size(s):
         return sum(1 for v in side.values() if v == s)
 
-    rng = rng_from(ctx.seed)
+    rng = ctx.rng
     order = [int(x) for x in rng.permutation(sorted(r.variable for r in readouts if r.broken))]
     remaining = list(order)
     while remaining and size(-1) < cap and size(1) < cap:
@@ -532,9 +597,8 @@ def test_tailored_matches_set_reference(problem, g, p_break, p_one, readout_seed
     rng = np.random.default_rng(readout_seed)
     for read in range(4):
         readouts = random_readouts(rng, g.n, domain, p_break, p_one)
-        ctx = UnembedContext(g, problem, seed + read)
-        witness = TAILORED[problem](readouts, ctx)
-        assert witness == REFERENCE_TAILORED[problem](readouts, ctx)
+        witness = TAILORED[problem](readouts, context(g, problem, seed + read))
+        assert witness == REFERENCE_TAILORED[problem](readouts, context(g, problem, seed + read))
     event(f"{problem}, n {'65' if g.n == 65 else '1-9'}")
 
 
@@ -555,9 +619,10 @@ def test_methods_read_columns_as_records(n, density, graph_seed, data, p_break, 
             assert len(readout) == len(chain_records) == n
             assert Readout.of(data.draw(st.permutations(chain_records))) == readout
             assert majority_vote(readout) == majority_vote(chain_records)
-            assert random_weighted(readout, seed) == random_weighted(chain_records, seed)
-            ctx = UnembedContext(g, problem, seed + read)
-            assert TAILORED[problem](readout, ctx) == TAILORED[problem](chain_records, ctx)
+            assert (random_weighted(readout, rng_from(seed))
+                    == random_weighted(chain_records, rng_from(seed)))
+            assert (TAILORED[problem](readout, context(g, problem, seed + read))
+                    == TAILORED[problem](chain_records, context(g, problem, seed + read)))
 
 
 @PROPERTY
@@ -567,9 +632,9 @@ def test_random_weighted_matches_per_chain_reference(domain, n, p_break, p_one,
                                                      readout_seed, shuffle, seed):
     readouts = random_readouts(np.random.default_rng(readout_seed), n, domain, p_break, p_one)
     shuffle.shuffle(readouts)
-    got = random_weighted(readouts, seed)
-    assert list(got.items()) == list(reference_random_weighted(readouts, seed).items())
-    assert random_weighted(Readout.of(readouts), seed) == got
+    got = random_weighted(readouts, rng_from(seed))
+    assert list(got.items()) == list(reference_random_weighted(readouts, rng_from(seed)).items())
+    assert random_weighted(Readout.of(readouts), rng_from(seed)) == got
 
 
 def test_readout_of_rejects_mixed_domains():

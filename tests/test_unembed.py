@@ -127,25 +127,25 @@ class TestMajorityVote:
 class TestRandomWeighted:
     def test_unbroken_kept(self):
         for seed in range(20):
-            assert random_weighted([ro(0, [1, 1], QUBO)], seed)[0] == 1
+            assert random_weighted([ro(0, [1, 1], QUBO)], rng_from(seed))[0] == 1
 
     def test_half_split_frequency(self):
         hits = sum(
-            random_weighted([ro(0, [1, 0], QUBO)], seed)[0]
+            random_weighted([ro(0, [1, 0], QUBO)], rng_from(seed))[0]
             for seed in range(10000)
         )
         assert abs(hits / 10000 - 0.5) <= 0.05
 
     def test_three_quarter_frequency(self):
         hits = sum(
-            random_weighted([ro(0, [1, 1, 1, 0], QUBO)], seed)[0]
+            random_weighted([ro(0, [1, 1, 1, 0], QUBO)], rng_from(seed))[0]
             for seed in range(10000)
         )
         assert abs(hits / 10000 - 0.75) <= 0.05
 
     def test_deterministic_per_seed(self):
         readouts = random_readouts(10, ISING, {2, 5, 7}, seed=4)
-        assert random_weighted(readouts, 3) == random_weighted(readouts, 3)
+        assert random_weighted(readouts, rng_from(3)) == random_weighted(readouts, rng_from(3))
 
 
 class TestMinimizeEnergy:
@@ -225,13 +225,13 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert out == {0, 1}
 
     def test_infeasible_core_returns_empty(self):
         g = path_graph(3)
         readouts = [ro(0, [1, 1], QUBO), ro(1, [0, 0], QUBO), ro(2, [1, 1], QUBO)]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert out == frozenset()
 
     def test_growth_order_by_fraction(self):
@@ -242,7 +242,7 @@ class TestMaxCliqueUnembed:
             ro(2, [1, 1, 1, 1, 0], QUBO),
             ro(3, [1, 1, 1, 0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert out == {0, 1, 2, 3}
 
     def test_candidates_must_join_whole_clique(self):
@@ -254,7 +254,7 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [1, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert out == {0, 1}
 
     def test_degree_precedes_fraction(self):
@@ -267,7 +267,7 @@ class TestMaxCliqueUnembed:
             ro(3, [1, 0, 0, 0], QUBO),
             ro(4, [1, 0, 0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert 3 in out and 4 in out and 2 not in out
 
 
@@ -275,7 +275,7 @@ class TestMaxCutUnembed:
     def test_unbroken_passthrough(self):
         g = path_graph(3)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, -1), (2, 1))]
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", 0))
+        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(0)))
         assert out.side_plus == {0, 2} and out.side_minus == {1}
 
     def test_star_center_opposes_leaves(self):
@@ -283,27 +283,27 @@ class TestMaxCutUnembed:
         readouts = [ro(0, [1, -1], ISING)] + [
             ro(i, [1, 1], ISING) for i in range(1, 5)
         ]
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", 1))
+        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(1)))
         assert 0 in out.side_minus
 
     def test_isolated_tie_uses_majority(self):
         g = empty_graph(1)
         out = unembed_max_cut(
-            [ro(0, [1, 1, -1], ISING)], UnembedContext(g, "max_cut", 1)
+            [ro(0, [1, 1, -1], ISING)], UnembedContext(g, "max_cut", rng_from(1))
         )
         assert 0 in out.side_plus
 
     def test_complete_partition(self):
         g = erdos_renyi(12, 0.4, 3)
         readouts = random_readouts(12, ISING, {1, 4, 6, 9}, seed=8)
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", 5))
+        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(5)))
         assert out.is_complete_for(g)
 
     def test_deterministic_given_seed(self):
         g = erdos_renyi(10, 0.5, 1)
         readouts = random_readouts(10, ISING, {0, 3, 7}, seed=2)
-        a = unembed_max_cut(readouts, UnembedContext(g, "max_cut", 9))
-        b = unembed_max_cut(readouts, UnembedContext(g, "max_cut", 9))
+        a = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(9)))
+        b = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(9)))
         assert a == b
 
 
@@ -312,7 +312,7 @@ class TestGraphPartitioningUnembed:
         g = empty_graph(4)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, 1), (2, -1), (3, -1))]
         part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", 0)
+            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
         )
         assert part.is_balanced() and part.side_plus == {0, 1}
 
@@ -326,7 +326,7 @@ class TestGraphPartitioningUnembed:
             ro(4, [-1, -1, 1], ISING),
         ]
         part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", 2)
+            readouts, UnembedContext(g, "graph_partitioning", rng_from(2))
         )
         assert part.side_minus == {2, 3, 4} and part.is_balanced()
 
@@ -339,7 +339,7 @@ class TestGraphPartitioningUnembed:
             ro(3, [1, -1], ISING),
         ]
         part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", 2)
+            readouts, UnembedContext(g, "graph_partitioning", rng_from(2))
         )
         assert part.side_minus == {2, 3} and part.is_balanced()
 
@@ -354,7 +354,7 @@ class TestGraphPartitioningUnembed:
             ro(5, [-1, -1, 1, 1], ISING),
         ]
         part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", 0)
+            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
         )
         assert 3 in part.side_minus
 
@@ -362,7 +362,7 @@ class TestGraphPartitioningUnembed:
         g = empty_graph(5)
         readouts = [ro(v, [1, 1], ISING) for v in range(4)] + [ro(4, [1, -1], ISING)]
         part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", 0)
+            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
         )
         assert not part.is_balanced()
         assert part.side_minus == {4}
@@ -374,7 +374,7 @@ class TestGraphPartitioningUnembed:
             broken = {int(v) for v in rng.choice(11, size=4, replace=False)}
             readouts = random_readouts(11, ISING, broken, seed=seed)
             part = unembed_graph_partitioning(
-                readouts, UnembedContext(g, "graph_partitioning", seed)
+                readouts, UnembedContext(g, "graph_partitioning", rng_from(seed))
             )
             assert part.is_complete_for(g)
             skew = len(part.side_minus) - len(part.side_plus)
@@ -385,13 +385,13 @@ class TestVertexCoverUnembed:
     def test_zero_zero_edge_trivial_cover(self):
         g = Graph(2, [(0, 1)])
         readouts = [ro(0, [0, 0], QUBO), ro(1, [0, 0], QUBO)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
+        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
         assert out == {0, 1}
 
     def test_forced_neighbors_of_zeros(self):
         g = path_graph(3)
         readouts = [ro(0, [0, 0], QUBO), ro(1, [1, 0], QUBO), ro(2, [0, 1], QUBO)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
+        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
         assert out == {1}
 
     def test_star_all_broken(self):
@@ -399,7 +399,7 @@ class TestVertexCoverUnembed:
         readouts = [ro(0, [1] * 9 + [0], QUBO)] + [
             ro(i, [1, 0], QUBO) for i in range(1, 5)
         ]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
+        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
         assert out == {1, 2, 3, 4}
 
     def test_drain_degrees_follow_removals(self):
@@ -411,7 +411,7 @@ class TestVertexCoverUnembed:
         chains = [[1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],
                   [1, 1, 1, 0]]
         readouts = [ro(v, chain, QUBO) for v, chain in enumerate(chains)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", 0))
+        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
         assert out == {1, 2, 4, 5}
 
     def test_cover_always_feasible(self):
@@ -421,7 +421,7 @@ class TestVertexCoverUnembed:
             broken = {int(v) for v in rng.choice(12, size=5, replace=False)}
             readouts = random_readouts(12, QUBO, broken, seed=seed)
             out = unembed_vertex_cover(
-                readouts, UnembedContext(g, "min_vertex_cover", seed)
+                readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
             )
             assert is_vertex_cover(g, out)
 
@@ -438,42 +438,42 @@ class TestAgreementOnUnbroken:
 
             m = build_max_cut_ising(g)
             assert majority_vote(ising_readouts) == spins
-            assert random_weighted(ising_readouts, seed) == spins
+            assert random_weighted(ising_readouts, rng_from(seed)) == spins
             assert minimize_energy([ising_readouts], m)[0] == spins
 
-            cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", seed))
+            cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", rng_from(seed)))
             assert cut.side_plus == {v for v, s in spins.items() if s == 1}
 
             part = unembed_graph_partitioning(
-                ising_readouts, UnembedContext(g, "graph_partitioning", seed)
+                ising_readouts, UnembedContext(g, "graph_partitioning", rng_from(seed))
             )
             assert part.side_plus == {v for v, s in spins.items() if s == 1}
 
             ones = frozenset(v for v, b in bits.items() if b)
             if is_clique(g, ones):
                 got = unembed_max_clique(
-                    qubo_readouts, UnembedContext(g, "max_clique", seed)
+                    qubo_readouts, UnembedContext(g, "max_clique", rng_from(seed))
                 )
                 assert got == ones
             if is_vertex_cover(g, ones):
                 got = unembed_vertex_cover(
-                    qubo_readouts, UnembedContext(g, "min_vertex_cover", seed)
+                    qubo_readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
                 )
                 assert got == ones
 
     def test_tailored_dispatch(self):
         g = complete_graph(3)
         readouts = [ro(v, [1, 1], QUBO) for v in range(3)]
-        out = unembed_tailored(readouts, UnembedContext(g, "max_clique", 0))
+        out = unembed_tailored(readouts, UnembedContext(g, "max_clique", rng_from(0)))
         assert out == {0, 1, 2}
         with pytest.raises(ValueError):
-            unembed_tailored(readouts, UnembedContext(g, "coloring", 0))
+            unembed_tailored(readouts, UnembedContext(g, "coloring", rng_from(0)))
 
     def test_domain_guards(self):
         g = complete_graph(3)
         ising_readouts = [ro(v, [1, 1], ISING) for v in range(3)]
         with pytest.raises(ValueError):
-            unembed_max_clique(ising_readouts, UnembedContext(g, "max_clique", 0))
+            unembed_max_clique(ising_readouts, UnembedContext(g, "max_clique", rng_from(0)))
         qubo_readouts = [ro(v, [1, 1], QUBO) for v in range(3)]
         with pytest.raises(ValueError):
-            unembed_max_cut(qubo_readouts, UnembedContext(g, "max_cut", 0))
+            unembed_max_cut(qubo_readouts, UnembedContext(g, "max_cut", rng_from(0)))
