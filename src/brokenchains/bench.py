@@ -16,9 +16,12 @@ graph in CSV row order.  ``run_graph_pipeline`` compiles each graph onto
 them, decomposes every read once and records its broken-chain fraction
 and, for each method the experiment scores, the witnesses of all reads;
 ``repair`` is the one place a method name turns into a repair call, once
-per sample set.  ``_row`` fills the cells every row shares; the report
-adds the scores, computed from those witnesses at emission time.  A fixed
-seed makes the emitted CSV byte-identical across runs.
+per sample set.  A method's witnesses are one boolean ``(reads, n)``
+array, row ``r`` for read ``r`` and column ``v`` for vertex ``v``, and
+``score_rows`` scores a whole array at once over the graph's edge arrays.
+``_row`` fills the cells every row shares; the report adds the scores,
+computed from those witnesses at emission time.  A fixed seed makes the
+emitted CSV byte-identical across runs.
 """
 
 import csv
@@ -32,7 +35,7 @@ import numpy as np
 
 from brokenchains import __version__
 from brokenchains import bqm as bqmlib
-from brokenchains.bqm import ISING, convert, require_real, scale_to_unit_range
+from brokenchains.bqm import ISING, convert, is_int, require_real, scale_to_unit_range
 from brokenchains.graphs import (
     Bipartition,
     Graph,
@@ -63,7 +66,7 @@ from brokenchains.topology import (
     uniform_torque_compensation,
 )
 from brokenchains.unembed import (
-    UnembedContext,
+    Readout,
     decompose,
     majority_vote,
     minimize_energy,
@@ -73,7 +76,9 @@ from brokenchains.unembed import (
 
 # The layer calls above are looked up as module globals each time they run,
 # never bound into tables or defaults at import: the perf harness times each
-# layer by replacing these names on this module.
+# layer by replacing these names on this module.  It also wraps
+# ``witness_from_values``, ``score_witness`` and the three graph checks,
+# which the experiments no longer call but which stay as the one-witness API.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
@@ -124,18 +129,26 @@ class ExperimentConfig:
         for p in self.densities:
             if not (0.0 <= require_real(p, "density") <= 1.0):
                 raise ValueError(f"density {p} outside [0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.graphs_per_density < 1:
-            raise ValueError("graphs_per_density must be >= 1")
-        if self.reads < 1 or self.sweeps < 1:
-            raise ValueError("reads and sweeps must be >= 1")
+        for name in ("n", "graphs_per_density", "reads", "sweeps"):
+            _require_int(getattr(self, name), name, least=1)
+        _require_int(self.seed, "seed")
         if self.aggregate not in ("best", "mean"):
             raise ValueError("aggregate must be 'best' or 'mean'")
         if self.source not in ("anneal", "inject"):
             raise ValueError("source must be 'anneal' or 'inject'")
         if not (0.0 <= require_real(self.p_break, "p_break") <= 1.0):
             raise ValueError(f"p_break must be in [0, 1], not {self.p_break!r}")
+        if not (isinstance(self.beta_range, (tuple, list)) and len(self.beta_range) == 2):
+            raise ValueError(f"beta_range must be two real numbers, not {self.beta_range!r}")
+        lo, hi = (require_real(beta, "beta_range entry") for beta in self.beta_range)
+        if not 0 < lo < hi:
+            raise ValueError(f"beta_range must satisfy 0 < lo < hi, not {self.beta_range!r}")
+        if not (
+            isinstance(self.topology, (tuple, list))
+            and len(self.topology) == 3
+            and all(is_int(x) and x >= 1 for x in self.topology)
+        ):
+            raise ValueError(f"topology must be three positive integers, not {self.topology!r}")
         m, n, t = self.topology
         if self.n > t * m + 1 or m != n:
             raise ValueError(
@@ -151,6 +164,15 @@ class ExperimentConfig:
         _require_positive(self.prefactor, "prefactor")
         for s in self.chain_strength_grid:
             _require_positive(s, "chain_strength_grid entry")
+
+
+def _require_int(value, what: str, least=None):
+    """``ValueError`` naming ``what`` and ``value`` unless it is an ``int``
+    (``bool`` is not one) and, when ``least`` is given, at least ``least``."""
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value!r}")
 
 
 def _require_positive(value, what: str):
@@ -246,7 +268,8 @@ def score_witness(problem: str, g: Graph, witness):
 
     Infeasible maximization witnesses score 0; an infeasible cover scores
     the trivial all-vertices size; an unbalanced partition keeps its cut
-    size but is flagged infeasible.
+    size but is flagged infeasible.  ``score_rows`` scores a whole set of
+    witness rows the same way.
     """
     if problem == "max_clique":
         ok = is_clique(g, witness)
@@ -261,35 +284,75 @@ def score_witness(problem: str, g: Graph, witness):
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> list:
-    """One witness per read of a sample set under one repair method.
+def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
+    """``score_witness`` of every witness row of a set, as an int64 array of
+    objectives and a bool array of feasibility flags.
+
+    ``rows`` is a boolean ``(reads, g.n)`` array: True on the value-1 set
+    of a clique or cover, on the plus side of a cut or partition.  Over the
+    edge arrays ``u``, ``v`` of ``g``, with ``k`` the size of a row's set, a
+    clique holds k(k-1)/2 edges, a cover touches every edge, a cut counts
+    the edges whose ends differ, and a partition is balanced when
+    |2k - n| <= 1.
+    """
+    edges = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
+    u, v = rows[:, edges[:, 0]], rows[:, edges[:, 1]]
+    k = rows.sum(axis=1)
+    if problem == "max_clique":
+        ok = (u & v).sum(axis=1) == k * (k - 1) // 2
+        return np.where(ok, k, 0), ok
+    if problem == "min_vertex_cover":
+        ok = (u | v).all(axis=1)
+        return np.where(ok, k, g.n), ok
+    if problem == "max_cut":
+        return (u != v).sum(axis=1), np.ones(len(rows), dtype=bool)
+    if problem == "graph_partitioning":
+        return (u != v).sum(axis=1), np.abs(2 * k - g.n) <= 1
+    raise ValueError(f"unknown problem {problem!r}")
+
+
+def _vertex_reads(reads, n: int):
+    """``reads`` as ``Readout`` columns, checked one by one as they are
+    consumed: every read's variables must be the vertices ``0..n-1``."""
+    vertices = tuple(range(n))
+    for index, readouts in enumerate(reads):
+        r = Readout.of(readouts)
+        if r.variables != vertices:
+            raise ValueError(f"read {index}: variables are not the vertices 0..{n - 1}")
+        yield r
+
+
+def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> np.ndarray:
+    """The witnesses of every read of a sample set under one repair method,
+    as one boolean ``(reads, g.n)`` array of rows (see ``score_rows``).
 
     ``reads`` is an iterable of per-read readouts (``decompose`` results or
-    lists of ``ChainReadout`` records), consumed once in read order.
-    ``model`` is the logical problem model (for minimize energy, which
-    repairs the whole set in one call).  Random weighting and the tailored
-    algorithm give read ``r`` its own sub-stream of ``seed``, taken from its
-    position, so which other methods run changes nothing here: the
-    generator ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
+    lists of ``ChainReadout`` records), consumed once in read order; each
+    must hold one chain per vertex, since the problem builders give every
+    vertex a variable, or ``ValueError`` is raised.  ``model`` is the
+    logical problem model (for minimize energy, which repairs the whole set
+    in one call).  Random weighting, max cut and partitioning give read
+    ``r`` its own sub-stream of ``seed``, taken from its position, so which
+    other methods run changes nothing here: the generator
+    ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
     ``STREAM_TAILORED``), built by ``streams`` as the read arrives.
     """
+    reads = _vertex_reads(reads, g.n)
     if method == "majority_vote":
-        values = map(majority_vote, reads)
+        values = [majority_vote(readout) for readout in reads]
     elif method == "random_weighted":
-        values = (
-            random_weighted(readouts, rng)
-            for readouts, rng in zip(reads, streams(seed, STREAM_WEIGHTED, 0))
-        )
+        values = [
+            random_weighted(readout, rng)
+            for readout, rng in zip(reads, streams(seed, STREAM_WEIGHTED, 0))
+        ]
     elif method == "minimize_energy":
         values = minimize_energy(reads, model)
     elif method == "tailored":
-        return [
-            unembed_tailored(readouts, UnembedContext(g, problem, rng))
-            for readouts, rng in zip(reads, streams(seed, STREAM_TAILORED, 0))
-        ]
+        return unembed_tailored(reads, g, problem, streams(seed, STREAM_TAILORED, 0))
     else:
         raise ValueError(f"unknown repair method {method!r}")
-    return [witness_from_values(problem, v, g) for v in values]
+    # 1 / +1 is the value-1 set or the plus side in either domain
+    return np.asarray(values, dtype=np.int8).reshape(len(values), g.n) == 1
 
 
 @dataclass
@@ -301,7 +364,7 @@ class GraphRun:
     chain_strength: float
     ising: object  # logical Ising model, as embedded
     broken_fracs: list  # per read: broken chains / chains
-    witnesses: dict = field(default_factory=dict)  # method -> list per read
+    witnesses: dict = field(default_factory=dict)  # method -> (reads, n) bool rows
 
 
 def _resolve_chain_strength(strength, ising, prefactor):
@@ -374,14 +437,11 @@ def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
     flagged infeasible.  The mean aggregation averages the per-read scores
     and reports the feasible fraction.
     """
-    scored = [
-        score_witness(config.problem, run.graph, w) for w in run.witnesses[method]
-    ]
-    objectives = [s[0] for s in scored]
+    objectives, ok = score_rows(config.problem, run.graph, run.witnesses[method])
+    objectives, ok = objectives.tolist(), ok.tolist()
     if config.aggregate == "mean":
-        feas = sum(1 for _, ok in scored if ok) / len(scored)
-        return float(np.mean(objectives)), feas
-    feasible = [obj for obj, ok in scored if ok]
+        return float(np.mean(objectives)), sum(ok) / len(ok)
+    feasible = [obj for obj, good in zip(objectives, ok) if good]
     if feasible:
         value = max(feasible) if config.problem in MAXIMIZATION else min(feasible)
         return value, True

@@ -256,6 +256,11 @@ def require_keys(doc, keys, what: str):
     return doc
 
 
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_real(value, what: str, positive: bool = False):
     """``value``, once it is a finite real number (``bool`` is not one), and a
     positive one when ``positive``; otherwise ``ValueError`` naming ``what``."""

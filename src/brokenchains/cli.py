@@ -229,6 +229,7 @@ def cmd_unembed(args):
             yield readout
 
     witnesses = bench.repair(method, reads(), args.problem, g, model, args.seed)
+    objectives, feasible = bench.score_rows(args.problem, g, witnesses)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")
     with open(path, "w", newline="") as fh:
@@ -236,10 +237,11 @@ def cmd_unembed(args):
         writer.writerow(
             ["read", "method", "objective", "feasible", "broken_chains", "broken_frac"]
         )
-        for read, (witness, count) in enumerate(zip(witnesses, broken)):
-            objective, feasible = bench.score_witness(args.problem, g, witness)
+        for read, (objective, ok, count) in enumerate(
+            zip(objectives.tolist(), feasible.tolist(), broken)
+        ):
             writer.writerow(
-                [read, args.method, objective, feasible, count, count / len(chains.variables)]
+                [read, args.method, objective, ok, count, count / len(chains.variables)]
             )
     print(path)
     return 0

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel, require_keys, require_real
+from brokenchains.bqm import BinaryQuadraticModel, is_int, require_keys, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, streams
 from brokenchains.topology import PhysicalModel, chain_columns, identity_embedding
 
@@ -311,10 +311,6 @@ def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     """Read ``sampleset_to_json`` output.
 
@@ -337,14 +333,14 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
                 and all(isinstance(x, int) for x in topology)):
             raise ValueError("provenance topology must be a list of three integers")
     qubits = doc["qubits"]
-    if not (isinstance(qubits, list) and all(map(_is_int, qubits))):
+    if not (isinstance(qubits, list) and all(map(is_int, qubits))):
         raise ValueError("qubits must be a list of integers")
     qubits = tuple(qubits)
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
     p = require_keys(doc["params"], ("num_reads", "sweeps", "beta_range", "seed"), "params")
     for key in ("num_reads", "sweeps", "seed"):
-        if not _is_int(p[key]):
+        if not is_int(p[key]):
             raise ValueError(f"params.{key} must be an integer, not {p[key]!r}")
     beta_range = p["beta_range"]
     if not (isinstance(beta_range, list) and len(beta_range) == 2):

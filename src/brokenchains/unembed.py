@@ -8,10 +8,11 @@ whether a chain is broken.  A ``Readout`` also iterates as one
 ``ChainReadout`` per chain, and ``Readout.of`` turns a list of
 ``ChainReadout`` records into columns; every repair method calls it first
 and then reads the columns.  Three generic strategies work on any model
-and return ``{variable: value}`` assignments: majority vote and random
-weighting one per read, minimize energy one per read of a whole set in a
-single call.  Four problem-tailored algorithms use the instance graph to
-return a feasible witness:
+and return values in the model's domain, in ascending variable order:
+majority vote and random weighting one list per read, minimize energy one
+``(reads, variables)`` array for a whole set in a single call.  Four
+problem-tailored algorithms use the instance graph to return a feasible
+witness:
 
 * ``unembed_max_clique`` grows the unbroken value-1 clique greedily by
   degree, preferring chains with more 1s on ties.
@@ -27,19 +28,27 @@ return a feasible witness:
 Only broken chains are ever resolved; values fixed by unbroken chains are
 never revisited.
 
-The tailored algorithms work on the instance graph's neighbourhood
-bitmasks (``Graph.masks``).  Each read's intact and broken chains become
-vertex masks, the candidate set, the sides and the cover are masks updated
-as vertices are placed, and a degree within a set is one popcount.  This
-is bookkeeping only: every witness is the one the definitions above give.
+A witness is a vertex bitmask: the value-1 set of a clique or cover, the
+plus side of a cut or partition.  Max clique, max cut and partitioning
+work read by read on the instance graph's neighbourhood bitmasks
+(``Graph.masks``): each read's intact and broken chains become vertex
+masks, the candidate set, the sides and the cover are masks updated as
+vertices are placed, and a degree within a set is one popcount.  The
+vertex-cover drain runs for all reads of a set at once over ``(reads, n)``
+arrays (``vertex_cover_rows``), and one read is the one-row case of it.
+``unembed_tailored`` repairs a whole set and returns one boolean witness
+row per read.  This is bookkeeping only: every witness is the one the
+definitions above give.
 """
 
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Bipartition, Graph, is_clique, vertices_of
+from brokenchains.graphs import Graph, is_clique, vertices_of
 from brokenchains.topology import ChainColumns
 
 
@@ -106,7 +115,8 @@ class UnembedContext:
 
     Max cut and partitioning draw their visiting order, and max cut its
     coin for an even chain, from ``rng``; one context serves one read, as
-    its draws advance the generator.
+    its draws advance the generator.  Max clique and vertex cover draw
+    nothing, and ``rng`` may be ``None`` for them.
     """
 
     graph: Graph
@@ -134,38 +144,71 @@ def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
     )
 
 
-def majority_vote(readouts) -> dict:
-    """Per chain, the most common value; exact ties go to 1 / +1."""
+def majority_vote(readouts) -> list:
+    """Per chain, the most common value; exact ties go to 1 / +1.
+
+    One value per chain, in ascending variable order.
+    """
     r = Readout.of(readouts)
     zero = 0 if r.domain == QUBO else -1
-    return {v: 1 if f >= 0.5 else zero for v, f in zip(r.variables, r.frac_ones)}
+    return [1 if f >= 0.5 else zero for f in r.frac_ones]
 
 
-def random_weighted(readouts, rng: np.random.Generator) -> dict:
+def random_weighted(readouts, rng: np.random.Generator) -> list:
     """Broken chains draw 1 / +1 with probability equal to their fraction of ones.
 
-    Unbroken chains keep their value.  One uniform is drawn from ``rng``
-    per broken chain in ascending variable order, so the result is a pure
-    function of the generator's state; the k uniforms of a read come from
-    one ``rng.random(k)`` call, which gives the values of k calls for one
+    Unbroken chains keep their value; one value per chain, in ascending
+    variable order.  One uniform is drawn from ``rng`` per broken chain in
+    ascending variable order, so the result is a pure function of the
+    generator's state; the k uniforms of a read come from one
+    ``rng.random(k)`` call, which gives the values of k calls for one
     uniform each.
     """
     r = Readout.of(readouts)
     zero = 0 if r.domain == QUBO else -1
     draws = iter(rng.random(sum(r.broken)).tolist())
-    values = [
+    return [
         (1 if next(draws) < f else zero) if b else x
         for x, b, f in zip(r.values, r.broken, r.frac_ones)
     ]
-    return dict(zip(r.variables, values))
 
 
-def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
+def _stack(reads, variables: tuple, domain=None):
+    """The ``values``, ``broken`` and ``frac_ones`` columns of every read
+    as ``(reads, len(variables))`` float64, bool and float64 arrays.
+
+    ``reads`` is consumed once, and each read's columns are copied into
+    flat buffers as it passes, so no read's lists outlive it.
+    ``ValueError`` unless every read covers exactly ``variables``, or, when
+    ``domain`` is given, when a read with chains is in another domain.
+    """
+    values, broken, frac = array("d"), array("b"), array("d")
+    count = 0
+    for readouts in reads:
+        r = Readout.of(readouts)
+        if r.variables != variables:
+            raise ValueError("readouts must cover exactly the model variables")
+        if domain is not None and variables and r.domain != domain:
+            raise ValueError(f"readouts must be in the {domain} domain, not {r.domain}")
+        values.extend(r.values)
+        broken.extend(r.broken)
+        frac.extend(r.frac_ones)
+        count += 1
+    shape = (count, len(variables))
+    return (
+        np.frombuffer(values, np.float64).reshape(shape),
+        np.frombuffer(broken, np.bool_).reshape(shape),
+        np.frombuffer(frac, np.float64).reshape(shape),
+    )
+
+
+def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
     """Greedy chain repair by largest energy swing first, for every read of a set.
 
     ``reads`` is an iterable of per-read readouts (a ``Readout`` or a list
-    of ``ChainReadout`` records), consumed once; the result holds one
-    ``{variable: value}`` per read, in read order.
+    of ``ChainReadout`` records), consumed once; the result is an int8
+    ``(reads, variables)`` array of values, row ``r`` for read ``r`` and
+    columns in ascending variable order.
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -182,16 +225,8 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
     other reads share the call.
     """
     variables = tuple(sorted(logical_model.linear))
-    values, broken = [], []
-    for readouts in reads:
-        r = Readout.of(readouts)
-        if r.variables != variables:
-            raise ValueError("readouts must cover exactly the model variables")
-        values.append(r.values)
-        broken.append(r.broken)
-    shape = (len(values), len(variables))
-    value = np.array(values, dtype=np.float64).reshape(shape)
-    undecided = np.array(broken, dtype=bool).reshape(shape)
+    value, undecided, _ = _stack(reads, variables)
+    shape = value.shape
 
     # coupling of each undecided chain to the determined set, summed term by
     # term in model order; an undecided neighbour adds a signed zero
@@ -224,7 +259,7 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> list:
         # exactly the recomputation the full-model definition prescribes
         coupling[rows] += j_dense[best] * chosen[:, None]
         rows = rows[undecided[rows].any(axis=1)]
-    return [dict(zip(variables, row)) for row in value.astype(np.int64).tolist()]
+    return value.astype(np.int8)
 
 
 def _split(readouts, ctx: UnembedContext, domain: str, algorithm: str):
@@ -248,10 +283,11 @@ def _split(readouts, ctx: UnembedContext, domain: str, algorithm: str):
     return g.mask_of(high), g.mask_of(low), g.mask_of(broken), frac
 
 
-def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
-    """Greedy clique growth from the unbroken value-1 core.
+def unembed_max_clique(readouts, ctx: UnembedContext) -> int:
+    """Greedy clique growth from the unbroken value-1 core; the clique's
+    vertex bitmask.
 
-    If the unbroken 1-set is not a clique the empty clique is returned.
+    If the unbroken 1-set is not a clique the empty clique (0) is returned.
     Otherwise broken vertices adjacent to the whole current clique are
     candidates; the highest degree within the candidate set wins, then the
     highest fraction of ones, then the lowest id.
@@ -264,7 +300,7 @@ def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
     g = ctx.graph
     core = vertices_of(clique)
     if not is_clique(g, core):
-        return frozenset()
+        return 0
     candidates = broken
     for u in core:
         candidates &= g.masks[u]
@@ -275,7 +311,7 @@ def unembed_max_clique(readouts, ctx: UnembedContext) -> frozenset:
         )
         clique |= 1 << pick
         candidates &= g.masks[pick]
-    return frozenset(vertices_of(clique))
+    return clique
 
 
 def _majority_side(frac_ones: float):
@@ -287,8 +323,9 @@ def _majority_side(frac_ones: float):
     return None
 
 
-def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
-    """Place broken vertices on the side holding fewer placed neighbors.
+def unembed_max_cut(readouts, ctx: UnembedContext) -> int:
+    """Place broken vertices on the side holding fewer placed neighbors;
+    the plus side's vertex bitmask.
 
     Broken vertices are visited in seeded random order; degree ties follow
     the chain's majority value, and an even chain falls to a seeded coin.
@@ -311,11 +348,11 @@ def unembed_max_cut(readouts, ctx: UnembedContext) -> Bipartition:
             minus |= 1 << x
         else:
             plus |= 1 << x
-    return Bipartition(frozenset(vertices_of(minus)), frozenset(vertices_of(plus)))
+    return plus
 
 
-def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
-    """Balanced variant of the cut placement.
+def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> int:
+    """Balanced variant of the cut placement; the plus side's vertex bitmask.
 
     Each broken vertex, visited in seeded random order, goes to the side
     that minimizes its cut contribution, i.e. the side already holding more
@@ -323,7 +360,7 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
     reached floor(|V|/2) vertices; every still-unplaced broken vertex then
     goes to the smaller side.  Full ties during placement prefer the
     smaller side (minus side when equal).  The partition can still be
-    unbalanced when the intact chains already are; ``is_balanced`` says so.
+    unbalanced when the intact chains already are; the scorers say so.
 
     Sides are bitmasks as in ``unembed_max_cut``, and their sizes are two
     counters that each placement increments.
@@ -357,48 +394,61 @@ def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> Bipartition:
         minus |= rest
     else:
         plus |= rest
-    return Bipartition(frozenset(vertices_of(minus)), frozenset(vertices_of(plus)))
+    return plus
 
 
-def unembed_vertex_cover(readouts, ctx: UnembedContext) -> frozenset:
-    """Cover completion from the unbroken core.
+def vertex_cover_rows(reads, graph: Graph) -> np.ndarray:
+    """Cover completion from the unbroken core, for every read of a set:
+    one boolean ``(reads, n)`` row per read, True on the cover.
 
-    An edge between two unbroken zeros is uncoverable without revisiting
-    fixed values, so the trivial all-vertices cover is returned.  Broken
-    neighbors of zeros are forced into the cover; the rest drain by
-    descending degree-within-remaining plus fraction of ones (ties to the
-    lowest id), joining the cover exactly when they touch a zero.
+    Every read must cover exactly the vertices ``0..n-1`` in the QUBO
+    domain.  An edge between two unbroken zeros is uncoverable without
+    revisiting fixed values, so such a read gets the trivial all-vertices
+    cover.  Broken neighbors of zeros are forced into the cover; the rest
+    drain by descending degree-within-remaining plus fraction of ones
+    (ties to the lowest id), joining the cover exactly when they touch a
+    zero.
 
-    The cover, the zeros and the remaining vertices are bitmasks, so each
-    test against the zeros is one AND and each degree within the remaining
-    vertices one popcount.  Every remaining vertex keeps its drain key, and
-    a drain recomputes only the keys of its remaining neighbours, the only
-    degrees it changes.
+    All reads drain together, as ``minimize_energy``'s greedy does: each
+    step takes, in every read with vertices left, the first argmax of its
+    drain keys, and subtracts that vertex's adjacency row from the read's
+    degrees and, when it became a zero, adds it to its zero-neighbour
+    counts.  Degrees are whole numbers in float64, so each key is the
+    float sum the one-read definition gives, and no read's step depends on
+    another's.
     """
-    cover, zeros, remaining, frac = _split(readouts, ctx, QUBO, "unembed_vertex_cover")
-    masks = ctx.graph.masks
-    if any(masks[v] & zeros for v in vertices_of(zeros)):
-        return frozenset(ctx.graph.vertices())
-    for x in vertices_of(remaining):
-        if masks[x] & zeros:
-            cover |= 1 << x
-    remaining &= ~cover
+    value, broken, frac = _stack(reads, tuple(graph.vertices()), QUBO)
+    adjacency = np.zeros((graph.n, graph.n))
+    for u, v in graph.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    zero = ~broken & (value != 1)
+    cover = ~broken & (value == 1)
+    zero_neighbours = zero @ adjacency
+    touches_zero = zero_neighbours > 0
+    uncoverable = (zero & touches_zero).any(axis=1)
+    cover |= broken & touches_zero
+    remaining = broken & ~touches_zero & ~uncoverable[:, None]
+    degree = remaining @ adjacency
+    rows = np.flatnonzero(remaining.any(axis=1))
+    while rows.size:
+        key = degree[rows] + frac[rows]
+        key[~remaining[rows]] = -1.0
+        drained = key.argmax(axis=1)  # first maximum: the lowest id
+        remaining[rows, drained] = False
+        degree[rows] -= adjacency[drained]
+        joins = zero_neighbours[rows, drained] > 0
+        cover[rows[joins], drained[joins]] = True
+        zero_neighbours[rows[~joins]] += adjacency[drained[~joins]]
+        rows = rows[remaining[rows].any(axis=1)]
+    cover[uncoverable] = True
+    return cover
 
-    def key(v):
-        return (masks[v] & remaining).bit_count() + frac[v], -v
 
-    keys = {v: key(v) for v in vertices_of(remaining)}
-    while keys:
-        v = -max(keys.values())[1]
-        del keys[v]
-        remaining ^= 1 << v
-        for u in vertices_of(masks[v] & remaining):
-            keys[u] = key(u)
-        if masks[v] & zeros:
-            cover |= 1 << v
-        else:
-            zeros |= 1 << v
-    return frozenset(vertices_of(cover))
+def unembed_vertex_cover(readouts, ctx: UnembedContext) -> int:
+    """The cover of one read, as a vertex bitmask: the one-read case of
+    ``vertex_cover_rows``."""
+    (row,) = vertex_cover_rows([readouts], ctx.graph)
+    return ctx.graph.mask_of(np.flatnonzero(row).tolist())
 
 
 TAILORED = {
@@ -409,10 +459,31 @@ TAILORED = {
 }
 
 
-def unembed_tailored(readouts, ctx: UnembedContext):
-    """Dispatch to the tailored algorithm for ``ctx.problem``."""
+def witness_rows(masks, n: int) -> np.ndarray:
+    """Vertex bitmasks as one boolean ``(len(masks), n)`` array: entry
+    ``[r, v]`` is bit ``v`` of ``masks[r]``, unpacked in one step."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(
+        packed.reshape(len(masks), width), axis=1, count=n, bitorder="little"
+    ).view(bool)
+
+
+def unembed_tailored(reads, graph: Graph, problem: str, rngs) -> np.ndarray:
+    """The tailored algorithm of ``problem`` for every read of a set: one
+    boolean witness row per read, as ``witness_rows`` lays out masks.
+
+    ``reads`` is consumed once.  ``rngs`` yields read ``r``'s generator in
+    read order; only max cut and partitioning draw, so only they take one.
+    The vertex cover runs as one ``vertex_cover_rows`` call.
+    """
     try:
-        algorithm = TAILORED[ctx.problem]
+        algorithm = TAILORED[problem]
     except KeyError:
-        raise ValueError(f"no tailored algorithm for problem {ctx.problem!r}")
-    return algorithm(readouts, ctx)
+        raise ValueError(f"no tailored algorithm for problem {problem!r}")
+    if problem == "min_vertex_cover":
+        return vertex_cover_rows(reads, graph)
+    if problem == "max_clique":
+        rngs = itertools.repeat(None)
+    masks = [algorithm(r, UnembedContext(graph, problem, rng)) for r, rng in zip(reads, rngs)]
+    return witness_rows(masks, graph.n)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel
-from brokenchains.graphs import Graph
+from brokenchains.graphs import Bipartition, Graph, vertices_of
 from brokenchains.sampler import AnnealParams, SampleSet
 from brokenchains.seeding import rng_from
 from brokenchains.topology import PhysicalModel, identity_embedding
@@ -57,3 +57,14 @@ def spin_glass(hw, seed, scale=1.0):
     quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
     ising = BinaryQuadraticModel(ISING, linear, quadratic)
     return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
+
+
+def members(mask):
+    """A witness bitmask as its vertex set."""
+    return frozenset(vertices_of(mask))
+
+
+def sides(mask, g):
+    """A plus-side bitmask as the ``Bipartition`` it makes of ``g``'s vertices."""
+    plus = members(mask)
+    return Bipartition(frozenset(g.vertices()) - plus, plus)

@@ -35,6 +35,18 @@
   set-based ones (kept here as ``reference_unembed_*``) on random graphs
   of 1-9 and 65 vertices (masks wider than 64 bits) and random readouts
   whose chain lengths 1, 2 and 4 tie many fractions of ones;
+* the whole-set vertex-cover drain (``vertex_cover_rows``) equals the set
+  reference read by read, and each read alone, on sets of 1-8 reads that
+  mix uncoverable reads, reads with no broken chain, reads with every
+  chain broken and mixed ones;
+* ``bench.repair``'s boolean rows, for every method, equal after
+  conversion the witnesses of the per-read path it replaced (kept here as
+  ``reference_repair``: one dict per read through ``witness_from_values``,
+  and the set-based tailored references);
+* ``bench.score_rows`` equals ``score_witness`` witness by witness, as
+  Python ints and bools, on random graphs of 1-9 and 65 vertices
+  (edgeless and complete ones included) and random, empty, full, clique,
+  cover and balanced rows;
 * ``is_clique``, ``is_vertex_cover`` and ``cut_size`` equal edge-scan
   references on random graphs and subsets, still raise ``ValueError`` on
   an out-of-range vertex or an incomplete partition, and ``Graph.masks``
@@ -114,8 +126,9 @@ from brokenchains.unembed import (
     majority_vote,
     minimize_energy,
     random_weighted,
+    vertex_cover_rows,
 )
-from conftest import sample_set, spin_glass, spins_of
+from conftest import members, sample_set, sides, spin_glass, spins_of
 
 HW = chimera(2, 2, 4)
 QUBITS = tuple(sorted(HW.qubits))
@@ -330,11 +343,15 @@ def test_strong_couplings_overflow_exp_silently():
     assert_same_anneal(got, reference_simulated_anneal(pm, params))
 
 
-def witness_values(witness, g):
-    """The witness as a {vertex: value} assignment in its problem's domain."""
-    if isinstance(witness, Bipartition):
-        return {v: 1 if v in witness.side_plus else -1 for v in g.vertices()}
-    return {v: 1 if v in witness else 0 for v in g.vertices()}
+def mask_witness(problem, mask, g):
+    """A witness bitmask in the form ``score_witness`` takes: its vertex
+    set, or the partition of ``g`` with the mask as plus side."""
+    return members(mask) if problem in ("max_clique", "min_vertex_cover") else sides(mask, g)
+
+
+def witness_of(problem, row, g):
+    """A boolean witness row in the form ``score_witness`` takes."""
+    return mask_witness(problem, sum(1 << v for v in np.flatnonzero(row).tolist()), g)
 
 
 @PROPERTY
@@ -348,17 +365,17 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
     ones = {v for v, x in intact.items() if x == 1}
     zeros = set(intact) - ones
     for method in bench.METHODS:
-        (witness,) = bench.repair(method, [readouts], problem, g, model, seed)
+        (row,) = bench.repair(method, [readouts], problem, g, model, seed)
         if method == "tailored" and problem == "max_clique" and not is_clique(g, ones):
-            assert witness == frozenset()
+            assert not row.any()
             continue
         if method == "tailored" and problem == "min_vertex_cover" and any(
             u in zeros and v in zeros for u, v in g.edges
         ):
-            assert witness == frozenset(g.vertices())
+            assert row.all()
             continue
-        values = witness_values(witness, g)
-        assert {v: values[v] for v in intact} == intact, method
+        # a row is True on value 1 / +1 in either domain
+        assert {v: bool(row[v]) for v in intact} == {v: x == 1 for v, x in intact.items()}, method
 
 
 @PROPERTY
@@ -371,9 +388,10 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
     chains = chain_columns(e, samples.qubits)
     reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
-    witnesses = bench.repair("tailored", reads, problem, g, model, seed)
-    assert len(witnesses) == len(reads)
-    for readouts, witness in zip(reads, witnesses):
+    rows = bench.repair("tailored", reads, problem, g, model, seed)
+    assert rows.shape == (len(reads), n) and rows.dtype == bool
+    for readouts, row in zip(reads, rows):
+        witness = witness_of(problem, row, g)
         if problem == "max_clique":
             assert is_clique(g, witness)
         elif problem == "min_vertex_cover":
@@ -438,6 +456,55 @@ def test_mask_checks_match_edge_scans(g, data):
         cut_size(g, Bipartition(minus, frozenset(g.vertices()) - minus | {stray}))
     with pytest.raises(ValueError, match="does not cover"):  # vertex 0 on neither side
         cut_size(g, Bipartition(minus - {0}, frozenset(g.vertices()) - minus - {0}))
+
+
+@st.composite
+def scored_graphs(draw):
+    """G(n, p) on 1-9 or 65 vertices, edgeless and complete ones included."""
+    n = draw(st.one_of(st.integers(1, 9), st.just(65)))
+    density = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    return erdos_renyi(n, density, draw(seeds))
+
+
+def witness_rows_of(draw, g):
+    """1-8 boolean rows over ``g``'s vertices: random, empty, full, a
+    greedy clique, a greedy cover (the complement of a greedy independent
+    set) and balanced splits, so that every score occurs."""
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("random", "empty", "full", "clique", "cover",
+                                                 "balanced")), min_size=1, max_size=8)):
+        order = draw(st.permutations(range(g.n)))
+        if kind == "random":
+            row = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        elif kind in ("empty", "full"):
+            row = [kind == "full"] * g.n
+        elif kind == "balanced":
+            k = draw(st.sampled_from((g.n // 2, (g.n + 1) // 2)))
+            row = [v in order[:k] for v in range(g.n)]
+        else:
+            chosen = []
+            for v in order:
+                # a clique takes v when adjacent to all chosen, an independent
+                # set when adjacent to none
+                adjacent = [g.has_edge(u, v) for u in chosen]
+                if all(adjacent) if kind == "clique" else not any(adjacent):
+                    chosen.append(v)
+            row = [(v in chosen) == (kind == "clique") for v in range(g.n)]
+        rows.append(row)
+        event(kind)
+    return np.array(rows, dtype=bool)
+
+
+@PROPERTY
+@given(scored_graphs(), st.data())
+def test_score_rows_matches_score_witness(g, data):
+    rows = witness_rows_of(data.draw, g)
+    for problem in PROBLEMS:
+        objectives, feasible = bench.score_rows(problem, g, rows)
+        # the CSV writes what .tolist() gives: Python ints and bools
+        assert objectives.dtype.kind == "i" and feasible.dtype == bool
+        expected = [bench.score_witness(problem, g, witness_of(problem, row, g)) for row in rows]
+        assert list(zip(objectives.tolist(), feasible.tolist())) == expected, problem
 
 
 def reference_majority_side(readout):
@@ -597,9 +664,101 @@ def test_tailored_matches_set_reference(problem, g, p_break, p_one, readout_seed
     rng = np.random.default_rng(readout_seed)
     for read in range(4):
         readouts = random_readouts(rng, g.n, domain, p_break, p_one)
-        witness = TAILORED[problem](readouts, context(g, problem, seed + read))
+        mask = TAILORED[problem](readouts, context(g, problem, seed + read))
+        witness = mask_witness(problem, mask, g)
         assert witness == REFERENCE_TAILORED[problem](readouts, context(g, problem, seed + read))
     event(f"{problem}, n {'65' if g.n == 65 else '1-9'}")
+
+
+def cover_read(rng, g, kind):
+    """One QUBO read over ``g``'s vertices: ``intact`` breaks no chain,
+    ``broken`` every chain, ``mixed`` some, and ``uncoverable`` is mixed
+    with both ends of one edge held at intact zeros."""
+    if kind in ("intact", "broken"):
+        readouts = random_readouts(rng, g.n, QUBO, 0.0, rng.random())
+    else:
+        readouts = random_readouts(rng, g.n, QUBO, rng.random(), rng.random())
+    if kind == "broken":
+        lengths = rng.choice((2, 3, 4), size=g.n).tolist()
+        readouts = [
+            ChainReadout(v, int(rng.integers(0, 2)), QUBO, True,
+                         int(rng.integers(1, length)) / length)
+            for v, length in enumerate(lengths)
+        ]
+    if kind == "uncoverable" and g.edges:
+        u, w = sorted(g.edges)[int(rng.integers(len(g.edges)))]
+        for v in (u, w):
+            readouts[v] = ChainReadout(v, 0, QUBO, False, 0.0)
+    return readouts
+
+
+@PROPERTY
+@given(graphs(), st.lists(st.sampled_from(("intact", "broken", "mixed", "uncoverable")),
+                          min_size=1, max_size=8), seeds)
+def test_vertex_cover_rows_match_reference_read_by_read(g, kinds, readout_seed):
+    rng = np.random.default_rng(readout_seed)
+    reads = [cover_read(rng, g, kind) for kind in kinds]
+    rows = vertex_cover_rows(reads, g)
+    assert rows.shape == (len(reads), g.n) and rows.dtype == bool
+    for readouts, row in zip(reads, rows):
+        want = reference_unembed_vertex_cover(readouts, context(g, "min_vertex_cover", 0))
+        assert members(sum(1 << v for v in np.flatnonzero(row).tolist())) == want
+        # alone, the read drains to the same row
+        assert np.array_equal(vertex_cover_rows([readouts], g)[0], row)
+    event(f"{len(set(kinds))} kinds of read in one set")
+
+
+def reference_repair(method, reads, problem, g, model, seed):
+    """The witnesses the per-read path gave: one ``{variable: value}`` dict
+    per read turned into a vertex set or ``Bipartition`` by
+    ``witness_from_values``, the tailored ones from the set-based references
+    above, each read's generator built by ``rng_from(derive_seed(...))``."""
+    witnesses = []
+    for r, readouts in enumerate(reads):
+        readouts = list(readouts)
+        if method == "tailored":
+            rng = rng_from(derive_seed(seed, STREAM_TAILORED, r))
+            ctx = UnembedContext(g, problem, rng)
+            witnesses.append(REFERENCE_TAILORED[problem](readouts, ctx))
+            continue
+        if method == "majority_vote":
+            low = 0 if model.domain == QUBO else -1
+            values = {c.variable: 1 if c.frac_ones >= 0.5 else low for c in readouts}
+        elif method == "random_weighted":
+            values = reference_random_weighted(
+                readouts, rng_from(derive_seed(seed, STREAM_WEIGHTED, r))
+            )
+        else:
+            values = reference_minimize_energy(readouts, model)
+        witnesses.append(bench.witness_from_values(problem, values, g))
+    return witnesses
+
+
+@PROPERTY
+@given(st.sampled_from(PROBLEMS), st.integers(1, 9), st.floats(0.0, 1.0), seeds, st.data(),
+       p_breaks, seeds)
+def test_repair_rows_match_per_read_witnesses(problem, n, density, graph_seed, data, p_break,
+                                              seed):
+    g, model, e, pm = physical(problem, n, graph_seed, density)
+    rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
+    chains = chain_columns(e, samples.qubits)
+    reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
+    for method in bench.METHODS:
+        got = bench.repair(method, iter(reads), problem, g, model, seed)
+        assert got.shape == (len(reads), n) and got.dtype == bool
+        want = reference_repair(method, reads, problem, g, model, seed)
+        assert [witness_of(problem, row, g) for row in got] == want, method
+
+
+def test_repair_rejects_reads_that_are_not_the_vertices():
+    g = Graph(3, [(0, 1)])
+    model = build_model("max_cut", g)
+    reads = [[ChainReadout(v, 1, ISING, False, 1.0) for v in vs] for vs in ((0, 1, 2), (0, 1))]
+    for method in bench.METHODS:
+        with pytest.raises(ValueError, match="read 1: variables are not the vertices 0..2"):
+            bench.repair(method, reads, "max_cut", g, model, 0)
 
 
 @PROPERTY
@@ -614,7 +773,7 @@ def test_methods_read_columns_as_records(n, density, graph_seed, data, p_break, 
         model = build_model(problem, g)
         reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
         records = [list(readout) for readout in reads]
-        assert minimize_energy(reads, model) == minimize_energy(records, model)
+        assert np.array_equal(minimize_energy(reads, model), minimize_energy(records, model))
         for read, (readout, chain_records) in enumerate(zip(reads, records)):
             assert len(readout) == len(chain_records) == n
             assert Readout.of(data.draw(st.permutations(chain_records))) == readout
@@ -633,7 +792,8 @@ def test_random_weighted_matches_per_chain_reference(domain, n, p_break, p_one,
     readouts = random_readouts(np.random.default_rng(readout_seed), n, domain, p_break, p_one)
     shuffle.shuffle(readouts)
     got = random_weighted(readouts, rng_from(seed))
-    assert list(got.items()) == list(reference_random_weighted(readouts, rng_from(seed)).items())
+    want = reference_random_weighted(readouts, rng_from(seed))
+    assert got == [want[v] for v in sorted(want)]
     assert random_weighted(Readout.of(readouts), rng_from(seed)) == got
 
 
@@ -722,12 +882,17 @@ def readout_sets(draw):
 @given(readout_sets(), st.data())
 def test_minimize_energy_matches_per_read_reference(case, data):
     model, reads = case
-    expected = [reference_minimize_energy(readouts, model) for readouts in reads]
-    assert minimize_energy(iter(reads), model) == expected
+    variables = sorted(model.linear)
+    expected = [
+        [values[v] for v in variables]
+        for values in (reference_minimize_energy(readouts, model) for readouts in reads)
+    ]
+    got = minimize_energy(iter(reads), model)
+    assert got.dtype == np.int8 and got.tolist() == expected
     k = data.draw(st.integers(1, len(reads)))
-    assert minimize_energy(reads[:k], model) == expected[:k]
+    assert minimize_energy(reads[:k], model).tolist() == expected[:k]
     r = data.draw(st.integers(0, len(reads) - 1))
-    assert minimize_energy([reads[r]], model) == [expected[r]]
+    assert minimize_energy([reads[r]], model).tolist() == [expected[r]]
 
 
 # multiples of 1/8 up to 8: products and sums of a few stay exact in binary

@@ -38,7 +38,15 @@ from brokenchains.unembed import (
     unembed_tailored,
     unembed_vertex_cover,
 )
-from conftest import complete_graph, empty_graph, one_read, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    empty_graph,
+    members,
+    one_read,
+    path_graph,
+    sides,
+    star_graph,
+)
 
 
 def ro(var, values, domain):
@@ -152,12 +160,12 @@ class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
         m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
         out = minimize_energy([[ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]], m)[0]
-        assert out == {0: 1, 1: -1}
+        assert out.tolist() == [1, -1]
 
     def test_no_broken_is_identity(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
         out = minimize_energy([[ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]], m)[0]
-        assert out == {0: -1, 1: -1}
+        assert out.tolist() == [-1, -1]
 
     def test_two_broken_coupled_to_fixed_only(self):
         m = BinaryQuadraticModel(
@@ -189,7 +197,7 @@ class TestMinimizeEnergy:
                 },
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
-            got = minimize_energy([readouts], m)[0]
+            got = dict(enumerate(minimize_energy([readouts], m)[0].tolist()))
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
@@ -225,13 +233,13 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
+        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
         assert out == {0, 1}
 
     def test_infeasible_core_returns_empty(self):
         g = path_graph(3)
         readouts = [ro(0, [1, 1], QUBO), ro(1, [0, 0], QUBO), ro(2, [1, 1], QUBO)]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
+        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
         assert out == frozenset()
 
     def test_growth_order_by_fraction(self):
@@ -242,7 +250,7 @@ class TestMaxCliqueUnembed:
             ro(2, [1, 1, 1, 1, 0], QUBO),
             ro(3, [1, 1, 1, 0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
+        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
         assert out == {0, 1, 2, 3}
 
     def test_candidates_must_join_whole_clique(self):
@@ -254,7 +262,7 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [1, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
+        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
         assert out == {0, 1}
 
     def test_degree_precedes_fraction(self):
@@ -267,7 +275,7 @@ class TestMaxCliqueUnembed:
             ro(3, [1, 0, 0, 0], QUBO),
             ro(4, [1, 0, 0, 0], QUBO),
         ]
-        out = unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0)))
+        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
         assert 3 in out and 4 in out and 2 not in out
 
 
@@ -275,7 +283,7 @@ class TestMaxCutUnembed:
     def test_unbroken_passthrough(self):
         g = path_graph(3)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, -1), (2, 1))]
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(0)))
+        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(0))), g)
         assert out.side_plus == {0, 2} and out.side_minus == {1}
 
     def test_star_center_opposes_leaves(self):
@@ -283,20 +291,21 @@ class TestMaxCutUnembed:
         readouts = [ro(0, [1, -1], ISING)] + [
             ro(i, [1, 1], ISING) for i in range(1, 5)
         ]
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(1)))
+        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(1))), g)
         assert 0 in out.side_minus
 
     def test_isolated_tie_uses_majority(self):
         g = empty_graph(1)
-        out = unembed_max_cut(
-            [ro(0, [1, 1, -1], ISING)], UnembedContext(g, "max_cut", rng_from(1))
+        out = sides(
+            unembed_max_cut([ro(0, [1, 1, -1], ISING)], UnembedContext(g, "max_cut", rng_from(1))),
+            g,
         )
         assert 0 in out.side_plus
 
     def test_complete_partition(self):
         g = erdos_renyi(12, 0.4, 3)
         readouts = random_readouts(12, ISING, {1, 4, 6, 9}, seed=8)
-        out = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(5)))
+        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(5))), g)
         assert out.is_complete_for(g)
 
     def test_deterministic_given_seed(self):
@@ -311,9 +320,8 @@ class TestGraphPartitioningUnembed:
     def test_unbroken_passthrough_balanced(self):
         g = empty_graph(4)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, 1), (2, -1), (3, -1))]
-        part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
-        )
+        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
+        part = sides(unembed_graph_partitioning(readouts, ctx), g)
         assert part.is_balanced() and part.side_plus == {0, 1}
 
     def test_isolated_broken_follow_majority(self):
@@ -325,9 +333,8 @@ class TestGraphPartitioningUnembed:
             ro(3, [-1, -1, 1], ISING),
             ro(4, [-1, -1, 1], ISING),
         ]
-        part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", rng_from(2))
-        )
+        ctx = UnembedContext(g, "graph_partitioning", rng_from(2))
+        part = sides(unembed_graph_partitioning(readouts, ctx), g)
         assert part.side_minus == {2, 3, 4} and part.is_balanced()
 
     def test_cap_trigger_forces_other_side(self):
@@ -338,9 +345,8 @@ class TestGraphPartitioningUnembed:
             ro(2, [1, -1], ISING),
             ro(3, [1, -1], ISING),
         ]
-        part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", rng_from(2))
-        )
+        ctx = UnembedContext(g, "graph_partitioning", rng_from(2))
+        part = sides(unembed_graph_partitioning(readouts, ctx), g)
         assert part.side_minus == {2, 3} and part.is_balanced()
 
     def test_degree_rule_minimizes_cut_contribution(self):
@@ -353,17 +359,15 @@ class TestGraphPartitioningUnembed:
             ro(4, [1, 1], ISING),
             ro(5, [-1, -1, 1, 1], ISING),
         ]
-        part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
-        )
+        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
+        part = sides(unembed_graph_partitioning(readouts, ctx), g)
         assert 3 in part.side_minus
 
     def test_unbalanced_core_flagged(self):
         g = empty_graph(5)
         readouts = [ro(v, [1, 1], ISING) for v in range(4)] + [ro(4, [1, -1], ISING)]
-        part = unembed_graph_partitioning(
-            readouts, UnembedContext(g, "graph_partitioning", rng_from(0))
-        )
+        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
+        part = sides(unembed_graph_partitioning(readouts, ctx), g)
         assert not part.is_balanced()
         assert part.side_minus == {4}
 
@@ -373,9 +377,8 @@ class TestGraphPartitioningUnembed:
             rng = rng_from(seed + 50)
             broken = {int(v) for v in rng.choice(11, size=4, replace=False)}
             readouts = random_readouts(11, ISING, broken, seed=seed)
-            part = unembed_graph_partitioning(
-                readouts, UnembedContext(g, "graph_partitioning", rng_from(seed))
-            )
+            ctx = UnembedContext(g, "graph_partitioning", rng_from(seed))
+            part = sides(unembed_graph_partitioning(readouts, ctx), g)
             assert part.is_complete_for(g)
             skew = len(part.side_minus) - len(part.side_plus)
             assert part.is_balanced() == (abs(skew) <= 1)
@@ -385,13 +388,15 @@ class TestVertexCoverUnembed:
     def test_zero_zero_edge_trivial_cover(self):
         g = Graph(2, [(0, 1)])
         readouts = [ro(0, [0, 0], QUBO), ro(1, [0, 0], QUBO)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
+        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
+        out = members(unembed_vertex_cover(readouts, ctx))
         assert out == {0, 1}
 
     def test_forced_neighbors_of_zeros(self):
         g = path_graph(3)
         readouts = [ro(0, [0, 0], QUBO), ro(1, [1, 0], QUBO), ro(2, [0, 1], QUBO)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
+        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
+        out = members(unembed_vertex_cover(readouts, ctx))
         assert out == {1}
 
     def test_star_all_broken(self):
@@ -399,7 +404,8 @@ class TestVertexCoverUnembed:
         readouts = [ro(0, [1] * 9 + [0], QUBO)] + [
             ro(i, [1, 0], QUBO) for i in range(1, 5)
         ]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
+        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
+        out = members(unembed_vertex_cover(readouts, ctx))
         assert out == {1, 2, 3, 4}
 
     def test_drain_degrees_follow_removals(self):
@@ -411,7 +417,8 @@ class TestVertexCoverUnembed:
         chains = [[1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],
                   [1, 1, 1, 0]]
         readouts = [ro(v, chain, QUBO) for v, chain in enumerate(chains)]
-        out = unembed_vertex_cover(readouts, UnembedContext(g, "min_vertex_cover", rng_from(0)))
+        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
+        out = members(unembed_vertex_cover(readouts, ctx))
         assert out == {1, 2, 4, 5}
 
     def test_cover_always_feasible(self):
@@ -423,7 +430,7 @@ class TestVertexCoverUnembed:
             out = unembed_vertex_cover(
                 readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
             )
-            assert is_vertex_cover(g, out)
+            assert is_vertex_cover(g, members(out))
 
 
 class TestAgreementOnUnbroken:
@@ -437,37 +444,39 @@ class TestAgreementOnUnbroken:
             qubo_readouts = [ro(v, [b, b], QUBO) for v, b in sorted(bits.items())]
 
             m = build_max_cut_ising(g)
-            assert majority_vote(ising_readouts) == spins
-            assert random_weighted(ising_readouts, rng_from(seed)) == spins
-            assert minimize_energy([ising_readouts], m)[0] == spins
+            values = [spins[v] for v in range(10)]
+            assert majority_vote(ising_readouts) == values
+            assert random_weighted(ising_readouts, rng_from(seed)) == values
+            assert minimize_energy([ising_readouts], m)[0].tolist() == values
 
             cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", rng_from(seed)))
-            assert cut.side_plus == {v for v, s in spins.items() if s == 1}
+            assert members(cut) == {v for v, s in spins.items() if s == 1}
 
             part = unembed_graph_partitioning(
                 ising_readouts, UnembedContext(g, "graph_partitioning", rng_from(seed))
             )
-            assert part.side_plus == {v for v, s in spins.items() if s == 1}
+            assert members(part) == {v for v, s in spins.items() if s == 1}
 
             ones = frozenset(v for v, b in bits.items() if b)
             if is_clique(g, ones):
                 got = unembed_max_clique(
                     qubo_readouts, UnembedContext(g, "max_clique", rng_from(seed))
                 )
-                assert got == ones
+                assert members(got) == ones
             if is_vertex_cover(g, ones):
                 got = unembed_vertex_cover(
                     qubo_readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
                 )
-                assert got == ones
+                assert members(got) == ones
 
     def test_tailored_dispatch(self):
         g = complete_graph(3)
         readouts = [ro(v, [1, 1], QUBO) for v in range(3)]
-        out = unembed_tailored(readouts, UnembedContext(g, "max_clique", rng_from(0)))
-        assert out == {0, 1, 2}
+        out = unembed_tailored([readouts, readouts[:2] + [ro(2, [0, 0], QUBO)]], g,
+                               "max_clique", None)
+        assert out.tolist() == [[True, True, True], [True, True, False]]
         with pytest.raises(ValueError):
-            unembed_tailored(readouts, UnembedContext(g, "coloring", rng_from(0)))
+            unembed_tailored([readouts], g, "coloring", None)
 
     def test_domain_guards(self):
         g = complete_graph(3)
