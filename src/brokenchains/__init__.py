@@ -50,8 +50,10 @@ from brokenchains.seeding import rng_from
 from brokenchains.unembed import (
     ChainReadout,
     Readout,
+    ReadoutSet,
     UnembedContext,
     decompose,
+    stack,
     majority_vote,
     random_weighted,
     minimize_energy,

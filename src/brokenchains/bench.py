@@ -13,10 +13,11 @@ reproduces at desk scale:
 All three are reports over one loop, ``_graph_runs``, which builds the
 Chimera graph and clique embedding once and yields one ``GraphRun`` per
 graph in CSV row order.  ``run_graph_pipeline`` compiles each graph onto
-them, decomposes every read once and records its broken-chain fraction
-and, for each method the experiment scores, the witnesses of all reads;
-``repair`` is the one place a method name turns into a repair call, once
-per sample set.  A method's witnesses are one boolean ``(reads, n)``
+them, decomposes every read once, stacks the reads into one
+``ReadoutSet`` and records each read's broken-chain fraction and, for
+each method the experiment scores, the witnesses of all reads; ``repair``
+is the one place a method name turns into a repair call, once per sample
+set, and every method runs on that one set.  A method's witnesses are one boolean ``(reads, n)``
 array, row ``r`` for read ``r`` and column ``v`` for vertex ``v``, and
 ``score_rows`` scores a whole array at once over the graph's edge arrays.
 ``_row`` fills the cells every row shares; the report adds the scores,
@@ -66,19 +67,22 @@ from brokenchains.topology import (
     uniform_torque_compensation,
 )
 from brokenchains.unembed import (
-    Readout,
     decompose,
     majority_vote,
     minimize_energy,
     random_weighted,
+    stack,
     unembed_tailored,
 )
 
 # The layer calls above are looked up as module globals each time they run,
 # never bound into tables or defaults at import: the perf harness times each
-# layer by replacing these names on this module.  It also wraps
-# ``witness_from_values``, ``score_witness`` and the three graph checks,
-# which the experiments no longer call but which stay as the one-witness API.
+# layer by replacing these names on this module.  Each repair name runs once
+# per sample set, on the set ``stack`` built; ``stack`` itself is not
+# wrapped, so its copy counts as this module's own time.  The harness also
+# wraps ``witness_from_values``, ``score_witness`` and the three graph
+# checks, which the experiments no longer call but which stay as the
+# one-witness API.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
@@ -138,6 +142,8 @@ class ExperimentConfig:
             raise ValueError("source must be 'anneal' or 'inject'")
         if not (0.0 <= require_real(self.p_break, "p_break") <= 1.0):
             raise ValueError(f"p_break must be in [0, 1], not {self.p_break!r}")
+        if self.source == "anneal" and self.p_break != 0:
+            raise ValueError(f"p_break {self.p_break!r} needs source 'inject', not 'anneal'")
         if not (isinstance(self.beta_range, (tuple, list)) and len(self.beta_range) == 2):
             raise ValueError(f"beta_range must be two real numbers, not {self.beta_range!r}")
         lo, hi = (require_real(beta, "beta_range entry") for beta in self.beta_range)
@@ -311,48 +317,35 @@ def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def _vertex_reads(reads, n: int):
-    """``reads`` as ``Readout`` columns, checked one by one as they are
-    consumed: every read's variables must be the vertices ``0..n-1``."""
-    vertices = tuple(range(n))
-    for index, readouts in enumerate(reads):
-        r = Readout.of(readouts)
-        if r.variables != vertices:
-            raise ValueError(f"read {index}: variables are not the vertices 0..{n - 1}")
-        yield r
-
-
 def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> np.ndarray:
     """The witnesses of every read of a sample set under one repair method,
     as one boolean ``(reads, g.n)`` array of rows (see ``score_rows``).
 
-    ``reads`` is an iterable of per-read readouts (``decompose`` results or
-    lists of ``ChainReadout`` records), consumed once in read order; each
-    must hold one chain per vertex, since the problem builders give every
-    vertex a variable, or ``ValueError`` is raised.  ``model`` is the
-    logical problem model (for minimize energy, which repairs the whole set
-    in one call).  Random weighting, max cut and partitioning give read
+    ``reads`` is a ``ReadoutSet`` or an iterable of per-read readouts
+    (``decompose`` results or lists of ``ChainReadout`` records), which
+    ``stack`` copies into one; each read must hold one chain per vertex,
+    since the problem builders give every vertex a variable, or
+    ``ValueError`` is raised.  Every method runs on the set's arrays and
+    returns one row per read.  ``model`` is the logical problem model (for
+    minimize energy).  Random weighting, max cut and partitioning give read
     ``r`` its own sub-stream of ``seed``, taken from its position, so which
     other methods run changes nothing here: the generator
     ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
-    ``STREAM_TAILORED``), built by ``streams`` as the read arrives.
+    ``STREAM_TAILORED``), built by ``streams`` as the read's turn comes.
     """
-    reads = _vertex_reads(reads, g.n)
+    rs = stack(reads, g.vertices(), f"the vertices 0..{g.n - 1}")
     if method == "majority_vote":
-        values = [majority_vote(readout) for readout in reads]
+        values = majority_vote(rs)
     elif method == "random_weighted":
-        values = [
-            random_weighted(readout, rng)
-            for readout, rng in zip(reads, streams(seed, STREAM_WEIGHTED, 0))
-        ]
+        values = random_weighted(rs, streams(seed, STREAM_WEIGHTED, 0))
     elif method == "minimize_energy":
-        values = minimize_energy(reads, model)
+        values = minimize_energy(rs, model)
     elif method == "tailored":
-        return unembed_tailored(reads, g, problem, streams(seed, STREAM_TAILORED, 0))
+        return unembed_tailored(rs, g, problem, streams(seed, STREAM_TAILORED, 0))
     else:
         raise ValueError(f"unknown repair method {method!r}")
     # 1 / +1 is the value-1 set or the plus side in either domain
-    return np.asarray(values, dtype=np.int8).reshape(len(values), g.n) == 1
+    return values == 1
 
 
 @dataclass
@@ -363,7 +356,7 @@ class GraphRun:
     graph_seed: int
     chain_strength: float
     ising: object  # logical Ising model, as embedded
-    broken_fracs: list  # per read: broken chains / chains
+    broken_fracs: np.ndarray  # per read: broken chains / chains
     witnesses: dict = field(default_factory=dict)  # method -> (reads, n) bool rows
 
 
@@ -418,13 +411,15 @@ def run_graph_pipeline(
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
     chains = chain_columns(embedding, samples.qubits)
-    reads = [decompose(spins, chains, domain=problem_model.domain) for spins in samples.spins]
-    broken_fracs = [sum(readout.broken) / len(readout) for readout in reads]
+    rs = stack(
+        (decompose(spins, chains, domain=problem_model.domain) for spins in samples.spins),
+        chains.variables,
+    )
     witnesses = {
-        name: repair(name, reads, config.problem, g, problem_model, graph_seed)
+        name: repair(name, rs, config.problem, g, problem_model, graph_seed)
         for name in methods
     }
-    return GraphRun(g, graph_seed, chain_strength, ising, broken_fracs, witnesses)
+    return GraphRun(g, graph_seed, chain_strength, ising, rs.broken.mean(axis=1), witnesses)
 
 
 def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):

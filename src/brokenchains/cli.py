@@ -15,7 +15,7 @@ import time
 from brokenchains import bench
 from brokenchains import bqm as bqmlib
 from brokenchains.bench import ExperimentConfig
-from brokenchains.bqm import ISING, convert
+from brokenchains.bqm import ISING, convert, require_real
 from brokenchains.graphs import PROBLEMS, read_edge_list, write_edge_list, erdos_renyi
 from brokenchains.sampler import (
     AnnealParams,
@@ -34,7 +34,7 @@ from brokenchains.topology import (
     embedding_to_json,
     uniform_torque_compensation,
 )
-from brokenchains.unembed import decompose
+from brokenchains.unembed import decompose, stack
 
 # bench.repair calls these; they stay bound here because perfbench/spans.py
 # wraps them by name on this module
@@ -54,7 +54,10 @@ def _topology(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("topology must be 'm,n,t'")
-    return tuple(int(p) for p in parts)
+    topology = tuple(int(p) for p in parts)
+    if min(topology) < 1:
+        raise argparse.ArgumentTypeError("topology must be three positive integers")
+    return topology
 
 
 def _chain_strength(text):
@@ -220,16 +223,13 @@ def cmd_unembed(args):
         _check_provenance(samples, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
-    broken = []  # broken chains per read, counted as repair consumes the reads
-
-    def reads():
-        for spins in samples.spins:
-            readout = decompose(spins, chains, domain=model.domain)
-            broken.append(sum(readout.broken))
-            yield readout
-
-    witnesses = bench.repair(method, reads(), args.problem, g, model, args.seed)
+    rs = stack(
+        (decompose(spins, chains, domain=model.domain) for spins in samples.spins),
+        chains.variables,
+    )
+    witnesses = bench.repair(method, rs, args.problem, g, model, args.seed)
     objectives, feasible = bench.score_rows(args.problem, g, witnesses)
+    broken = rs.broken.sum(axis=1).tolist()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")
     with open(path, "w", newline="") as fh:
@@ -346,10 +346,9 @@ def _validate_args(args):
     if command == "sample":
         if args.reads < 1 or args.sweeps < 1:
             raise ValueError("reads and sweeps must be >= 1")
-        if args.chain_strength not in (None, "utc") and args.chain_strength <= 0:
-            raise ValueError("chain_strength must be positive")
-        if args.prefactor <= 0:
-            raise ValueError("prefactor must be positive")
+        if args.chain_strength not in (None, "utc"):
+            require_real(args.chain_strength, "chain_strength", positive=True)
+        require_real(args.prefactor, "prefactor", positive=True)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     ``masks[v]`` is the neighbourhood of ``v`` as a Python-int bitmask (bit
-    ``u`` set when ``u`` and ``v`` are adjacent).  The masks are the graph's
-    one adjacency representation: the queries below, the witness checks and
-    the tailored unembeddings all read them.
+    ``u`` set when ``u`` and ``v`` are adjacent).  The queries below and the
+    witness checks read them; the tailored unembeddings build an adjacency
+    matrix from ``edges``.
     """
 
     __slots__ = ("n", "edges", "masks")

@@ -1,54 +1,32 @@
 """Resolve chained-qubit samples into logical assignments.
 
 ``decompose`` turns one row of a sample set's spin array into a
-``Readout``: the read's chains as columns (variables, values, broken flags
-and fractions of ones) in ascending variable order, through the columns
-``chain_columns`` assigns each chain.  It is the one place that decides
-whether a chain is broken.  A ``Readout`` also iterates as one
-``ChainReadout`` per chain, and ``Readout.of`` turns a list of
-``ChainReadout`` records into columns; every repair method calls it first
-and then reads the columns.  Three generic strategies work on any model
-and return values in the model's domain, in ascending variable order:
-majority vote and random weighting one list per read, minimize energy one
-``(reads, variables)`` array for a whole set in a single call.  Four
-problem-tailored algorithms use the instance graph to return a feasible
-witness:
+``Readout``, the read's chains as columns; it is the one place that decides
+whether a chain is broken.  ``stack`` copies a sample set's readouts into
+one ``ReadoutSet`` of ``(reads, chains)`` arrays, and every repair method
+runs on that set and returns one row per read: values in the model's
+domain from majority vote, random weighting and minimize energy, and a
+feasible witness from the tailored algorithms, over the graph's vertices
+``0..n-1``: True on the value-1 set of a clique or cover (QUBO readouts)
+or on the plus side of a cut or partition (Ising).  Values fixed by
+unbroken chains are never revisited.
 
-* ``unembed_max_clique`` grows the unbroken value-1 clique greedily by
-  degree, preferring chains with more 1s on ties.
-* ``unembed_max_cut`` places broken vertices, in seeded random order, on
-  the side where they have fewer already-placed neighbors.
-* ``unembed_graph_partitioning`` places them on the side with more placed
-  neighbors (fewer cut edges) under a balance cap of floor(|V|/2); once
-  one side reaches the cap the rest go to the other.
-* ``unembed_vertex_cover`` forces neighbors of unbroken zeros into the
-  cover, then drains remaining broken vertices by descending degree plus
-  fraction of ones.
-
-Only broken chains are ever resolved; values fixed by unbroken chains are
-never revisited.
-
-A witness is a vertex bitmask: the value-1 set of a clique or cover, the
-plus side of a cut or partition.  Max clique, max cut and partitioning
-work read by read on the instance graph's neighbourhood bitmasks
-(``Graph.masks``): each read's intact and broken chains become vertex
-masks, the candidate set, the sides and the cover are masks updated as
-vertices are placed, and a degree within a set is one popcount.  The
-vertex-cover drain runs for all reads of a set at once over ``(reads, n)``
-arrays (``vertex_cover_rows``), and one read is the one-row case of it.
-``unembed_tailored`` repairs a whole set and returns one boolean witness
-row per read.  This is bookkeeping only: every witness is the one the
-definitions above give.
+The greedy algorithms run all reads at once: each step takes, in every
+read, what the one-read definition takes next, so no read depends on the
+others.  A read with nothing left takes the dummy column appended past the
+last variable, coupled to nothing, so no step drops finished rows.  The
+one-read entry points (``majority_vote`` and ``random_weighted`` on one
+read's readouts, and the ``unembed_*`` functions, which return a vertex
+bitmask) are the one-row case of the set code.
 """
 
-import itertools
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Graph, is_clique, vertices_of
+from brokenchains.graphs import Graph
 from brokenchains.topology import ChainColumns
 
 
@@ -109,15 +87,27 @@ class Readout:
 
 
 @dataclass(frozen=True)
-class UnembedContext:
-    """Instance data for the tailored algorithms: graph, problem kind, and
-    the read's generator.
+class ReadoutSet:
+    """Every read of a sample set as ``(reads, chains)`` arrays: int8
+    ``values``, bool ``broken`` and float64 ``frac_ones`` as in ``Readout``,
+    row ``r`` for read ``r``.  ``len`` is the number of reads.  Repair
+    methods never write the arrays, so one set feeds every method."""
 
-    Max cut and partitioning draw their visiting order, and max cut its
-    coin for an even chain, from ``rng``; one context serves one read, as
-    its draws advance the generator.  Max clique and vertex cover draw
-    nothing, and ``rng`` may be ``None`` for them.
-    """
+    variables: tuple
+    values: np.ndarray
+    broken: np.ndarray
+    frac_ones: np.ndarray
+    domain: str
+
+    def __len__(self):
+        return len(self.values)
+
+
+@dataclass(frozen=True)
+class UnembedContext:
+    """Graph, problem and the read's generator for a one-read tailored
+    entry point; one context serves one read, as max cut and partitioning
+    advance ``rng``.  ``rng`` may be ``None`` for clique and cover."""
 
     graph: Graph
     problem: str
@@ -144,71 +134,102 @@ def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
     )
 
 
-def majority_vote(readouts) -> list:
-    """Per chain, the most common value; exact ties go to 1 / +1.
-
-    One value per chain, in ascending variable order.
-    """
-    r = Readout.of(readouts)
-    zero = 0 if r.domain == QUBO else -1
-    return [1 if f >= 0.5 else zero for f in r.frac_ones]
-
-
-def random_weighted(readouts, rng: np.random.Generator) -> list:
-    """Broken chains draw 1 / +1 with probability equal to their fraction of ones.
-
-    Unbroken chains keep their value; one value per chain, in ascending
-    variable order.  One uniform is drawn from ``rng`` per broken chain in
-    ascending variable order, so the result is a pure function of the
-    generator's state; the k uniforms of a read come from one
-    ``rng.random(k)`` call, which gives the values of k calls for one
-    uniform each.
-    """
-    r = Readout.of(readouts)
-    zero = 0 if r.domain == QUBO else -1
-    draws = iter(rng.random(sum(r.broken)).tolist())
-    return [
-        (1 if next(draws) < f else zero) if b else x
-        for x, b, f in zip(r.values, r.broken, r.frac_ones)
-    ]
-
-
-def _stack(reads, variables: tuple, domain=None):
-    """The ``values``, ``broken`` and ``frac_ones`` columns of every read
-    as ``(reads, len(variables))`` float64, bool and float64 arrays.
-
-    ``reads`` is consumed once, and each read's columns are copied into
-    flat buffers as it passes, so no read's lists outlive it.
-    ``ValueError`` unless every read covers exactly ``variables``, or, when
-    ``domain`` is given, when a read with chains is in another domain.
-    """
-    values, broken, frac = array("d"), array("b"), array("d")
-    count = 0
-    for readouts in reads:
+def stack(reads, variables, what: str = "the model variables") -> ReadoutSet:
+    """``reads``, per-read readouts (``Readout``s or lists of
+    ``ChainReadout``s) consumed once, copied as they pass into one
+    ``ReadoutSet`` over ``variables`` in read 0's domain.  ``ValueError``
+    naming the read when its variables are not ``variables`` (``what`` in
+    the message), or it has chains in another domain.  A ``ReadoutSet`` is
+    returned unchanged once its variables are checked."""
+    variables = tuple(variables)
+    if isinstance(reads, ReadoutSet):
+        if reads.variables != variables:
+            raise ValueError(f"variables are not {what}")
+        return reads
+    values, broken, frac = array("b"), array("b"), array("d")
+    domain, count = None, 0
+    for index, readouts in enumerate(reads):
         r = Readout.of(readouts)
         if r.variables != variables:
-            raise ValueError("readouts must cover exactly the model variables")
-        if domain is not None and variables and r.domain != domain:
-            raise ValueError(f"readouts must be in the {domain} domain, not {r.domain}")
-        values.extend(r.values)
-        broken.extend(r.broken)
-        frac.extend(r.frac_ones)
-        count += 1
+            raise ValueError(f"read {index}: variables are not {what}")
+        if index == 0:
+            domain = r.domain
+        elif variables and r.domain != domain:
+            raise ValueError(f"read {index}: domain {r.domain} is not read 0's {domain}")
+        values.fromlist(r.values)
+        broken.fromlist(r.broken)
+        frac.fromlist(r.frac_ones)
+        count = index + 1
     shape = (count, len(variables))
-    return (
-        np.frombuffer(values, np.float64).reshape(shape),
+    return ReadoutSet(
+        variables,
+        np.frombuffer(values, np.int8).reshape(shape),
         np.frombuffer(broken, np.bool_).reshape(shape),
         np.frombuffer(frac, np.float64).reshape(shape),
+        domain,
     )
 
 
-def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
-    """Greedy chain repair by largest energy swing first, for every read of a set.
+def _one_read(readouts) -> ReadoutSet:
+    r = Readout.of(readouts)
+    return stack([r], r.variables)
 
-    ``reads`` is an iterable of per-read readouts (a ``Readout`` or a list
-    of ``ChainReadout`` records), consumed once; the result is an int8
-    ``(reads, variables)`` array of values, row ``r`` for read ``r`` and
-    columns in ascending variable order.
+
+def majority_vote(reads):
+    """Per chain, the most common value; exact ties go to 1 / +1.
+
+    A ``ReadoutSet`` gives one int8 row of values per read, in ascending
+    variable order; one read's readouts give that row as a list.
+    """
+    if not isinstance(reads, ReadoutSet):
+        return majority_vote(_one_read(reads))[0].tolist()
+    return np.where(reads.frac_ones >= 0.5, 1, 0 if reads.domain == QUBO else -1).astype(np.int8)
+
+
+def random_weighted(reads, rngs):
+    """Broken chains draw 1 / +1 with probability equal to their fraction of
+    ones; unbroken chains keep their value.
+
+    A ``ReadoutSet`` gives one int8 row per read, ``rngs`` yielding read
+    ``r``'s generator in read order; one read's readouts give that row as a
+    list, ``rngs`` being the read's generator.  Read ``r`` draws one uniform
+    per broken chain in ascending variable order, in one ``rng.random``
+    call (the values of one call per chain), so its row is a pure function
+    of its generator's state.
+    """
+    if not isinstance(reads, ReadoutSet):
+        return random_weighted(_one_read(reads), [rngs])[0].tolist()
+    broken = reads.broken
+    counts = broken.sum(axis=1)
+    ends = np.cumsum(counts)
+    draws = np.empty(counts.sum())
+    for start, end, rng in zip((ends - counts).tolist(), ends.tolist(), rngs):
+        rng.random(out=draws[start:end])
+    out = reads.values.copy()
+    # a boolean mask visits cells row by row, so read r's draws fill its
+    # broken chains in ascending variable order
+    out[broken] = np.where(draws < reads.frac_ones[broken], 1, 0 if reads.domain == QUBO else -1)
+    return out
+
+
+def _with_dummy(columns: np.ndarray, fill) -> np.ndarray:
+    """``columns`` with the dummy column, set to ``fill``, appended."""
+    return np.concatenate([columns, np.full((len(columns), 1), fill, columns.dtype)], axis=1)
+
+
+def _key_mask(active: np.ndarray) -> np.ndarray:
+    """Added to keys >= 0, a row's argmax is its best active cell, or the
+    dummy when none is left: 0 on ``active`` cells, -inf elsewhere, -1 on
+    the dummy.  Each pick sets its cell to -inf and the dummy back to -1."""
+    return _with_dummy(np.where(active, 0.0, -np.inf), -1.0)
+
+
+def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
+    """Greedy chain repair by largest energy swing first, row by row.
+
+    ``reads`` is a ``ReadoutSet`` or an iterable of per-read readouts over
+    the model's variables; the result is an int8 ``(reads, variables)``
+    array of values.
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -216,239 +237,245 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
     v0 - min(v_i(low), v_i(high)).  Chains are fixed in decreasing priority
     (ties to the lowest variable id), taking the low value (0 / -1) when
     v_i(low) <= v_i(high), and all remaining priorities are recomputed over
-    the enlarged determined set after every fix.
-
-    All reads run together over ``(reads, variables)`` arrays.  Each
-    chain's coupling to the determined set receives its additions in the
-    order a read-by-read greedy makes them (quadratic terms in model order,
-    then one per fix), so read ``r``'s result does not depend on which
-    other reads share the call.
+    the enlarged determined set after every fix.  Each chain's coupling
+    receives its additions in the order a one-read greedy makes them
+    (quadratic terms in model order, then one per fix).
     """
     variables = tuple(sorted(logical_model.linear))
-    value, undecided, _ = _stack(reads, variables)
-    shape = value.shape
-
-    # coupling of each undecided chain to the determined set, summed term by
-    # term in model order; an undecided neighbour adds a signed zero
+    rs = stack(reads, variables)
+    m = len(variables)
     position = {v: i for i, v in enumerate(variables)}
-    fixed = np.where(undecided, 0.0, value)
-    coupling = np.repeat(
-        np.array([logical_model.linear[v] for v in variables])[None, :], shape[0], axis=0
-    )
-    j_dense = np.zeros((shape[1], shape[1]))
-    for (u, v), c in logical_model.quadratic.items():
-        i, j = position[u], position[v]
-        j_dense[i, j] = j_dense[j, i] = c
-        coupling[:, i] += c * fixed[:, j]
-        coupling[:, j] += c * fixed[:, i]
+    terms = logical_model.quadratic
+    u = np.array([position[a] for a, _ in terms], dtype=np.intp)
+    v = np.array([position[b] for _, b in terms], dtype=np.intp)
+    c = np.fromiter(terms.values(), np.float64, len(terms))
+    # term (u, v, c) adds c * fixed[v] to column u and c * fixed[u] to
+    # column v; an undecided neighbour adds a signed zero.  Round k adds
+    # every column's k-th term at once, keeping each column's order.
+    target, source, coef = np.stack([u, v], 1).ravel(), np.stack([v, u], 1).ravel(), c.repeat(2)
+    order = np.argsort(target, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(target[order], target[order])
+    fixed = np.where(rs.broken, 0.0, rs.values)
+    coupling = np.tile([logical_model.linear[v] for v in variables] + [0.0], (len(rs), 1))
+    for k in range(int(rank.max(initial=-1)) + 1):
+        now = rank == k
+        coupling[:, target[now]] += coef[now] * fixed[:, source[now]]
+    j_dense = np.zeros((m + 1, m + 1))  # the dummy's row is zero
+    j_dense[u, v] = j_dense[v, u] = c
 
     ising = logical_model.domain == ISING
     low = -1 if ising else 0
-    rows = np.flatnonzero(undecided.any(axis=1))
-    while rows.size:
-        c_rows = coupling[rows]
+    value, mask = _with_dummy(rs.values, 0), _key_mask(rs.broken)
+    every = np.arange(len(rs))
+    for _ in range(int(rs.broken.sum(axis=1).max(initial=0))):
         # v0 - min over the two completions of the partial model value
-        priority = np.abs(c_rows) if ising else np.maximum(0.0, -c_rows)
-        priority[~undecided[rows]] = -1.0
-        best = priority.argmax(axis=1)  # first maximum: the lowest variable id
+        priority = np.abs(coupling) if ising else np.maximum(0.0, -coupling)
+        best = (priority + mask).argmax(axis=1)  # first maximum: the lowest variable id
         # v_low <= v_high reduces to c >= 0 in both domains
-        chosen = np.where(c_rows[np.arange(rows.size), best] >= 0, low, 1)
-        value[rows, best] = chosen
-        undecided[rows, best] = False
+        chosen = np.where(coupling[every, best] >= 0, low, 1)
+        value[every, best] = chosen
+        mask[every, best] = -np.inf
+        mask[:, m] = -1.0
         # fixing a chain only shifts the coupling of its neighbours, which is
         # exactly the recomputation the full-model definition prescribes
-        coupling[rows] += j_dense[best] * chosen[:, None]
-        rows = rows[undecided[rows].any(axis=1)]
-    return value.astype(np.int8)
+        coupling += j_dense[best] * chosen[:, None]
+    return value[:, :m]
 
 
-def _split(readouts, ctx: UnembedContext, domain: str, algorithm: str):
-    """One read as bitmasks over ``ctx.graph``: its intact chains of value 1,
-    its other intact chains and its broken chains, plus each variable's
-    fraction of ones.  ``ValueError`` on another domain or a variable that
-    is not a vertex."""
-    r = Readout.of(readouts)
-    if r.variables and r.domain != domain:
+def _vertex_set(reads, graph: Graph, domain: str, algorithm: str) -> ReadoutSet:
+    rs = stack(reads, graph.vertices(), f"the vertices 0..{graph.n - 1}")
+    if rs.variables and rs.domain != domain:
         raise ValueError(f"{algorithm} expects {domain} readouts")
-    high, low, broken = [], [], []
-    for v, x, b in zip(r.variables, r.values, r.broken):
-        if b:
-            broken.append(v)
-        elif x == 1:
-            high.append(v)
-        else:
-            low.append(v)
-    g = ctx.graph
-    frac = dict(zip(r.variables, r.frac_ones))
-    return g.mask_of(high), g.mask_of(low), g.mask_of(broken), frac
+    return rs
 
 
-def unembed_max_clique(readouts, ctx: UnembedContext) -> int:
-    """Greedy clique growth from the unbroken value-1 core; the clique's
-    vertex bitmask.
+def _adjacency(graph: Graph) -> np.ndarray:
+    """The float64 adjacency matrix of ``graph`` plus the isolated dummy ``n``."""
+    a = np.zeros((graph.n + 1, graph.n + 1))
+    edges = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
+    return a
 
-    If the unbroken 1-set is not a clique the empty clique (0) is returned.
+
+def max_clique_rows(reads, graph: Graph) -> np.ndarray:
+    """Greedy clique growth from the unbroken value-1 core, row by row.
+
+    A read whose unbroken 1-set is not a clique gets the empty row.
     Otherwise broken vertices adjacent to the whole current clique are
     candidates; the highest degree within the candidate set wins, then the
-    highest fraction of ones, then the lowest id.
-
-    The candidates are one bitmask: the broken vertices ANDed with the
-    neighbourhood mask of every core vertex, then with that of each pick,
-    so a candidate's degree is one popcount.
+    highest fraction of ones, then the lowest id.  With ``k`` core vertices,
+    ``core @ A`` counts each vertex's core neighbours: the core is a clique
+    when each member has ``k - 1``, and the candidates are the broken
+    vertices with ``k``.
     """
-    clique, _, broken, frac = _split(readouts, ctx, QUBO, "unembed_max_clique")
-    g = ctx.graph
-    core = vertices_of(clique)
-    if not is_clique(g, core):
-        return 0
-    candidates = broken
-    for u in core:
-        candidates &= g.masks[u]
-    while candidates:
-        pick = max(
-            vertices_of(candidates),
-            key=lambda x: ((g.masks[x] & candidates).bit_count(), frac[x], -x),
-        )
-        clique |= 1 << pick
-        candidates &= g.masks[pick]
-    return clique
+    rs = _vertex_set(reads, graph, QUBO, "unembed_max_clique")
+    a = _adjacency(graph)
+    core = _with_dummy(~rs.broken & (rs.values == 1), False)
+    size = core.sum(axis=1, keepdims=True)
+    core_neighbours = core @ a
+    is_clique = ~(core & (core_neighbours != size - 1)).any(axis=1, keepdims=True)
+    clique = core & is_clique
+    candidates = _with_dummy(rs.broken, False) & (core_neighbours == size) & is_clique
+    frac = _with_dummy(rs.frac_ones, -0.5)  # the dummy: above a non-candidate
+    every = np.arange(len(rs))
+    while candidates.any():
+        degree = np.where(candidates, candidates @ a, -1.0)
+        top = candidates & (degree == degree.max(axis=1, keepdims=True))
+        top[:, graph.n] = True
+        pick = np.where(top, frac, -1.0).argmax(axis=1)  # first maximum: lowest id
+        clique[every, pick] = True
+        candidates &= a[pick] > 0
+    return clique[:, : graph.n]
 
 
-def _majority_side(frac_ones: float):
-    """-1, +1, or None when the chain holds both values equally often."""
-    if frac_ones > 0.5:
-        return 1
-    if frac_ones < 0.5:
-        return -1
-    return None
+def _placement(rs: ReadoutSet, graph: Graph, rngs):
+    """Sides (+1 / -1 for intact chains, 0 to place), each read's visiting
+    order ``rng.permutation(broken vertices)`` padded with the dummy, and
+    the generators as a list."""
+    rows, vertices = np.nonzero(rs.broken)
+    counts = rs.broken.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    generators = []
+    for start, end, rng in zip(starts.tolist(), (starts + counts).tolist(), rngs):
+        rng.shuffle(vertices[start:end])  # what permutation draws for a 1-d array
+        generators.append(rng)
+    order = np.full((len(rs), counts.max(initial=0)), graph.n)
+    order[rows, np.arange(len(rows)) - starts.repeat(counts)] = vertices
+    side = _with_dummy(np.where(rs.broken, 0.0, rs.values), 0.0)
+    return side, order, generators
 
 
-def unembed_max_cut(readouts, ctx: UnembedContext) -> int:
-    """Place broken vertices on the side holding fewer placed neighbors;
-    the plus side's vertex bitmask.
+def max_cut_rows(reads, graph: Graph, rngs) -> np.ndarray:
+    """Place broken vertices on the side holding fewer placed neighbors.
 
-    Broken vertices are visited in seeded random order; degree ties follow
-    the chain's majority value, and an even chain falls to a seeded coin.
-    Each side is a bitmask of its placed vertices, so a vertex's placed
-    neighbours on a side are one popcount.
+    ``rngs`` yields read ``r``'s generator in read order; its broken
+    vertices are visited in the generator's random order, degree ties follow
+    the chain's majority value, and an even chain falls to a coin
+    ``rng.random() < 0.5``, drawn only when needed.  Step t places every
+    read's t-th vertex ``x``: ``(A[x] * side).sum(1)`` is its placed plus
+    neighbours less its placed minus ones.
     """
-    plus, minus, broken, frac = _split(readouts, ctx, ISING, "unembed_max_cut")
-    masks = ctx.graph.masks
-    rng = ctx.rng
-    for x in rng.permutation(vertices_of(broken)).tolist():
-        deg_minus = (masks[x] & minus).bit_count()
-        deg_plus = (masks[x] & plus).bit_count()
-        if deg_minus != deg_plus:
-            side = -1 if deg_minus < deg_plus else 1
-        else:
-            side = _majority_side(frac[x])
-            if side is None:
-                side = 1 if rng.random() < 0.5 else -1
-        if side == -1:
-            minus |= 1 << x
-        else:
-            plus |= 1 << x
-    return plus
+    rs = _vertex_set(reads, graph, ISING, "unembed_max_cut")
+    side, order, rngs = _placement(rs, graph, rngs)
+    a = _adjacency(graph)
+    majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)  # the dummy is never even
+    every = np.arange(len(rs))
+    for x in order.T:
+        choice = -np.sign((a[x] * side).sum(axis=1))
+        choice = np.where(choice != 0, choice, majority[every, x])
+        for r in np.flatnonzero(choice == 0).tolist():
+            choice[r] = 1 if rngs[r].random() < 0.5 else -1
+        side[every, x] = choice
+    return side[:, : graph.n] == 1
 
 
-def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> int:
-    """Balanced variant of the cut placement; the plus side's vertex bitmask.
+def partitioning_rows(reads, graph: Graph, rngs) -> np.ndarray:
+    """Balanced variant of the cut placement; the generators draw only the
+    visiting order.
 
-    Each broken vertex, visited in seeded random order, goes to the side
-    that minimizes its cut contribution, i.e. the side already holding more
-    of its placed neighbors.  Placement stops as soon as one side has
-    reached floor(|V|/2) vertices; every still-unplaced broken vertex then
-    goes to the smaller side.  Full ties during placement prefer the
-    smaller side (minus side when equal).  The partition can still be
+    Each broken vertex goes to the side already holding more of its placed
+    neighbors (the smaller cut); full ties follow the majority value, then
+    the smaller side (minus side when equal).  A read stops placing as soon
+    as one of its sides holds floor(|V|/2) vertices, and its still-unplaced
+    broken vertices go to its smaller side.  The partition can still be
     unbalanced when the intact chains already are; the scorers say so.
-
-    Sides are bitmasks as in ``unembed_max_cut``, and their sizes are two
-    counters that each placement increments.
     """
-    plus, minus, broken, frac = _split(readouts, ctx, ISING, "unembed_graph_partitioning")
-    masks = ctx.graph.masks
-    cap = ctx.graph.n // 2
-    n_minus, n_plus = minus.bit_count(), plus.bit_count()
-    rng = ctx.rng
-    order = rng.permutation(vertices_of(broken)).tolist()
-    placed = 0
-    while placed < len(order) and n_minus < cap and n_plus < cap:
-        x = order[placed]
-        placed += 1
-        deg_minus = (masks[x] & minus).bit_count()
-        deg_plus = (masks[x] & plus).bit_count()
-        if deg_minus != deg_plus:
-            side = -1 if deg_minus > deg_plus else 1
-        else:
-            side = _majority_side(frac[x])
-            if side is None:
-                side = -1 if n_minus <= n_plus else 1
-        if side == -1:
-            minus |= 1 << x
-            n_minus += 1
-        else:
-            plus |= 1 << x
-            n_plus += 1
-    rest = sum(1 << x for x in order[placed:])
-    if n_minus <= n_plus:
-        minus |= rest
-    else:
-        plus |= rest
-    return plus
+    rs = _vertex_set(reads, graph, ISING, "unembed_graph_partitioning")
+    side, order, _ = _placement(rs, graph, rngs)
+    a = _adjacency(graph)
+    n, cap = graph.n, graph.n // 2
+    majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)
+    n_minus, n_plus = (side == -1).sum(axis=1), (side == 1).sum(axis=1)
+    every = np.arange(len(rs))
+    for x in order.T:
+        placing = (n_minus < cap) & (n_plus < cap) & (x < n)
+        choice = np.sign((a[x] * side).sum(axis=1))
+        choice = np.where(choice != 0, choice, majority[every, x])
+        choice = np.where(choice != 0, choice, np.where(n_minus <= n_plus, -1.0, 1.0))
+        side[every, np.where(placing, x, n)] = choice
+        n_minus += placing & (choice == -1)
+        n_plus += placing & (choice == 1)
+    smaller = np.where(n_minus <= n_plus, -1.0, 1.0)[:, None]
+    return np.where(side[:, :n] == 0, smaller, side[:, :n]) == 1
 
 
 def vertex_cover_rows(reads, graph: Graph) -> np.ndarray:
-    """Cover completion from the unbroken core, for every read of a set:
-    one boolean ``(reads, n)`` row per read, True on the cover.
+    """Cover completion from the unbroken core, row by row.
 
-    Every read must cover exactly the vertices ``0..n-1`` in the QUBO
-    domain.  An edge between two unbroken zeros is uncoverable without
-    revisiting fixed values, so such a read gets the trivial all-vertices
-    cover.  Broken neighbors of zeros are forced into the cover; the rest
-    drain by descending degree-within-remaining plus fraction of ones
-    (ties to the lowest id), joining the cover exactly when they touch a
-    zero.
-
-    All reads drain together, as ``minimize_energy``'s greedy does: each
-    step takes, in every read with vertices left, the first argmax of its
-    drain keys, and subtracts that vertex's adjacency row from the read's
-    degrees and, when it became a zero, adds it to its zero-neighbour
-    counts.  Degrees are whole numbers in float64, so each key is the
-    float sum the one-read definition gives, and no read's step depends on
-    another's.
+    An edge between two unbroken zeros is uncoverable without revisiting
+    fixed values, so such a read gets the trivial all-vertices cover.
+    Broken neighbors of zeros are forced into the cover; the rest drain by
+    descending degree-within-remaining plus fraction of ones (ties to the
+    lowest id), joining the cover exactly when they touch a zero.  Degrees
+    are whole numbers in float64, so each key is the float sum the one-read
+    definition gives.
     """
-    value, broken, frac = _stack(reads, tuple(graph.vertices()), QUBO)
-    adjacency = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        adjacency[u, v] = adjacency[v, u] = 1.0
-    zero = ~broken & (value != 1)
-    cover = ~broken & (value == 1)
-    zero_neighbours = zero @ adjacency
+    rs = _vertex_set(reads, graph, QUBO, "unembed_vertex_cover")
+    a = _adjacency(graph)
+    broken = _with_dummy(rs.broken, False)
+    zero = ~broken & _with_dummy(rs.values != 1, False)
+    cover = ~broken & _with_dummy(rs.values == 1, False)
+    zero_neighbours = zero @ a
     touches_zero = zero_neighbours > 0
     uncoverable = (zero & touches_zero).any(axis=1)
     cover |= broken & touches_zero
     remaining = broken & ~touches_zero & ~uncoverable[:, None]
-    degree = remaining @ adjacency
-    rows = np.flatnonzero(remaining.any(axis=1))
-    while rows.size:
-        key = degree[rows] + frac[rows]
-        key[~remaining[rows]] = -1.0
-        drained = key.argmax(axis=1)  # first maximum: the lowest id
-        remaining[rows, drained] = False
-        degree[rows] -= adjacency[drained]
-        joins = zero_neighbours[rows, drained] > 0
-        cover[rows[joins], drained[joins]] = True
-        zero_neighbours[rows[~joins]] += adjacency[drained[~joins]]
-        rows = rows[remaining[rows].any(axis=1)]
+    degree = remaining @ a
+    frac = _with_dummy(rs.frac_ones, 0.0)
+    mask = _key_mask(remaining[:, : graph.n])
+    every = np.arange(len(rs))
+    for _ in range(int(remaining.sum(axis=1).max(initial=0))):
+        drained = (degree + frac + mask).argmax(axis=1)  # first maximum: the lowest id
+        mask[every, drained] = -np.inf
+        mask[:, graph.n] = -1.0
+        neighbours = a[drained]
+        degree -= neighbours
+        joins = zero_neighbours[every, drained] > 0
+        cover[every, drained] |= joins
+        zero_neighbours += neighbours * ~joins[:, None]
     cover[uncoverable] = True
-    return cover
+    return cover[:, : graph.n]
+
+
+def unembed_tailored(reads, graph: Graph, problem: str, rngs) -> np.ndarray:
+    """One boolean ``(reads, n)`` witness row per read from the tailored
+    algorithm of ``problem``.  ``rngs`` yields read ``r``'s generator in read
+    order; only max cut and partitioning draw, so only they take one."""
+    if problem == "max_clique":
+        return max_clique_rows(reads, graph)
+    if problem == "min_vertex_cover":
+        return vertex_cover_rows(reads, graph)
+    if problem == "max_cut":
+        return max_cut_rows(reads, graph, rngs)
+    if problem == "graph_partitioning":
+        return partitioning_rows(reads, graph, rngs)
+    raise ValueError(f"no tailored algorithm for problem {problem!r}")
+
+
+def _one_mask(readouts, ctx: UnembedContext, problem: str) -> int:
+    (row,) = unembed_tailored(_one_read(readouts), ctx.graph, problem, [ctx.rng])
+    return ctx.graph.mask_of(np.flatnonzero(row).tolist())
+
+
+def unembed_max_clique(readouts, ctx: UnembedContext) -> int:
+    """One read's clique as a vertex bitmask: ``max_clique_rows`` of one row."""
+    return _one_mask(readouts, ctx, "max_clique")
+
+
+def unembed_max_cut(readouts, ctx: UnembedContext) -> int:
+    """One read's plus side as a vertex bitmask: ``max_cut_rows`` of one row."""
+    return _one_mask(readouts, ctx, "max_cut")
+
+
+def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> int:
+    """One read's plus side as a vertex bitmask: ``partitioning_rows`` of one row."""
+    return _one_mask(readouts, ctx, "graph_partitioning")
 
 
 def unembed_vertex_cover(readouts, ctx: UnembedContext) -> int:
-    """The cover of one read, as a vertex bitmask: the one-read case of
-    ``vertex_cover_rows``."""
-    (row,) = vertex_cover_rows([readouts], ctx.graph)
-    return ctx.graph.mask_of(np.flatnonzero(row).tolist())
+    """One read's cover as a vertex bitmask: ``vertex_cover_rows`` of one row."""
+    return _one_mask(readouts, ctx, "min_vertex_cover")
 
 
 TAILORED = {
@@ -457,33 +484,3 @@ TAILORED = {
     "graph_partitioning": unembed_graph_partitioning,
     "min_vertex_cover": unembed_vertex_cover,
 }
-
-
-def witness_rows(masks, n: int) -> np.ndarray:
-    """Vertex bitmasks as one boolean ``(len(masks), n)`` array: entry
-    ``[r, v]`` is bit ``v`` of ``masks[r]``, unpacked in one step."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(
-        packed.reshape(len(masks), width), axis=1, count=n, bitorder="little"
-    ).view(bool)
-
-
-def unembed_tailored(reads, graph: Graph, problem: str, rngs) -> np.ndarray:
-    """The tailored algorithm of ``problem`` for every read of a set: one
-    boolean witness row per read, as ``witness_rows`` lays out masks.
-
-    ``reads`` is consumed once.  ``rngs`` yields read ``r``'s generator in
-    read order; only max cut and partitioning draw, so only they take one.
-    The vertex cover runs as one ``vertex_cover_rows`` call.
-    """
-    try:
-        algorithm = TAILORED[problem]
-    except KeyError:
-        raise ValueError(f"no tailored algorithm for problem {problem!r}")
-    if problem == "min_vertex_cover":
-        return vertex_cover_rows(reads, graph)
-    if problem == "max_clique":
-        rngs = itertools.repeat(None)
-    masks = [algorithm(r, UnembedContext(graph, problem, rng)) for r, rng in zip(reads, rngs)]
-    return witness_rows(masks, graph.n)

@@ -211,6 +211,7 @@ class TestConfigValidation:
             ("beta_range", (0.1,), "beta_range must be two real numbers, not (0.1,)"),
             ("beta_range", 5, "beta_range must be two real numbers, not 5"),
             ("beta_range", (0.1, "x"), "beta_range entry must be a real number, not 'x'"),
+            ("p_break", 0.3, "p_break 0.3 needs source 'inject', not 'anneal'"),
         ],
     )
     def test_non_numbers_name_field_and_value(self, field, value, message):

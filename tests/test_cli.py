@@ -81,8 +81,12 @@ class TestSampleValidation:
         ("--reads", "0"),
         ("--sweeps", "0"),
         ("--chain-strength", "-1"),
+        ("--chain-strength", "nan"),
+        ("--chain-strength", "inf"),
         ("--topology", "4,3,4"),
         ("--prefactor", "0"),
+        ("--prefactor", "nan"),
+        ("--prefactor", "inf"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, flag, value):
         assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
@@ -105,6 +109,19 @@ class TestSampleValidation:
         assert rc == 2
         assert "embeds at most 9" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--k", "3", "--topology", "0,0,4"],
+    ["sample", "--graph", "g.txt", "--problem", "max_cut", "--topology", "3,3,-4"],
+    ["fig3", "--problem", "max_cut", "--topology", "2,0,2"],
+])
+def test_nonpositive_topology_rejected_when_parsed(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "topology must be three positive integers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestUnembedRejectsMismatchedArtifacts:
@@ -376,6 +393,16 @@ class TestExperimentCommands:
         ] + grid)
         assert rc == 2
         assert "prefactor must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_p_break_without_inject_exit_2(self, tmp_path, capsys):
+        rc = main([
+            "fig3", "--problem", "max_cut", "--n", "6", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--p-break", "0.3", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "p_break 0.3 needs source 'inject', not 'anneal'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path, capsys):

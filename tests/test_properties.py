@@ -39,6 +39,14 @@
   reference read by read, and each read alone, on sets of 1-8 reads that
   mix uncoverable reads, reads with no broken chain, reads with every
   chain broken and mixed ones;
+* every tailored algorithm, run on a whole set, equals its set reference
+  read by read, on sets that mix intact reads, all-broken reads, reads
+  whose chains all tie at exactly one half, reads whose intact chains all
+  hold 1 / +1 (partitioning meets its cap) and reads whose core is not a
+  clique, and the first k reads of a set give its first k rows;
+* majority vote, random weighting and minimize energy on a ``stack``ed set
+  equal, row by row, the per-read references (read ``r``'s per-chain draws
+  from its own generator, the term-by-term dict walk), also on a prefix;
 * ``bench.repair``'s boolean rows, for every method, equal after
   conversion the witnesses of the per-read path it replaced (kept here as
   ``reference_repair``: one dict per read through ``witness_from_values``,
@@ -126,6 +134,8 @@ from brokenchains.unembed import (
     majority_vote,
     minimize_energy,
     random_weighted,
+    stack,
+    unembed_tailored,
     vertex_cover_rows,
 )
 from conftest import members, sample_set, sides, spin_glass, spins_of
@@ -708,6 +718,58 @@ def test_vertex_cover_rows_match_reference_read_by_read(g, kinds, readout_seed):
     event(f"{len(set(kinds))} kinds of read in one set")
 
 
+READ_KINDS = ("intact", "broken", "even", "mixed", "capped", "non-clique")
+
+
+def set_read(rng, g, domain, kind):
+    """One read over ``g``'s vertices: ``intact`` breaks no chain, ``broken``
+    every chain, ``even`` every chain at exactly half ones (a tie on every
+    majority), ``mixed`` some; ``capped`` holds every intact chain at 1 / +1,
+    so that partitioning meets its cap early, and ``non-clique`` is mixed
+    with both ends of a non-edge held at intact ones."""
+    low = 0 if domain == QUBO else -1
+    if kind in ("broken", "even"):
+        lengths = rng.choice((2, 4), size=g.n).tolist()
+        return [
+            ChainReadout(v, int(rng.choice((low, 1))), domain, True,
+                         0.5 if kind == "even" else int(rng.integers(1, length)) / length)
+            for v, length in enumerate(lengths)
+        ]
+    p_break = 0.0 if kind == "intact" else rng.random()
+    readouts = random_readouts(rng, g.n, domain, p_break, 1.0 if kind == "capped" else rng.random())
+    non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    if kind == "non-clique" and non_edges:
+        for v in non_edges[int(rng.integers(len(non_edges)))]:
+            readouts[v] = ChainReadout(v, 1, domain, False, 1.0)
+    return readouts
+
+
+def read_streams(seed):
+    """Read ``r``'s generator ``rng_from(seed, r)``, in read order."""
+    return (rng_from(seed, r) for r in itertools.count())
+
+
+@PROPERTY
+@given(st.sampled_from(PROBLEMS), graphs(),
+       st.lists(st.sampled_from(READ_KINDS), min_size=1, max_size=8), seeds, seeds, st.data())
+def test_tailored_rows_match_reference_read_by_read(problem, g, kinds, readout_seed, seed, data):
+    domain = QUBO if problem in ("max_clique", "min_vertex_cover") else ISING
+    rng = np.random.default_rng(readout_seed)
+    reads = [set_read(rng, g, domain, kind) for kind in kinds]
+    rows = unembed_tailored(reads, g, problem, read_streams(seed))
+    assert rows.shape == (len(reads), g.n) and rows.dtype == bool
+    for r, (readouts, row) in enumerate(zip(reads, rows)):
+        ctx = UnembedContext(g, problem, rng_from(seed, r))
+        assert witness_of(problem, row, g) == REFERENCE_TAILORED[problem](readouts, ctx)
+    # the first k reads of a set give its first k rows, as a set or as reads
+    k = data.draw(st.integers(1, len(reads)))
+    rs = stack(reads, g.vertices())
+    assert np.array_equal(unembed_tailored(rs, g, problem, read_streams(seed)), rows)
+    head = unembed_tailored(stack(reads[:k], g.vertices()), g, problem, read_streams(seed))
+    assert np.array_equal(head, rows[:k])
+    event(f"{problem}, {len(set(kinds))} kinds of read in one set")
+
+
 def reference_repair(method, reads, problem, g, model, seed):
     """The witnesses the per-read path gave: one ``{variable: value}`` dict
     per read turned into a vertex set or ``Bipartition`` by
@@ -893,6 +955,36 @@ def test_minimize_energy_matches_per_read_reference(case, data):
     assert minimize_energy(reads[:k], model).tolist() == expected[:k]
     r = data.draw(st.integers(0, len(reads) - 1))
     assert minimize_energy([reads[r]], model).tolist() == [expected[r]]
+
+
+@PROPERTY
+@given(readout_sets(), seeds, st.data())
+def test_generic_methods_on_a_set_match_per_read_references(case, seed, data):
+    model, reads = case
+    variables = sorted(model.linear)
+    low = 0 if model.domain == QUBO else -1
+    rs, k = stack(reads, variables), data.draw(st.integers(1, len(reads)))
+    head = stack(reads[:k], variables)
+    want = {
+        "majority": [[1 if c.frac_ones >= 0.5 else low for c in readouts] for readouts in reads],
+        "random": [
+            [values[v] for v in variables]
+            for values in (reference_random_weighted(readouts, rng_from(seed, r))
+                           for r, readouts in enumerate(reads))
+        ],
+        "minenergy": [
+            [values[v] for v in variables]
+            for values in (reference_minimize_energy(readouts, model) for readouts in reads)
+        ],
+    }
+    for subset, rows in ((rs, len(reads)), (head, k)):
+        got = {
+            "majority": majority_vote(subset),
+            "random": random_weighted(subset, read_streams(seed)),
+            "minenergy": minimize_energy(subset, model),
+        }
+        for name, values in got.items():
+            assert values.dtype == np.int8 and values.tolist() == want[name][:rows], name
 
 
 # multiples of 1/8 up to 8: products and sums of a few stay exact in binary
