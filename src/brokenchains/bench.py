@@ -17,9 +17,10 @@ them, decomposes every read once, stacks the reads into one
 ``ReadoutSet`` and records each read's broken-chain fraction and, for
 each method the experiment scores, the witnesses of all reads; ``repair``
 is the one place a method name turns into a repair call, once per sample
-set, and every method runs on that one set.  A method's witnesses are one boolean ``(reads, n)``
-array, row ``r`` for read ``r`` and column ``v`` for vertex ``v``, and
-``score_rows`` scores a whole array at once over the graph's edge arrays.
+set, and every method runs on that one set.  A method's witnesses are one
+boolean ``(reads, n)`` array, row ``r`` for read ``r`` and column ``v``
+for vertex ``v``, and ``score_rows`` scores a whole array at once over the
+graph's edge arrays.
 ``_row`` fills the cells every row shares; the report adds the scores,
 computed from those witnesses at emission time.  A fixed seed makes the
 emitted CSV byte-identical across runs.
@@ -331,7 +332,7 @@ def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> np.n
     ``r`` its own sub-stream of ``seed``, taken from its position, so which
     other methods run changes nothing here: the generator
     ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
-    ``STREAM_TAILORED``), built by ``streams`` as the read's turn comes.
+    ``STREAM_TAILORED``), which ``streams`` builds in read order.
     """
     rs = stack(reads, g.vertices(), f"the vertices 0..{g.n - 1}")
     if method == "majority_vote":

@@ -246,13 +246,13 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
     m = len(variables)
     position = {v: i for i, v in enumerate(variables)}
     terms = logical_model.quadratic
-    u = np.array([position[a] for a, _ in terms], dtype=np.intp)
-    v = np.array([position[b] for _, b in terms], dtype=np.intp)
+    i = np.array([position[u] for u, _ in terms], dtype=np.intp)
+    j = np.array([position[v] for _, v in terms], dtype=np.intp)
     c = np.fromiter(terms.values(), np.float64, len(terms))
-    # term (u, v, c) adds c * fixed[v] to column u and c * fixed[u] to
-    # column v; an undecided neighbour adds a signed zero.  Round k adds
+    # term (i, j, c) adds c * fixed[j] to column i and c * fixed[i] to
+    # column j; an undecided neighbour adds a signed zero.  Round k adds
     # every column's k-th term at once, keeping each column's order.
-    target, source, coef = np.stack([u, v], 1).ravel(), np.stack([v, u], 1).ravel(), c.repeat(2)
+    target, source, coef = np.stack([i, j], 1).ravel(), np.stack([j, i], 1).ravel(), c.repeat(2)
     order = np.argsort(target, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.searchsorted(target[order], target[order])
@@ -262,7 +262,7 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
         now = rank == k
         coupling[:, target[now]] += coef[now] * fixed[:, source[now]]
     j_dense = np.zeros((m + 1, m + 1))  # the dummy's row is zero
-    j_dense[u, v] = j_dense[v, u] = c
+    j_dense[i, j] = j_dense[j, i] = c
 
     ising = logical_model.domain == ISING
     low = -1 if ising else 0
@@ -293,7 +293,7 @@ def _vertex_set(reads, graph: Graph, domain: str, algorithm: str) -> ReadoutSet:
 def _adjacency(graph: Graph) -> np.ndarray:
     """The float64 adjacency matrix of ``graph`` plus the isolated dummy ``n``."""
     a = np.zeros((graph.n + 1, graph.n + 1))
-    edges = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
     a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
     return a
 

@@ -32,6 +32,7 @@ from brokenchains.unembed import (
     majority_vote,
     minimize_energy,
     random_weighted,
+    stack,
     unembed_graph_partitioning,
     unembed_max_clique,
     unembed_max_cut,
@@ -115,6 +116,28 @@ class TestDecompose:
         bigger = clique_embedding(3, hw)
         with pytest.raises(ValueError):
             decompose_read(s, bigger)
+
+
+class TestStack:
+    def test_rows_are_reads_and_columns_chains(self):
+        reads = [[ro(1, [1, -1], ISING), ro(0, [-1, -1, -1], ISING)],
+                 [ro(0, [1, 1, -1], ISING), ro(1, [1, 1], ISING)]]
+        rs = stack(reads, (0, 1))
+        assert len(rs) == 2 and rs.variables == (0, 1) and rs.domain == ISING
+        assert rs.values.tolist() == [[-1, 1], [1, 1]]
+        assert rs.broken.tolist() == [[False, True], [True, False]]
+        assert rs.frac_ones.tolist() == [[0.0, 0.5], [2 / 3, 1.0]]
+        assert stack(rs, (0, 1)) is rs
+
+    def test_names_the_read_that_differs(self):
+        one = [ro(0, [1], ISING), ro(1, [1], ISING)]
+        with pytest.raises(ValueError, match="^read 1: variables are not the model variables$"):
+            stack([one, one[:1]], (0, 1))
+        qubo = [ro(0, [1], QUBO), ro(1, [0], QUBO)]
+        with pytest.raises(ValueError, match=f"^read 2: domain {QUBO} is not read 0's {ISING}$"):
+            stack([one, one, qubo], (0, 1))
+        with pytest.raises(ValueError, match="^variables are not the vertices$"):
+            stack(stack([one], (0, 1)), (0, 1, 2), "the vertices")
 
 
 class TestMajorityVote:
