@@ -331,8 +331,9 @@ def max_clique_rows(reads, graph: Graph) -> np.ndarray:
 
 def _placement(rs: ReadoutSet, graph: Graph, rngs):
     """Sides (+1 / -1 for intact chains, 0 to place), each read's visiting
-    order ``rng.permutation(broken vertices)`` padded with the dummy, and
-    the generators as a list."""
+    order ``rng.permutation(broken vertices)`` padded with the dummy, each
+    chain's majority side (0 when even; never for the dummy) and the
+    generators as a list."""
     rows, vertices = np.nonzero(rs.broken)
     counts = rs.broken.sum(axis=1)
     starts = np.cumsum(counts) - counts
@@ -343,7 +344,8 @@ def _placement(rs: ReadoutSet, graph: Graph, rngs):
     order = np.full((len(rs), counts.max(initial=0)), graph.n)
     order[rows, np.arange(len(rows)) - starts.repeat(counts)] = vertices
     side = _with_dummy(np.where(rs.broken, 0.0, rs.values), 0.0)
-    return side, order, generators
+    majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)
+    return side, order, majority, generators
 
 
 def max_cut_rows(reads, graph: Graph, rngs) -> np.ndarray:
@@ -357,9 +359,8 @@ def max_cut_rows(reads, graph: Graph, rngs) -> np.ndarray:
     neighbours less its placed minus ones.
     """
     rs = _vertex_set(reads, graph, ISING, "unembed_max_cut")
-    side, order, rngs = _placement(rs, graph, rngs)
+    side, order, majority, rngs = _placement(rs, graph, rngs)
     a = _adjacency(graph)
-    majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)  # the dummy is never even
     every = np.arange(len(rs))
     for x in order.T:
         choice = -np.sign((a[x] * side).sum(axis=1))
@@ -382,10 +383,9 @@ def partitioning_rows(reads, graph: Graph, rngs) -> np.ndarray:
     unbalanced when the intact chains already are; the scorers say so.
     """
     rs = _vertex_set(reads, graph, ISING, "unembed_graph_partitioning")
-    side, order, _ = _placement(rs, graph, rngs)
+    side, order, majority, _ = _placement(rs, graph, rngs)
     a = _adjacency(graph)
     n, cap = graph.n, graph.n // 2
-    majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)
     n_minus, n_plus = (side == -1).sum(axis=1), (side == 1).sum(axis=1)
     every = np.arange(len(rs))
     for x in order.T:
