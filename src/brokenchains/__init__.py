@@ -53,6 +53,7 @@ from brokenchains.unembed import (
     ReadoutSet,
     UnembedContext,
     decompose,
+    decompose_set,
     stack,
     majority_vote,
     random_weighted,

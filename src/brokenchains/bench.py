@@ -13,11 +13,12 @@ reproduces at desk scale:
 All three are reports over one loop, ``_graph_runs``, which builds the
 Chimera graph and clique embedding once and yields one ``GraphRun`` per
 graph in CSV row order.  ``run_graph_pipeline`` compiles each graph onto
-them, decomposes every read once, stacks the reads into one
-``ReadoutSet`` and records each read's broken-chain fraction and, for
-each method the experiment scores, the witnesses of all reads; ``repair``
-is the one place a method name turns into a repair call, once per sample
-set, and every method runs on that one set.  A method's witnesses are one
+them, decodes the whole sample set in one pass with ``decompose_set``
+into one ``ReadoutSet`` of ``(reads, chains)`` arrays, and records each
+read's broken-chain fraction and, for each method the experiment scores,
+the witnesses of all reads; ``repair`` is the one place a method name
+turns into a repair call, once per sample set, and every method runs on
+that one set.  A method's witnesses are one
 boolean ``(reads, n)`` array, row ``r`` for read ``r`` and column ``v``
 for vertex ``v``, and ``score_rows`` scores a whole array at once over the
 graph's edge arrays.
@@ -67,8 +68,9 @@ from brokenchains.topology import (
     identity_embedding,
     uniform_torque_compensation,
 )
+from brokenchains.unembed import decompose  # noqa: F401 (wrapped by the harness)
 from brokenchains.unembed import (
-    decompose,
+    decompose_set,
     majority_vote,
     minimize_energy,
     random_weighted,
@@ -78,11 +80,12 @@ from brokenchains.unembed import (
 
 # The layer calls above are looked up as module globals each time they run,
 # never bound into tables or defaults at import: the perf harness times each
-# layer by replacing these names on this module.  Each repair name runs once
-# per sample set, on the set ``stack`` built; ``stack`` itself is not
-# wrapped, so its copy counts as this module's own time.  The harness also
-# wraps ``witness_from_values``, ``score_witness`` and the three graph
-# checks, which the experiments no longer call but which stay as the
+# layer by replacing these names on this module.  ``decompose_set`` decodes
+# each sample set once, and each repair name runs once per set, on that one
+# ``ReadoutSet``.  ``decompose_set`` is not wrapped, so the decode counts as
+# this module's own time.  The harness also wraps ``decompose``,
+# ``witness_from_values``, ``score_witness`` and the three graph checks,
+# which the experiments no longer call but which stay as the one-read and
 # one-witness API.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
@@ -412,10 +415,7 @@ def run_graph_pipeline(
     samples = _draw_physical_samples(config, pm, ising, graph_seed)
 
     chains = chain_columns(embedding, samples.qubits)
-    rs = stack(
-        (decompose(spins, chains, domain=problem_model.domain) for spins in samples.spins),
-        chains.variables,
-    )
+    rs = decompose_set(samples.spins, chains, problem_model.domain)
     witnesses = {
         name: repair(name, rs, config.problem, g, problem_model, graph_seed)
         for name in methods

@@ -34,11 +34,13 @@ from brokenchains.topology import (
     embedding_to_json,
     uniform_torque_compensation,
 )
-from brokenchains.unembed import decompose, stack
+from brokenchains.unembed import decompose_set
 
-# bench.repair calls these; they stay bound here because perfbench/spans.py
-# wraps them by name on this module
+# cmd_unembed decodes with decompose_set and bench.repair calls the repair
+# names; these stay bound here only because perfbench/spans.py wraps them by
+# name on this module
 from brokenchains.unembed import (  # noqa: F401
+    decompose,
     majority_vote,
     minimize_energy,
     random_weighted,
@@ -223,10 +225,7 @@ def cmd_unembed(args):
         _check_provenance(samples, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
-    rs = stack(
-        (decompose(spins, chains, domain=model.domain) for spins in samples.spins),
-        chains.variables,
-    )
+    rs = decompose_set(samples.spins, chains, model.domain)
     witnesses = bench.repair(method, rs, args.problem, g, model, args.seed)
     objectives, feasible = bench.score_rows(args.problem, g, witnesses)
     broken = rs.broken.sum(axis=1).tolist()

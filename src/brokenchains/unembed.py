@@ -1,15 +1,17 @@
 """Resolve chained-qubit samples into logical assignments.
 
-``decompose`` turns one row of a sample set's spin array into a
-``Readout``, the read's chains as columns; it is the one place that decides
-whether a chain is broken.  ``stack`` copies a sample set's readouts into
-one ``ReadoutSet`` of ``(reads, chains)`` arrays, and every repair method
-runs on that set and returns one row per read: values in the model's
-domain from majority vote, random weighting and minimize energy, and a
-feasible witness from the tailored algorithms, over the graph's vertices
-``0..n-1``: True on the value-1 set of a clique or cover (QUBO readouts)
-or on the plus side of a cut or partition (Ising).  Values fixed by
-unbroken chains are never revisited.
+``decompose_set`` turns a sample set's whole ``(reads, qubits)`` spin
+array, in one pass, into one ``ReadoutSet`` of ``(reads, chains)``
+arrays; it is the one place that decides whether a chain is broken, and
+``decompose``, one read's chains as a ``Readout`` of columns, is its
+one-row case.  ``stack`` copies an iterable of hand-built per-read
+readouts into a ``ReadoutSet``.  Every repair method runs on one set and
+returns one row per read: values in the model's domain from majority
+vote, random weighting and minimize energy, and a feasible witness from
+the tailored algorithms, over the graph's vertices ``0..n-1``: True on
+the value-1 set of a clique or cover (QUBO readouts) or on the plus side
+of a cut or partition (Ising).  Values fixed by unbroken chains are never
+revisited.
 
 The greedy algorithms run all reads at once: each step takes, in every
 read, what the one-read definition takes next, so no read depends on the
@@ -107,29 +109,49 @@ class ReadoutSet:
 class UnembedContext:
     """Graph, problem and the read's generator for a one-read tailored
     entry point; one context serves one read, as max cut and partitioning
-    advance ``rng``.  ``rng`` may be ``None`` for clique and cover."""
+    advance ``rng``.  ``rng`` may be ``None`` for clique and cover.  An
+    entry point raises ``ValueError`` when ``problem`` is not its own."""
 
     graph: Graph
     problem: str
     rng: np.random.Generator
 
 
-def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
-    """The chains of one read as a ``Readout``, values mapped into ``domain``.
+def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSet:
+    """Every read of a sample set as one ``ReadoutSet``, values mapped into
+    ``domain``: the one place that decides whether a chain is broken.
 
-    ``spins`` is one row of a sample set's spin array and ``chains`` the
-    embedding laid over its columns by ``chain_columns``.  A chain is
-    broken when some but not all of its qubits are at +1.
+    ``spins`` is the set's ``(reads, qubits)`` spin array and ``chains`` the
+    embedding laid over its columns by ``chain_columns``.  A chain is broken
+    when some but not all of its qubits are at +1.  ``ValueError`` on an
+    unknown domain or an array that is not 2-D; a set of no reads keeps
+    ``domain``.
     """
     if domain not in (ISING, QUBO):
         raise ValueError(f"unknown domain {domain!r}")
-    high = spins[chains.columns] > 0
-    ones = np.add.reduceat(high, chains.starts)
-    return Readout(
+    spins = np.asarray(spins)
+    if spins.ndim != 2:
+        raise ValueError(f"spins must be a 2-D (reads, qubits) array, not {spins.ndim}-D")
+    high = spins[:, chains.columns] > 0
+    ones = np.add.reduceat(high, chains.starts, axis=1)
+    return ReadoutSet(
         chains.variables,
-        np.where(high[chains.starts], 1, 0 if domain == QUBO else -1).tolist(),
-        ((ones > 0) & (ones < chains.lengths)).tolist(),
-        (ones / chains.lengths).tolist(),  # the IEEE quotient k / n of each chain
+        np.where(high[:, chains.starts], 1, 0 if domain == QUBO else -1).astype(np.int8),
+        (ones > 0) & (ones < chains.lengths),
+        ones / chains.lengths,  # the IEEE quotient k / n of each chain
+        domain,
+    )
+
+
+def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
+    """The chains of one read as a ``Readout``: ``decompose_set`` of the one
+    row ``spins``."""
+    rs = decompose_set(np.asarray(spins)[None], chains, domain)
+    return Readout(
+        rs.variables,
+        rs.values[0].tolist(),
+        rs.broken[0].tolist(),
+        rs.frac_ones[0].tolist(),
         domain,
     )
 
@@ -454,6 +476,8 @@ def unembed_tailored(reads, graph: Graph, problem: str, rngs) -> np.ndarray:
 
 
 def _one_mask(readouts, ctx: UnembedContext, problem: str) -> int:
+    if ctx.problem != problem:
+        raise ValueError(f"the context is for problem {ctx.problem!r}, not {problem!r}")
     (row,) = unembed_tailored(_one_read(readouts), ctx.graph, problem, [ctx.rng])
     return ctx.graph.mask_of(np.flatnonzero(row).tolist())
 

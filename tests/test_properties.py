@@ -1,6 +1,11 @@
 """Properties over generated inputs, checked with hypothesis.
 
 * ``decompose`` agrees with a per-qubit dict reference on random chains;
+* ``decompose_set`` on 0-20 reads of random chains, in both domains,
+  gives the arrays (shape, dtype and bytes), variables and domain that
+  ``stack`` copies from per-read ``decompose`` results, each row matches
+  the dict reference, a set of no reads keeps its domain, and a 1-D array
+  or an unknown domain raises ``ValueError``;
 * every repair method (majority vote, random weighting, minimize energy
   and the four tailored algorithms) gives the same result on a
   ``decompose`` ``Readout`` as on its ``ChainReadout`` records, and
@@ -131,6 +136,7 @@ from brokenchains.unembed import (
     Readout,
     UnembedContext,
     decompose,
+    decompose_set,
     majority_vote,
     minimize_energy,
     random_weighted,
@@ -183,6 +189,31 @@ def test_decompose_matches_dict_reference(e, row, domain):
     got = [(r.variable, r.broken, r.frac_ones, r.value) for r in readouts]
     assert got == reference_readouts(dict(zip(QUBITS, row)), e, domain)
     assert all(r.domain == domain for r in readouts)
+
+
+@PROPERTY
+@given(embeddings(), st.lists(spin_rows, max_size=20), st.sampled_from((ISING, QUBO)))
+def test_decompose_set_equals_stacked_reads(e, rows, domain):
+    spins = np.array(rows, dtype=np.int8).reshape(-1, len(QUBITS))
+    chains = chain_columns(e, QUBITS)
+    got = decompose_set(spins, chains, domain)
+    want = stack((decompose(row, chains, domain) for row in spins), chains.variables)
+    assert got.variables == want.variables == chains.variables
+    for name in ("values", "broken", "frac_ones"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    assert got.domain == domain
+    if rows:
+        assert want.domain == domain
+    for r, row in enumerate(rows):
+        reference = reference_readouts(dict(zip(QUBITS, row)), e, domain)
+        assert list(zip(got.variables, got.broken[r].tolist(), got.frac_ones[r].tolist(),
+                        got.values[r].tolist())) == reference
+    assert decompose_set(spins[:0], chains, domain).domain == domain
+    with pytest.raises(ValueError, match="^spins must be a 2-D"):
+        decompose_set(np.zeros(len(QUBITS), np.int8), chains, domain)
+    with pytest.raises(ValueError, match="^unknown domain"):
+        decompose_set(spins, chains, "spin")
 
 
 def reference_random_weighted(readouts, rng):

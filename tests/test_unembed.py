@@ -501,6 +501,24 @@ class TestAgreementOnUnbroken:
         with pytest.raises(ValueError):
             unembed_tailored([readouts], g, "coloring", None)
 
+    @pytest.mark.parametrize(
+        "entry, domain, problem",
+        [
+            (unembed_max_clique, QUBO, "max_clique"),
+            (unembed_vertex_cover, QUBO, "min_vertex_cover"),
+            (unembed_max_cut, ISING, "max_cut"),
+            (unembed_graph_partitioning, ISING, "graph_partitioning"),
+        ],
+    )
+    def test_context_for_another_problem_rejected(self, entry, domain, problem):
+        g = complete_graph(3)
+        readouts = [ro(v, [1, 1], domain) for v in range(3)]
+        other = "max_clique" if problem == "max_cut" else "max_cut"
+        with pytest.raises(
+            ValueError, match=f"^the context is for problem '{other}', not '{problem}'$"
+        ):
+            entry(readouts, UnembedContext(g, other, rng_from(0)))
+
     def test_domain_guards(self):
         g = complete_graph(3)
         ising_readouts = [ro(v, [1, 1], ISING) for v in range(3)]
