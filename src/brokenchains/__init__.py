@@ -49,19 +49,16 @@ from brokenchains.sampler import (
 from brokenchains.seeding import rng_from
 from brokenchains.unembed import (
     ChainReadout,
-    Readout,
     ReadoutSet,
-    UnembedContext,
     decompose,
     decompose_set,
-    stack,
     majority_vote,
     random_weighted,
     minimize_energy,
-    unembed_max_clique,
-    unembed_max_cut,
-    unembed_graph_partitioning,
-    unembed_vertex_cover,
+    max_clique_rows,
+    max_cut_rows,
+    partitioning_rows,
+    vertex_cover_rows,
 )
 
 __version__ = "0.1.0"

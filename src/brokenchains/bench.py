@@ -70,11 +70,11 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import decompose  # noqa: F401 (wrapped by the harness)
 from brokenchains.unembed import (
+    ReadoutSet,
     decompose_set,
     majority_vote,
     minimize_energy,
     random_weighted,
-    stack,
     unembed_tailored,
 )
 
@@ -83,10 +83,13 @@ from brokenchains.unembed import (
 # layer by replacing these names on this module.  ``decompose_set`` decodes
 # each sample set once, and each repair name runs once per set, on that one
 # ``ReadoutSet``.  ``decompose_set`` is not wrapped, so the decode counts as
-# this module's own time.  The harness also wraps ``decompose``,
-# ``witness_from_values``, ``score_witness`` and the three graph checks,
-# which the experiments no longer call but which stay as the one-read and
-# one-witness API.
+# this module's own time.
+#
+# Bound here only because the harness wraps them by name, and called by no
+# experiment: ``decompose``, ``witness_from_values``, ``score_witness`` and
+# the three graph checks ``is_clique``, ``is_vertex_cover`` and ``cut_size``
+# (with ``Bipartition``, which ``witness_from_values`` builds).  They go
+# when the harness stops wrapping them.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
@@ -321,23 +324,22 @@ def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def repair(method: str, reads, problem: str, g: Graph, model, seed: int) -> np.ndarray:
+def repair(method: str, rs: ReadoutSet, problem: str, g: Graph, model, seed: int) -> np.ndarray:
     """The witnesses of every read of a sample set under one repair method,
     as one boolean ``(reads, g.n)`` array of rows (see ``score_rows``).
 
-    ``reads`` is a ``ReadoutSet`` or an iterable of per-read readouts
-    (``decompose`` results or lists of ``ChainReadout`` records), which
-    ``stack`` copies into one; each read must hold one chain per vertex,
-    since the problem builders give every vertex a variable, or
-    ``ValueError`` is raised.  Every method runs on the set's arrays and
-    returns one row per read.  ``model`` is the logical problem model (for
-    minimize energy).  Random weighting, max cut and partitioning give read
-    ``r`` its own sub-stream of ``seed``, taken from its position, so which
-    other methods run changes nothing here: the generator
+    ``rs`` must hold one chain per vertex, since the problem builders give
+    every vertex a variable, or ``ValueError`` is raised.  Every method
+    runs on the set's arrays and returns one row per read.  ``model`` is
+    the logical problem model (for minimize energy).  Random weighting, max
+    cut and partitioning give read ``r`` its own sub-stream of ``seed``,
+    taken from its position, so which other methods run changes nothing
+    here: the generator
     ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
     ``STREAM_TAILORED``), which ``streams`` builds in read order.
     """
-    rs = stack(reads, g.vertices(), f"the vertices 0..{g.n - 1}")
+    if rs.variables != tuple(g.vertices()):
+        raise ValueError(f"variables are not the vertices 0..{g.n - 1}")
     if method == "majority_vote":
         values = majority_vote(rs)
     elif method == "random_weighted":

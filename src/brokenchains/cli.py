@@ -37,8 +37,10 @@ from brokenchains.topology import (
 from brokenchains.unembed import decompose_set
 
 # cmd_unembed decodes with decompose_set and bench.repair calls the repair
-# names; these stay bound here only because perfbench/spans.py wraps them by
-# name on this module
+# functions, so nothing here calls these names.  Each stays bound on this
+# module only because the perf harness wraps it by name: ``decompose``,
+# ``majority_vote``, ``minimize_energy``, ``random_weighted`` and
+# ``unembed_tailored``.  They go when the harness stops wrapping them.
 from brokenchains.unembed import (  # noqa: F401
     decompose,
     majority_vote,

@@ -25,8 +25,8 @@ class Graph:
 
     ``masks[v]`` is the neighbourhood of ``v`` as a Python-int bitmask (bit
     ``u`` set when ``u`` and ``v`` are adjacent).  The queries below and the
-    witness checks read them; the tailored unembeddings build an adjacency
-    matrix from ``edges``.
+    witness checks read them; the tailored unembeddings and ``brute_force``
+    read the matrix ``adjacency`` builds from ``edges``.
     """
 
     __slots__ = ("n", "edges", "masks")
@@ -156,6 +156,16 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
+def adjacency(g: Graph) -> np.ndarray:
+    """The float64 adjacency matrix of ``g`` plus an isolated dummy vertex
+    ``n``: entry ``[u, v]`` is 1.0 on an edge and 0.0 elsewhere, and row and
+    column ``n`` are zero."""
+    a = np.zeros((g.n + 1, g.n + 1))
+    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
+    return a
+
+
 def vertices_of(mask: int) -> list:
     """The vertices whose bits are set in ``mask``, ascending."""
     out = []
@@ -209,9 +219,7 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
             f"graph has {g.n} > {BRUTE_FORCE_MAX_N} vertices; enumeration refused"
         )
     n = g.n
-    adj = np.zeros((n, n))
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1.0
+    adj = adjacency(g)[:n, :n]
     nonadj = 1.0 - adj - np.eye(n)
 
     best_val = None

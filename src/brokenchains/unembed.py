@@ -2,33 +2,30 @@
 
 ``decompose_set`` turns a sample set's whole ``(reads, qubits)`` spin
 array, in one pass, into one ``ReadoutSet`` of ``(reads, chains)``
-arrays; it is the one place that decides whether a chain is broken, and
-``decompose``, one read's chains as a ``Readout`` of columns, is its
-one-row case.  ``stack`` copies an iterable of hand-built per-read
-readouts into a ``ReadoutSet``.  Every repair method runs on one set and
-returns one row per read: values in the model's domain from majority
-vote, random weighting and minimize energy, and a feasible witness from
-the tailored algorithms, over the graph's vertices ``0..n-1``: True on
-the value-1 set of a clique or cover (QUBO readouts) or on the plus side
-of a cut or partition (Ising).  Values fixed by unbroken chains are never
-revisited.
+arrays; it is the one place that decides whether a chain is broken.  The
+set is the one input of every repair method, and one read is a one-row
+set, ``decompose_set(spins[None], chains, domain)``.  ``decompose``, the
+one-row case as a list of ``ChainReadout`` records, is kept for callers
+that read one read chain by chain.  Every repair method returns one row
+per read: values in the model's domain from majority vote, random
+weighting and minimize energy, and a feasible witness from the tailored
+algorithms, over the graph's vertices ``0..n-1``: True on the value-1 set
+of a clique or cover (QUBO readouts) or on the plus side of a cut or
+partition (Ising).  Values fixed by unbroken chains are never revisited.
 
 The greedy algorithms run all reads at once: each step takes, in every
 read, what the one-read definition takes next, so no read depends on the
 others.  A read with nothing left takes the dummy column appended past the
-last variable, coupled to nothing, so no step drops finished rows.  The
-one-read entry points (``majority_vote`` and ``random_weighted`` on one
-read's readouts, and the ``unembed_*`` functions, which return a vertex
-bitmask) are the one-row case of the set code.
+last variable, coupled to nothing, so no step drops finished rows.
 """
 
-from array import array
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Graph
+from brokenchains.graphs import Graph, adjacency
 from brokenchains.topology import ChainColumns
 
 
@@ -44,55 +41,12 @@ class ChainReadout:
 
 
 @dataclass(frozen=True)
-class Readout:
-    """One read's chains as columns, in ascending variable order.
-
-    Entry ``i`` of each list belongs to chain ``variables[i]``: ``values``
-    holds its first qubit's value in ``domain``, ``broken`` whether its
-    qubits disagree, ``frac_ones`` the fraction of them at 1 / +1.
-    ``len`` is the number of chains, and iterating yields one
-    ``ChainReadout`` per chain.
-    """
-
-    variables: tuple
-    values: list
-    broken: list
-    frac_ones: list
-    domain: str
-
-    def __len__(self):
-        return len(self.variables)
-
-    def __iter__(self):
-        domain = self.domain
-        for v, x, b, f in zip(self.variables, self.values, self.broken, self.frac_ones):
-            yield ChainReadout(v, x, domain, b, f)
-
-    @classmethod
-    def of(cls, readouts) -> "Readout":
-        """``readouts`` as columns: a ``Readout`` is returned unchanged, an
-        iterable of ``ChainReadout`` records is sorted by variable.  An empty
-        iterable has domain ``None``; ``ValueError`` on mixed domains."""
-        if isinstance(readouts, Readout):
-            return readouts
-        chains = sorted(readouts, key=lambda r: r.variable)
-        domains = {r.domain for r in chains}
-        if len(domains) > 1:
-            raise ValueError(f"readouts mix the domains {sorted(domains)}")
-        return cls(
-            tuple(r.variable for r in chains),
-            [r.value for r in chains],
-            [r.broken for r in chains],
-            [r.frac_ones for r in chains],
-            domains.pop() if domains else None,
-        )
-
-
-@dataclass(frozen=True)
 class ReadoutSet:
-    """Every read of a sample set as ``(reads, chains)`` arrays: int8
-    ``values``, bool ``broken`` and float64 ``frac_ones`` as in ``Readout``,
-    row ``r`` for read ``r``.  ``len`` is the number of reads.  Repair
+    """Every read of a sample set as ``(reads, chains)`` arrays, row ``r``
+    for read ``r`` and column ``i`` for chain ``variables[i]`` (ascending):
+    int8 ``values``, the chain's first qubit in ``domain``; bool
+    ``broken``, whether its qubits disagree; float64 ``frac_ones``, the
+    fraction of them at 1 / +1.  ``len`` is the number of reads.  Repair
     methods never write the arrays, so one set feeds every method."""
 
     variables: tuple
@@ -103,18 +57,6 @@ class ReadoutSet:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class UnembedContext:
-    """Graph, problem and the read's generator for a one-read tailored
-    entry point; one context serves one read, as max cut and partitioning
-    advance ``rng``.  ``rng`` may be ``None`` for clique and cover.  An
-    entry point raises ``ValueError`` when ``problem`` is not its own."""
-
-    graph: Graph
-    problem: str
-    rng: np.random.Generator
 
 
 def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSet:
@@ -143,94 +85,53 @@ def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSe
     )
 
 
-def decompose(spins, chains: ChainColumns, domain: str = ISING) -> Readout:
-    """The chains of one read as a ``Readout``: ``decompose_set`` of the one
-    row ``spins``."""
+def decompose(spins, chains: ChainColumns, domain: str = ISING) -> list:
+    """The chains of one read as ``ChainReadout`` records in ascending
+    variable order: ``decompose_set`` of the one row ``spins``."""
     rs = decompose_set(np.asarray(spins)[None], chains, domain)
-    return Readout(
-        rs.variables,
-        rs.values[0].tolist(),
-        rs.broken[0].tolist(),
-        rs.frac_ones[0].tolist(),
-        domain,
-    )
+    return [
+        ChainReadout(v, x, domain, b, f)
+        for v, x, b, f in zip(
+            rs.variables, rs.values[0].tolist(), rs.broken[0].tolist(), rs.frac_ones[0].tolist()
+        )
+    ]
 
 
-def stack(reads, variables, what: str = "the model variables") -> ReadoutSet:
-    """``reads``, per-read readouts (``Readout``s or lists of
-    ``ChainReadout``s) consumed once, copied as they pass into one
-    ``ReadoutSet`` over ``variables`` in read 0's domain.  ``ValueError``
-    naming the read when its variables are not ``variables`` (``what`` in
-    the message), or it has chains in another domain.  A ``ReadoutSet`` is
-    returned unchanged once its variables are checked."""
-    variables = tuple(variables)
-    if isinstance(reads, ReadoutSet):
-        if reads.variables != variables:
-            raise ValueError(f"variables are not {what}")
-        return reads
-    values, broken, frac = array("b"), array("b"), array("d")
-    domain, count = None, 0
-    for index, readouts in enumerate(reads):
-        r = Readout.of(readouts)
-        if r.variables != variables:
-            raise ValueError(f"read {index}: variables are not {what}")
-        if index == 0:
-            domain = r.domain
-        elif variables and r.domain != domain:
-            raise ValueError(f"read {index}: domain {r.domain} is not read 0's {domain}")
-        values.fromlist(r.values)
-        broken.fromlist(r.broken)
-        frac.fromlist(r.frac_ones)
-        count = index + 1
-    shape = (count, len(variables))
-    return ReadoutSet(
-        variables,
-        np.frombuffer(values, np.int8).reshape(shape),
-        np.frombuffer(broken, np.bool_).reshape(shape),
-        np.frombuffer(frac, np.float64).reshape(shape),
-        domain,
-    )
+def _generators(rngs, reads: int) -> list:
+    """The first ``reads`` generators of ``rngs``, one per read in read
+    order; ``ValueError`` naming the first read without one."""
+    generators = list(itertools.islice(rngs, reads))
+    if len(generators) < reads:
+        raise ValueError(f"read {len(generators)} has no generator")
+    return generators
 
 
-def _one_read(readouts) -> ReadoutSet:
-    r = Readout.of(readouts)
-    return stack([r], r.variables)
+def majority_vote(rs: ReadoutSet) -> np.ndarray:
+    """Per chain, the most common value; exact ties go to 1 / +1.  One int8
+    row of values per read, in ascending variable order."""
+    return np.where(rs.frac_ones >= 0.5, 1, 0 if rs.domain == QUBO else -1).astype(np.int8)
 
 
-def majority_vote(reads):
-    """Per chain, the most common value; exact ties go to 1 / +1.
-
-    A ``ReadoutSet`` gives one int8 row of values per read, in ascending
-    variable order; one read's readouts give that row as a list.
-    """
-    if not isinstance(reads, ReadoutSet):
-        return majority_vote(_one_read(reads))[0].tolist()
-    return np.where(reads.frac_ones >= 0.5, 1, 0 if reads.domain == QUBO else -1).astype(np.int8)
-
-
-def random_weighted(reads, rngs):
+def random_weighted(rs: ReadoutSet, rngs) -> np.ndarray:
     """Broken chains draw 1 / +1 with probability equal to their fraction of
-    ones; unbroken chains keep their value.
+    ones; unbroken chains keep their value.  One int8 row per read.
 
-    A ``ReadoutSet`` gives one int8 row per read, ``rngs`` yielding read
-    ``r``'s generator in read order; one read's readouts give that row as a
-    list, ``rngs`` being the read's generator.  Read ``r`` draws one uniform
-    per broken chain in ascending variable order, in one ``rng.random``
-    call (the values of one call per chain), so its row is a pure function
-    of its generator's state.
+    ``rngs`` yields read ``r``'s generator in read order, one for every
+    read (``ValueError`` naming the first read without one).  Read ``r`` draws one uniform per broken chain in ascending
+    variable order, in one ``rng.random`` call (the values of one call per
+    chain), so its row is a pure function of its generator's state.
     """
-    if not isinstance(reads, ReadoutSet):
-        return random_weighted(_one_read(reads), [rngs])[0].tolist()
-    broken = reads.broken
+    generators = _generators(rngs, len(rs))
+    broken = rs.broken
     counts = broken.sum(axis=1)
     ends = np.cumsum(counts)
     draws = np.empty(counts.sum())
-    for start, end, rng in zip((ends - counts).tolist(), ends.tolist(), rngs):
+    for start, end, rng in zip((ends - counts).tolist(), ends.tolist(), generators):
         rng.random(out=draws[start:end])
-    out = reads.values.copy()
+    out = rs.values.copy()
     # a boolean mask visits cells row by row, so read r's draws fill its
     # broken chains in ascending variable order
-    out[broken] = np.where(draws < reads.frac_ones[broken], 1, 0 if reads.domain == QUBO else -1)
+    out[broken] = np.where(draws < rs.frac_ones[broken], 1, 0 if rs.domain == QUBO else -1)
     return out
 
 
@@ -246,12 +147,11 @@ def _key_mask(active: np.ndarray) -> np.ndarray:
     return _with_dummy(np.where(active, 0.0, -np.inf), -1.0)
 
 
-def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
+def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.ndarray:
     """Greedy chain repair by largest energy swing first, row by row.
 
-    ``reads`` is a ``ReadoutSet`` or an iterable of per-read readouts over
-    the model's variables; the result is an int8 ``(reads, variables)``
-    array of values.
+    ``rs`` must be over the model's variables (``ValueError`` otherwise);
+    the result is an int8 ``(reads, variables)`` array of values.
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -264,7 +164,8 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
     (quadratic terms in model order, then one per fix).
     """
     variables = tuple(sorted(logical_model.linear))
-    rs = stack(reads, variables)
+    if rs.variables != variables:
+        raise ValueError("variables are not the model variables")
     m = len(variables)
     position = {v: i for i, v in enumerate(variables)}
     terms = logical_model.quadratic
@@ -305,22 +206,14 @@ def minimize_energy(reads, logical_model: BinaryQuadraticModel) -> np.ndarray:
     return value[:, :m]
 
 
-def _vertex_set(reads, graph: Graph, domain: str, algorithm: str) -> ReadoutSet:
-    rs = stack(reads, graph.vertices(), f"the vertices 0..{graph.n - 1}")
+def _check_vertices(rs: ReadoutSet, graph: Graph, domain: str, algorithm: str):
+    if rs.variables != tuple(graph.vertices()):
+        raise ValueError(f"variables are not the vertices 0..{graph.n - 1}")
     if rs.variables and rs.domain != domain:
         raise ValueError(f"{algorithm} expects {domain} readouts")
-    return rs
 
 
-def _adjacency(graph: Graph) -> np.ndarray:
-    """The float64 adjacency matrix of ``graph`` plus the isolated dummy ``n``."""
-    a = np.zeros((graph.n + 1, graph.n + 1))
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
-    return a
-
-
-def max_clique_rows(reads, graph: Graph) -> np.ndarray:
+def max_clique_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     """Greedy clique growth from the unbroken value-1 core, row by row.
 
     A read whose unbroken 1-set is not a clique gets the empty row.
@@ -331,8 +224,8 @@ def max_clique_rows(reads, graph: Graph) -> np.ndarray:
     when each member has ``k - 1``, and the candidates are the broken
     vertices with ``k``.
     """
-    rs = _vertex_set(reads, graph, QUBO, "unembed_max_clique")
-    a = _adjacency(graph)
+    _check_vertices(rs, graph, QUBO, "max_clique_rows")
+    a = adjacency(graph)
     core = _with_dummy(~rs.broken & (rs.values == 1), False)
     size = core.sum(axis=1, keepdims=True)
     core_neighbours = core @ a
@@ -359,10 +252,9 @@ def _placement(rs: ReadoutSet, graph: Graph, rngs):
     rows, vertices = np.nonzero(rs.broken)
     counts = rs.broken.sum(axis=1)
     starts = np.cumsum(counts) - counts
-    generators = []
-    for start, end, rng in zip(starts.tolist(), (starts + counts).tolist(), rngs):
+    generators = _generators(rngs, len(rs))
+    for start, end, rng in zip(starts.tolist(), (starts + counts).tolist(), generators):
         rng.shuffle(vertices[start:end])  # what permutation draws for a 1-d array
-        generators.append(rng)
     order = np.full((len(rs), counts.max(initial=0)), graph.n)
     order[rows, np.arange(len(rows)) - starts.repeat(counts)] = vertices
     side = _with_dummy(np.where(rs.broken, 0.0, rs.values), 0.0)
@@ -370,19 +262,20 @@ def _placement(rs: ReadoutSet, graph: Graph, rngs):
     return side, order, majority, generators
 
 
-def max_cut_rows(reads, graph: Graph, rngs) -> np.ndarray:
+def max_cut_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     """Place broken vertices on the side holding fewer placed neighbors.
 
-    ``rngs`` yields read ``r``'s generator in read order; its broken
+    ``rngs`` yields read ``r``'s generator in read order, one for every
+    read (``ValueError`` naming the first read without one); its broken
     vertices are visited in the generator's random order, degree ties follow
     the chain's majority value, and an even chain falls to a coin
     ``rng.random() < 0.5``, drawn only when needed.  Step t places every
     read's t-th vertex ``x``: ``(A[x] * side).sum(1)`` is its placed plus
     neighbours less its placed minus ones.
     """
-    rs = _vertex_set(reads, graph, ISING, "unembed_max_cut")
+    _check_vertices(rs, graph, ISING, "max_cut_rows")
     side, order, majority, rngs = _placement(rs, graph, rngs)
-    a = _adjacency(graph)
+    a = adjacency(graph)
     every = np.arange(len(rs))
     for x in order.T:
         choice = -np.sign((a[x] * side).sum(axis=1))
@@ -393,7 +286,7 @@ def max_cut_rows(reads, graph: Graph, rngs) -> np.ndarray:
     return side[:, : graph.n] == 1
 
 
-def partitioning_rows(reads, graph: Graph, rngs) -> np.ndarray:
+def partitioning_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     """Balanced variant of the cut placement; the generators draw only the
     visiting order.
 
@@ -404,9 +297,9 @@ def partitioning_rows(reads, graph: Graph, rngs) -> np.ndarray:
     broken vertices go to its smaller side.  The partition can still be
     unbalanced when the intact chains already are; the scorers say so.
     """
-    rs = _vertex_set(reads, graph, ISING, "unembed_graph_partitioning")
+    _check_vertices(rs, graph, ISING, "partitioning_rows")
     side, order, majority, _ = _placement(rs, graph, rngs)
-    a = _adjacency(graph)
+    a = adjacency(graph)
     n, cap = graph.n, graph.n // 2
     n_minus, n_plus = (side == -1).sum(axis=1), (side == 1).sum(axis=1)
     every = np.arange(len(rs))
@@ -422,7 +315,7 @@ def partitioning_rows(reads, graph: Graph, rngs) -> np.ndarray:
     return np.where(side[:, :n] == 0, smaller, side[:, :n]) == 1
 
 
-def vertex_cover_rows(reads, graph: Graph) -> np.ndarray:
+def vertex_cover_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     """Cover completion from the unbroken core, row by row.
 
     An edge between two unbroken zeros is uncoverable without revisiting
@@ -433,8 +326,8 @@ def vertex_cover_rows(reads, graph: Graph) -> np.ndarray:
     are whole numbers in float64, so each key is the float sum the one-read
     definition gives.
     """
-    rs = _vertex_set(reads, graph, QUBO, "unembed_vertex_cover")
-    a = _adjacency(graph)
+    _check_vertices(rs, graph, QUBO, "vertex_cover_rows")
+    a = adjacency(graph)
     broken = _with_dummy(rs.broken, False)
     zero = ~broken & _with_dummy(rs.values != 1, False)
     cover = ~broken & _with_dummy(rs.values == 1, False)
@@ -460,51 +353,16 @@ def vertex_cover_rows(reads, graph: Graph) -> np.ndarray:
     return cover[:, : graph.n]
 
 
-def unembed_tailored(reads, graph: Graph, problem: str, rngs) -> np.ndarray:
+def unembed_tailored(rs: ReadoutSet, graph: Graph, problem: str, rngs) -> np.ndarray:
     """One boolean ``(reads, n)`` witness row per read from the tailored
     algorithm of ``problem``.  ``rngs`` yields read ``r``'s generator in read
     order; only max cut and partitioning draw, so only they take one."""
     if problem == "max_clique":
-        return max_clique_rows(reads, graph)
+        return max_clique_rows(rs, graph)
     if problem == "min_vertex_cover":
-        return vertex_cover_rows(reads, graph)
+        return vertex_cover_rows(rs, graph)
     if problem == "max_cut":
-        return max_cut_rows(reads, graph, rngs)
+        return max_cut_rows(rs, graph, rngs)
     if problem == "graph_partitioning":
-        return partitioning_rows(reads, graph, rngs)
+        return partitioning_rows(rs, graph, rngs)
     raise ValueError(f"no tailored algorithm for problem {problem!r}")
-
-
-def _one_mask(readouts, ctx: UnembedContext, problem: str) -> int:
-    if ctx.problem != problem:
-        raise ValueError(f"the context is for problem {ctx.problem!r}, not {problem!r}")
-    (row,) = unembed_tailored(_one_read(readouts), ctx.graph, problem, [ctx.rng])
-    return ctx.graph.mask_of(np.flatnonzero(row).tolist())
-
-
-def unembed_max_clique(readouts, ctx: UnembedContext) -> int:
-    """One read's clique as a vertex bitmask: ``max_clique_rows`` of one row."""
-    return _one_mask(readouts, ctx, "max_clique")
-
-
-def unembed_max_cut(readouts, ctx: UnembedContext) -> int:
-    """One read's plus side as a vertex bitmask: ``max_cut_rows`` of one row."""
-    return _one_mask(readouts, ctx, "max_cut")
-
-
-def unembed_graph_partitioning(readouts, ctx: UnembedContext) -> int:
-    """One read's plus side as a vertex bitmask: ``partitioning_rows`` of one row."""
-    return _one_mask(readouts, ctx, "graph_partitioning")
-
-
-def unembed_vertex_cover(readouts, ctx: UnembedContext) -> int:
-    """One read's cover as a vertex bitmask: ``vertex_cover_rows`` of one row."""
-    return _one_mask(readouts, ctx, "min_vertex_cover")
-
-
-TAILORED = {
-    "max_clique": unembed_max_clique,
-    "max_cut": unembed_max_cut,
-    "graph_partitioning": unembed_graph_partitioning,
-    "min_vertex_cover": unembed_vertex_cover,
-}

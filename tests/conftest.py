@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel
-from brokenchains.graphs import Bipartition, Graph, vertices_of
+from brokenchains.graphs import Bipartition, Graph
 from brokenchains.sampler import AnnealParams, SampleSet
 from brokenchains.seeding import rng_from
 from brokenchains.topology import PhysicalModel, identity_embedding
+from brokenchains.unembed import ReadoutSet
 
 
 def complete_graph(n):
@@ -59,12 +60,50 @@ def spin_glass(hw, seed, scale=1.0):
     return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
 
 
-def members(mask):
-    """A witness bitmask as its vertex set."""
-    return frozenset(vertices_of(mask))
+def stack(reads, variables):
+    """``reads``, lists of hand-built ``ChainReadout`` records (in any order
+    within a read), consumed once as one ``ReadoutSet`` over ``variables``
+    in read 0's domain.  ``ValueError`` on a read that mixes domains, and
+    naming the read whose variables are not ``variables`` or whose chains
+    are in another domain than read 0's."""
+    variables = tuple(variables)
+    values, broken, frac = [], [], []
+    domain = None
+    for index, records in enumerate(reads):
+        chains = sorted(records, key=lambda r: r.variable)
+        domains = {r.domain for r in chains}
+        if len(domains) > 1:
+            raise ValueError(f"readouts mix the domains {sorted(domains)}")
+        if tuple(r.variable for r in chains) != variables:
+            raise ValueError(f"read {index}: variables are not the model variables")
+        if index == 0:
+            domain = domains.pop() if domains else None
+        elif chains and domains != {domain}:
+            raise ValueError(f"read {index}: domain {chains[0].domain} is not read 0's {domain}")
+        values.append([r.value for r in chains])
+        broken.append([r.broken for r in chains])
+        frac.append([r.frac_ones for r in chains])
+    shape = (len(values), len(variables))
+    return ReadoutSet(
+        variables,
+        np.array(values, dtype=np.int8).reshape(shape),
+        np.array(broken, dtype=bool).reshape(shape),
+        np.array(frac, dtype=np.float64).reshape(shape),
+        domain,
+    )
 
 
-def sides(mask, g):
-    """A plus-side bitmask as the ``Bipartition`` it makes of ``g``'s vertices."""
-    plus = members(mask)
+def row_set(records):
+    """One read's hand-built ``ChainReadout`` records as a one-row set."""
+    return stack([records], sorted(r.variable for r in records))
+
+
+def members(row):
+    """A boolean witness row as its vertex set."""
+    return frozenset(np.flatnonzero(row).tolist())
+
+
+def sides(row, g):
+    """A plus-side row as the ``Bipartition`` it makes of ``g``'s vertices."""
+    plus = members(row)
     return Bipartition(frozenset(g.vertices()) - plus, plus)

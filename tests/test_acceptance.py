@@ -61,21 +61,21 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import (
     ChainReadout,
-    UnembedContext,
-    decompose,
+    decompose_set,
     majority_vote,
+    max_clique_rows,
+    max_cut_rows,
     minimize_energy,
+    partitioning_rows,
     random_weighted,
-    unembed_graph_partitioning,
-    unembed_max_clique,
-    unembed_max_cut,
-    unembed_vertex_cover,
+    vertex_cover_rows,
 )
 from conftest import (
     complete_graph,
     empty_graph,
     members,
     one_read,
+    row_set,
     sample_set,
     sides,
     spins_of,
@@ -172,28 +172,24 @@ class TestCriterion2FeasibilitySuite:
                 samples = inject_chain_breaks(
                     logical, p_break, int(rng.integers(0, 2**62)), pm
                 )
-                for rep, spins in enumerate(samples.spins):
-                    ising_readouts = decompose(spins, chains, domain=ISING)
-                    qubo_readouts = decompose(spins, chains, domain=QUBO)
-                    total_samples += 1
-                    total_readouts += len(ising_readouts)
-
-                    clique = unembed_max_clique(
-                        qubo_readouts, UnembedContext(g, "max_clique", rng_from(rep))
-                    )
+                ising = decompose_set(samples.spins, chains, ISING)
+                qubo = decompose_set(samples.spins, chains, QUBO)
+                total_samples += len(ising)
+                total_readouts += ising.broken.size
+                # read ``rep`` of the cell draws from ``rng_from(rep)``
+                cuts = max_cut_rows(ising, g, [rng_from(rep) for rep in range(len(ising))])
+                parts = partitioning_rows(ising, g, [rng_from(rep) for rep in range(len(ising))])
+                for clique, cover, cut_row, part_row in zip(
+                    max_clique_rows(qubo, g), vertex_cover_rows(qubo, g), cuts, parts
+                ):
                     if not is_clique(g, members(clique)):
                         failures += 1
-                    cover = unembed_vertex_cover(
-                        qubo_readouts, UnembedContext(g, "min_vertex_cover", rng_from(rep))
-                    )
                     if not is_vertex_cover(g, members(cover)):
                         failures += 1
-                    ctx = UnembedContext(g, "max_cut", rng_from(rep))
-                    cut = sides(unembed_max_cut(ising_readouts, ctx), g)
+                    cut = sides(cut_row, g)
                     if not cut.is_complete_for(g):
                         failures += 1
-                    ctx = UnembedContext(g, "graph_partitioning", rng_from(rep))
-                    part = sides(unembed_graph_partitioning(ising_readouts, ctx), g)
+                    part = sides(part_row, g)
                     if not part.is_complete_for(g):
                         failures += 1
                     skew = len(part.side_minus) - len(part.side_plus)
@@ -238,30 +234,24 @@ class TestCriterion3AgreementOnUnbroken:
                 sample = inject_chain_breaks(
                     sample_set([ss.spins[best]], ss.qubits), 0.0, k, pm
                 )
-                readouts = decompose(
-                    sample.spins[0], chain_columns(e, sample.qubits), domain=model.domain
-                )
-                raw = {r.variable: r.value for r in readouts}
-                values = [raw[v] for v in range(20)]
+                rs = decompose_set(sample.spins, chain_columns(e, sample.qubits), model.domain)
+                assert rs.variables == tuple(range(20))
+                values = rs.values.tolist()
 
-                assert majority_vote(readouts) == values
-                assert random_weighted(readouts, rng_from(k)) == values
-                assert minimize_energy([readouts], model)[0].tolist() == values
-                ctx = UnembedContext(g, problem, rng_from(k))
+                assert majority_vote(rs).tolist() == values
+                assert random_weighted(rs, [rng_from(k)]).tolist() == values
+                assert minimize_energy(rs, model).tolist() == values
+                ones = frozenset(v for v, x in enumerate(values[0]) if x == 1)
                 if problem == "max_clique":
-                    ones = frozenset(v for v, x in raw.items() if x == 1)
                     assert is_clique(g, ones)
-                    assert members(unembed_max_clique(readouts, ctx)) == ones
+                    assert members(max_clique_rows(rs, g)[0]) == ones
                 elif problem == "min_vertex_cover":
-                    ones = frozenset(v for v, x in raw.items() if x == 1)
                     assert is_vertex_cover(g, ones)
-                    assert members(unembed_vertex_cover(readouts, ctx)) == ones
+                    assert members(vertex_cover_rows(rs, g)[0]) == ones
                 elif problem == "max_cut":
-                    out = unembed_max_cut(readouts, ctx)
-                    assert members(out) == {v for v, x in raw.items() if x == 1}
+                    assert members(max_cut_rows(rs, g, [rng_from(k)])[0]) == ones
                 else:
-                    out = unembed_graph_partitioning(readouts, ctx)
-                    assert members(out) == {v for v, x in raw.items() if x == 1}
+                    assert members(partitioning_rows(rs, g, [rng_from(k)])[0]) == ones
                 agreements += 1
                 instances += 1
 
@@ -319,7 +309,7 @@ class TestCriterion4MinimizeEnergyOracle:
                 else:
                     s = int(rng.choice((-1, 1)))
                     readouts.append(ChainReadout(v, s, ISING, False, (s + 1) / 2))
-            got = dict(enumerate(minimize_energy([readouts], model)[0].tolist()))
+            got = dict(enumerate(minimize_energy(row_set(readouts), model)[0].tolist()))
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min(
                 energy(model, {**fixed, **dict(zip(broken, combo))})

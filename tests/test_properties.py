@@ -3,16 +3,16 @@
 * ``decompose`` agrees with a per-qubit dict reference on random chains;
 * ``decompose_set`` on 0-20 reads of random chains, in both domains,
   gives the arrays (shape, dtype and bytes), variables and domain that
-  ``stack`` copies from per-read ``decompose`` results, each row matches
-  the dict reference, a set of no reads keeps its domain, and a 1-D array
-  or an unknown domain raises ``ValueError``;
-* every repair method (majority vote, random weighting, minimize energy
-  and the four tailored algorithms) gives the same result on a
-  ``decompose`` ``Readout`` as on its ``ChainReadout`` records, and
-  ``Readout.of`` turns the records, in any order, back into that readout;
+  the test-side ``stack`` copies from per-read ``decompose`` records, each
+  row matches the dict reference, a set of no reads keeps its domain, and
+  a 1-D array or an unknown domain raises ``ValueError``;
+* each read's ``decompose`` records, in any order, stack back into the
+  bytes of ``decompose_set``'s set, and every repair method (majority
+  vote, random weighting, minimize energy and the four tailored
+  algorithms) gives the same rows on both;
 * ``random_weighted``'s one draw call per read equals the per-chain loop
-  it replaced (kept here as ``reference_random_weighted``) on random
-  readouts in any order;
+  it replaced (kept here as ``reference_random_weighted``) on one-row
+  sets of random readouts given in any order;
 * injecting the first k reads of a logical set gives the first k
   injected reads, since read ``r`` draws from its own stream;
 * read ``r`` of an anneal does not depend on batching: the first k1
@@ -29,6 +29,10 @@
   random spin glasses over 1-140 reads and sweep counts below, at and past
   the sweeps one draw call covers; with couplings strong enough that
   ``exp`` overflows on downhill moves it still does, and warns of nothing;
+* at a fixed beta, 4,000 reads of three random frustrated 7-spin models
+  with dyadic couplings lie within multinomial noise (total variation
+  bound at false-failure probability 1e-9) of the exact Boltzmann law
+  over all 128 states, and outside that bound for the law at 2 beta;
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover);
@@ -36,10 +40,10 @@
   one set through ``bench.repair``, are feasible: a clique, a cover, a
   partition of every vertex, and a balanced one for partitioning whenever
   neither side holds more than floor(n/2) intact chains;
-* the bitmask tailored algorithms return the witness of today's
-  set-based ones (kept here as ``reference_unembed_*``) on random graphs
-  of 1-9 and 65 vertices (masks wider than 64 bits) and random readouts
-  whose chain lengths 1, 2 and 4 tie many fractions of ones;
+* each tailored algorithm on a one-row set returns the witness of its
+  set-based reference (kept here as ``reference_unembed_*``) on random
+  graphs of 1-9 and 65 vertices and random readouts whose chain lengths
+  1, 2 and 4 tie many fractions of ones;
 * the whole-set vertex-cover drain (``vertex_cover_rows``) equals the set
   reference read by read, and each read alone, on sets of 1-8 reads that
   mix uncoverable reads, reads with no broken chain, reads with every
@@ -49,21 +53,23 @@
   whose chains all tie at exactly one half, reads whose intact chains all
   hold 1 / +1 (partitioning meets its cap) and reads whose core is not a
   clique, and the first k reads of a set give its first k rows;
-* majority vote, random weighting and minimize energy on a ``stack``ed set
+* majority vote, random weighting and minimize energy on a stacked set
   equal, row by row, the per-read references (read ``r``'s per-chain draws
   from its own generator, the term-by-term dict walk), also on a prefix;
 * ``bench.repair``'s boolean rows, for every method, equal after
   conversion the witnesses of the per-read path it replaced (kept here as
   ``reference_repair``: one dict per read through ``witness_from_values``,
-  and the set-based tailored references);
+  and the set-based tailored references), and a set that is not over the
+  vertices raises ``ValueError``;
 * ``bench.score_rows`` equals ``score_witness`` witness by witness, as
   Python ints and bools, on random graphs of 1-9 and 65 vertices
   (edgeless and complete ones included) and random, empty, full, clique,
   cover and balanced rows;
 * ``is_clique``, ``is_vertex_cover`` and ``cut_size`` equal edge-scan
   references on random graphs and subsets, still raise ``ValueError`` on
-  an out-of-range vertex or an incomplete partition, and ``Graph.masks``
-  holds each vertex's neighbourhood;
+  an out-of-range vertex or an incomplete partition, ``Graph.masks``
+  holds each vertex's neighbourhood, and ``adjacency`` is the edges'
+  float matrix with an isolated dummy vertex;
 * set-level ``minimize_energy`` equals a one-read-at-a-time reference on
   random models of both domains with float, tenth and zero coefficients
   (tenths make the sum order show in the last bits), and
@@ -82,6 +88,7 @@
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -95,6 +102,7 @@ from brokenchains.graphs import (
     PROBLEMS,
     Bipartition,
     Graph,
+    adjacency,
     cut_size,
     erdos_renyi,
     is_clique,
@@ -124,27 +132,25 @@ from brokenchains.seeding import (
 )
 from brokenchains.topology import (
     Embedding,
+    PhysicalModel,
     chain_columns,
     chimera,
     clique_embedding,
     embed_bqm,
+    identity_embedding,
     validate_embedding,
 )
 from brokenchains.unembed import (
-    TAILORED,
     ChainReadout,
-    Readout,
-    UnembedContext,
     decompose,
     decompose_set,
     majority_vote,
     minimize_energy,
     random_weighted,
-    stack,
     unembed_tailored,
     vertex_cover_rows,
 )
-from conftest import members, sample_set, sides, spin_glass, spins_of
+from conftest import members, row_set, sample_set, sides, spin_glass, spins_of, stack
 
 HW = chimera(2, 2, 4)
 QUBITS = tuple(sorted(HW.qubits))
@@ -227,12 +233,6 @@ def reference_random_weighted(readouts, rng):
             hit = rng.random() < r.frac_ones
             values[r.variable] = 1 if hit else (0 if r.domain == QUBO else -1)
     return values
-
-
-def context(g, problem, seed):
-    """A fresh ``UnembedContext`` drawing from ``rng_from(seed)``: a context
-    serves one call, as the call advances its generator."""
-    return UnembedContext(g, problem, rng_from(seed))
 
 
 def physical(problem, n, graph_seed, density=0.5):
@@ -384,15 +384,66 @@ def test_strong_couplings_overflow_exp_silently():
     assert_same_anneal(got, reference_simulated_anneal(pm, params))
 
 
-def mask_witness(problem, mask, g):
-    """A witness bitmask in the form ``score_witness`` takes: its vertex
-    set, or the partition of ``g`` with the mask as plus side."""
-    return members(mask) if problem in ("max_clique", "min_vertex_cover") else sides(mask, g)
+# every state of 7 spins: state s holds spin i at +1 when bit 6 - i of s is set
+SEVEN = np.array(list(itertools.product((-1, 1), repeat=7)))
+# 40 sweeps leave 2 of 40 such models short of the law (too many reads
+# still in the second-lowest state); 200 bring all 40 within half the bound
+STATIONARY_READS, STATIONARY_SWEEPS, STATIONARY_BETA = 4000, 200, 1.0
+
+
+def frustrated_model(seed):
+    """7 spins on K7, fields and couplings in multiples of 1/8 (exact in
+    binary) drawn from ``rng_from(seed)``; the triangle 0-1-2 is
+    antiferromagnetic, so no state satisfies every coupler."""
+    rng = rng_from(seed)
+    linear = dict(enumerate((rng.integers(-4, 5, 7) / 8).tolist()))
+    pairs = list(itertools.combinations(range(7), 2))
+    quadratic = dict(zip(pairs, (rng.integers(-8, 9, len(pairs)) / 8).tolist()))
+    for uv in ((0, 1), (1, 2), (0, 2)):
+        quadratic[uv] = 0.5 + abs(quadratic[uv])
+    return BinaryQuadraticModel(ISING, linear, quadratic)
+
+
+def boltzmann(model, beta):
+    """The exact Boltzmann law of ``model`` over ``SEVEN`` at ``beta``."""
+    energies = np.array([energy(model, dict(enumerate(state))) for state in SEVEN.tolist()])
+    weights = np.exp(-beta * (energies - energies.min()))
+    return weights / weights.sum()
+
+
+def tv_bound(p, reads, failure=1e-9):
+    """A total variation from ``p`` that the empirical law of ``reads``
+    independent draws from ``p`` exceeds with probability below ``failure``.
+    Each |p_hat - p| has mean at most sqrt(p(1 - p) / N) (Jensen), and one
+    draw moves the total variation by at most 1/N, so McDiarmid's
+    inequality adds sqrt(ln(1/failure) / 2N) to the mean."""
+    mean = 0.5 * np.sqrt(p * (1 - p) / reads).sum()
+    return mean + math.sqrt(math.log(1 / failure) / (2 * reads))
+
+
+@pytest.mark.parametrize("model_seed", range(3))
+def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
+    model = frustrated_model(model_seed)
+    pm = PhysicalModel(model, 1.0, identity_embedding(model.variables()), ())
+    beta = STATIONARY_BETA
+    samples = simulated_anneal(pm, AnnealParams(
+        STATIONARY_READS, STATIONARY_SWEEPS, (beta, beta * (1 + 1e-9)), seed=model_seed
+    ))
+    assert samples.qubits == tuple(range(7))
+    states = (samples.spins > 0) @ (1 << np.arange(6, -1, -1))
+    found = np.bincount(states, minlength=len(SEVEN)) / STATIONARY_READS
+    # within the multinomial noise of the law at beta, and far outside it at
+    # 2 beta, so the bound can tell a sampler at the wrong temperature
+    for law_beta, within in ((beta, True), (2 * beta, False)):
+        p = boltzmann(model, law_beta)
+        tv = 0.5 * np.abs(found - p).sum()
+        assert (tv <= tv_bound(p, STATIONARY_READS)) == within, (law_beta, tv)
 
 
 def witness_of(problem, row, g):
-    """A boolean witness row in the form ``score_witness`` takes."""
-    return mask_witness(problem, sum(1 << v for v in np.flatnonzero(row).tolist()), g)
+    """A boolean witness row in the form ``score_witness`` takes: its vertex
+    set, or the partition of ``g`` with the row as plus side."""
+    return members(row) if problem in ("max_clique", "min_vertex_cover") else sides(row, g)
 
 
 @PROPERTY
@@ -401,12 +452,12 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
     g, model, e, pm = physical(problem, n, graph_seed)
     row = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
     samples = inject_chain_breaks(sample_set([row], range(n)), p_break, seed, pm)
-    readouts = decompose(samples.spins[0], chain_columns(e, samples.qubits), model.domain)
-    intact = {r.variable: r.value for r in readouts if not r.broken}
+    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits), model.domain)
+    intact = {v: x for v, x, b in zip(rs.variables, rs.values[0].tolist(), rs.broken[0]) if not b}
     ones = {v for v, x in intact.items() if x == 1}
     zeros = set(intact) - ones
     for method in bench.METHODS:
-        (row,) = bench.repair(method, [readouts], problem, g, model, seed)
+        (row,) = bench.repair(method, rs, problem, g, model, seed)
         if method == "tailored" and problem == "max_clique" and not is_clique(g, ones):
             assert not row.any()
             continue
@@ -427,11 +478,10 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
     rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
                               min_size=1, max_size=8))
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
-    chains = chain_columns(e, samples.qubits)
-    reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
-    rows = bench.repair("tailored", reads, problem, g, model, seed)
-    assert rows.shape == (len(reads), n) and rows.dtype == bool
-    for readouts, row in zip(reads, rows):
+    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits), model.domain)
+    rows = bench.repair("tailored", rs, problem, g, model, seed)
+    assert rows.shape == (len(rs), n) and rows.dtype == bool
+    for values, broken, row in zip(rs.values.tolist(), rs.broken, rows):
         witness = witness_of(problem, row, g)
         if problem == "max_clique":
             assert is_clique(g, witness)
@@ -439,7 +489,7 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
             assert is_vertex_cover(g, witness)
         else:
             assert witness.is_complete_for(g)
-            intact = [r.value for r in readouts if not r.broken]
+            intact = [x for x, b in zip(values, broken) if not b]
             largest_side = max(intact.count(-1), intact.count(1))
             if problem == "graph_partitioning" and largest_side <= n // 2:
                 assert witness.is_balanced()
@@ -468,9 +518,14 @@ def reference_cut_size(g, b):
 @PROPERTY
 @given(graphs(), st.data())
 def test_mask_checks_match_edge_scans(g, data):
-    # the masks are the graph's only adjacency, so check them against its edges
+    # the masks and the adjacency matrix are built from the edges, so check
+    # both against them; the matrix's dummy vertex n is isolated
+    a = adjacency(g)
+    assert a.shape == (g.n + 1, g.n + 1) and a.dtype == np.float64
+    assert not a[g.n].any() and not a[:, g.n].any()
     for v in g.vertices():
         assert g.masks[v] == sum(1 << u for u in g.vertices() if (min(u, v), max(u, v)) in g.edges)
+        assert a[v, : g.n].tolist() == [float((min(u, v), max(u, v)) in g.edges) for u in g.vertices()]
     vertices = st.sampled_from(range(g.n))
     subset = data.draw(st.lists(vertices, unique=True))
     # grow a clique and a cover out of the subset, so that both answers occur
@@ -556,9 +611,8 @@ def reference_majority_side(readout):
     return None
 
 
-def reference_unembed_max_clique(readouts, ctx):
+def reference_unembed_max_clique(readouts, g, rng):
     """Greedy clique growth over neighbour sets, recomputed at every step."""
-    g = ctx.graph
     by_var = {r.variable: r for r in readouts}
     clique = {r.variable for r in readouts if not r.broken and r.value == 1}
     if not reference_is_clique(g, clique):
@@ -580,12 +634,10 @@ def reference_unembed_max_clique(readouts, ctx):
     return frozenset(clique)
 
 
-def reference_unembed_max_cut(readouts, ctx):
+def reference_unembed_max_cut(readouts, g, rng):
     """Cut placement over a side dict, counting placed neighbours one by one."""
-    g = ctx.graph
     by_var = {r.variable: r for r in readouts}
     side = {r.variable: r.value for r in readouts if not r.broken}
-    rng = ctx.rng
     order = rng.permutation(sorted(r.variable for r in readouts if r.broken))
     for x in order:
         x = int(x)
@@ -608,9 +660,8 @@ def reference_unembed_max_cut(readouts, ctx):
     )
 
 
-def reference_unembed_graph_partitioning(readouts, ctx):
+def reference_unembed_graph_partitioning(readouts, g, rng):
     """Balanced placement that recounts both side sizes at every step."""
-    g = ctx.graph
     by_var = {r.variable: r for r in readouts}
     side = {r.variable: r.value for r in readouts if not r.broken}
     cap = g.n // 2
@@ -618,7 +669,6 @@ def reference_unembed_graph_partitioning(readouts, ctx):
     def size(s):
         return sum(1 for v in side.values() if v == s)
 
-    rng = ctx.rng
     order = [int(x) for x in rng.permutation(sorted(r.variable for r in readouts if r.broken))]
     remaining = list(order)
     while remaining and size(-1) < cap and size(1) < cap:
@@ -646,9 +696,8 @@ def reference_unembed_graph_partitioning(readouts, ctx):
     )
 
 
-def reference_unembed_vertex_cover(readouts, ctx):
+def reference_unembed_vertex_cover(readouts, g, rng):
     """Cover completion over vertex sets, draining by a max over the rest."""
-    g = ctx.graph
     by_var = {r.variable: r for r in readouts}
     cover = {r.variable for r in readouts if not r.broken and r.value == 1}
     zeros = {r.variable for r in readouts if not r.broken and r.value == 0}
@@ -705,9 +754,9 @@ def test_tailored_matches_set_reference(problem, g, p_break, p_one, readout_seed
     rng = np.random.default_rng(readout_seed)
     for read in range(4):
         readouts = random_readouts(rng, g.n, domain, p_break, p_one)
-        mask = TAILORED[problem](readouts, context(g, problem, seed + read))
-        witness = mask_witness(problem, mask, g)
-        assert witness == REFERENCE_TAILORED[problem](readouts, context(g, problem, seed + read))
+        (row,) = unembed_tailored(row_set(readouts), g, problem, [rng_from(seed + read)])
+        want = REFERENCE_TAILORED[problem](readouts, g, rng_from(seed + read))
+        assert witness_of(problem, row, g) == want
     event(f"{problem}, n {'65' if g.n == 65 else '1-9'}")
 
 
@@ -739,13 +788,12 @@ def cover_read(rng, g, kind):
 def test_vertex_cover_rows_match_reference_read_by_read(g, kinds, readout_seed):
     rng = np.random.default_rng(readout_seed)
     reads = [cover_read(rng, g, kind) for kind in kinds]
-    rows = vertex_cover_rows(reads, g)
+    rows = vertex_cover_rows(stack(reads, g.vertices()), g)
     assert rows.shape == (len(reads), g.n) and rows.dtype == bool
     for readouts, row in zip(reads, rows):
-        want = reference_unembed_vertex_cover(readouts, context(g, "min_vertex_cover", 0))
-        assert members(sum(1 << v for v in np.flatnonzero(row).tolist())) == want
+        assert members(row) == reference_unembed_vertex_cover(readouts, g, None)
         # alone, the read drains to the same row
-        assert np.array_equal(vertex_cover_rows([readouts], g)[0], row)
+        assert np.array_equal(vertex_cover_rows(row_set(readouts), g)[0], row)
     event(f"{len(set(kinds))} kinds of read in one set")
 
 
@@ -787,15 +835,13 @@ def test_tailored_rows_match_reference_read_by_read(problem, g, kinds, readout_s
     domain = QUBO if problem in ("max_clique", "min_vertex_cover") else ISING
     rng = np.random.default_rng(readout_seed)
     reads = [set_read(rng, g, domain, kind) for kind in kinds]
-    rows = unembed_tailored(reads, g, problem, read_streams(seed))
+    rows = unembed_tailored(stack(reads, g.vertices()), g, problem, read_streams(seed))
     assert rows.shape == (len(reads), g.n) and rows.dtype == bool
     for r, (readouts, row) in enumerate(zip(reads, rows)):
-        ctx = UnembedContext(g, problem, rng_from(seed, r))
-        assert witness_of(problem, row, g) == REFERENCE_TAILORED[problem](readouts, ctx)
-    # the first k reads of a set give its first k rows, as a set or as reads
+        want = REFERENCE_TAILORED[problem](readouts, g, rng_from(seed, r))
+        assert witness_of(problem, row, g) == want
+    # the first k reads of a set give its first k rows
     k = data.draw(st.integers(1, len(reads)))
-    rs = stack(reads, g.vertices())
-    assert np.array_equal(unembed_tailored(rs, g, problem, read_streams(seed)), rows)
     head = unembed_tailored(stack(reads[:k], g.vertices()), g, problem, read_streams(seed))
     assert np.array_equal(head, rows[:k])
     event(f"{problem}, {len(set(kinds))} kinds of read in one set")
@@ -808,11 +854,9 @@ def reference_repair(method, reads, problem, g, model, seed):
     above, each read's generator built by ``rng_from(derive_seed(...))``."""
     witnesses = []
     for r, readouts in enumerate(reads):
-        readouts = list(readouts)
         if method == "tailored":
             rng = rng_from(derive_seed(seed, STREAM_TAILORED, r))
-            ctx = UnembedContext(g, problem, rng)
-            witnesses.append(REFERENCE_TAILORED[problem](readouts, ctx))
+            witnesses.append(REFERENCE_TAILORED[problem](readouts, g, rng))
             continue
         if method == "majority_vote":
             low = 0 if model.domain == QUBO else -1
@@ -837,9 +881,10 @@ def test_repair_rows_match_per_read_witnesses(problem, n, density, graph_seed, d
                               min_size=1, max_size=8))
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
     chains = chain_columns(e, samples.qubits)
+    rs = decompose_set(samples.spins, chains, model.domain)
     reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
     for method in bench.METHODS:
-        got = bench.repair(method, iter(reads), problem, g, model, seed)
+        got = bench.repair(method, rs, problem, g, model, seed)
         assert got.shape == (len(reads), n) and got.dtype == bool
         want = reference_repair(method, reads, problem, g, model, seed)
         assert [witness_of(problem, row, g) for row in got] == want, method
@@ -848,10 +893,10 @@ def test_repair_rows_match_per_read_witnesses(problem, n, density, graph_seed, d
 def test_repair_rejects_reads_that_are_not_the_vertices():
     g = Graph(3, [(0, 1)])
     model = build_model("max_cut", g)
-    reads = [[ChainReadout(v, 1, ISING, False, 1.0) for v in vs] for vs in ((0, 1, 2), (0, 1))]
+    rs = row_set([ChainReadout(v, 1, ISING, False, 1.0) for v in (0, 1)])
     for method in bench.METHODS:
-        with pytest.raises(ValueError, match="read 1: variables are not the vertices 0..2"):
-            bench.repair(method, reads, "max_cut", g, model, 0)
+        with pytest.raises(ValueError, match="^variables are not the vertices 0..2$"):
+            bench.repair(method, rs, "max_cut", g, model, 0)
 
 
 @PROPERTY
@@ -864,17 +909,22 @@ def test_methods_read_columns_as_records(n, density, graph_seed, data, p_break, 
     chains = chain_columns(e, samples.qubits)
     for problem in PROBLEMS:
         model = build_model(problem, g)
-        reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
-        records = [list(readout) for readout in reads]
-        assert np.array_equal(minimize_energy(reads, model), minimize_energy(records, model))
-        for read, (readout, chain_records) in enumerate(zip(reads, records)):
-            assert len(readout) == len(chain_records) == n
-            assert Readout.of(data.draw(st.permutations(chain_records))) == readout
-            assert majority_vote(readout) == majority_vote(chain_records)
-            assert (random_weighted(readout, rng_from(seed))
-                    == random_weighted(chain_records, rng_from(seed)))
-            assert (TAILORED[problem](readout, context(g, problem, seed + read))
-                    == TAILORED[problem](chain_records, context(g, problem, seed + read)))
+        rs = decompose_set(samples.spins, chains, model.domain)
+        # each read's records, in any order, stack back into the set
+        records = [data.draw(st.permutations(decompose(spins, chains, model.domain)))
+                   for spins in samples.spins]
+        assert all(len(chain_records) == n for chain_records in records)
+        again = stack(records, rs.variables)
+        for name in ("values", "broken", "frac_ones"):
+            a, b = getattr(rs, name), getattr(again, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert again.domain == rs.domain
+        assert np.array_equal(majority_vote(rs), majority_vote(again))
+        assert np.array_equal(random_weighted(rs, read_streams(seed)),
+                              random_weighted(again, read_streams(seed)))
+        assert np.array_equal(minimize_energy(rs, model), minimize_energy(again, model))
+        assert np.array_equal(unembed_tailored(rs, g, problem, read_streams(seed)),
+                              unembed_tailored(again, g, problem, read_streams(seed)))
 
 
 @PROPERTY
@@ -884,18 +934,17 @@ def test_random_weighted_matches_per_chain_reference(domain, n, p_break, p_one,
                                                      readout_seed, shuffle, seed):
     readouts = random_readouts(np.random.default_rng(readout_seed), n, domain, p_break, p_one)
     shuffle.shuffle(readouts)
-    got = random_weighted(readouts, rng_from(seed))
+    (got,) = random_weighted(row_set(readouts), [rng_from(seed)]).tolist()
     want = reference_random_weighted(readouts, rng_from(seed))
     assert got == [want[v] for v in sorted(want)]
-    assert random_weighted(Readout.of(readouts), rng_from(seed)) == got
 
 
 def test_readout_of_rejects_mixed_domains():
+    # the test-side builder refuses a read that mixes domains, which a set,
+    # holding one domain, cannot represent
     readouts = [ChainReadout(0, 1, ISING, False, 1.0), ChainReadout(1, 0, QUBO, False, 0.0)]
     with pytest.raises(ValueError, match="mix the domains"):
-        Readout.of(readouts)
-    with pytest.raises(ValueError, match="mix the domains"):
-        majority_vote(readouts)
+        row_set(readouts)
 
 
 coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
@@ -980,12 +1029,12 @@ def test_minimize_energy_matches_per_read_reference(case, data):
         [values[v] for v in variables]
         for values in (reference_minimize_energy(readouts, model) for readouts in reads)
     ]
-    got = minimize_energy(iter(reads), model)
+    got = minimize_energy(stack(reads, variables), model)
     assert got.dtype == np.int8 and got.tolist() == expected
     k = data.draw(st.integers(1, len(reads)))
-    assert minimize_energy(reads[:k], model).tolist() == expected[:k]
+    assert minimize_energy(stack(reads[:k], variables), model).tolist() == expected[:k]
     r = data.draw(st.integers(0, len(reads) - 1))
-    assert minimize_energy([reads[r]], model).tolist() == [expected[r]]
+    assert minimize_energy(row_set(reads[r]), model).tolist() == [expected[r]]
 
 
 @PROPERTY

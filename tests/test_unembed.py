@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from brokenchains.bqm import (
@@ -27,17 +28,15 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import (
     ChainReadout,
-    UnembedContext,
     decompose,
     majority_vote,
+    max_clique_rows,
+    max_cut_rows,
     minimize_energy,
+    partitioning_rows,
     random_weighted,
-    stack,
-    unembed_graph_partitioning,
-    unembed_max_clique,
-    unembed_max_cut,
     unembed_tailored,
-    unembed_vertex_cover,
+    vertex_cover_rows,
 )
 from conftest import (
     complete_graph,
@@ -45,7 +44,9 @@ from conftest import (
     members,
     one_read,
     path_graph,
+    row_set,
     sides,
+    stack,
     star_graph,
 )
 
@@ -60,6 +61,26 @@ def ro(var, values, domain):
 
 def decompose_read(ss, e, domain=ISING, read=0):
     return decompose(ss.spins[read], chain_columns(e, ss.qubits), domain)
+
+
+def clique(readouts, g):
+    """One read's clique, as a vertex set."""
+    return members(max_clique_rows(row_set(readouts), g)[0])
+
+
+def cover(readouts, g):
+    """One read's cover, as a vertex set."""
+    return members(vertex_cover_rows(row_set(readouts), g)[0])
+
+
+def cut(readouts, g, seed):
+    """One read's cut from generator ``rng_from(seed)``, as a ``Bipartition``."""
+    return sides(max_cut_rows(row_set(readouts), g, [rng_from(seed)])[0], g)
+
+
+def partition(readouts, g, seed):
+    """One read's partition from generator ``rng_from(seed)``, as a ``Bipartition``."""
+    return sides(partitioning_rows(row_set(readouts), g, [rng_from(seed)])[0], g)
 
 
 def random_readouts(nvars, domain, broken_vars, seed):
@@ -127,7 +148,7 @@ class TestStack:
         assert rs.values.tolist() == [[-1, 1], [1, 1]]
         assert rs.broken.tolist() == [[False, True], [True, False]]
         assert rs.frac_ones.tolist() == [[0.0, 0.5], [2 / 3, 1.0]]
-        assert stack(rs, (0, 1)) is rs
+        assert row_set(reads[0]).frac_ones.tolist() == [[0.0, 0.5]]
 
     def test_names_the_read_that_differs(self):
         one = [ro(0, [1], ISING), ro(1, [1], ISING)]
@@ -136,58 +157,67 @@ class TestStack:
         qubo = [ro(0, [1], QUBO), ro(1, [0], QUBO)]
         with pytest.raises(ValueError, match=f"^read 2: domain {QUBO} is not read 0's {ISING}$"):
             stack([one, one, qubo], (0, 1))
-        with pytest.raises(ValueError, match="^variables are not the vertices$"):
-            stack(stack([one], (0, 1)), (0, 1, 2), "the vertices")
+        # a set over other variables than the model's or the graph's vertices
+        m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0, 2: 0.0}, {})
+        with pytest.raises(ValueError, match="^variables are not the model variables$"):
+            minimize_energy(stack([one], (0, 1)), m)
+        with pytest.raises(ValueError, match="^variables are not the vertices 0..2$"):
+            max_cut_rows(stack([one], (0, 1)), complete_graph(3), [rng_from(0)])
 
 
 class TestMajorityVote:
     def test_majority(self):
-        assert majority_vote([ro(0, [1, 1, 0], QUBO)])[0] == 1
+        assert majority_vote(row_set([ro(0, [1, 1, 0], QUBO)])).tolist() == [[1]]
 
     def test_tie_goes_to_plus_one(self):
-        assert majority_vote([ro(0, [1, -1], ISING)])[0] == 1
-        assert majority_vote([ro(0, [1, 0], QUBO)])[0] == 1
+        assert majority_vote(row_set([ro(0, [1, -1], ISING)])).tolist() == [[1]]
+        assert majority_vote(row_set([ro(0, [1, 0], QUBO)])).tolist() == [[1]]
 
     def test_unbroken_zero(self):
-        assert majority_vote([ro(0, [0, 0, 0], QUBO)])[0] == 0
+        assert majority_vote(row_set([ro(0, [0, 0, 0], QUBO)])).tolist() == [[0]]
 
     def test_minority_ising(self):
-        assert majority_vote([ro(0, [-1, -1, 1], ISING)])[0] == -1
+        assert majority_vote(row_set([ro(0, [-1, -1, 1], ISING)])).tolist() == [[-1]]
+
+
+def weighted_hits(chain, reads):
+    """Random weighting of ``reads`` copies of one QUBO chain, read ``r``
+    drawing from ``rng_from(r)``: the number of reads that give 1."""
+    rs = stack([[ro(0, chain, QUBO)]] * reads, (0,))
+    return int(random_weighted(rs, [rng_from(seed) for seed in range(reads)]).sum())
 
 
 class TestRandomWeighted:
     def test_unbroken_kept(self):
-        for seed in range(20):
-            assert random_weighted([ro(0, [1, 1], QUBO)], rng_from(seed))[0] == 1
+        assert weighted_hits([1, 1], 20) == 20
 
     def test_half_split_frequency(self):
-        hits = sum(
-            random_weighted([ro(0, [1, 0], QUBO)], rng_from(seed))[0]
-            for seed in range(10000)
-        )
-        assert abs(hits / 10000 - 0.5) <= 0.05
+        assert abs(weighted_hits([1, 0], 10000) / 10000 - 0.5) <= 0.05
 
     def test_three_quarter_frequency(self):
-        hits = sum(
-            random_weighted([ro(0, [1, 1, 1, 0], QUBO)], rng_from(seed))[0]
-            for seed in range(10000)
-        )
-        assert abs(hits / 10000 - 0.75) <= 0.05
+        assert abs(weighted_hits([1, 1, 1, 0], 10000) / 10000 - 0.75) <= 0.05
 
     def test_deterministic_per_seed(self):
-        readouts = random_readouts(10, ISING, {2, 5, 7}, seed=4)
-        assert random_weighted(readouts, rng_from(3)) == random_weighted(readouts, rng_from(3))
+        rs = row_set(random_readouts(10, ISING, {2, 5, 7}, seed=4))
+        assert np.array_equal(random_weighted(rs, [rng_from(3)]), random_weighted(rs, [rng_from(3)]))
+
+    def test_missing_generator_named(self):
+        rs = stack([random_readouts(4, ISING, {1, 2}, seed=s) for s in range(3)], range(4))
+        with pytest.raises(ValueError, match="^read 0 has no generator$"):
+            random_weighted(rs, [])
+        with pytest.raises(ValueError, match="^read 2 has no generator$"):
+            random_weighted(rs, [rng_from(0), rng_from(1)])
 
 
 class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
         m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
-        out = minimize_energy([[ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]], m)[0]
+        out = minimize_energy(row_set([ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]), m)[0]
         assert out.tolist() == [1, -1]
 
     def test_no_broken_is_identity(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
-        out = minimize_energy([[ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]], m)[0]
+        out = minimize_energy(row_set([ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]), m)[0]
         assert out.tolist() == [-1, -1]
 
     def test_two_broken_coupled_to_fixed_only(self):
@@ -199,7 +229,7 @@ class TestMinimizeEnergy:
             ro(1, [1, -1], ISING),
             ro(2, [-1, 1], ISING),
         ]
-        got = minimize_energy([readouts], m)[0]
+        got = minimize_energy(row_set(readouts), m)[0]
         best = min(
             (dict(zip((1, 2), combo)) for combo in itertools.product((-1, 1), repeat=2)),
             key=lambda c: energy(m, {0: -1, **c}),
@@ -220,7 +250,7 @@ class TestMinimizeEnergy:
                 },
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
-            got = dict(enumerate(minimize_energy([readouts], m)[0].tolist()))
+            got = dict(enumerate(minimize_energy(row_set(readouts), m)[0].tolist()))
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
@@ -234,17 +264,17 @@ class TestMinimizeEnergy:
         readouts = [
             ro(0, [1], ISING), ro(1, [1, -1], ISING), ro(2, [-1], ISING), ro(3, [1], ISING)
         ]
-        assert minimize_energy([readouts], m)[0][1] == 1
+        assert minimize_energy(row_set(readouts), m)[0][1] == 1
 
     def test_qubo_tie_takes_zero(self):
         m = BinaryQuadraticModel(QUBO, {0: 0.0}, {})
-        out = minimize_energy([[ro(0, [1, 0], QUBO)]], m)[0]
+        out = minimize_energy(row_set([ro(0, [1, 0], QUBO)]), m)[0]
         assert out[0] == 0
 
     def test_variable_mismatch(self):
         m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 1.0}, {})
-        with pytest.raises(ValueError):
-            minimize_energy([[ro(0, [1, 1], ISING)]], m)
+        with pytest.raises(ValueError, match="^variables are not the model variables$"):
+            minimize_energy(row_set([ro(0, [1, 1], ISING)]), m)
 
 
 class TestMaxCliqueUnembed:
@@ -256,13 +286,13 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [0, 0], QUBO),
         ]
-        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
+        out = clique(readouts, g)
         assert out == {0, 1}
 
     def test_infeasible_core_returns_empty(self):
         g = path_graph(3)
         readouts = [ro(0, [1, 1], QUBO), ro(1, [0, 0], QUBO), ro(2, [1, 1], QUBO)]
-        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
+        out = clique(readouts, g)
         assert out == frozenset()
 
     def test_growth_order_by_fraction(self):
@@ -273,7 +303,7 @@ class TestMaxCliqueUnembed:
             ro(2, [1, 1, 1, 1, 0], QUBO),
             ro(3, [1, 1, 1, 0, 0], QUBO),
         ]
-        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
+        out = clique(readouts, g)
         assert out == {0, 1, 2, 3}
 
     def test_candidates_must_join_whole_clique(self):
@@ -285,7 +315,7 @@ class TestMaxCliqueUnembed:
             ro(2, [0, 0], QUBO),
             ro(3, [1, 0], QUBO),
         ]
-        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
+        out = clique(readouts, g)
         assert out == {0, 1}
 
     def test_degree_precedes_fraction(self):
@@ -298,7 +328,7 @@ class TestMaxCliqueUnembed:
             ro(3, [1, 0, 0, 0], QUBO),
             ro(4, [1, 0, 0, 0], QUBO),
         ]
-        out = members(unembed_max_clique(readouts, UnembedContext(g, "max_clique", rng_from(0))))
+        out = clique(readouts, g)
         assert 3 in out and 4 in out and 2 not in out
 
 
@@ -306,7 +336,7 @@ class TestMaxCutUnembed:
     def test_unbroken_passthrough(self):
         g = path_graph(3)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, -1), (2, 1))]
-        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(0))), g)
+        out = cut(readouts, g, 0)
         assert out.side_plus == {0, 2} and out.side_minus == {1}
 
     def test_star_center_opposes_leaves(self):
@@ -314,37 +344,39 @@ class TestMaxCutUnembed:
         readouts = [ro(0, [1, -1], ISING)] + [
             ro(i, [1, 1], ISING) for i in range(1, 5)
         ]
-        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(1))), g)
+        out = cut(readouts, g, 1)
         assert 0 in out.side_minus
 
     def test_isolated_tie_uses_majority(self):
         g = empty_graph(1)
-        out = sides(
-            unembed_max_cut([ro(0, [1, 1, -1], ISING)], UnembedContext(g, "max_cut", rng_from(1))),
-            g,
-        )
-        assert 0 in out.side_plus
+        assert 0 in cut([ro(0, [1, 1, -1], ISING)], g, 1).side_plus
 
     def test_complete_partition(self):
         g = erdos_renyi(12, 0.4, 3)
         readouts = random_readouts(12, ISING, {1, 4, 6, 9}, seed=8)
-        out = sides(unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(5))), g)
+        out = cut(readouts, g, 5)
         assert out.is_complete_for(g)
 
     def test_deterministic_given_seed(self):
         g = erdos_renyi(10, 0.5, 1)
         readouts = random_readouts(10, ISING, {0, 3, 7}, seed=2)
-        a = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(9)))
-        b = unembed_max_cut(readouts, UnembedContext(g, "max_cut", rng_from(9)))
-        assert a == b
+        assert cut(readouts, g, 9) == cut(readouts, g, 9)
+
+    def test_missing_generator_named(self):
+        g = path_graph(4)
+        rs = stack([random_readouts(4, ISING, {1, 2}, seed=s) for s in range(3)], range(4))
+        for rows in (max_cut_rows, partitioning_rows):
+            with pytest.raises(ValueError, match="^read 0 has no generator$"):
+                rows(rs, g, [])
+            with pytest.raises(ValueError, match="^read 1 has no generator$"):
+                rows(rs, g, iter([rng_from(0)]))
 
 
 class TestGraphPartitioningUnembed:
     def test_unbroken_passthrough_balanced(self):
         g = empty_graph(4)
         readouts = [ro(v, [s, s], ISING) for v, s in ((0, 1), (1, 1), (2, -1), (3, -1))]
-        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
-        part = sides(unembed_graph_partitioning(readouts, ctx), g)
+        part = partition(readouts, g, 0)
         assert part.is_balanced() and part.side_plus == {0, 1}
 
     def test_isolated_broken_follow_majority(self):
@@ -356,8 +388,7 @@ class TestGraphPartitioningUnembed:
             ro(3, [-1, -1, 1], ISING),
             ro(4, [-1, -1, 1], ISING),
         ]
-        ctx = UnembedContext(g, "graph_partitioning", rng_from(2))
-        part = sides(unembed_graph_partitioning(readouts, ctx), g)
+        part = partition(readouts, g, 2)
         assert part.side_minus == {2, 3, 4} and part.is_balanced()
 
     def test_cap_trigger_forces_other_side(self):
@@ -368,8 +399,7 @@ class TestGraphPartitioningUnembed:
             ro(2, [1, -1], ISING),
             ro(3, [1, -1], ISING),
         ]
-        ctx = UnembedContext(g, "graph_partitioning", rng_from(2))
-        part = sides(unembed_graph_partitioning(readouts, ctx), g)
+        part = partition(readouts, g, 2)
         assert part.side_minus == {2, 3} and part.is_balanced()
 
     def test_degree_rule_minimizes_cut_contribution(self):
@@ -382,15 +412,13 @@ class TestGraphPartitioningUnembed:
             ro(4, [1, 1], ISING),
             ro(5, [-1, -1, 1, 1], ISING),
         ]
-        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
-        part = sides(unembed_graph_partitioning(readouts, ctx), g)
+        part = partition(readouts, g, 0)
         assert 3 in part.side_minus
 
     def test_unbalanced_core_flagged(self):
         g = empty_graph(5)
         readouts = [ro(v, [1, 1], ISING) for v in range(4)] + [ro(4, [1, -1], ISING)]
-        ctx = UnembedContext(g, "graph_partitioning", rng_from(0))
-        part = sides(unembed_graph_partitioning(readouts, ctx), g)
+        part = partition(readouts, g, 0)
         assert not part.is_balanced()
         assert part.side_minus == {4}
 
@@ -400,8 +428,7 @@ class TestGraphPartitioningUnembed:
             rng = rng_from(seed + 50)
             broken = {int(v) for v in rng.choice(11, size=4, replace=False)}
             readouts = random_readouts(11, ISING, broken, seed=seed)
-            ctx = UnembedContext(g, "graph_partitioning", rng_from(seed))
-            part = sides(unembed_graph_partitioning(readouts, ctx), g)
+            part = partition(readouts, g, seed)
             assert part.is_complete_for(g)
             skew = len(part.side_minus) - len(part.side_plus)
             assert part.is_balanced() == (abs(skew) <= 1)
@@ -411,15 +438,13 @@ class TestVertexCoverUnembed:
     def test_zero_zero_edge_trivial_cover(self):
         g = Graph(2, [(0, 1)])
         readouts = [ro(0, [0, 0], QUBO), ro(1, [0, 0], QUBO)]
-        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
-        out = members(unembed_vertex_cover(readouts, ctx))
+        out = cover(readouts, g)
         assert out == {0, 1}
 
     def test_forced_neighbors_of_zeros(self):
         g = path_graph(3)
         readouts = [ro(0, [0, 0], QUBO), ro(1, [1, 0], QUBO), ro(2, [0, 1], QUBO)]
-        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
-        out = members(unembed_vertex_cover(readouts, ctx))
+        out = cover(readouts, g)
         assert out == {1}
 
     def test_star_all_broken(self):
@@ -427,8 +452,7 @@ class TestVertexCoverUnembed:
         readouts = [ro(0, [1] * 9 + [0], QUBO)] + [
             ro(i, [1, 0], QUBO) for i in range(1, 5)
         ]
-        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
-        out = members(unembed_vertex_cover(readouts, ctx))
+        out = cover(readouts, g)
         assert out == {1, 2, 3, 4}
 
     def test_drain_degrees_follow_removals(self):
@@ -440,8 +464,7 @@ class TestVertexCoverUnembed:
         chains = [[1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0],
                   [1, 1, 1, 0]]
         readouts = [ro(v, chain, QUBO) for v, chain in enumerate(chains)]
-        ctx = UnembedContext(g, "min_vertex_cover", rng_from(0))
-        out = members(unembed_vertex_cover(readouts, ctx))
+        out = cover(readouts, g)
         assert out == {1, 2, 4, 5}
 
     def test_cover_always_feasible(self):
@@ -450,10 +473,7 @@ class TestVertexCoverUnembed:
             rng = rng_from(seed + 77)
             broken = {int(v) for v in rng.choice(12, size=5, replace=False)}
             readouts = random_readouts(12, QUBO, broken, seed=seed)
-            out = unembed_vertex_cover(
-                readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
-            )
-            assert is_vertex_cover(g, members(out))
+            assert is_vertex_cover(g, cover(readouts, g))
 
 
 class TestAgreementOnUnbroken:
@@ -467,63 +487,41 @@ class TestAgreementOnUnbroken:
             qubo_readouts = [ro(v, [b, b], QUBO) for v, b in sorted(bits.items())]
 
             m = build_max_cut_ising(g)
-            values = [spins[v] for v in range(10)]
-            assert majority_vote(ising_readouts) == values
-            assert random_weighted(ising_readouts, rng_from(seed)) == values
-            assert minimize_energy([ising_readouts], m)[0].tolist() == values
+            values = [[spins[v] for v in range(10)]]
+            rs = row_set(ising_readouts)
+            assert majority_vote(rs).tolist() == values
+            assert random_weighted(rs, [rng_from(seed)]).tolist() == values
+            assert minimize_energy(rs, m).tolist() == values
 
-            cut = unembed_max_cut(ising_readouts, UnembedContext(g, "max_cut", rng_from(seed)))
-            assert members(cut) == {v for v, s in spins.items() if s == 1}
-
-            part = unembed_graph_partitioning(
-                ising_readouts, UnembedContext(g, "graph_partitioning", rng_from(seed))
-            )
-            assert members(part) == {v for v, s in spins.items() if s == 1}
+            plus = {v for v, s in spins.items() if s == 1}
+            assert cut(ising_readouts, g, seed).side_plus == plus
+            assert partition(ising_readouts, g, seed).side_plus == plus
 
             ones = frozenset(v for v, b in bits.items() if b)
             if is_clique(g, ones):
-                got = unembed_max_clique(
-                    qubo_readouts, UnembedContext(g, "max_clique", rng_from(seed))
-                )
-                assert members(got) == ones
+                assert clique(qubo_readouts, g) == ones
             if is_vertex_cover(g, ones):
-                got = unembed_vertex_cover(
-                    qubo_readouts, UnembedContext(g, "min_vertex_cover", rng_from(seed))
-                )
-                assert members(got) == ones
+                assert cover(qubo_readouts, g) == ones
 
     def test_tailored_dispatch(self):
         g = complete_graph(3)
         readouts = [ro(v, [1, 1], QUBO) for v in range(3)]
-        out = unembed_tailored([readouts, readouts[:2] + [ro(2, [0, 0], QUBO)]], g,
-                               "max_clique", None)
+        rs = stack([readouts, readouts[:2] + [ro(2, [0, 0], QUBO)]], range(3))
+        out = unembed_tailored(rs, g, "max_clique", None)
         assert out.tolist() == [[True, True, True], [True, True, False]]
         with pytest.raises(ValueError):
-            unembed_tailored([readouts], g, "coloring", None)
-
-    @pytest.mark.parametrize(
-        "entry, domain, problem",
-        [
-            (unembed_max_clique, QUBO, "max_clique"),
-            (unembed_vertex_cover, QUBO, "min_vertex_cover"),
-            (unembed_max_cut, ISING, "max_cut"),
-            (unembed_graph_partitioning, ISING, "graph_partitioning"),
-        ],
-    )
-    def test_context_for_another_problem_rejected(self, entry, domain, problem):
-        g = complete_graph(3)
-        readouts = [ro(v, [1, 1], domain) for v in range(3)]
-        other = "max_clique" if problem == "max_cut" else "max_cut"
-        with pytest.raises(
-            ValueError, match=f"^the context is for problem '{other}', not '{problem}'$"
-        ):
-            entry(readouts, UnembedContext(g, other, rng_from(0)))
+            unembed_tailored(rs, g, "coloring", None)
 
     def test_domain_guards(self):
         g = complete_graph(3)
-        ising_readouts = [ro(v, [1, 1], ISING) for v in range(3)]
-        with pytest.raises(ValueError):
-            unembed_max_clique(ising_readouts, UnembedContext(g, "max_clique", rng_from(0)))
-        qubo_readouts = [ro(v, [1, 1], QUBO) for v in range(3)]
-        with pytest.raises(ValueError):
-            unembed_max_cut(qubo_readouts, UnembedContext(g, "max_cut", rng_from(0)))
+        ising = row_set([ro(v, [1, 1], ISING) for v in range(3)])
+        qubo = row_set([ro(v, [1, 1], QUBO) for v in range(3)])
+        for rows, readouts, domain in (
+            (max_clique_rows, ising, QUBO),
+            (vertex_cover_rows, ising, QUBO),
+            (max_cut_rows, qubo, ISING),
+            (partitioning_rows, qubo, ISING),
+        ):
+            args = (readouts, g) if domain == QUBO else (readouts, g, [rng_from(0)])
+            with pytest.raises(ValueError, match=f"^{rows.__name__} expects {domain} readouts$"):
+                rows(*args)
