@@ -189,19 +189,24 @@ def _check_artifacts(args, g, e, model):
         raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
 
 
-def _check_provenance(samples, e, model):
+def _check_provenance(args, samples, e, model):
     """The reads must come from the physical model that ``sample`` built out
-    of ``model`` and ``e`` at the chain strength and topology it recorded."""
-    if samples.provenance is None:
-        raise ValueError("no provenance record; draw the samples again with 'sample'")
+    of ``model`` and ``e`` at the chain strength and topology it recorded.
+    A fault of the embedding names the embedding file, any other the
+    samples file."""
+    with _blame(args.samples):
+        if samples.provenance is None:
+            raise ValueError("no provenance record; draw the samples again with 'sample'")
     strength = samples.provenance["chain_strength"]
     m, n, t = samples.provenance["topology"]
-    pm = embed_bqm(convert(model, ISING), e, chimera(m, n, t), strength)
-    if model_hash(pm.ising) != samples.model_hash:
-        raise ValueError(
-            f"model_hash differs from that of the physical model at chain strength"
-            f" {strength} on chimera({m}, {n}, {t})"
-        )
+    with _blame(args.embedding):
+        pm = embed_bqm(convert(model, ISING), e, chimera(m, n, t), strength)
+    with _blame(args.samples):
+        if model_hash(pm.ising) != samples.model_hash:
+            raise ValueError(
+                f"model_hash differs from that of the physical model at chain strength"
+                f" {strength} on chimera({m}, {n}, {t})"
+            )
 
 
 @contextlib.contextmanager
@@ -224,7 +229,7 @@ def cmd_unembed(args):
     with open(args.samples) as fh, _blame(args.samples):
         samples = sampleset_from_json(fh.read())
         chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
-        _check_provenance(samples, e, model)
+    _check_provenance(args, samples, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     rs = decompose_set(samples.spins, chains, model.domain)

@@ -9,24 +9,31 @@ tested without any annealing at all.
 Determinism contract: read ``r`` of ``simulated_anneal`` consumes only the
 PCG64 stream seeded by ``derive_seed(params.seed, STREAM_READ, r)``,
 drawing the initial state first and then one uniform per spin per sweep.
-Those uniforms are taken several sweeps at a time (``_DRAWS_PER_CALL``)
-by one ``rng.random`` call per read; one call fills its values in stream
-order, so each sweep gets the uniforms that a call per sweep would draw.
+The initial spins are those of ``rng.integers(0, 2, n)``, read as the top
+bits of ``ceil(n / 2)`` raw output words (``_initial_states``).  The
+uniforms are taken several sweeps at a time (``_DRAWS_PER_CALL``) by one
+``rng.random`` call per read; one call fills its values in stream order,
+so each sweep gets the uniforms that a call per sweep would draw.
 Reads are therefore independent, order-insensitive, and reproducible:
 the spins of read ``r`` are the same whether reads run one at a time or in
 batches.  The anneal sizes its spin batches to the model
 (``_batch_shape``): at least ``_READ_BATCH`` reads, and as many as keep
 the draw buffer within ``_DRAW_BUFFER`` bytes, so a small model anneals
-all its reads in one batch.  Energies are still summed per block of
+all its reads in one batch.  Read ``r`` of ``inject_chain_breaks``
+likewise draws one uniform per physical qubit, in ascending qubit id,
+from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the
+first k reads of a logical set gives the first k injected reads.  Both
+take their per-read generators from ``seeding.streams``, which builds
+exactly these streams.
+
+A ``SampleSet``'s energies are computed from its spins the first time
+``energies`` is read, so the fig2/3/4 experiments, which never read
+them, never compute them.  The anneal sums them per block of
 ``_READ_BATCH`` reads (reads 0-63, 64-127, ...) with BLAS and scipy
 products, whatever the spin batches, so read ``r``'s energy agrees with
 ``bqm.energy`` to 1e-9 but can differ in the last bit between two read
-counts that end in a different last block.  Read ``r`` of
-``inject_chain_breaks`` likewise draws one uniform per physical qubit, in
-ascending qubit id, from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``,
-so injecting the first k reads of a logical set gives the first k
-injected reads.  Both take their per-read generators from
-``seeding.streams``, which builds exactly these streams.
+counts that end in a different last block.  The injector sums all its
+reads as one block.
 
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
@@ -95,7 +102,9 @@ class SampleSet:
 
     qubits: tuple  # ascending qubit ids
     spins: np.ndarray  # (reads, len(qubits)) int8 of -1 | +1
-    energies: np.ndarray  # float64, one per read
+    # float64, one per read, or a function of no arguments computing them from
+    # ``spins``, which ``energies`` calls the first time it is read
+    energy_source: object
     params: AnnealParams
     model: PhysicalModel = field(repr=False, default=None)
     # read back by ``sampleset_from_json``: the stored ``model_hash`` of the
@@ -107,24 +116,31 @@ class SampleSet:
     def __len__(self):
         return len(self.spins)
 
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        """One float64 energy per read."""
+        source = self.energy_source
+        return source() if callable(source) else source
+
 
 class _CompiledModel:
     """Array form of a physical Ising model for vectorized sweeps."""
 
     def __init__(self, model: BinaryQuadraticModel):
         self.qubits = tuple(model.variables())
-        index = {q: i for i, q in enumerate(self.qubits)}
         n = len(self.qubits)
+        ids = np.array(self.qubits, dtype=np.int64)
         self.h = np.zeros(n)
-        for q, c in model.linear.items():
-            self.h[index[q]] = c
-        rows, cols, vals = [], [], []
-        for (p, q), c in model.quadratic.items():
-            i, j = index[p], index[q]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [c, c]
-        self.j_sym = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        linear = np.fromiter(model.linear, np.int64, len(model.linear))
+        self.h[np.searchsorted(ids, linear)] = np.fromiter(model.linear.values(), np.float64, n)
+        pairs = itertools.chain.from_iterable(model.quadratic)
+        pairs = np.fromiter(pairs, np.int64, 2 * len(model.quadratic)).reshape(-1, 2)
+        i, j = np.searchsorted(ids, pairs).T
+        c = np.fromiter(model.quadratic.values(), np.float64, len(model.quadratic))
+        self.j_sym = sp.csr_matrix(
+            (np.concatenate([c, c]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+            shape=(n, n),
+        )
         self.j_upper = sp.triu(self.j_sym, k=1).tocsr()
         self.offset = model.offset
 
@@ -194,10 +210,7 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
         rngs = list(itertools.islice(read_rngs, min(batch, params.num_reads - start)))
         # column r of ``states`` is one read, so a class's CSR rows multiply
         # the block as it lies, with no transposed copy of either operand
-        states = np.stack(
-            [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
-            axis=1,
-        )
+        states = _initial_states(rngs, n)
         draws = buffer[: len(rngs)]
         # exp overflows to inf on steep downhill moves, which accept all the same
         with np.errstate(over="ignore"):
@@ -222,14 +235,39 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
                         states[cls] = np.copysign(1.0, x, out=x)
         spins.append(states.T.astype(np.int8, order="C"))
     spins = np.concatenate(spins)
-    # energies are summed over C-ordered (reads, qubits) blocks of
-    # _READ_BATCH rows: the last bits of a BLAS sum depend on the shape and
-    # layout it is given
-    energies = [
+    energies = functools.partial(_block_energies, compiled, spins)
+    return SampleSet(compiled.qubits, spins, energies, params, pm)
+
+
+def _initial_states(rngs, n: int) -> np.ndarray:
+    """``rng.integers(0, 2, n) * 2.0 - 1.0`` of each generator, as column ``r``
+    of a C-ordered float64 ``(n, reads)`` array.
+
+    ``integers`` takes each of those bits as the top bit of one 32-bit half
+    of a PCG64 output word, low half first, so it reads ``ceil(n / 2)``
+    words; reading them raw gives the same bits and leaves each stream
+    where ``integers`` leaves it for the ``random`` draws that follow.
+    """
+    words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs], axis=1)
+    # built in place: every full-size temporary adds to the anneal's peak memory
+    states = np.empty((2 * len(words), len(rngs)))
+    bits = words >> 31
+    states[0::2] = np.bitwise_and(bits, 1, out=bits)
+    states[1::2] = np.right_shift(words, 63, out=bits)
+    states = states[:n]
+    states *= 2.0
+    states -= 1.0
+    return states
+
+
+def _block_energies(compiled: _CompiledModel, spins: np.ndarray) -> np.ndarray:
+    """The energy of each read of ``spins``, summed over C-ordered
+    ``(reads, qubits)`` blocks of ``_READ_BATCH`` rows: the last bits of a
+    BLAS sum depend on the shape and layout it is given."""
+    return np.concatenate([
         compiled.energies(spins[first : first + _READ_BATCH].astype(np.float64))
         for first in range(0, len(spins), _READ_BATCH)
-    ]
-    return SampleSet(compiled.qubits, spins, np.concatenate(energies), params, pm)
+    ])
 
 
 def inject_chain_breaks(
@@ -252,8 +290,7 @@ def inject_chain_breaks(
     variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
     if not np.all(np.abs(logical.spins) == 1):
         raise ValueError("logical samples must be Ising spins (-1/+1)")
-    compiled = _CompiledModel(pm.ising)
-    qubits = compiled.qubits
+    qubits = tuple(pm.ising.variables())
     chains = chain_columns(e, qubits)
     if len(chains.columns) != len(qubits):
         raise ValueError("the physical model has qubits outside the chains")
@@ -264,7 +301,10 @@ def inject_chain_breaks(
     for row, rng in zip(flips, streams(seed, STREAM_INJECT, 0)):
         np.less(rng.random(len(qubits)), p_break, out=row)
     spins = np.where(flips, -copied, copied)
-    energies = compiled.energies(spins.astype(np.float64))
+
+    def energies():  # summed over all reads as one block, when first read
+        return _CompiledModel(pm.ising).energies(spins.astype(np.float64))
+
     return SampleSet(qubits, spins, energies, logical.params, pm)
 
 

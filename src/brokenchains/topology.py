@@ -7,42 +7,27 @@ Qubit ids are linear: ``((row * n + col) * 2 + shore) * t + index`` with
 shore 0 horizontal and shore 1 vertical.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from brokenchains.bqm import ISING, BinaryQuadraticModel, convert, require_keys
+from brokenchains.bqm import ISING, BinaryQuadraticModel, convert, is_int, require_keys
 from brokenchains.graphs import Graph
 
 HORIZONTAL = 0
 VERTICAL = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardwareGraph:
-    qubits: frozenset
-    couplers: frozenset
+    """Qubits ``0 .. len(qubits) - 1`` and the couplers between them."""
+
+    qubits: range
+    couplers: np.ndarray  # (k, 2) int: rows (p, q) with p < q, in ascending order
     shape: tuple  # (rows m, cols n, shore t)
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", frozenset(self.qubits))
-        object.__setattr__(
-            self, "couplers", frozenset(tuple(sorted(c)) for c in self.couplers)
-        )
-        for p, q in self.couplers:
-            if p == q:
-                raise ValueError(f"self-coupler on qubit {p}")
-            if p not in self.qubits or q not in self.qubits:
-                raise ValueError(f"coupler ({p}, {q}) references missing qubit")
-
-    def adjacency(self) -> dict:
-        adj = {q: set() for q in self.qubits}
-        for p, q in self.couplers:
-            adj[p].add(q)
-            adj[q].add(p)
-        return adj
 
 
 def chimera_qubit(m: int, n: int, t: int, row: int, col: int, shore: int, k: int) -> int:
@@ -53,23 +38,21 @@ def chimera(m: int, n: int, t: int) -> HardwareGraph:
     """Chimera graph with ``m * n`` cells of ``2t`` qubits each."""
     if m < 1 or n < 1 or t < 1:
         raise ValueError("chimera dimensions must be positive")
-
-    def q(row, col, shore, k):
-        return chimera_qubit(m, n, t, row, col, shore, k)
-
     qubits = range(2 * t * m * n)
-    couplers = []
-    for row in range(m):
-        for col in range(n):
-            for i in range(t):
-                for j in range(t):
-                    couplers.append((q(row, col, HORIZONTAL, i), q(row, col, VERTICAL, j)))
-            for k in range(t):
-                if col + 1 < n:
-                    couplers.append((q(row, col, HORIZONTAL, k), q(row, col + 1, HORIZONTAL, k)))
-                if row + 1 < m:
-                    couplers.append((q(row, col, VERTICAL, k), q(row + 1, col, VERTICAL, k)))
-    return HardwareGraph(frozenset(qubits), frozenset(couplers), (m, n, t))
+    cells = (np.arange(m * n) * 2 * t).reshape(m, n, 1)  # first qubit of each cell
+    horizontal = cells + np.arange(t)  # (m, n, t) qubits of each horizontal shore
+    vertical = horizontal + t
+    ends = [
+        # K_{t,t} inside each cell
+        np.broadcast_arrays(horizontal[..., :, None], vertical[..., None, :]),
+        # each shore index to the same index one cell right, or one cell down
+        (horizontal[:, :-1], horizontal[:, 1:]),
+        (vertical[:-1], vertical[1:]),
+    ]
+    p = np.concatenate([a.ravel() for a, _ in ends])
+    q = np.concatenate([b.ravel() for _, b in ends])
+    order = np.argsort(p * len(qubits) + q)
+    return HardwareGraph(qubits, np.stack([p[order], q[order]], axis=1), (m, n, t))
 
 
 @dataclass(frozen=True)
@@ -201,78 +184,130 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
 
 @dataclass(frozen=True, eq=False)
 class _ChainCouplers:
-    """The hardware couplers of an embedding, sorted by the chains they join."""
+    """An embedding's chains as arrays, and the hardware couplers sorted by
+    the chains they join.  Chain ``i`` is that of ``variables[i]``."""
 
-    inside: dict  # variable -> couplers inside its chain, ascending
-    between: dict  # (u, v) with u < v -> couplers joining chains u and v, ascending
+    variables: np.ndarray  # ascending logical variables
+    qubits: np.ndarray  # every chain's qubits, chains in variable order
+    starts: np.ndarray  # offset of each chain in ``qubits``
+    lengths: np.ndarray  # chain lengths
+    inside: np.ndarray  # (k, 2) couplers inside a chain, ascending
+    pairs: np.ndarray  # ascending keys i * len(variables) + j, i < j, of joined chains
+    pair_starts: np.ndarray  # offset of each pair's couplers in ``between``
+    pair_counts: np.ndarray  # number of couplers of each pair
+    between: np.ndarray  # (k, 2) couplers joining two chains, by pair, ascending in one
     violations: list  # chains in variable order, then edges in ascending order
 
 
+def _ranges(starts, lengths):
+    """``concatenate([arange(s, s + k) for s, k in zip(starts, lengths)])``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
 def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
-    """One pass over the hardware couplers through a qubit -> chain owner map.
+    """One pass over the hardware couplers through a qubit -> chain holder map.
 
     The one place that decides whether an embedding is valid for the
-    logical ``edges``: a chain must be nonempty, repeat no qubit, use only
-    hardware qubits, share none with another chain and be connected by
-    the couplers inside it, and each edge needs a coupler between the
-    chains of its endpoints.
+    logical ``edges``, a ``(k, 2)`` array of variable pairs ``u < v``: a
+    chain must be nonempty, repeat no qubit, use only hardware qubits,
+    share none with another chain and be connected by the couplers inside
+    it, and each edge needs a coupler between the chains of its endpoints.
+    Violation strings are built only for the chains and edges that fail.
     """
-    found = {v: [] for v in e.variables()}
-    owners = {}  # qubit -> variables whose chains hold it, usually one
-    for v, problems in found.items():
-        chain = e.chain(v)
+    variables = e.variables()
+    chains = [e.chain(v) for v in variables]
+    lengths = np.fromiter(map(len, chains), np.intp, len(chains))
+    qubits = np.fromiter(itertools.chain.from_iterable(chains), np.int64, lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(chains)), lengths)  # chain of each entry
+    # an entry repeats when its chain holds its qubit at an earlier position
+    order = np.lexsort((qubits, owner))  # stable: ties keep their position order
+    repeat = np.zeros(len(qubits), dtype=bool)
+    repeat[order[1:]] = (owner[order[1:]] == owner[order[:-1]]) & (
+        qubits[order[1:]] == qubits[order[:-1]]
+    )
+    on_hw = (qubits >= 0) & (qubits < len(hw.qubits))
+    held = np.flatnonzero(on_hw & ~repeat)  # one entry per chain and hardware qubit
+    # the entries holding hardware qubit q are holders[first[q] : first[q] + count[q]],
+    # chains ascending
+    holders = held[np.argsort(qubits[held], kind="stable")]
+    count = np.bincount(qubits[held], minlength=len(hw.qubits))
+    first = np.cumsum(count) - count
+    first_owner = np.full(len(qubits), -1)
+    first_owner[held] = owner[holders[first[qubits[held]]]]
+
+    # every (holder of p, holder of q) of every coupler (p, q): one link per
+    # coupler that touches chains, unless chains overlap
+    p, q = hw.couplers.T
+    links = count[p] * count[q]
+    c = np.repeat(np.arange(len(p)), links)
+    k = _ranges(np.zeros_like(links), links)
+    a = holders[first[p[c]] + k // count[q[c]]]
+    b = holders[first[q[c]] + k % count[q[c]]]
+    same = owner[a] == owner[b]
+
+    # connected parts by min-label propagation over the couplers inside chains
+    label = np.arange(len(qubits))
+    x, y = a[same], b[same]
+    while True:
+        low = np.minimum(label[x], label[y])
+        lower = label.copy()
+        np.minimum.at(lower, x, low)
+        np.minimum.at(lower, y, low)
+        lower = lower[lower]
+        if np.array_equal(lower, label):
+            break
+        label = lower
+
+    def per_chain(mask):
+        return np.bincount(owner[mask], minlength=len(chains))
+
+    repeats = per_chain(repeat) > 0
+    absent = per_chain(~on_hw) > 0
+    overlaps = per_chain((first_owner >= 0) & (first_owner != owner)) > 0
+    parts = per_chain(held[label[held] == held])
+    disconnected = (lengths > 0) & ~absent & (parts > 1)
+    violations = []
+    for i in np.flatnonzero((lengths == 0) | repeats | absent | overlaps | disconnected):
+        v, chain = variables[i], chains[i]
         if not chain:
-            problems.append(f"chain {v} is empty")
+            violations.append(f"chain {v} is empty")
             continue
-        if len(set(chain)) != len(chain):
-            problems.append(f"chain {v} repeats a qubit")
-        for q in chain:
-            if q not in hw.qubits:
-                problems.append(f"chain {v} uses qubit {q} absent from hardware")
+        if repeats[i]:
+            violations.append(f"chain {v} repeats a qubit")
+        for j, qubit in enumerate(chain, int(starts[i])):
+            if repeat[j]:
                 continue
-            holders = owners.setdefault(q, [])
-            if holders:
-                problems.append(f"chains {holders[0]} and {v} overlap on qubit {q}")
-            if v not in holders:
-                holders.append(v)
+            if not on_hw[j]:
+                violations.append(f"chain {v} uses qubit {qubit} absent from hardware")
+            elif first_owner[j] != i:
+                holder = variables[first_owner[j]]
+                violations.append(f"chains {holder} and {v} overlap on qubit {qubit}")
+        if disconnected[i]:
+            violations.append(f"chain {v} is disconnected")
 
-    inside = {v: [] for v in found}
-    between = {}
-    for p, q in sorted(hw.couplers):
-        for a in owners.get(p, ()):
-            for b in owners.get(q, ()):
-                if a == b:
-                    inside[a].append((p, q))
-                else:
-                    between.setdefault((min(a, b), max(a, b)), []).append((p, q))
+    lo = np.minimum(owner[a], owner[b])[~same]
+    hi = np.maximum(owner[a], owner[b])[~same]
+    keys = lo * len(chains) + hi
+    by_pair = np.argsort(keys, kind="stable")  # couplers stay ascending in each pair
+    pairs, pair_starts, pair_counts = np.unique(
+        keys[by_pair], return_index=True, return_counts=True
+    )
 
-    for v, problems in found.items():
-        chain = e.chain(v)
-        if chain and all(q in hw.qubits for q in chain):
-            if not _connected(chain, inside[v]):
-                problems.append(f"chain {v} is disconnected")
-    violations = [text for problems in found.values() for text in problems]
-    for u, v in sorted(edges):
+    known = np.array(variables, dtype=np.int64)
+    index = np.searchsorted(known, edges)
+    mapped = np.isin(edges, known).all(axis=1)
+    joined = mapped & np.isin(index[:, 0] * len(chains) + index[:, 1], pairs)
+    for u, v in sorted(map(tuple, edges[~joined].tolist())):
         if u not in e.chains or v not in e.chains:
             violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
-        elif (u, v) not in between:
+        else:
             violations.append(f"logical edge ({u}, {v}) has no inter-chain coupler")
-    return _ChainCouplers(inside, between, violations)
-
-
-def _connected(chain, couplers) -> bool:
-    """Whether ``couplers`` (all inside ``chain``) connect every chain qubit."""
-    adj = {q: [] for q in chain}
-    for p, q in couplers:
-        adj[p].append(q)
-        adj[q].append(p)
-    frontier, reached = [chain[0]], {chain[0]}
-    while frontier:
-        for nb in adj[frontier.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                frontier.append(nb)
-    return len(reached) == len(adj)
+    return _ChainCouplers(
+        known, qubits, starts, lengths, hw.couplers[c[same]], pairs, pair_starts,
+        pair_counts, hw.couplers[c[~same]][by_pair], violations,
+    )
 
 
 def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
@@ -284,7 +319,8 @@ def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
     The violations come from the same pass over the hardware couplers
     that ``embed_bqm`` compiles from, so the two always agree.
     """
-    return _chain_couplers(e, hw, logical.edges).violations
+    edges = itertools.chain.from_iterable(logical.edges)
+    return _chain_couplers(e, hw, np.fromiter(edges, np.int64).reshape(-1, 2)).violations
 
 
 def uniform_torque_compensation(
@@ -351,32 +387,33 @@ def embed_bqm(
     unmapped = [v for v in m.variables() if v not in e.chains]
     if unmapped:
         raise ValueError(f"model variable {unmapped[0]} has no chain in the embedding")
-    links = _chain_couplers(e, hw, [uv for uv, j in m.quadratic.items() if j != 0.0])
+    terms = itertools.chain.from_iterable(m.quadratic)
+    terms = np.fromiter(terms, np.int64, 2 * len(m.quadratic)).reshape(-1, 2)
+    j = np.fromiter(m.quadratic.values(), np.float64, len(m.quadratic))
+    terms, j = terms[j != 0.0], j[j != 0.0]
+    links = _chain_couplers(e, hw, terms)
     if links.violations:
         raise ValueError("invalid embedding: " + "; ".join(links.violations))
 
-    linear = {}
-    for v, h in m.linear.items():
-        chain = e.chain(v)
-        share = h / len(chain)
-        for q in chain:
-            linear[q] = linear.get(q, 0.0) + share
+    chain = np.searchsorted(links.variables, np.fromiter(m.linear, np.int64, len(m.linear)))
+    lengths = links.lengths[chain]
+    h = np.fromiter(m.linear.values(), np.float64, len(m.linear))
+    # 0.0 + share, as the sum into a fresh entry was: a -0.0 share gives 0.0
+    shares = 0.0 + np.repeat(h / lengths, lengths)
+    qubits = links.qubits[_ranges(links.starts[chain], lengths)]
+    linear = dict(zip(qubits.tolist(), shares.tolist()))
 
-    quadratic = {}
-    for uv, j in m.quadratic.items():
-        if j == 0.0:
-            continue
-        couplers = links.between[uv]
-        share = j / len(couplers)
-        for key in couplers:
-            quadratic[key] = share
-
-    intra = sorted(key for couplers in links.inside.values() for key in couplers)
-    for key in intra:
-        quadratic[key] = -chain_strength
+    u, v = np.searchsorted(links.variables, terms).T
+    pair = np.searchsorted(links.pairs, u * len(links.variables) + v)
+    counts = links.pair_counts[pair]
+    couplers = links.between[_ranges(links.pair_starts[pair], counts)]
+    shares = np.repeat(j / counts, counts)
+    quadratic = dict(zip(map(tuple, couplers.tolist()), shares.tolist()))
+    intra = tuple(map(tuple, links.inside.tolist()))
+    quadratic.update(dict.fromkeys(intra, -chain_strength))
 
     physical = BinaryQuadraticModel(ISING, linear, quadratic, m.offset)
-    return PhysicalModel(physical, chain_strength, e, tuple(intra))
+    return PhysicalModel(physical, chain_strength, e, intra)
 
 
 def embedding_to_json(e: Embedding) -> str:
@@ -391,4 +428,7 @@ def embedding_from_json(text: str) -> Embedding:
     for v, chain in doc.items():
         if not isinstance(chain, list):
             raise ValueError(f"the chain of variable {v} must be a list of qubits")
+        for q in chain:
+            if not (is_int(q) and -(2**63) <= q < 2**63):
+                raise ValueError(f"the chain of variable {v} holds {q!r}, not a qubit id")
     return Embedding({int(v): tuple(chain) for v, chain in doc.items()})

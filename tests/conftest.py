@@ -53,11 +53,25 @@ def spin_glass(hw, seed, scale=1.0):
     """A PhysicalModel with uniform [-1, 1) fields and couplers, times ``scale``,
     on every qubit and coupler of ``hw``, drawn from ``rng_from(seed)``."""
     rng = rng_from(seed)
-    qubits, couplers = sorted(hw.qubits), sorted(hw.couplers)
+    qubits, couplers = list(hw.qubits), sorted(coupler_set(hw))
     linear = dict(zip(qubits, (scale * rng.uniform(-1.0, 1.0, len(qubits))).tolist()))
     quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
     ising = BinaryQuadraticModel(ISING, linear, quadratic)
     return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
+
+
+def coupler_set(hw):
+    """The couplers of ``hw`` as a set of ``(p, q)`` tuples, ``p < q``."""
+    return set(map(tuple, hw.couplers.tolist()))
+
+
+def hardware_adjacency(hw):
+    """``{qubit: set of the qubits it shares a coupler with}`` over ``hw``."""
+    adj = {q: set() for q in hw.qubits}
+    for p, q in hw.couplers.tolist():
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
 
 
 def stack(reads, variables):

@@ -73,6 +73,7 @@ from brokenchains.unembed import (
 from conftest import (
     complete_graph,
     empty_graph,
+    hardware_adjacency,
     members,
     one_read,
     row_set,
@@ -473,7 +474,7 @@ def has_complete_minor(hw, k, max_len):
     is then a k-clique of compatible sets, found by branch and bound over
     bitsets with a greedy-colouring bound (Tomita's MCQ).
     """
-    adj = hw.adjacency()
+    adj = hardware_adjacency(hw)
     sets, frontier = set(), {frozenset([q]) for q in hw.qubits}
     while frontier:
         sets |= frontier

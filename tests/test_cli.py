@@ -313,6 +313,34 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert self.unembed(tmp_path) == 2
         assert "samples.json: model_hash differs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("qubit", [True, "3", 2.0])
+    def test_non_integer_qubit_exit_2(self, tmp_path, capsys, qubit):
+        self.sampled(tmp_path)
+        path = tmp_path / "embedding.json"
+        doc = json.loads(path.read_text())
+        doc["1"][0] = qubit
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        expect = f"embedding.json: the chain of variable 1 holds {qubit!r}, not a qubit id"
+        assert err.startswith("configuration error:") and expect in err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_embedding_names_the_embedding_file(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        path = tmp_path / "embedding.json"
+        doc = json.loads(path.read_text())
+        doc["1"].append(doc["0"][0])  # every qubit is still a sample column
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        expect = f"embedding.json: invalid embedding: chains 0 and 1 overlap on qubit {doc['0'][0]}"
+        assert err.startswith("configuration error:") and expect in err
+        assert "samples.json" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_samples_without_provenance_exit_2(self, tmp_path, capsys):
         self.sampled(tmp_path)
         path = tmp_path / "samples.json"

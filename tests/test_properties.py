@@ -115,6 +115,7 @@ from brokenchains.sampler import (
     SampleSet,
     _batch_shape,
     _CompiledModel,
+    _initial_states,
     inject_chain_breaks,
     simulated_anneal,
 )
@@ -150,7 +151,17 @@ from brokenchains.unembed import (
     unembed_tailored,
     vertex_cover_rows,
 )
-from conftest import members, row_set, sample_set, sides, spin_glass, spins_of, stack
+from conftest import (
+    coupler_set,
+    hardware_adjacency,
+    members,
+    row_set,
+    sample_set,
+    sides,
+    spin_glass,
+    spins_of,
+    stack,
+)
 
 HW = chimera(2, 2, 4)
 QUBITS = tuple(sorted(HW.qubits))
@@ -176,6 +187,42 @@ def embeddings(draw):
         chains[v] = order[start : start + length]
         start += length
     return Embedding(chains)
+
+
+FAULTS = ("overlap", "repeat", "off-hardware", "empty", "disconnected")
+
+
+@st.composite
+def faulty_embeddings(draw):
+    """An ``embeddings()`` draw with one to three faults: a chain takes a qubit
+    of another chain (or of itself), repeats one of its qubits, takes an id
+    that is no hardware qubit, is emptied, or becomes two qubits of one
+    cell's shore, which share no coupler."""
+    chains = {v: list(c) for v, c in draw(embeddings()).chains.items()}
+    for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+        v = draw(st.sampled_from(sorted(chains)))
+        chain = chains[v]
+        at = draw(st.integers(0, len(chain)))
+        if fault == "overlap":
+            other = chains[draw(st.sampled_from(sorted(chains)))]
+            if other:
+                chain.insert(at, draw(st.sampled_from(other)))
+        elif fault == "repeat" and chain:
+            chain.insert(at, draw(st.sampled_from(chain)))
+        elif fault == "off-hardware":
+            chain.insert(at, draw(st.sampled_from((-1, len(QUBITS), len(QUBITS) + 3, 2**40))))
+        elif fault == "empty":
+            chain.clear()
+        elif fault == "disconnected":
+            q = draw(st.sampled_from(QUBITS))
+            chain[:] = [q, q - q % 4 + (q + 1) % 4]  # the next index on q's shore
+    return Embedding(chains)
+
+
+def fault_events(violations):
+    """One hypothesis event per kind of violation, to show what was drawn."""
+    for text in violations:
+        event(" ".join(w for w in text.split() if not w.strip("(),").lstrip("-").isdigit()))
 
 
 def reference_readouts(spins: dict, e: Embedding, domain: str):
@@ -297,6 +344,23 @@ def test_streams_equal_default_rng(seed, stream, trailing_zero, count, k):
         assert np.array_equal(rng.random(k), want.random(k))
         assert np.array_equal(rng.integers(0, 2, k), want.integers(0, 2, k))
         assert np.array_equal(rng.permutation(k), want.permutation(k))
+
+
+@PROPERTY
+@given(seeds, st.one_of(st.sampled_from((1, 2, 7, 30, 31, 270, 1101)), st.integers(0, 70)),
+       st.integers(1, 4))
+def test_initial_states_equal_integer_draws(seed, n, reads):
+    event("odd n" if n % 2 else "even n")
+    rngs = list(itertools.islice(streams(seed, STREAM_READ), reads))
+    twins = list(itertools.islice(streams(seed, STREAM_READ), reads))
+    states = _initial_states(rngs, n)
+    assert states.shape == (n, reads) and states.dtype == np.float64
+    assert states.flags.c_contiguous
+    for column, rng, twin in zip(states.T, rngs, twins):
+        want = twin.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+        assert column.tobytes() == want.tobytes()
+        # the stream is where ``integers`` leaves it for the sweeps' draws
+        assert np.array_equal(rng.random(5), twin.random(5))
 
 
 @PROPERTY
@@ -1110,9 +1174,12 @@ def test_embedding_keeps_chain_consistent_energies(m, data, chain_strength):
 
 
 def reference_violations(e: Embedding, logical: Graph, hw):
-    """Violations of ``e`` as a minor of ``logical``, found qubit by qubit."""
+    """Violations of ``e`` as a minor of ``logical``, found qubit by qubit.
+
+    A chain's qubits are checked once each, in chain order: a repeat is
+    reported as the chain repeating a qubit, not again as an overlap."""
     violations = []
-    adj = hw.adjacency()
+    adj = hardware_adjacency(hw)
     seen = {}
     for v in e.variables():
         chain = e.chain(v)
@@ -1121,7 +1188,7 @@ def reference_violations(e: Embedding, logical: Graph, hw):
             continue
         if len(set(chain)) != len(chain):
             violations.append(f"chain {v} repeats a qubit")
-        for q in chain:
+        for q in dict.fromkeys(chain):
             if q not in hw.qubits:
                 violations.append(f"chain {v} uses qubit {q} absent from hardware")
             elif q in seen:
@@ -1156,6 +1223,7 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
         chain = e.chain(v)
         for q in chain:
             linear[q] = linear.get(q, 0.0) + h / len(chain)
+    couplers = coupler_set(hw)
     quadratic = {}
     for (u, v), j in m.quadratic.items():
         if j == 0.0:
@@ -1164,7 +1232,7 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
             (min(p, q), max(p, q))
             for p in e.chain(u)
             for q in e.chain(v)
-            if (min(p, q), max(p, q)) in hw.couplers
+            if (min(p, q), max(p, q)) in couplers
         ]
         for key in links:
             quadratic[key] = quadratic.get(key, 0.0) + j / len(links)
@@ -1174,20 +1242,22 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
         for i, p in enumerate(chain):
             for q in chain[i + 1:]:
                 key = (min(p, q), max(p, q))
-                if key in hw.couplers:
+                if key in couplers:
                     quadratic[key] = -chain_strength
                     intra.append(key)
     return linear, quadratic, tuple(sorted(intra))
 
 
 @PROPERTY
-@given(st.one_of(embeddings(), st.integers(1, 9).map(lambda k: clique_embedding(k, HW))),
+@given(st.one_of(embeddings(), faulty_embeddings(),
+                 st.integers(1, 9).map(lambda k: clique_embedding(k, HW))),
        st.data(), chain_strengths)
 def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
     model = random_model(data.draw, e.variables())
     problems = validate_embedding(e, model.interaction_graph(), HW)
     assert problems == reference_violations(e, model.interaction_graph(), HW)
     event("invalid" if problems else "valid")
+    fault_events(problems)
     if problems:
         with pytest.raises(ValueError):
             embed_bqm(model, e, HW, chain_strength)
@@ -1208,8 +1278,11 @@ def any_embeddings(draw):
 
 
 @PROPERTY
-@given(any_embeddings(), st.lists(st.sampled_from(list(itertools.combinations(range(10), 2))),
-                                  max_size=12))
-def test_validate_embedding_matches_reference(e, edges):
-    logical = Graph(10, edges)
-    assert validate_embedding(e, logical, HW) == reference_violations(e, logical, HW)
+@given(st.one_of(any_embeddings(), faulty_embeddings()), st.data())
+def test_validate_embedding_matches_reference(e, data):
+    # edge endpoints: the chained variables and two without a chain
+    pairs = list(itertools.combinations(sorted(e.chains) + [100, 101], 2))
+    logical = Graph(102, data.draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    problems = validate_embedding(e, logical, HW)
+    assert problems == reference_violations(e, logical, HW)
+    fault_events(problems)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel, build_max_cut_ising, energy
+from brokenchains import sampler
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
@@ -26,7 +28,7 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import decompose
 from brokenchains.graphs import erdos_renyi
-from conftest import complete_graph, one_read, spins_of
+from conftest import complete_graph, one_read, sample_set, spin_glass, spins_of
 
 
 def logical_pm(model):
@@ -184,3 +186,37 @@ class TestSampleSetExport:
         assert lines[0] == "energy,spins"
         assert len(lines) == 6
         assert set(lines[1].split(",")[1]) <= {"+", "-"}
+
+
+class TestEnergySum:
+    """Energies are summed on first read: over C-ordered blocks of 64 reads
+    for the anneal, over all reads at once for the injector."""
+
+    def test_anneal_energy_bytes_pinned(self):
+        # read 68 sits in a 6-read block of the 70-read run and in a 36-read
+        # block of the 100-read run, and its energy differs in the last bit
+        pm = spin_glass(chimera(4, 4, 4), 0)
+        short, long = (simulated_anneal(pm, AnnealParams(k, 5, seed=0)) for k in (70, 100))
+        assert np.array_equal(short.spins, long.spins[:70])
+        assert np.flatnonzero(short.energies != long.energies[:70]).tolist() == [68]
+        digests = [hashlib.sha256(ss.energies.tobytes()).hexdigest() for ss in (short, long)]
+        assert digests == [
+            "5c1df644cef8a3fb86c365b20f2c586fc83b7312e44343fc0b1760daab616a1d",
+            "4043ee43c82609dd72afbc291b12761499346a2fdea694ac40d0ac460fe59398",
+        ]
+
+    def test_injected_energies_computed_on_first_read(self, monkeypatch):
+        hw = chimera(2, 2, 4)
+        pm = embed_bqm(build_max_cut_ising(complete_graph(5)), clique_embedding(5, hw), hw, 2.0)
+        rows = rng_from(3).choice((-1, 1), size=(70, 5))
+        compile_model, compiled = sampler._CompiledModel, []
+        monkeypatch.setattr(sampler, "_CompiledModel",
+                            lambda model: compiled.append(model) or compile_model(model))
+        ss = inject_chain_breaks(sample_set(rows, range(5)), 0.3, 7, pm)
+        assert compiled == []
+        energies = ss.energies
+        assert compiled == [pm.ising] and ss.energies is energies
+        whole = compile_model(pm.ising).energies(ss.spins.astype(np.float64))
+        assert energies.tobytes() == whole.tobytes()
+        for read, value in enumerate(energies):
+            assert abs(value - energy(pm.ising, spins_of(ss, read))) <= 1e-9

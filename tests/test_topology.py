@@ -8,6 +8,7 @@ from brokenchains.seeding import rng_from
 from brokenchains.topology import (
     Embedding,
     chimera,
+    chimera_qubit,
     clique_embedding,
     embed_bqm,
     embedding_from_json,
@@ -16,7 +17,7 @@ from brokenchains.topology import (
     uniform_torque_compensation,
     validate_embedding,
 )
-from conftest import complete_graph
+from conftest import complete_graph, coupler_set
 
 
 class TestChimera:
@@ -43,6 +44,30 @@ class TestChimera:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             chimera(0, 1, 4)
+
+    @pytest.mark.parametrize("m,n,t", [
+        (1, 1, 1), (1, 1, 4), (2, 3, 4), (3, 2, 1), (3, 3, 2), (1, 5, 3), (4, 4, 4),
+    ])
+    def test_couplers_match_per_cell_reference(self, m, n, t):
+        def q(row, col, shore, k):
+            return chimera_qubit(m, n, t, row, col, shore, k)
+
+        couplers = []
+        for row in range(m):
+            for col in range(n):
+                for i in range(t):
+                    for j in range(t):
+                        couplers.append((q(row, col, 0, i), q(row, col, 1, j)))
+                for k in range(t):
+                    if col + 1 < n:
+                        couplers.append((q(row, col, 0, k), q(row, col + 1, 0, k)))
+                    if row + 1 < m:
+                        couplers.append((q(row, col, 1, k), q(row + 1, col, 1, k)))
+        hw = chimera(m, n, t)
+        assert hw.qubits == range(2 * t * m * n)
+        assert hw.shape == (m, n, t)
+        assert hw.couplers.shape == (len(couplers), 2)
+        assert hw.couplers.tolist() == sorted(map(list, couplers))
 
 
 class TestCliqueEmbedding:
@@ -123,6 +148,16 @@ class TestValidateEmbedding:
         hw = chimera(1, 1, 4)
         out = validate_embedding(Embedding({0: (99,)}), Graph(1, []), hw)
         assert any("absent" in v for v in out)
+
+    def test_repeated_qubit_reported_once(self):
+        hw = chimera(1, 1, 4)
+        # h0 and v0 share a coupler, so only the repeat of qubit 0 is at fault
+        e = Embedding({0: (0, 4, 0, 0), 1: (5, 99, 99)})
+        assert validate_embedding(e, Graph(2, []), hw) == [
+            "chain 0 repeats a qubit",
+            "chain 1 repeats a qubit",
+            "chain 1 uses qubit 99 absent from hardware",
+        ]
 
 
 class TestUniformTorqueCompensation:
@@ -212,8 +247,9 @@ class TestEmbedBqm:
         hw = chimera(2, 2, 4)
         e = clique_embedding(5, hw)
         pm = embed_bqm(m, e, hw, 2.5)
+        couplers = coupler_set(hw)
         for key in pm.ising.quadratic:
-            assert key in hw.couplers
+            assert key in couplers
         for key in pm.intra_chain_couplers:
             assert pm.ising.quadratic[key] == -2.5
 
@@ -242,3 +278,14 @@ class TestEmbeddingSerialization:
         e = clique_embedding(9, chimera(2, 2, 4))
         back = embedding_from_json(embedding_to_json(e))
         assert back.chains == e.chains
+
+    @pytest.mark.parametrize("qubit", ["true", '"3"', "2.0", "null", "[4]", str(2**63)])
+    def test_non_integer_qubit_rejected(self, qubit):
+        text = f'{{"0": [0, 4], "7": [5, {qubit}]}}'
+        with pytest.raises(ValueError, match="^the chain of variable 7 holds .*, not a qubit id$"):
+            embedding_from_json(text)
+
+    def test_negative_qubit_read_as_absent(self):
+        e = embedding_from_json('{"0": [-1]}')
+        out = validate_embedding(e, Graph(1, []), chimera(1, 1, 4))
+        assert out == ["chain 0 uses qubit -1 absent from hardware"]
