@@ -43,6 +43,7 @@ from brokenchains.topology import (
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
+    anneal_grid,
     simulated_anneal,
     inject_chain_breaks,
 )

@@ -12,13 +12,19 @@ reproduces at desk scale:
 
 All three are reports over one loop, ``_graph_runs``, which builds the
 Chimera graph and clique embedding once and yields one ``GraphRun`` per
-graph in CSV row order.  ``run_graph_pipeline`` compiles each graph onto
-them, decodes the whole sample set in one pass with ``decompose_set``
-into one ``ReadoutSet`` of ``(reads, chains)`` arrays, and records each
-read's broken-chain fraction and, for each method the experiment scores,
-the witnesses of all reads; ``repair`` is the one place a method name
-turns into a repair call, once per sample set, and every method runs on
-that one set.  A method's witnesses are one
+graph and chain strength in CSV row order.  ``run_graph_pipeline`` builds
+each graph, its problem model and its Ising model once, compiles that
+model onto them at every strength of the experiment (fig4's grid, or the
+one strength of fig2 and fig3), and anneals all those physical models in
+one ``anneal_grid`` pass, which draws each read's uniforms once for every
+strength (with injected breaks, the logical model is annealed once and
+each strength's chains get their own injected copy).  It decodes each
+strength's sample set in one pass with ``decompose_set`` into one
+``ReadoutSet`` of ``(reads, chains)`` arrays, and records each read's
+broken-chain fraction and, for each method the experiment scores, the
+witnesses of all reads; ``repair`` is the one place a method name turns
+into a repair call, once per sample set, and every method runs on that
+one set.  A method's witnesses are one
 boolean ``(reads, n)`` array, row ``r`` for read ``r`` and column ``v``
 for vertex ``v``, and ``score_rows`` scores a whole array at once over the
 graph's edge arrays.
@@ -48,7 +54,8 @@ from brokenchains.graphs import (
     is_clique,
     is_vertex_cover,
 )
-from brokenchains.sampler import AnnealParams, inject_chain_breaks, simulated_anneal
+from brokenchains.sampler import AnnealParams, anneal_grid, inject_chain_breaks
+from brokenchains.sampler import simulated_anneal  # noqa: F401 (wrapped by the harness)
 from brokenchains.seeding import (
     STREAM_GRAPH,
     STREAM_LOGICAL,
@@ -86,9 +93,11 @@ from brokenchains.unembed import (
 # this module's own time.
 #
 # Bound here only because the harness wraps them by name, and called by no
-# experiment: ``decompose``, ``witness_from_values``, ``score_witness`` and
-# the three graph checks ``is_clique``, ``is_vertex_cover`` and ``cut_size``
-# (with ``Bipartition``, which ``witness_from_values`` builds).  They go
+# experiment: ``simulated_anneal`` (each graph's models are annealed in one
+# ``anneal_grid`` call), ``decompose``, ``witness_from_values``,
+# ``score_witness`` and the three graph checks ``is_clique``,
+# ``is_vertex_cover`` and ``cut_size`` (with ``Bipartition``, which
+# ``witness_from_values`` builds).  They go
 # when the harness stops wrapping them.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
@@ -372,7 +381,9 @@ def _resolve_chain_strength(strength, ising, prefactor):
     return float(strength)
 
 
-def _draw_physical_samples(config, pm, ising, graph_seed):
+def _draw_physical_samples(config, pms, ising, graph_seed):
+    """One sample set per model of ``pms``, each ``ising`` embedded at one
+    chain strength, from one anneal."""
     stream = STREAM_GRAPH if config.source == "anneal" else STREAM_LOGICAL
     params = AnnealParams(
         num_reads=config.reads,
@@ -381,12 +392,12 @@ def _draw_physical_samples(config, pm, ising, graph_seed):
         seed=derive_seed(graph_seed, stream),
     )
     if config.source == "anneal":
-        return simulated_anneal(pm, params)
-    # inject: anneal the *logical* model, then copy each read onto the
-    # chains and flip qubits with probability p_break
+        return anneal_grid(pms, params)
+    # inject: anneal the *logical* model once, then copy each read onto the
+    # chains of every model and flip qubits with probability p_break
     logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()), ())
-    logical_samples = simulated_anneal(logical_pm, params)
-    return inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm)
+    logical_samples = anneal_grid([logical_pm], params)[0]
+    return [inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm) for pm in pms]
 
 
 def run_graph_pipeline(
@@ -395,12 +406,14 @@ def run_graph_pipeline(
     embedding: Embedding,
     density: float,
     index: int,
-    strength,
+    strengths,
     scale: bool = False,
     methods=METHODS,
-) -> GraphRun:
-    """Generate one instance, compile it onto ``embedding`` over ``hw``,
-    sample it, and repair every read.
+) -> list:
+    """Generate one instance, compile it onto ``embedding`` over ``hw`` at
+    each chain strength setting of ``strengths``, sample every compiled
+    model in one pass, and repair every read; one ``GraphRun`` per
+    strength, in order.
 
     ``hw`` and ``embedding`` are the experiment's ``chimera(*topology)``
     and ``clique_embedding(n, hw)``.  Only ``methods`` run; each read's
@@ -412,17 +425,22 @@ def run_graph_pipeline(
     ising = convert(problem_model, ISING)
     if scale:
         ising = scale_to_unit_range(ising)
-    chain_strength = _resolve_chain_strength(strength, ising, config.prefactor)
-    pm = embed_bqm(ising, embedding, hw, chain_strength)
-    samples = _draw_physical_samples(config, pm, ising, graph_seed)
+    chain_strengths = [_resolve_chain_strength(s, ising, config.prefactor) for s in strengths]
+    pms = [embed_bqm(ising, embedding, hw, c) for c in chain_strengths]
+    sample_sets = _draw_physical_samples(config, pms, ising, graph_seed)
 
-    chains = chain_columns(embedding, samples.qubits)
-    rs = decompose_set(samples.spins, chains, problem_model.domain)
-    witnesses = {
-        name: repair(name, rs, config.problem, g, problem_model, graph_seed)
-        for name in methods
-    }
-    return GraphRun(g, graph_seed, chain_strength, ising, rs.broken.mean(axis=1), witnesses)
+    chains = chain_columns(embedding, sample_sets[0].qubits)
+    runs = []
+    for chain_strength, samples in zip(chain_strengths, sample_sets):
+        rs = decompose_set(samples.spins, chains, problem_model.domain)
+        witnesses = {
+            name: repair(name, rs, config.problem, g, problem_model, graph_seed)
+            for name in methods
+        }
+        runs.append(
+            GraphRun(g, graph_seed, chain_strength, ising, rs.broken.mean(axis=1), witnesses)
+        )
+    return runs
 
 
 def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
@@ -467,18 +485,21 @@ def _graph_runs(config: ExperimentConfig, strengths, methods, scale: bool = Fals
     """Every graph of an experiment through ``run_graph_pipeline``, in CSV
     row order: density, then strength, then graph index.
 
-    Builds the experiment's hardware graph and clique embedding once and
-    yields ``(density, strength, run)``; ``strength`` is the setting as
-    given, ``run.chain_strength`` its resolved value.
+    Builds the experiment's hardware graph and clique embedding once, and
+    each graph once for all ``strengths``, and yields
+    ``(density, strength, run)``; ``strength`` is the setting as given,
+    ``run.chain_strength`` its resolved value.
     """
     hw = chimera(*config.topology)
     embedding = clique_embedding(config.n, hw)
     for density in config.densities:
-        for strength in strengths:
-            for index in range(config.graphs_per_density):
-                run = run_graph_pipeline(
-                    config, hw, embedding, density, index, strength, scale, methods
-                )
+        # graphs[index][k] is graph index at strengths[k]
+        graphs = [
+            run_graph_pipeline(config, hw, embedding, density, index, strengths, scale, methods)
+            for index in range(config.graphs_per_density)
+        ]
+        for strength, runs in zip(strengths, zip(*graphs)):
+            for run in runs:
                 yield density, strength, run
 
 

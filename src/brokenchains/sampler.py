@@ -2,13 +2,19 @@
 
 ``simulated_anneal`` draws independent reads from a physical Ising model
 with single-spin Metropolis updates over a geometric inverse-temperature
-ladder.  ``inject_chain_breaks`` manufactures physical samples with a
-controlled per-qubit flip probability so unembedding behaviour can be
-tested without any annealing at all.
+ladder.  ``anneal_grid`` does the same for several models over one set of
+qubits and couplers (one logical model embedded at several chain
+strengths) in one pass, and ``simulated_anneal`` is its one-model case.
+``inject_chain_breaks`` manufactures physical samples with a controlled
+per-qubit flip probability so unembedding behaviour can be tested without
+any annealing at all.
 
 Determinism contract: read ``r`` of ``simulated_anneal`` consumes only the
 PCG64 stream seeded by ``derive_seed(params.seed, STREAM_READ, r)``,
 drawing the initial state first and then one uniform per spin per sweep.
+In ``anneal_grid`` that one stream serves read ``r`` of every model: each
+model starts from the same initial spins and takes the same uniforms, by
+its own qubit index, so it gets the reads it gets when annealed alone.
 The initial spins are those of ``rng.integers(0, 2, n)``, read as the top
 bits of ``ceil(n / 2)`` raw output words (``_initial_states``).  The
 uniforms are taken several sweeps at a time (``_DRAWS_PER_CALL``) by one
@@ -16,11 +22,13 @@ uniforms are taken several sweeps at a time (``_DRAWS_PER_CALL``) by one
 so each sweep gets the uniforms that a call per sweep would draw.
 Reads are therefore independent, order-insensitive, and reproducible:
 the spins of read ``r`` are the same whether reads run one at a time or in
-batches.  The anneal sizes its spin batches to the model
-(``_batch_shape``): at least ``_READ_BATCH`` reads, and as many as keep
-the draw buffer within ``_DRAW_BUFFER`` bytes, so a small model anneals
-all its reads in one batch.  Read ``r`` of ``inject_chain_breaks``
-likewise draws one uniform per physical qubit, in ascending qubit id,
+batches, and whichever models share its draws.  The anneal sizes its spin
+batches to the models (``_batch_shape``) and counts them in model-reads,
+reads times models, since every model holds its own states: at least
+``_READ_BATCH`` model-reads, and as many as keep the draw buffer times
+the models within ``_DRAW_BUFFER`` bytes, so a small model anneals all
+its reads in one batch.  Read ``r`` of ``inject_chain_breaks`` likewise
+draws one uniform per physical qubit, in ascending qubit id,
 from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the
 first k reads of a logical set gives the first k injected reads.  Both
 take their per-read generators from ``seeding.streams``, which builds
@@ -38,7 +46,11 @@ reads as one block.
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
 within a class.  Spins in one class share no coupler, so the simultaneous
-class update equals sequential single-spin updates in that order.
+class update equals sequential single-spin updates in that order.  The
+models of a grid share one interaction graph and so one colouring; their
+states lie stacked, and one block-diagonal CSR of a class's rows in every
+model updates that class in all of them, each row summed in the order of
+its model's own CSR.
 
 A flip of spin ``s`` in local field ``f`` changes the energy by
 ``delta = -2 s f`` and is accepted when ``delta <= 0`` or
@@ -51,6 +63,12 @@ update takes that test as the sign of ``u - exp(x)``, which is negative
 exactly when ``u < exp(x)`` and +0 when they are equal, and the new spin is
 ``copysign(1, s (u - exp(x)))``.  Accept decisions, and so spins, are those
 of the explicit ``delta`` form bit for bit.
+
+A class whose field ``h`` is zero on every qubit of every model (max cut
+and partitioning have no field) skips the add ``x += h``, which is exact:
+``x + 0.0`` differs from ``x`` only at ``x = -0.0``, and that value goes
+through ``* s`` and ``* 2 beta`` to a zero of either sign, whose ``exp``
+is 1.0 either way.
 """
 
 import csv
@@ -141,8 +159,13 @@ class _CompiledModel:
             (np.concatenate([c, c]), (np.concatenate([i, j]), np.concatenate([j, i]))),
             shape=(n, n),
         )
-        self.j_upper = sp.triu(self.j_sym, k=1).tocsr()
         self.offset = model.offset
+
+    @functools.cached_property
+    def j_upper(self):
+        """The couplers above the diagonal, built on first use: only
+        energies need them."""
+        return sp.triu(self.j_sym, k=1).tocsr()
 
     @functools.cached_property
     def classes(self):
@@ -167,11 +190,6 @@ class _CompiledModel:
             for c in range(ncolors)
         ]
 
-    @functools.cached_property
-    def class_rows(self):
-        """The rows of ``j_sym`` of each colour class."""
-        return [self.j_sym[cls] for cls in self.classes]
-
     def energies(self, states: np.ndarray) -> np.ndarray:
         # states: (reads, n) of +-1
         return states @ self.h + np.einsum(
@@ -179,38 +197,71 @@ class _CompiledModel:
         ) + self.offset
 
 
-def _batch_shape(n: int, sweeps: int) -> tuple:
-    """(reads per spin batch, sweeps per draw call) of an anneal of ``n``
-    qubits: a batch's draws, ``reads * chunk * n`` float64s, fill at most
-    ``_DRAW_BUFFER`` bytes unless ``_READ_BATCH`` reads alone do."""
+def _batch_shape(n: int, sweeps: int, models: int = 1) -> tuple:
+    """(reads per spin batch, sweeps per draw call) of an anneal of
+    ``models`` models of ``n`` qubits each.  A batch counts model-reads,
+    reads times ``models``: it holds at least ``_READ_BATCH`` of them, and
+    as many as keep ``reads * chunk * n * models`` float64s within
+    ``_DRAW_BUFFER`` bytes."""
     n = max(n, 1)
     chunk = min(max(1, _DRAWS_PER_CALL // n), sweeps)
-    return max(_READ_BATCH, _DRAW_BUFFER // (8 * n * chunk)), chunk
+    return max(-(-_READ_BATCH // models), _DRAW_BUFFER // (8 * n * chunk * models)), chunk
 
 
 def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
-    """Independent Metropolis anneals of the physical model, one per read."""
-    compiled = _CompiledModel(pm.ising)
-    n = len(compiled.qubits)
+    """Independent Metropolis anneals of the physical model, one per read:
+    the one-model case of ``anneal_grid``."""
+    return anneal_grid([pm], params)[0]
+
+
+def anneal_grid(pms, params: AnnealParams) -> list:
+    """``simulated_anneal`` of each of several physical models over the same
+    qubits and couplers (one logical model at several chain strengths, say),
+    in one pass: read ``r`` of every model draws from read ``r``'s one
+    stream, so each model's reads are those it gets annealed alone.
+
+    The models' states lie stacked, model ``g`` in rows ``g n`` to
+    ``(g + 1) n``, and each colour class updates in all models at once
+    through one block-diagonal CSR of the models' rows.  Raises
+    ``ValueError`` for an empty list, or when the models' qubits or
+    coupler keys differ.
+    """
+    if not pms:
+        raise ValueError("anneal_grid needs at least one model")
+    compiled = [_CompiledModel(pm.ising) for pm in pms]
+    for pm, model in zip(pms[1:], compiled[1:]):
+        if model.qubits != compiled[0].qubits:
+            raise ValueError("the models of a grid must have the same qubits")
+        if pm.ising.quadratic.keys() != pms[0].ising.quadratic.keys():
+            raise ValueError("the models of a grid must have the same couplers")
+    models, n = len(compiled), len(compiled[0].qubits)
     two_betas = (
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
-    batch, chunk = _batch_shape(n, params.sweeps)
-    classes = [
-        (cls, compiled.h[cls][:, None], j_rows)
-        for cls, j_rows in zip(compiled.classes, compiled.class_rows)
-    ]
+    batch, chunk = _batch_shape(n, params.sweeps, models)
+    classes = []
+    # the models share one interaction graph, coloured once
+    for cls in compiled[0].classes:
+        rows = [model.j_sym[cls] for model in compiled]
+        h_rows = np.concatenate([model.h[cls] for model in compiled])[:, None]
+        classes.append((
+            cls,
+            np.concatenate([cls + g * n for g in range(models)]),
+            h_rows if h_rows.any() else None,  # adding a zero field changes no spin
+            # one model keeps its rows: a one-block block_diag is a costly copy
+            rows[0] if models == 1 else sp.block_diag(rows, format="csr"),
+        ))
 
     read_rngs = streams(params.seed, STREAM_READ)
     # one draw buffer serves every batch: buffer[r, t, i] is the uniform of
     # read r for qubit i in sweep t of the current draw call
     buffer = np.empty((min(batch, params.num_reads), chunk, n))
-    spins = []
+    spins = [np.empty((params.num_reads, n), dtype=np.int8) for _ in compiled]
     for start in range(0, params.num_reads, batch):
         rngs = list(itertools.islice(read_rngs, min(batch, params.num_reads - start)))
-        # column r of ``states`` is one read, so a class's CSR rows multiply
-        # the block as it lies, with no transposed copy of either operand
-        states = _initial_states(rngs, n)
+        # column r of ``states`` is one read of every model, so a class's CSR
+        # rows multiply the block as it lies, with no transposed copy of either
+        states = _initial_states(rngs, n, models)
         draws = buffer[: len(rngs)]
         # exp overflows to inf on steep downhill moves, which accept all the same
         with np.errstate(over="ignore"):
@@ -220,28 +271,34 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
                     rng.random(out=block[: len(chunk_two_betas)])
                 for t, two_beta in enumerate(chunk_two_betas):
                     uniforms = draws[:, t].T  # uniforms[i, r]
-                    for cls, h_cls, j_rows in classes:
-                        s = states[cls]
+                    for cls, rows, h_rows, j_rows in classes:
+                        s = states[rows]
                         # x = 2 beta s_i f_i, where f_i = h_i + sum_j J_ij s_j
                         x = j_rows @ states
-                        x += h_cls
+                        if h_rows is not None:
+                            x += h_rows
                         x *= s
                         x *= two_beta
                         np.exp(x, out=x)
                         # u - exp(x) < 0 exactly when the flip is accepted, and
-                        # its sign times s is the new spin (a zero keeps s)
-                        np.subtract(uniforms[cls], x, out=x)
+                        # its sign times s is the new spin (a zero keeps s);
+                        # every model takes the class's uniforms of each read
+                        by_model = x.reshape(models, len(cls), len(rngs))
+                        np.subtract(uniforms[cls], by_model, out=by_model)
                         x *= s
-                        states[cls] = np.copysign(1.0, x, out=x)
-        spins.append(states.T.astype(np.int8, order="C"))
-    spins = np.concatenate(spins)
-    energies = functools.partial(_block_energies, compiled, spins)
-    return SampleSet(compiled.qubits, spins, energies, params, pm)
+                        states[rows] = np.copysign(1.0, x, out=x)
+        for g, out in enumerate(spins):
+            out[start : start + len(rngs)] = states[g * n : (g + 1) * n].T
+    return [
+        SampleSet(model.qubits, out, functools.partial(_block_energies, model, out), params, pm)
+        for pm, model, out in zip(pms, compiled, spins)
+    ]
 
 
-def _initial_states(rngs, n: int) -> np.ndarray:
+def _initial_states(rngs, n: int, models: int = 1) -> np.ndarray:
     """``rng.integers(0, 2, n) * 2.0 - 1.0`` of each generator, as column ``r``
-    of a C-ordered float64 ``(n, reads)`` array.
+    of each of ``models`` stacked ``(n, reads)`` blocks of a C-ordered
+    float64 ``(models * n, reads)`` array.
 
     ``integers`` takes each of those bits as the top bit of one 32-bit half
     of a PCG64 output word, low half first, so it reads ``ceil(n / 2)``
@@ -250,13 +307,17 @@ def _initial_states(rngs, n: int) -> np.ndarray:
     """
     words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs], axis=1)
     # built in place: every full-size temporary adds to the anneal's peak memory
-    states = np.empty((2 * len(words), len(rngs)))
+    states = np.empty((max(models * n, 2 * len(words)), len(rngs)))
+    drawn = states[: 2 * len(words)]
     bits = words >> 31
-    states[0::2] = np.bitwise_and(bits, 1, out=bits)
-    states[1::2] = np.right_shift(words, 63, out=bits)
-    states = states[:n]
-    states *= 2.0
-    states -= 1.0
+    drawn[0::2] = np.bitwise_and(bits, 1, out=bits)
+    drawn[1::2] = np.right_shift(words, 63, out=bits)
+    states = states[: models * n]
+    one = states[:n]
+    one *= 2.0
+    one -= 1.0
+    for g in range(1, models):
+        states[g * n : (g + 1) * n] = one
     return states
 
 

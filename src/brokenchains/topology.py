@@ -51,7 +51,8 @@ def chimera(m: int, n: int, t: int) -> HardwareGraph:
     ]
     p = np.concatenate([a.ravel() for a, _ in ends])
     q = np.concatenate([b.ravel() for _, b in ends])
-    order = np.argsort(p * len(qubits) + q)
+    # stable, as every sort of the compile, so a process pages in one sort's code
+    order = np.argsort(p * len(qubits) + q, kind="stable")
     return HardwareGraph(qubits, np.stack([p[order], q[order]], axis=1), (m, n, t))
 
 
@@ -221,8 +222,10 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
     qubits = np.fromiter(itertools.chain.from_iterable(chains), np.int64, lengths.sum())
     starts = np.cumsum(lengths) - lengths
     owner = np.repeat(np.arange(len(chains)), lengths)  # chain of each entry
-    # an entry repeats when its chain holds its qubit at an earlier position
-    order = np.lexsort((qubits, owner))  # stable: ties keep their position order
+    # an entry repeats when its chain holds its qubit at an earlier position:
+    # sorted by chain, then qubit, ties keeping their position order
+    order = np.argsort(qubits, kind="stable")
+    order = order[np.argsort(owner[order], kind="stable")]
     repeat = np.zeros(len(qubits), dtype=bool)
     repeat[order[1:]] = (owner[order[1:]] == owner[order[:-1]]) & (
         qubits[order[1:]] == qubits[order[:-1]]
@@ -256,7 +259,7 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
         np.minimum.at(lower, x, low)
         np.minimum.at(lower, y, low)
         lower = lower[lower]
-        if np.array_equal(lower, label):
+        if (lower == label).all():
             break
         label = lower
 
@@ -291,9 +294,10 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
     hi = np.maximum(owner[a], owner[b])[~same]
     keys = lo * len(chains) + hi
     by_pair = np.argsort(keys, kind="stable")  # couplers stay ascending in each pair
-    pairs, pair_starts, pair_counts = np.unique(
-        keys[by_pair], return_index=True, return_counts=True
-    )
+    keys = keys[by_pair]
+    pair_starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    pairs = keys[pair_starts]
+    pair_counts = np.diff(pair_starts, append=len(keys))
 
     known = np.array(variables, dtype=np.int64)
     index = np.searchsorted(known, edges)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import brokenchains
+from brokenchains import bench, bqm
 from brokenchains.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -308,6 +310,44 @@ class TestFig4:
         ][0]
         fig4_graph_row = [r for r in run_fig4(cfg4) if r.graph_seed != ""][0]
         assert fig4_graph_row.objective == fig3_tailored.objective
+
+    @pytest.mark.parametrize("source", ["anneal", "inject"])
+    def test_each_graph_built_and_annealed_once(self, monkeypatch, source):
+        calls, grids = collections.Counter(), []
+
+        def count(module, name, record=None):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                if record is not None:
+                    record.append(args[0])
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(bench, "erdos_renyi")
+        count(bqm, "build_model")
+        count(bench, "embed_bqm")
+        count(bench, "anneal_grid", grids)
+        grid = (0.5, 2.0, 0.5)
+        inject = dict(source="inject", p_break=0.3) if source == "inject" else {}
+        cfg = small_config(chain_strength_grid=grid, graphs_per_density=2, n=6,
+                           topology=(2, 2, 4), reads=4, sweeps=5, **inject)
+        rows = [r for r in run_fig4(cfg) if r.graph_seed != ""]
+        assert calls["erdos_renyi"] == calls["build_model"] == calls["anneal_grid"] == 2
+        assert calls["embed_bqm"] == 2 * len(grid)
+        # the physical models of a graph in one anneal, or its logical model alone
+        models = 1 if source == "inject" else len(grid)
+        assert [len(pms) for pms in grids] == [models, models]
+        # rows by strength, then graph
+        assert [r.chain_strength for r in rows] == [0.5, 0.5, 2.0, 2.0, 0.5, 0.5]
+        seeds = [r.graph_seed for r in rows]
+        assert seeds[:2] == seeds[2:4] == seeds[4:] and seeds[0] != seeds[1]
+        # a repeated strength repeats its rows
+        assert [(r.objective, r.broken_frac_mean) for r in rows[:2]] == [
+            (r.objective, r.broken_frac_mean) for r in rows[4:]
+        ]
 
     def test_strong_chain_limit(self):
         cfg = small_config(chain_strength_grid=(1000.0,), reads=10)

@@ -26,9 +26,15 @@
   included: this pins the reimplemented numpy seeding;
 * ``simulated_anneal`` equals the per-sweep loop it replaced (kept here as
   ``reference_simulated_anneal``) byte for byte, spins and energies, on
-  random spin glasses over 1-140 reads and sweep counts below, at and past
-  the sweeps one draw call covers; with couplings strong enough that
-  ``exp`` overflows on downhill moves it still does, and warns of nothing;
+  random spin glasses, and zero-field ones whose local fields reach +-0,
+  over 1-140 reads and sweep counts below, at and past the sweeps one draw
+  call covers; with couplings strong enough that ``exp`` overflows on
+  downhill moves it still does, and warns of nothing;
+* ``anneal_grid`` of 1-4 embeddings of one model at chain strengths that
+  may repeat gives each model the spins and first-read energy bytes of
+  ``simulated_anneal`` on that model alone, for zero-field (max cut) and
+  field-carrying (vertex cover) models over 1, 23, 65 and 100 reads, so
+  that spin batches end inside an energy block;
 * at a fixed beta, 4,000 reads of three random frustrated 7-spin models
   with dyadic couplings lie within multinomial noise (total variation
   bound at false-failure probability 1e-9) of the exact Boltzmann law
@@ -93,7 +99,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from brokenchains import bench
@@ -116,6 +122,7 @@ from brokenchains.sampler import (
     _batch_shape,
     _CompiledModel,
     _initial_states,
+    anneal_grid,
     inject_chain_breaks,
     simulated_anneal,
 )
@@ -397,9 +404,9 @@ def reference_simulated_anneal(pm, params):
         for beta in betas:
             for rng, row in zip(rngs, draws):
                 rng.random(out=row)
-            for cls, j_rows in zip(compiled.classes, compiled.class_rows):
+            for cls in compiled.classes:
                 spins_cls = states[cls]
-                fields = compiled.h[cls][:, None] + j_rows @ states
+                fields = compiled.h[cls][:, None] + compiled.j_sym[cls] @ states
                 # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
                 delta = -2.0 * spins_cls * fields
                 accept = (delta <= 0.0) | (
@@ -423,6 +430,19 @@ def assert_same_anneal(got, want):
 CHUNK = _DRAWS_PER_CALL // len(QUBITS)  # sweeps per draw call on chimera(2,2,4)
 
 
+def zero_field_glass(hw, seed):
+    """A PhysicalModel with no field and couplers of +-1, drawn from
+    ``rng_from(seed)``, on every qubit and coupler of ``hw``: a qubit of
+    even degree often sits in a local field of 0, and ``s f`` is then -0.0
+    for ``s = -1``."""
+    couplers = sorted(coupler_set(hw))
+    signs = rng_from(seed).choice((-1.0, 1.0), len(couplers))
+    ising = BinaryQuadraticModel(
+        ISING, dict.fromkeys(hw.qubits, 0.0), dict(zip(couplers, signs.tolist()))
+    )
+    return PhysicalModel(ising, 1.0, identity_embedding(list(hw.qubits)), ())
+
+
 @PROPERTY
 @given(
     st.integers(1, 140),
@@ -430,11 +450,41 @@ CHUNK = _DRAWS_PER_CALL // len(QUBITS)  # sweeps per draw call on chimera(2,2,4)
               st.integers(CHUNK + 1, 2 * CHUNK - 1)),
     seeds,
     seeds,
+    st.booleans(),
 )
-def test_anneal_matches_per_sweep_reference(reads, sweeps, model_seed, seed):
-    pm = spin_glass(HW, model_seed)
+def test_anneal_matches_per_sweep_reference(reads, sweeps, model_seed, seed, zero_field):
+    event("zero field" if zero_field else "random field")
+    pm = zero_field_glass(HW, model_seed) if zero_field else spin_glass(HW, model_seed)
     params = AnnealParams(reads, sweeps, seed=seed)
     assert_same_anneal(simulated_anneal(pm, params), reference_simulated_anneal(pm, params))
+
+
+@PROPERTY
+@given(
+    st.sampled_from(("max_cut", "min_vertex_cover")),
+    st.integers(2, 9),
+    seeds,
+    st.lists(st.sampled_from((0.5, 1.0, 2.0, 5.0)), min_size=1, max_size=4),
+    st.sampled_from((1, 23, 65, 100)),
+    st.integers(1, 3),
+    seeds,
+)
+@example("max_cut", 9, 0, [2.0, 0.5, 2.0], 65, 2, 1)
+@example("min_vertex_cover", 9, 0, [5.0, 5.0, 1.0, 0.5], 100, 1, 2)
+def test_anneal_grid_equals_each_model_alone(problem, n, graph_seed, strengths, reads,
+                                             sweeps, seed):
+    event(f"{len(strengths)} models")
+    if len(set(strengths)) < len(strengths):
+        event("repeated strength")
+    _, model, e, _ = physical(problem, n, graph_seed)
+    pms = [embed_bqm(convert(model, ISING), e, HW, c) for c in strengths]
+    params = AnnealParams(reads, sweeps, seed=seed)
+    grid = anneal_grid(pms, params)
+    assert len(grid) == len(pms)
+    for pm, got in zip(pms, grid):
+        assert got.model is pm
+        assert got.spins.dtype == np.int8 and got.spins.flags.c_contiguous
+        assert_same_anneal(got, simulated_anneal(pm, params))
 
 
 def test_strong_couplings_overflow_exp_silently():

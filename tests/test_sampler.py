@@ -9,6 +9,7 @@ from brokenchains import sampler
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
+    anneal_grid,
     chain_break_probability,
     inject_chain_breaks,
     sampleset_from_json,
@@ -28,7 +29,7 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import decompose
 from brokenchains.graphs import erdos_renyi
-from conftest import complete_graph, one_read, sample_set, spin_glass, spins_of
+from conftest import complete_graph, one_read, path_graph, sample_set, spin_glass, spins_of
 
 
 def logical_pm(model):
@@ -166,6 +167,36 @@ class TestInjectChainBreaks:
         pm = PhysicalModel(ising, 1.0, Embedding({0: (0, 1)}))
         with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
             inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
+
+
+class TestAnnealGrid:
+    """``anneal_grid`` anneals models over one set of qubits and couplers."""
+
+    hw = chimera(2, 2, 4)
+    e = clique_embedding(5, hw)
+    ising = build_max_cut_ising(complete_graph(5))
+    params = AnnealParams(num_reads=3, sweeps=2, seed=0)
+
+    def test_empty_grid(self):
+        with pytest.raises(ValueError, match=r"^anneal_grid needs at least one model$"):
+            anneal_grid([], self.params)
+
+    def test_other_qubits(self):
+        other = embed_bqm(self.ising, clique_embedding(5, chimera(3, 3, 4)), chimera(3, 3, 4), 2.0)
+        pm = embed_bqm(self.ising, self.e, self.hw, 2.0)
+        assert other.ising.variables() != pm.ising.variables()
+        with pytest.raises(ValueError, match=r"^the models of a grid must have the same qubits$"):
+            anneal_grid([pm, other], self.params)
+
+    def test_other_coupler_keys(self):
+        # the same qubits, but a path's chains meet on fewer couplers
+        pm = embed_bqm(self.ising, self.e, self.hw, 2.0)
+        path = dict.fromkeys(pm.ising.linear, 0.0)
+        other = embed_bqm(build_max_cut_ising(path_graph(5)), self.e, self.hw, 2.0)
+        other = PhysicalModel(BinaryQuadraticModel(ISING, path, other.ising.quadratic), 2.0, self.e)
+        assert other.ising.variables() == pm.ising.variables()
+        with pytest.raises(ValueError, match=r"^the models of a grid must have the same couplers$"):
+            anneal_grid([pm, other], self.params)
 
 
 class TestSampleSetExport:
