@@ -54,8 +54,7 @@ from brokenchains.graphs import (
     is_clique,
     is_vertex_cover,
 )
-from brokenchains.sampler import AnnealParams, anneal_grid, inject_chain_breaks
-from brokenchains.sampler import simulated_anneal  # noqa: F401 (wrapped by the harness)
+from brokenchains.sampler import AnnealParams, anneal_grid, inject_chain_breaks, simulated_anneal
 from brokenchains.seeding import (
     STREAM_GRAPH,
     STREAM_LOGICAL,
@@ -92,9 +91,13 @@ from brokenchains.unembed import (
 # ``ReadoutSet``.  ``decompose_set`` is not wrapped, so the decode counts as
 # this module's own time.
 #
+# The harness wraps ``simulated_anneal`` but not ``anneal_grid``, so a
+# one-model anneal (fig2, fig3 and the logical anneal of injected breaks)
+# goes through ``simulated_anneal``; the anneal of a grid of several
+# strengths (fig4) counts as this module's own time.
+#
 # Bound here only because the harness wraps them by name, and called by no
-# experiment: ``simulated_anneal`` (each graph's models are annealed in one
-# ``anneal_grid`` call), ``decompose``, ``witness_from_values``,
+# experiment: ``decompose``, ``witness_from_values``,
 # ``score_witness`` and the three graph checks ``is_clique``,
 # ``is_vertex_cover`` and ``cut_size`` (with ``Bipartition``, which
 # ``witness_from_values`` builds).  They go
@@ -392,11 +395,11 @@ def _draw_physical_samples(config, pms, ising, graph_seed):
         seed=derive_seed(graph_seed, stream),
     )
     if config.source == "anneal":
-        return anneal_grid(pms, params)
+        return [simulated_anneal(pms[0], params)] if len(pms) == 1 else anneal_grid(pms, params)
     # inject: anneal the *logical* model once, then copy each read onto the
     # chains of every model and flip qubits with probability p_break
     logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()), ())
-    logical_samples = anneal_grid([logical_pm], params)[0]
+    logical_samples = simulated_anneal(logical_pm, params)
     return [inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm) for pm in pms]
 
 

@@ -25,11 +25,15 @@ the spins of read ``r`` are the same whether reads run one at a time or in
 batches, and whichever models share its draws.  The anneal sizes its spin
 batches to the models (``_batch_shape``) and counts them in model-reads,
 reads times models, since every model holds its own states: at least
-``_READ_BATCH`` model-reads, and as many as keep the draw buffer times
-the models within ``_DRAW_BUFFER`` bytes, so a small model anneals all
-its reads in one batch.  Read ``r`` of ``inject_chain_breaks`` likewise
-draws one uniform per physical qubit, in ascending qubit id,
-from ``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the
+``_READ_BATCH`` model-reads, and as many as keep
+``reads * models * chunk * n`` float64s within ``_DRAW_BUFFER`` bytes, so
+a small model anneals all its reads in one batch.  That product is a
+per-model draw buffer, but the models share one buffer of
+``reads * chunk * n`` uniforms: what grows with the models is the stacked
+states and the class temporaries, and counting model-reads keeps them
+near one model's size.  Read ``r`` of ``inject_chain_breaks`` likewise
+draws one uniform per physical qubit, in ascending qubit id, from
+``rng_from(derive_seed(seed, STREAM_INJECT, r))``, so injecting the
 first k reads of a logical set gives the first k injected reads.  Both
 take their per-read generators from ``seeding.streams``, which builds
 exactly these streams.
@@ -91,9 +95,10 @@ _READ_BATCH = 64
 # uniforms one ``rng.random`` call fills per read: each call covers
 # max(1, _DRAWS_PER_CALL // qubits) sweeps
 _DRAWS_PER_CALL = 1024
-# bytes of a spin batch's draw buffer: a batch holds as many reads as fit,
-# but never fewer than _READ_BATCH, so a sweep of more than 1024 qubits
-# takes a larger buffer
+# bytes that bound reads * models * chunk * n float64s of a spin batch (the
+# models share one draw buffer of reads * chunk * n): a batch holds as many
+# reads as fit, but never fewer than _READ_BATCH model-reads, so a sweep of
+# more than 1024 qubits takes more
 _DRAW_BUFFER = 512 * 1024
 
 
@@ -201,8 +206,11 @@ def _batch_shape(n: int, sweeps: int, models: int = 1) -> tuple:
     """(reads per spin batch, sweeps per draw call) of an anneal of
     ``models`` models of ``n`` qubits each.  A batch counts model-reads,
     reads times ``models``: it holds at least ``_READ_BATCH`` of them, and
-    as many as keep ``reads * chunk * n * models`` float64s within
-    ``_DRAW_BUFFER`` bytes."""
+    as many as keep ``reads * models * chunk * n`` float64s within
+    ``_DRAW_BUFFER`` bytes.  The models share one draw buffer of
+    ``reads * chunk * n`` uniforms; the budget counts models so that the
+    stacked states and class temporaries, which grow with them, stay near
+    one model's size."""
     n = max(n, 1)
     chunk = min(max(1, _DRAWS_PER_CALL // n), sweeps)
     return max(-(-_READ_BATCH // models), _DRAW_BUFFER // (8 * n * chunk * models)), chunk

@@ -330,16 +330,21 @@ class TestFig4:
         count(bqm, "build_model")
         count(bench, "embed_bqm")
         count(bench, "anneal_grid", grids)
+        count(bench, "simulated_anneal", grids)
         grid = (0.5, 2.0, 0.5)
         inject = dict(source="inject", p_break=0.3) if source == "inject" else {}
         cfg = small_config(chain_strength_grid=grid, graphs_per_density=2, n=6,
                            topology=(2, 2, 4), reads=4, sweeps=5, **inject)
         rows = [r for r in run_fig4(cfg) if r.graph_seed != ""]
-        assert calls["erdos_renyi"] == calls["build_model"] == calls["anneal_grid"] == 2
+        assert calls["erdos_renyi"] == calls["build_model"] == 2
         assert calls["embed_bqm"] == 2 * len(grid)
         # the physical models of a graph in one anneal, or its logical model alone
-        models = 1 if source == "inject" else len(grid)
-        assert [len(pms) for pms in grids] == [models, models]
+        if source == "inject":
+            assert calls["simulated_anneal"] == 2 and calls["anneal_grid"] == 0
+            assert [len(pm.ising.variables()) for pm in grids] == [cfg.n, cfg.n]
+        else:
+            assert calls["anneal_grid"] == 2 and calls["simulated_anneal"] == 0
+            assert [len(pms) for pms in grids] == [len(grid), len(grid)]
         # rows by strength, then graph
         assert [r.chain_strength for r in rows] == [0.5, 0.5, 2.0, 2.0, 0.5, 0.5]
         seeds = [r.graph_seed for r in rows]

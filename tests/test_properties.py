@@ -33,8 +33,10 @@
 * ``anneal_grid`` of 1-4 embeddings of one model at chain strengths that
   may repeat gives each model the spins and first-read energy bytes of
   ``simulated_anneal`` on that model alone, for zero-field (max cut) and
-  field-carrying (vertex cover) models over 1, 23, 65 and 100 reads, so
-  that spin batches end inside an energy block;
+  field-carrying (vertex cover) models over 1, 23, 65 and 100 reads and
+  1-3 sweeps or half to a full draw call of them, so that a grid takes one or several
+  spin batches and they end inside an energy block; two grids of 3 and 4
+  models that take 3-6 spin batches match the per-sweep reference;
 * at a fixed beta, 4,000 reads of three random frustrated 7-spin models
   with dyadic couplings lie within multinomial noise (total variation
   bound at false-failure probability 1e-9) of the exact Boltzmann law
@@ -466,7 +468,7 @@ def test_anneal_matches_per_sweep_reference(reads, sweeps, model_seed, seed, zer
     seeds,
     st.lists(st.sampled_from((0.5, 1.0, 2.0, 5.0)), min_size=1, max_size=4),
     st.sampled_from((1, 23, 65, 100)),
-    st.integers(1, 3),
+    st.one_of(st.integers(1, 3), st.integers(CHUNK // 2, CHUNK)),
     seeds,
 )
 @example("max_cut", 9, 0, [2.0, 0.5, 2.0], 65, 2, 1)
@@ -476,6 +478,26 @@ def test_anneal_grid_equals_each_model_alone(problem, n, graph_seed, strengths, 
     event(f"{len(strengths)} models")
     if len(set(strengths)) < len(strengths):
         event("repeated strength")
+    batch = check_grid(problem, n, graph_seed, strengths, reads, sweeps, seed,
+                       simulated_anneal)
+    event("several spin batches" if batch < reads else "one spin batch")
+
+
+@pytest.mark.parametrize("problem, strengths, reads", [
+    ("max_cut", (2.0, 0.5, 2.0), 65),
+    ("min_vertex_cover", (5.0, 5.0, 1.0, 0.5), 100),
+])
+def test_anneal_grid_crosses_spin_batches(problem, strengths, reads):
+    # at a full draw call of sweeps, 3-4 models of 9 chains on chimera(2,2,4)
+    # take 19-26 reads per batch: several batches, the last ending mid-block
+    batch = check_grid(problem, 9, 0, strengths, reads, CHUNK, 5, reference_simulated_anneal)
+    assert 2 < -(-reads // batch) and reads % batch
+
+
+def check_grid(problem, n, graph_seed, strengths, reads, sweeps, seed, alone):
+    """Assert that ``anneal_grid`` gives each embedding of the problem's model
+    at ``strengths`` the reads ``alone`` gives that model by itself; returns
+    the grid's reads per spin batch."""
     _, model, e, _ = physical(problem, n, graph_seed)
     pms = [embed_bqm(convert(model, ISING), e, HW, c) for c in strengths]
     params = AnnealParams(reads, sweeps, seed=seed)
@@ -484,7 +506,8 @@ def test_anneal_grid_equals_each_model_alone(problem, n, graph_seed, strengths, 
     for pm, got in zip(pms, grid):
         assert got.model is pm
         assert got.spins.dtype == np.int8 and got.spins.flags.c_contiguous
-        assert_same_anneal(got, simulated_anneal(pm, params))
+        assert_same_anneal(got, alone(pm, params))
+    return _batch_shape(len(grid[0].qubits), sweeps, len(pms))[0]
 
 
 def test_strong_couplings_overflow_exp_silently():
