@@ -398,7 +398,7 @@ def _draw_physical_samples(config, pms, ising, graph_seed):
         return [simulated_anneal(pms[0], params)] if len(pms) == 1 else anneal_grid(pms, params)
     # inject: anneal the *logical* model once, then copy each read onto the
     # chains of every model and flip qubits with probability p_break
-    logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()), ())
+    logical_pm = PhysicalModel.from_bqm(ising, 1.0, identity_embedding(ising.variables()))
     logical_samples = simulated_anneal(logical_pm, params)
     return [inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm) for pm in pms]
 

@@ -146,6 +146,8 @@ def cmd_sample(args):
     with _blame(args.graph):
         g = read_edge_list(args.graph)
     m, _, t = args.topology
+    if g.n < 1:
+        raise ConfigError(f"{args.graph} has no vertices; sample needs at least one")
     if g.n > t * m + 1:
         raise ConfigError(
             f"{args.graph} has {g.n} vertices; chimera{tuple(args.topology)}"

@@ -42,10 +42,10 @@ A ``SampleSet``'s energies are computed from its spins the first time
 ``energies`` is read, so the fig2/3/4 experiments, which never read
 them, never compute them.  The anneal sums them per block of
 ``_READ_BATCH`` reads (reads 0-63, 64-127, ...) with BLAS and scipy
-products, whatever the spin batches, so read ``r``'s energy agrees with
-``bqm.energy`` to 1e-9 but can differ in the last bit between two read
-counts that end in a different last block.  The injector sums all its
-reads as one block.
+products over ``pm``'s arrays, whatever the spin batches, so read ``r``'s
+energy agrees with ``bqm.energy`` to 1e-9 but can differ in the last bit
+between two read counts that end in a different last block.  The
+injector sums all its reads as one block.
 
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
@@ -54,7 +54,9 @@ class update equals sequential single-spin updates in that order.  The
 models of a grid share one interaction graph and so one colouring; their
 states lie stacked, and one block-diagonal CSR of a class's rows in every
 model updates that class in all of them, each row summed in the order of
-its model's own CSR.
+its model's own CSR, which ``_coupling_matrix`` builds from ``pm.couplers``
+in their order.  The anneal and the energies build no
+``BinaryQuadraticModel`` of a physical model.
 
 A flip of spin ``s`` in local field ``f`` changes the energy by
 ``delta = -2 s f`` and is accepted when ``delta <= 0`` or
@@ -146,60 +148,29 @@ class SampleSet:
         return source() if callable(source) else source
 
 
-class _CompiledModel:
-    """Array form of a physical Ising model for vectorized sweeps."""
+def _coupling_matrix(pm: PhysicalModel):
+    """The symmetric CSR of ``pm``'s couplings over its qubit indices, built
+    from its couplers in order, then the same couplers transposed: the
+    order every row of the anneal and every energy is summed in."""
+    n = len(pm.qubit_ids)
+    i, j = np.searchsorted(pm.qubit_ids, pm.couplers).T
+    return sp.csr_matrix(
+        (np.concatenate([pm.j, pm.j]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
 
-    def __init__(self, model: BinaryQuadraticModel):
-        self.qubits = tuple(model.variables())
-        n = len(self.qubits)
-        ids = np.array(self.qubits, dtype=np.int64)
-        self.h = np.zeros(n)
-        linear = np.fromiter(model.linear, np.int64, len(model.linear))
-        self.h[np.searchsorted(ids, linear)] = np.fromiter(model.linear.values(), np.float64, n)
-        pairs = itertools.chain.from_iterable(model.quadratic)
-        pairs = np.fromiter(pairs, np.int64, 2 * len(model.quadratic)).reshape(-1, 2)
-        i, j = np.searchsorted(ids, pairs).T
-        c = np.fromiter(model.quadratic.values(), np.float64, len(model.quadratic))
-        self.j_sym = sp.csr_matrix(
-            (np.concatenate([c, c]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-            shape=(n, n),
-        )
-        self.offset = model.offset
 
-    @functools.cached_property
-    def j_upper(self):
-        """The couplers above the diagonal, built on first use: only
-        energies need them."""
-        return sp.triu(self.j_sym, k=1).tocsr()
-
-    @functools.cached_property
-    def classes(self):
-        """Colour classes of the interaction graph, built on first use: only
-        the anneal needs them."""
-        n = len(self.qubits)
-        adj = [set() for _ in range(n)]
-        mat = self.j_sym.tocoo()
-        for i, j in zip(mat.row, mat.col):
-            if i != j:
-                adj[i].add(j)
-        color = [-1] * n
-        for v in range(n):
-            taken = {color[u] for u in adj[v] if color[u] >= 0}
-            c = 0
-            while c in taken:
-                c += 1
-            color[v] = c
-        ncolors = max(color, default=-1) + 1
-        return [
-            np.array([v for v in range(n) if color[v] == c], dtype=np.intp)
-            for c in range(ncolors)
-        ]
-
-    def energies(self, states: np.ndarray) -> np.ndarray:
-        # states: (reads, n) of +-1
-        return states @ self.h + np.einsum(
-            "ri,ri->r", states @ self.j_upper.T, states
-        ) + self.offset
+def _colour_classes(j_sym) -> list:
+    """Colour classes of the interaction graph of the symmetric CSR
+    ``j_sym``: greedy colouring by ascending qubit index, each class
+    ascending."""
+    indptr, indices = j_sym.indptr.tolist(), j_sym.indices.tolist()
+    color = []
+    for v in range(j_sym.shape[0]):
+        taken = {color[u] for u in indices[indptr[v] : indptr[v + 1]] if u < v}
+        color.append(next(c for c in itertools.count() if c not in taken))
+    color = np.array(color, dtype=np.intp)
+    return [np.flatnonzero(color == c) for c in range(color.max(initial=-1) + 1)]
 
 
 def _batch_shape(n: int, sweeps: int, models: int = 1) -> tuple:
@@ -231,27 +202,27 @@ def anneal_grid(pms, params: AnnealParams) -> list:
     The models' states lie stacked, model ``g`` in rows ``g n`` to
     ``(g + 1) n``, and each colour class updates in all models at once
     through one block-diagonal CSR of the models' rows.  Raises
-    ``ValueError`` for an empty list, or when the models' qubits or
-    coupler keys differ.
+    ``ValueError`` for an empty list, or when the models' ``qubit_ids``
+    or ``couplers`` differ.
     """
     if not pms:
         raise ValueError("anneal_grid needs at least one model")
-    compiled = [_CompiledModel(pm.ising) for pm in pms]
-    for pm, model in zip(pms[1:], compiled[1:]):
-        if model.qubits != compiled[0].qubits:
+    for pm in pms[1:]:
+        if not np.array_equal(pm.qubit_ids, pms[0].qubit_ids):
             raise ValueError("the models of a grid must have the same qubits")
-        if pm.ising.quadratic.keys() != pms[0].ising.quadratic.keys():
+        if not np.array_equal(pm.couplers, pms[0].couplers):
             raise ValueError("the models of a grid must have the same couplers")
-    models, n = len(compiled), len(compiled[0].qubits)
+    j_syms = [_coupling_matrix(pm) for pm in pms]
+    models, n = len(pms), len(pms[0].qubit_ids)
     two_betas = (
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
     batch, chunk = _batch_shape(n, params.sweeps, models)
     classes = []
     # the models share one interaction graph, coloured once
-    for cls in compiled[0].classes:
-        rows = [model.j_sym[cls] for model in compiled]
-        h_rows = np.concatenate([model.h[cls] for model in compiled])[:, None]
+    for cls in _colour_classes(j_syms[0]):
+        rows = [j_sym[cls] for j_sym in j_syms]
+        h_rows = np.concatenate([pm.h[cls] for pm in pms])[:, None]
         classes.append((
             cls,
             np.concatenate([cls + g * n for g in range(models)]),
@@ -264,7 +235,7 @@ def anneal_grid(pms, params: AnnealParams) -> list:
     # one draw buffer serves every batch: buffer[r, t, i] is the uniform of
     # read r for qubit i in sweep t of the current draw call
     buffer = np.empty((min(batch, params.num_reads), chunk, n))
-    spins = [np.empty((params.num_reads, n), dtype=np.int8) for _ in compiled]
+    spins = [np.empty((params.num_reads, n), dtype=np.int8) for _ in pms]
     for start in range(0, params.num_reads, batch):
         rngs = list(itertools.islice(read_rngs, min(batch, params.num_reads - start)))
         # column r of ``states`` is one read of every model, so a class's CSR
@@ -298,8 +269,8 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         for g, out in enumerate(spins):
             out[start : start + len(rngs)] = states[g * n : (g + 1) * n].T
     return [
-        SampleSet(model.qubits, out, functools.partial(_block_energies, model, out), params, pm)
-        for pm, model, out in zip(pms, compiled, spins)
+        SampleSet(tuple(pm.qubits()), out, functools.partial(_block_energies, pm, out), params, pm)
+        for pm, out in zip(pms, spins)
     ]
 
 
@@ -329,14 +300,17 @@ def _initial_states(rngs, n: int, models: int = 1) -> np.ndarray:
     return states
 
 
-def _block_energies(compiled: _CompiledModel, spins: np.ndarray) -> np.ndarray:
-    """The energy of each read of ``spins``, summed over C-ordered
-    ``(reads, qubits)`` blocks of ``_READ_BATCH`` rows: the last bits of a
-    BLAS sum depend on the shape and layout it is given."""
-    return np.concatenate([
-        compiled.energies(spins[first : first + _READ_BATCH].astype(np.float64))
-        for first in range(0, len(spins), _READ_BATCH)
-    ])
+def _block_energies(pm: PhysicalModel, spins: np.ndarray, block: int = _READ_BATCH) -> np.ndarray:
+    """The energy of each read of ``spins``, summed over C-ordered float64
+    ``(reads, qubits)`` blocks of ``block`` rows: the last bits of a BLAS
+    sum depend on the shape and layout it is given."""
+    j_upper = sp.triu(_coupling_matrix(pm), k=1).tocsr()
+    energies = np.empty(len(spins))
+    for first in range(0, len(spins), block):
+        s = spins[first : first + block].astype(np.float64, order="C")
+        energies[first : first + block] = (s @ pm.h + np.einsum("ri,ri->r", s @ j_upper.T, s)
+                                           + pm.offset)
+    return energies
 
 
 def inject_chain_breaks(
@@ -359,7 +333,7 @@ def inject_chain_breaks(
     variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
     if not np.all(np.abs(logical.spins) == 1):
         raise ValueError("logical samples must be Ising spins (-1/+1)")
-    qubits = tuple(pm.ising.variables())
+    qubits = tuple(pm.qubits())
     chains = chain_columns(e, qubits)
     if len(chains.columns) != len(qubits):
         raise ValueError("the physical model has qubits outside the chains")
@@ -370,10 +344,8 @@ def inject_chain_breaks(
     for row, rng in zip(flips, streams(seed, STREAM_INJECT, 0)):
         np.less(rng.random(len(qubits)), p_break, out=row)
     spins = np.where(flips, -copied, copied)
-
-    def energies():  # summed over all reads as one block, when first read
-        return _CompiledModel(pm.ising).energies(spins.astype(np.float64))
-
+    # summed over all reads as one block, when first read
+    energies = functools.partial(_block_energies, pm, spins, max(len(spins), 1))
     return SampleSet(qubits, spins, energies, logical.params, pm)
 
 

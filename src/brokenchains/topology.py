@@ -7,10 +7,11 @@ Qubit ids are linear: ``((row * n + col) * 2 + shore) * t + index`` with
 shore 0 horizontal and shore 1 vertical.
 """
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -351,17 +352,41 @@ def uniform_torque_compensation(
     return prefactor * rms * math.sqrt(avg_degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalModel:
-    """Ising model over physical qubits plus the embedding that produced it."""
+    """Ising model over physical qubits, as arrays, plus the embedding that
+    produced it.  ``embed_bqm`` lists the couplers between chains in the
+    logical model's term order, then those inside chains in ascending
+    order; the anneal and the energies sum in that order."""
 
-    ising: BinaryQuadraticModel
+    qubit_ids: np.ndarray  # ascending int64 qubit ids
+    h: np.ndarray  # float64, one per qubit
+    couplers: np.ndarray  # (k, 2) int64 qubit pairs p < q
+    j: np.ndarray  # float64, one per coupler
+    offset: float
     chain_strength: float
     source_embedding: Embedding
-    intra_chain_couplers: tuple = field(default=())
 
-    def qubits(self):
-        return self.ising.variables()
+    @classmethod
+    def from_bqm(cls, model: BinaryQuadraticModel, chain_strength: float, e: Embedding):
+        """An Ising ``model`` as it stands, in its term order, over qubits
+        named by its variables (a logical model annealed directly, say)."""
+        qubit_ids = np.array(model.variables(), dtype=np.int64)
+        h = np.zeros(len(qubit_ids))
+        h[np.searchsorted(qubit_ids, list(model.linear))] = list(model.linear.values())
+        couplers = np.array(list(model.quadratic), dtype=np.int64).reshape(-1, 2)
+        j = np.array(list(model.quadratic.values()), dtype=np.float64)
+        return cls(qubit_ids, h, couplers, j, model.offset, chain_strength, e)
+
+    def qubits(self) -> list:
+        return self.qubit_ids.tolist()
+
+    @functools.cached_property
+    def ising(self) -> BinaryQuadraticModel:
+        """The model as a ``BinaryQuadraticModel``, built on first read."""
+        quadratic = dict(zip(map(tuple, self.couplers.tolist()), self.j.tolist()))
+        return BinaryQuadraticModel(ISING, dict(zip(self.qubits(), self.h.tolist())), quadratic,
+                                    self.offset)
 
 
 def embed_bqm(
@@ -373,11 +398,12 @@ def embed_bqm(
     """Compile a logical Ising model onto hardware through an embedding.
 
     Logical linear biases are split equally across chain qubits; each
-    logical coupler is split equally across *all* physical couplers joining
-    the two chains; every hardware coupler inside a chain is set to
-    ``-chain_strength``.  For any chain-consistent physical assignment the
-    physical energy equals the logical energy minus ``chain_strength``
-    times the number of intra-chain couplers.
+    nonzero logical coupler is split equally across *all* physical couplers
+    joining the two chains; every hardware coupler inside a chain is set to
+    ``-chain_strength``, so a chain of a variable the model lacks joins with
+    fields 0.0, unless it is one qubit.  For any chain-consistent physical
+    assignment the physical energy equals the logical energy minus
+    ``chain_strength`` times the number of intra-chain couplers.
 
     One pass over the hardware couplers both sorts them by chain and
     decides validity: raises ``ValueError`` when a model variable has no
@@ -402,22 +428,21 @@ def embed_bqm(
     chain = np.searchsorted(links.variables, np.fromiter(m.linear, np.int64, len(m.linear)))
     lengths = links.lengths[chain]
     h = np.fromiter(m.linear.values(), np.float64, len(m.linear))
-    # 0.0 + share, as the sum into a fresh entry was: a -0.0 share gives 0.0
-    shares = 0.0 + np.repeat(h / lengths, lengths)
-    qubits = links.qubits[_ranges(links.starts[chain], lengths)]
-    linear = dict(zip(qubits.tolist(), shares.tolist()))
+    chained = links.qubits[_ranges(links.starts[chain], lengths)]
+    # counted, not sorted: np.unique would page in more numpy code, and peak RSS counts it
+    qubit_ids = np.flatnonzero(np.bincount(np.concatenate([chained, links.inside.ravel()])))
+    fields = np.zeros(len(qubit_ids))
+    # 0.0 + share, as a sum into a fresh model entry: a -0.0 share gives 0.0
+    fields[np.searchsorted(qubit_ids, chained)] = 0.0 + np.repeat(h / lengths, lengths)
 
     u, v = np.searchsorted(links.variables, terms).T
     pair = np.searchsorted(links.pairs, u * len(links.variables) + v)
     counts = links.pair_counts[pair]
-    couplers = links.between[_ranges(links.pair_starts[pair], counts)]
-    shares = np.repeat(j / counts, counts)
-    quadratic = dict(zip(map(tuple, couplers.tolist()), shares.tolist()))
-    intra = tuple(map(tuple, links.inside.tolist()))
-    quadratic.update(dict.fromkeys(intra, -chain_strength))
-
-    physical = BinaryQuadraticModel(ISING, linear, quadratic, m.offset)
-    return PhysicalModel(physical, chain_strength, e, intra)
+    couplers = np.concatenate([links.between[_ranges(links.pair_starts[pair], counts)],
+                               links.inside])
+    j = np.concatenate([0.0 + np.repeat(j / counts, counts),
+                        np.full(len(links.inside), -float(chain_strength))])
+    return PhysicalModel(qubit_ids, fields, couplers, j, float(m.offset), chain_strength, e)
 
 
 def embedding_to_json(e: Embedding) -> str:

@@ -57,7 +57,17 @@ def spin_glass(hw, seed, scale=1.0):
     linear = dict(zip(qubits, (scale * rng.uniform(-1.0, 1.0, len(qubits))).tolist()))
     quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
     ising = BinaryQuadraticModel(ISING, linear, quadratic)
-    return PhysicalModel(ising, 1.0, identity_embedding(qubits), ())
+    return PhysicalModel.from_bqm(ising, 1.0, identity_embedding(qubits))
+
+
+def intra_chain_couplers(pm):
+    """The couplers of ``pm`` with both ends in one chain of its embedding,
+    as ascending ``(p, q)`` tuples."""
+    chain_of = {q: v for v, chain in pm.source_embedding.chains.items() for q in chain}
+    return tuple(sorted(
+        (p, q) for p, q in pm.couplers.tolist()
+        if p in chain_of and chain_of[p] == chain_of.get(q)
+    ))
 
 
 def coupler_set(hw):

@@ -30,7 +30,13 @@ from brokenchains.bench import (
 from brokenchains.bqm import build_max_cut_ising
 from brokenchains.graphs import Bipartition, erdos_renyi
 from brokenchains.sampler import inject_chain_breaks
-from brokenchains.topology import chain_columns, chimera, clique_embedding, embed_bqm
+from brokenchains.topology import (
+    PhysicalModel,
+    chain_columns,
+    chimera,
+    clique_embedding,
+    embed_bqm,
+)
 from brokenchains.unembed import decompose
 from conftest import complete_graph, one_read, path_graph, spins_of
 
@@ -341,7 +347,7 @@ class TestFig4:
         # the physical models of a graph in one anneal, or its logical model alone
         if source == "inject":
             assert calls["simulated_anneal"] == 2 and calls["anneal_grid"] == 0
-            assert [len(pm.ising.variables()) for pm in grids] == [cfg.n, cfg.n]
+            assert [len(pm.qubits()) for pm in grids] == [cfg.n, cfg.n]
         else:
             assert calls["anneal_grid"] == 2 and calls["simulated_anneal"] == 0
             assert [len(pms) for pms in grids] == [len(grid), len(grid)]
@@ -426,3 +432,24 @@ def test_inject_run_leaves_csgraph_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("run,settings,models", [
+    (run_fig3, {}, 1),
+    # the embedded model and the logical one annealed before the injection
+    (run_fig3, {"source": "inject", "p_break": 0.3}, 2),
+    (run_fig4, {"chain_strength_grid": (0.5, 2.0)}, 2),
+])
+def test_runs_build_no_physical_bqm(monkeypatch, run, settings, models):
+    # the anneal, the injector and the repairs read a physical model's
+    # arrays; its ``ising`` view is built only when something reads it
+    made, init = [], PhysicalModel.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(PhysicalModel, "__init__", record)
+    run(small_config(n=6, topology=(2, 2, 4), reads=4, sweeps=3, **settings))
+    assert len(made) == models
+    assert [pm for pm in made if "ising" in vars(pm)] == []

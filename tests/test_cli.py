@@ -110,6 +110,18 @@ class TestSampleValidation:
         assert "embeds at most 9" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_graph_without_vertices_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 0\n")
+        rc = main(["sample", "--graph", str(graph), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {graph} has no vertices; sample needs at least one\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["embed", "--k", "3", "--topology", "0,0,4"],

@@ -122,7 +122,9 @@ from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
     _batch_shape,
-    _CompiledModel,
+    _block_energies,
+    _colour_classes,
+    _coupling_matrix,
     _initial_states,
     anneal_grid,
     inject_chain_breaks,
@@ -163,6 +165,7 @@ from brokenchains.unembed import (
 from conftest import (
     coupler_set,
     hardware_adjacency,
+    intra_chain_couplers,
     members,
     row_set,
     sample_set,
@@ -389,11 +392,12 @@ def reference_simulated_anneal(pm, params):
     """The anneal with one ``rng.random`` call per read per sweep and the
     explicit ``delta`` accept test, as ``simulated_anneal`` ran before its
     draws were chunked and its class update made in place."""
-    compiled = _CompiledModel(pm.ising)
-    n = len(compiled.qubits)
+    n = len(pm.qubit_ids)
+    j_sym = _coupling_matrix(pm)
+    classes = _colour_classes(j_sym)
     betas = np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
 
-    spins, energies = [], []
+    spins = []
     for start in range(0, params.num_reads, _READ_BATCH):
         reads = range(start, min(start + _READ_BATCH, params.num_reads))
         rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
@@ -406,21 +410,19 @@ def reference_simulated_anneal(pm, params):
         for beta in betas:
             for rng, row in zip(rngs, draws):
                 rng.random(out=row)
-            for cls in compiled.classes:
+            for cls in classes:
                 spins_cls = states[cls]
-                fields = compiled.h[cls][:, None] + compiled.j_sym[cls] @ states
+                fields = pm.h[cls][:, None] + j_sym[cls] @ states
                 # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
                 delta = -2.0 * spins_cls * fields
                 accept = (delta <= 0.0) | (
                     uniforms[cls] < np.exp(-beta * np.clip(delta, 0.0, None))
                 )
                 states[cls] = np.where(accept, -spins_cls, spins_cls)
-        states = np.ascontiguousarray(states.T)
-        spins.append(states.astype(np.int8))
-        energies.append(compiled.energies(states))
-    return SampleSet(
-        compiled.qubits, np.concatenate(spins), np.concatenate(energies), params, pm
-    )
+        spins.append(states.T.astype(np.int8))
+    spins = np.concatenate(spins)
+    # summed per block of _READ_BATCH reads, as the anneal sums them
+    return SampleSet(tuple(pm.qubits()), spins, _block_energies(pm, spins), params, pm)
 
 
 def assert_same_anneal(got, want):
@@ -442,7 +444,7 @@ def zero_field_glass(hw, seed):
     ising = BinaryQuadraticModel(
         ISING, dict.fromkeys(hw.qubits, 0.0), dict(zip(couplers, signs.tolist()))
     )
-    return PhysicalModel(ising, 1.0, identity_embedding(list(hw.qubits)), ())
+    return PhysicalModel.from_bqm(ising, 1.0, identity_embedding(list(hw.qubits)))
 
 
 @PROPERTY
@@ -561,7 +563,7 @@ def tv_bound(p, reads, failure=1e-9):
 @pytest.mark.parametrize("model_seed", range(3))
 def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
     model = frustrated_model(model_seed)
-    pm = PhysicalModel(model, 1.0, identity_embedding(model.variables()), ())
+    pm = PhysicalModel.from_bqm(model, 1.0, identity_embedding(model.variables()))
     beta = STATIONARY_BETA
     samples = simulated_anneal(pm, AnnealParams(
         STATIONARY_READS, STATIONARY_SWEEPS, (beta, beta * (1 + 1e-9)), seed=model_seed
@@ -1237,7 +1239,7 @@ def test_embedding_keeps_chain_consistent_energies(m, data, chain_strength):
     e = clique_embedding(n, hw)
     model = random_model(data.draw, range(n))
     pm = embed_bqm(model, e, hw, chain_strength)
-    shift = chain_strength * len(pm.intra_chain_couplers)
+    shift = chain_strength * len(intra_chain_couplers(pm))
     for row in data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n,
                                            max_size=n), min_size=1, max_size=8)):
         logical = dict(enumerate(row))
@@ -1290,7 +1292,9 @@ def reference_violations(e: Embedding, logical: Graph, hw):
 
 def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
     """(linear, quadratic, intra-chain couplers), joining chains by testing
-    every qubit pair of every logical edge for a hardware coupler."""
+    every qubit pair of every logical edge for a hardware coupler.  Every
+    chain of ``e`` gets its inside couplers, and their endpoints a field of
+    0.0 when no variable of ``m`` gives them one."""
     linear = {}
     for v, h in m.linear.items():
         chain = e.chain(v)
@@ -1318,6 +1322,8 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
                 if key in couplers:
                     quadratic[key] = -chain_strength
                     intra.append(key)
+                    linear.setdefault(p, 0.0)
+                    linear.setdefault(q, 0.0)
     return linear, quadratic, tuple(sorted(intra))
 
 
@@ -1326,7 +1332,13 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
                  st.integers(1, 9).map(lambda k: clique_embedding(k, HW))),
        st.data(), chain_strengths)
 def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
-    model = random_model(data.draw, e.variables())
+    # a model over every chained variable, or over some of them: the chains
+    # of the others still bring their inside couplers
+    variables = data.draw(st.one_of(
+        st.just(e.variables()), st.lists(st.sampled_from(e.variables()), unique=True)
+    ))
+    event("all variables" if len(variables) == len(e.chains) else "some variables")
+    model = random_model(data.draw, variables)
     problems = validate_embedding(e, model.interaction_graph(), HW)
     assert problems == reference_violations(e, model.interaction_graph(), HW)
     event("invalid" if problems else "valid")
@@ -1337,9 +1349,12 @@ def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
         return
     pm = embed_bqm(model, e, HW, chain_strength)
     linear, quadratic, intra = reference_embed_bqm(model, e, HW, chain_strength)
+    assert pm.qubits() == sorted(linear)
     assert pm.ising.linear == linear
     assert pm.ising.quadratic == quadratic
-    assert pm.intra_chain_couplers == intra
+    # the couplers between chains, then those inside chains in ascending order
+    assert intra_chain_couplers(pm) == intra
+    assert list(map(tuple, pm.couplers[len(pm.couplers) - len(intra):].tolist())) == list(intra)
 
 
 @st.composite

@@ -33,7 +33,7 @@ from conftest import complete_graph, one_read, path_graph, sample_set, spin_glas
 
 
 def logical_pm(model):
-    return PhysicalModel(model, 1.0, identity_embedding(model.variables()), ())
+    return PhysicalModel.from_bqm(model, 1.0, identity_embedding(model.variables()))
 
 
 class TestAnnealParams:
@@ -164,7 +164,7 @@ class TestInjectChainBreaks:
     def test_qubit_outside_the_chains(self):
         # qubit 2 carries a field, but no chain of the embedding holds it
         ising = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
-        pm = PhysicalModel(ising, 1.0, Embedding({0: (0, 1)}))
+        pm = PhysicalModel.from_bqm(ising, 1.0, Embedding({0: (0, 1)}))
         with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
             inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
 
@@ -184,19 +184,23 @@ class TestAnnealGrid:
     def test_other_qubits(self):
         other = embed_bqm(self.ising, clique_embedding(5, chimera(3, 3, 4)), chimera(3, 3, 4), 2.0)
         pm = embed_bqm(self.ising, self.e, self.hw, 2.0)
-        assert other.ising.variables() != pm.ising.variables()
+        assert other.qubits() != pm.qubits()
         with pytest.raises(ValueError, match=r"^the models of a grid must have the same qubits$"):
             anneal_grid([pm, other], self.params)
 
     def test_other_coupler_keys(self):
         # the same qubits, but a path's chains meet on fewer couplers
         pm = embed_bqm(self.ising, self.e, self.hw, 2.0)
-        path = dict.fromkeys(pm.ising.linear, 0.0)
         other = embed_bqm(build_max_cut_ising(path_graph(5)), self.e, self.hw, 2.0)
-        other = PhysicalModel(BinaryQuadraticModel(ISING, path, other.ising.quadratic), 2.0, self.e)
-        assert other.ising.variables() == pm.ising.variables()
+        assert other.qubits() == pm.qubits()
+        assert len(other.couplers) < len(pm.couplers)
         with pytest.raises(ValueError, match=r"^the models of a grid must have the same couplers$"):
             anneal_grid([pm, other], self.params)
+        # the same couplers in another order: the rows would sum in another order
+        swapped = embed_bqm(self.ising, self.e, self.hw, 2.0)
+        swapped.couplers[[0, 1]] = swapped.couplers[[1, 0]]
+        with pytest.raises(ValueError, match=r"^the models of a grid must have the same couplers$"):
+            anneal_grid([pm, swapped], self.params)
 
 
 class TestSampleSetExport:
@@ -240,14 +244,15 @@ class TestEnergySum:
         hw = chimera(2, 2, 4)
         pm = embed_bqm(build_max_cut_ising(complete_graph(5)), clique_embedding(5, hw), hw, 2.0)
         rows = rng_from(3).choice((-1, 1), size=(70, 5))
-        compile_model, compiled = sampler._CompiledModel, []
-        monkeypatch.setattr(sampler, "_CompiledModel",
-                            lambda model: compiled.append(model) or compile_model(model))
+        block_energies, calls = sampler._block_energies, []
+        monkeypatch.setattr(sampler, "_block_energies", lambda model, spins, block: (
+            calls.append((model, block)) or block_energies(model, spins, block)
+        ))
         ss = inject_chain_breaks(sample_set(rows, range(5)), 0.3, 7, pm)
-        assert compiled == []
+        assert calls == []
         energies = ss.energies
-        assert compiled == [pm.ising] and ss.energies is energies
-        whole = compile_model(pm.ising).energies(ss.spins.astype(np.float64))
-        assert energies.tobytes() == whole.tobytes()
+        # one block of all 70 reads, summed once
+        assert calls == [(pm, 70)] and ss.energies is energies
+        assert "ising" not in vars(pm)
         for read, value in enumerate(energies):
             assert abs(value - energy(pm.ising, spins_of(ss, read))) <= 1e-9

@@ -17,7 +17,7 @@ from brokenchains.topology import (
     uniform_torque_compensation,
     validate_embedding,
 )
-from conftest import complete_graph, coupler_set
+from conftest import complete_graph, coupler_set, intra_chain_couplers
 
 
 class TestChimera:
@@ -250,7 +250,9 @@ class TestEmbedBqm:
         couplers = coupler_set(hw)
         for key in pm.ising.quadratic:
             assert key in couplers
-        for key in pm.intra_chain_couplers:
+        intra = intra_chain_couplers(pm)
+        assert intra
+        for key in intra:
             assert pm.ising.quadratic[key] == -2.5
 
     def test_chain_consistent_energy_identity(self):
@@ -262,7 +264,7 @@ class TestEmbedBqm:
         hw = chimera(4, 4, 4)
         e = clique_embedding(16, hw)
         pm = embed_bqm(m, e, hw, 2.0)
-        n_intra = len(pm.intra_chain_couplers)
+        n_intra = len(intra_chain_couplers(pm))
         for _ in range(100):
             logical = {v: int(rng.choice((-1, 1))) for v in range(16)}
             physical = {}
