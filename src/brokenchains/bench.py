@@ -26,8 +26,8 @@ witnesses of all reads; ``repair`` is the one place a method name turns
 into a repair call, once per sample set, and every method runs on that
 one set.  A method's witnesses are one
 boolean ``(reads, n)`` array, row ``r`` for read ``r`` and column ``v``
-for vertex ``v``, and ``score_rows`` scores a whole array at once over the
-graph's edge arrays.
+for vertex ``v``, and ``graphs.score_rows`` scores a whole array at once
+over the graph's edge arrays.
 ``_row`` fills the cells every row shares; the report adds the scores,
 computed from those witnesses at emission time.  A fixed seed makes the
 emitted CSV byte-identical across runs.
@@ -53,6 +53,7 @@ from brokenchains.graphs import (
     erdos_renyi,
     is_clique,
     is_vertex_cover,
+    score_rows,
 )
 from brokenchains.sampler import AnnealParams, anneal_grid, inject_chain_breaks, simulated_anneal
 from brokenchains.seeding import (
@@ -99,9 +100,9 @@ from brokenchains.unembed import (
 # Bound here only because the harness wraps them by name, and called by no
 # experiment: ``decompose``, ``witness_from_values``,
 # ``score_witness`` and the three graph checks ``is_clique``,
-# ``is_vertex_cover`` and ``cut_size`` (with ``Bipartition``, which
-# ``witness_from_values`` builds).  They go
-# when the harness stops wrapping them.
+# ``is_vertex_cover`` and ``cut_size``, which are one-row ``score_rows``
+# calls (with ``Bipartition``, which ``witness_from_values`` builds).  They
+# go when the harness stops wrapping them.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
@@ -289,13 +290,9 @@ def witness_from_values(problem: str, values: dict, g: Graph):
 
 
 def score_witness(problem: str, g: Graph, witness):
-    """(objective, feasible) with infeasible witnesses scored conservatively.
-
-    Infeasible maximization witnesses score 0; an infeasible cover scores
-    the trivial all-vertices size; an unbalanced partition keeps its cut
-    size but is flagged infeasible.  ``score_rows`` scores a whole set of
-    witness rows the same way.
-    """
+    """(objective, feasible) of one witness, a vertex set or a
+    ``Bipartition``, scored as ``score_rows`` scores its row; the graph
+    checks are one-row ``score_rows`` calls."""
     if problem == "max_clique":
         ok = is_clique(g, witness)
         return (len(witness) if ok else 0), ok
@@ -306,33 +303,6 @@ def score_witness(problem: str, g: Graph, witness):
         return cut_size(g, witness), True
     if problem == "graph_partitioning":
         return cut_size(g, witness), witness.is_balanced()
-    raise ValueError(f"unknown problem {problem!r}")
-
-
-def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
-    """``score_witness`` of every witness row of a set, as an int64 array of
-    objectives and a bool array of feasibility flags.
-
-    ``rows`` is a boolean ``(reads, g.n)`` array: True on the value-1 set
-    of a clique or cover, on the plus side of a cut or partition.  Over the
-    edge arrays ``u``, ``v`` of ``g``, with ``k`` the size of a row's set, a
-    clique holds k(k-1)/2 edges, a cover touches every edge, a cut counts
-    the edges whose ends differ, and a partition is balanced when
-    |2k - n| <= 1.
-    """
-    edges = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
-    u, v = rows[:, edges[:, 0]], rows[:, edges[:, 1]]
-    k = rows.sum(axis=1)
-    if problem == "max_clique":
-        ok = (u & v).sum(axis=1) == k * (k - 1) // 2
-        return np.where(ok, k, 0), ok
-    if problem == "min_vertex_cover":
-        ok = (u | v).all(axis=1)
-        return np.where(ok, k, g.n), ok
-    if problem == "max_cut":
-        return (u != v).sum(axis=1), np.ones(len(rows), dtype=bool)
-    if problem == "graph_partitioning":
-        return (u != v).sum(axis=1), np.abs(2 * k - g.n) <= 1
     raise ValueError(f"unknown problem {problem!r}")
 
 

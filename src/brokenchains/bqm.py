@@ -69,13 +69,6 @@ class BinaryQuadraticModel:
         n = max(self.linear, default=-1) + 1
         return Graph(n, [uv for uv, c in self.quadratic.items() if c != 0.0])
 
-    def degrees(self) -> dict:
-        deg = {v: 0 for v in self.linear}
-        for u, v in self.quadratic:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryQuadraticModel)

@@ -16,7 +16,7 @@ from brokenchains import bench
 from brokenchains import bqm as bqmlib
 from brokenchains.bench import ExperimentConfig
 from brokenchains.bqm import ISING, convert, require_real
-from brokenchains.graphs import PROBLEMS, read_edge_list, write_edge_list, erdos_renyi
+from brokenchains.graphs import PROBLEMS, read_edge_list, score_rows, write_edge_list, erdos_renyi
 from brokenchains.sampler import (
     AnnealParams,
     model_hash,
@@ -236,7 +236,7 @@ def cmd_unembed(args):
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     rs = decompose_set(samples.spins, chains, model.domain)
     witnesses = bench.repair(method, rs, args.problem, g, model, args.seed)
-    objectives, feasible = bench.score_rows(args.problem, g, witnesses)
+    objectives, feasible = score_rows(args.problem, g, witnesses)
     broken = rs.broken.sum(axis=1).tolist()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")

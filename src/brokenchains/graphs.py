@@ -1,7 +1,13 @@
-"""Undirected simple graphs, random instances, and exhaustive oracles.
+"""Undirected simple graphs, random instances, witness scoring and
+exhaustive oracles.
 
 Vertices are dense integer ids ``0..n-1`` throughout the package; problem
 builders, embeddings and unembedding algorithms all index by these ids.
+A ``Graph`` is its edge set plus two read-only array forms built once from
+it: the sorted edge arrays ``u``, ``v`` and the ``adjacency`` matrix.
+``score_rows`` is the one witness check: it scores boolean witness rows
+over the edge arrays, and ``is_clique``, ``is_vertex_cover`` and
+``cut_size`` are its one-row calls.
 """
 
 from dataclasses import dataclass, field
@@ -23,13 +29,16 @@ BRUTE_FORCE_MAX_N = 24
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    ``masks[v]`` is the neighbourhood of ``v`` as a Python-int bitmask (bit
-    ``u`` set when ``u`` and ``v`` are adjacent).  The queries below and the
-    witness checks read them; the tailored unembeddings and ``brute_force``
-    read the matrix ``adjacency`` builds from ``edges``.
+    ``edges`` is the frozenset of pairs ``(u, v)``, ``u < v``, and the
+    graph's identity.  ``u`` and ``v`` hold the same pairs as int arrays in
+    ascending order, and ``adjacency`` is the float64 matrix of the graph
+    plus an isolated dummy vertex ``n``: entry ``[u, v]`` is 1.0 on an edge
+    and 0.0 elsewhere, and row and column ``n`` are zero.  All three are
+    built once and read-only; the queries below, the witness check
+    ``score_rows``, the tailored unembeddings and ``brute_force`` read them.
     """
 
-    __slots__ = ("n", "edges", "masks")
+    __slots__ = ("n", "edges", "u", "v", "adjacency")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -41,13 +50,16 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((min(u, v), max(u, v)))
+        u, v = np.array(sorted(normalized), dtype=np.intp).reshape(-1, 2).T.copy()
+        a = np.zeros((n + 1, n + 1))
+        a[u, v] = a[v, u] = 1.0
+        for array in (u, v, a):
+            array.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
-        masks = [0] * n
-        for u, v in normalized:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "adjacency", a)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -63,34 +75,22 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
-        return frozenset(vertices_of(self.masks[v]))
+        return frozenset(np.flatnonzero(self.adjacency[v]).tolist())
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self.masks[v].bit_count()
+        return int(np.count_nonzero(self.adjacency[v]))
 
     def max_degree(self) -> int:
-        return max((mask.bit_count() for mask in self.masks), default=0)
+        return int(np.count_nonzero(self.adjacency, axis=1).max())
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self.masks[u] >> v & 1)
+        return bool(self.adjacency[u, v])
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def mask_of(self, vertices) -> int:
-        """The bitmask of a vertex subset; ``ValueError`` naming the first
-        out-of-range vertex."""
-        vertices = tuple(vertices)
-        if vertices and not (0 <= min(vertices) and max(vertices) < self.n):
-            bad = next(v for v in vertices if not 0 <= v < self.n)
-            raise ValueError(f"vertex {bad} out of range for n={self.n}")
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        return mask
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -132,69 +132,75 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = rng_from(seed)
-    npairs = n * (n - 1) // 2
-    draws = rng.random(npairs)
-    edges = []
-    ix = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[ix] < p:
-                edges.append((u, v))
-            ix += 1
-    return Graph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    keep = rng_from(seed).random(len(u)) < p
+    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()))
 
 
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where ``g`` has none."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    u, v = np.nonzero(np.triu(g.adjacency[: g.n, : g.n] == 0, 1))
+    return Graph(g.n, zip(u.tolist(), v.tolist()))
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """The float64 adjacency matrix of ``g`` plus an isolated dummy vertex
-    ``n``: entry ``[u, v]`` is 1.0 on an edge and 0.0 elsewhere, and row and
-    column ``n`` are zero."""
-    a = np.zeros((g.n + 1, g.n + 1))
-    edges = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
-    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
-    return a
+def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
+    """The score of every witness row of a set, as an int64 array of
+    objectives and a bool array of feasibility flags; the one place that
+    decides whether a witness is a clique, a cover or a balanced partition,
+    and what it scores.
+
+    ``rows`` is a boolean ``(reads, g.n)`` array: True on the value-1 set
+    of a clique or cover, on the plus side of a cut or partition.  Over the
+    edge arrays ``u``, ``v`` of ``g``, with ``k`` the size of a row's set, a
+    clique holds k(k-1)/2 edges, a cover touches every edge, a cut counts
+    the edges whose ends differ, and a partition is balanced when
+    |2k - n| <= 1.  Infeasible witnesses score conservatively: an
+    infeasible clique 0, an infeasible cover the trivial all-vertices size
+    ``n``, and an unbalanced partition keeps its cut size but is flagged
+    infeasible.
+    """
+    u, v = rows[:, g.u], rows[:, g.v]
+    k = rows.sum(axis=1)
+    if problem == MAX_CLIQUE:
+        ok = (u & v).sum(axis=1) == k * (k - 1) // 2
+        return np.where(ok, k, 0), ok
+    if problem == MIN_VERTEX_COVER:
+        ok = (u | v).all(axis=1)
+        return np.where(ok, k, g.n), ok
+    if problem == MAX_CUT:
+        return (u != v).sum(axis=1), np.ones(len(rows), dtype=bool)
+    if problem == GRAPH_PARTITIONING:
+        return (u != v).sum(axis=1), np.abs(2 * k - g.n) <= 1
+    raise ValueError(f"unknown problem {problem!r}")
 
 
-def vertices_of(mask: int) -> list:
-    """The vertices whose bits are set in ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _witness_row(g: Graph, vertices) -> np.ndarray:
+    """The one-row ``score_rows`` input True on ``vertices``; ``ValueError``
+    naming the first out-of-range vertex."""
+    vertices = list(vertices)
+    bad = next((x for x in vertices if not 0 <= x < g.n), None)
+    if bad is not None:
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    row = np.zeros((1, g.n), dtype=bool)
+    row[0, vertices] = True
+    return row
 
 
 def is_clique(g: Graph, s) -> bool:
     """True iff every pair of vertices in ``s`` is adjacent (vacuously for |s| <= 1)."""
-    mask = g.mask_of(s)
-    # the only vertex of s that v is not adjacent to is v itself
-    return all(mask & ~g.masks[v] == 1 << v for v in vertices_of(mask))
+    return bool(score_rows(MAX_CLIQUE, g, _witness_row(g, s))[1][0])
 
 
 def is_vertex_cover(g: Graph, s) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    outside = ((1 << g.n) - 1) ^ g.mask_of(s)
-    return not any(g.masks[v] & outside for v in vertices_of(outside))
+    return bool(score_rows(MIN_VERTEX_COVER, g, _witness_row(g, s))[1][0])
 
 
 def cut_size(g: Graph, b: Bipartition) -> int:
     """Number of edges with endpoints on different sides of a complete partition."""
     if not b.is_complete_for(g):
         raise ValueError("partition does not cover all vertices exactly once")
-    plus = g.mask_of(b.side_plus)
-    return sum((g.masks[v] & plus).bit_count() for v in b.side_minus)
+    return int(score_rows(MAX_CUT, g, _witness_row(g, b.side_plus))[0][0])
 
 
 def _subset_matrix(lo: int, hi: int, n: int) -> np.ndarray:
@@ -219,7 +225,7 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
             f"graph has {g.n} > {BRUTE_FORCE_MAX_N} vertices; enumeration refused"
         )
     n = g.n
-    adj = adjacency(g)[:n, :n]
+    adj = g.adjacency[:n, :n]
     nonadj = 1.0 - adj - np.eye(n)
 
     best_val = None
@@ -263,7 +269,7 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
 def write_edge_list(g: Graph, path):
     """Plain-text edge list: first line ``n m``, then one ``u v`` line per edge."""
     lines = [f"{g.n} {len(g.edges)}"]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines += [f"{u} {v}" for u, v in zip(g.u.tolist(), g.v.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

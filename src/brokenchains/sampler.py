@@ -398,8 +398,9 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
     on a ``params`` value of the wrong type, on an energy that is not a
     finite real number, on a provenance chain strength or prefactor that is
-    not a positive real number, or when ``params.num_reads`` is not the
-    number of stored reads.
+    not a positive real number, on a provenance topology that is not three
+    positive integers, or when ``params.num_reads`` is not the number of
+    stored reads.
     """
     doc = require_keys(
         json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
@@ -411,8 +412,8 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
             require_real(provenance[key], f"provenance {key}", positive=True)
         topology = provenance["topology"]
         if not (isinstance(topology, list) and len(topology) == 3
-                and all(isinstance(x, int) for x in topology)):
-            raise ValueError("provenance topology must be a list of three integers")
+                and all(is_int(x) and x >= 1 for x in topology)):
+            raise ValueError("provenance topology must be a list of three positive integers")
     qubits = doc["qubits"]
     if not (isinstance(qubits, list) and all(map(is_int, qubits))):
         raise ValueError("qubits must be a list of integers")

@@ -324,31 +324,23 @@ def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
     The violations come from the same pass over the hardware couplers
     that ``embed_bqm`` compiles from, so the two always agree.
     """
-    edges = itertools.chain.from_iterable(logical.edges)
-    return _chain_couplers(e, hw, np.fromiter(edges, np.int64).reshape(-1, 2)).violations
+    edges = np.stack([logical.u, logical.v], axis=1)
+    return _chain_couplers(e, hw, edges).violations
 
 
-def uniform_torque_compensation(
-    m: BinaryQuadraticModel,
-    logical: Graph | None = None,
-    prefactor: float = 1.414,
-) -> float:
+def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor: float = 1.414) -> float:
     """Chain strength heuristic: prefactor * RMS(|couplers|) * sqrt(avg degree).
 
     The model is converted to Ising form first.  Average degree is taken
-    from the model's interaction graph unless an explicit logical graph is
-    supplied.  Models with no quadratic terms fall back to ``prefactor``.
+    from the model's interaction graph.  Models with no quadratic terms
+    fall back to ``prefactor``.
     """
     ising = convert(m, ISING)
     couplers = [c for c in ising.quadratic.values() if c != 0.0]
     if not couplers:
         return prefactor * 1.0
     rms = math.sqrt(sum(c * c for c in couplers) / len(couplers))
-    if logical is not None:
-        degrees = [logical.degree(v) for v in logical.vertices()]
-    else:
-        degrees = list(ising.degrees().values())
-    avg_degree = sum(degrees) / len(degrees) if degrees else 1.0
+    avg_degree = 2 * len(ising.quadratic) / len(ising.linear)
     return prefactor * rms * math.sqrt(avg_degree)
 
 

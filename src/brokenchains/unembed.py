@@ -15,8 +15,10 @@ partition (Ising).  Values fixed by unbroken chains are never revisited.
 
 The greedy algorithms run all reads at once: each step takes, in every
 read, what the one-read definition takes next, so no read depends on the
-others.  A read with nothing left takes the dummy column appended past the
-last variable, coupled to nothing, so no step drops finished rows.
+others.  They read the graph's read-only ``adjacency`` matrix, whose
+dummy vertex ``n`` is coupled to nothing: a read with nothing left takes
+that column, appended past the last variable, so no step drops finished
+rows.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Graph, adjacency
+from brokenchains.graphs import Graph
 from brokenchains.topology import ChainColumns
 
 
@@ -225,7 +227,7 @@ def max_clique_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     vertices with ``k``.
     """
     _check_vertices(rs, graph, QUBO, "max_clique_rows")
-    a = adjacency(graph)
+    a = graph.adjacency
     core = _with_dummy(~rs.broken & (rs.values == 1), False)
     size = core.sum(axis=1, keepdims=True)
     core_neighbours = core @ a
@@ -275,7 +277,7 @@ def max_cut_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     """
     _check_vertices(rs, graph, ISING, "max_cut_rows")
     side, order, majority, rngs = _placement(rs, graph, rngs)
-    a = adjacency(graph)
+    a = graph.adjacency
     every = np.arange(len(rs))
     for x in order.T:
         choice = -np.sign((a[x] * side).sum(axis=1))
@@ -299,7 +301,7 @@ def partitioning_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     """
     _check_vertices(rs, graph, ISING, "partitioning_rows")
     side, order, majority, _ = _placement(rs, graph, rngs)
-    a = adjacency(graph)
+    a = graph.adjacency
     n, cap = graph.n, graph.n // 2
     n_minus, n_plus = (side == -1).sum(axis=1), (side == 1).sum(axis=1)
     every = np.arange(len(rs))
@@ -327,7 +329,7 @@ def vertex_cover_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     definition gives.
     """
     _check_vertices(rs, graph, QUBO, "vertex_cover_rows")
-    a = adjacency(graph)
+    a = graph.adjacency
     broken = _with_dummy(rs.broken, False)
     zero = ~broken & _with_dummy(rs.values != 1, False)
     cover = ~broken & _with_dummy(rs.values == 1, False)

@@ -212,7 +212,8 @@ class TestUnembedRejectsMismatchedArtifacts:
         ("samples.json", "no_energy", "read 2 has no 'energy'"),
         ("embedding.json", "list", "embedding must be a JSON object, not list"),
         ("model.json", "no_linear", "model has no 'linear'"),
-        ("samples.json", "topology", "provenance topology must be a list of three integers"),
+        ("samples.json", "topology",
+         "provenance topology must be a list of three positive integers"),
         ("model.json", "null_linear", "model linear 0 must be a real number, not None"),
         ("model.json", "bool_offset", "model offset must be a real number, not True"),
         ("model.json", "null_variable", "model quadratic must be a list of [u, v, coefficient]"),
@@ -260,6 +261,10 @@ class TestUnembedRejectsMismatchedArtifacts:
         (("qubits", 3), "a", "qubits must be a list of integers"),
         (("samples", 1, "energy"), None, "read 1 energy must be a real number, not None"),
         (("samples", 0, "energy"), float("nan"), "read 0 energy must be a real number, not nan"),
+        (("provenance", "topology", 0), True,
+         "provenance topology must be a list of three positive integers"),
+        (("provenance", "topology", 0), 0,
+         "provenance topology must be a list of three positive integers"),
     ])
     def test_wrong_typed_samples_value_exit_2(self, tmp_path, capsys, keys, value, expect):
         self.sampled(tmp_path)

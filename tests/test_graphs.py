@@ -63,18 +63,6 @@ class TestGraph:
         with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
             query(path_graph(4), bad)
 
-    def test_mask_of(self):
-        g = path_graph(4)
-        assert g.mask_of([]) == 0
-        assert g.mask_of(iter([3, 0])) == 0b1001
-
-    @pytest.mark.parametrize(
-        "vertices, bad", [([1, -1, 4], -1), ([1, 4, -1], 4), ([-2], -2), (iter([0, 9]), 9)]
-    )
-    def test_mask_of_names_first_out_of_range_vertex(self, vertices, bad):
-        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
-            path_graph(4).mask_of(vertices)
-
 
 class TestErdosRenyi:
     def test_p_zero_is_empty(self):
@@ -145,6 +133,15 @@ class TestCheckers:
     def test_cover_out_of_range(self):
         with pytest.raises(ValueError):
             is_vertex_cover(path_graph(3), {7})
+
+    @pytest.mark.parametrize("check", [is_clique, is_vertex_cover])
+    @pytest.mark.parametrize(
+        "vertices, bad", [([1, -1, 4], -1), ([1, 4, -1], 4), ([-2], -2), ([0, 9], 9)]
+    )
+    def test_checks_name_first_out_of_range_vertex(self, check, vertices, bad):
+        # an iterator, so that the vertices are read in one pass
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            check(path_graph(4), iter(vertices))
 
 
 class TestCutSize:

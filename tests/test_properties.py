@@ -69,15 +69,20 @@
   ``reference_repair``: one dict per read through ``witness_from_values``,
   and the set-based tailored references), and a set that is not over the
   vertices raises ``ValueError``;
-* ``bench.score_rows`` equals ``score_witness`` witness by witness, as
+* ``score_rows`` equals the edge-scan references witness by witness, as
   Python ints and bools, on random graphs of 1-9 and 65 vertices
   (edgeless and complete ones included) and random, empty, full, clique,
   cover and balanced rows;
-* ``is_clique``, ``is_vertex_cover`` and ``cut_size`` equal edge-scan
-  references on random graphs and subsets, still raise ``ValueError`` on
-  an out-of-range vertex or an incomplete partition, ``Graph.masks``
-  holds each vertex's neighbourhood, and ``adjacency`` is the edges'
-  float matrix with an isolated dummy vertex;
+* ``Graph.u`` and ``Graph.v`` are the sorted edges, ``Graph.adjacency``
+  is the edges' read-only float matrix with an isolated dummy vertex, the
+  degree and neighbour queries equal edge scans, and ``is_clique``,
+  ``is_vertex_cover`` and ``cut_size`` (one-row ``score_rows`` calls)
+  equal the edge-scan references on random graphs and subsets and still
+  raise ``ValueError`` on an out-of-range vertex or an incomplete
+  partition;
+* ``erdos_renyi`` and ``complement`` equal pair-loop references, with the
+  same edges in the same iteration order, on 1-9 and 65 vertices at
+  densities including 0 and 1;
 * set-level ``minimize_energy`` equals a one-read-at-a-time reference on
   random models of both domains with float, tenth and zero coefficients
   (tenths make the sum order show in the last bits), and
@@ -110,11 +115,12 @@ from brokenchains.graphs import (
     PROBLEMS,
     Bipartition,
     Graph,
-    adjacency,
+    complement,
     cut_size,
     erdos_renyi,
     is_clique,
     is_vertex_cover,
+    score_rows,
 )
 from brokenchains.sampler import (
     _DRAWS_PER_CALL,
@@ -637,9 +643,33 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
 
 @st.composite
 def graphs(draw):
-    """G(n, p) on 1-9 vertices, or on 65 so that neighbourhood masks pass 64 bits."""
+    """G(n, p) on 1-9 vertices, or on 65, as in the full-size K65 workload."""
     n = draw(st.one_of(st.integers(1, 9), st.just(65)))
     return erdos_renyi(n, draw(st.floats(0.0, 1.0)), draw(seeds))
+
+
+def reference_erdos_renyi(n, p, seed):
+    """One uniform draw per vertex pair, pairs in lexicographic order."""
+    draws = rng_from(seed).random(n * (n - 1) // 2)
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [pair for pair, x in zip(pairs, draws) if x < p])
+
+
+def reference_complement(g):
+    return Graph(g.n, [(u, v) for u, v in itertools.combinations(g.vertices(), 2)
+                       if (u, v) not in g.edges])
+
+
+@PROPERTY
+@given(st.one_of(st.integers(1, 9), st.just(65)),
+       st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), seeds)
+def test_generators_match_pair_loops(n, p, seed):
+    # the problem builders' term order, and so the compiled models, follow
+    # the iteration order of ``edges``
+    g, reference = erdos_renyi(n, p, seed), reference_erdos_renyi(n, p, seed)
+    assert g == reference and list(g.edges) == list(reference.edges)
+    c, reference = complement(g), reference_complement(g)
+    assert c == reference and list(c.edges) == list(reference.edges)
 
 
 def reference_is_clique(g, s):
@@ -656,15 +686,24 @@ def reference_cut_size(g, b):
 
 @PROPERTY
 @given(graphs(), st.data())
-def test_mask_checks_match_edge_scans(g, data):
-    # the masks and the adjacency matrix are built from the edges, so check
-    # both against them; the matrix's dummy vertex n is isolated
-    a = adjacency(g)
+def test_graph_arrays_match_edge_scans(g, data):
+    # the edge arrays and the adjacency matrix are built from the edges, so
+    # check both against them; the matrix's dummy vertex n is isolated
+    assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(g.edges)
+    a = g.adjacency
     assert a.shape == (g.n + 1, g.n + 1) and a.dtype == np.float64
     assert not a[g.n].any() and not a[:, g.n].any()
+    for array in (g.u, g.v, a):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
     for v in g.vertices():
-        assert g.masks[v] == sum(1 << u for u in g.vertices() if (min(u, v), max(u, v)) in g.edges)
-        assert a[v, : g.n].tolist() == [float((min(u, v), max(u, v)) in g.edges) for u in g.vertices()]
+        expect = {u for u in g.vertices() if (min(u, v), max(u, v)) in g.edges}
+        assert a[v, : g.n].tolist() == [float(u in expect) for u in g.vertices()]
+        assert g.neighbors(v) == expect and g.degree(v) == len(expect)
+        assert [g.has_edge(v, u) for u in g.vertices()] == [u in expect for u in g.vertices()]
+    assert g.max_degree() == max(
+        sum(1 for edge in g.edges if v in edge) for v in g.vertices()
+    )
     vertices = st.sampled_from(range(g.n))
     subset = data.draw(st.lists(vertices, unique=True))
     # grow a clique and a cover out of the subset, so that both answers occur
@@ -730,15 +769,29 @@ def witness_rows_of(draw, g):
     return np.array(rows, dtype=bool)
 
 
+def reference_score(problem, g, witness):
+    """(objective, feasible) of one witness from the edge scans: an
+    infeasible clique scores 0, an infeasible cover ``n``, and a partition
+    keeps its cut when unbalanced."""
+    if problem == "max_clique":
+        ok = reference_is_clique(g, witness)
+        return (len(witness) if ok else 0), ok
+    if problem == "min_vertex_cover":
+        ok = reference_is_vertex_cover(g, witness)
+        return (len(witness) if ok else g.n), ok
+    balanced = abs(len(witness.side_minus) - len(witness.side_plus)) <= 1
+    return reference_cut_size(g, witness), problem == "max_cut" or balanced
+
+
 @PROPERTY
 @given(scored_graphs(), st.data())
-def test_score_rows_matches_score_witness(g, data):
+def test_score_rows_matches_edge_scans(g, data):
     rows = witness_rows_of(data.draw, g)
     for problem in PROBLEMS:
-        objectives, feasible = bench.score_rows(problem, g, rows)
+        objectives, feasible = score_rows(problem, g, rows)
         # the CSV writes what .tolist() gives: Python ints and bools
         assert objectives.dtype.kind == "i" and feasible.dtype == bool
-        expected = [bench.score_witness(problem, g, witness_of(problem, row, g)) for row in rows]
+        expected = [reference_score(problem, g, witness_of(problem, row, g)) for row in rows]
         assert list(zip(objectives.tolist(), feasible.tolist())) == expected, problem
 
 

@@ -187,11 +187,6 @@ class TestUniformTorqueCompensation:
         m = BinaryQuadraticModel(ISING, {}, {(0, 1): 1.0})
         assert uniform_torque_compensation(m) == pytest.approx(1.414)
 
-    def test_explicit_graph_degree(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): 1.0})
-        g = Graph(2, [(0, 1)])
-        assert uniform_torque_compensation(m, logical=g, prefactor=1.0) == pytest.approx(1.0)
-
 
 class TestEmbedBqm:
     def test_identity_embedding_is_noop(self):
