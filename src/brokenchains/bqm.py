@@ -16,6 +16,11 @@ Note the clique penalty runs over the *complement* edge set: a quadratic
 penalty on graph edges would punish exactly the pairs a clique must
 contain, so only the complement placement makes the minima coincide with
 maximum cliques.
+
+The builders add their terms in ascending pair order, from the graph's
+sorted edge arrays ``u`` and ``v``, so a model's term order, and with it
+the coupler order every anneal and energy sums in, does not follow the
+hash order of the edge set.
 """
 
 import json
@@ -139,7 +144,8 @@ def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
 def build_max_clique_qubo(g: Graph) -> BinaryQuadraticModel:
     """QUBO whose minima are maximum cliques, with H = -(clique size) there."""
     linear = {v: -1.0 for v in g.vertices()}
-    quadratic = {(u, v): 2.0 for u, v in complement(g).edges}
+    missing = complement(g)
+    quadratic = {(u, v): 2.0 for u, v in zip(missing.u.tolist(), missing.v.tolist())}
     return BinaryQuadraticModel(QUBO, linear, quadratic, 0.0)
 
 
@@ -148,7 +154,7 @@ def build_min_vertex_cover_qubo(g: Graph) -> BinaryQuadraticModel:
     linear = {v: 1.0 for v in g.vertices()}
     quadratic = {}
     offset = 0.0
-    for u, v in g.edges:
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
         # 2 (1 - x_u)(1 - x_v) = 2 - 2 x_u - 2 x_v + 2 x_u x_v
         offset += 2.0
         linear[u] -= 2.0
@@ -160,7 +166,7 @@ def build_min_vertex_cover_qubo(g: Graph) -> BinaryQuadraticModel:
 def build_max_cut_ising(g: Graph) -> BinaryQuadraticModel:
     """Ising model with +1 per edge; cut size = (|E| - H) / 2."""
     linear = {v: 0.0 for v in g.vertices()}
-    quadratic = {(u, v): 1.0 for u, v in g.edges}
+    quadratic = {(u, v): 1.0 for u, v in zip(g.u.tolist(), g.v.tolist())}
     return BinaryQuadraticModel(ISING, linear, quadratic, 0.0)
 
 
@@ -184,8 +190,8 @@ def build_graph_partitioning_ising(g: Graph) -> BinaryQuadraticModel:
     for u in range(g.n):
         for v in range(u + 1, g.n):
             quadratic[(u, v)] = 2.0 * a
-    for u, v in g.edges:
-        quadratic[(min(u, v), max(u, v))] -= 0.5
+    for u, v in zip(g.u.tolist(), g.v.tolist()):
+        quadratic[(u, v)] -= 0.5
     offset = a * g.n + len(g.edges) / 2.0
     return BinaryQuadraticModel(
         ISING, linear, quadratic, offset, {"partition_weight": a}

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, embed, sample, unembed, fig2, fig3, fig4.
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
+error's message names the exception type and the innermost frame it was
+raised in: ``error: ValueError in anneal_grid (sampler.py:212): ...``.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from brokenchains import bench
 from brokenchains import bqm as bqmlib
@@ -331,8 +334,16 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure after config was accepted
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_where(exc)}: {exc}", file=sys.stderr)
         return 3
+
+
+def _where(exc: Exception) -> str:
+    """The type of ``exc`` and the function, file and line of the innermost
+    frame it was raised in."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    place = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+    return f"{type(exc).__name__} in {frame.name} ({place})"
 
 
 def _validate_args(args):

@@ -51,11 +51,15 @@ Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
 within a class.  Spins in one class share no coupler, so the simultaneous
 class update equals sequential single-spin updates in that order.  The
-models of a grid share one interaction graph and so one colouring; their
-states lie stacked, and one block-diagonal CSR of a class's rows in every
-model updates that class in all of them, each row summed in the order of
-its model's own CSR, which ``_coupling_matrix`` builds from ``pm.couplers``
-in their order.  The anneal and the energies build no
+models of a grid share one interaction graph and so one colouring.  Their
+states lie stacked in a class-major layout (``_class_layout``): rows run by
+class, then by model, then by ascending qubit, so a class of every model is
+one slice of rows, and its update writes the new spins into that slice in
+place.  Each class's CSR holds, for every row, the entries of its model's
+own CSR row in their stored order (ascending qubit), with the columns moved
+to the layout's rows, so each field is summed in the order
+``_coupling_matrix`` gives it, which it builds from ``pm.couplers`` in
+their order.  The anneal and the energies build no
 ``BinaryQuadraticModel`` of a physical model.
 
 A flip of spin ``s`` in local field ``f`` changes the energy by
@@ -66,9 +70,10 @@ doubling, so ``x`` is the same rounding of the same real number as
 ``-beta delta``, and ``u < exp(x)`` is the whole test, because a downhill
 move has ``exp(x) >= 1 > u`` (``exp`` may overflow to inf there).  The
 update takes that test as the sign of ``u - exp(x)``, which is negative
-exactly when ``u < exp(x)`` and +0 when they are equal, and the new spin is
-``copysign(1, s (u - exp(x)))``.  Accept decisions, and so spins, are those
-of the explicit ``delta`` form bit for bit.
+exactly when ``u < exp(x)`` and +0 when they are equal, and flips ``s``
+by xor-ing that sign bit into the sign bit of ``s``: the new spin is
+``copysign(1, s (u - exp(x)))``.  Accept decisions, and so spins, are
+those of the explicit ``delta`` form bit for bit.
 
 A class whose field ``h`` is zero on every qubit of every model (max cut
 and partitioning have no field) skips the add ``x += h``, which is exact:
@@ -102,6 +107,8 @@ _DRAWS_PER_CALL = 1024
 # reads as fit, but never fewer than _READ_BATCH model-reads, so a sweep of
 # more than 1024 qubits takes more
 _DRAW_BUFFER = 512 * 1024
+# the sign bit of a float64, as the anneal flips it
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -193,17 +200,59 @@ def simulated_anneal(pm: PhysicalModel, params: AnnealParams) -> SampleSet:
     return anneal_grid([pm], params)[0]
 
 
+def _class_layout(j_syms) -> tuple:
+    """The class-major layout of the stacked states of models whose
+    symmetric CSRs ``j_syms`` share one structure (the same qubits and
+    couplers in the same order).
+
+    Rows run by colour class of the shared interaction graph, then by model
+    within a class, then by ascending qubit index within a model:
+    ``row_of[g, i]`` is the row of model ``g``'s qubit ``i``, and class
+    ``c`` of every model is one slice of rows.  ``classes[c]`` is
+    ``(cls, rows, j_rows)``: the class's qubit indices, that slice, and the
+    CSR of those rows over the layout's rows.  Each row of ``j_rows`` holds
+    the entries of its model's CSR row in the order that CSR stores them,
+    so every field is summed in the order ``_coupling_matrix`` gives it.
+    """
+    j0 = j_syms[0]
+    models, n = len(j_syms), j0.shape[0]
+    qubit_classes = _colour_classes(j0)
+    sizes = np.array([len(cls) for cls in qubit_classes], dtype=np.intp)
+    firsts = np.cumsum(sizes) - sizes  # where each class starts in class order
+    order = np.concatenate([np.empty(0, dtype=np.intp), *qubit_classes])
+    row_of = np.empty((models, n), dtype=np.intp)
+    row_of[:, order] = ((models - 1) * np.repeat(firsts, sizes) + np.arange(n)
+                        + np.arange(models)[:, None] * np.repeat(sizes, sizes))
+    # the CSR entries of every qubit's row, the rows taken in class order
+    counts = np.diff(j0.indptr)[order]
+    ends = np.cumsum(counts)
+    entries = np.repeat(j0.indptr[order] + counts - ends, counts) + np.arange(j0.nnz)
+    columns = row_of[:, j0.indices[entries]].astype(np.int32)
+    data = np.stack([j_sym.data[entries] for j_sym in j_syms])
+    bounds = np.concatenate([[0], ends]).tolist()
+    classes = []
+    for cls, first in zip(qubit_classes, firsts.tolist()):
+        last = first + len(cls)
+        lo, hi = bounds[first], bounds[last]
+        indptr = np.concatenate([[0], np.cumsum(np.tile(counts[first:last], models))])
+        j_rows = sp.csr_matrix(
+            (data[:, lo:hi].ravel(), columns[:, lo:hi].ravel(), indptr.astype(np.int32)),
+            shape=(models * len(cls), models * n),
+        )
+        classes.append((cls, slice(models * first, models * last), j_rows))
+    return row_of, classes
+
+
 def anneal_grid(pms, params: AnnealParams) -> list:
     """``simulated_anneal`` of each of several physical models over the same
     qubits and couplers (one logical model at several chain strengths, say),
     in one pass: read ``r`` of every model draws from read ``r``'s one
     stream, so each model's reads are those it gets annealed alone.
 
-    The models' states lie stacked, model ``g`` in rows ``g n`` to
-    ``(g + 1) n``, and each colour class updates in all models at once
-    through one block-diagonal CSR of the models' rows.  Raises
-    ``ValueError`` for an empty list, or when the models' ``qubit_ids``
-    or ``couplers`` differ.
+    The models' states lie stacked in the class-major layout of
+    ``_class_layout``, so each colour class updates in all models at once
+    as one slice of rows, in place.  Raises ``ValueError`` for an empty
+    list, or when the models' ``qubit_ids`` or ``couplers`` differ.
     """
     if not pms:
         raise ValueError("anneal_grid needs at least one model")
@@ -212,24 +261,20 @@ def anneal_grid(pms, params: AnnealParams) -> list:
             raise ValueError("the models of a grid must have the same qubits")
         if not np.array_equal(pm.couplers, pms[0].couplers):
             raise ValueError("the models of a grid must have the same couplers")
-    j_syms = [_coupling_matrix(pm) for pm in pms]
     models, n = len(pms), len(pms[0].qubit_ids)
     two_betas = (
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
     batch, chunk = _batch_shape(n, params.sweeps, models)
-    classes = []
-    # the models share one interaction graph, coloured once
-    for cls in _colour_classes(j_syms[0]):
-        rows = [j_sym[cls] for j_sym in j_syms]
-        h_rows = np.concatenate([pm.h[cls] for pm in pms])[:, None]
-        classes.append((
-            cls,
-            np.concatenate([cls + g * n for g in range(models)]),
-            h_rows if h_rows.any() else None,  # adding a zero field changes no spin
-            # one model keeps its rows: a one-block block_diag is a costly copy
-            rows[0] if models == 1 else sp.block_diag(rows, format="csr"),
-        ))
+    row_of, layout = _class_layout([_coupling_matrix(pm) for pm in pms])
+    h = np.empty(models * n)
+    for pm, rows in zip(pms, row_of):
+        h[rows] = pm.h
+    classes = [
+        # adding a zero field changes no spin
+        (cls, rows, h[rows, None] if h[rows].any() else None, j_rows)
+        for cls, rows, j_rows in layout
+    ]
 
     read_rngs = streams(params.seed, STREAM_READ)
     # one draw buffer serves every batch: buffer[r, t, i] is the uniform of
@@ -240,8 +285,19 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         rngs = list(itertools.islice(read_rngs, min(batch, params.num_reads - start)))
         # column r of ``states`` is one read of every model, so a class's CSR
         # rows multiply the block as it lies, with no transposed copy of either
-        states = _initial_states(rngs, n, models)
+        states = np.empty((models * n, len(rngs)))
         draws = buffer[: len(rngs)]
+        # the initial spins borrow the draw buffer, which the sweeps refill
+        initial = draws.reshape(-1)[: n * len(rngs)].reshape(n, len(rngs))
+        _initial_states(rngs, n, out=initial)
+        for rows in row_of:
+            states[rows] = initial
+        # each class's spins in every model: a view of ``states``, updated in
+        # place through its bits
+        updates = [
+            (cls, states[rows], states[rows].view(np.uint64), h_rows, j_rows)
+            for cls, rows, h_rows, j_rows in classes
+        ]
         # exp overflows to inf on steep downhill moves, which accept all the same
         with np.errstate(over="ignore"):
             for first in range(0, params.sweeps, chunk):
@@ -250,8 +306,7 @@ def anneal_grid(pms, params: AnnealParams) -> list:
                     rng.random(out=block[: len(chunk_two_betas)])
                 for t, two_beta in enumerate(chunk_two_betas):
                     uniforms = draws[:, t].T  # uniforms[i, r]
-                    for cls, rows, h_rows, j_rows in classes:
-                        s = states[rows]
+                    for cls, s, s_bits, h_rows, j_rows in updates:
                         # x = 2 beta s_i f_i, where f_i = h_i + sum_j J_ij s_j
                         x = j_rows @ states
                         if h_rows is not None:
@@ -259,25 +314,25 @@ def anneal_grid(pms, params: AnnealParams) -> list:
                         x *= s
                         x *= two_beta
                         np.exp(x, out=x)
-                        # u - exp(x) < 0 exactly when the flip is accepted, and
-                        # its sign times s is the new spin (a zero keeps s);
-                        # every model takes the class's uniforms of each read
+                        # u - exp(x) < 0 exactly when the flip is accepted, so
+                        # its sign bit flips s (a zero keeps s); every model
+                        # takes the class's uniforms of each read
                         by_model = x.reshape(models, len(cls), len(rngs))
                         np.subtract(uniforms[cls], by_model, out=by_model)
-                        x *= s
-                        states[rows] = np.copysign(1.0, x, out=x)
-        for g, out in enumerate(spins):
-            out[start : start + len(rngs)] = states[g * n : (g + 1) * n].T
+                        signs = x.view(np.uint64)
+                        signs &= _SIGN_BIT
+                        s_bits ^= signs
+        for rows, out in zip(row_of, spins):
+            out[start : start + len(rngs)] = states[rows].T
     return [
         SampleSet(tuple(pm.qubits()), out, functools.partial(_block_energies, pm, out), params, pm)
         for pm, out in zip(pms, spins)
     ]
 
 
-def _initial_states(rngs, n: int, models: int = 1) -> np.ndarray:
+def _initial_states(rngs, n: int, out: np.ndarray = None) -> np.ndarray:
     """``rng.integers(0, 2, n) * 2.0 - 1.0`` of each generator, as column ``r``
-    of each of ``models`` stacked ``(n, reads)`` blocks of a C-ordered
-    float64 ``(models * n, reads)`` array.
+    of the C-ordered float64 ``(n, reads)`` array ``out``, or of a new one.
 
     ``integers`` takes each of those bits as the top bit of one 32-bit half
     of a PCG64 output word, low half first, so it reads ``ceil(n / 2)``
@@ -286,17 +341,12 @@ def _initial_states(rngs, n: int, models: int = 1) -> np.ndarray:
     """
     words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs], axis=1)
     # built in place: every full-size temporary adds to the anneal's peak memory
-    states = np.empty((max(models * n, 2 * len(words)), len(rngs)))
-    drawn = states[: 2 * len(words)]
+    states = np.empty((n, len(rngs))) if out is None else out
     bits = words >> 31
-    drawn[0::2] = np.bitwise_and(bits, 1, out=bits)
-    drawn[1::2] = np.right_shift(words, 63, out=bits)
-    states = states[: models * n]
-    one = states[:n]
-    one *= 2.0
-    one -= 1.0
-    for g in range(1, models):
-        states[g * n : (g + 1) * n] = one
+    states[0::2] = np.bitwise_and(bits, 1, out=bits)
+    states[1::2] = np.right_shift(words[: n // 2], 63, out=bits[: n // 2])
+    states *= 2.0
+    states -= 1.0
     return states
 
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from brokenchains import bench
 from brokenchains.cli import main
 from brokenchains.graphs import read_edge_list
 
@@ -449,6 +450,22 @@ class TestExperimentCommands:
         assert rc == 2
         assert "p_break 0.3 needs source 'inject', not 'anneal'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_runtime_error_exit_3_names_where_it_failed(self, tmp_path, capsys, monkeypatch):
+        def anneal(pm, params):
+            raise RuntimeError("the annealer is offline")
+
+        monkeypatch.setattr(bench, "simulated_anneal", anneal)
+        rc = main([
+            "fig3", "--problem", "max_cut", "--n", "6", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 3
+        line = anneal.__code__.co_firstlineno + 1
+        assert capsys.readouterr().err == (
+            f"error: RuntimeError in anneal (test_cli.py:{line}): the annealer is offline\n"
+        )
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = [

@@ -36,7 +36,13 @@
   field-carrying (vertex cover) models over 1, 23, 65 and 100 reads and
   1-3 sweeps or half to a full draw call of them, so that a grid takes one or several
   spin batches and they end inside an energy block; two grids of 3 and 4
-  models that take 3-6 spin batches match the per-sweep reference;
+  models that take 3-6 spin batches match the per-sweep reference, and so
+  do grids of a graph whose greedy colouring has a one-qubit class;
+* the class-major layout of 1-4 such models is a bijection from (model,
+  qubit) onto the rows, puts each colour class of every model in one
+  slice (model by model, ascending qubit), and keeps every class row's
+  entries, and so its field's sum order, as its model's CSR row holds
+  them;
 * at a fixed beta, 4,000 reads of three random frustrated 7-spin models
   with dyadic couplings lie within multinomial noise (total variation
   bound at false-failure probability 1e-9) of the exact Boltzmann law
@@ -129,6 +135,7 @@ from brokenchains.sampler import (
     SampleSet,
     _batch_shape,
     _block_energies,
+    _class_layout,
     _colour_classes,
     _coupling_matrix,
     _initial_states,
@@ -379,6 +386,11 @@ def test_initial_states_equal_integer_draws(seed, n, reads):
         assert column.tobytes() == want.tobytes()
         # the stream is where ``integers`` leaves it for the sweeps' draws
         assert np.array_equal(rng.random(5), twin.random(5))
+    # built in a given array, as the anneal builds them in its draw buffer
+    out = np.full((n, reads), np.nan)
+    rngs = list(itertools.islice(streams(seed, STREAM_READ), reads))
+    assert _initial_states(rngs, n, out) is out
+    assert out.tobytes() == states.tobytes()
 
 
 @PROPERTY
@@ -481,6 +493,9 @@ def test_anneal_matches_per_sweep_reference(reads, sweeps, model_seed, seed, zer
 )
 @example("max_cut", 9, 0, [2.0, 0.5, 2.0], 65, 2, 1)
 @example("min_vertex_cover", 9, 0, [5.0, 5.0, 1.0, 0.5], 100, 1, 2)
+# greedy colouring splits this graph's 26 qubits 12/13/1: a one-qubit class
+@example("max_cut", 9, 8, [2.0, 0.5], 23, 2, 3)
+@example("min_vertex_cover", 9, 8, [1.0], 65, 1, 4)
 def test_anneal_grid_equals_each_model_alone(problem, n, graph_seed, strengths, reads,
                                              sweeps, seed):
     event(f"{len(strengths)} models")
@@ -500,6 +515,53 @@ def test_anneal_grid_crosses_spin_batches(problem, strengths, reads):
     # take 19-26 reads per batch: several batches, the last ending mid-block
     batch = check_grid(problem, 9, 0, strengths, reads, CHUNK, 5, reference_simulated_anneal)
     assert 2 < -(-reads // batch) and reads % batch
+
+
+def test_anneal_grid_with_a_one_qubit_class_matches_reference():
+    # graph seed 8's 26 qubits colour 12/13/1; three models take four batches
+    _, _, _, pm = physical("min_vertex_cover", 9, 8)
+    assert 1 in map(len, _colour_classes(_coupling_matrix(pm)))
+    batch = check_grid("min_vertex_cover", 9, 8, (1.0, 5.0, 0.5), 65, CHUNK, 5,
+                       reference_simulated_anneal)
+    assert 2 < -(-65 // batch)
+
+
+@PROPERTY
+@given(st.sampled_from(PROBLEMS), st.integers(1, 9), seeds,
+       st.lists(st.sampled_from((0.5, 1.0, 2.0, 5.0)), min_size=1, max_size=4))
+@example("max_cut", 9, 8, [2.0, 0.5])  # a one-qubit colour class
+def test_class_layout_keeps_each_row_in_order(problem, n, graph_seed, strengths):
+    _, model, e, _ = physical(problem, n, graph_seed)
+    j_syms = [_coupling_matrix(embed_bqm(convert(model, ISING), e, HW, c)) for c in strengths]
+    models, qubits = len(j_syms), j_syms[0].shape[0]
+    row_of, classes = _class_layout(j_syms)
+    # a bijection from (model, qubit) onto the rows
+    assert row_of.shape == (models, qubits)
+    assert sorted(row_of.ravel().tolist()) == list(range(models * qubits))
+    model_of, qubit_of = np.divmod(np.argsort(row_of, axis=None), qubits)
+    colours = _colour_classes(j_syms[0])
+    assert [cls.tolist() for cls, _, _ in classes] == [cls.tolist() for cls in colours]
+    if 1 in map(len, colours):
+        event("one-qubit class")
+    stop = 0
+    for cls, rows, j_rows in classes:
+        # each class is one slice, model by model, each model's qubits ascending
+        assert rows == slice(stop, stop + models * len(cls))
+        stop = rows.stop
+        assert np.array_equal(row_of[:, cls].ravel(), np.arange(rows.start, rows.stop))
+        assert j_rows.shape == (models * len(cls), models * qubits)
+        cuts = j_rows.indptr[1:-1]
+        for row, indices, data in zip(range(rows.start, rows.stop),
+                                      np.split(j_rows.indices, cuts), np.split(j_rows.data, cuts)):
+            g, i = model_of[row], qubit_of[row]
+            parent = j_syms[g]
+            lo, hi = parent.indptr[i], parent.indptr[i + 1]
+            # the parent row's entries in its order, which ascends by qubit
+            assert (model_of[indices] == g).all()
+            assert qubit_of[indices].tolist() == parent.indices[lo:hi].tolist()
+            assert (np.diff(qubit_of[indices]) > 0).all()
+            assert data.tobytes() == parent.data[lo:hi].tobytes()
+    assert stop == models * qubits
 
 
 def check_grid(problem, n, graph_seed, strengths, reads, sweeps, seed, alone):
