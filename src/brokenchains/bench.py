@@ -368,7 +368,7 @@ def _draw_physical_samples(config, pms, ising, graph_seed):
         return [simulated_anneal(pms[0], params)] if len(pms) == 1 else anneal_grid(pms, params)
     # inject: anneal the *logical* model once, then copy each read onto the
     # chains of every model and flip qubits with probability p_break
-    logical_pm = PhysicalModel.from_bqm(ising, 1.0, identity_embedding(ising.variables()))
+    logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()))
     logical_samples = simulated_anneal(logical_pm, params)
     return [inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm) for pm in pms]
 
@@ -421,24 +421,18 @@ def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
 
     Returns (objective, feasible).  The default best-of aggregation takes
     the best objective among *feasible* reads; a method with no feasible
-    read at all falls back to the conservative convention (0 for
-    maximization, |V| for covers, the best raw cut for partitions) and is
-    flagged infeasible.  The mean aggregation averages the per-read scores
-    and reports the feasible fraction.
+    read at all takes the best over all reads, whose conservative
+    ``score_rows`` scores (0 for a clique, |V| for a cover, the raw cut for
+    a partition) it keeps, and is flagged infeasible.  The mean aggregation
+    averages the per-read scores and reports the feasible fraction.
     """
     objectives, ok = score_rows(config.problem, run.graph, run.witnesses[method])
     objectives, ok = objectives.tolist(), ok.tolist()
     if config.aggregate == "mean":
         return float(np.mean(objectives)), sum(ok) / len(ok)
     feasible = [obj for obj, good in zip(objectives, ok) if good]
-    if feasible:
-        value = max(feasible) if config.problem in MAXIMIZATION else min(feasible)
-        return value, True
-    if config.problem in MAXIMIZATION:
-        return 0, False
-    if config.problem == "min_vertex_cover":
-        return run.graph.n, False
-    return min(objectives), False
+    best = max if config.problem in MAXIMIZATION else min
+    return best(feasible or objectives), bool(feasible)
 
 
 def chain_strength_setting(experiment: str, config: ExperimentConfig):
@@ -497,7 +491,7 @@ def run_fig2(config: ExperimentConfig):
     strength = chain_strength_setting("fig2", config)
     return [
         _row(config, density, run, "",
-             feasible="" if any(run.ising.quadratic.values()) else "degenerate")
+             feasible="" if run.ising.j.any() else "degenerate")
         for density, _, run in _graph_runs(config, [strength], methods=())
     ]
 

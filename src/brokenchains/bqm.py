@@ -1,9 +1,10 @@
 """Binary quadratic models: energy evaluation, domain conversion, builders.
 
-A model stores linear coefficients, quadratic coefficients on unordered
-variable pairs, a constant offset, and its variable domain (``qubo`` over
-{0, 1} or ``ising`` over {-1, +1}).  Minimizing the four problem models
-built here solves the corresponding graph problem:
+A model stores its linear and quadratic terms as arrays, a constant
+offset, and its variable domain (``qubo`` over {0, 1} or ``ising`` over
+{-1, +1}); the physical model ``topology.embed_bqm`` compiles is one too.
+Minimizing the four problem models built here solves the corresponding
+graph problem:
 
 * max_clique (QUBO):     -sum_v x_v + 2 * sum_{(u,v) not in E} x_u x_v
 * min_vertex_cover (QUBO): sum_v x_v + 2 * sum_{(u,v) in E} (1-x_u)(1-x_v)
@@ -17,15 +18,18 @@ penalty on graph edges would punish exactly the pairs a clique must
 contain, so only the complement placement makes the minima coincide with
 maximum cliques.
 
-The builders add their terms in ascending pair order, from the graph's
+The builders lay their terms out in ascending pair order, from the graph's
 sorted edge arrays ``u`` and ``v``, so a model's term order, and with it
 the coupler order every anneal and energy sums in, does not follow the
-hash order of the edge set.
+hash order of the edge set.  ``energy`` and ``convert`` add one term at a
+time: linear terms by ascending variable, then quadratic terms in order.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from brokenchains.graphs import Graph, complement
 
@@ -41,65 +45,104 @@ def _pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _running_sum(start: float, *terms) -> float:
+    """``start`` plus every entry of the ``terms`` arrays, added one at a
+    time from left to right (``np.sum`` adds pairwise, in another order)."""
+    return float(np.add.accumulate(np.concatenate([[start], *terms]))[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class BinaryQuadraticModel:
-    """Immutable quadratic model over integer variable ids."""
+    """Immutable quadratic model over integer variable ids, as read-only
+    arrays: ``ids`` ascending, with linear coefficients ``h``, and distinct
+    ``pairs`` ``u < v`` of ids in term order, with couplings ``j``, each
+    stored as ``0.0 + c``.  Equal models have the same terms in any order.
+    """
 
     domain: str
-    linear: dict
-    quadratic: dict
+    ids: np.ndarray  # int64
+    h: np.ndarray  # float64, one per id
+    pairs: np.ndarray  # (k, 2) int64
+    j: np.ndarray  # float64, one per pair
     offset: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.domain not in (QUBO, ISING):
             raise ValueError(f"domain must be {QUBO!r} or {ISING!r}")
-        lin = {int(v): float(c) for v, c in self.linear.items()}
-        quad = {}
-        for (u, v), c in self.quadratic.items():
-            key = _pair(int(u), int(v))
-            quad[key] = quad.get(key, 0.0) + float(c)
-        for u, v in quad:
-            lin.setdefault(u, 0.0)
-            lin.setdefault(v, 0.0)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", quad)
+        arrays = {
+            "ids": np.array(self.ids, dtype=np.int64),
+            "h": np.array(self.h, dtype=np.float64),
+            "pairs": np.array(self.pairs, dtype=np.int64).reshape(-1, 2),
+            "j": 0.0 + np.asarray(self.j, dtype=np.float64),
+        }
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "offset", float(self.offset))
 
-    def variables(self):
-        return sorted(self.linear)
+    @classmethod
+    def from_terms(cls, domain: str, linear, quadratic, offset: float = 0.0):
+        """The model of ``linear`` ``{v: c}`` and ``quadratic`` ``{(u, v): c}``.
+
+        A pair may come in either order; given in both, it is summed in the
+        order given and keeps its first place.  Every end of a pair gets a
+        0.0 linear coefficient unless ``linear`` gives it one.
+        ``ValueError`` on a pair of a variable with itself."""
+        fields = {int(v): float(c) for v, c in linear.items()}
+        couplings = {}
+        for (u, v), c in quadratic.items():
+            key = _pair(int(u), int(v))
+            couplings[key] = couplings.get(key, 0.0) + float(c)
+        for u, v in couplings:
+            fields.setdefault(u, 0.0)
+            fields.setdefault(v, 0.0)
+        ids = sorted(fields)
+        return cls(domain, ids, [fields[v] for v in ids], list(couplings),
+                   list(couplings.values()), offset)
+
+    def variables(self) -> list:
+        return self.ids.tolist()
+
+    def positions(self) -> np.ndarray:
+        """The ``(k, 2)`` positions in ``ids`` of the ends of every pair."""
+        return np.searchsorted(self.ids, self.pairs)
+
+    def sorted_terms(self) -> tuple:
+        """``(pairs, j)`` in ascending pair order, ``u`` then ``v``."""
+        order = np.lexsort(self.pairs.T[::-1])
+        return self.pairs[order], self.j[order]
 
     def interaction_graph(self) -> Graph:
         """Graph on 0..max_var with an edge per nonzero quadratic term."""
-        n = max(self.linear, default=-1) + 1
-        return Graph(n, [uv for uv, c in self.quadratic.items() if c != 0.0])
+        return Graph(int(self.ids.max(initial=-1)) + 1, self.pairs[self.j != 0.0].tolist())
 
     def __eq__(self, other):
         return (
             isinstance(other, BinaryQuadraticModel)
             and self.domain == other.domain
-            and self.linear == other.linear
-            and self.quadratic == other.quadratic
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.h, other.h)
+            and all(map(np.array_equal, self.sorted_terms(), other.sorted_terms()))
             and self.offset == other.offset
         )
 
 
 def energy(m: BinaryQuadraticModel, assignment: dict) -> float:
-    """sum a_i x_i + sum a_ij x_i x_j + offset for a complete assignment."""
+    """sum a_i x_i + sum a_ij x_i x_j + offset for a complete assignment,
+    added term by term after the offset."""
     allowed = _DOMAIN_VALUES[m.domain]
-    for v in m.linear:
+    variables = m.variables()
+    for v in variables:
         if v not in assignment:
             raise ValueError(f"assignment missing variable {v}")
         if assignment[v] not in allowed:
             raise ValueError(
                 f"value {assignment[v]} for variable {v} outside {m.domain} domain"
             )
-    total = m.offset
-    for v, c in m.linear.items():
-        total += c * assignment[v]
-    for (u, v), c in m.quadratic.items():
-        total += c * assignment[u] * assignment[v]
-    return total
+    x = np.array([assignment[v] for v in variables], dtype=np.float64)
+    u, v = m.positions().T
+    return _running_sum(m.offset, m.h * x, m.j * x[u] * x[v])
 
 
 def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
@@ -115,59 +158,42 @@ def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
         raise ValueError(f"target must be {QUBO!r} or {ISING!r}")
     if target == m.domain:
         return m
-    linear = {}
-    quadratic = {}
-    offset = m.offset
+    # each term's share of a linear coefficient goes to u, then v, term by term
+    ends = m.positions().ravel()
     if target == ISING:
         # x = (s + 1) / 2
-        for v, a in m.linear.items():
-            linear[v] = a / 2.0
-            offset += a / 2.0
-        for (u, v), a in m.quadratic.items():
-            quadratic[(u, v)] = a / 4.0
-            linear[u] += a / 4.0
-            linear[v] += a / 4.0
-            offset += a / 4.0
+        h, j = m.h / 2.0, m.j / 4.0
+        offset = _running_sum(m.offset, h, j)
+        np.add.at(h, ends, j.repeat(2))
     else:
         # s = 2x - 1
-        for v, h in m.linear.items():
-            linear[v] = 2.0 * h
-            offset -= h
-        for (u, v), j in m.quadratic.items():
-            quadratic[(u, v)] = 4.0 * j
-            linear[u] -= 2.0 * j
-            linear[v] -= 2.0 * j
-            offset += j
-    return BinaryQuadraticModel(target, linear, quadratic, offset, dict(m.metadata))
+        h, j = 2.0 * m.h, 4.0 * m.j
+        offset = _running_sum(m.offset, -m.h, m.j)
+        np.subtract.at(h, ends, (2.0 * m.j).repeat(2))
+    return BinaryQuadraticModel(target, m.ids, h, m.pairs, j, offset, dict(m.metadata))
 
 
 def build_max_clique_qubo(g: Graph) -> BinaryQuadraticModel:
     """QUBO whose minima are maximum cliques, with H = -(clique size) there."""
-    linear = {v: -1.0 for v in g.vertices()}
     missing = complement(g)
-    quadratic = {(u, v): 2.0 for u, v in zip(missing.u.tolist(), missing.v.tolist())}
-    return BinaryQuadraticModel(QUBO, linear, quadratic, 0.0)
+    pairs = np.stack([missing.u, missing.v], axis=1)
+    return BinaryQuadraticModel(QUBO, np.arange(g.n), np.full(g.n, -1.0), pairs,
+                                np.full(len(pairs), 2.0))
 
 
 def build_min_vertex_cover_qubo(g: Graph) -> BinaryQuadraticModel:
     """QUBO whose minima are minimum vertex covers, with H = cover size there."""
-    linear = {v: 1.0 for v in g.vertices()}
-    quadratic = {}
-    offset = 0.0
-    for u, v in zip(g.u.tolist(), g.v.tolist()):
-        # 2 (1 - x_u)(1 - x_v) = 2 - 2 x_u - 2 x_v + 2 x_u x_v
-        offset += 2.0
-        linear[u] -= 2.0
-        linear[v] -= 2.0
-        quadratic[(u, v)] = 2.0
-    return BinaryQuadraticModel(QUBO, linear, quadratic, offset)
+    # 2 (1 - x_u)(1 - x_v) = 2 - 2 x_u - 2 x_v + 2 x_u x_v per edge
+    degree = np.bincount(np.concatenate([g.u, g.v]), minlength=g.n)
+    return BinaryQuadraticModel(QUBO, np.arange(g.n), 1.0 - 2.0 * degree,
+                                np.stack([g.u, g.v], axis=1), np.full(len(g.edges), 2.0),
+                                2.0 * len(g.edges))
 
 
 def build_max_cut_ising(g: Graph) -> BinaryQuadraticModel:
     """Ising model with +1 per edge; cut size = (|E| - H) / 2."""
-    linear = {v: 0.0 for v in g.vertices()}
-    quadratic = {(u, v): 1.0 for u, v in zip(g.u.tolist(), g.v.tolist())}
-    return BinaryQuadraticModel(ISING, linear, quadratic, 0.0)
+    return BinaryQuadraticModel(ISING, np.arange(g.n), np.zeros(g.n),
+                                np.stack([g.u, g.v], axis=1), np.ones(len(g.edges)))
 
 
 def partition_weight(g: Graph) -> float:
@@ -185,16 +211,11 @@ def build_graph_partitioning_ising(g: Graph) -> BinaryQuadraticModel:
     penalty weight is kept in ``metadata['partition_weight']``.
     """
     a = partition_weight(g)
-    linear = {v: 0.0 for v in g.vertices()}
-    quadratic = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            quadratic[(u, v)] = 2.0 * a
-    for u, v in zip(g.u.tolist(), g.v.tolist()):
-        quadratic[(u, v)] -= 0.5
-    offset = a * g.n + len(g.edges) / 2.0
+    u, v = np.triu_indices(g.n, 1)
     return BinaryQuadraticModel(
-        ISING, linear, quadratic, offset, {"partition_weight": a}
+        ISING, np.arange(g.n), np.zeros(g.n), np.stack([u, v], axis=1),
+        2.0 * a - 0.5 * g.adjacency[u, v], a * g.n + len(g.edges) / 2.0,
+        {"partition_weight": a},
     )
 
 
@@ -216,26 +237,21 @@ def scale_to_unit_range(m: BinaryQuadraticModel) -> BinaryQuadraticModel:
     The offset is scaled by the same factor, which preserves the set of
     minimizing assignments.  All-zero models are returned unchanged.
     """
-    largest = max(
-        [abs(c) for c in m.linear.values()] + [abs(c) for c in m.quadratic.values()],
-        default=0.0,
-    )
+    largest = max(np.abs(m.h).max(initial=0.0), np.abs(m.j).max(initial=0.0))
     if largest == 0.0:
         return m
     return BinaryQuadraticModel(
-        m.domain,
-        {v: c / largest for v, c in m.linear.items()},
-        {uv: c / largest for uv, c in m.quadratic.items()},
-        m.offset / largest,
+        m.domain, m.ids, m.h / largest, m.pairs, m.j / largest, m.offset / largest,
         dict(m.metadata),
     )
 
 
 def to_json(m: BinaryQuadraticModel) -> str:
+    pairs, j = m.sorted_terms()
     doc = {
         "domain": m.domain,
-        "linear": {str(v): c for v, c in sorted(m.linear.items())},
-        "quadratic": [[u, v, c] for (u, v), c in sorted(m.quadratic.items())],
+        "linear": {str(v): c for v, c in zip(m.ids.tolist(), m.h.tolist())},
+        "quadratic": [[u, v, c] for (u, v), c in zip(pairs.tolist(), j.tolist())],
         "offset": m.offset,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -286,7 +302,7 @@ def from_json(text: str) -> BinaryQuadraticModel:
         for term in quadratic
     ):
         raise ValueError("model quadratic must be a list of [u, v, coefficient] triples")
-    return BinaryQuadraticModel(
+    return BinaryQuadraticModel.from_terms(
         doc["domain"],
         {int(v): require_real(c, f"model linear {v}") for v, c in linear.items()},
         {(u, v): require_real(c, f"model quadratic ({u}, {v})") for u, v, c in quadratic},

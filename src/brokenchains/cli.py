@@ -226,6 +226,8 @@ def _blame(path):
 def cmd_unembed(args):
     with _blame(args.graph):
         g = read_edge_list(args.graph)
+    if g.n < 1:
+        raise ConfigError(f"{args.graph} has no vertices; unembed needs at least one")
     with open(args.embedding) as fh, _blame(args.embedding):
         e = embedding_from_json(fh.read())
     with open(args.model) as fh, _blame(args.model):

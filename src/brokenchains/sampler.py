@@ -58,9 +58,9 @@ one slice of rows, and its update writes the new spins into that slice in
 place.  Each class's CSR holds, for every row, the entries of its model's
 own CSR row in their stored order (ascending qubit), with the columns moved
 to the layout's rows, so each field is summed in the order
-``_coupling_matrix`` gives it, which it builds from ``pm.couplers`` in
-their order.  The anneal and the energies build no
-``BinaryQuadraticModel`` of a physical model.
+``_coupling_matrix`` gives it, which it builds from the pairs of
+``pm.ising`` in their order.  The anneal and the energies read the arrays
+of ``pm.ising`` as they stand.
 
 A flip of spin ``s`` in local field ``f`` changes the energy by
 ``delta = -2 s f`` and is accepted when ``delta <= 0`` or
@@ -88,6 +88,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,13 +120,16 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_reads < 1:
-            raise ValueError("num_reads must be >= 1")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
-        lo, hi = self.beta_range
+        for name in ("num_reads", "sweeps"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        lo, hi = (require_real(beta, "beta_range entry") for beta in self.beta_range)
         if not (0 < lo < hi):
             raise ValueError("beta_range must satisfy 0 < beta_min < beta_max")
+        # the anneal scales each field by 2 beta, and inf there turns spins to NaN
+        if not math.isfinite(2.0 * hi):
+            raise ValueError(f"beta_range maximum {hi!r} overflows when doubled")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +159,14 @@ class SampleSet:
         return source() if callable(source) else source
 
 
-def _coupling_matrix(pm: PhysicalModel):
-    """The symmetric CSR of ``pm``'s couplings over its qubit indices, built
-    from its couplers in order, then the same couplers transposed: the
+def _coupling_matrix(m: BinaryQuadraticModel):
+    """The symmetric CSR of ``m``'s couplings over its variable indices,
+    built from its pairs in order, then the same pairs transposed: the
     order every row of the anneal and every energy is summed in."""
-    n = len(pm.qubit_ids)
-    i, j = np.searchsorted(pm.qubit_ids, pm.couplers).T
+    n = len(m.ids)
+    i, j = m.positions().T
     return sp.csr_matrix(
-        (np.concatenate([pm.j, pm.j]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        (np.concatenate([m.j, m.j]), (np.concatenate([i, j]), np.concatenate([j, i]))),
         shape=(n, n),
     )
 
@@ -252,24 +256,24 @@ def anneal_grid(pms, params: AnnealParams) -> list:
     The models' states lie stacked in the class-major layout of
     ``_class_layout``, so each colour class updates in all models at once
     as one slice of rows, in place.  Raises ``ValueError`` for an empty
-    list, or when the models' ``qubit_ids`` or ``couplers`` differ.
+    list, or when the models' qubits or couplers differ.
     """
     if not pms:
         raise ValueError("anneal_grid needs at least one model")
     for pm in pms[1:]:
-        if not np.array_equal(pm.qubit_ids, pms[0].qubit_ids):
+        if not np.array_equal(pm.ising.ids, pms[0].ising.ids):
             raise ValueError("the models of a grid must have the same qubits")
-        if not np.array_equal(pm.couplers, pms[0].couplers):
+        if not np.array_equal(pm.ising.pairs, pms[0].ising.pairs):
             raise ValueError("the models of a grid must have the same couplers")
-    models, n = len(pms), len(pms[0].qubit_ids)
+    models, n = len(pms), len(pms[0].ising.ids)
     two_betas = (
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
     batch, chunk = _batch_shape(n, params.sweeps, models)
-    row_of, layout = _class_layout([_coupling_matrix(pm) for pm in pms])
+    row_of, layout = _class_layout([_coupling_matrix(pm.ising) for pm in pms])
     h = np.empty(models * n)
     for pm, rows in zip(pms, row_of):
-        h[rows] = pm.h
+        h[rows] = pm.ising.h
     classes = [
         # adding a zero field changes no spin
         (cls, rows, h[rows, None] if h[rows].any() else None, j_rows)
@@ -325,7 +329,8 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         for rows, out in zip(row_of, spins):
             out[start : start + len(rngs)] = states[rows].T
     return [
-        SampleSet(tuple(pm.qubits()), out, functools.partial(_block_energies, pm, out), params, pm)
+        SampleSet(tuple(pm.qubits()), out, functools.partial(_block_energies, pm.ising, out),
+                  params, pm)
         for pm, out in zip(pms, spins)
     ]
 
@@ -350,16 +355,16 @@ def _initial_states(rngs, n: int, out: np.ndarray = None) -> np.ndarray:
     return states
 
 
-def _block_energies(pm: PhysicalModel, spins: np.ndarray, block: int = _READ_BATCH) -> np.ndarray:
-    """The energy of each read of ``spins``, summed over C-ordered float64
-    ``(reads, qubits)`` blocks of ``block`` rows: the last bits of a BLAS
-    sum depend on the shape and layout it is given."""
-    j_upper = sp.triu(_coupling_matrix(pm), k=1).tocsr()
+def _block_energies(m: BinaryQuadraticModel, spins, block: int = _READ_BATCH) -> np.ndarray:
+    """The energy under Ising model ``m`` of each read of ``spins``, summed
+    over C-ordered float64 ``(reads, variables)`` blocks of ``block`` rows:
+    the last bits of a BLAS sum depend on the shape and layout it is given."""
+    j_upper = sp.triu(_coupling_matrix(m), k=1).tocsr()
     energies = np.empty(len(spins))
     for first in range(0, len(spins), block):
         s = spins[first : first + block].astype(np.float64, order="C")
-        energies[first : first + block] = (s @ pm.h + np.einsum("ri,ri->r", s @ j_upper.T, s)
-                                           + pm.offset)
+        energies[first : first + block] = (s @ m.h + np.einsum("ri,ri->r", s @ j_upper.T, s)
+                                           + m.offset)
     return energies
 
 
@@ -395,7 +400,7 @@ def inject_chain_breaks(
         np.less(rng.random(len(qubits)), p_break, out=row)
     spins = np.where(flips, -copied, copied)
     # summed over all reads as one block, when first read
-    energies = functools.partial(_block_energies, pm, spins, max(len(spins), 1))
+    energies = functools.partial(_block_energies, pm.ising, spins, max(len(spins), 1))
     return SampleSet(qubits, spins, energies, logical.params, pm)
 
 
@@ -405,10 +410,11 @@ def chain_break_probability(p_break: float, length: int) -> float:
 
 
 def model_hash(model: BinaryQuadraticModel) -> str:
+    pairs, j = model.sorted_terms()
     doc = {
         "domain": model.domain,
-        "linear": sorted(model.linear.items()),
-        "quadratic": sorted((u, v, c) for (u, v), c in model.quadratic.items()),
+        "linear": list(zip(model.ids.tolist(), model.h.tolist())),
+        "quadratic": [(u, v, c) for (u, v), c in zip(pairs.tolist(), j.tolist())],
         "offset": model.offset,
     }
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()

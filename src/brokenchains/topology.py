@@ -4,10 +4,12 @@ A Chimera graph is an m x n grid of unit cells, each a complete bipartite
 K_{t,t} between a horizontal shore (couples to the same-index qubit in the
 cell to the right) and a vertical shore (couples to the cell below).
 Qubit ids are linear: ``((row * n + col) * 2 + shore) * t + index`` with
-shore 0 horizontal and shore 1 vertical.
+shore 0 horizontal and shore 1 vertical.  ``embed_bqm`` compiles a logical
+Ising model into a ``PhysicalModel``, which stores the compiled model, a
+``BinaryQuadraticModel`` over qubit ids, next to the chain strength and
+the embedding.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -336,49 +338,29 @@ def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor: float = 1.41
     fall back to ``prefactor``.
     """
     ising = convert(m, ISING)
-    couplers = [c for c in ising.quadratic.values() if c != 0.0]
+    couplers = ising.j[ising.j != 0.0].tolist()
     if not couplers:
         return prefactor * 1.0
     rms = math.sqrt(sum(c * c for c in couplers) / len(couplers))
-    avg_degree = 2 * len(ising.quadratic) / len(ising.linear)
+    avg_degree = 2 * len(ising.pairs) / len(ising.ids)
     return prefactor * rms * math.sqrt(avg_degree)
 
 
 @dataclass(frozen=True, eq=False)
 class PhysicalModel:
-    """Ising model over physical qubits, as arrays, plus the embedding that
-    produced it.  ``embed_bqm`` lists the couplers between chains in the
-    logical model's term order, then those inside chains in ascending
-    order; the anneal and the energies sum in that order."""
+    """An Ising model over physical qubits, the chain strength it was
+    compiled at and the embedding that produced it.  ``embed_bqm`` lists
+    the couplers between chains in the logical model's term order, then
+    those inside chains in ascending order; the anneal and the energies sum
+    in that order.  A logical model annealed directly is its own physical
+    model, over qubits named by its variables."""
 
-    qubit_ids: np.ndarray  # ascending int64 qubit ids
-    h: np.ndarray  # float64, one per qubit
-    couplers: np.ndarray  # (k, 2) int64 qubit pairs p < q
-    j: np.ndarray  # float64, one per coupler
-    offset: float
+    ising: BinaryQuadraticModel
     chain_strength: float
     source_embedding: Embedding
 
-    @classmethod
-    def from_bqm(cls, model: BinaryQuadraticModel, chain_strength: float, e: Embedding):
-        """An Ising ``model`` as it stands, in its term order, over qubits
-        named by its variables (a logical model annealed directly, say)."""
-        qubit_ids = np.array(model.variables(), dtype=np.int64)
-        h = np.zeros(len(qubit_ids))
-        h[np.searchsorted(qubit_ids, list(model.linear))] = list(model.linear.values())
-        couplers = np.array(list(model.quadratic), dtype=np.int64).reshape(-1, 2)
-        j = np.array(list(model.quadratic.values()), dtype=np.float64)
-        return cls(qubit_ids, h, couplers, j, model.offset, chain_strength, e)
-
     def qubits(self) -> list:
-        return self.qubit_ids.tolist()
-
-    @functools.cached_property
-    def ising(self) -> BinaryQuadraticModel:
-        """The model as a ``BinaryQuadraticModel``, built on first read."""
-        quadratic = dict(zip(map(tuple, self.couplers.tolist()), self.j.tolist()))
-        return BinaryQuadraticModel(ISING, dict(zip(self.qubits(), self.h.tolist())), quadratic,
-                                    self.offset)
+        return self.ising.variables()
 
 
 def embed_bqm(
@@ -409,32 +391,30 @@ def embed_bqm(
     unmapped = [v for v in m.variables() if v not in e.chains]
     if unmapped:
         raise ValueError(f"model variable {unmapped[0]} has no chain in the embedding")
-    terms = itertools.chain.from_iterable(m.quadratic)
-    terms = np.fromiter(terms, np.int64, 2 * len(m.quadratic)).reshape(-1, 2)
-    j = np.fromiter(m.quadratic.values(), np.float64, len(m.quadratic))
-    terms, j = terms[j != 0.0], j[j != 0.0]
+    nonzero = m.j != 0.0
+    terms, j = m.pairs[nonzero], m.j[nonzero]
     links = _chain_couplers(e, hw, terms)
     if links.violations:
         raise ValueError("invalid embedding: " + "; ".join(links.violations))
 
-    chain = np.searchsorted(links.variables, np.fromiter(m.linear, np.int64, len(m.linear)))
+    chain = np.searchsorted(links.variables, m.ids)
     lengths = links.lengths[chain]
-    h = np.fromiter(m.linear.values(), np.float64, len(m.linear))
     chained = links.qubits[_ranges(links.starts[chain], lengths)]
     # counted, not sorted: np.unique would page in more numpy code, and peak RSS counts it
     qubit_ids = np.flatnonzero(np.bincount(np.concatenate([chained, links.inside.ravel()])))
     fields = np.zeros(len(qubit_ids))
     # 0.0 + share, as a sum into a fresh model entry: a -0.0 share gives 0.0
-    fields[np.searchsorted(qubit_ids, chained)] = 0.0 + np.repeat(h / lengths, lengths)
+    fields[np.searchsorted(qubit_ids, chained)] = 0.0 + np.repeat(m.h / lengths, lengths)
 
     u, v = np.searchsorted(links.variables, terms).T
     pair = np.searchsorted(links.pairs, u * len(links.variables) + v)
     counts = links.pair_counts[pair]
     couplers = np.concatenate([links.between[_ranges(links.pair_starts[pair], counts)],
                                links.inside])
-    j = np.concatenate([0.0 + np.repeat(j / counts, counts),
+    j = np.concatenate([np.repeat(j / counts, counts),
                         np.full(len(links.inside), -float(chain_strength))])
-    return PhysicalModel(qubit_ids, fields, couplers, j, float(m.offset), chain_strength, e)
+    return PhysicalModel(BinaryQuadraticModel(ISING, qubit_ids, fields, couplers, j, m.offset),
+                         chain_strength, e)
 
 
 def embedding_to_json(e: Embedding) -> str:

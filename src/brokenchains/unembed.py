@@ -165,15 +165,11 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     receives its additions in the order a one-read greedy makes them
     (quadratic terms in model order, then one per fix).
     """
-    variables = tuple(sorted(logical_model.linear))
-    if rs.variables != variables:
+    if rs.variables != tuple(logical_model.variables()):
         raise ValueError("variables are not the model variables")
-    m = len(variables)
-    position = {v: i for i, v in enumerate(variables)}
-    terms = logical_model.quadratic
-    i = np.array([position[u] for u, _ in terms], dtype=np.intp)
-    j = np.array([position[v] for _, v in terms], dtype=np.intp)
-    c = np.fromiter(terms.values(), np.float64, len(terms))
+    m = len(rs.variables)
+    i, j = logical_model.positions().T
+    c = logical_model.j
     # term (i, j, c) adds c * fixed[j] to column i and c * fixed[i] to
     # column j; an undecided neighbour adds a signed zero.  Round k adds
     # every column's k-th term at once, keeping each column's order.
@@ -182,7 +178,7 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.searchsorted(target[order], target[order])
     fixed = np.where(rs.broken, 0.0, rs.values)
-    coupling = np.tile([logical_model.linear[v] for v in variables] + [0.0], (len(rs), 1))
+    coupling = np.tile(np.append(logical_model.h, 0.0), (len(rs), 1))
     for k in range(int(rank.max(initial=-1)) + 1):
         now = rank == k
         coupling[:, target[now]] += coef[now] * fixed[:, source[now]]

@@ -56,8 +56,8 @@ def spin_glass(hw, seed, scale=1.0):
     qubits, couplers = list(hw.qubits), sorted(coupler_set(hw))
     linear = dict(zip(qubits, (scale * rng.uniform(-1.0, 1.0, len(qubits))).tolist()))
     quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
-    ising = BinaryQuadraticModel(ISING, linear, quadratic)
-    return PhysicalModel.from_bqm(ising, 1.0, identity_embedding(qubits))
+    ising = BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
+    return PhysicalModel(ising, 1.0, identity_embedding(qubits))
 
 
 def intra_chain_couplers(pm):
@@ -65,9 +65,20 @@ def intra_chain_couplers(pm):
     as ascending ``(p, q)`` tuples."""
     chain_of = {q: v for v, chain in pm.source_embedding.chains.items() for q in chain}
     return tuple(sorted(
-        (p, q) for p, q in pm.couplers.tolist()
+        (p, q) for p, q in pm.ising.pairs.tolist()
         if p in chain_of and chain_of[p] == chain_of.get(q)
     ))
+
+
+def linear_terms(m):
+    """The linear coefficients of model ``m`` as ``{variable: coefficient}``."""
+    return dict(zip(m.ids.tolist(), m.h.tolist()))
+
+
+def quadratic_terms(m):
+    """The quadratic coefficients of model ``m`` as ``{(u, v): coefficient}``,
+    in term order."""
+    return dict(zip(map(tuple, m.pairs.tolist()), m.j.tolist()))
 
 
 def coupler_set(hw):

@@ -91,17 +91,13 @@ def enumerate_energies(model):
     """Energies of every assignment, vectorized; rows follow bit order."""
     variables = model.variables()
     n = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    h = np.zeros(n)
-    for v, c in model.linear.items():
-        h[index[v]] = c
     q = np.zeros((n, n))
-    for (u, v), c in model.quadratic.items():
-        q[index[u], index[v]] = c
+    u, v = model.positions().T
+    q[u, v] = model.j
     masks = np.arange(1 << n, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
     states = bits if model.domain == QUBO else 2.0 * bits - 1.0
-    energies = states @ h + np.einsum("si,ij,sj->s", states, q, states) + model.offset
+    energies = states @ model.h + np.einsum("si,ij,sj->s", states, q, states) + model.offset
     return variables, states, energies
 
 
@@ -223,7 +219,7 @@ class TestCriterion3AgreementOnUnbroken:
                 }[problem]
                 model = builder(g)
                 ising = convert(model, ISING)
-                logical_pm = PhysicalModel.from_bqm(
+                logical_pm = PhysicalModel(
                     ising, 1.0, identity_embedding(ising.variables())
                 )
                 ss = simulated_anneal(
@@ -297,7 +293,7 @@ class TestCriterion4MinimizeEnergyOracle:
                 for v in range(u + 1, nvars)
                 if rng.random() < 0.6
             }
-            model = BinaryQuadraticModel(ISING, linear, quadratic)
+            model = BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
             n_broken = int(rng.integers(1, 3))
             broken = sorted(rng.choice(nvars, size=n_broken, replace=False))
             readouts = []
@@ -557,7 +553,8 @@ class TestCriterion10DomainConversion:
                 for v in range(u + 1, nvars)
                 if rng.random() < 0.5
             }
-            model = BinaryQuadraticModel(domain, linear, quadratic, float(rng.uniform(-1, 1)))
+            offset = float(rng.uniform(-1, 1))
+            model = BinaryQuadraticModel.from_terms(domain, linear, quadratic, offset)
             other = convert(model, ISING if domain == QUBO else QUBO)
             values = (0, 1) if domain == QUBO else (-1, 1)
             for combo in itertools.product(values, repeat=nvars):

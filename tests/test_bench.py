@@ -27,7 +27,7 @@ from brokenchains.bench import (
     witness_from_values,
     write_experiment,
 )
-from brokenchains.bqm import build_max_cut_ising
+from brokenchains.bqm import BinaryQuadraticModel, build_max_cut_ising
 from brokenchains.graphs import Bipartition, erdos_renyi
 from brokenchains.sampler import inject_chain_breaks
 from brokenchains.topology import (
@@ -441,15 +441,24 @@ def test_inject_run_leaves_csgraph_unimported():
     (run_fig4, {"chain_strength_grid": (0.5, 2.0)}, 2),
 ])
 def test_runs_build_no_physical_bqm(monkeypatch, run, settings, models):
-    # the anneal, the injector and the repairs read a physical model's
-    # arrays; its ``ising`` view is built only when something reads it
+    # a physical model stores the model that embed_bqm compiles (or, for the
+    # logical anneal before an injection, the logical model itself), and
+    # nothing builds another model out of its arrays
     made, init = [], PhysicalModel.__init__
+    built, build = [], BinaryQuadraticModel.__init__
 
     def record(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(self)
 
+    def record_model(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
+
     monkeypatch.setattr(PhysicalModel, "__init__", record)
+    monkeypatch.setattr(BinaryQuadraticModel, "__init__", record_model)
     run(small_config(n=6, topology=(2, 2, 4), reads=4, sweeps=3, **settings))
     assert len(made) == models
-    assert [pm for pm in made if "ising" in vars(pm)] == []
+    # the max cut model, Ising as built, then one compiled model per strength
+    assert len(built) == 1 + len(settings.get("chain_strength_grid", [None]))
+    assert all(any(pm.ising is model for model in built) for pm in made)

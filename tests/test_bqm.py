@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from brokenchains.bqm import (
@@ -18,7 +19,14 @@ from brokenchains.bqm import (
 )
 from brokenchains.graphs import Graph, brute_force, erdos_renyi
 from brokenchains.seeding import rng_from
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    linear_terms,
+    path_graph,
+    quadratic_terms,
+)
 
 
 def all_assignments(variables, domain):
@@ -51,30 +59,36 @@ def random_model(nvars, domain, seed):
         for v in range(u + 1, nvars)
         if rng.random() < 0.6
     }
-    return BinaryQuadraticModel(domain, linear, quadratic, float(rng.uniform(-1, 1)))
+    return BinaryQuadraticModel.from_terms(domain, linear, quadratic, float(rng.uniform(-1, 1)))
 
 
 class TestModelInvariants:
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
-            BinaryQuadraticModel(QUBO, {0: 1.0}, {(0, 0): 1.0})
+            BinaryQuadraticModel.from_terms(QUBO, {0: 1.0}, {(0, 0): 1.0})
 
     def test_pair_keys_normalized(self):
-        m = BinaryQuadraticModel(ISING, {}, {(2, 1): 1.0})
-        assert (1, 2) in m.quadratic
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(2, 1): 1.0})
+        assert m.pairs.tolist() == [[1, 2]]
 
     def test_quadratic_variables_get_linear_entries(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): 1.0})
-        assert m.linear == {0: 0.0, 1: 0.0}
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 1.0})
+        assert linear_terms(m) == {0: 0.0, 1: 0.0}
 
     def test_bad_domain(self):
         with pytest.raises(ValueError):
-            BinaryQuadraticModel("spin", {}, {})
+            BinaryQuadraticModel.from_terms("spin", {}, {})
+
+    def test_no_coupling_is_negative_zero(self):
+        # -5e-324 / 4 rounds to -0.0, which a model stores as 0.0 + -0.0 = 0.0
+        m = BinaryQuadraticModel.from_terms(QUBO, {}, {(0, 1): -5e-324, (1, 2): 4.0})
+        for image in (convert(m, ISING), scale_to_unit_range(m)):
+            assert np.signbit(image.j).tolist() == [False, False]
 
 
 class TestEnergy:
     def test_qubo_example(self):
-        m = BinaryQuadraticModel(QUBO, {1: -1.0, 2: -1.0}, {(1, 2): 2.0})
+        m = BinaryQuadraticModel.from_terms(QUBO, {1: -1.0, 2: -1.0}, {(1, 2): 2.0})
         assert energy(m, {1: 1, 2: 1}) == 0.0
         assert energy(m, {1: 1, 2: 0}) == -1.0
 
@@ -83,12 +97,12 @@ class TestEnergy:
         assert energy(m, {0: 1, 1: 1, 2: 1}) == 3.0
 
     def test_missing_variable(self):
-        m = BinaryQuadraticModel(QUBO, {0: 1.0, 1: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(QUBO, {0: 1.0, 1: 1.0}, {})
         with pytest.raises(ValueError):
             energy(m, {0: 1})
 
     def test_out_of_domain_value(self):
-        m = BinaryQuadraticModel(QUBO, {0: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(QUBO, {0: 1.0}, {})
         with pytest.raises(ValueError):
             energy(m, {0: -1})
 
@@ -106,9 +120,9 @@ class TestConvert:
         assert convert(m, QUBO) is m
 
     def test_single_variable_example(self):
-        m = BinaryQuadraticModel(QUBO, {1: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(QUBO, {1: 1.0}, {})
         ising = convert(m, ISING)
-        assert ising.linear[1] == 0.5
+        assert linear_terms(ising) == {1: 0.5}
         assert ising.offset == 0.5
         assert energy(m, {1: 1}) == energy(ising, {1: 1}) == 1.0
 
@@ -130,12 +144,12 @@ class TestConvert:
 class TestMaxCliqueBuilder:
     def test_complete_graph_has_no_penalties(self):
         m = build_max_clique_qubo(complete_graph(3))
-        assert m.quadratic == {}
+        assert quadratic_terms(m) == {}
         assert energy(m, {0: 1, 1: 1, 2: 1}) == -3.0
 
     def test_path_minimum(self):
         m = build_max_clique_qubo(path_graph(3))
-        assert m.quadratic == {(0, 2): 2.0}
+        assert quadratic_terms(m) == {(0, 2): 2.0}
         best_e, best = exhaustive_minima(m)
         assert best_e == -2.0
         onesets = {frozenset(v for v, b in a.items() if b) for a in best}
@@ -228,18 +242,19 @@ class TestPartitioningBuilder:
 
 class TestScaleToUnitRange:
     def test_simple_example(self):
-        m = BinaryQuadraticModel(ISING, {1: 4.0}, {(1, 2): -8.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {1: 4.0}, {(1, 2): -8.0})
         scaled = scale_to_unit_range(m)
-        assert scaled.linear[1] == 0.5
-        assert scaled.quadratic[(1, 2)] == -1.0
+        assert linear_terms(scaled) == {1: 0.5, 2: 0.0}
+        assert quadratic_terms(scaled) == {(1, 2): -1.0}
 
     def test_unit_model_unchanged(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0}, {(0, 1): -0.5})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {(0, 1): -0.5})
         scaled = scale_to_unit_range(m)
-        assert scaled.linear == m.linear and scaled.quadratic == m.quadratic
+        assert linear_terms(scaled) == linear_terms(m)
+        assert quadratic_terms(scaled) == quadratic_terms(m)
 
     def test_all_zero_noop(self):
-        m = BinaryQuadraticModel(ISING, {0: 0.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 0.0}, {})
         assert scale_to_unit_range(m) is m
 
     def test_argmin_preserved(self):
@@ -249,9 +264,7 @@ class TestScaleToUnitRange:
         _, best_scaled = exhaustive_minima(scaled)
         key = lambda a: tuple(sorted(a.items()))
         assert {key(a) for a in best} == {key(a) for a in best_scaled}
-        assert max(
-            abs(c) for c in list(scaled.linear.values()) + list(scaled.quadratic.values())
-        ) == 1.0
+        assert max(np.abs(scaled.h).max(), np.abs(scaled.j).max()) == 1.0
 
 
 class TestSerialization:

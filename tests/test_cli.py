@@ -5,8 +5,11 @@ import os
 import pytest
 
 from brokenchains import bench
+from brokenchains.bqm import build_max_cut_ising, to_json
 from brokenchains.cli import main
 from brokenchains.graphs import read_edge_list
+from brokenchains.sampler import AnnealParams, sampleset_to_json, simulated_anneal
+from brokenchains.topology import Embedding, chimera, embed_bqm
 
 
 class TestGen:
@@ -120,6 +123,28 @@ class TestSampleValidation:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"configuration error: {graph} has no vertices; sample needs at least one\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_unembed_graph_without_vertices_exit_2(self, tmp_path, capsys):
+        # every artifact belongs to the empty graph, down to the reads' provenance
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 0\n")
+        model = build_max_cut_ising(read_edge_list(graph))
+        (tmp_path / "model.json").write_text(to_json(model))
+        (tmp_path / "embedding.json").write_text("{}")
+        pm = embed_bqm(model, Embedding({}), chimera(2, 2, 4), 1.0)
+        provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [2, 2, 4]}
+        samples = simulated_anneal(pm, AnnealParams(num_reads=2, sweeps=3))
+        (tmp_path / "samples.json").write_text(sampleset_to_json(samples, provenance))
+        rc = main(["unembed", "--graph", str(graph), "--problem", "max_cut",
+                   "--samples", str(tmp_path / "samples.json"),
+                   "--embedding", str(tmp_path / "embedding.json"),
+                   "--model", str(tmp_path / "model.json"),
+                   "--method", "majority", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {graph} has no vertices; unembed needs at least one\n"
         )
         assert not (tmp_path / "out").exists()
 

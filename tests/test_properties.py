@@ -96,6 +96,12 @@
 * ``convert`` keeps every energy, QUBO to Ising, Ising to QUBO and on the
   round trip: exactly on coefficients in multiples of 1/8 (and the round
   trip gives the model back), to 1e-9 on floats;
+* ``BinaryQuadraticModel.from_terms`` on mappings whose pairs come in
+  either order and twice, whose pair ends may be missing from the linear
+  mapping, with -0.0 and inexact coefficients, stores bit for bit the
+  terms, in the order, of a plain-dict reference (``reference_terms``:
+  the rules the dict-backed model applied), reads back equal from its
+  JSON, and has the ``model_hash`` of the reference's dict document;
 * ``embed_bqm`` keeps the energy of every chain-consistent state, less
   the chain strength per intra-chain coupler, for random models on
   ``clique_embedding`` over chimera(m,m,4), m = 1-3;
@@ -106,7 +112,9 @@
   qubits, or use qubits absent from the hardware.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import warnings
 
@@ -116,7 +124,16 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from brokenchains import bench
-from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel, build_model, convert, energy
+from brokenchains.bqm import (
+    ISING,
+    QUBO,
+    BinaryQuadraticModel,
+    build_model,
+    convert,
+    energy,
+    from_json,
+    to_json,
+)
 from brokenchains.graphs import (
     PROBLEMS,
     Bipartition,
@@ -141,6 +158,7 @@ from brokenchains.sampler import (
     _initial_states,
     anneal_grid,
     inject_chain_breaks,
+    model_hash,
     simulated_anneal,
 )
 from brokenchains.seeding import (
@@ -179,7 +197,9 @@ from conftest import (
     coupler_set,
     hardware_adjacency,
     intra_chain_couplers,
+    linear_terms,
     members,
+    quadratic_terms,
     row_set,
     sample_set,
     sides,
@@ -410,8 +430,8 @@ def reference_simulated_anneal(pm, params):
     """The anneal with one ``rng.random`` call per read per sweep and the
     explicit ``delta`` accept test, as ``simulated_anneal`` ran before its
     draws were chunked and its class update made in place."""
-    n = len(pm.qubit_ids)
-    j_sym = _coupling_matrix(pm)
+    n = len(pm.ising.ids)
+    j_sym = _coupling_matrix(pm.ising)
     classes = _colour_classes(j_sym)
     betas = np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
 
@@ -430,7 +450,7 @@ def reference_simulated_anneal(pm, params):
                 rng.random(out=row)
             for cls in classes:
                 spins_cls = states[cls]
-                fields = pm.h[cls][:, None] + j_sym[cls] @ states
+                fields = pm.ising.h[cls][:, None] + j_sym[cls] @ states
                 # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
                 delta = -2.0 * spins_cls * fields
                 accept = (delta <= 0.0) | (
@@ -440,7 +460,7 @@ def reference_simulated_anneal(pm, params):
         spins.append(states.T.astype(np.int8))
     spins = np.concatenate(spins)
     # summed per block of _READ_BATCH reads, as the anneal sums them
-    return SampleSet(tuple(pm.qubits()), spins, _block_energies(pm, spins), params, pm)
+    return SampleSet(tuple(pm.qubits()), spins, _block_energies(pm.ising, spins), params, pm)
 
 
 def assert_same_anneal(got, want):
@@ -459,10 +479,10 @@ def zero_field_glass(hw, seed):
     for ``s = -1``."""
     couplers = sorted(coupler_set(hw))
     signs = rng_from(seed).choice((-1.0, 1.0), len(couplers))
-    ising = BinaryQuadraticModel(
+    ising = BinaryQuadraticModel.from_terms(
         ISING, dict.fromkeys(hw.qubits, 0.0), dict(zip(couplers, signs.tolist()))
     )
-    return PhysicalModel.from_bqm(ising, 1.0, identity_embedding(list(hw.qubits)))
+    return PhysicalModel(ising, 1.0, identity_embedding(list(hw.qubits)))
 
 
 @PROPERTY
@@ -520,7 +540,7 @@ def test_anneal_grid_crosses_spin_batches(problem, strengths, reads):
 def test_anneal_grid_with_a_one_qubit_class_matches_reference():
     # graph seed 8's 26 qubits colour 12/13/1; three models take four batches
     _, _, _, pm = physical("min_vertex_cover", 9, 8)
-    assert 1 in map(len, _colour_classes(_coupling_matrix(pm)))
+    assert 1 in map(len, _colour_classes(_coupling_matrix(pm.ising)))
     batch = check_grid("min_vertex_cover", 9, 8, (1.0, 5.0, 0.5), 65, CHUNK, 5,
                        reference_simulated_anneal)
     assert 2 < -(-65 // batch)
@@ -532,7 +552,8 @@ def test_anneal_grid_with_a_one_qubit_class_matches_reference():
 @example("max_cut", 9, 8, [2.0, 0.5])  # a one-qubit colour class
 def test_class_layout_keeps_each_row_in_order(problem, n, graph_seed, strengths):
     _, model, e, _ = physical(problem, n, graph_seed)
-    j_syms = [_coupling_matrix(embed_bqm(convert(model, ISING), e, HW, c)) for c in strengths]
+    j_syms = [_coupling_matrix(embed_bqm(convert(model, ISING), e, HW, c).ising)
+              for c in strengths]
     models, qubits = len(j_syms), j_syms[0].shape[0]
     row_of, classes = _class_layout(j_syms)
     # a bijection from (model, qubit) onto the rows
@@ -608,7 +629,7 @@ def frustrated_model(seed):
     quadratic = dict(zip(pairs, (rng.integers(-8, 9, len(pairs)) / 8).tolist()))
     for uv in ((0, 1), (1, 2), (0, 2)):
         quadratic[uv] = 0.5 + abs(quadratic[uv])
-    return BinaryQuadraticModel(ISING, linear, quadratic)
+    return BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
 
 
 def boltzmann(model, beta):
@@ -631,7 +652,7 @@ def tv_bound(p, reads, failure=1e-9):
 @pytest.mark.parametrize("model_seed", range(3))
 def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
     model = frustrated_model(model_seed)
-    pm = PhysicalModel.from_bqm(model, 1.0, identity_embedding(model.variables()))
+    pm = PhysicalModel(model, 1.0, identity_embedding(model.variables()))
     beta = STATIONARY_BETA
     samples = simulated_anneal(pm, AnnealParams(
         STATIONARY_READS, STATIONARY_SWEEPS, (beta, beta * (1 + 1e-9)), seed=model_seed
@@ -1216,20 +1237,21 @@ def random_model(draw, variables, domain=ISING, coefficient=coefficients):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     linear = {v: draw(coefficient) for v in variables}
     quadratic = {uv: draw(coefficient) for uv in edges}
-    return BinaryQuadraticModel(domain, linear, quadratic, offset=draw(coefficient))
+    return BinaryQuadraticModel.from_terms(domain, linear, quadratic, offset=draw(coefficient))
 
 
 def reference_minimize_energy(readouts, logical_model):
     """Greedy repair of one read, as a dict walk over the undecided chains."""
     by_var = {r.variable: r for r in readouts}
-    if set(logical_model.linear) != set(by_var):
+    if set(logical_model.variables()) != set(by_var):
         raise ValueError("model variables do not match readout variables")
     low = -1 if logical_model.domain == ISING else 0
     values = {r.variable: r.value for r in readouts if not r.broken}
     undecided = sorted(v for v in by_var if by_var[v].broken)
-    coupling = {v: logical_model.linear[v] for v in undecided}
+    linear = linear_terms(logical_model)
+    coupling = {v: linear[v] for v in undecided}
     neighbors = {v: [] for v in undecided}
-    for (u, v), c in logical_model.quadratic.items():
+    for (u, v), c in quadratic_terms(logical_model).items():
         if u in coupling and v in coupling:
             neighbors[u].append((v, c))
             neighbors[v].append((u, c))
@@ -1278,7 +1300,7 @@ def readout_sets(draw):
 @given(readout_sets(), st.data())
 def test_minimize_energy_matches_per_read_reference(case, data):
     model, reads = case
-    variables = sorted(model.linear)
+    variables = model.variables()
     expected = [
         [values[v] for v in variables]
         for values in (reference_minimize_energy(readouts, model) for readouts in reads)
@@ -1295,7 +1317,7 @@ def test_minimize_energy_matches_per_read_reference(case, data):
 @given(readout_sets(), seeds, st.data())
 def test_generic_methods_on_a_set_match_per_read_references(case, seed, data):
     model, reads = case
-    variables = sorted(model.linear)
+    variables = model.variables()
     low = 0 if model.domain == QUBO else -1
     rs, k = stack(reads, variables), data.draw(st.integers(1, len(reads)))
     head = stack(reads[:k], variables)
@@ -1344,6 +1366,63 @@ def test_convert_keeps_energies(domain, dyadic, n, data):
             assert max(energies) - min(energies) <= 1e-9
     if dyadic:
         assert back == model
+
+
+def reference_terms(linear, quadratic):
+    """The ``{v: coefficient}`` and ``{(u, v): coefficient}`` dicts a model of
+    ``linear`` and ``quadratic`` holds: pairs ascending, the coefficients of
+    a pair given twice summed in the order given, starting from 0.0, and a
+    0.0 linear coefficient for every pair end that ``linear`` lacks."""
+    lin = {int(v): float(c) for v, c in linear.items()}
+    quad = {}
+    for (u, v), c in quadratic.items():
+        key = (min(u, v), max(u, v))
+        quad[key] = quad.get(key, 0.0) + float(c)
+    for u, v in quad:
+        lin.setdefault(u, 0.0)
+        lin.setdefault(v, 0.0)
+    return lin, quad
+
+
+@st.composite
+def term_mappings(draw):
+    """(linear, quadratic, offset) as a caller may write them: pairs in
+    either order, some given in both orders, ends missing from ``linear``,
+    -0.0 and inexact coefficients."""
+    value = st.one_of(st.sampled_from((0.0, -0.0)), tenths, st.floats(-2.0, 2.0))
+    variable = st.integers(0, 12)
+    linear = draw(st.dictionaries(variable, value, max_size=6))
+    quadratic = {}
+    for u, v in draw(st.lists(st.tuples(variable, variable).filter(lambda uv: uv[0] != uv[1]),
+                              max_size=10)):
+        quadratic[(u, v)] = draw(value)
+        if draw(st.booleans()):
+            quadratic[(v, u)] = draw(value)
+    return linear, quadratic, draw(value)
+
+
+@PROPERTY
+@given(st.sampled_from((ISING, QUBO)), term_mappings())
+def test_from_terms_matches_the_dict_rules(domain, terms):
+    linear, quadratic, offset = terms
+    model = BinaryQuadraticModel.from_terms(domain, linear, quadratic, offset)
+    lin, quad = reference_terms(linear, quadratic)
+    event("repeated pair" if len(quad) < len(quadratic) else "distinct pairs")
+
+    def bits(items):  # repr tells -0.0 from 0.0
+        return [(key, repr(c)) for key, c in items]
+
+    assert bits(zip(model.variables(), model.h.tolist())) == bits(sorted(lin.items()))
+    assert bits(zip(map(tuple, model.pairs.tolist()), model.j.tolist())) == bits(quad.items())
+    assert repr(model.offset) == repr(float(offset))
+    assert from_json(to_json(model)) == model
+    doc = {
+        "domain": domain,
+        "linear": sorted(lin.items()),
+        "quadratic": sorted((u, v, c) for (u, v), c in quad.items()),
+        "offset": float(offset),
+    }
+    assert model_hash(model) == hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 @PROPERTY
@@ -1411,13 +1490,13 @@ def reference_embed_bqm(m, e: Embedding, hw, chain_strength):
     chain of ``e`` gets its inside couplers, and their endpoints a field of
     0.0 when no variable of ``m`` gives them one."""
     linear = {}
-    for v, h in m.linear.items():
+    for v, h in linear_terms(m).items():
         chain = e.chain(v)
         for q in chain:
             linear[q] = linear.get(q, 0.0) + h / len(chain)
     couplers = coupler_set(hw)
     quadratic = {}
-    for (u, v), j in m.quadratic.items():
+    for (u, v), j in quadratic_terms(m).items():
         if j == 0.0:
             continue
         links = [
@@ -1465,11 +1544,12 @@ def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
     pm = embed_bqm(model, e, HW, chain_strength)
     linear, quadratic, intra = reference_embed_bqm(model, e, HW, chain_strength)
     assert pm.qubits() == sorted(linear)
-    assert pm.ising.linear == linear
-    assert pm.ising.quadratic == quadratic
+    assert linear_terms(pm.ising) == linear
+    assert quadratic_terms(pm.ising) == quadratic
     # the couplers between chains, then those inside chains in ascending order
     assert intra_chain_couplers(pm) == intra
-    assert list(map(tuple, pm.couplers[len(pm.couplers) - len(intra):].tolist())) == list(intra)
+    pairs = pm.ising.pairs
+    assert list(map(tuple, pairs[len(pairs) - len(intra):].tolist())) == list(intra)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from conftest import complete_graph, one_read, path_graph, sample_set, spin_glas
 
 
 def logical_pm(model):
-    return PhysicalModel.from_bqm(model, 1.0, identity_embedding(model.variables()))
+    return PhysicalModel(model, 1.0, identity_embedding(model.variables()))
 
 
 class TestAnnealParams:
@@ -50,16 +51,36 @@ class TestAnnealParams:
         with pytest.raises(ValueError):
             AnnealParams(num_reads=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_reads", 2.5), ("num_reads", True), ("sweeps", 2.5), ("sweeps", True),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, not "):
+            AnnealParams(**{field: value})
+
+    @pytest.mark.parametrize("beta_range", [
+        (0.1, float("inf")), (0.1, float("nan")), (float("-inf"), 1.0), (0.1, "10"),
+    ])
+    def test_beta_range_must_be_finite_reals(self, beta_range):
+        with pytest.raises(ValueError, match=r"^beta_range entry must be a real number"):
+            AnnealParams(beta_range=beta_range)
+
+    def test_doubled_beta_max_must_be_finite(self):
+        # 1e308 is finite, but the anneal's 2 beta is not
+        with pytest.raises(ValueError, match=r"^beta_range maximum 1e\+308 overflows"):
+            AnnealParams(beta_range=(0.1, 1e308))
+        AnnealParams(beta_range=(0.1, 8e307))
+
 
 class TestSimulatedAnneal:
     def test_single_qubit_boltzmann(self):
-        m = BinaryQuadraticModel(ISING, {0: -1.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: -1.0}, {})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=1000, sweeps=60, seed=3))
         freq = np.mean(ss.spins[:, ss.qubits.index(0)] == 1)
         assert freq > 0.99
 
     def test_two_qubit_ferromagnet(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): -1.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): -1.0})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=1000, sweeps=60, seed=4))
         aligned = np.mean(ss.spins[:, 0] == ss.spins[:, 1])
         assert aligned > 0.95
@@ -72,12 +93,12 @@ class TestSimulatedAnneal:
         assert np.array_equal(a.spins, b.spins) and np.array_equal(a.energies, b.energies)
 
     def test_read_count(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=7, sweeps=5, seed=0))
         assert len(ss) == 7
 
     def test_model_without_qubits(self):
-        m = BinaryQuadraticModel(ISING, {}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {})
         ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=3, sweeps=5, seed=0))
         assert ss.spins.shape == (3, 0) and ss.energies.tolist() == [0.0] * 3
 
@@ -163,8 +184,8 @@ class TestInjectChainBreaks:
 
     def test_qubit_outside_the_chains(self):
         # qubit 2 carries a field, but no chain of the embedding holds it
-        ising = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
-        pm = PhysicalModel.from_bqm(ising, 1.0, Embedding({0: (0, 1)}))
+        ising = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
+        pm = PhysicalModel(ising, 1.0, Embedding({0: (0, 1)}))
         with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
             inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
 
@@ -193,12 +214,13 @@ class TestAnnealGrid:
         pm = embed_bqm(self.ising, self.e, self.hw, 2.0)
         other = embed_bqm(build_max_cut_ising(path_graph(5)), self.e, self.hw, 2.0)
         assert other.qubits() == pm.qubits()
-        assert len(other.couplers) < len(pm.couplers)
+        assert len(other.ising.pairs) < len(pm.ising.pairs)
         with pytest.raises(ValueError, match=r"^the models of a grid must have the same couplers$"):
             anneal_grid([pm, other], self.params)
         # the same couplers in another order: the rows would sum in another order
-        swapped = embed_bqm(self.ising, self.e, self.hw, 2.0)
-        swapped.couplers[[0, 1]] = swapped.couplers[[1, 0]]
+        order = np.r_[1, 0, 2 : len(pm.ising.pairs)]
+        ising = replace(pm.ising, pairs=pm.ising.pairs[order], j=pm.ising.j[order])
+        swapped = replace(pm, ising=ising)
         with pytest.raises(ValueError, match=r"^the models of a grid must have the same couplers$"):
             anneal_grid([pm, swapped], self.params)
 
@@ -252,7 +274,8 @@ class TestEnergySum:
         assert calls == []
         energies = ss.energies
         # one block of all 70 reads, summed once
-        assert calls == [(pm, 70)] and ss.energies is energies
-        assert "ising" not in vars(pm)
+        assert calls == [(pm.ising, 70)] and ss.energies is energies
+        # summed over the stored model itself, not over a model built from it
+        assert calls[0][0] is pm.ising
         for read, value in enumerate(energies):
             assert abs(value - energy(pm.ising, spins_of(ss, read))) <= 1e-9

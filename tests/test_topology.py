@@ -17,7 +17,13 @@ from brokenchains.topology import (
     uniform_torque_compensation,
     validate_embedding,
 )
-from conftest import complete_graph, coupler_set, intra_chain_couplers
+from conftest import (
+    complete_graph,
+    coupler_set,
+    intra_chain_couplers,
+    linear_terms,
+    quadratic_terms,
+)
 
 
 class TestChimera:
@@ -168,46 +174,46 @@ class TestUniformTorqueCompensation:
         assert cs == pytest.approx(math.sqrt(3))
 
     def test_single_coupler(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): 2.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 2.0})
         assert uniform_torque_compensation(m, prefactor=1.0) == pytest.approx(2.0)
 
     def test_scaling_homogeneity(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): 1.0, (1, 2): -1.0, (0, 2): 1.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 1.0, (1, 2): -1.0, (0, 2): 1.0})
         base = uniform_torque_compensation(m, prefactor=1.0)
-        tripled = BinaryQuadraticModel(
-            ISING, {}, {k: 3 * v for k, v in m.quadratic.items()}
+        tripled = BinaryQuadraticModel.from_terms(
+            ISING, {}, {k: 3 * v for k, v in quadratic_terms(m).items()}
         )
         assert uniform_torque_compensation(tripled, prefactor=1.0) == pytest.approx(3 * base)
 
     def test_no_couplers_fallback(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {})
         assert uniform_torque_compensation(m, prefactor=1.7) == 1.7
 
     def test_default_prefactor(self):
-        m = BinaryQuadraticModel(ISING, {}, {(0, 1): 1.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 1.0})
         assert uniform_torque_compensation(m) == pytest.approx(1.414)
 
 
 class TestEmbedBqm:
     def test_identity_embedding_is_noop(self):
-        m = BinaryQuadraticModel(ISING, {0: 0.5, 1: -1.0}, {(0, 1): 0.75}, offset=0.25)
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 0.5, 1: -1.0}, {(0, 1): 0.75}, offset=0.25)
         hw = chimera(1, 1, 4)
         e = Embedding({0: (0,), 1: (4,)})
         pm = embed_bqm(m, e, hw, 1.0)
-        assert pm.ising.linear == {0: 0.5, 4: -1.0}
-        assert pm.ising.quadratic == {(0, 4): 0.75}
+        assert linear_terms(pm.ising) == {0: 0.5, 4: -1.0}
+        assert quadratic_terms(pm.ising) == {(0, 4): 0.75}
         assert pm.ising.offset == 0.25
 
     def test_two_qubit_chain_split(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {})
         hw = chimera(1, 1, 4)
         e = Embedding({0: (0, 4)})  # horizontal 0 + vertical 0
         pm = embed_bqm(m, e, hw, 3.0)
-        assert pm.ising.linear == {0: 0.5, 4: 0.5}
-        assert pm.ising.quadratic == {(0, 4): -3.0}
+        assert linear_terms(pm.ising) == {0: 0.5, 4: 0.5}
+        assert quadratic_terms(pm.ising) == {(0, 4): -3.0}
 
     def test_rejects_qubo(self):
-        m = BinaryQuadraticModel(QUBO, {0: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(QUBO, {0: 1.0}, {})
         hw = chimera(1, 1, 4)
         with pytest.raises(ValueError):
             embed_bqm(m, identity_embedding([0]), hw, 1.0)
@@ -220,21 +226,21 @@ class TestEmbedBqm:
             embed_bqm(m, bad, hw, 1.0)
 
     def test_rejects_linear_only_variable_without_chain(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 0.5}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 5: 0.5}, {})
         with pytest.raises(ValueError, match="variable 5 has no chain"):
             embed_bqm(m, identity_embedding([0]), chimera(1, 1, 4), 1.0)
 
     def test_rejects_zero_coupler_to_variable_without_chain(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0}, {(0, 1): 0.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {(0, 1): 0.0})
         with pytest.raises(ValueError, match="variable 1 has no chain"):
             embed_bqm(m, identity_embedding([0]), chimera(1, 1, 4), 1.0)
 
     def test_zero_coupler_needs_no_inter_chain_coupler(self):
         # horizontal qubits 0 and 1 share no coupler; a zero J_01 asks for none
-        m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.0})
         pm = embed_bqm(m, Embedding({0: (0,), 1: (1,)}), chimera(1, 1, 4), 1.0)
-        assert pm.ising.linear == {0: 1.0, 1: -1.0}
-        assert pm.ising.quadratic == {}
+        assert linear_terms(pm.ising) == {0: 1.0, 1: -1.0}
+        assert quadratic_terms(pm.ising) == {}
 
     def test_coupler_values_on_hardware(self):
         g = complete_graph(5)
@@ -243,19 +249,19 @@ class TestEmbedBqm:
         e = clique_embedding(5, hw)
         pm = embed_bqm(m, e, hw, 2.5)
         couplers = coupler_set(hw)
-        for key in pm.ising.quadratic:
+        for key in quadratic_terms(pm.ising):
             assert key in couplers
         intra = intra_chain_couplers(pm)
         assert intra
         for key in intra:
-            assert pm.ising.quadratic[key] == -2.5
+            assert quadratic_terms(pm.ising)[key] == -2.5
 
     def test_chain_consistent_energy_identity(self):
         g = complete_graph(16)
         rng = rng_from(99)
         linear = {v: float(rng.uniform(-1, 1)) for v in range(16)}
         quadratic = {(u, v): float(rng.uniform(-1, 1)) for u, v in g.edges}
-        m = BinaryQuadraticModel(ISING, linear, quadratic, offset=0.5)
+        m = BinaryQuadraticModel.from_terms(ISING, linear, quadratic, offset=0.5)
         hw = chimera(4, 4, 4)
         e = clique_embedding(16, hw)
         pm = embed_bqm(m, e, hw, 2.0)

@@ -158,7 +158,7 @@ class TestStack:
         with pytest.raises(ValueError, match=f"^read 2: domain {QUBO} is not read 0's {ISING}$"):
             stack([one, one, qubo], (0, 1))
         # a set over other variables than the model's or the graph's vertices
-        m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0, 2: 0.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0, 2: 0.0}, {})
         with pytest.raises(ValueError, match="^variables are not the model variables$"):
             minimize_energy(stack([one], (0, 1)), m)
         with pytest.raises(ValueError, match="^variables are not the vertices 0..2$"):
@@ -211,17 +211,17 @@ class TestRandomWeighted:
 
 class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
-        m = BinaryQuadraticModel(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
         out = minimize_energy(row_set([ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]), m)[0]
         assert out.tolist() == [1, -1]
 
     def test_no_broken_is_identity(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
         out = minimize_energy(row_set([ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]), m)[0]
         assert out.tolist() == [-1, -1]
 
     def test_two_broken_coupled_to_fixed_only(self):
-        m = BinaryQuadraticModel(
+        m = BinaryQuadraticModel.from_terms(
             ISING, {0: 0.0, 1: 0.5, 2: -0.3}, {(0, 1): 1.0, (0, 2): -2.0}
         )
         readouts = [
@@ -239,7 +239,7 @@ class TestMinimizeEnergy:
     def test_single_broken_exhaustive_ising(self):
         for seed in range(50):
             rng = rng_from(seed)
-            m = BinaryQuadraticModel(
+            m = BinaryQuadraticModel.from_terms(
                 ISING,
                 {v: float(rng.uniform(-1, 1)) for v in range(6)},
                 {
@@ -258,7 +258,7 @@ class TestMinimizeEnergy:
     def test_coupling_summed_in_model_order(self):
         # -0.2 - 0.1 + 0.2 + 0.1 is 0 in exact arithmetic, but -2.8e-17 when
         # added term by term in model order, which is what the greedy sees
-        m = BinaryQuadraticModel(
+        m = BinaryQuadraticModel.from_terms(
             ISING, {0: 0.0, 1: -0.2, 2: 0.0, 3: 0.0}, {(0, 1): -0.1, (1, 2): -0.2, (1, 3): 0.1}
         )
         readouts = [
@@ -267,12 +267,12 @@ class TestMinimizeEnergy:
         assert minimize_energy(row_set(readouts), m)[0][1] == 1
 
     def test_qubo_tie_takes_zero(self):
-        m = BinaryQuadraticModel(QUBO, {0: 0.0}, {})
+        m = BinaryQuadraticModel.from_terms(QUBO, {0: 0.0}, {})
         out = minimize_energy(row_set([ro(0, [1, 0], QUBO)]), m)[0]
         assert out[0] == 0
 
     def test_variable_mismatch(self):
-        m = BinaryQuadraticModel(ISING, {0: 1.0, 5: 1.0}, {})
+        m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 5: 1.0}, {})
         with pytest.raises(ValueError, match="^variables are not the model variables$"):
             minimize_energy(row_set([ro(0, [1, 1], ISING)]), m)
 
