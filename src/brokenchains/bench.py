@@ -44,7 +44,7 @@ import numpy as np
 
 from brokenchains import __version__
 from brokenchains import bqm as bqmlib
-from brokenchains.bqm import ISING, convert, is_int, require_real, scale_to_unit_range
+from brokenchains.bqm import ISING, convert, require_int, require_real, scale_to_unit_range
 from brokenchains.graphs import (
     Bipartition,
     Graph,
@@ -73,6 +73,8 @@ from brokenchains.topology import (
     clique_embedding,
     embed_bqm,
     identity_embedding,
+    require_clique_fits,
+    require_topology,
     uniform_torque_compensation,
 )
 from brokenchains.unembed import decompose  # noqa: F401 (wrapped by the harness)
@@ -145,7 +147,10 @@ class ExperimentConfig:
 
     def validate(self):
         """``ValueError`` naming the first bad setting and its value, a
-        non-number where a number belongs included."""
+        non-number where a number belongs included.  The anneal settings
+        are decided by ``AnnealParams``, the topology by
+        ``require_topology`` and whether ``n`` vertices fit it by
+        ``require_clique_fits``, as everywhere else."""
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if not self.densities:
@@ -153,9 +158,9 @@ class ExperimentConfig:
         for p in self.densities:
             if not (0.0 <= require_real(p, "density") <= 1.0):
                 raise ValueError(f"density {p} outside [0, 1]")
-        for name in ("n", "graphs_per_density", "reads", "sweeps"):
-            _require_int(getattr(self, name), name, least=1)
-        _require_int(self.seed, "seed")
+        for name in ("n", "graphs_per_density"):
+            require_int(getattr(self, name), name, positive=True)
+        AnnealParams(self.reads, self.sweeps, self.beta_range, self.seed)
         if self.aggregate not in ("best", "mean"):
             raise ValueError("aggregate must be 'best' or 'mean'")
         if self.source not in ("anneal", "inject"):
@@ -164,48 +169,17 @@ class ExperimentConfig:
             raise ValueError(f"p_break must be in [0, 1], not {self.p_break!r}")
         if self.source == "anneal" and self.p_break != 0:
             raise ValueError(f"p_break {self.p_break!r} needs source 'inject', not 'anneal'")
-        if not (isinstance(self.beta_range, (tuple, list)) and len(self.beta_range) == 2):
-            raise ValueError(f"beta_range must be two real numbers, not {self.beta_range!r}")
-        lo, hi = (require_real(beta, "beta_range entry") for beta in self.beta_range)
-        if not 0 < lo < hi:
-            raise ValueError(f"beta_range must satisfy 0 < lo < hi, not {self.beta_range!r}")
-        if not (
-            isinstance(self.topology, (tuple, list))
-            and len(self.topology) == 3
-            and all(is_int(x) and x >= 1 for x in self.topology)
-        ):
-            raise ValueError(f"topology must be three positive integers, not {self.topology!r}")
-        m, n, t = self.topology
-        if self.n > t * m + 1 or m != n:
-            raise ValueError(
-                f"{self.n} logical vertices do not fit chimera{tuple(self.topology)}"
-            )
+        require_clique_fits(self.n, require_topology(self.topology))
         if isinstance(self.chain_strength, str):
             if self.chain_strength != "utc":
                 raise ValueError(
                     f"chain_strength must be a number or 'utc', not {self.chain_strength!r}"
                 )
         elif self.chain_strength is not None:
-            _require_positive(self.chain_strength, "chain_strength")
-        _require_positive(self.prefactor, "prefactor")
+            require_real(self.chain_strength, "chain_strength", positive=True)
+        require_real(self.prefactor, "prefactor", positive=True)
         for s in self.chain_strength_grid:
-            _require_positive(s, "chain_strength_grid entry")
-
-
-def _require_int(value, what: str, least=None):
-    """``ValueError`` naming ``what`` and ``value`` unless it is an ``int``
-    (``bool`` is not one) and, when ``least`` is given, at least ``least``."""
-    if not is_int(value):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be >= {least}, not {value!r}")
-
-
-def _require_positive(value, what: str):
-    """``ValueError`` naming ``what`` and ``value`` unless it is a positive
-    real number."""
-    if require_real(value, what) <= 0:
-        raise ValueError(f"{what} must be positive, not {value!r}")
+            require_real(s, "chain_strength_grid entry", positive=True)
 
 
 @dataclass
@@ -361,7 +335,7 @@ def _draw_physical_samples(config, pms, ising, graph_seed):
     params = AnnealParams(
         num_reads=config.reads,
         sweeps=config.sweeps,
-        beta_range=tuple(config.beta_range),
+        beta_range=config.beta_range,
         seed=derive_seed(graph_seed, stream),
     )
     if config.source == "anneal":

@@ -276,6 +276,16 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def require_int(value, what: str, positive: bool = False):
+    """``value``, once it is an integer (``bool`` is not one), and one >= 1
+    when ``positive``; otherwise ``ValueError`` naming ``what`` and ``value``."""
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if positive and value < 1:
+        raise ValueError(f"{what} must be >= 1, not {value!r}")
+    return value
+
+
 def require_real(value, what: str, positive: bool = False):
     """``value``, once it is a finite real number (``bool`` is not one), and a
     positive one when ``positive``; otherwise ``ValueError`` naming ``what``."""
@@ -298,7 +308,7 @@ def from_json(text: str) -> BinaryQuadraticModel:
     quadratic = doc["quadratic"]
     if not isinstance(quadratic, list) or not all(
         isinstance(term, list) and len(term) == 3
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in term[:2])
+        and all(map(is_int, term[:2]))
         for term in quadratic
     ):
         raise ValueError("model quadratic must be a list of [u, v, coefficient] triples")

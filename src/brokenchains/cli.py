@@ -35,6 +35,8 @@ from brokenchains.topology import (
     embed_bqm,
     embedding_from_json,
     embedding_to_json,
+    require_clique_fits,
+    require_topology,
     uniform_torque_compensation,
 )
 from brokenchains.unembed import decompose_set
@@ -58,13 +60,14 @@ class ConfigError(ValueError):
 
 
 def _topology(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("topology must be 'm,n,t'")
-    topology = tuple(int(p) for p in parts)
-    if min(topology) < 1:
-        raise argparse.ArgumentTypeError("topology must be three positive integers")
-    return topology
+    try:
+        shape = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        shape = text  # not integers, which the rule reports with the text
+    try:
+        return require_topology(shape)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _chain_strength(text):
@@ -77,7 +80,7 @@ def _chain_strength(text):
     return value
 
 
-def _densities(text):
+def _float_list(text):
     return tuple(float(p) for p in text.split(","))
 
 
@@ -89,7 +92,7 @@ def _add_common(parser):
 def _add_experiment_args(parser):
     parser.add_argument("--problem", choices=PROBLEMS, required=True)
     parser.add_argument("--n", type=int, default=30)
-    parser.add_argument("--density", type=_densities, default=(0.1, 0.3, 0.5, 0.7, 0.9),
+    parser.add_argument("--density", type=_float_list, default=(0.1, 0.3, 0.5, 0.7, 0.9),
                         help="comma-separated density list")
     parser.add_argument("--graphs", type=int, default=5)
     parser.add_argument("--reads", type=int, default=200)
@@ -104,9 +107,6 @@ def _add_experiment_args(parser):
 
 
 def _config_from_args(args):
-    grid = ()
-    if args.command == "fig4":
-        grid = tuple(float(s) for s in args.grid.split(","))
     return ExperimentConfig(
         problem=args.problem,
         densities=tuple(args.density),
@@ -121,7 +121,7 @@ def _config_from_args(args):
         aggregate=args.aggregate,
         source=args.source,
         p_break=args.p_break,
-        chain_strength_grid=grid,
+        chain_strength_grid=getattr(args, "grid", ()),
     )
 
 
@@ -148,14 +148,7 @@ def cmd_embed(args):
 def cmd_sample(args):
     with _blame(args.graph):
         g = read_edge_list(args.graph)
-    m, _, t = args.topology
-    if g.n < 1:
-        raise ConfigError(f"{args.graph} has no vertices; sample needs at least one")
-    if g.n > t * m + 1:
-        raise ConfigError(
-            f"{args.graph} has {g.n} vertices; chimera{tuple(args.topology)}"
-            f" embeds at most {t * m + 1}"
-        )
+        require_clique_fits(g.n, args.topology)
     model = bqmlib.build_model(args.problem, g)
     ising = convert(model, ISING)
     if args.chain_strength in (None, "utc"):
@@ -315,9 +308,8 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_experiment_args(p)
         if name == "fig4":
-            p.add_argument(
-                "--grid", required=True, help="comma-separated chain strengths"
-            )
+            p.add_argument("--grid", type=_float_list, required=True,
+                           help="comma-separated chain strengths")
         p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -358,15 +350,10 @@ def _validate_args(args):
             raise ValueError(f"density {args.density} outside [0, 1]")
         if args.n < 1:
             raise ValueError("n must be >= 1")
-    if command in ("embed", "sample"):
-        m, n, t = args.topology
-        if m != n:
-            raise ValueError(f"clique embedding requires a square Chimera, got {m}x{n}")
-        if command == "embed" and not (1 <= args.k <= t * m + 1):
-            raise ValueError(f"k must be in 1..{t * m + 1} for chimera{tuple(args.topology)}")
+    if command == "embed":
+        require_clique_fits(args.k, args.topology)
     if command == "sample":
-        if args.reads < 1 or args.sweeps < 1:
-            raise ValueError("reads and sweeps must be >= 1")
+        AnnealParams(args.reads, args.sweeps, seed=args.seed)
         if args.chain_strength not in (None, "utc"):
             require_real(args.chain_strength, "chain_strength", positive=True)
         require_real(args.prefactor, "prefactor", positive=True)

@@ -117,9 +117,6 @@ class Bipartition:
     def is_balanced(self) -> bool:
         return abs(len(self.side_minus) - len(self.side_plus)) <= 1
 
-    def sizes(self) -> tuple:
-        return len(self.side_minus), len(self.side_plus)
-
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) random graph; deterministic for fixed ``(n, p, seed)``.

@@ -94,9 +94,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel, is_int, require_keys, require_real
+from brokenchains.bqm import BinaryQuadraticModel, is_int, require_int, require_keys, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, streams
-from brokenchains.topology import PhysicalModel, chain_columns, identity_embedding
+from brokenchains.topology import (
+    PhysicalModel,
+    chain_columns,
+    identity_embedding,
+    require_topology,
+)
 
 # reads per energy block, and the fewest reads per spin batch
 _READ_BATCH = 64
@@ -114,6 +119,9 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 @dataclass(frozen=True)
 class AnnealParams:
+    """Anneal settings, and the one place that decides them: a bad one raises
+    ``ValueError`` naming it and its value.  ``beta_range`` is kept as a tuple."""
+
     num_reads: int = 1000
     sweeps: int = 1000
     beta_range: tuple = (0.1, 10.0)
@@ -121,15 +129,19 @@ class AnnealParams:
 
     def __post_init__(self):
         for name in ("num_reads", "sweeps"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        lo, hi = (require_real(beta, "beta_range entry") for beta in self.beta_range)
+            require_int(getattr(self, name), name, positive=True)
+        require_int(self.seed, "seed")
+        beta_range = self.beta_range
+        if not (isinstance(beta_range, (tuple, list)) and len(beta_range) == 2):
+            raise ValueError(f"beta_range must be two real numbers, not {beta_range!r}")
+        lo, hi = (require_real(beta, "beta_range entry") for beta in beta_range)
         if not (0 < lo < hi):
-            raise ValueError("beta_range must satisfy 0 < beta_min < beta_max")
+            raise ValueError("beta_range must satisfy 0 < beta_min < beta_max,"
+                             f" not {beta_range!r}")
         # the anneal scales each field by 2 beta, and inf there turns spins to NaN
         if not math.isfinite(2.0 * hi):
             raise ValueError(f"beta_range maximum {hi!r} overflows when doubled")
+        object.__setattr__(self, "beta_range", tuple(beta_range))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,9 +347,9 @@ def anneal_grid(pms, params: AnnealParams) -> list:
     ]
 
 
-def _initial_states(rngs, n: int, out: np.ndarray = None) -> np.ndarray:
+def _initial_states(rngs, n: int, out: np.ndarray) -> np.ndarray:
     """``rng.integers(0, 2, n) * 2.0 - 1.0`` of each generator, as column ``r``
-    of the C-ordered float64 ``(n, reads)`` array ``out``, or of a new one.
+    of the C-ordered float64 ``(n, reads)`` array ``out``, which it returns.
 
     ``integers`` takes each of those bits as the top bit of one 32-bit half
     of a PCG64 output word, low half first, so it reads ``ceil(n / 2)``
@@ -346,13 +358,12 @@ def _initial_states(rngs, n: int, out: np.ndarray = None) -> np.ndarray:
     """
     words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs], axis=1)
     # built in place: every full-size temporary adds to the anneal's peak memory
-    states = np.empty((n, len(rngs))) if out is None else out
     bits = words >> 31
-    states[0::2] = np.bitwise_and(bits, 1, out=bits)
-    states[1::2] = np.right_shift(words[: n // 2], 63, out=bits[: n // 2])
-    states *= 2.0
-    states -= 1.0
-    return states
+    out[0::2] = np.bitwise_and(bits, 1, out=bits)
+    out[1::2] = np.right_shift(words[: n // 2], 63, out=bits[: n // 2])
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _block_energies(m: BinaryQuadraticModel, spins, block: int = _READ_BATCH) -> np.ndarray:
@@ -452,11 +463,11 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     """Read ``sampleset_to_json`` output.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
-    on a ``params`` value of the wrong type, on an energy that is not a
+    on ``params`` that ``AnnealParams`` rejects, on an energy that is not a
     finite real number, on a provenance chain strength or prefactor that is
-    not a positive real number, on a provenance topology that is not three
-    positive integers, or when ``params.num_reads`` is not the number of
-    stored reads.
+    not a positive real number, on a provenance topology that
+    ``require_topology`` rejects, or when ``params.num_reads`` is not the
+    number of stored reads.
     """
     doc = require_keys(
         json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
@@ -466,10 +477,7 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
         require_keys(provenance, ("chain_strength", "prefactor", "topology"), "provenance")
         for key in ("chain_strength", "prefactor"):
             require_real(provenance[key], f"provenance {key}", positive=True)
-        topology = provenance["topology"]
-        if not (isinstance(topology, list) and len(topology) == 3
-                and all(is_int(x) and x >= 1 for x in topology)):
-            raise ValueError("provenance topology must be a list of three positive integers")
+        require_topology(provenance["topology"], "provenance topology")
     qubits = doc["qubits"]
     if not (isinstance(qubits, list) and all(map(is_int, qubits))):
         raise ValueError("qubits must be a list of integers")
@@ -477,17 +485,7 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
     p = require_keys(doc["params"], ("num_reads", "sweeps", "beta_range", "seed"), "params")
-    for key in ("num_reads", "sweeps", "seed"):
-        if not is_int(p[key]):
-            raise ValueError(f"params.{key} must be an integer, not {p[key]!r}")
-    beta_range = p["beta_range"]
-    if not (isinstance(beta_range, list) and len(beta_range) == 2):
-        raise ValueError(
-            f"params.beta_range must be a list of two real numbers, not {beta_range!r}"
-        )
-    for beta in beta_range:
-        require_real(beta, "params.beta_range entry")
-    params = AnnealParams(p["num_reads"], p["sweeps"], tuple(beta_range), p["seed"])
+    params = AnnealParams(p["num_reads"], p["sweeps"], p["beta_range"], p["seed"])
     records = doc["samples"]
     if not isinstance(records, list):
         raise ValueError("samples must be a list of reads")

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brokenchains.bqm import ISING, BinaryQuadraticModel, convert, is_int, require_keys
+from brokenchains.bqm import (
+    ISING,
+    BinaryQuadraticModel,
+    convert,
+    is_int,
+    require_keys,
+    require_real,
+)
 from brokenchains.graphs import Graph
 
 HORIZONTAL = 0
@@ -37,10 +44,35 @@ def chimera_qubit(m: int, n: int, t: int, row: int, col: int, shore: int, k: int
     return ((row * n + col) * 2 + shore) * t + k
 
 
+def require_topology(shape, what: str = "topology") -> tuple:
+    """``shape`` as a tuple, once it is three positive integers ``(m, n, t)``
+    (``bool`` is not one); otherwise ``ValueError`` naming ``what``."""
+    if not (
+        isinstance(shape, (tuple, list))
+        and len(shape) == 3
+        and all(is_int(x) and x >= 1 for x in shape)
+    ):
+        raise ValueError(f"{what} must be three positive integers, not {shape!r}")
+    return tuple(shape)
+
+
+def require_clique_fits(k: int, shape) -> None:
+    """``ValueError`` unless ``clique_embedding`` embeds K_k into
+    ``chimera(*shape)``: only when ``m == n`` and ``1 <= k <= t * m + 1``."""
+    m, n, t = shape
+    if m != n:
+        raise ValueError(
+            f"K_{k} does not fit chimera{tuple(shape)}: clique embedding requires m == n"
+        )
+    if not 1 <= k <= t * m + 1:
+        raise ValueError(
+            f"K_{k} does not fit chimera{tuple(shape)}, which embeds K_1 to K_{t * m + 1}"
+        )
+
+
 def chimera(m: int, n: int, t: int) -> HardwareGraph:
     """Chimera graph with ``m * n`` cells of ``2t`` qubits each."""
-    if m < 1 or n < 1 or t < 1:
-        raise ValueError("chimera dimensions must be positive")
+    require_topology((m, n, t))
     qubits = range(2 * t * m * n)
     cells = (np.arange(m * n) * 2 * t).reshape(m, n, 1)  # first qubit of each cell
     horizontal = cells + np.arange(t)  # (m, n, t) qubits of each horizontal shore
@@ -140,12 +172,7 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
     m >= 3 it is not known whether one exists.
     """
     m, n, t = hw.shape
-    if m != n:
-        raise ValueError(f"clique embedding requires a square Chimera, got {m}x{n}")
-    if k < 1:
-        raise ValueError("clique size must be >= 1")
-    if k > t * m + 1:
-        raise ValueError(f"K_{k} exceeds capacity {t * m + 1} of chimera({m},{m},{t})")
+    require_clique_fits(k, hw.shape)
 
     def hq(row, col, a):
         return chimera_qubit(m, n, t, row, col, HORIZONTAL, a)
@@ -335,8 +362,9 @@ def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor: float = 1.41
 
     The model is converted to Ising form first.  Average degree is taken
     from the model's interaction graph.  Models with no quadratic terms
-    fall back to ``prefactor``.
+    fall back to ``prefactor``, which must be a positive real number.
     """
+    require_real(prefactor, "prefactor", positive=True)
     ising = convert(m, ISING)
     couplers = ising.j[ising.j != 0.0].tolist()
     if not couplers:
@@ -380,14 +408,14 @@ def embed_bqm(
     ``chain_strength`` times the number of intra-chain couplers.
 
     One pass over the hardware couplers both sorts them by chain and
-    decides validity: raises ``ValueError`` when a model variable has no
-    chain or when ``validate_embedding`` would report a violation for the
-    model's nonzero couplers.
+    decides validity: raises ``ValueError`` when ``chain_strength`` is not
+    a positive real number, when a model variable has no chain or when
+    ``validate_embedding`` would report a violation for the model's nonzero
+    couplers.
     """
     if m.domain != ISING:
         raise ValueError("embed_bqm requires an Ising model; convert QUBO input first")
-    if chain_strength <= 0:
-        raise ValueError("chain strength must be positive")
+    require_real(chain_strength, "chain strength", positive=True)
     unmapped = [v for v in m.variables() if v not in e.chains]
     if unmapped:
         raise ValueError(f"model variable {unmapped[0]} has no chain in the embedding")

@@ -5,8 +5,9 @@ array, in one pass, into one ``ReadoutSet`` of ``(reads, chains)``
 arrays; it is the one place that decides whether a chain is broken.  The
 set is the one input of every repair method, and one read is a one-row
 set, ``decompose_set(spins[None], chains, domain)``.  ``decompose``, the
-one-row case as a list of ``ChainReadout`` records, is kept for callers
-that read one read chain by chain.  Every repair method returns one row
+one-row case as a list of ``ChainReadout`` records, is called by no
+experiment: it is kept only because the perf harness wraps it by name on
+``bench`` and ``cli`` and counts chains from its records.  Every repair method returns one row
 per read: values in the model's domain from majority vote, random
 weighting and minimize energy, and a feasible witness from the tailored
 algorithms, over the graph's vertices ``0..n-1``: True on the value-1 set

@@ -198,17 +198,18 @@ class TestConfigValidation:
         "field, value, message",
         [
             ("chain_strength_grid", ("utc",),
-             "chain_strength_grid entry must be a real number, not 'utc'"),
+             "chain_strength_grid entry must be a positive real number, not 'utc'"),
             ("densities", ("x",), "density must be a real number, not 'x'"),
-            ("prefactor", None, "prefactor must be a real number, not None"),
+            ("prefactor", None, "prefactor must be a positive real number, not None"),
             ("p_break", "0.3", "p_break must be a real number, not '0.3'"),
-            ("chain_strength", [2.0], "chain_strength must be a real number, not [2.0]"),
+            ("chain_strength", [2.0],
+             "chain_strength must be a positive real number, not [2.0]"),
             ("chain_strength_grid", (1.0, 0.0),
-             "chain_strength_grid entry must be positive, not 0.0"),
+             "chain_strength_grid entry must be a positive real number, not 0.0"),
             ("n", "30", "n must be an integer, not '30'"),
             ("n", 0, "n must be >= 1, not 0"),
             ("graphs_per_density", True, "graphs_per_density must be an integer, not True"),
-            ("reads", 2.5, "reads must be an integer, not 2.5"),
+            ("reads", 2.5, "num_reads must be an integer, not 2.5"),
             ("sweeps", None, "sweeps must be an integer, not None"),
             ("sweeps", 0, "sweeps must be >= 1, not 0"),
             ("seed", False, "seed must be an integer, not False"),
@@ -218,9 +219,12 @@ class TestConfigValidation:
             ("topology", (4, 4, 4.0),
              "topology must be three positive integers, not (4, 4, 4.0)"),
             ("topology", "444", "topology must be three positive integers, not '444'"),
-            ("beta_range", (5.0, 1.0), "beta_range must satisfy 0 < lo < hi, not (5.0, 1.0)"),
-            ("beta_range", (0.0, 1.0), "beta_range must satisfy 0 < lo < hi, not (0.0, 1.0)"),
-            ("beta_range", (1.0, 1.0), "beta_range must satisfy 0 < lo < hi, not (1.0, 1.0)"),
+            ("beta_range", (5.0, 1.0),
+             "beta_range must satisfy 0 < beta_min < beta_max, not (5.0, 1.0)"),
+            ("beta_range", (0.0, 1.0),
+             "beta_range must satisfy 0 < beta_min < beta_max, not (0.0, 1.0)"),
+            ("beta_range", (1.0, 1.0),
+             "beta_range must satisfy 0 < beta_min < beta_max, not (1.0, 1.0)"),
             ("beta_range", (0.1,), "beta_range must be two real numbers, not (0.1,)"),
             ("beta_range", 5, "beta_range must be two real numbers, not 5"),
             ("beta_range", (0.1, "x"), "beta_range entry must be a real number, not 'x'"),

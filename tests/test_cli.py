@@ -111,7 +111,9 @@ class TestSampleValidation:
                    "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "embeds at most 9" in capsys.readouterr().err
+        assert "K_20 does not fit chimera(2, 2, 4), which embeds K_1 to K_9" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "out").exists()
 
     def test_graph_without_vertices_exit_2(self, tmp_path, capsys):
@@ -122,7 +124,8 @@ class TestSampleValidation:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"configuration error: {graph} has no vertices; sample needs at least one\n"
+            f"configuration error: {graph}: K_0 does not fit chimera(2, 2, 4),"
+            " which embeds K_1 to K_9\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -238,8 +241,7 @@ class TestUnembedRejectsMismatchedArtifacts:
         ("samples.json", "no_energy", "read 2 has no 'energy'"),
         ("embedding.json", "list", "embedding must be a JSON object, not list"),
         ("model.json", "no_linear", "model has no 'linear'"),
-        ("samples.json", "topology",
-         "provenance topology must be a list of three positive integers"),
+        ("samples.json", "topology", "provenance topology must be three positive integers, not 4"),
         ("model.json", "null_linear", "model linear 0 must be a real number, not None"),
         ("model.json", "bool_offset", "model offset must be a real number, not True"),
         ("model.json", "null_variable", "model quadratic must be a list of [u, v, coefficient]"),
@@ -277,20 +279,18 @@ class TestUnembedRejectsMismatchedArtifacts:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("keys,value,expect", [
-        (("params", "num_reads"), "4", "params.num_reads must be an integer, not '4'"),
-        (("params", "sweeps"), "x", "params.sweeps must be an integer, not 'x'"),
-        (("params", "seed"), True, "params.seed must be an integer, not True"),
-        (("params", "beta_range"), 5,
-         "params.beta_range must be a list of two real numbers, not 5"),
-        (("params", "beta_range", 1), "a",
-         "params.beta_range entry must be a real number, not 'a'"),
+        (("params", "num_reads"), "4", "num_reads must be an integer, not '4'"),
+        (("params", "sweeps"), "x", "sweeps must be an integer, not 'x'"),
+        (("params", "seed"), True, "seed must be an integer, not True"),
+        (("params", "beta_range"), 5, "beta_range must be two real numbers, not 5"),
+        (("params", "beta_range", 1), "a", "beta_range entry must be a real number, not 'a'"),
         (("qubits", 3), "a", "qubits must be a list of integers"),
         (("samples", 1, "energy"), None, "read 1 energy must be a real number, not None"),
         (("samples", 0, "energy"), float("nan"), "read 0 energy must be a real number, not nan"),
         (("provenance", "topology", 0), True,
-         "provenance topology must be a list of three positive integers"),
+         "provenance topology must be three positive integers, not [True, 2, 4]"),
         (("provenance", "topology", 0), 0,
-         "provenance topology must be a list of three positive integers"),
+         "provenance topology must be three positive integers, not [0, 2, 4]"),
     ])
     def test_wrong_typed_samples_value_exit_2(self, tmp_path, capsys, keys, value, expect):
         self.sampled(tmp_path)
@@ -438,6 +438,17 @@ class TestExperimentCommands:
             ])
         assert err.value.code == 2
 
+    def test_fig4_bad_grid_entry_names_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "fig4", "--problem", "max_cut", "--n", "8", "--density", "0.5",
+                "--graphs", "1", "--reads", "5", "--grid", "1,x",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert err.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fig4_runs(self, tmp_path, capsys):
         rc = main([
             "fig4", "--problem", "max_cut", "--n", "8", "--density", "0.5",
@@ -463,7 +474,7 @@ class TestExperimentCommands:
             "--prefactor", "-1", "--out", str(tmp_path / "out"),
         ] + grid)
         assert rc == 2
-        assert "prefactor must be positive" in capsys.readouterr().err
+        assert "prefactor must be a positive real number, not -1.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_p_break_without_inject_exit_2(self, tmp_path, capsys):

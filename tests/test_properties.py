@@ -109,13 +109,27 @@
   equals a reference that tests every qubit pair of every logical edge,
   and raises exactly when ``validate_embedding`` reports a violation; ``validate_embedding`` returns the violations of a
   qubit-by-qubit reference on chains that may be empty, repeat or share
-  qubits, or use qubits absent from the hardware.
+  qubits, or use qubits absent from the hardware;
+* every boundary decides the anneal settings as ``AnnealParams`` does:
+  on reads, sweeps, beta ranges and seeds drawn from ints, bools, floats
+  (nan, +-inf and 1e308 among them), strings and tuples or lists of 0-3
+  of those, ``AnnealParams``, ``ExperimentConfig.validate`` and
+  ``sampleset_from_json`` all raise ``ValueError``, with one message, or
+  all pass;
+* every boundary decides whether K_k fits a Chimera as
+  ``clique_embedding`` does: on k from -1 to 18 and chimera shapes up to
+  (4, 4, 4), ``clique_embedding``, ``ExperimentConfig.validate`` with
+  ``n = k`` and ``brokenchains embed --k`` all reject (the CLI with exit
+  code 2) or all accept.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
+import tempfile
 import warnings
 
 import numpy as np
@@ -132,8 +146,10 @@ from brokenchains.bqm import (
     convert,
     energy,
     from_json,
+    is_int,
     to_json,
 )
+from brokenchains.cli import main
 from brokenchains.graphs import (
     PROBLEMS,
     Bipartition,
@@ -159,6 +175,7 @@ from brokenchains.sampler import (
     anneal_grid,
     inject_chain_breaks,
     model_hash,
+    sampleset_from_json,
     simulated_anneal,
 )
 from brokenchains.seeding import (
@@ -398,19 +415,14 @@ def test_initial_states_equal_integer_draws(seed, n, reads):
     event("odd n" if n % 2 else "even n")
     rngs = list(itertools.islice(streams(seed, STREAM_READ), reads))
     twins = list(itertools.islice(streams(seed, STREAM_READ), reads))
-    states = _initial_states(rngs, n)
-    assert states.shape == (n, reads) and states.dtype == np.float64
-    assert states.flags.c_contiguous
-    for column, rng, twin in zip(states.T, rngs, twins):
+    # built in a given array, as the anneal builds them in its draw buffer
+    out = np.full((n, reads), np.nan)
+    assert _initial_states(rngs, n, out) is out
+    for column, rng, twin in zip(out.T, rngs, twins):
         want = twin.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
         assert column.tobytes() == want.tobytes()
         # the stream is where ``integers`` leaves it for the sweeps' draws
         assert np.array_equal(rng.random(5), twin.random(5))
-    # built in a given array, as the anneal builds them in its draw buffer
-    out = np.full((n, reads), np.nan)
-    rngs = list(itertools.islice(streams(seed, STREAM_READ), reads))
-    assert _initial_states(rngs, n, out) is out
-    assert out.tobytes() == states.tobytes()
 
 
 @PROPERTY
@@ -1569,3 +1581,78 @@ def test_validate_embedding_matches_reference(e, data):
     problems = validate_embedding(e, logical, HW)
     assert problems == reference_violations(e, logical, HW)
     fault_events(problems)
+
+
+# one setting of any kind: the values every boundary must decide alike
+setting_scalars = st.one_of(
+    st.integers(-2, 3),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from((float("nan"), float("inf"), float("-inf"), 1e308, 0.1, 10.0)),
+    st.text(max_size=2),
+)
+any_setting = st.one_of(
+    setting_scalars,
+    st.lists(setting_scalars, max_size=3),
+    st.lists(setting_scalars, max_size=3).map(tuple),
+)
+
+
+def _outcome(call):
+    """The message of the ``ValueError`` that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(
+    st.one_of(st.just(1), any_setting),
+    st.one_of(st.integers(1, 3), any_setting),
+    st.one_of(st.tuples(st.floats(0.01, 1.0), st.floats(1.5, 1e308)), any_setting),
+    st.one_of(seeds, any_setting),
+)
+@example(1, 1, (0.1, 1e308), 0)  # its doubled beta_max overflows
+@example(1, 1, (0.1, 10.0), 2.5)  # a seed that is no integer
+@example(1, 1, 5, 0)
+@example(1, 1, [0.1], 0)
+def test_anneal_settings_decided_by_anneal_params(num_reads, sweeps, beta_range, seed):
+    config = bench.ExperimentConfig(
+        "max_cut", (0.5,), n=4, graphs_per_density=1, reads=num_reads, sweeps=sweeps,
+        beta_range=beta_range, seed=seed, topology=(1, 1, 4),
+    )
+    # a document of one read, or of as many as a valid count asks for
+    stored = num_reads if is_int(num_reads) and 1 <= num_reads <= 3 else 1
+    doc = json.dumps({
+        "model_hash": "0" * 64,
+        "qubits": [0],
+        "params": {"num_reads": num_reads, "sweeps": sweeps, "beta_range": beta_range,
+                   "seed": seed},
+        "samples": [{"energy": 0.0, "spins": "+"}] * stored,
+    })
+    want = _outcome(lambda: AnnealParams(num_reads, sweeps, beta_range, seed))
+    event("rejected" if want else "accepted")
+    assert _outcome(config.validate) == want
+    # the document holds lists for tuples, so the message names what it holds
+    read_back = json.loads(doc)["params"]
+    from_doc = _outcome(lambda: sampleset_from_json(doc))
+    assert from_doc == _outcome(lambda: AnnealParams(**read_back))
+    assert (from_doc is None) == (want is None)
+
+
+@PROPERTY
+@given(st.integers(-1, 18), st.tuples(*[st.integers(1, 4)] * 3))
+def test_clique_capacity_decided_once(k, topology):
+    fits = _outcome(lambda: clique_embedding(k, chimera(*topology))) is None
+    event("fits" if fits else "does not fit")
+    config = bench.ExperimentConfig(
+        "max_cut", (0.5,), n=k, graphs_per_density=1, reads=1, sweeps=1, topology=topology
+    )
+    assert (_outcome(config.validate) is None) == fits
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["embed", "--k", str(k), "--topology", ",".join(map(str, topology)),
+                     "--out", out])
+    assert code == (0 if fits else 2), err.getvalue()

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel, build_max_cut_ising, convert, energy
-from brokenchains.graphs import Graph
+from brokenchains.graphs import Graph, erdos_renyi
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
     Embedding,
@@ -120,11 +120,13 @@ class TestCliqueEmbedding:
             assert validate_embedding(e, complete_graph(k), hw) == [], (m, k)
 
     def test_capacity_error(self):
-        with pytest.raises(ValueError):
+        message = r"^K_10 does not fit chimera\(2, 2, 4\), which embeds K_1 to K_9$"
+        with pytest.raises(ValueError, match=message):
             clique_embedding(10, chimera(2, 2, 4))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"^K_4 does not fit chimera\(2, 3, 4\): clique embedding requires m == n$"
+        with pytest.raises(ValueError, match=message):
             clique_embedding(4, chimera(2, 3, 4))
 
 
@@ -193,6 +195,12 @@ class TestUniformTorqueCompensation:
         m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 1.0})
         assert uniform_torque_compensation(m) == pytest.approx(1.414)
 
+    @pytest.mark.parametrize("prefactor", [float("nan"), float("inf"), True, 0, -1])
+    def test_prefactor_must_be_positive_real(self, prefactor):
+        m = BinaryQuadraticModel.from_terms(ISING, {}, {(0, 1): 1.0})
+        with pytest.raises(ValueError, match=r"^prefactor must be a positive real number, not "):
+            uniform_torque_compensation(m, prefactor=prefactor)
+
 
 class TestEmbedBqm:
     def test_identity_embedding_is_noop(self):
@@ -217,6 +225,17 @@ class TestEmbedBqm:
         hw = chimera(1, 1, 4)
         with pytest.raises(ValueError):
             embed_bqm(m, identity_embedding([0]), hw, 1.0)
+
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf"), True, 0, -1])
+    def test_chain_strength_must_be_positive_real(self, strength):
+        # a NaN strength would compile and anneal to NaN energies, with no warning
+        ising = build_max_cut_ising(erdos_renyi(6, 0.5, 1))
+        hw = chimera(2, 2, 4)
+        with pytest.raises(ValueError) as info:
+            embed_bqm(ising, clique_embedding(6, hw), hw, strength)
+        assert str(info.value) == (
+            f"chain strength must be a positive real number, not {strength!r}"
+        )
 
     def test_rejects_invalid_embedding(self):
         m = build_max_cut_ising(complete_graph(3))
