@@ -9,7 +9,6 @@ generic strategies plus one problem-tailored algorithm per problem.
 
 from brokenchains.graphs import (
     Graph,
-    Bipartition,
     erdos_renyi,
     complement,
     is_clique,

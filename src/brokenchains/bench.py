@@ -44,16 +44,19 @@ import numpy as np
 
 from brokenchains import __version__
 from brokenchains import bqm as bqmlib
-from brokenchains.bqm import ISING, convert, require_int, require_real, scale_to_unit_range
-from brokenchains.graphs import (
-    Bipartition,
+from brokenchains.bqm import ISING, convert, scale_to_unit_range
+from brokenchains.graphs import (  # noqa: F401 (cut_size, is_*: wrapped by the harness)
     Graph,
     PROBLEMS,
     cut_size,
     erdos_renyi,
     is_clique,
     is_vertex_cover,
+    require_int,
+    require_probability,
+    require_real,
     score_rows,
+    witness_row,
 )
 from brokenchains.sampler import AnnealParams, anneal_grid, inject_chain_breaks, simulated_anneal
 from brokenchains.seeding import (
@@ -100,11 +103,10 @@ from brokenchains.unembed import (
 # strengths (fig4) counts as this module's own time.
 #
 # Bound here only because the harness wraps them by name, and called by no
-# experiment: ``decompose``, ``witness_from_values``,
-# ``score_witness`` and the three graph checks ``is_clique``,
-# ``is_vertex_cover`` and ``cut_size``, which are one-row ``score_rows``
-# calls (with ``Bipartition``, which ``witness_from_values`` builds).  They
-# go when the harness stops wrapping them.
+# experiment: ``decompose``, ``witness_from_values``, ``score_witness`` and
+# the three graph checks ``is_clique``, ``is_vertex_cover`` and
+# ``cut_size``, which are one-row ``score_rows`` calls.  They go when the
+# harness stops wrapping them.
 
 MAXIMIZATION = {"max_clique", "max_cut"}
 MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
@@ -156,8 +158,7 @@ class ExperimentConfig:
         if not self.densities:
             raise ValueError("at least one density is required")
         for p in self.densities:
-            if not (0.0 <= require_real(p, "density") <= 1.0):
-                raise ValueError(f"density {p} outside [0, 1]")
+            require_probability(p, "density")
         for name in ("n", "graphs_per_density"):
             require_int(getattr(self, name), name, positive=True)
         AnnealParams(self.reads, self.sweeps, self.beta_range, self.seed)
@@ -165,8 +166,7 @@ class ExperimentConfig:
             raise ValueError("aggregate must be 'best' or 'mean'")
         if self.source not in ("anneal", "inject"):
             raise ValueError("source must be 'anneal' or 'inject'")
-        if not (0.0 <= require_real(self.p_break, "p_break") <= 1.0):
-            raise ValueError(f"p_break must be in [0, 1], not {self.p_break!r}")
+        require_probability(self.p_break, "p_break")
         if self.source == "anneal" and self.p_break != 0:
             raise ValueError(f"p_break {self.p_break!r} needs source 'inject', not 'anneal'")
         require_clique_fits(self.n, require_topology(self.topology))
@@ -255,29 +255,17 @@ def broken_chain_proportion(fractions) -> tuple:
 
 
 def witness_from_values(problem: str, values: dict, g: Graph):
-    """Turn a full logical assignment into the problem's witness object."""
-    if problem in ("max_clique", "min_vertex_cover"):
-        return frozenset(v for v, x in values.items() if x == 1)
-    minus = frozenset(v for v, x in values.items() if x == -1)
-    plus = frozenset(g.vertices()) - minus
-    return Bipartition(side_minus=minus, side_plus=plus)
+    """The witness of a full logical assignment, for every problem: the
+    vertex set valued 1, a clique or cover in the QUBO domain and the plus
+    side of a cut or partition in the Ising domain."""
+    return frozenset(v for v, x in values.items() if x == 1)
 
 
 def score_witness(problem: str, g: Graph, witness):
-    """(objective, feasible) of one witness, a vertex set or a
-    ``Bipartition``, scored as ``score_rows`` scores its row; the graph
-    checks are one-row ``score_rows`` calls."""
-    if problem == "max_clique":
-        ok = is_clique(g, witness)
-        return (len(witness) if ok else 0), ok
-    if problem == "min_vertex_cover":
-        ok = is_vertex_cover(g, witness)
-        return (len(witness) if ok else g.n), ok
-    if problem == "max_cut":
-        return cut_size(g, witness), True
-    if problem == "graph_partitioning":
-        return cut_size(g, witness), witness.is_balanced()
-    raise ValueError(f"unknown problem {problem!r}")
+    """(objective, feasible) of one witness vertex set, as ``score_rows``
+    scores its row."""
+    objectives, feasible = score_rows(problem, g, witness_row(g, witness))
+    return int(objectives[0]), bool(feasible[0])
 
 
 def repair(method: str, rs: ReadoutSet, problem: str, g: Graph, model, seed: int) -> np.ndarray:

@@ -19,19 +19,18 @@ contain, so only the complement placement makes the minima coincide with
 maximum cliques.
 
 The builders lay their terms out in ascending pair order, from the graph's
-sorted edge arrays ``u`` and ``v``, so a model's term order, and with it
-the coupler order every anneal and energy sums in, does not follow the
-hash order of the edge set.  ``energy`` and ``convert`` add one term at a
-time: linear terms by ascending variable, then quadratic terms in order.
+sorted edge arrays ``u`` and ``v``; a model's term order, and with it the
+coupler order every anneal and energy sums in, is that pair order.
+``energy`` and ``convert`` add one term at a time: linear terms by
+ascending variable, then quadratic terms in order.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from brokenchains.graphs import Graph, complement
+from brokenchains.graphs import Graph, complement, is_int, require_real
 
 QUBO = "qubo"
 ISING = "ising"
@@ -115,7 +114,7 @@ class BinaryQuadraticModel:
 
     def interaction_graph(self) -> Graph:
         """Graph on 0..max_var with an edge per nonzero quadratic term."""
-        return Graph(int(self.ids.max(initial=-1)) + 1, self.pairs[self.j != 0.0].tolist())
+        return Graph(int(self.ids.max(initial=-1)) + 1, self.pairs[self.j != 0.0])
 
     def __eq__(self, other):
         return (
@@ -186,19 +185,19 @@ def build_min_vertex_cover_qubo(g: Graph) -> BinaryQuadraticModel:
     # 2 (1 - x_u)(1 - x_v) = 2 - 2 x_u - 2 x_v + 2 x_u x_v per edge
     degree = np.bincount(np.concatenate([g.u, g.v]), minlength=g.n)
     return BinaryQuadraticModel(QUBO, np.arange(g.n), 1.0 - 2.0 * degree,
-                                np.stack([g.u, g.v], axis=1), np.full(len(g.edges), 2.0),
-                                2.0 * len(g.edges))
+                                np.stack([g.u, g.v], axis=1), np.full(len(g.u), 2.0),
+                                2.0 * len(g.u))
 
 
 def build_max_cut_ising(g: Graph) -> BinaryQuadraticModel:
     """Ising model with +1 per edge; cut size = (|E| - H) / 2."""
     return BinaryQuadraticModel(ISING, np.arange(g.n), np.zeros(g.n),
-                                np.stack([g.u, g.v], axis=1), np.ones(len(g.edges)))
+                                np.stack([g.u, g.v], axis=1), np.ones(len(g.u)))
 
 
 def partition_weight(g: Graph) -> float:
     """Balance penalty A = min(|V|, max degree) / 8, or |V|/8 when edgeless."""
-    if not g.edges:
+    if not len(g.u):
         return g.n / 8.0
     return min(g.n, g.max_degree()) / 8.0
 
@@ -214,7 +213,7 @@ def build_graph_partitioning_ising(g: Graph) -> BinaryQuadraticModel:
     u, v = np.triu_indices(g.n, 1)
     return BinaryQuadraticModel(
         ISING, np.arange(g.n), np.zeros(g.n), np.stack([u, v], axis=1),
-        2.0 * a - 0.5 * g.adjacency[u, v], a * g.n + len(g.edges) / 2.0,
+        2.0 * a - 0.5 * g.adjacency[u, v], a * g.n + len(g.u) / 2.0,
         {"partition_weight": a},
     )
 
@@ -269,35 +268,6 @@ def require_keys(doc, keys, what: str):
         if key not in doc:
             raise ValueError(f"{what} has no {key!r}")
     return doc
-
-
-def is_int(value) -> bool:
-    """True for an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def require_int(value, what: str, positive: bool = False):
-    """``value``, once it is an integer (``bool`` is not one), and one >= 1
-    when ``positive``; otherwise ``ValueError`` naming ``what`` and ``value``."""
-    if not is_int(value):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    if positive and value < 1:
-        raise ValueError(f"{what} must be >= 1, not {value!r}")
-    return value
-
-
-def require_real(value, what: str, positive: bool = False):
-    """``value``, once it is a finite real number (``bool`` is not one), and a
-    positive one when ``positive``; otherwise ``ValueError`` naming ``what``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or (positive and value <= 0)
-    ):
-        kind = "a positive real number" if positive else "a real number"
-        raise ValueError(f"{what} must be {kind}, not {value!r}")
-    return value
 
 
 def from_json(text: str) -> BinaryQuadraticModel:

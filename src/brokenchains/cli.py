@@ -18,8 +18,17 @@ import traceback
 from brokenchains import bench
 from brokenchains import bqm as bqmlib
 from brokenchains.bench import ExperimentConfig
-from brokenchains.bqm import ISING, convert, require_real
-from brokenchains.graphs import PROBLEMS, read_edge_list, score_rows, write_edge_list, erdos_renyi
+from brokenchains.bqm import ISING, convert
+from brokenchains.graphs import (
+    PROBLEMS,
+    erdos_renyi,
+    read_edge_list,
+    require_int,
+    require_probability,
+    require_real,
+    score_rows,
+    write_edge_list,
+)
 from brokenchains.sampler import (
     AnnealParams,
     model_hash,
@@ -346,10 +355,8 @@ def _validate_args(args):
     if command in ("fig2", "fig3", "fig4"):
         _config_from_args(args).validate()
     if command == "gen":
-        if not (0.0 <= args.density <= 1.0):
-            raise ValueError(f"density {args.density} outside [0, 1]")
-        if args.n < 1:
-            raise ValueError("n must be >= 1")
+        require_probability(args.density, "density")
+        require_int(args.n, "n", positive=True)
     if command == "embed":
         require_clique_fits(args.k, args.topology)
     if command == "sample":

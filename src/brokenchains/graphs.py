@@ -3,14 +3,18 @@ exhaustive oracles.
 
 Vertices are dense integer ids ``0..n-1`` throughout the package; problem
 builders, embeddings and unembedding algorithms all index by these ids.
-A ``Graph`` is its edge set plus two read-only array forms built once from
-it: the sorted edge arrays ``u``, ``v`` and the ``adjacency`` matrix.
-``score_rows`` is the one witness check: it scores boolean witness rows
-over the edge arrays, and ``is_clique``, ``is_vertex_cover`` and
-``cut_size`` are its one-row calls.
+A ``Graph`` is its sorted edge arrays ``u``, ``v``, plus the ``adjacency``
+matrix built once from them; its ``edges`` set is a view derived from the
+arrays.  A witness is a vertex set (a clique, a cover, or the plus side
+of a cut or partition) or its boolean row: ``score_rows`` is the one
+witness check, it scores rows over the edge arrays, and ``is_clique``,
+``is_vertex_cover`` and ``cut_size`` are its one-row calls.
+
+The number rules ``is_int``, ``require_int``, ``require_real`` and
+``require_probability`` live here, at the bottom of the import graph.
 """
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -26,37 +30,83 @@ PROBLEMS = (MAX_CLIQUE, MAX_CUT, MIN_VERTEX_COVER, GRAPH_PARTITIONING)
 BRUTE_FORCE_MAX_N = 24
 
 
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(value, what: str, positive: bool = False):
+    """``value``, once it is an integer (``bool`` is not one), and one >= 1
+    when ``positive``; otherwise ``ValueError`` naming ``what`` and ``value``."""
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if positive and value < 1:
+        raise ValueError(f"{what} must be >= 1, not {value!r}")
+    return value
+
+
+def require_real(value, what: str, positive: bool = False):
+    """``value``, once it is a finite real number (``bool`` is not one), and a
+    positive one when ``positive``; otherwise ``ValueError`` naming ``what``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (positive and value <= 0)
+    ):
+        kind = "a positive real number" if positive else "a real number"
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
+
+
+def require_probability(value, what: str):
+    """``value``, once it is a real number (``bool`` is not one) in [0, 1];
+    otherwise ``ValueError`` naming ``what`` and ``value``."""
+    if not 0.0 <= require_real(value, what) <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], not {value!r}")
+    return value
+
+
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    ``edges`` is the frozenset of pairs ``(u, v)``, ``u < v``, and the
-    graph's identity.  ``u`` and ``v`` hold the same pairs as int arrays in
-    ascending order, and ``adjacency`` is the float64 matrix of the graph
-    plus an isolated dummy vertex ``n``: entry ``[u, v]`` is 1.0 on an edge
-    and 0.0 elsewhere, and row and column ``n`` are zero.  All three are
-    built once and read-only; the queries below, the witness check
-    ``score_rows``, the tailored unembeddings and ``brute_force`` read them.
+    ``u`` and ``v`` are the graph's identity: its edges as int arrays, one
+    pair ``(u[i], v[i])`` with ``u[i] < v[i]`` per edge, in ascending pair
+    order.  ``adjacency`` is the float64 matrix of the graph plus an
+    isolated dummy vertex ``n``: entry ``[u, v]`` is 1.0 on an edge and 0.0
+    elsewhere, and row and column ``n`` are zero.  All three are built once
+    and read-only; the queries below, the witness check ``score_rows``, the
+    tailored unembeddings and ``brute_force`` read them.  ``edges`` is a
+    frozenset of the pairs, built from the arrays on every read.
+
+    ``edges`` given to the constructor are pairs of vertices in either
+    orientation, and a pair given twice is one edge.  ``ValueError`` names
+    the first self-loop or out-of-range edge in input order.
     """
 
-    __slots__ = ("n", "edges", "u", "v", "adjacency")
+    __slots__ = ("n", "u", "v", "adjacency")
 
     def __init__(self, n: int, edges):
-        if n < 0:
+        if require_int(n, "vertex count") < 0:
             raise ValueError("vertex count must be nonnegative")
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.add((min(u, v), max(u, v)))
-        u, v = np.array(sorted(normalized), dtype=np.intp).reshape(-1, 2).T.copy()
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.intp)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer vertices")
+        p, q = pairs.T
+        bad = (p == q) | (np.minimum(p, q) < 0) | (np.maximum(p, q) >= n)
+        if bad.any():
+            p, q = pairs[np.argmax(bad)].tolist()
+            if p == q:
+                raise ValueError(f"self-loop at vertex {p}")
+            raise ValueError(f"edge ({p}, {q}) out of range for n={n}")
         a = np.zeros((n + 1, n + 1))
-        a[u, v] = a[v, u] = 1.0
+        a[p, q] = a[q, p] = 1.0
+        u, v = np.nonzero(np.triu(a))
         for array in (u, v, a):
             array.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "adjacency", a)
@@ -64,14 +114,22 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def _key(self):
+        return self.n, self.u.tobytes(), self.v.tobytes()
+
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={len(self.u)})"
+
+    @property
+    def edges(self) -> frozenset:
+        """The pairs ``(u, v)``, ``u < v``, as a frozenset built from the arrays."""
+        return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
@@ -97,27 +155,6 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two disjoint vertex sets; a complete partition covers all vertices."""
-
-    side_minus: frozenset = field(default_factory=frozenset)
-    side_plus: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        overlap = set(self.side_minus) & set(self.side_plus)
-        if overlap:
-            raise ValueError(f"sides overlap on vertices {sorted(overlap)}")
-        object.__setattr__(self, "side_minus", frozenset(self.side_minus))
-        object.__setattr__(self, "side_plus", frozenset(self.side_plus))
-
-    def is_complete_for(self, g: Graph) -> bool:
-        return self.side_minus | self.side_plus == frozenset(g.vertices())
-
-    def is_balanced(self) -> bool:
-        return abs(len(self.side_minus) - len(self.side_plus)) <= 1
-
-
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) random graph; deterministic for fixed ``(n, p, seed)``.
 
@@ -125,19 +162,15 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     probability ``p``, consuming one uniform draw per pair in lexicographic
     pair order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    u, v = np.triu_indices(n, 1)
-    keep = rng_from(seed).random(len(u)) < p
-    return Graph(n, zip(u[keep].tolist(), v[keep].tolist()))
+    require_int(n, "n", positive=True)
+    require_probability(p, "edge probability")
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    return Graph(n, pairs[rng_from(seed).random(len(pairs)) < p])
 
 
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where ``g`` has none."""
-    u, v = np.nonzero(np.triu(g.adjacency[: g.n, : g.n] == 0, 1))
-    return Graph(g.n, zip(u.tolist(), v.tolist()))
+    return Graph(g.n, np.argwhere(np.triu(g.adjacency[: g.n, : g.n] == 0, 1)))
 
 
 def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
@@ -171,7 +204,7 @@ def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
     raise ValueError(f"unknown problem {problem!r}")
 
 
-def _witness_row(g: Graph, vertices) -> np.ndarray:
+def witness_row(g: Graph, vertices) -> np.ndarray:
     """The one-row ``score_rows`` input True on ``vertices``; ``ValueError``
     naming the first out-of-range vertex."""
     vertices = list(vertices)
@@ -185,19 +218,17 @@ def _witness_row(g: Graph, vertices) -> np.ndarray:
 
 def is_clique(g: Graph, s) -> bool:
     """True iff every pair of vertices in ``s`` is adjacent (vacuously for |s| <= 1)."""
-    return bool(score_rows(MAX_CLIQUE, g, _witness_row(g, s))[1][0])
+    return bool(score_rows(MAX_CLIQUE, g, witness_row(g, s))[1][0])
 
 
 def is_vertex_cover(g: Graph, s) -> bool:
     """True iff every edge has at least one endpoint in ``s``."""
-    return bool(score_rows(MIN_VERTEX_COVER, g, _witness_row(g, s))[1][0])
+    return bool(score_rows(MIN_VERTEX_COVER, g, witness_row(g, s))[1][0])
 
 
-def cut_size(g: Graph, b: Bipartition) -> int:
-    """Number of edges with endpoints on different sides of a complete partition."""
-    if not b.is_complete_for(g):
-        raise ValueError("partition does not cover all vertices exactly once")
-    return int(score_rows(MAX_CUT, g, _witness_row(g, b.side_plus))[0][0])
+def cut_size(g: Graph, plus) -> int:
+    """Number of edges with one end in the vertex set ``plus`` and one outside it."""
+    return int(score_rows(MAX_CUT, g, witness_row(g, plus))[0][0])
 
 
 def _subset_matrix(lo: int, hi: int, n: int) -> np.ndarray:
@@ -209,11 +240,13 @@ def _subset_matrix(lo: int, hi: int, n: int) -> np.ndarray:
 def brute_force(problem: str, g: Graph, block: int = 1 << 18):
     """Exact optimum by exhaustive enumeration over subsets / partitions.
 
-    Returns ``(value, witness)`` where the witness is a vertex set for
-    max_clique / min_vertex_cover and a :class:`Bipartition` for max_cut /
-    graph_partitioning (balanced partitions only).  Among equally good
-    solutions, the one with the lowest subset bitmask wins.  Refuses graphs
-    with more than ``BRUTE_FORCE_MAX_N`` vertices.
+    Returns ``(value, row)``, where ``row`` is a boolean ``(g.n,)`` witness
+    in ``score_rows`` form: True on the clique or cover, or on the plus side
+    of the cut or (balanced) partition, so that
+    ``score_rows(problem, g, row[None])`` gives ``value`` as feasible.
+    Among equally good solutions, the one with the lowest subset bitmask
+    (bit ``v`` set for vertex ``v`` in the set) wins.  Refuses graphs with
+    more than ``BRUTE_FORCE_MAX_N`` vertices.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
@@ -256,23 +289,20 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
             best_val = val
             best_mask = lo + ix
 
-    members = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    if problem in (MAX_CLIQUE, MIN_VERTEX_COVER):
-        return int(best_val), members
-    witness = Bipartition(side_minus=frozenset(range(n)) - members, side_plus=members)
-    return int(best_val), witness
+    return int(best_val), ((best_mask >> np.arange(n)) & 1).astype(bool)
 
 
 def write_edge_list(g: Graph, path):
     """Plain-text edge list: first line ``n m``, then one ``u v`` line per edge."""
-    lines = [f"{g.n} {len(g.edges)}"]
+    lines = [f"{g.n} {len(g.u)}"]
     lines += [f"{u} {v}" for u, v in zip(g.u.tolist(), g.v.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_edge_list(path) -> Graph:
-    """Read ``write_edge_list`` output; ``ValueError`` on a malformed file."""
+    """Read ``write_edge_list`` output; ``ValueError`` on a malformed file,
+    an edge listed twice (in either orientation) included."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -282,4 +312,11 @@ def read_edge_list(path) -> Graph:
     if len(body) != 2 * m:
         raise ValueError(f"expected {m} edges, found {len(body) // 2}")
     edges = [(int(body[2 * i]), int(body[2 * i + 1])) for i in range(m)]
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if len(g.u) < m:
+        seen = set()
+        for edge in edges:
+            if frozenset(edge) in seen:
+                raise ValueError(f"edge {edge} is listed twice")
+            seen.add(frozenset(edge))
+    return g

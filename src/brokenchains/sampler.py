@@ -94,7 +94,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from brokenchains.bqm import BinaryQuadraticModel, is_int, require_int, require_keys, require_real
+from brokenchains.bqm import BinaryQuadraticModel, require_keys
+from brokenchains.graphs import is_int, require_int, require_probability, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, streams
 from brokenchains.topology import (
     PhysicalModel,
@@ -393,8 +394,7 @@ def inject_chain_breaks(
     from read ``r``'s own stream), so a chain of length L stays unbroken
     exactly when all or none of its qubits flip.
     """
-    if not (0.0 <= p_break <= 1.0):
-        raise ValueError("p_break must be in [0, 1]")
+    require_probability(p_break, "p_break")
     e = pm.source_embedding
     variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
     if not np.all(np.abs(logical.spins) == 1):

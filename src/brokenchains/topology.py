@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brokenchains.bqm import (
-    ISING,
-    BinaryQuadraticModel,
-    convert,
-    is_int,
-    require_keys,
-    require_real,
-)
-from brokenchains.graphs import Graph
+from brokenchains.bqm import ISING, BinaryQuadraticModel, convert, require_keys
+from brokenchains.graphs import Graph, is_int, require_real
 
 HORIZONTAL = 0
 VERTICAL = 1

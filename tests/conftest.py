@@ -1,13 +1,37 @@
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel
-from brokenchains.graphs import Bipartition, Graph
+from brokenchains.graphs import Graph
 from brokenchains.sampler import AnnealParams, SampleSet
 from brokenchains.seeding import rng_from
 from brokenchains.topology import PhysicalModel, identity_embedding
 from brokenchains.unembed import ReadoutSet
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """Two disjoint vertex sets, the set-based form of a cut or partition
+    witness that the reference implementations build and compare; a
+    complete partition covers all vertices."""
+
+    side_minus: frozenset = field(default_factory=frozenset)
+    side_plus: frozenset = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        overlap = set(self.side_minus) & set(self.side_plus)
+        if overlap:
+            raise ValueError(f"sides overlap on vertices {sorted(overlap)}")
+        object.__setattr__(self, "side_minus", frozenset(self.side_minus))
+        object.__setattr__(self, "side_plus", frozenset(self.side_plus))
+
+    def is_complete_for(self, g: Graph) -> bool:
+        return self.side_minus | self.side_plus == frozenset(g.vertices())
+
+    def is_balanced(self) -> bool:
+        return abs(len(self.side_minus) - len(self.side_plus)) <= 1
 
 
 def complete_graph(n):

@@ -28,7 +28,7 @@ from brokenchains.bench import (
     write_experiment,
 )
 from brokenchains.bqm import BinaryQuadraticModel, build_max_cut_ising
-from brokenchains.graphs import Bipartition, erdos_renyi
+from brokenchains.graphs import erdos_renyi
 from brokenchains.sampler import inject_chain_breaks
 from brokenchains.topology import (
     PhysicalModel,
@@ -155,18 +155,18 @@ class TestWitnessScoring:
         assert score_witness("min_vertex_cover", g, frozenset({0})) == (3, False)
 
     def test_partition_scoring(self):
+        # a partition witness is its plus side
         g = complete_graph(4)
-        balanced = Bipartition(frozenset({0, 1}), frozenset({2, 3}))
-        lopsided = Bipartition(frozenset({0, 1, 2}), frozenset({3}))
-        assert score_witness("graph_partitioning", g, balanced) == (4, True)
-        assert score_witness("graph_partitioning", g, lopsided) == (3, False)
+        assert score_witness("graph_partitioning", g, frozenset({2, 3})) == (4, True)
+        assert score_witness("graph_partitioning", g, frozenset({3})) == (3, False)
+        assert score_witness("max_cut", g, frozenset({3})) == (3, True)
 
     def test_witness_from_values(self):
         g = path_graph(3)
         w = witness_from_values("max_clique", {0: 1, 1: 0, 2: 1}, g)
         assert w == frozenset({0, 2})
-        b = witness_from_values("max_cut", {0: 1, 1: -1, 2: 1}, g)
-        assert b.side_minus == {1}
+        plus = witness_from_values("max_cut", {0: 1, 1: -1, 2: 1}, g)
+        assert plus == frozenset({0, 2})
 
 
 class TestConfigValidation:

@@ -311,6 +311,7 @@ class TestUnembedRejectsMismatchedArtifacts:
     @pytest.mark.parametrize("text,expect", [
         ("6 x\n", "invalid literal for int()"),
         ("6 1\n0 9\n", "edge (0, 9) out of range for n=6"),
+        ("3 2\n0 1\n1 0\n", "edge (1, 0) is listed twice"),
     ])
     def test_malformed_graph_exit_2(self, tmp_path, capsys, command, text, expect):
         self.sampled(tmp_path)

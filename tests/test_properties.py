@@ -79,16 +79,21 @@
   Python ints and bools, on random graphs of 1-9 and 65 vertices
   (edgeless and complete ones included) and random, empty, full, clique,
   cover and balanced rows;
-* ``Graph.u`` and ``Graph.v`` are the sorted edges, ``Graph.adjacency``
-  is the edges' read-only float matrix with an isolated dummy vertex, the
+* ``Graph`` built from edge lists with both orientations, repeated
+  pairs, self-loops and out-of-range ends equals a Python-set
+  normalisation of the list: ``u`` and ``v`` are its sorted pairs,
+  ``adjacency`` its matrix, ``==`` and ``hash`` follow the set, and
+  ``ValueError`` names the first bad edge in input order, a self-loop
+  before an out-of-range end;
+* ``Graph.adjacency`` is read-only with an isolated dummy vertex, the
   degree and neighbour queries equal edge scans, and ``is_clique``,
   ``is_vertex_cover`` and ``cut_size`` (one-row ``score_rows`` calls)
   equal the edge-scan references on random graphs and subsets and still
-  raise ``ValueError`` on an out-of-range vertex or an incomplete
-  partition;
-* ``erdos_renyi`` and ``complement`` equal pair-loop references, with the
-  same edges in the same iteration order, on 1-9 and 65 vertices at
-  densities including 0 and 1;
+  raise ``ValueError`` on an out-of-range vertex;
+* ``brute_force``'s witness row scores its value as feasible under
+  ``score_rows`` for all four problems on graphs of up to 10 vertices;
+* ``erdos_renyi`` and ``complement`` equal pair-loop references on 1-9
+  and 65 vertices at densities including 0 and 1;
 * set-level ``minimize_energy`` equals a one-read-at-a-time reference on
   random models of both domains with float, tenth and zero coefficients
   (tenths make the sum order show in the last bits), and
@@ -146,18 +151,18 @@ from brokenchains.bqm import (
     convert,
     energy,
     from_json,
-    is_int,
     to_json,
 )
 from brokenchains.cli import main
 from brokenchains.graphs import (
     PROBLEMS,
-    Bipartition,
     Graph,
+    brute_force,
     complement,
     cut_size,
     erdos_renyi,
     is_clique,
+    is_int,
     is_vertex_cover,
     score_rows,
 )
@@ -211,6 +216,7 @@ from brokenchains.unembed import (
     vertex_cover_rows,
 )
 from conftest import (
+    Bipartition,
     coupler_set,
     hardware_adjacency,
     intra_chain_couplers,
@@ -681,8 +687,8 @@ def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
 
 
 def witness_of(problem, row, g):
-    """A boolean witness row in the form ``score_witness`` takes: its vertex
-    set, or the partition of ``g`` with the row as plus side."""
+    """A boolean witness row in the set form the references build: its
+    vertex set, or the partition of ``g`` with the row as plus side."""
     return members(row) if problem in ("max_clique", "min_vertex_cover") else sides(row, g)
 
 
@@ -751,24 +757,93 @@ def reference_erdos_renyi(n, p, seed):
 
 
 def reference_complement(g):
+    edges = g.edges
     return Graph(g.n, [(u, v) for u, v in itertools.combinations(g.vertices(), 2)
-                       if (u, v) not in g.edges])
+                       if (u, v) not in edges])
 
 
 @PROPERTY
 @given(st.one_of(st.integers(1, 9), st.just(65)),
        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), seeds)
 def test_generators_match_pair_loops(n, p, seed):
-    # the problem builders' term order, and so the compiled models, follow
-    # the iteration order of ``edges``
+    # ``==`` compares the sorted edge arrays, which are the problem
+    # builders' term order and so the compiled models'
     g, reference = erdos_renyi(n, p, seed), reference_erdos_renyi(n, p, seed)
-    assert g == reference and list(g.edges) == list(reference.edges)
-    c, reference = complement(g), reference_complement(g)
-    assert c == reference and list(c.edges) == list(reference.edges)
+    assert g == reference
+    assert complement(g) == reference_complement(g)
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, edges)``: pairs over 0..n-1 in either orientation, some of them
+    repeated, and now and then a self-loop or an end outside 0..n-1."""
+    n = draw(st.integers(0, 9))
+    combinations = list(itertools.combinations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(combinations), max_size=20)) if combinations else []
+    pairs = [pair if draw(st.booleans()) else pair[::-1] for pair in pairs]
+    ends = st.integers(-2, n + 2)
+    bad_edges = st.one_of(ends.map(lambda x: (x, x)), st.tuples(ends, ends))
+    if draw(st.booleans()):
+        pairs += draw(st.lists(bad_edges, max_size=2))
+    return n, draw(st.permutations(pairs))
+
+
+def reference_graph_error(n, edges):
+    """The message for the first self-loop or out-of-range edge, or None."""
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+    return None
+
+
+@PROPERTY
+@given(edge_lists(), edge_lists())
+def test_graph_matches_set_normalisation(case, other_case):
+    n, edges = case
+    message = reference_graph_error(n, edges)
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+        event("rejected: " + message.split()[0])
+        return
+    pairs = {(min(u, v), max(u, v)) for u, v in edges}
+    g = Graph(n, edges)
+    assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(pairs)
+    assert g.u.dtype.kind == g.v.dtype.kind == "i" and g.edges == pairs
+    expect = np.zeros((n + 1, n + 1))
+    for u, v in pairs:
+        expect[u, v] = expect[v, u] = 1.0
+    assert np.array_equal(g.adjacency, expect)
+    # the same graph from the pairs as an array, one orientation each
+    same = Graph(n, np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2))
+    assert g == same and hash(g) == hash(same)
+    event(f"repeated pairs: {len(edges) > len(pairs)}")
+    n2, edges2 = other_case
+    if reference_graph_error(n2, edges2) is None:
+        other = Graph(n2, edges2)
+        pairs2 = {(min(u, v), max(u, v)) for u, v in edges2}
+        assert (g == other) == ((n, pairs) == (n2, pairs2))
+        if g == other:
+            assert hash(g) == hash(other)
+
+
+@PROPERTY
+@given(st.integers(0, 10), st.floats(0.0, 1.0), seeds)
+def test_brute_force_row_scores_its_value(n, density, seed):
+    g = erdos_renyi(n, density, seed) if n else Graph(0, [])
+    for problem in PROBLEMS:
+        value, row = brute_force(problem, g)
+        assert row.shape == (n,) and row.dtype == bool
+        objectives, feasible = score_rows(problem, g, row[None])
+        assert (objectives.tolist(), feasible.tolist()) == ([value], [True]), problem
 
 
 def reference_is_clique(g, s):
-    return all((min(u, v), max(u, v)) in g.edges for u, v in itertools.combinations(set(s), 2))
+    edges = g.edges
+    return all((min(u, v), max(u, v)) in edges for u, v in itertools.combinations(set(s), 2))
 
 
 def reference_is_vertex_cover(g, s):
@@ -782,9 +857,9 @@ def reference_cut_size(g, b):
 @PROPERTY
 @given(graphs(), st.data())
 def test_graph_arrays_match_edge_scans(g, data):
-    # the edge arrays and the adjacency matrix are built from the edges, so
-    # check both against them; the matrix's dummy vertex n is isolated
-    assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(g.edges)
+    # the queries read the adjacency matrix, so check them against scans of
+    # the edges; the matrix's dummy vertex n is isolated
+    edges = g.edges
     a = g.adjacency
     assert a.shape == (g.n + 1, g.n + 1) and a.dtype == np.float64
     assert not a[g.n].any() and not a[:, g.n].any()
@@ -792,12 +867,12 @@ def test_graph_arrays_match_edge_scans(g, data):
         with pytest.raises(ValueError, match="read-only"):
             array[:1] = 0
     for v in g.vertices():
-        expect = {u for u in g.vertices() if (min(u, v), max(u, v)) in g.edges}
+        expect = {u for u in g.vertices() if (min(u, v), max(u, v)) in edges}
         assert a[v, : g.n].tolist() == [float(u in expect) for u in g.vertices()]
         assert g.neighbors(v) == expect and g.degree(v) == len(expect)
         assert [g.has_edge(v, u) for u in g.vertices()] == [u in expect for u in g.vertices()]
     assert g.max_degree() == max(
-        sum(1 for edge in g.edges if v in edge) for v in g.vertices()
+        sum(1 for edge in edges if v in edge) for v in g.vertices()
     )
     vertices = st.sampled_from(range(g.n))
     subset = data.draw(st.lists(vertices, unique=True))
@@ -806,7 +881,7 @@ def test_graph_arrays_match_edge_scans(g, data):
     for v in subset:
         if all(g.has_edge(u, v) for u in clique):
             clique.append(v)
-    cover = set(subset) | {u for u, v in g.edges if u not in subset and v not in subset}
+    cover = set(subset) | {u for u, v in edges if u not in subset and v not in subset}
     cover -= set(data.draw(st.lists(vertices, max_size=2)))
     for s in (subset, clique):
         assert is_clique(g, s) == reference_is_clique(g, s)
@@ -814,17 +889,13 @@ def test_graph_arrays_match_edge_scans(g, data):
         assert is_vertex_cover(g, s) == reference_is_vertex_cover(g, s)
     event(f"clique {is_clique(g, subset)}, cover {is_vertex_cover(g, cover)}")
     minus = frozenset(subset)
-    b = Bipartition(minus, frozenset(g.vertices()) - minus)
-    assert cut_size(g, b) == reference_cut_size(g, b)
+    plus = frozenset(g.vertices()) - minus
+    assert cut_size(g, plus) == reference_cut_size(g, Bipartition(minus, plus))
 
     stray = data.draw(st.sampled_from((-1, g.n, g.n + 5)))
-    for check in (is_clique, is_vertex_cover):
+    for check in (is_clique, is_vertex_cover, cut_size):
         with pytest.raises(ValueError, match="out of range"):
             check(g, subset + [stray])
-    with pytest.raises(ValueError, match="does not cover"):
-        cut_size(g, Bipartition(minus, frozenset(g.vertices()) - minus | {stray}))
-    with pytest.raises(ValueError, match="does not cover"):  # vertex 0 on neither side
-        cut_size(g, Bipartition(minus - {0}, frozenset(g.vertices()) - minus - {0}))
 
 
 @st.composite
@@ -1136,9 +1207,10 @@ def test_tailored_rows_match_reference_read_by_read(problem, g, kinds, readout_s
 
 def reference_repair(method, reads, problem, g, model, seed):
     """The witnesses the per-read path gave: one ``{variable: value}`` dict
-    per read turned into a vertex set or ``Bipartition`` by
-    ``witness_from_values``, the tailored ones from the set-based references
-    above, each read's generator built by ``rng_from(derive_seed(...))``."""
+    per read turned into a vertex set by ``witness_from_values`` (the plus
+    side of a cut or partition, as a ``Bipartition`` of ``g``), the
+    tailored ones from the set-based references above, each read's
+    generator built by ``rng_from(derive_seed(...))``."""
     witnesses = []
     for r, readouts in enumerate(reads):
         if method == "tailored":
@@ -1154,7 +1226,10 @@ def reference_repair(method, reads, problem, g, model, seed):
             )
         else:
             values = reference_minimize_energy(readouts, model)
-        witnesses.append(bench.witness_from_values(problem, values, g))
+        witness = bench.witness_from_values(problem, values, g)
+        if problem in ("max_cut", "graph_partitioning"):
+            witness = Bipartition(frozenset(g.vertices()) - witness, witness)
+        witnesses.append(witness)
     return witnesses
 
 

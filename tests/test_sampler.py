@@ -174,8 +174,10 @@ class TestInjectChainBreaks:
         assert abs(broken - total * expect) <= 3 * sigma
 
     def test_invalid_probability(self):
-        with pytest.raises(ValueError, match=r"^p_break must be in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^p_break must be in \[0, 1\], not 1.5$"):
             inject_chain_breaks(one_read(self.logical), 1.5, 0, self.pm)
+        with pytest.raises(ValueError, match=r"^p_break must be a real number, not True$"):
+            inject_chain_breaks(one_read(self.logical), True, 0, self.pm)
 
     def test_domain_mismatch(self):
         bits = {v: 1 if v % 3 == 0 else 0 for v in range(16)}
