@@ -6,7 +6,9 @@ variants of the inject case change one setting each: ``mean`` runs fig3
 with ``aggregate="mean"``, and ``repeated`` runs fig4 with the density and
 the chain strength each listed twice, so that its four aggregate rows are
 told apart only by position.  The CLI cases also hash the ``samples.json``
-and ``samples.csv`` that ``sample`` writes.
+and ``samples.csv`` that ``sample`` writes, and the ``embedding.json``
+that ``embed`` writes for K_8 and K_9 (the staircase case) on
+chimera(2,2,4) and for K_30 on chimera(8,8,4).
 The ``anneal`` case hashes the ``sampleset_to_csv`` of 130 reads, which
 cross a spin batch of the annealer (102 reads at this size) and two
 64-read energy blocks, on a random model over every coupler of
@@ -102,6 +104,13 @@ def cli_csvs(problem):
         return {key: Path(f"{tmp}/{name}").read_text() for key, name in files.items()}
 
 
+def embed_json(k, topology):
+    """The ``embedding.json`` that ``embed --k k --topology topology`` writes."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["embed", "--k", k, "--topology", topology, "--out", tmp]) == 0
+        return Path(f"{tmp}/embedding.json").read_text()
+
+
 def multi_batch_csv():
     """``sampleset_to_csv`` of a 130-read x 20-sweep anneal of a random model
     over all of chimera(2,2,4)."""
@@ -115,6 +124,8 @@ def output(case):
         return cli_csvs(problem)[variant]
     if kind == "anneal":
         return multi_batch_csv()
+    if kind == "embed":
+        return embed_json(variant.removeprefix("k"), problem)
     return fig_csv(kind, variant, problem)
 
 
@@ -124,6 +135,7 @@ CASES += [f"cli/{name}/{problem}" for name in SAMPLE_FILES for problem in PROBLE
 CASES += [f"fig3/mean/{problem}" for problem in PROBLEMS]
 CASES += ["fig4/repeated/max_cut"]
 CASES += ["anneal/130x20/chimera(2,2,4)"]
+CASES += ["embed/k8/2,2,4", "embed/k9/2,2,4", "embed/k30/8,8,4"]
 
 GOLDEN = {
     "fig2/anneal/max_clique": "8c028b33d0ed8fc861a09884c4036aad13a6048c714678236fb5584d90574b64",
@@ -180,6 +192,9 @@ GOLDEN = {
     "fig3/mean/graph_partitioning": "7b0d46bda8433146fa9105e390a14a1c8b34288d50386a263721a72ce9a22285",
     "fig4/repeated/max_cut": "f785415ff3a3e40281c5b3893a8cc636d22549f9dbee7c85bac55ecd8292a5d5",
     "anneal/130x20/chimera(2,2,4)": "693cb73e3f0ade827e05ab0a7b4d6c681456df70b5cd27a6f0f76c25a39e3db9",
+    "embed/k8/2,2,4": "c10b4dae85a0e783506be6e4bab11daeb290c0f684234ccb6e478e8243b2864d",
+    "embed/k9/2,2,4": "3e8d4ed178dafa719e6eda577d122a3e37b4358ea4a9ddb97837e7cd5b625daf",
+    "embed/k30/8,8,4": "ccee89825a8a3ab7d3905cc3570ae661bb41e172b39f007dd5e0559b23a3ef77",
 }
 
 
