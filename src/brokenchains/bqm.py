@@ -112,10 +112,6 @@ class BinaryQuadraticModel:
         order = np.lexsort(self.pairs.T[::-1])
         return self.pairs[order], self.j[order]
 
-    def interaction_graph(self) -> Graph:
-        """Graph on 0..max_var with an edge per nonzero quadratic term."""
-        return Graph(int(self.ids.max(initial=-1)) + 1, self.pairs[self.j != 0.0])
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryQuadraticModel)

@@ -256,7 +256,7 @@ def cmd_unembed(args):
             zip(objectives.tolist(), feasible.tolist(), broken)
         ):
             writer.writerow(
-                [read, args.method, objective, ok, count, count / len(chains.variables)]
+                [read, args.method, objective, ok, count, count / len(chains.ids)]
             )
     print(path)
     return 0
@@ -266,7 +266,8 @@ def cmd_experiment(args):
     """Run fig2, fig3 or fig4, as named by the subcommand."""
     started = time.perf_counter()
     config = _config_from_args(args)
-    rows = getattr(bench, f"run_{args.command}")(config)
+    run = {"fig2": bench.run_fig2, "fig3": bench.run_fig3, "fig4": bench.run_fig4}
+    rows = run[args.command](config)
     print(bench.write_experiment(args.out, args.command, config, rows, started))
     return 0
 

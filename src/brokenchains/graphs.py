@@ -4,11 +4,11 @@ exhaustive oracles.
 Vertices are dense integer ids ``0..n-1`` throughout the package; problem
 builders, embeddings and unembedding algorithms all index by these ids.
 A ``Graph`` is its sorted edge arrays ``u``, ``v``, plus the ``adjacency``
-matrix built once from them; its ``edges`` set is a view derived from the
-arrays.  A witness is a vertex set (a clique, a cover, or the plus side
-of a cut or partition) or its boolean row: ``score_rows`` is the one
-witness check, it scores rows over the edge arrays, and ``is_clique``,
-``is_vertex_cover`` and ``cut_size`` are its one-row calls.
+matrix built once from them.  A witness is a vertex set (a clique, a
+cover, or the plus side of a cut or partition) or its boolean row:
+``score_rows`` is the one witness check, it scores rows over the edge
+arrays, and ``is_clique``, ``is_vertex_cover`` and ``cut_size`` are its
+one-row calls.
 
 The number rules ``is_int``, ``require_int``, ``require_real`` and
 ``require_probability`` live here, at the bottom of the import graph.
@@ -75,9 +75,8 @@ class Graph:
     order.  ``adjacency`` is the float64 matrix of the graph plus an
     isolated dummy vertex ``n``: entry ``[u, v]`` is 1.0 on an edge and 0.0
     elsewhere, and row and column ``n`` are zero.  All three are built once
-    and read-only; the queries below, the witness check ``score_rows``, the
-    tailored unembeddings and ``brute_force`` read them.  ``edges`` is a
-    frozenset of the pairs, built from the arrays on every read.
+    and read-only; ``max_degree``, the witness check ``score_rows``, the
+    tailored unembeddings and ``brute_force`` read them.
 
     ``edges`` given to the constructor are pairs of vertices in either
     orientation, and a pair given twice is one edge.  ``ValueError`` names
@@ -126,33 +125,11 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.u)})"
 
-    @property
-    def edges(self) -> frozenset:
-        """The pairs ``(u, v)``, ``u < v``, as a frozenset built from the arrays."""
-        return frozenset(zip(self.u.tolist(), self.v.tolist()))
-
-    def neighbors(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return frozenset(np.flatnonzero(self.adjacency[v]).tolist())
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(np.count_nonzero(self.adjacency[v]))
-
     def max_degree(self) -> int:
         return int(np.count_nonzero(self.adjacency, axis=1).max())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adjacency[u, v])
-
     def vertices(self) -> range:
         return range(self.n)
-
-    def _check_vertex(self, v: int):
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -95,12 +95,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from brokenchains.bqm import BinaryQuadraticModel, require_keys
-from brokenchains.graphs import is_int, require_int, require_probability, require_real
+from brokenchains.graphs import require_int, require_probability, require_real
 from brokenchains.seeding import STREAM_INJECT, STREAM_READ, streams
 from brokenchains.topology import (
     PhysicalModel,
     chain_columns,
-    identity_embedding,
+    columns_of,
+    is_id,
     require_topology,
 )
 
@@ -396,15 +397,15 @@ def inject_chain_breaks(
     """
     require_probability(p_break, "p_break")
     e = pm.source_embedding
-    variables = chain_columns(identity_embedding(e.variables()), logical.qubits)
+    variables = columns_of(e.ids, logical.qubits)  # each chain's logical column
     if not np.all(np.abs(logical.spins) == 1):
         raise ValueError("logical samples must be Ising spins (-1/+1)")
     qubits = tuple(pm.qubits())
     chains = chain_columns(e, qubits)
-    if len(chains.columns) != len(qubits):
+    if len(chains.qubits) != len(qubits):
         raise ValueError("the physical model has qubits outside the chains")
     source = np.empty(len(qubits), dtype=np.intp)  # logical column of each qubit
-    source[chains.columns] = np.repeat(variables.columns, chains.lengths)
+    source[chains.qubits] = np.repeat(variables, chains.lengths)
     copied = logical.spins[:, source]
     flips = np.empty(copied.shape, dtype=bool)
     for row, rng in zip(flips, streams(seed, STREAM_INJECT, 0)):
@@ -413,11 +414,6 @@ def inject_chain_breaks(
     # summed over all reads as one block, when first read
     energies = functools.partial(_block_energies, pm.ising, spins, max(len(spins), 1))
     return SampleSet(qubits, spins, energies, logical.params, pm)
-
-
-def chain_break_probability(p_break: float, length: int) -> float:
-    """Probability a length-L chain breaks under independent qubit flips."""
-    return 1.0 - p_break**length - (1.0 - p_break) ** length
 
 
 def model_hash(model: BinaryQuadraticModel) -> str:
@@ -479,8 +475,8 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
             require_real(provenance[key], f"provenance {key}", positive=True)
         require_topology(provenance["topology"], "provenance topology")
     qubits = doc["qubits"]
-    if not (isinstance(qubits, list) and all(map(is_int, qubits))):
-        raise ValueError("qubits must be a list of integers")
+    if not (isinstance(qubits, list) and all(map(is_id, qubits))):
+        raise ValueError("qubits must be a list of qubit ids")
     qubits = tuple(qubits)
     if list(qubits) != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")

@@ -4,7 +4,9 @@ A Chimera graph is an m x n grid of unit cells, each a complete bipartite
 K_{t,t} between a horizontal shore (couples to the same-index qubit in the
 cell to the right) and a vertical shore (couples to the cell below).
 Qubit ids are linear: ``((row * n + col) * 2 + shore) * t + index`` with
-shore 0 horizontal and shore 1 vertical.  ``embed_bqm`` compiles a logical
+shore 0 horizontal and shore 1 vertical.  An ``Embedding`` is its chain
+arrays, and ``chain_columns`` gives the same embedding over a sample set's
+spin-array columns instead of qubit ids.  ``embed_bqm`` compiles a logical
 Ising model into a ``PhysicalModel``, which stores the compiled model, a
 ``BinaryQuadraticModel`` over qubit ids, next to the chain strength and
 the embedding.
@@ -13,7 +15,8 @@ the embedding.
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,63 +87,79 @@ def chimera(m: int, n: int, t: int) -> HardwareGraph:
     return HardwareGraph(qubits, np.stack([p[order], q[order]], axis=1), (m, n, t))
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Map from logical variable id to its chain of physical qubit ids."""
-
-    chains: dict
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "chains", {int(v): tuple(c) for v, c in self.chains.items()}
-        )
-
-    def variables(self):
-        return sorted(self.chains)
-
-    def chain(self, v: int) -> tuple:
-        return self.chains[v]
-
-    def max_chain_length(self) -> int:
-        return max((len(c) for c in self.chains.values()), default=0)
+def is_id(value) -> bool:
+    """Whether ``value`` names a qubit or a variable: an integer (``bool`` is
+    not one) that an int64 array holds."""
+    return is_int(value) and -(2**63) <= value < 2**63
 
 
 @dataclass(frozen=True, eq=False)
-class ChainColumns:
-    """An embedding laid over the columns of a sample set's spin array."""
+class Embedding:
+    """Each logical variable's chain of physical qubit ids, as read-only
+    int arrays: chain ``i`` is ``qubits[starts[i] : starts[i] + lengths[i]]``,
+    that of variable ``ids[i]``, with ``ids`` ascending.  ``from_chains``
+    builds one from ``{variable: chain}``."""
 
-    variables: tuple  # ascending logical variables
-    columns: np.ndarray  # column of every chain qubit, chains in variable order
-    starts: np.ndarray  # offset of each chain in ``columns``
-    lengths: np.ndarray  # chain lengths
+    ids: np.ndarray
+    qubits: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.ids, self.qubits, self.starts, self.lengths):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_chains(cls, chains: dict) -> "Embedding":
+        chains = dict(sorted((int(v), tuple(c)) for v, c in chains.items()))
+        lengths = np.fromiter(map(len, chains.values()), np.intp, len(chains))
+        qubits = np.fromiter(itertools.chain.from_iterable(chains.values()), np.int64,
+                             lengths.sum())
+        ids = np.fromiter(chains, np.int64, len(chains))
+        return cls(ids, qubits, np.cumsum(lengths) - lengths, lengths)
+
+    def variables(self) -> list:
+        return self.ids.tolist()
+
+    def chain(self, v: int) -> tuple:
+        i = int(np.searchsorted(self.ids, v))
+        if i == len(self.ids) or self.ids[i] != v:
+            raise KeyError(v)
+        return tuple(self.qubits[self.starts[i] : self.starts[i] + self.lengths[i]].tolist())
+
+    def max_chain_length(self) -> int:
+        return int(self.lengths.max(initial=0))
 
 
-def chain_columns(e: Embedding, qubits) -> ChainColumns:
-    """Each chain's column indices in a spin array whose columns are ``qubits``.
+def chain_columns(e: Embedding, qubits) -> Embedding:
+    """``e`` with each chain qubit replaced by its column in a spin array
+    whose columns are the ascending ``qubits``."""
+    return replace(e, qubits=columns_of(e.qubits, qubits))
+
+
+def columns_of(chained, qubits) -> np.ndarray:
+    """The column of each of the ``chained`` qubits in a spin array whose
+    columns are the ascending ``qubits``.
 
     The one check that a sample set holds every chain qubit: raises
-    ``ValueError`` when a chain qubit is not a column.
+    ``ValueError`` when a chained qubit is not a column.
     """
-    column = {q: i for i, q in enumerate(qubits)}
-    chains = [e.chain(v) for v in e.variables()]
-    missing = sorted(q for chain in chains for q in chain if q not in column)
-    if missing:
+    qubits = np.array(qubits, dtype=np.int64)
+    columns = np.searchsorted(qubits, chained)
+    found = columns < len(qubits)
+    found[found] = qubits[columns[found]] == chained[found]
+    missing = chained[~found]
+    if len(missing):
         raise ValueError(
             f"{len(missing)} chain qubits of the embedding are not sample columns,"
-            f" e.g. qubit {missing[0]}"
+            f" e.g. qubit {missing.min()}"
         )
-    lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
-    return ChainColumns(
-        variables=tuple(e.variables()),
-        columns=np.array([column[q] for chain in chains for q in chain], dtype=np.intp),
-        starts=np.cumsum(lengths, dtype=np.intp) - lengths,
-        lengths=lengths,
-    )
+    return columns
 
 
 def identity_embedding(variables) -> Embedding:
     """One single-qubit chain per variable (qubit id = variable id)."""
-    return Embedding({v: (v,) for v in variables})
+    return Embedding.from_chains({v: (v,) for v in variables})
 
 
 def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
@@ -182,7 +201,7 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
                 [vq(r, b, a) for r in range(b + 1)]
                 + [hq(b, c, a) for c in range(b, size)]
             )
-        return Embedding(chains)
+        return Embedding.from_chains(chains)
 
     # k == t*m + 1: triangle on shore indices 0..t-2 plus staircase chains
     i = 0
@@ -203,20 +222,16 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
         )
         i += 1
     chains[i] = tuple(vq(r, m - 1, a) for r in range(m))  # full rightmost column
-    return Embedding(chains)
+    return Embedding.from_chains(chains)
 
 
 @dataclass(frozen=True, eq=False)
 class _ChainCouplers:
-    """An embedding's chains as arrays, and the hardware couplers sorted by
-    the chains they join.  Chain ``i`` is that of ``variables[i]``."""
+    """The hardware couplers of an embedding sorted by the chains they join.
+    Chain ``i`` is that of the embedding's ``ids[i]``."""
 
-    variables: np.ndarray  # ascending logical variables
-    qubits: np.ndarray  # every chain's qubits, chains in variable order
-    starts: np.ndarray  # offset of each chain in ``qubits``
-    lengths: np.ndarray  # chain lengths
     inside: np.ndarray  # (k, 2) couplers inside a chain, ascending
-    pairs: np.ndarray  # ascending keys i * len(variables) + j, i < j, of joined chains
+    pairs: np.ndarray  # ascending keys i * len(ids) + j, i < j, of joined chains
     pair_starts: np.ndarray  # offset of each pair's couplers in ``between``
     pair_counts: np.ndarray  # number of couplers of each pair
     between: np.ndarray  # (k, 2) couplers joining two chains, by pair, ascending in one
@@ -239,12 +254,8 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
     it, and each edge needs a coupler between the chains of its endpoints.
     Violation strings are built only for the chains and edges that fail.
     """
-    variables = e.variables()
-    chains = [e.chain(v) for v in variables]
-    lengths = np.fromiter(map(len, chains), np.intp, len(chains))
-    qubits = np.fromiter(itertools.chain.from_iterable(chains), np.int64, lengths.sum())
-    starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(chains)), lengths)  # chain of each entry
+    variables, qubits, lengths = e.ids, e.qubits, e.lengths
+    owner = np.repeat(np.arange(len(variables)), lengths)  # chain of each entry
     # an entry repeats when its chain holds its qubit at an earlier position:
     # sorted by chain, then qubit, ties keeping their position order
     order = np.argsort(qubits, kind="stable")
@@ -287,7 +298,7 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
         label = lower
 
     def per_chain(mask):
-        return np.bincount(owner[mask], minlength=len(chains))
+        return np.bincount(owner[mask], minlength=len(variables))
 
     repeats = per_chain(repeat) > 0
     absent = per_chain(~on_hw) > 0
@@ -296,13 +307,13 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
     disconnected = (lengths > 0) & ~absent & (parts > 1)
     violations = []
     for i in np.flatnonzero((lengths == 0) | repeats | absent | overlaps | disconnected):
-        v, chain = variables[i], chains[i]
-        if not chain:
+        v = int(variables[i])
+        if not lengths[i]:
             violations.append(f"chain {v} is empty")
             continue
         if repeats[i]:
             violations.append(f"chain {v} repeats a qubit")
-        for j, qubit in enumerate(chain, int(starts[i])):
+        for j, qubit in enumerate(e.chain(v), int(e.starts[i])):
             if repeat[j]:
                 continue
             if not on_hw[j]:
@@ -315,26 +326,24 @@ def _chain_couplers(e: Embedding, hw: HardwareGraph, edges) -> _ChainCouplers:
 
     lo = np.minimum(owner[a], owner[b])[~same]
     hi = np.maximum(owner[a], owner[b])[~same]
-    keys = lo * len(chains) + hi
+    keys = lo * len(variables) + hi
     by_pair = np.argsort(keys, kind="stable")  # couplers stay ascending in each pair
     keys = keys[by_pair]
     pair_starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
     pairs = keys[pair_starts]
     pair_counts = np.diff(pair_starts, append=len(keys))
 
-    known = np.array(variables, dtype=np.int64)
-    index = np.searchsorted(known, edges)
-    mapped = np.isin(edges, known).all(axis=1)
-    joined = mapped & np.isin(index[:, 0] * len(chains) + index[:, 1], pairs)
-    for u, v in sorted(map(tuple, edges[~joined].tolist())):
-        if u not in e.chains or v not in e.chains:
-            violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
-        else:
+    index = np.searchsorted(variables, edges)
+    mapped = np.isin(edges, variables).all(axis=1)
+    joined = mapped & np.isin(index[:, 0] * len(variables) + index[:, 1], pairs)
+    failed = zip(map(tuple, edges[~joined].tolist()), mapped[~joined].tolist())
+    for (u, v), both in sorted(failed):
+        if both:
             violations.append(f"logical edge ({u}, {v}) has no inter-chain coupler")
-    return _ChainCouplers(
-        known, qubits, starts, lengths, hw.couplers[c[same]], pairs, pair_starts,
-        pair_counts, hw.couplers[c[~same]][by_pair], violations,
-    )
+        else:
+            violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
+    return _ChainCouplers(hw.couplers[c[same]], pairs, pair_starts, pair_counts,
+                          hw.couplers[c[~same]][by_pair], violations)
 
 
 def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
@@ -409,7 +418,7 @@ def embed_bqm(
     if m.domain != ISING:
         raise ValueError("embed_bqm requires an Ising model; convert QUBO input first")
     require_real(chain_strength, "chain strength", positive=True)
-    unmapped = [v for v in m.variables() if v not in e.chains]
+    unmapped = m.ids[~np.isin(m.ids, e.ids)].tolist()
     if unmapped:
         raise ValueError(f"model variable {unmapped[0]} has no chain in the embedding")
     nonzero = m.j != 0.0
@@ -418,17 +427,17 @@ def embed_bqm(
     if links.violations:
         raise ValueError("invalid embedding: " + "; ".join(links.violations))
 
-    chain = np.searchsorted(links.variables, m.ids)
-    lengths = links.lengths[chain]
-    chained = links.qubits[_ranges(links.starts[chain], lengths)]
+    chain = np.searchsorted(e.ids, m.ids)
+    lengths = e.lengths[chain]
+    chained = e.qubits[_ranges(e.starts[chain], lengths)]
     # counted, not sorted: np.unique would page in more numpy code, and peak RSS counts it
     qubit_ids = np.flatnonzero(np.bincount(np.concatenate([chained, links.inside.ravel()])))
     fields = np.zeros(len(qubit_ids))
     # 0.0 + share, as a sum into a fresh model entry: a -0.0 share gives 0.0
     fields[np.searchsorted(qubit_ids, chained)] = 0.0 + np.repeat(m.h / lengths, lengths)
 
-    u, v = np.searchsorted(links.variables, terms).T
-    pair = np.searchsorted(links.pairs, u * len(links.variables) + v)
+    u, v = np.searchsorted(e.ids, terms).T
+    pair = np.searchsorted(links.pairs, u * len(e.ids) + v)
     counts = links.pair_counts[pair]
     couplers = np.concatenate([links.between[_ranges(links.pair_starts[pair], counts)],
                                links.inside])
@@ -444,13 +453,28 @@ def embedding_to_json(e: Embedding) -> str:
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; ``ValueError`` on a key it lists twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"variable {key!r} is listed twice")
+        doc[key] = value
+    return doc
+
+
 def embedding_from_json(text: str) -> Embedding:
-    """Read ``embedding_to_json`` output; raises ``ValueError`` on a bad shape."""
-    doc = require_keys(json.loads(text), (), "embedding")
+    """Read ``embedding_to_json`` output; raises ``ValueError`` on a bad
+    shape, on a variable key listed twice or not written as ``str`` writes
+    an id (``"01"``, ``" 2"`` and ``"-0"`` are not), or on a chain entry
+    that is not an id."""
+    doc = require_keys(json.loads(text, object_pairs_hook=_unique_keys), (), "embedding")
     for v, chain in doc.items():
+        if not (re.fullmatch("0|-?[1-9][0-9]*", v) and is_id(int(v))):
+            raise ValueError(f"variable key {v!r} is not an integer id")
         if not isinstance(chain, list):
             raise ValueError(f"the chain of variable {v} must be a list of qubits")
         for q in chain:
-            if not (is_int(q) and -(2**63) <= q < 2**63):
+            if not is_id(q):
                 raise ValueError(f"the chain of variable {v} holds {q!r}, not a qubit id")
-    return Embedding({int(v): tuple(chain) for v, chain in doc.items()})
+    return Embedding.from_chains({int(v): chain for v, chain in doc.items()})

@@ -2,9 +2,11 @@
 
 ``decompose_set`` turns a sample set's whole ``(reads, qubits)`` spin
 array, in one pass, into one ``ReadoutSet`` of ``(reads, chains)``
-arrays; it is the one place that decides whether a chain is broken.  The
-set is the one input of every repair method, and one read is a one-row
-set, ``decompose_set(spins[None], chains, domain)``.  ``decompose``, the
+arrays; it is the one place that decides whether a chain is broken.  It
+reads the chains as ``chain_columns`` gives them: the embedding with each
+qubit replaced by its spin-array column.  The set is the one input of
+every repair method, and one read is a one-row set,
+``decompose_set(spins[None], chains, domain)``.  ``decompose``, the
 one-row case as a list of ``ChainReadout`` records, is called by no
 experiment: it is kept only because the perf harness wraps it by name on
 ``bench`` and ``cli`` and counts chains from its records.  Every repair method returns one row
@@ -29,7 +31,7 @@ import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
 from brokenchains.graphs import Graph
-from brokenchains.topology import ChainColumns
+from brokenchains.topology import Embedding
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,13 @@ class ReadoutSet:
         return len(self.values)
 
 
-def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSet:
+def decompose_set(spins, chains: Embedding, domain: str = ISING) -> ReadoutSet:
     """Every read of a sample set as one ``ReadoutSet``, values mapped into
     ``domain``: the one place that decides whether a chain is broken.
 
     ``spins`` is the set's ``(reads, qubits)`` spin array and ``chains`` the
-    embedding laid over its columns by ``chain_columns``.  A chain is broken
-    when some but not all of its qubits are at +1.  ``ValueError`` on an
+    embedding over its columns that ``chain_columns`` gives.  A chain is
+    broken when some but not all of its qubits are at +1.  ``ValueError`` on an
     unknown domain or an array that is not 2-D; a set of no reads keeps
     ``domain``.
     """
@@ -77,10 +79,10 @@ def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSe
     spins = np.asarray(spins)
     if spins.ndim != 2:
         raise ValueError(f"spins must be a 2-D (reads, qubits) array, not {spins.ndim}-D")
-    high = spins[:, chains.columns] > 0
+    high = spins[:, chains.qubits] > 0
     ones = np.add.reduceat(high, chains.starts, axis=1)
     return ReadoutSet(
-        chains.variables,
+        tuple(chains.variables()),
         np.where(high[:, chains.starts], 1, 0 if domain == QUBO else -1).astype(np.int8),
         (ones > 0) & (ones < chains.lengths),
         ones / chains.lengths,  # the IEEE quotient k / n of each chain
@@ -88,7 +90,7 @@ def decompose_set(spins, chains: ChainColumns, domain: str = ISING) -> ReadoutSe
     )
 
 
-def decompose(spins, chains: ChainColumns, domain: str = ISING) -> list:
+def decompose(spins, chains: Embedding, domain: str = ISING) -> list:
     """The chains of one read as ``ChainReadout`` records in ascending
     variable order: ``decompose_set`` of the one row ``spins``."""
     rs = decompose_set(np.asarray(spins)[None], chains, domain)

@@ -87,11 +87,41 @@ def spin_glass(hw, seed, scale=1.0):
 def intra_chain_couplers(pm):
     """The couplers of ``pm`` with both ends in one chain of its embedding,
     as ascending ``(p, q)`` tuples."""
-    chain_of = {q: v for v, chain in pm.source_embedding.chains.items() for q in chain}
+    chain_of = {q: v for v, chain in chains_of(pm.source_embedding).items() for q in chain}
     return tuple(sorted(
         (p, q) for p, q in pm.ising.pairs.tolist()
         if p in chain_of and chain_of[p] == chain_of.get(q)
     ))
+
+
+def chains_of(e):
+    """The chains of embedding ``e`` as ``{variable: chain}``."""
+    return {v: e.chain(v) for v in e.variables()}
+
+
+def chain_break_probability(p_break, length):
+    """Probability a length-L chain breaks under independent qubit flips."""
+    return 1.0 - p_break**length - (1.0 - p_break) ** length
+
+
+def edge_set(g):
+    """The edges of ``g`` as a frozenset of ``(u, v)`` pairs, ``u < v``."""
+    return frozenset(zip(g.u.tolist(), g.v.tolist()))
+
+
+def neighbors(g, v):
+    """The vertices that share an edge with ``v`` in ``g``."""
+    return frozenset(np.flatnonzero(g.adjacency[v]).tolist())
+
+
+def has_edge(g, u, v):
+    return bool(g.adjacency[u, v])
+
+
+def interaction_graph(m):
+    """The graph on ``0..max variable`` of ``m`` with an edge per nonzero
+    quadratic term."""
+    return Graph(int(m.ids.max(initial=-1)) + 1, m.pairs[m.j != 0.0])
 
 
 def linear_terms(m):

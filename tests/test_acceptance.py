@@ -45,7 +45,6 @@ from brokenchains.graphs import (
 )
 from brokenchains.sampler import (
     AnnealParams,
-    chain_break_probability,
     inject_chain_breaks,
     simulated_anneal,
 )
@@ -71,7 +70,9 @@ from brokenchains.unembed import (
     vertex_cover_rows,
 )
 from conftest import (
+    chain_break_probability,
     complete_graph,
+    edge_set,
     empty_graph,
     hardware_adjacency,
     members,
@@ -131,7 +132,7 @@ class TestCriterion1OracleEquivalence:
             model = build_max_cut_ising(g)
             opt, _ = brute_force("max_cut", g)
             _, states, energies = enumerate_energies(model)
-            assert (len(g.edges) - energies.min()) / 2 == opt
+            assert (len(g.u) - energies.min()) / 2 == opt
 
             model = build_graph_partitioning_ising(g)
             opt, _ = brute_force("graph_partitioning", g)
@@ -139,7 +140,7 @@ class TestCriterion1OracleEquivalence:
             balanced = np.abs(states.sum(axis=1)) <= 1
             best = int(np.argmin(np.where(balanced, energies, np.inf)))
             minus = frozenset(v for v, s in enumerate(states[best]) if s == -1)
-            cut = sum(1 for u, v in g.edges if (u in minus) != (v in minus))
+            cut = sum(1 for u, v in edge_set(g) if (u in minus) != (v in minus))
             assert cut == opt
 
             checked += 1
@@ -437,10 +438,10 @@ class TestCriterion8EmbeddingValidity:
         e = clique_embedding(4 * m + 1, hw)
         violations = validate_embedding(e, complete_graph(4 * m + 1), hw)
         longest = e.max_chain_length()
-        passed = violations == [] and len(e.chains) == 65 and longest == m + 2
+        passed = violations == [] and len(e.ids) == 65 and longest == m + 2
         report(8, passed, f"K65 on C16 max chain length {longest} (target: m+2 = 18)")
         assert violations == []
-        assert len(e.chains) == 65
+        assert len(e.ids) == 65
         assert longest == m + 2 == 18, (
             f"max chain length is {longest}; clique_embedding documents m+2 = 18 "
             "for K_{4m+1} on chimera(16,16,4)"

@@ -22,6 +22,7 @@ from brokenchains.seeding import rng_from
 from conftest import (
     complete_graph,
     cycle_graph,
+    edge_set,
     empty_graph,
     linear_terms,
     path_graph,
@@ -197,7 +198,7 @@ class TestMaxCutBuilder:
         m = build_max_cut_ising(complete_graph(4))
         e = energy(m, {0: 1, 1: 1, 2: -1, 3: -1})
         assert e == -2.0  # 2 same-side pairs minus 4 cross pairs
-        assert (len(complete_graph(4).edges) - e) / 2 == 4
+        assert (len(complete_graph(4).u) - e) / 2 == 4
 
     def test_c5_oracle(self):
         g = cycle_graph(5)
@@ -205,7 +206,7 @@ class TestMaxCutBuilder:
         best_e, _ = exhaustive_minima(m)
         assert best_e == -3.0
         opt, _ = brute_force("max_cut", g)
-        assert (len(g.edges) - best_e) / 2 == opt == 4
+        assert (len(g.u) - best_e) / 2 == opt == 4
 
 
 class TestPartitioningBuilder:
@@ -231,7 +232,7 @@ class TestPartitioningBuilder:
         cuts = set()
         for a in best:
             minus = frozenset(v for v, s in a.items() if s == -1)
-            cut = sum(1 for u, v in g.edges if (u in minus) != (v in minus))
+            cut = sum(1 for u, v in edge_set(g) if (u in minus) != (v in minus))
             cuts.add(cut)
         assert cuts == {opt}
 

@@ -136,7 +136,7 @@ class TestSampleValidation:
         model = build_max_cut_ising(read_edge_list(graph))
         (tmp_path / "model.json").write_text(to_json(model))
         (tmp_path / "embedding.json").write_text("{}")
-        pm = embed_bqm(model, Embedding({}), chimera(2, 2, 4), 1.0)
+        pm = embed_bqm(model, Embedding.from_chains({}), chimera(2, 2, 4), 1.0)
         provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [2, 2, 4]}
         samples = simulated_anneal(pm, AnnealParams(num_reads=2, sweeps=3))
         (tmp_path / "samples.json").write_text(sampleset_to_json(samples, provenance))
@@ -207,7 +207,7 @@ class TestUnembedRejectsMismatchedArtifacts:
 
     @pytest.mark.parametrize("edit", [
         "bad_character", "short_later_row", "short_then_long", "not_a_string", "qubit_order",
-        "num_reads",
+        "num_reads", "qubit_beyond_int64",
     ])
     def test_malformed_samples_exit_2(self, tmp_path, capsys, edit):
         self.sampled(tmp_path)
@@ -225,13 +225,16 @@ class TestUnembedRejectsMismatchedArtifacts:
             reads[1]["spins"] = 5
         elif edit == "num_reads":
             doc["params"]["num_reads"] = 99
+        elif edit == "qubit_beyond_int64":  # still ascending
+            doc["qubits"][-1] = 2**70
         else:
             doc["qubits"][:2] = doc["qubits"][1::-1]
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert self.unembed(tmp_path) == 2
         err = capsys.readouterr().err
-        messages = {"qubit_order": "qubits must be", "num_reads": "samples.json: params.num_reads"}
+        messages = {"qubit_order": "qubits must be", "num_reads": "samples.json: params.num_reads",
+                    "qubit_beyond_int64": "samples.json: qubits must be a list of qubit ids"}
         expect = messages.get(edit, "samples.json: read")
         assert err.startswith("configuration error:") and expect in err
         assert not (tmp_path / "out").exists()
@@ -284,7 +287,7 @@ class TestUnembedRejectsMismatchedArtifacts:
         (("params", "seed"), True, "seed must be an integer, not True"),
         (("params", "beta_range"), 5, "beta_range must be two real numbers, not 5"),
         (("params", "beta_range", 1), "a", "beta_range entry must be a real number, not 'a'"),
-        (("qubits", 3), "a", "qubits must be a list of integers"),
+        (("qubits", 3), "a", "qubits must be a list of qubit ids"),
         (("samples", 1, "energy"), None, "read 1 energy must be a real number, not None"),
         (("samples", 0, "energy"), float("nan"), "read 0 energy must be a real number, not nan"),
         (("provenance", "topology", 0), True,
@@ -369,6 +372,32 @@ class TestUnembedRejectsMismatchedArtifacts:
         err = capsys.readouterr().err
         expect = f"embedding.json: the chain of variable 1 holds {qubit!r}, not a qubit id"
         assert err.startswith("configuration error:") and expect in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["01", " 1", "-0"])
+    def test_non_canonical_variable_key_exit_2(self, tmp_path, capsys, key):
+        # "01" and " 1" used to load as variable 1, and "-0" as variable 0
+        self.sampled(tmp_path)
+        path = tmp_path / "embedding.json"
+        doc = json.loads(path.read_text())
+        doc[key] = doc.pop(key.strip().lstrip("-0") or "0")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        expect = f"embedding.json: variable key {key!r} is not an integer id"
+        assert err.startswith("configuration error:") and expect in err
+        assert not (tmp_path / "out").exists()
+
+    def test_variable_listed_twice_exit_2(self, tmp_path, capsys):
+        self.sampled(tmp_path)
+        path = tmp_path / "embedding.json"
+        text = path.read_text()
+        path.write_text(text.replace('"0": [', '"1": [0], "0": [', 1))
+        capsys.readouterr()
+        assert self.unembed(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "embedding.json: variable '1' is listed twice" in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_embedding_names_the_embedding_file(self, tmp_path, capsys):

@@ -217,11 +217,16 @@ from brokenchains.unembed import (
 )
 from conftest import (
     Bipartition,
+    chains_of,
     coupler_set,
+    edge_set,
     hardware_adjacency,
+    has_edge,
+    interaction_graph,
     intra_chain_couplers,
     linear_terms,
     members,
+    neighbors,
     quadratic_terms,
     row_set,
     sample_set,
@@ -254,7 +259,7 @@ def embeddings(draw):
             break
         chains[v] = order[start : start + length]
         start += length
-    return Embedding(chains)
+    return Embedding.from_chains(chains)
 
 
 FAULTS = ("overlap", "repeat", "off-hardware", "empty", "disconnected")
@@ -266,7 +271,7 @@ def faulty_embeddings(draw):
     of another chain (or of itself), repeats one of its qubits, takes an id
     that is no hardware qubit, is emptied, or becomes two qubits of one
     cell's shore, which share no coupler."""
-    chains = {v: list(c) for v, c in draw(embeddings()).chains.items()}
+    chains = {v: list(c) for v, c in chains_of(draw(embeddings())).items()}
     for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
         v = draw(st.sampled_from(sorted(chains)))
         chain = chains[v]
@@ -284,7 +289,7 @@ def faulty_embeddings(draw):
         elif fault == "disconnected":
             q = draw(st.sampled_from(QUBITS))
             chain[:] = [q, q - q % 4 + (q + 1) % 4]  # the next index on q's shore
-    return Embedding(chains)
+    return Embedding.from_chains(chains)
 
 
 def fault_events(violations):
@@ -318,8 +323,8 @@ def test_decompose_set_equals_stacked_reads(e, rows, domain):
     spins = np.array(rows, dtype=np.int8).reshape(-1, len(QUBITS))
     chains = chain_columns(e, QUBITS)
     got = decompose_set(spins, chains, domain)
-    want = stack((decompose(row, chains, domain) for row in spins), chains.variables)
-    assert got.variables == want.variables == chains.variables
+    want = stack((decompose(row, chains, domain) for row in spins), chains.variables())
+    assert got.variables == want.variables == tuple(chains.variables())
     for name in ("values", "broken", "frac_ones"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
@@ -335,6 +340,47 @@ def test_decompose_set_equals_stacked_reads(e, rows, domain):
         decompose_set(np.zeros(len(QUBITS), np.int8), chains, domain)
     with pytest.raises(ValueError, match="^unknown domain"):
         decompose_set(spins, chains, "spin")
+
+
+def reference_chain_columns(e: Embedding, qubits):
+    """``(variables, columns, starts, lengths)`` of ``e`` over a spin array
+    whose columns are ``qubits``, through a per-qubit dict: the layout
+    ``chain_columns`` gave before it relabelled the embedding itself.
+    ``ValueError`` when a chain qubit is not a column."""
+    column = {q: i for i, q in enumerate(qubits)}
+    chains = [e.chain(v) for v in e.variables()]
+    missing = sorted(q for chain in chains for q in chain if q not in column)
+    if missing:
+        raise ValueError(
+            f"{len(missing)} chain qubits of the embedding are not sample columns,"
+            f" e.g. qubit {missing[0]}"
+        )
+    lengths = [len(chain) for chain in chains]
+    return (e.variables(), [column[q] for chain in chains for q in chain],
+            list(itertools.accumulate([0] + lengths[:-1])) if chains else [], lengths)
+
+
+@PROPERTY
+@given(st.one_of(embeddings(), faulty_embeddings()), st.data())
+def test_chain_columns_matches_dict_reference(e, data):
+    # every qubit, then a random subset of columns, which misses chain
+    # qubits unless it takes every hardware qubit of the chains
+    subset = set(data.draw(st.lists(st.sampled_from(QUBITS), unique=True)))
+    if data.draw(st.booleans()):
+        subset |= set(e.qubits.tolist()) & set(QUBITS)
+    for qubits in (QUBITS, tuple(sorted(subset))):
+        try:
+            want = reference_chain_columns(e, qubits)
+        except ValueError as exc:
+            event("missing qubits")
+            with pytest.raises(ValueError) as info:
+                chain_columns(e, qubits)
+            assert str(info.value) == str(exc)
+            continue
+        got = chain_columns(e, qubits)
+        assert (got.variables(), got.qubits.tolist(), got.starts.tolist(),
+                got.lengths.tolist()) == want
+        assert got.qubits.dtype == np.intp and got.ids is e.ids
 
 
 def reference_random_weighted(readouts, rng):
@@ -708,7 +754,7 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
             assert not row.any()
             continue
         if method == "tailored" and problem == "min_vertex_cover" and any(
-            u in zeros and v in zeros for u, v in g.edges
+            u in zeros and v in zeros for u, v in edge_set(g)
         ):
             assert row.all()
             continue
@@ -757,7 +803,7 @@ def reference_erdos_renyi(n, p, seed):
 
 
 def reference_complement(g):
-    edges = g.edges
+    edges = edge_set(g)
     return Graph(g.n, [(u, v) for u, v in itertools.combinations(g.vertices(), 2)
                        if (u, v) not in edges])
 
@@ -812,7 +858,7 @@ def test_graph_matches_set_normalisation(case, other_case):
     pairs = {(min(u, v), max(u, v)) for u, v in edges}
     g = Graph(n, edges)
     assert list(zip(g.u.tolist(), g.v.tolist())) == sorted(pairs)
-    assert g.u.dtype.kind == g.v.dtype.kind == "i" and g.edges == pairs
+    assert g.u.dtype.kind == g.v.dtype.kind == "i" and edge_set(g) == pairs
     expect = np.zeros((n + 1, n + 1))
     for u, v in pairs:
         expect[u, v] = expect[v, u] = 1.0
@@ -842,16 +888,16 @@ def test_brute_force_row_scores_its_value(n, density, seed):
 
 
 def reference_is_clique(g, s):
-    edges = g.edges
+    edges = edge_set(g)
     return all((min(u, v), max(u, v)) in edges for u, v in itertools.combinations(set(s), 2))
 
 
 def reference_is_vertex_cover(g, s):
-    return all(u in s or v in s for u, v in g.edges)
+    return all(u in s or v in s for u, v in edge_set(g))
 
 
 def reference_cut_size(g, b):
-    return sum(1 for u, v in g.edges if (u in b.side_minus) != (v in b.side_minus))
+    return sum(1 for u, v in edge_set(g) if (u in b.side_minus) != (v in b.side_minus))
 
 
 @PROPERTY
@@ -859,7 +905,7 @@ def reference_cut_size(g, b):
 def test_graph_arrays_match_edge_scans(g, data):
     # the queries read the adjacency matrix, so check them against scans of
     # the edges; the matrix's dummy vertex n is isolated
-    edges = g.edges
+    edges = edge_set(g)
     a = g.adjacency
     assert a.shape == (g.n + 1, g.n + 1) and a.dtype == np.float64
     assert not a[g.n].any() and not a[:, g.n].any()
@@ -869,8 +915,6 @@ def test_graph_arrays_match_edge_scans(g, data):
     for v in g.vertices():
         expect = {u for u in g.vertices() if (min(u, v), max(u, v)) in edges}
         assert a[v, : g.n].tolist() == [float(u in expect) for u in g.vertices()]
-        assert g.neighbors(v) == expect and g.degree(v) == len(expect)
-        assert [g.has_edge(v, u) for u in g.vertices()] == [u in expect for u in g.vertices()]
     assert g.max_degree() == max(
         sum(1 for edge in edges if v in edge) for v in g.vertices()
     )
@@ -879,7 +923,7 @@ def test_graph_arrays_match_edge_scans(g, data):
     # grow a clique and a cover out of the subset, so that both answers occur
     clique = []
     for v in subset:
-        if all(g.has_edge(u, v) for u in clique):
+        if all(has_edge(g, u, v) for u in clique):
             clique.append(v)
     cover = set(subset) | {u for u, v in edges if u not in subset and v not in subset}
     cover -= set(data.draw(st.lists(vertices, max_size=2)))
@@ -926,7 +970,7 @@ def witness_rows_of(draw, g):
             for v in order:
                 # a clique takes v when adjacent to all chosen, an independent
                 # set when adjacent to none
-                adjacent = [g.has_edge(u, v) for u in chosen]
+                adjacent = [has_edge(g, u, v) for u in chosen]
                 if all(adjacent) if kind == "clique" else not any(adjacent):
                     chosen.append(v)
             row = [(v in chosen) == (kind == "clique") for v in range(g.n)]
@@ -978,12 +1022,12 @@ def reference_unembed_max_clique(readouts, g, rng):
     broken = {r.variable for r in readouts if r.broken}
     while broken:
         candidates = [
-            x for x in broken if all(g.has_edge(x, u) for u in clique)
+            x for x in broken if all(has_edge(g, x, u) for u in clique)
         ]
         if not candidates:
             break
         cand_set = set(candidates)
-        degree_in = {x: len(g.neighbors(x) & cand_set) for x in candidates}
+        degree_in = {x: len(neighbors(g, x) & cand_set) for x in candidates}
         top = max(degree_in.values())
         pool = [x for x in candidates if degree_in[x] == top]
         pick = max(pool, key=lambda x: (by_var[x].frac_ones, -x))
@@ -999,7 +1043,7 @@ def reference_unembed_max_cut(readouts, g, rng):
     order = rng.permutation(sorted(r.variable for r in readouts if r.broken))
     for x in order:
         x = int(x)
-        placed = [u for u in g.neighbors(x) if u in side]
+        placed = [u for u in neighbors(g, x) if u in side]
         deg_minus = sum(1 for u in placed if side[u] == -1)
         deg_plus = len(placed) - deg_minus
         if deg_minus < deg_plus:
@@ -1031,7 +1075,7 @@ def reference_unembed_graph_partitioning(readouts, g, rng):
     remaining = list(order)
     while remaining and size(-1) < cap and size(1) < cap:
         x = remaining.pop(0)
-        placed = [u for u in g.neighbors(x) if u in side]
+        placed = [u for u in neighbors(g, x) if u in side]
         deg_minus = sum(1 for u in placed if side[u] == -1)
         deg_plus = len(placed) - deg_minus
         if deg_minus > deg_plus:
@@ -1059,20 +1103,20 @@ def reference_unembed_vertex_cover(readouts, g, rng):
     by_var = {r.variable: r for r in readouts}
     cover = {r.variable for r in readouts if not r.broken and r.value == 1}
     zeros = {r.variable for r in readouts if not r.broken and r.value == 0}
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         if u in zeros and v in zeros:
             return frozenset(g.vertices())
     remaining = {r.variable for r in readouts if r.broken}
-    forced = {x for x in remaining if g.neighbors(x) & zeros}
+    forced = {x for x in remaining if neighbors(g, x) & zeros}
     cover |= forced
     remaining -= forced
     while remaining:
         v = max(
             remaining,
-            key=lambda v: (len(g.neighbors(v) & remaining) + by_var[v].frac_ones, -v),
+            key=lambda v: (len(neighbors(g, v) & remaining) + by_var[v].frac_ones, -v),
         )
         remaining.remove(v)
-        if g.neighbors(v) & zeros:
+        if neighbors(g, v) & zeros:
             cover.add(v)
         else:
             zeros.add(v)
@@ -1133,8 +1177,8 @@ def cover_read(rng, g, kind):
                          int(rng.integers(1, length)) / length)
             for v, length in enumerate(lengths)
         ]
-    if kind == "uncoverable" and g.edges:
-        u, w = sorted(g.edges)[int(rng.integers(len(g.edges)))]
+    if kind == "uncoverable" and edge_set(g):
+        u, w = sorted(edge_set(g))[int(rng.integers(len(g.u)))]
         for v in (u, w):
             readouts[v] = ChainReadout(v, 0, QUBO, False, 0.0)
     return readouts
@@ -1174,7 +1218,7 @@ def set_read(rng, g, domain, kind):
         ]
     p_break = 0.0 if kind == "intact" else rng.random()
     readouts = random_readouts(rng, g.n, domain, p_break, 1.0 if kind == "capped" else rng.random())
-    non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if not has_edge(g, u, v)]
     if kind == "non-clique" and non_edges:
         for v in non_edges[int(rng.integers(len(non_edges)))]:
             readouts[v] = ChainReadout(v, 1, domain, False, 1.0)
@@ -1561,8 +1605,8 @@ def reference_violations(e: Embedding, logical: Graph, hw):
                         frontier.append(nb)
             if reached != members:
                 violations.append(f"chain {v} is disconnected")
-    for u, v in sorted(logical.edges):
-        if u not in e.chains or v not in e.chains:
+    for u, v in sorted(edge_set(logical)):
+        if u not in e.variables() or v not in e.variables():
             violations.append(f"logical edge ({u}, {v}) has an unmapped endpoint")
             continue
         cu, cv = set(e.chain(u)), set(e.chain(v))
@@ -1618,10 +1662,10 @@ def test_embed_bqm_matches_pair_loop_reference(e, data, chain_strength):
     variables = data.draw(st.one_of(
         st.just(e.variables()), st.lists(st.sampled_from(e.variables()), unique=True)
     ))
-    event("all variables" if len(variables) == len(e.chains) else "some variables")
+    event("all variables" if len(variables) == len(e.ids) else "some variables")
     model = random_model(data.draw, variables)
-    problems = validate_embedding(e, model.interaction_graph(), HW)
-    assert problems == reference_violations(e, model.interaction_graph(), HW)
+    problems = validate_embedding(e, interaction_graph(model), HW)
+    assert problems == reference_violations(e, interaction_graph(model), HW)
     event("invalid" if problems else "valid")
     fault_events(problems)
     if problems:
@@ -1644,14 +1688,14 @@ def any_embeddings(draw):
     """Chains over chimera(2,2,4) qubits and four absent ids (32-35) that may
     be empty, repeat a qubit or share qubits with other chains."""
     chain = st.lists(st.integers(0, len(QUBITS) + 3), max_size=5)
-    return Embedding(draw(st.dictionaries(st.integers(0, 9), chain, max_size=6)))
+    return Embedding.from_chains(draw(st.dictionaries(st.integers(0, 9), chain, max_size=6)))
 
 
 @PROPERTY
 @given(st.one_of(any_embeddings(), faulty_embeddings()), st.data())
 def test_validate_embedding_matches_reference(e, data):
     # edge endpoints: the chained variables and two without a chain
-    pairs = list(itertools.combinations(sorted(e.chains) + [100, 101], 2))
+    pairs = list(itertools.combinations(e.variables() + [100, 101], 2))
     logical = Graph(102, data.draw(st.lists(st.sampled_from(pairs), max_size=12)))
     problems = validate_embedding(e, logical, HW)
     assert problems == reference_violations(e, logical, HW)

@@ -11,7 +11,6 @@ from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
     anneal_grid,
-    chain_break_probability,
     inject_chain_breaks,
     sampleset_from_json,
     sampleset_to_csv,
@@ -30,7 +29,15 @@ from brokenchains.topology import (
 )
 from brokenchains.unembed import decompose
 from brokenchains.graphs import erdos_renyi
-from conftest import complete_graph, one_read, path_graph, sample_set, spin_glass, spins_of
+from conftest import (
+    chain_break_probability,
+    complete_graph,
+    one_read,
+    path_graph,
+    sample_set,
+    spin_glass,
+    spins_of,
+)
 
 
 def logical_pm(model):
@@ -187,7 +194,7 @@ class TestInjectChainBreaks:
     def test_qubit_outside_the_chains(self):
         # qubit 2 carries a field, but no chain of the embedding holds it
         ising = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
-        pm = PhysicalModel(ising, 1.0, Embedding({0: (0, 1)}))
+        pm = PhysicalModel(ising, 1.0, Embedding.from_chains({0: (0, 1)}))
         with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
             inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 
@@ -18,8 +20,10 @@ from brokenchains.topology import (
     validate_embedding,
 )
 from conftest import (
+    chains_of,
     complete_graph,
     coupler_set,
+    edge_set,
     intra_chain_couplers,
     linear_terms,
     quadratic_terms,
@@ -80,14 +84,14 @@ class TestCliqueEmbedding:
     def test_fig_one_shape(self):
         hw = chimera(4, 4, 4)
         e = clique_embedding(16, hw)
-        assert len(e.chains) == 16
+        assert len(e.ids) == 16
         assert all(len(e.chain(v)) == 5 for v in e.variables())
         assert validate_embedding(e, complete_graph(16), hw) == []
 
     def test_maximal_clique_on_full_chimera(self):
         hw = chimera(16, 16, 4)
         e = clique_embedding(65, hw)
-        assert len(e.chains) == 65
+        assert len(e.ids) == 65
         assert e.max_chain_length() == 18
         assert validate_embedding(e, complete_graph(65), hw) == []
 
@@ -103,7 +107,7 @@ class TestCliqueEmbedding:
     def test_two_chains_single_cell(self):
         hw = chimera(1, 1, 4)
         e = clique_embedding(2, hw)
-        assert len(e.chains) == 2
+        assert len(e.ids) == 2
         assert all(1 <= len(e.chain(v)) <= 2 for v in e.variables())
         assert validate_embedding(e, complete_graph(2), hw) == []
 
@@ -133,34 +137,34 @@ class TestCliqueEmbedding:
 class TestValidateEmbedding:
     def test_overlap_detected(self):
         hw = chimera(1, 1, 4)
-        e = Embedding({0: (0, 4), 1: (4, 1)})
+        e = Embedding.from_chains({0: (0, 4), 1: (4, 1)})
         logical = Graph(2, [(0, 1)])
         assert any("overlap" in v for v in validate_embedding(e, logical, hw))
 
     def test_disconnected_chain(self):
         hw = chimera(1, 1, 4)
         # two horizontal-shore qubits share no coupler inside a cell
-        e = Embedding({0: (0, 1)})
+        e = Embedding.from_chains({0: (0, 1)})
         out = validate_embedding(e, Graph(1, []), hw)
         assert any("disconnected" in v for v in out)
 
     def test_missing_logical_edge(self):
         hw = chimera(1, 1, 4)
         # chains {h0},{h1},{v0}: h0-h1 share no coupler
-        e = Embedding({0: (0,), 1: (1,), 2: (4,)})
+        e = Embedding.from_chains({0: (0,), 1: (1,), 2: (4,)})
         logical = complete_graph(3)
         out = validate_embedding(e, logical, hw)
         assert any("no inter-chain coupler" in v for v in out)
 
     def test_unknown_qubit(self):
         hw = chimera(1, 1, 4)
-        out = validate_embedding(Embedding({0: (99,)}), Graph(1, []), hw)
+        out = validate_embedding(Embedding.from_chains({0: (99,)}), Graph(1, []), hw)
         assert any("absent" in v for v in out)
 
     def test_repeated_qubit_reported_once(self):
         hw = chimera(1, 1, 4)
         # h0 and v0 share a coupler, so only the repeat of qubit 0 is at fault
-        e = Embedding({0: (0, 4, 0, 0), 1: (5, 99, 99)})
+        e = Embedding.from_chains({0: (0, 4, 0, 0), 1: (5, 99, 99)})
         assert validate_embedding(e, Graph(2, []), hw) == [
             "chain 0 repeats a qubit",
             "chain 1 repeats a qubit",
@@ -206,7 +210,7 @@ class TestEmbedBqm:
     def test_identity_embedding_is_noop(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 0.5, 1: -1.0}, {(0, 1): 0.75}, offset=0.25)
         hw = chimera(1, 1, 4)
-        e = Embedding({0: (0,), 1: (4,)})
+        e = Embedding.from_chains({0: (0,), 1: (4,)})
         pm = embed_bqm(m, e, hw, 1.0)
         assert linear_terms(pm.ising) == {0: 0.5, 4: -1.0}
         assert quadratic_terms(pm.ising) == {(0, 4): 0.75}
@@ -215,7 +219,7 @@ class TestEmbedBqm:
     def test_two_qubit_chain_split(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {})
         hw = chimera(1, 1, 4)
-        e = Embedding({0: (0, 4)})  # horizontal 0 + vertical 0
+        e = Embedding.from_chains({0: (0, 4)})  # horizontal 0 + vertical 0
         pm = embed_bqm(m, e, hw, 3.0)
         assert linear_terms(pm.ising) == {0: 0.5, 4: 0.5}
         assert quadratic_terms(pm.ising) == {(0, 4): -3.0}
@@ -240,7 +244,7 @@ class TestEmbedBqm:
     def test_rejects_invalid_embedding(self):
         m = build_max_cut_ising(complete_graph(3))
         hw = chimera(1, 1, 4)
-        bad = Embedding({0: (0,), 1: (1,), 2: (4,)})
+        bad = Embedding.from_chains({0: (0,), 1: (1,), 2: (4,)})
         with pytest.raises(ValueError):
             embed_bqm(m, bad, hw, 1.0)
 
@@ -257,7 +261,7 @@ class TestEmbedBqm:
     def test_zero_coupler_needs_no_inter_chain_coupler(self):
         # horizontal qubits 0 and 1 share no coupler; a zero J_01 asks for none
         m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.0})
-        pm = embed_bqm(m, Embedding({0: (0,), 1: (1,)}), chimera(1, 1, 4), 1.0)
+        pm = embed_bqm(m, Embedding.from_chains({0: (0,), 1: (1,)}), chimera(1, 1, 4), 1.0)
         assert linear_terms(pm.ising) == {0: 1.0, 1: -1.0}
         assert quadratic_terms(pm.ising) == {}
 
@@ -279,7 +283,7 @@ class TestEmbedBqm:
         g = complete_graph(16)
         rng = rng_from(99)
         linear = {v: float(rng.uniform(-1, 1)) for v in range(16)}
-        quadratic = {(u, v): float(rng.uniform(-1, 1)) for u, v in g.edges}
+        quadratic = {(u, v): float(rng.uniform(-1, 1)) for u, v in edge_set(g)}
         m = BinaryQuadraticModel.from_terms(ISING, linear, quadratic, offset=0.5)
         hw = chimera(4, 4, 4)
         e = clique_embedding(16, hw)
@@ -299,7 +303,7 @@ class TestEmbeddingSerialization:
     def test_round_trip(self):
         e = clique_embedding(9, chimera(2, 2, 4))
         back = embedding_from_json(embedding_to_json(e))
-        assert back.chains == e.chains
+        assert chains_of(back) == chains_of(e)
 
     @pytest.mark.parametrize("qubit", ["true", '"3"', "2.0", "null", "[4]", str(2**63)])
     def test_non_integer_qubit_rejected(self, qubit):
@@ -311,3 +315,31 @@ class TestEmbeddingSerialization:
         e = embedding_from_json('{"0": [-1]}')
         out = validate_embedding(e, Graph(1, []), chimera(1, 1, 4))
         assert out == ["chain 0 uses qubit -1 absent from hardware"]
+
+    @pytest.mark.parametrize("key", ["01", " 2", "2 ", "-0", "+1", "1.0", "x", "", str(2**63)])
+    def test_non_canonical_variable_key_rejected(self, key):
+        text = json.dumps({"1": [0], key: [4]})
+        with pytest.raises(ValueError, match=f"^variable key {re.escape(repr(key))} is not"):
+            embedding_from_json(text)
+
+    def test_key_listed_twice_rejected(self):
+        # the later chain used to replace the earlier one without a word
+        with pytest.raises(ValueError, match=r"^variable '1' is listed twice$"):
+            embedding_from_json('{"1": [0], "0": [5], "1": [4]}')
+
+    def test_negative_variable_key_accepted(self):
+        assert chains_of(embedding_from_json('{"-3": [0], "2": [4]}')) == {-3: (0,), 2: (4,)}
+
+
+class TestEmbeddingArrays:
+    def test_chains_laid_out_in_variable_order(self):
+        e = Embedding.from_chains({5: (9, 1), 2: (3,), 7: ()})
+        assert e.ids.tolist() == [2, 5, 7] == e.variables()
+        assert e.qubits.tolist() == [3, 9, 1]
+        assert (e.starts.tolist(), e.lengths.tolist()) == ([0, 1, 3], [1, 2, 0])
+        assert (e.chain(5), e.chain(7), e.max_chain_length()) == ((9, 1), (), 2)
+        for array in (e.ids, e.qubits, e.starts, e.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+        with pytest.raises(KeyError):
+            e.chain(3)
