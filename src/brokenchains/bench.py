@@ -87,6 +87,7 @@ from brokenchains.unembed import (
     majority_vote,
     minimize_energy,
     random_weighted,
+    require_vertices,
     unembed_tailored,
 )
 
@@ -282,20 +283,16 @@ def repair(method: str, rs: ReadoutSet, problem: str, g: Graph, model, seed: int
     ``rng_from(derive_seed(seed, STREAM_WEIGHTED, r))`` (or
     ``STREAM_TAILORED``), which ``streams`` builds in read order.
     """
-    if rs.variables != tuple(g.vertices()):
-        raise ValueError(f"variables are not the vertices 0..{g.n - 1}")
+    require_vertices(rs, g)
     if method == "majority_vote":
-        values = majority_vote(rs)
-    elif method == "random_weighted":
-        values = random_weighted(rs, streams(seed, STREAM_WEIGHTED, 0))
-    elif method == "minimize_energy":
-        values = minimize_energy(rs, model)
-    elif method == "tailored":
+        return majority_vote(rs)
+    if method == "random_weighted":
+        return random_weighted(rs, streams(seed, STREAM_WEIGHTED, 0))
+    if method == "minimize_energy":
+        return minimize_energy(rs, model)
+    if method == "tailored":
         return unembed_tailored(rs, g, problem, streams(seed, STREAM_TAILORED, 0))
-    else:
-        raise ValueError(f"unknown repair method {method!r}")
-    # 1 / +1 is the value-1 set or the plus side in either domain
-    return values == 1
+    raise ValueError(f"unknown repair method {method!r}")
 
 
 @dataclass
@@ -367,7 +364,7 @@ def run_graph_pipeline(
     chains = chain_columns(embedding, sample_sets[0].qubits)
     runs = []
     for chain_strength, samples in zip(chain_strengths, sample_sets):
-        rs = decompose_set(samples.spins, chains, problem_model.domain)
+        rs = decompose_set(samples.spins, chains)
         witnesses = {
             name: repair(name, rs, config.problem, g, problem_model, graph_seed)
             for name in methods
@@ -401,10 +398,18 @@ def chain_strength_setting(experiment: str, config: ExperimentConfig):
     """The chain strength an experiment runs at, with its default resolved.
 
     fig2 defaults to ``FIG2_CHAIN_STRENGTH`` of the problem, fig3 to
-    ``"utc"``; fig4 runs at every strength of its grid.
+    ``"utc"``; fig4 runs at every strength of its grid, which must not be
+    empty.  ``ValueError`` naming a setting the experiment does not read.
     """
+    grid = config.chain_strength_grid
     if experiment == "fig4":
-        return list(config.chain_strength_grid)
+        if config.chain_strength is not None:
+            raise ValueError(f"fig4 does not read chain_strength {config.chain_strength!r}")
+        if not grid:
+            raise ValueError("fig4 requires a chain_strength_grid")
+        return list(grid)
+    if grid:
+        raise ValueError(f"{experiment} does not read chain_strength_grid {grid!r}")
     if config.chain_strength is not None:
         return config.chain_strength
     return FIG2_CHAIN_STRENGTH[config.problem] if experiment == "fig2" else "utc"
@@ -491,11 +496,10 @@ def run_fig4(config: ExperimentConfig):
     before embedding.
     """
     config.validate()
-    if not config.chain_strength_grid:
-        raise ValueError("run_fig4 requires a chain_strength_grid")
+    strengths = chain_strength_setting("fig4", config)
     scale = config.problem == "graph_partitioning"
     rows = []
-    for density, _, run in _graph_runs(config, config.chain_strength_grid, ("tailored",), scale):
+    for density, _, run in _graph_runs(config, strengths, ("tailored",), scale):
         objective, feasible = aggregate_objective(config, run, "tailored")
         rows.append(_row(config, density, run, "tailored", objective=objective, feasible=feasible))
     k = config.graphs_per_density

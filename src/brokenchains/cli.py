@@ -241,7 +241,7 @@ def cmd_unembed(args):
     _check_provenance(args, samples, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
-    rs = decompose_set(samples.spins, chains, model.domain)
+    rs = decompose_set(samples.spins, chains)
     witnesses = bench.repair(method, rs, args.problem, g, model, args.seed)
     objectives, feasible = score_rows(args.problem, g, witnesses)
     broken = rs.broken.sum(axis=1).tolist()
@@ -354,7 +354,9 @@ def _validate_args(args):
     """Config-level checks that should fail fast with exit code 2."""
     command = args.command
     if command in ("fig2", "fig3", "fig4"):
-        _config_from_args(args).validate()
+        config = _config_from_args(args)
+        config.validate()
+        bench.chain_strength_setting(command, config)
     if command == "gen":
         require_probability(args.density, "density")
         require_int(args.n, "n", positive=True)

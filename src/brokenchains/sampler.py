@@ -150,7 +150,7 @@ class AnnealParams:
 class SampleSet:
     """Reads of one model: ``spins[r, i]`` is read ``r``'s spin on ``qubits[i]``."""
 
-    qubits: tuple  # ascending qubit ids
+    qubits: np.ndarray  # read-only int64 ascending qubit ids: the physical model's ids
     spins: np.ndarray  # (reads, len(qubits)) int8 of -1 | +1
     # float64, one per read, or a function of no arguments computing them from
     # ``spins``, which ``energies`` calls the first time it is read
@@ -343,8 +343,7 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         for rows, out in zip(row_of, spins):
             out[start : start + len(rngs)] = states[rows].T
     return [
-        SampleSet(tuple(pm.qubits()), out, functools.partial(_block_energies, pm.ising, out),
-                  params, pm)
+        SampleSet(pm.ising.ids, out, functools.partial(_block_energies, pm.ising, out), params, pm)
         for pm, out in zip(pms, spins)
     ]
 
@@ -400,7 +399,7 @@ def inject_chain_breaks(
     variables = columns_of(e.ids, logical.qubits)  # each chain's logical column
     if not np.all(np.abs(logical.spins) == 1):
         raise ValueError("logical samples must be Ising spins (-1/+1)")
-    qubits = tuple(pm.qubits())
+    qubits = pm.ising.ids
     chains = chain_columns(e, qubits)
     if len(chains.qubits) != len(qubits):
         raise ValueError("the physical model has qubits outside the chains")
@@ -440,7 +439,7 @@ def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
     if provenance is not None:
         doc["provenance"] = provenance
     doc.update(
-        qubits=list(ss.qubits),
+        qubits=ss.qubits.tolist(),
         params={
             "num_reads": ss.params.num_reads,
             "sweeps": ss.params.sweeps,
@@ -455,8 +454,8 @@ def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
-    """Read ``sampleset_to_json`` output.
+def sampleset_from_json(text: str) -> SampleSet:
+    """Read ``sampleset_to_json`` output, with no physical model attached.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
     on ``params`` that ``AnnealParams`` rejects, on an energy that is not a
@@ -477,9 +476,10 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     qubits = doc["qubits"]
     if not (isinstance(qubits, list) and all(map(is_id, qubits))):
         raise ValueError("qubits must be a list of qubit ids")
-    qubits = tuple(qubits)
-    if list(qubits) != sorted(set(qubits)):
+    if qubits != sorted(set(qubits)):
         raise ValueError("qubits must be distinct and ascending")
+    qubits = np.array(qubits, dtype=np.int64)
+    qubits.flags.writeable = False
     p = require_keys(doc["params"], ("num_reads", "sweeps", "beta_range", "seed"), "params")
     params = AnnealParams(p["num_reads"], p["sweeps"], p["beta_range"], p["seed"])
     records = doc["samples"]
@@ -502,7 +502,7 @@ def sampleset_from_json(text: str, pm: PhysicalModel = None) -> SampleSet:
     chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), len(qubits))
     energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
-    return SampleSet(qubits, spins, energies, params, pm, doc["model_hash"], provenance)
+    return SampleSet(qubits, spins, energies, params, None, doc["model_hash"], provenance)
 
 
 def sampleset_to_csv(ss: SampleSet) -> str:

@@ -144,7 +144,7 @@ def columns_of(chained, qubits) -> np.ndarray:
     The one check that a sample set holds every chain qubit: raises
     ``ValueError`` when a chained qubit is not a column.
     """
-    qubits = np.array(qubits, dtype=np.int64)
+    qubits = np.asarray(qubits, dtype=np.int64)
     columns = np.searchsorted(qubits, chained)
     found = columns < len(qubits)
     found[found] = qubits[columns[found]] == chained[found]

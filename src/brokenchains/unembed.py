@@ -2,19 +2,16 @@
 
 ``decompose_set`` turns a sample set's whole ``(reads, qubits)`` spin
 array, in one pass, into one ``ReadoutSet`` of ``(reads, chains)``
-arrays; it is the one place that decides whether a chain is broken.  It
-reads the chains as ``chain_columns`` gives them: the embedding with each
-qubit replaced by its spin-array column.  The set is the one input of
-every repair method, and one read is a one-row set,
-``decompose_set(spins[None], chains, domain)``.  ``decompose``, the
-one-row case as a list of ``ChainReadout`` records, is called by no
-experiment: it is kept only because the perf harness wraps it by name on
-``bench`` and ``cli`` and counts chains from its records.  Every repair method returns one row
-per read: values in the model's domain from majority vote, random
-weighting and minimize energy, and a feasible witness from the tailored
-algorithms, over the graph's vertices ``0..n-1``: True on the value-1 set
-of a clique or cover (QUBO readouts) or on the plus side of a cut or
-partition (Ising).  Values fixed by unbroken chains are never revisited.
+arrays; it is the one place that decides whether a chain is broken.  The
+set is the one input of every repair method, and one read is a one-row
+set, ``decompose_set(spins[None], chains)``.  ``decompose``, the one-row
+case as a list of ``ChainReadout`` records, is called by no experiment:
+it is kept only because the perf harness wraps it by name on ``bench``
+and ``cli`` and counts chains from its records.  Every repair method
+returns one boolean witness row per read, True on a chain whose repaired
+first qubit is at +1: the value-1 set of a clique or cover, or the plus
+side of a cut or partition.  Values fixed by unbroken chains are never
+revisited.
 
 The greedy algorithms run all reads at once: each step takes, in every
 read, what the one-read definition takes next, so no read depends on the
@@ -45,59 +42,56 @@ class ChainReadout:
     frac_ones: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutSet:
     """Every read of a sample set as ``(reads, chains)`` arrays, row ``r``
-    for read ``r`` and column ``i`` for chain ``variables[i]`` (ascending):
-    int8 ``values``, the chain's first qubit in ``domain``; bool
-    ``broken``, whether its qubits disagree; float64 ``frac_ones``, the
-    fraction of them at 1 / +1.  ``len`` is the number of reads.  Repair
-    methods never write the arrays, so one set feeds every method."""
+    for read ``r`` and column ``i`` for chain ``ids[i]`` of the embedding's
+    read-only ``ids``: bool ``high``, its first qubit at +1 (value 1 in a
+    QUBO); bool ``broken``, its qubits disagree; float64 ``frac_ones``, the
+    share of them at +1.  ``len`` is the number of reads; no method writes."""
 
-    variables: tuple
-    values: np.ndarray
+    ids: np.ndarray
+    high: np.ndarray
     broken: np.ndarray
     frac_ones: np.ndarray
-    domain: str
 
     def __len__(self):
-        return len(self.values)
+        return len(self.high)
 
 
-def decompose_set(spins, chains: Embedding, domain: str = ISING) -> ReadoutSet:
-    """Every read of a sample set as one ``ReadoutSet``, values mapped into
-    ``domain``: the one place that decides whether a chain is broken.
+def decompose_set(spins, chains: Embedding) -> ReadoutSet:
+    """Every read of a sample set as one ``ReadoutSet``: the one place that
+    decides whether a chain is broken.
 
     ``spins`` is the set's ``(reads, qubits)`` spin array and ``chains`` the
     embedding over its columns that ``chain_columns`` gives.  A chain is
-    broken when some but not all of its qubits are at +1.  ``ValueError`` on an
-    unknown domain or an array that is not 2-D; a set of no reads keeps
-    ``domain``.
+    broken when some but not all of its qubits are at +1.  ``ValueError`` on
+    an array that is not 2-D.
     """
-    if domain not in (ISING, QUBO):
-        raise ValueError(f"unknown domain {domain!r}")
     spins = np.asarray(spins)
     if spins.ndim != 2:
         raise ValueError(f"spins must be a 2-D (reads, qubits) array, not {spins.ndim}-D")
     high = spins[:, chains.qubits] > 0
     ones = np.add.reduceat(high, chains.starts, axis=1)
     return ReadoutSet(
-        tuple(chains.variables()),
-        np.where(high[:, chains.starts], 1, 0 if domain == QUBO else -1).astype(np.int8),
+        chains.ids,
+        high[:, chains.starts],
         (ones > 0) & (ones < chains.lengths),
         ones / chains.lengths,  # the IEEE quotient k / n of each chain
-        domain,
     )
 
 
 def decompose(spins, chains: Embedding, domain: str = ISING) -> list:
-    """The chains of one read as ``ChainReadout`` records in ascending
-    variable order: ``decompose_set`` of the one row ``spins``."""
-    rs = decompose_set(np.asarray(spins)[None], chains, domain)
+    """``decompose_set`` of the one row ``spins`` as ``ChainReadout`` records
+    in ascending variable order, a high chain valued 1 in ``domain``."""
+    if domain not in (ISING, QUBO):
+        raise ValueError(f"unknown domain {domain!r}")
+    low = 0 if domain == QUBO else -1
+    rs = decompose_set(np.asarray(spins)[None], chains)
     return [
-        ChainReadout(v, x, domain, b, f)
+        ChainReadout(v, 1 if x else low, domain, b, f)
         for v, x, b, f in zip(
-            rs.variables, rs.values[0].tolist(), rs.broken[0].tolist(), rs.frac_ones[0].tolist()
+            rs.ids.tolist(), rs.high[0].tolist(), rs.broken[0].tolist(), rs.frac_ones[0].tolist()
         )
     ]
 
@@ -112,14 +106,14 @@ def _generators(rngs, reads: int) -> list:
 
 
 def majority_vote(rs: ReadoutSet) -> np.ndarray:
-    """Per chain, the most common value; exact ties go to 1 / +1.  One int8
-    row of values per read, in ascending variable order."""
-    return np.where(rs.frac_ones >= 0.5, 1, 0 if rs.domain == QUBO else -1).astype(np.int8)
+    """Per chain, the most common side; exact ties go high.  One boolean
+    row per read, in ascending variable order."""
+    return rs.frac_ones >= 0.5
 
 
 def random_weighted(rs: ReadoutSet, rngs) -> np.ndarray:
-    """Broken chains draw 1 / +1 with probability equal to their fraction of
-    ones; unbroken chains keep their value.  One int8 row per read.
+    """Broken chains draw high with probability equal to their fraction of
+    ones; unbroken chains keep their side.  One boolean row per read.
 
     ``rngs`` yields read ``r``'s generator in read order, one for every
     read (``ValueError`` naming the first read without one).  Read ``r`` draws one uniform per broken chain in ascending
@@ -133,10 +127,10 @@ def random_weighted(rs: ReadoutSet, rngs) -> np.ndarray:
     draws = np.empty(counts.sum())
     for start, end, rng in zip((ends - counts).tolist(), ends.tolist(), generators):
         rng.random(out=draws[start:end])
-    out = rs.values.copy()
+    out = rs.high.copy()
     # a boolean mask visits cells row by row, so read r's draws fill its
     # broken chains in ascending variable order
-    out[broken] = np.where(draws < rs.frac_ones[broken], 1, 0 if rs.domain == QUBO else -1)
+    out[broken] = draws < rs.frac_ones[broken]
     return out
 
 
@@ -156,7 +150,7 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     """Greedy chain repair by largest energy swing first, row by row.
 
     ``rs`` must be over the model's variables (``ValueError`` otherwise);
-    the result is an int8 ``(reads, variables)`` array of values.
+    one boolean row per read.  High chains count as 1, low ones as 0 (QUBO) or -1 (Ising).
 
     With the unbroken chains fixed, each broken chain i gets the partial
     model values v_i(low), v_i(high) obtained by adding chain i at its low
@@ -168,9 +162,11 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     receives its additions in the order a one-read greedy makes them
     (quadratic terms in model order, then one per fix).
     """
-    if rs.variables != tuple(logical_model.variables()):
+    if not np.array_equal(rs.ids, logical_model.ids):
         raise ValueError("variables are not the model variables")
-    m = len(rs.variables)
+    m = len(rs.ids)
+    ising = logical_model.domain == ISING
+    low = -1 if ising else 0
     i, j = logical_model.positions().T
     c = logical_model.j
     # term (i, j, c) adds c * fixed[j] to column i and c * fixed[i] to
@@ -180,7 +176,7 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     order = np.argsort(target, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order)) - np.searchsorted(target[order], target[order])
-    fixed = np.where(rs.broken, 0.0, rs.values)
+    fixed = np.where(rs.broken, 0.0, np.where(rs.high, 1, low))
     coupling = np.tile(np.append(logical_model.h, 0.0), (len(rs), 1))
     for k in range(int(rank.max(initial=-1)) + 1):
         now = rank == k
@@ -188,17 +184,15 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     j_dense = np.zeros((m + 1, m + 1))  # the dummy's row is zero
     j_dense[i, j] = j_dense[j, i] = c
 
-    ising = logical_model.domain == ISING
-    low = -1 if ising else 0
-    value, mask = _with_dummy(rs.values, 0), _key_mask(rs.broken)
+    value, mask = _with_dummy(rs.high, False), _key_mask(rs.broken)
     every = np.arange(len(rs))
     for _ in range(int(rs.broken.sum(axis=1).max(initial=0))):
         # v0 - min over the two completions of the partial model value
         priority = np.abs(coupling) if ising else np.maximum(0.0, -coupling)
         best = (priority + mask).argmax(axis=1)  # first maximum: the lowest variable id
-        # v_low <= v_high reduces to c >= 0 in both domains
+        # v_low <= v_high reduces to c >= 0 for QUBO and Ising alike
         chosen = np.where(coupling[every, best] >= 0, low, 1)
-        value[every, best] = chosen
+        value[every, best] = chosen == 1
         mask[every, best] = -np.inf
         mask[:, m] = -1.0
         # fixing a chain only shifts the coupling of its neighbours, which is
@@ -207,11 +201,10 @@ def minimize_energy(rs: ReadoutSet, logical_model: BinaryQuadraticModel) -> np.n
     return value[:, :m]
 
 
-def _check_vertices(rs: ReadoutSet, graph: Graph, domain: str, algorithm: str):
-    if rs.variables != tuple(graph.vertices()):
+def require_vertices(rs: ReadoutSet, graph: Graph):
+    """``ValueError`` unless ``rs`` is over the vertices ``0..n-1`` of ``graph``."""
+    if not np.array_equal(rs.ids, graph.vertices()):
         raise ValueError(f"variables are not the vertices 0..{graph.n - 1}")
-    if rs.variables and rs.domain != domain:
-        raise ValueError(f"{algorithm} expects {domain} readouts")
 
 
 def max_clique_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
@@ -225,9 +218,9 @@ def max_clique_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     when each member has ``k - 1``, and the candidates are the broken
     vertices with ``k``.
     """
-    _check_vertices(rs, graph, QUBO, "max_clique_rows")
+    require_vertices(rs, graph)
     a = graph.adjacency
-    core = _with_dummy(~rs.broken & (rs.values == 1), False)
+    core = _with_dummy(~rs.broken & rs.high, False)
     size = core.sum(axis=1, keepdims=True)
     core_neighbours = core @ a
     is_clique = ~(core & (core_neighbours != size - 1)).any(axis=1, keepdims=True)
@@ -258,7 +251,7 @@ def _placement(rs: ReadoutSet, graph: Graph, rngs):
         rng.shuffle(vertices[start:end])  # what permutation draws for a 1-d array
     order = np.full((len(rs), counts.max(initial=0)), graph.n)
     order[rows, np.arange(len(rows)) - starts.repeat(counts)] = vertices
-    side = _with_dummy(np.where(rs.broken, 0.0, rs.values), 0.0)
+    side = _with_dummy(np.where(rs.broken, 0.0, np.where(rs.high, 1.0, -1.0)), 0.0)
     majority = np.sign(_with_dummy(rs.frac_ones, 1.0) - 0.5)
     return side, order, majority, generators
 
@@ -274,7 +267,7 @@ def max_cut_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     read's t-th vertex ``x``: ``(A[x] * side).sum(1)`` is its placed plus
     neighbours less its placed minus ones.
     """
-    _check_vertices(rs, graph, ISING, "max_cut_rows")
+    require_vertices(rs, graph)
     side, order, majority, rngs = _placement(rs, graph, rngs)
     a = graph.adjacency
     every = np.arange(len(rs))
@@ -298,7 +291,7 @@ def partitioning_rows(rs: ReadoutSet, graph: Graph, rngs) -> np.ndarray:
     broken vertices go to its smaller side.  The partition can still be
     unbalanced when the intact chains already are; the scorers say so.
     """
-    _check_vertices(rs, graph, ISING, "partitioning_rows")
+    require_vertices(rs, graph)
     side, order, majority, _ = _placement(rs, graph, rngs)
     a = graph.adjacency
     n, cap = graph.n, graph.n // 2
@@ -327,11 +320,11 @@ def vertex_cover_rows(rs: ReadoutSet, graph: Graph) -> np.ndarray:
     are whole numbers in float64, so each key is the float sum the one-read
     definition gives.
     """
-    _check_vertices(rs, graph, QUBO, "vertex_cover_rows")
+    require_vertices(rs, graph)
     a = graph.adjacency
     broken = _with_dummy(rs.broken, False)
-    zero = ~broken & _with_dummy(rs.values != 1, False)
-    cover = ~broken & _with_dummy(rs.values == 1, False)
+    zero = ~broken & _with_dummy(~rs.high, False)
+    cover = ~broken & _with_dummy(rs.high, False)
     zero_neighbours = zero @ a
     touches_zero = zero_neighbours > 0
     uncoverable = (zero & touches_zero).any(axis=1)

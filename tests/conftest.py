@@ -54,12 +54,18 @@ def empty_graph(n):
     return Graph(n, [])
 
 
+def read_only_ids(ids):
+    """``ids`` as a read-only int64 array, the form of every ids array."""
+    ids = np.array(list(ids), dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
+
+
 def sample_set(rows, qubits):
     """A SampleSet over ``qubits`` holding ``rows``, one sequence of +-1 per read."""
+    qubits = read_only_ids(qubits)
     spins = np.array(rows, dtype=np.int8).reshape(-1, len(qubits))
-    return SampleSet(
-        tuple(qubits), spins, np.zeros(len(spins)), AnnealParams(num_reads=len(spins))
-    )
+    return SampleSet(qubits, spins, np.zeros(len(spins)), AnnealParams(num_reads=len(spins)))
 
 
 def one_read(assignment, reads=1):
@@ -70,7 +76,7 @@ def one_read(assignment, reads=1):
 
 def spins_of(ss, read):
     """Read ``read`` of ``ss`` as a ``{qubit: spin}`` dict."""
-    return dict(zip(ss.qubits, ss.spins[read].tolist()))
+    return dict(zip(ss.qubits.tolist(), ss.spins[read].tolist()))
 
 
 def spin_glass(hw, seed, scale=1.0):
@@ -151,34 +157,24 @@ def hardware_adjacency(hw):
 
 def stack(reads, variables):
     """``reads``, lists of hand-built ``ChainReadout`` records (in any order
-    within a read), consumed once as one ``ReadoutSet`` over ``variables``
-    in read 0's domain.  ``ValueError`` on a read that mixes domains, and
-    naming the read whose variables are not ``variables`` or whose chains
-    are in another domain than read 0's."""
-    variables = tuple(variables)
-    values, broken, frac = [], [], []
-    domain = None
+    within a read), consumed once as one ``ReadoutSet`` over ``variables``,
+    a chain high where its record's value is 1 in either domain.
+    ``ValueError`` naming the read whose variables are not ``variables``."""
+    ids = read_only_ids(variables)
+    high, broken, frac = [], [], []
     for index, records in enumerate(reads):
         chains = sorted(records, key=lambda r: r.variable)
-        domains = {r.domain for r in chains}
-        if len(domains) > 1:
-            raise ValueError(f"readouts mix the domains {sorted(domains)}")
-        if tuple(r.variable for r in chains) != variables:
+        if [r.variable for r in chains] != ids.tolist():
             raise ValueError(f"read {index}: variables are not the model variables")
-        if index == 0:
-            domain = domains.pop() if domains else None
-        elif chains and domains != {domain}:
-            raise ValueError(f"read {index}: domain {chains[0].domain} is not read 0's {domain}")
-        values.append([r.value for r in chains])
+        high.append([r.value == 1 for r in chains])
         broken.append([r.broken for r in chains])
         frac.append([r.frac_ones for r in chains])
-    shape = (len(values), len(variables))
+    shape = (len(high), len(ids))
     return ReadoutSet(
-        variables,
-        np.array(values, dtype=np.int8).reshape(shape),
+        ids,
+        np.array(high, dtype=bool).reshape(shape),
         np.array(broken, dtype=bool).reshape(shape),
         np.array(frac, dtype=np.float64).reshape(shape),
-        domain,
     )
 
 

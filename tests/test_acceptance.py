@@ -170,15 +170,14 @@ class TestCriterion2FeasibilitySuite:
                 samples = inject_chain_breaks(
                     logical, p_break, int(rng.integers(0, 2**62)), pm
                 )
-                ising = decompose_set(samples.spins, chains, ISING)
-                qubo = decompose_set(samples.spins, chains, QUBO)
-                total_samples += len(ising)
-                total_readouts += ising.broken.size
+                rs = decompose_set(samples.spins, chains)
+                total_samples += len(rs)
+                total_readouts += rs.broken.size
                 # read ``rep`` of the cell draws from ``rng_from(rep)``
-                cuts = max_cut_rows(ising, g, [rng_from(rep) for rep in range(len(ising))])
-                parts = partitioning_rows(ising, g, [rng_from(rep) for rep in range(len(ising))])
+                cuts = max_cut_rows(rs, g, [rng_from(rep) for rep in range(len(rs))])
+                parts = partitioning_rows(rs, g, [rng_from(rep) for rep in range(len(rs))])
                 for clique, cover, cut_row, part_row in zip(
-                    max_clique_rows(qubo, g), vertex_cover_rows(qubo, g), cuts, parts
+                    max_clique_rows(rs, g), vertex_cover_rows(rs, g), cuts, parts
                 ):
                     if not is_clique(g, members(clique)):
                         failures += 1
@@ -209,7 +208,6 @@ class TestCriterion3AgreementOnUnbroken:
         instances = 0
         problems = ("max_clique", "max_cut", "min_vertex_cover", "graph_partitioning")
         for problem in problems:
-            qubo_domain = problem in ("max_clique", "min_vertex_cover")
             for k in range(25):
                 g = erdos_renyi(20, 0.4 + 0.02 * (k % 5), 3100 + 25 * problems.index(problem) + k)
                 builder = {
@@ -234,14 +232,14 @@ class TestCriterion3AgreementOnUnbroken:
                 sample = inject_chain_breaks(
                     sample_set([ss.spins[best]], ss.qubits), 0.0, k, pm
                 )
-                rs = decompose_set(sample.spins, chain_columns(e, sample.qubits), model.domain)
-                assert rs.variables == tuple(range(20))
-                values = rs.values.tolist()
+                rs = decompose_set(sample.spins, chain_columns(e, sample.qubits))
+                assert rs.ids.tolist() == list(range(20))
+                high = rs.high.tolist()
 
-                assert majority_vote(rs).tolist() == values
-                assert random_weighted(rs, [rng_from(k)]).tolist() == values
-                assert minimize_energy(rs, model).tolist() == values
-                ones = frozenset(v for v, x in enumerate(values[0]) if x == 1)
+                assert majority_vote(rs).tolist() == high
+                assert random_weighted(rs, [rng_from(k)]).tolist() == high
+                assert minimize_energy(rs, model).tolist() == high
+                ones = frozenset(v for v, x in enumerate(high[0]) if x)
                 if problem == "max_clique":
                     assert is_clique(g, ones)
                     assert members(max_clique_rows(rs, g)[0]) == ones
@@ -309,7 +307,8 @@ class TestCriterion4MinimizeEnergyOracle:
                 else:
                     s = int(rng.choice((-1, 1)))
                     readouts.append(ChainReadout(v, s, ISING, False, (s + 1) / 2))
-            got = dict(enumerate(minimize_energy(row_set(readouts), model)[0].tolist()))
+            (row,) = minimize_energy(row_set(readouts), model)
+            got = dict(enumerate(np.where(row, 1, -1).tolist()))
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min(
                 energy(model, {**fixed, **dict(zip(broken, combo))})

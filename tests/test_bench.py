@@ -312,6 +312,16 @@ class TestFig4:
         with pytest.raises(ValueError):
             run_fig4(small_config())
 
+    @pytest.mark.parametrize("run,settings,unread", [
+        (run_fig2, {"chain_strength_grid": (0.5, 2.0)}, "chain_strength_grid"),
+        (run_fig3, {"chain_strength_grid": (0.5,)}, "chain_strength_grid"),
+        (run_fig4, {"chain_strength_grid": (0.5, 2.0), "chain_strength": 3.0},
+         "chain_strength 3.0"),
+    ])
+    def test_setting_the_run_does_not_read_is_refused(self, run, settings, unread):
+        with pytest.raises(ValueError, match=f"does not read {unread}"):
+            run(small_config(**settings))
+
     def test_single_point_matches_fig3_cell(self):
         cfg3 = small_config(chain_strength=2.0, reads=10)
         cfg4 = small_config(chain_strength_grid=(2.0,), reads=10)

@@ -488,6 +488,18 @@ class TestExperimentCommands:
         assert rc == 0
         assert (tmp_path / "fig4.csv").exists()
 
+    def test_fig4_chain_strength_exit_2(self, tmp_path, capsys):
+        # fig4 runs at its grid, so a --chain-strength it would not read is
+        # refused, not echoed into the manifest beside the grid
+        rc = main([
+            "fig4", "--problem", "max_cut", "--n", "8", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--grid", "0.5,2", "--chain-strength", "3", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "does not read chain_strength 3.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         rc = main([
             "fig3", "--problem", "max_cut", "--n", "500", "--density", "0.5",

@@ -1,11 +1,12 @@
 """Properties over generated inputs, checked with hypothesis.
 
-* ``decompose`` agrees with a per-qubit dict reference on random chains;
-* ``decompose_set`` on 0-20 reads of random chains, in both domains,
-  gives the arrays (shape, dtype and bytes), variables and domain that
-  the test-side ``stack`` copies from per-read ``decompose`` records, each
-  row matches the dict reference, a set of no reads keeps its domain, and
-  a 1-D array or an unknown domain raises ``ValueError``;
+* ``decompose`` agrees with a per-qubit dict reference on random chains,
+  and raises ``ValueError`` on an unknown domain;
+* ``decompose_set`` on 0-20 reads of random chains gives the arrays
+  (shape, dtype and bytes) that the test-side ``stack`` copies from
+  per-read ``decompose`` records in either domain, holds the embedding's
+  own read-only ``ids``, each row matches the dict reference, and a 1-D
+  array raises ``ValueError``;
 * each read's ``decompose`` records, in any order, stack back into the
   bytes of ``decompose_set``'s set, and every repair method (majority
   vote, random weighting, minimize energy and the four tailored
@@ -50,6 +51,9 @@
 * no repair method changes the value of an intact chain, except the two
   documented tailored exits (max clique's empty clique, vertex cover's
   all-vertices cover);
+* each of the seven public repair functions, on one set decoded from any
+  problem's samples, returns a boolean ``(reads, n)`` array whose
+  intact-chain cells equal the set's ``high``, but for those two exits;
 * tailored witnesses of random graphs, rows and ``p_break``, repaired as
   one set through ``bench.repair``, are feasible: a clique, a cover, a
   partition of every vertex, and a balanced one for partitioning whenever
@@ -210,7 +214,10 @@ from brokenchains.unembed import (
     decompose,
     decompose_set,
     majority_vote,
+    max_clique_rows,
+    max_cut_rows,
     minimize_energy,
+    partitioning_rows,
     random_weighted,
     unembed_tailored,
     vertex_cover_rows,
@@ -315,6 +322,8 @@ def test_decompose_matches_dict_reference(e, row, domain):
     got = [(r.variable, r.broken, r.frac_ones, r.value) for r in readouts]
     assert got == reference_readouts(dict(zip(QUBITS, row)), e, domain)
     assert all(r.domain == domain for r in readouts)
+    with pytest.raises(ValueError, match="^unknown domain"):
+        decompose(np.array(row, dtype=np.int8), chain_columns(e, QUBITS), "spin")
 
 
 @PROPERTY
@@ -322,24 +331,22 @@ def test_decompose_matches_dict_reference(e, row, domain):
 def test_decompose_set_equals_stacked_reads(e, rows, domain):
     spins = np.array(rows, dtype=np.int8).reshape(-1, len(QUBITS))
     chains = chain_columns(e, QUBITS)
-    got = decompose_set(spins, chains, domain)
+    got = decompose_set(spins, chains)
     want = stack((decompose(row, chains, domain) for row in spins), chains.variables())
-    assert got.variables == want.variables == tuple(chains.variables())
-    for name in ("values", "broken", "frac_ones"):
+    # the embedding's own read-only ids, not a copy
+    assert got.ids is e.ids and not got.ids.flags.writeable
+    for name in ("high", "broken", "frac_ones"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-    assert got.domain == domain
-    if rows:
-        assert want.domain == domain
+    low = 0 if domain == QUBO else -1
     for r, row in enumerate(rows):
         reference = reference_readouts(dict(zip(QUBITS, row)), e, domain)
-        assert list(zip(got.variables, got.broken[r].tolist(), got.frac_ones[r].tolist(),
-                        got.values[r].tolist())) == reference
-    assert decompose_set(spins[:0], chains, domain).domain == domain
+        values = np.where(got.high[r], 1, low).tolist()
+        assert list(zip(got.ids.tolist(), got.broken[r].tolist(), got.frac_ones[r].tolist(),
+                        values)) == reference
+    assert decompose_set(spins[:0], chains).high.shape == (0, len(e.ids))
     with pytest.raises(ValueError, match="^spins must be a 2-D"):
-        decompose_set(np.zeros(len(QUBITS), np.int8), chains, domain)
-    with pytest.raises(ValueError, match="^unknown domain"):
-        decompose_set(spins, chains, "spin")
+        decompose_set(np.zeros(len(QUBITS), np.int8), chains)
 
 
 def reference_chain_columns(e: Embedding, qubits):
@@ -412,7 +419,7 @@ def test_injecting_a_prefix_gives_the_prefix(n, data, p_break, seed):
     k = data.draw(st.integers(1, len(rows)))
     full = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
     head = inject_chain_breaks(sample_set(rows[:k], range(n)), p_break, seed, pm)
-    assert head.qubits == full.qubits
+    assert np.array_equal(head.qubits, full.qubits)
     assert np.array_equal(head.spins, full.spins[:k])
     assert np.allclose(head.energies, full.energies[:k], rtol=0, atol=1e-9)
 
@@ -430,7 +437,7 @@ def test_read_does_not_depend_on_batching(sweeps, data, model_seed, seed):
     event("spin batch" if boundary == batch else "energy block")
     pm = spin_glass(HW, model_seed)
     head, full = (simulated_anneal(pm, AnnealParams(k, sweeps, seed=seed)) for k in (k1, k2))
-    assert head.qubits == full.qubits
+    assert np.array_equal(head.qubits, full.qubits)
     assert np.array_equal(head.spins, full.spins[:k1])
     for ss in (head, full):
         expected = [energy(pm.ising, spins_of(ss, r)) for r in range(len(ss))]
@@ -524,11 +531,11 @@ def reference_simulated_anneal(pm, params):
         spins.append(states.T.astype(np.int8))
     spins = np.concatenate(spins)
     # summed per block of _READ_BATCH reads, as the anneal sums them
-    return SampleSet(tuple(pm.qubits()), spins, _block_energies(pm.ising, spins), params, pm)
+    return SampleSet(pm.ising.ids, spins, _block_energies(pm.ising, spins), params, pm)
 
 
 def assert_same_anneal(got, want):
-    assert got.qubits == want.qubits
+    assert got.qubits.tolist() == want.qubits.tolist()
     assert got.spins.tobytes() == want.spins.tobytes()
     assert got.energies.tobytes() == want.energies.tobytes()
 
@@ -721,7 +728,7 @@ def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
     samples = simulated_anneal(pm, AnnealParams(
         STATIONARY_READS, STATIONARY_SWEEPS, (beta, beta * (1 + 1e-9)), seed=model_seed
     ))
-    assert samples.qubits == tuple(range(7))
+    assert samples.qubits.tolist() == list(range(7))
     states = (samples.spins > 0) @ (1 << np.arange(6, -1, -1))
     found = np.bincount(states, minlength=len(SEVEN)) / STATIONARY_READS
     # within the multinomial noise of the law at beta, and far outside it at
@@ -744,9 +751,9 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
     g, model, e, pm = physical(problem, n, graph_seed)
     row = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
     samples = inject_chain_breaks(sample_set([row], range(n)), p_break, seed, pm)
-    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits), model.domain)
-    intact = {v: x for v, x, b in zip(rs.variables, rs.values[0].tolist(), rs.broken[0]) if not b}
-    ones = {v for v, x in intact.items() if x == 1}
+    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits))
+    intact = {v: x for v, x, b in zip(rs.ids.tolist(), rs.high[0].tolist(), rs.broken[0]) if not b}
+    ones = {v for v, x in intact.items() if x}
     zeros = set(intact) - ones
     for method in bench.METHODS:
         (row,) = bench.repair(method, rs, problem, g, model, seed)
@@ -758,8 +765,47 @@ def test_repair_keeps_intact_chains(problem, n, graph_seed, data, p_break, seed)
         ):
             assert row.all()
             continue
-        # a row is True on value 1 / +1 in either domain
-        assert {v: bool(row[v]) for v in intact} == {v: x == 1 for v, x in intact.items()}, method
+        # a row is True on a high chain, value 1 / +1
+        assert {v: bool(row[v]) for v in intact} == intact, method
+
+
+# every public repair function, called as (set, graph, model, generators)
+REPAIRS = {
+    "majority_vote": lambda rs, g, model, rngs: majority_vote(rs),
+    "random_weighted": lambda rs, g, model, rngs: random_weighted(rs, rngs),
+    "minimize_energy": lambda rs, g, model, rngs: minimize_energy(rs, model),
+    "max_clique_rows": lambda rs, g, model, rngs: max_clique_rows(rs, g),
+    "max_cut_rows": lambda rs, g, model, rngs: max_cut_rows(rs, g, rngs),
+    "partitioning_rows": lambda rs, g, model, rngs: partitioning_rows(rs, g, rngs),
+    "vertex_cover_rows": lambda rs, g, model, rngs: vertex_cover_rows(rs, g),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(REPAIRS)), st.sampled_from(PROBLEMS), st.integers(1, 9), seeds,
+       st.data(), p_breaks, seeds)
+def test_every_repair_returns_rows_that_keep_high(name, problem, n, graph_seed, data, p_break,
+                                                  seed):
+    # one set, decoded once whatever the model, feeds every function: each
+    # returns a boolean (reads, n) row per read, equal to ``high`` on every
+    # intact chain but for the two documented tailored exits
+    g, model, e, pm = physical(problem, n, graph_seed)
+    rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
+    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits))
+    got = REPAIRS[name](rs, g, model, read_streams(seed))
+    assert got.dtype == bool and got.shape == (len(rs), n)
+    for high, broken, row in zip(rs.high, rs.broken, got):
+        if np.array_equal(row[~broken], high[~broken]):
+            continue
+        core, zeros = members(high & ~broken), members(~high & ~broken)
+        if name == "max_clique_rows":
+            assert not is_clique(g, core) and not row.any()
+        else:
+            assert name == "vertex_cover_rows" and row.all()
+            assert any(u in zeros and v in zeros for u, v in edge_set(g))
+        event(f"{name}: documented exit")
 
 
 @PROPERTY
@@ -770,10 +816,10 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
     rows = data.draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
                               min_size=1, max_size=8))
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
-    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits), model.domain)
+    rs = decompose_set(samples.spins, chain_columns(e, samples.qubits))
     rows = bench.repair("tailored", rs, problem, g, model, seed)
     assert rows.shape == (len(rs), n) and rows.dtype == bool
-    for values, broken, row in zip(rs.values.tolist(), rs.broken, rows):
+    for high, broken, row in zip(rs.high.tolist(), rs.broken, rows):
         witness = witness_of(problem, row, g)
         if problem == "max_clique":
             assert is_clique(g, witness)
@@ -781,8 +827,8 @@ def test_tailored_witnesses_are_feasible(problem, n, density, graph_seed, data, 
             assert is_vertex_cover(g, witness)
         else:
             assert witness.is_complete_for(g)
-            intact = [x for x, b in zip(values, broken) if not b]
-            largest_side = max(intact.count(-1), intact.count(1))
+            intact = [x for x, b in zip(high, broken) if not b]
+            largest_side = max(intact.count(False), intact.count(True))
             if problem == "graph_partitioning" and largest_side <= n // 2:
                 assert witness.is_balanced()
                 event("partitioning: intact sides within the cap")
@@ -1287,7 +1333,7 @@ def test_repair_rows_match_per_read_witnesses(problem, n, density, graph_seed, d
                               min_size=1, max_size=8))
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
     chains = chain_columns(e, samples.qubits)
-    rs = decompose_set(samples.spins, chains, model.domain)
+    rs = decompose_set(samples.spins, chains)
     reads = [decompose(spins, chains, model.domain) for spins in samples.spins]
     for method in bench.METHODS:
         got = bench.repair(method, rs, problem, g, model, seed)
@@ -1313,18 +1359,18 @@ def test_methods_read_columns_as_records(n, density, graph_seed, data, p_break, 
                               min_size=1, max_size=4))
     samples = inject_chain_breaks(sample_set(rows, range(n)), p_break, seed, pm)
     chains = chain_columns(e, samples.qubits)
+    rs = decompose_set(samples.spins, chains)
     for problem in PROBLEMS:
         model = build_model(problem, g)
-        rs = decompose_set(samples.spins, chains, model.domain)
-        # each read's records, in any order, stack back into the set
+        # each read's records, in any order and in the model's domain, stack
+        # back into the set
         records = [data.draw(st.permutations(decompose(spins, chains, model.domain)))
                    for spins in samples.spins]
         assert all(len(chain_records) == n for chain_records in records)
-        again = stack(records, rs.variables)
-        for name in ("values", "broken", "frac_ones"):
+        again = stack(records, rs.ids)
+        for name in ("high", "broken", "frac_ones"):
             a, b = getattr(rs, name), getattr(again, name)
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-        assert again.domain == rs.domain
         assert np.array_equal(majority_vote(rs), majority_vote(again))
         assert np.array_equal(random_weighted(rs, read_streams(seed)),
                               random_weighted(again, read_streams(seed)))
@@ -1342,15 +1388,7 @@ def test_random_weighted_matches_per_chain_reference(domain, n, p_break, p_one,
     shuffle.shuffle(readouts)
     (got,) = random_weighted(row_set(readouts), [rng_from(seed)]).tolist()
     want = reference_random_weighted(readouts, rng_from(seed))
-    assert got == [want[v] for v in sorted(want)]
-
-
-def test_readout_of_rejects_mixed_domains():
-    # the test-side builder refuses a read that mixes domains, which a set,
-    # holding one domain, cannot represent
-    readouts = [ChainReadout(0, 1, ISING, False, 1.0), ChainReadout(1, 0, QUBO, False, 0.0)]
-    with pytest.raises(ValueError, match="mix the domains"):
-        row_set(readouts)
+    assert got == [want[v] == 1 for v in sorted(want)]
 
 
 coefficients = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
@@ -1433,11 +1471,11 @@ def test_minimize_energy_matches_per_read_reference(case, data):
     model, reads = case
     variables = model.variables()
     expected = [
-        [values[v] for v in variables]
+        [values[v] == 1 for v in variables]
         for values in (reference_minimize_energy(readouts, model) for readouts in reads)
     ]
     got = minimize_energy(stack(reads, variables), model)
-    assert got.dtype == np.int8 and got.tolist() == expected
+    assert got.dtype == bool and got.tolist() == expected
     k = data.draw(st.integers(1, len(reads)))
     assert minimize_energy(stack(reads[:k], variables), model).tolist() == expected[:k]
     r = data.draw(st.integers(0, len(reads) - 1))
@@ -1449,18 +1487,17 @@ def test_minimize_energy_matches_per_read_reference(case, data):
 def test_generic_methods_on_a_set_match_per_read_references(case, seed, data):
     model, reads = case
     variables = model.variables()
-    low = 0 if model.domain == QUBO else -1
     rs, k = stack(reads, variables), data.draw(st.integers(1, len(reads)))
     head = stack(reads[:k], variables)
     want = {
-        "majority": [[1 if c.frac_ones >= 0.5 else low for c in readouts] for readouts in reads],
+        "majority": [[c.frac_ones >= 0.5 for c in readouts] for readouts in reads],
         "random": [
-            [values[v] for v in variables]
+            [values[v] == 1 for v in variables]
             for values in (reference_random_weighted(readouts, rng_from(seed, r))
                            for r, readouts in enumerate(reads))
         ],
         "minenergy": [
-            [values[v] for v in variables]
+            [values[v] == 1 for v in variables]
             for values in (reference_minimize_energy(readouts, model) for readouts in reads)
         ],
     }
@@ -1470,8 +1507,8 @@ def test_generic_methods_on_a_set_match_per_read_references(case, seed, data):
             "random": random_weighted(subset, read_streams(seed)),
             "minenergy": minimize_energy(subset, model),
         }
-        for name, values in got.items():
-            assert values.dtype == np.int8 and values.tolist() == want[name][:rows], name
+        for name, rows_got in got.items():
+            assert rows_got.dtype == bool and rows_got.tolist() == want[name][:rows], name
 
 
 # multiples of 1/8 up to 8: products and sums of a few stay exact in binary

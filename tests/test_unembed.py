@@ -7,6 +7,7 @@ from brokenchains.bqm import (
     ISING,
     QUBO,
     BinaryQuadraticModel,
+    build_max_clique_qubo,
     build_max_cut_ising,
     energy,
 )
@@ -20,6 +21,7 @@ from brokenchains.graphs import (
 from brokenchains.sampler import inject_chain_breaks
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
+    Embedding,
     PhysicalModel,
     chain_columns,
     chimera,
@@ -29,6 +31,7 @@ from brokenchains.topology import (
 from brokenchains.unembed import (
     ChainReadout,
     decompose,
+    decompose_set,
     majority_vote,
     max_clique_rows,
     max_cut_rows,
@@ -144,8 +147,8 @@ class TestStack:
         reads = [[ro(1, [1, -1], ISING), ro(0, [-1, -1, -1], ISING)],
                  [ro(0, [1, 1, -1], ISING), ro(1, [1, 1], ISING)]]
         rs = stack(reads, (0, 1))
-        assert len(rs) == 2 and rs.variables == (0, 1) and rs.domain == ISING
-        assert rs.values.tolist() == [[-1, 1], [1, 1]]
+        assert len(rs) == 2 and rs.ids.tolist() == [0, 1]
+        assert rs.high.tolist() == [[False, True], [True, True]]
         assert rs.broken.tolist() == [[False, True], [True, False]]
         assert rs.frac_ones.tolist() == [[0.0, 0.5], [2 / 3, 1.0]]
         assert row_set(reads[0]).frac_ones.tolist() == [[0.0, 0.5]]
@@ -154,9 +157,6 @@ class TestStack:
         one = [ro(0, [1], ISING), ro(1, [1], ISING)]
         with pytest.raises(ValueError, match="^read 1: variables are not the model variables$"):
             stack([one, one[:1]], (0, 1))
-        qubo = [ro(0, [1], QUBO), ro(1, [0], QUBO)]
-        with pytest.raises(ValueError, match=f"^read 2: domain {QUBO} is not read 0's {ISING}$"):
-            stack([one, one, qubo], (0, 1))
         # a set over other variables than the model's or the graph's vertices
         m = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0, 2: 0.0}, {})
         with pytest.raises(ValueError, match="^variables are not the model variables$"):
@@ -167,17 +167,17 @@ class TestStack:
 
 class TestMajorityVote:
     def test_majority(self):
-        assert majority_vote(row_set([ro(0, [1, 1, 0], QUBO)])).tolist() == [[1]]
+        assert majority_vote(row_set([ro(0, [1, 1, 0], QUBO)])).tolist() == [[True]]
 
     def test_tie_goes_to_plus_one(self):
-        assert majority_vote(row_set([ro(0, [1, -1], ISING)])).tolist() == [[1]]
-        assert majority_vote(row_set([ro(0, [1, 0], QUBO)])).tolist() == [[1]]
+        assert majority_vote(row_set([ro(0, [1, -1], ISING)])).tolist() == [[True]]
+        assert majority_vote(row_set([ro(0, [1, 0], QUBO)])).tolist() == [[True]]
 
     def test_unbroken_zero(self):
-        assert majority_vote(row_set([ro(0, [0, 0, 0], QUBO)])).tolist() == [[0]]
+        assert majority_vote(row_set([ro(0, [0, 0, 0], QUBO)])).tolist() == [[False]]
 
     def test_minority_ising(self):
-        assert majority_vote(row_set([ro(0, [-1, -1, 1], ISING)])).tolist() == [[-1]]
+        assert majority_vote(row_set([ro(0, [-1, -1, 1], ISING)])).tolist() == [[False]]
 
 
 def weighted_hits(chain, reads):
@@ -213,12 +213,12 @@ class TestMinimizeEnergy:
     def test_single_broken_follows_coupler(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0}, {(0, 1): 1.0})
         out = minimize_energy(row_set([ro(0, [1, 1], ISING), ro(1, [1, -1], ISING)]), m)[0]
-        assert out.tolist() == [1, -1]
+        assert out.tolist() == [True, False]
 
     def test_no_broken_is_identity(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 1: -1.0}, {(0, 1): 0.5})
         out = minimize_energy(row_set([ro(0, [-1, -1], ISING), ro(1, [-1, -1], ISING)]), m)[0]
-        assert out.tolist() == [-1, -1]
+        assert out.tolist() == [False, False]
 
     def test_two_broken_coupled_to_fixed_only(self):
         m = BinaryQuadraticModel.from_terms(
@@ -234,7 +234,7 @@ class TestMinimizeEnergy:
             (dict(zip((1, 2), combo)) for combo in itertools.product((-1, 1), repeat=2)),
             key=lambda c: energy(m, {0: -1, **c}),
         )
-        assert {1: got[1], 2: got[2]} == best
+        assert {1: got[1], 2: got[2]} == {v: x == 1 for v, x in best.items()}
 
     def test_single_broken_exhaustive_ising(self):
         for seed in range(50):
@@ -250,7 +250,7 @@ class TestMinimizeEnergy:
                 },
             )
             readouts = random_readouts(6, ISING, {3}, seed=seed + 100)
-            got = dict(enumerate(minimize_energy(row_set(readouts), m)[0].tolist()))
+            got = dict(enumerate(np.where(minimize_energy(row_set(readouts), m)[0], 1, -1).tolist()))
             fixed = {r.variable: r.value for r in readouts if not r.broken}
             best = min((-1, 1), key=lambda x: energy(m, {**fixed, 3: x}))
             assert energy(m, got) <= energy(m, {**fixed, 3: best}) + 1e-9
@@ -264,12 +264,24 @@ class TestMinimizeEnergy:
         readouts = [
             ro(0, [1], ISING), ro(1, [1, -1], ISING), ro(2, [-1], ISING), ro(3, [1], ISING)
         ]
-        assert minimize_energy(row_set(readouts), m)[0][1] == 1
+        assert minimize_energy(row_set(readouts), m)[0][1]
 
     def test_qubo_tie_takes_zero(self):
         m = BinaryQuadraticModel.from_terms(QUBO, {0: 0.0}, {})
         out = minimize_energy(row_set([ro(0, [1, 0], QUBO)]), m)[0]
-        assert out[0] == 0
+        assert not out[0]
+
+    def test_qubo_model_repairs_in_its_own_values(self):
+        # the set carries no 0/1-or-+-1 choice for a caller to leave out,
+        # so the repair of a QUBO model values a low chain 0: the broken
+        # chain of variable 0 goes to 0, not to 1
+        g = erdos_renyi(5, 0.5, 0)
+        e = Embedding.from_chains({v: (2 * v, 2 * v + 1) for v in range(5)})
+        spins = np.array([[-1, 1, 1, 1, -1, -1, 1, 1, -1, -1]], dtype=np.int8)
+        rs = decompose_set(spins, chain_columns(e, range(10)))
+        assert rs.broken.tolist() == [[True, False, False, False, False]]
+        out = minimize_energy(rs, build_max_clique_qubo(g))
+        assert np.where(out, 1, 0).tolist() == [[0, 1, 0, 1, 0]]
 
     def test_variable_mismatch(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0, 5: 1.0}, {})
@@ -487,11 +499,11 @@ class TestAgreementOnUnbroken:
             qubo_readouts = [ro(v, [b, b], QUBO) for v, b in sorted(bits.items())]
 
             m = build_max_cut_ising(g)
-            values = [[spins[v] for v in range(10)]]
+            high = [[spins[v] == 1 for v in range(10)]]
             rs = row_set(ising_readouts)
-            assert majority_vote(rs).tolist() == values
-            assert random_weighted(rs, [rng_from(seed)]).tolist() == values
-            assert minimize_energy(rs, m).tolist() == values
+            assert majority_vote(rs).tolist() == high
+            assert random_weighted(rs, [rng_from(seed)]).tolist() == high
+            assert minimize_energy(rs, m).tolist() == high
 
             plus = {v for v, s in spins.items() if s == 1}
             assert cut(ising_readouts, g, seed).side_plus == plus
@@ -511,17 +523,3 @@ class TestAgreementOnUnbroken:
         assert out.tolist() == [[True, True, True], [True, True, False]]
         with pytest.raises(ValueError):
             unembed_tailored(rs, g, "coloring", None)
-
-    def test_domain_guards(self):
-        g = complete_graph(3)
-        ising = row_set([ro(v, [1, 1], ISING) for v in range(3)])
-        qubo = row_set([ro(v, [1, 1], QUBO) for v in range(3)])
-        for rows, readouts, domain in (
-            (max_clique_rows, ising, QUBO),
-            (vertex_cover_rows, ising, QUBO),
-            (max_cut_rows, qubo, ISING),
-            (partitioning_rows, qubo, ISING),
-        ):
-            args = (readouts, g) if domain == QUBO else (readouts, g, [rng_from(0)])
-            with pytest.raises(ValueError, match=f"^{rows.__name__} expects {domain} readouts$"):
-                rows(*args)
