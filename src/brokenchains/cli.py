@@ -3,7 +3,7 @@
 Subcommands: gen, embed, sample, unembed, fig2, fig3, fig4.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error's message names the exception type and the innermost frame it was
-raised in: ``error: ValueError in anneal_grid (sampler.py:212): ...``.
+raised in: ``error: ValueError in anneal_grid (sampler.py:<line>): ...``.
 """
 
 import argparse
@@ -107,12 +107,18 @@ def _add_experiment_args(parser):
     parser.add_argument("--reads", type=int, default=200)
     parser.add_argument("--sweeps", type=int, default=1000)
     parser.add_argument("--chain-strength", type=_chain_strength, default=None)
-    parser.add_argument("--prefactor", type=float, default=1.414)
+    parser.add_argument("--prefactor", type=float, default=None)
     parser.add_argument("--topology", type=_topology, default=(8, 8, 4))
     parser.add_argument("--aggregate", choices=("best", "mean"), default="best")
     parser.add_argument("--source", choices=("anneal", "inject"), default="anneal")
     parser.add_argument("--p-break", type=float, default=0.0)
     _add_common(parser)
+
+
+def _prefactor(args):
+    """``--prefactor``, or when it is not given the library's default, which
+    a run records even where it reads no prefactor."""
+    return ExperimentConfig.prefactor if args.prefactor is None else args.prefactor
 
 
 def _config_from_args(args):
@@ -124,7 +130,7 @@ def _config_from_args(args):
         reads=args.reads,
         sweeps=args.sweeps,
         chain_strength=args.chain_strength,
-        prefactor=args.prefactor,
+        prefactor=_prefactor(args),
         seed=args.seed,
         topology=tuple(args.topology),
         aggregate=args.aggregate,
@@ -160,8 +166,9 @@ def cmd_sample(args):
         require_clique_fits(g.n, args.topology)
     model = bqmlib.build_model(args.problem, g)
     ising = convert(model, ISING)
+    prefactor = _prefactor(args)
     if args.chain_strength in (None, "utc"):
-        strength = uniform_torque_compensation(ising, prefactor=args.prefactor)
+        strength = uniform_torque_compensation(ising, prefactor=prefactor)
     else:
         strength = float(args.chain_strength)
     hw = chimera(*args.topology)
@@ -173,7 +180,7 @@ def cmd_sample(args):
     base = os.path.join(args.out, "samples")
     provenance = {
         "chain_strength": strength,
-        "prefactor": args.prefactor,
+        "prefactor": prefactor,
         "topology": list(args.topology),
     }
     with open(base + ".json", "w") as fh:
@@ -299,7 +306,7 @@ def build_parser():
     p.add_argument("--reads", type=int, default=200)
     p.add_argument("--sweeps", type=int, default=1000)
     p.add_argument("--chain-strength", type=_chain_strength, default=None)
-    p.add_argument("--prefactor", type=float, default=1.414)
+    p.add_argument("--prefactor", type=float, default=None)
     p.add_argument("--topology", type=_topology, default=(8, 8, 4))
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -356,7 +363,8 @@ def _validate_args(args):
     if command in ("fig2", "fig3", "fig4"):
         config = _config_from_args(args)
         config.validate()
-        bench.chain_strength_setting(command, config)
+        _require_prefactor_read(command, args.prefactor,
+                                bench.chain_strength_setting(command, config))
     if command == "gen":
         require_probability(args.density, "density")
         require_int(args.n, "n", positive=True)
@@ -366,7 +374,19 @@ def _validate_args(args):
         AnnealParams(args.reads, args.sweeps, seed=args.seed)
         if args.chain_strength not in (None, "utc"):
             require_real(args.chain_strength, "chain_strength", positive=True)
-        require_real(args.prefactor, "prefactor", positive=True)
+        if args.prefactor is not None:
+            require_real(args.prefactor, "prefactor", positive=True)
+        _require_prefactor_read(command, args.prefactor,
+                                "utc" if args.chain_strength is None else args.chain_strength)
+
+
+def _require_prefactor_read(command, prefactor, strength):
+    """A ``--prefactor`` given where the chain strength ``strength`` is not
+    ``"utc"`` would go unread, yet be echoed into the outputs."""
+    if prefactor is not None and strength != "utc":
+        raise ValueError(
+            f"{command} does not read prefactor {prefactor!r}; only chain strength 'utc' does"
+        )
 
 
 if __name__ == "__main__":

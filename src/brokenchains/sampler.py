@@ -47,6 +47,12 @@ energy agrees with ``bqm.energy`` to 1e-9 but can differ in the last bit
 between two read counts that end in a different last block.  The
 injector sums all its reads as one block.
 
+The anneal and the energies are the package's only users of scipy: the
+three functions that build a CSR (``_coupling_matrix``, ``_class_layout``
+and ``_block_energies``) import ``scipy.sparse`` when first called, so a
+process that neither anneals nor reads energies, such as ``brokenchains
+gen``, ``embed`` or ``unembed``, starts without it.
+
 Spin update order within a sweep is by independent color classes of the
 interaction graph (greedy coloring by ascending qubit id), ascending id
 within a class.  Spins in one class share no coupler, so the simultaneous
@@ -82,17 +88,14 @@ through ``* s`` and ``* 2 beta`` to a zero of either sign, whose ``exp``
 is 1.0 either way.
 """
 
-import csv
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from brokenchains.bqm import BinaryQuadraticModel, require_keys
 from brokenchains.graphs import require_int, require_probability, require_real
@@ -177,6 +180,11 @@ def _coupling_matrix(m: BinaryQuadraticModel):
     """The symmetric CSR of ``m``'s couplings over its variable indices,
     built from its pairs in order, then the same pairs transposed: the
     order every row of the anneal and every energy is summed in."""
+    # imported here and in the two other CSR builders, not with the module:
+    # it adds about 0.15 s to a process's start-up, which gen, embed and
+    # unembed would pay for nothing
+    import scipy.sparse as sp
+
     n = len(m.ids)
     i, j = m.positions().T
     return sp.csr_matrix(
@@ -232,6 +240,8 @@ def _class_layout(j_syms) -> tuple:
     the entries of its model's CSR row in the order that CSR stores them,
     so every field is summed in the order ``_coupling_matrix`` gives it.
     """
+    import scipy.sparse as sp
+
     j0 = j_syms[0]
     models, n = len(j_syms), j0.shape[0]
     qubit_classes = _colour_classes(j0)
@@ -371,6 +381,8 @@ def _block_energies(m: BinaryQuadraticModel, spins, block: int = _READ_BATCH) ->
     """The energy under Ising model ``m`` of each read of ``spins``, summed
     over C-ordered float64 ``(reads, variables)`` blocks of ``block`` rows:
     the last bits of a BLAS sum depend on the shape and layout it is given."""
+    import scipy.sparse as sp
+
     j_upper = sp.triu(_coupling_matrix(m), k=1).tocsr()
     energies = np.empty(len(spins))
     for first in range(0, len(spins), block):
@@ -493,21 +505,27 @@ def sampleset_from_json(text: str) -> SampleSet:
         raise ValueError(
             f"params.num_reads is {params.num_reads} but {len(rows)} reads are stored"
         )
-    for read, row in enumerate(rows):
-        # strip leaves something exactly when a character is neither '+' nor '-'
-        if not isinstance(row, str) or len(row) != len(qubits) or row.strip("+-"):
-            raise ValueError(
-                f"read {read}: spins must be {len(qubits)} characters of '+' and '-'"
-            )
-    chars = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), len(qubits))
+    width = len(qubits)
+    shaped = all(isinstance(row, str) and len(row) == width for row in rows)
+    # one byte per character: "replace" turns each non-ASCII one into '?'
+    joined = "".join(rows).encode("ascii", "replace") if shaped else b"?"
+    # translate deletes every '+' and '-', so bytes remain exactly when a bad
+    # character does; only then are the reads searched for the first bad one
+    if joined.translate(None, b"+-"):
+        read = next(
+            read for read, row in enumerate(rows)
+            # strip leaves something exactly when a character is neither '+' nor '-'
+            if not isinstance(row, str) or len(row) != width or row.strip("+-")
+        )
+        raise ValueError(f"read {read}: spins must be {width} characters of '+' and '-'")
+    chars = np.frombuffer(joined, dtype=np.uint8)
+    spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), width)
     energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
     return SampleSet(qubits, spins, energies, params, None, doc["model_hash"], provenance)
 
 
 def sampleset_to_csv(ss: SampleSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["energy", "spins"])
-    writer.writerows(zip(map(repr, ss.energies.tolist()), _spin_strings(ss)))
-    return buf.getvalue()
+    # the bytes ``csv.writer`` gives: no field needs quoting, because the repr
+    # of a float and a '+'/'-' string hold no comma, quote or newline
+    rows = zip(ss.energies.tolist(), _spin_strings(ss))
+    return "energy,spins\n" + "".join(f"{energy!r},{spins}\n" for energy, spins in rows)

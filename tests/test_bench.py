@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import brokenchains
-from brokenchains import bench, bqm
+from brokenchains import bench, bqm, cli
 from brokenchains.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -430,6 +432,16 @@ class TestManifest:
         assert {row.chain_strength for row in rows} == {manifest["chain_strength"]}
 
 
+def run_fresh(code, *args):
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    package, with ``args`` as its ``sys.argv[1:]``."""
+    src = str(Path(brokenchains.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_inject_run_leaves_csgraph_unimported():
     # importing scipy.sparse.csgraph alone added about 10 MiB of peak RSS
     # and 150 ms of start-up to a fresh interpreter (2-vCPU Xeon)
@@ -441,11 +453,44 @@ def test_inject_run_leaves_csgraph_unimported():
         " p_break=0.3))\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.csgraph')))\n"
     )
-    src = str(Path(brokenchains.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
+
+
+def test_only_an_anneal_loads_scipy_sparse(tmp_path):
+    # importing scipy.sparse took about 0.15 s of a process's 0.3 s start-up
+    # (2-vCPU Xeon); gen, embed and unembed build no CSR and must not pay it
+    graph, work = str(tmp_path / "graph.txt"), str(tmp_path)
+    common = ["--topology", "2,2,4", "--seed", "5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--n", "6", "--density", "0.5", "--out", work]) == 0
+        assert cli.main(["sample", "--graph", graph, "--problem", "max_cut", "--reads", "8",
+                         "--sweeps", "5", "--out", work] + common) == 0
+    calls = [
+        ["gen", "--n", "6", "--density", "0.5", "--out", f"{work}/gen"],
+        ["embed", "--k", "6", "--out", f"{work}/embed"] + common,
+    ]
+    calls += [
+        ["unembed", "--graph", graph, "--problem", "max_cut",
+         "--samples", f"{work}/samples.json", "--embedding", f"{work}/embedding.json",
+         "--model", f"{work}/model.json", "--method", method, "--out", f"{work}/{method}"]
+        for method in bench.SHORT_NAMES.values()
+    ]
+    # a fresh sample anneals and so must load it: the check is not vacuous
+    calls.append(["sample", "--graph", graph, "--problem", "max_cut", "--reads", "8",
+                  "--sweeps", "5", "--out", f"{work}/again"] + common)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import brokenchains, brokenchains.cli\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert brokenchains.cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy.sparse' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    loaded = json.loads(run_fresh(code, json.dumps(calls)))
+    # one entry after the imports and one after each call
+    assert loaded == [False] * len(calls) + [True]
 
 
 @pytest.mark.parametrize("run,settings,models", [

@@ -105,6 +105,34 @@ class TestSampleValidation:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not (tmp_path / "out").exists()
 
+    def test_unread_prefactor_exit_2(self, tmp_path, capsys):
+        # a fixed chain strength computes no UTC strength, so a --prefactor
+        # would go unread yet be recorded in the provenance
+        assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
+        rc = main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--chain-strength", "2", "--prefactor", "9", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: sample does not read prefactor 9.0;"
+            " only chain strength 'utc' does\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,prefactor", [
+        (["--prefactor", "9"], 9.0),
+        # the default is recorded where no prefactor is read
+        (["--chain-strength", "2"], 1.414),
+    ])
+    def test_provenance_records_prefactor(self, tmp_path, capsys, flags, prefactor):
+        assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
+        rc = main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
+                   "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 0
+        doc = json.loads((tmp_path / "samples.json").read_text())
+        assert doc["provenance"]["prefactor"] == prefactor
+
     def test_graph_over_capacity_exit_2(self, tmp_path, capsys):
         assert main(["gen", "--n", "20", "--density", "0.5", "--out", str(tmp_path)]) == 0
         rc = main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
@@ -518,6 +546,38 @@ class TestExperimentCommands:
         assert rc == 2
         assert "prefactor must be a positive real number, not -1.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("fig2", []),  # fig2's default strength is a fixed one
+        ("fig3", ["--chain-strength", "2"]),
+        ("fig4", ["--grid", "0.5,2"]),
+    ])
+    def test_unread_prefactor_exit_2(self, tmp_path, capsys, command, flags):
+        rc = main([
+            command, "--problem", "max_cut", "--n", "8", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--prefactor", "9", "--out", str(tmp_path / "out"),
+        ] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {command} does not read prefactor 9.0;"
+            " only chain strength 'utc' does\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,prefactor", [
+        (["--chain-strength", "utc", "--prefactor", "9"], 9.0),
+        ([], 1.414),
+    ])
+    def test_manifest_records_prefactor(self, tmp_path, capsys, flags, prefactor):
+        rc = main([
+            "fig2", "--problem", "max_cut", "--n", "6", "--density", "0.5",
+            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+            "--out", str(tmp_path),
+        ] + flags)
+        assert rc == 0
+        manifest = json.loads((tmp_path / "fig2_manifest.json").read_text())
+        assert manifest["config"]["prefactor"] == prefactor
 
     def test_p_break_without_inject_exit_2(self, tmp_path, capsys):
         rc = main([

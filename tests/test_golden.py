@@ -12,7 +12,10 @@ chimera(2,2,4) and for K_30 on chimera(8,8,4).
 The ``anneal`` case hashes the ``sampleset_to_csv`` of 130 reads, which
 cross a spin batch of the annealer (102 reads at this size) and two
 64-read energy blocks, on a random model over every coupler of
-chimera(2,2,4), whose greedy colouring has three classes.
+chimera(2,2,4), whose greedy colouring has three classes.  The ``fields``
+case hashes the spins of a four-qubit model whose last qubit's field sums
+to a different float when its terms are taken in another order (see
+``field_order_spins``).
 A refactor that keeps behaviour keeps every digest; a change that is meant
 to alter output bytes must regenerate them with
 
@@ -32,10 +35,11 @@ from pathlib import Path
 import pytest
 
 from brokenchains import bench
+from brokenchains.bqm import ISING, BinaryQuadraticModel
 from brokenchains.cli import main
 from brokenchains.graphs import PROBLEMS
 from brokenchains.sampler import AnnealParams, sampleset_to_csv, simulated_anneal
-from brokenchains.topology import chimera
+from brokenchains.topology import PhysicalModel, chimera, identity_embedding
 from conftest import spin_glass
 
 FIGS = {"fig2": bench.run_fig2, "fig3": bench.run_fig3, "fig4": bench.run_fig4}
@@ -118,8 +122,28 @@ def multi_batch_csv():
     return sampleset_to_csv(simulated_anneal(pm, AnnealParams(130, 20, seed=SEED)))
 
 
+def field_order_spins():
+    """The spins, as bytes, of 200 reads x 20 sweeps of a model whose field
+    sums move with their term order.
+
+    The greedy classes are [0, 2], [1], [3], so qubit 3's row holds its
+    couplers in stored order (0, 1, 2), which the class layout puts on rows
+    0, 2, 1.  The fields of -1e20 hold s0 = s2, so that row sums
+    (1e16 s0 + s1) - 1e16 s2, where 1e16 absorbs s1, while taken by
+    ascending row it sums to s1: sorting the class CSRs' indices moves
+    every read.  The energies are not hashed, since their BLAS sums depend
+    on the host's kernel."""
+    linear = {0: -1e20, 1: -0.2, 2: -1e20, 3: 0.0}
+    quadratic = {(0, 1): 0.7, (1, 2): 0.3, (0, 3): 1e16, (1, 3): 1.0, (2, 3): -1e16}
+    ising = BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
+    pm = PhysicalModel(ising, 1.0, identity_embedding(linear))
+    return simulated_anneal(pm, AnnealParams(200, 20, seed=3)).spins.tobytes()
+
+
 def output(case):
     kind, variant, problem = case.split("/")
+    if kind == "fields":
+        return field_order_spins()
     if kind == "cli":
         return cli_csvs(problem)[variant]
     if kind == "anneal":
@@ -135,6 +159,7 @@ CASES += [f"cli/{name}/{problem}" for name in SAMPLE_FILES for problem in PROBLE
 CASES += [f"fig3/mean/{problem}" for problem in PROBLEMS]
 CASES += ["fig4/repeated/max_cut"]
 CASES += ["anneal/130x20/chimera(2,2,4)"]
+CASES += ["fields/200x20/stored-order"]
 CASES += ["embed/k8/2,2,4", "embed/k9/2,2,4", "embed/k30/8,8,4"]
 
 GOLDEN = {
@@ -192,16 +217,21 @@ GOLDEN = {
     "fig3/mean/graph_partitioning": "7b0d46bda8433146fa9105e390a14a1c8b34288d50386a263721a72ce9a22285",
     "fig4/repeated/max_cut": "f785415ff3a3e40281c5b3893a8cc636d22549f9dbee7c85bac55ecd8292a5d5",
     "anneal/130x20/chimera(2,2,4)": "693cb73e3f0ade827e05ab0a7b4d6c681456df70b5cd27a6f0f76c25a39e3db9",
+    "fields/200x20/stored-order": "64808ebb5140bfa640989a5bb9d4213c7a3ec85b59bf9c6b9d97f0db529aff14",
     "embed/k8/2,2,4": "c10b4dae85a0e783506be6e4bab11daeb290c0f684234ccb6e478e8243b2864d",
     "embed/k9/2,2,4": "3e8d4ed178dafa719e6eda577d122a3e37b4358ea4a9ddb97837e7cd5b625daf",
     "embed/k30/8,8,4": "ccee89825a8a3ab7d3905cc3570ae661bb41e172b39f007dd5e0559b23a3ef77",
 }
 
 
+def digest(case):
+    data = output(case)
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_digest(case):
-    text = output(case)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+    assert digest(case) == GOLDEN[case]
 
 
 def test_repeated_grid_points_keep_one_aggregate_row_each():
@@ -232,5 +262,4 @@ def test_repeated_density_shares_one_normalization_group():
 
 if __name__ == "__main__":
     for case in CASES:
-        digest = hashlib.sha256(output(case).encode()).hexdigest()
-        print(f'    "{case}": "{digest}",')
+        print(f'    "{case}": "{digest(case)}",')
