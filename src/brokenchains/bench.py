@@ -327,7 +327,7 @@ def _draw_physical_samples(config, pms, ising, graph_seed):
         return [simulated_anneal(pms[0], params)] if len(pms) == 1 else anneal_grid(pms, params)
     # inject: anneal the *logical* model once, then copy each read onto the
     # chains of every model and flip qubits with probability p_break
-    logical_pm = PhysicalModel(ising, 1.0, identity_embedding(ising.variables()))
+    logical_pm = PhysicalModel(ising, identity_embedding(ising.variables()))
     logical_samples = simulated_anneal(logical_pm, params)
     return [inject_chain_breaks(logical_samples, config.p_break, graph_seed, pm) for pm in pms]
 
@@ -399,8 +399,10 @@ def chain_strength_setting(experiment: str, config: ExperimentConfig):
 
     fig2 defaults to ``FIG2_CHAIN_STRENGTH`` of the problem, fig3 to
     ``"utc"``; fig4 runs at every strength of its grid, which must not be
-    empty.  ``ValueError`` naming a setting the experiment does not read.
+    empty.  ``ValueError`` naming another experiment, or a setting one does not read.
     """
+    if experiment not in ("fig2", "fig3", "fig4"):
+        raise ValueError(f"unknown experiment {experiment!r}; expected fig2, fig3 or fig4")
     grid = config.chain_strength_grid
     if experiment == "fig4":
         if config.chain_strength is not None:
@@ -541,8 +543,10 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
 
     The manifest echoes the config and records the chain strength the run
     used (``chain_strength_setting``), version and wall time.  ``started``
-    is the run's ``time.perf_counter()`` reading at its start.
+    is the run's ``time.perf_counter()`` reading at its start.  Another
+    ``name`` than fig2, fig3 or fig4 raises ``ValueError`` and writes nothing.
     """
+    strength = chain_strength_setting(name, config)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{name}.csv")
     with open(csv_path, "w") as fh:
@@ -550,7 +554,7 @@ def write_experiment(out_dir, name: str, config: ExperimentConfig, rows, started
     manifest = {
         "experiment": name,
         "config": asdict(config),
-        "chain_strength": chain_strength_setting(name, config),
+        "chain_strength": strength,
         "rows": len(rows),
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,

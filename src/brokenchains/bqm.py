@@ -26,7 +26,7 @@ ascending variable, then quadratic terms in order.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class BinaryQuadraticModel:
     pairs: np.ndarray  # (k, 2) int64
     j: np.ndarray  # float64, one per pair
     offset: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.domain not in (QUBO, ISING):
@@ -165,7 +164,7 @@ def convert(m: BinaryQuadraticModel, target: str) -> BinaryQuadraticModel:
         h, j = 2.0 * m.h, 4.0 * m.j
         offset = _running_sum(m.offset, -m.h, m.j)
         np.subtract.at(h, ends, (2.0 * m.j).repeat(2))
-    return BinaryQuadraticModel(target, m.ids, h, m.pairs, j, offset, dict(m.metadata))
+    return BinaryQuadraticModel(target, m.ids, h, m.pairs, j, offset)
 
 
 def build_max_clique_qubo(g: Graph) -> BinaryQuadraticModel:
@@ -202,16 +201,13 @@ def build_graph_partitioning_ising(g: Graph) -> BinaryQuadraticModel:
     """Ising model trading cut size against a quadratic balance penalty.
 
     Expanding A (sum x_v)^2 gives offset A*n, a 2A coupler on every vertex
-    pair, and the edge sum adds |E|/2 to the offset and -1/2 per edge.  The
-    penalty weight is kept in ``metadata['partition_weight']``.
+    pair, and the edge sum adds |E|/2 to the offset and -1/2 per edge, with
+    A = ``partition_weight(g)``.
     """
     a = partition_weight(g)
     u, v = np.triu_indices(g.n, 1)
-    return BinaryQuadraticModel(
-        ISING, np.arange(g.n), np.zeros(g.n), np.stack([u, v], axis=1),
-        2.0 * a - 0.5 * g.adjacency[u, v], a * g.n + len(g.u) / 2.0,
-        {"partition_weight": a},
-    )
+    return BinaryQuadraticModel(ISING, np.arange(g.n), np.zeros(g.n), np.stack([u, v], axis=1),
+                                2.0 * a - 0.5 * g.adjacency[u, v], a * g.n + len(g.u) / 2.0)
 
 
 def build_model(problem: str, g: Graph) -> BinaryQuadraticModel:
@@ -235,10 +231,8 @@ def scale_to_unit_range(m: BinaryQuadraticModel) -> BinaryQuadraticModel:
     largest = max(np.abs(m.h).max(initial=0.0), np.abs(m.j).max(initial=0.0))
     if largest == 0.0:
         return m
-    return BinaryQuadraticModel(
-        m.domain, m.ids, m.h / largest, m.pairs, m.j / largest, m.offset / largest,
-        dict(m.metadata),
-    )
+    return BinaryQuadraticModel(m.domain, m.ids, m.h / largest, m.pairs, m.j / largest,
+                                m.offset / largest)
 
 
 def to_json(m: BinaryQuadraticModel) -> str:

@@ -184,7 +184,7 @@ def cmd_sample(args):
         "topology": list(args.topology),
     }
     with open(base + ".json", "w") as fh:
-        fh.write(sampleset_to_json(samples, provenance))
+        fh.write(sampleset_to_json(samples, model_hash(pm.ising), provenance))
     with open(base + ".csv", "w") as fh:
         fh.write(sampleset_to_csv(samples))
     with open(os.path.join(args.out, "embedding.json"), "w") as fh:
@@ -203,20 +203,20 @@ def _check_artifacts(args, g, e, model):
         raise ConfigError(f"the variables of {args.embedding} differ from those of {args.model}")
 
 
-def _check_provenance(args, samples, e, model):
+def _check_provenance(args, stored_hash, provenance, e, model):
     """The reads must come from the physical model that ``sample`` built out
-    of ``model`` and ``e`` at the chain strength and topology it recorded.
-    A fault of the embedding names the embedding file, any other the
-    samples file."""
+    of ``model`` and ``e`` at the chain strength and topology it recorded in
+    ``provenance``, whose hash it stored as ``stored_hash``.  A fault of the
+    embedding names the embedding file, any other the samples file."""
     with _blame(args.samples):
-        if samples.provenance is None:
+        if provenance is None:
             raise ValueError("no provenance record; draw the samples again with 'sample'")
-    strength = samples.provenance["chain_strength"]
-    m, n, t = samples.provenance["topology"]
+    strength = provenance["chain_strength"]
+    m, n, t = provenance["topology"]
     with _blame(args.embedding):
         pm = embed_bqm(convert(model, ISING), e, chimera(m, n, t), strength)
     with _blame(args.samples):
-        if model_hash(pm.ising) != samples.model_hash:
+        if model_hash(pm.ising) != stored_hash:
             raise ValueError(
                 f"model_hash differs from that of the physical model at chain strength"
                 f" {strength} on chimera({m}, {n}, {t})"
@@ -243,9 +243,9 @@ def cmd_unembed(args):
         model = bqmlib.from_json(fh.read())
     _check_artifacts(args, g, e, model)
     with open(args.samples) as fh, _blame(args.samples):
-        samples = sampleset_from_json(fh.read())
+        samples, stored_hash, provenance = sampleset_from_json(fh.read())
         chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
-    _check_provenance(args, samples, e, model)
+    _check_provenance(args, stored_hash, provenance, e, model)
 
     method = {short: name for name, short in bench.SHORT_NAMES.items()}[args.method]
     rs = decompose_set(samples.spins, chains)

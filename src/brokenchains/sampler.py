@@ -93,7 +93,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,12 +159,6 @@ class SampleSet:
     # ``spins``, which ``energies`` calls the first time it is read
     energy_source: object
     params: AnnealParams
-    model: PhysicalModel = field(repr=False, default=None)
-    # read back by ``sampleset_from_json``: the stored ``model_hash`` of the
-    # physical model the reads came from, and the provenance record of how
-    # ``brokenchains sample`` built it (chain strength, prefactor, topology)
-    model_hash: str = None
-    provenance: dict = None
 
     def __len__(self):
         return len(self.spins)
@@ -353,7 +347,7 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         for rows, out in zip(row_of, spins):
             out[start : start + len(rngs)] = states[rows].T
     return [
-        SampleSet(pm.ising.ids, out, functools.partial(_block_energies, pm.ising, out), params, pm)
+        SampleSet(pm.ising.ids, out, functools.partial(_block_energies, pm.ising, out), params)
         for pm, out in zip(pms, spins)
     ]
 
@@ -424,7 +418,7 @@ def inject_chain_breaks(
     spins = np.where(flips, -copied, copied)
     # summed over all reads as one block, when first read
     energies = functools.partial(_block_energies, pm.ising, spins, max(len(spins), 1))
-    return SampleSet(qubits, spins, energies, logical.params, pm)
+    return SampleSet(qubits, spins, energies, logical.params)
 
 
 def model_hash(model: BinaryQuadraticModel) -> str:
@@ -444,13 +438,13 @@ def _spin_strings(ss: SampleSet) -> list:
     return [row.tobytes().decode("ascii") for row in chars]
 
 
-def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
-    """The sample set as JSON, with the hash of its physical model and, when
-    given, the ``provenance`` record of how that model was built."""
-    doc = {"model_hash": model_hash(ss.model.ising)}
-    if provenance is not None:
-        doc["provenance"] = provenance
-    doc.update(
+def sampleset_to_json(ss: SampleSet, model_hash: str, provenance: dict) -> str:
+    """The sample set as JSON, with the hash of its physical model and the
+    record of how that model was built, as given: ``sampleset_from_json``'s
+    inverse."""
+    doc = dict(
+        model_hash=model_hash,
+        provenance=provenance,
         qubits=ss.qubits.tolist(),
         params={
             "num_reads": ss.params.num_reads,
@@ -466,8 +460,10 @@ def sampleset_to_json(ss: SampleSet, provenance: dict = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def sampleset_from_json(text: str) -> SampleSet:
-    """Read ``sampleset_to_json`` output, with no physical model attached.
+def sampleset_from_json(text: str) -> tuple:
+    """Read ``sampleset_to_json`` output as ``(samples, model_hash,
+    provenance)``, the ``SampleSet`` and the hash and record stored with it;
+    ``provenance`` is ``None`` for a file that holds none.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
     on ``params`` that ``AnnealParams`` rejects, on an energy that is not a
@@ -521,7 +517,7 @@ def sampleset_from_json(text: str) -> SampleSet:
     chars = np.frombuffer(joined, dtype=np.uint8)
     spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), width)
     energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
-    return SampleSet(qubits, spins, energies, params, None, doc["model_hash"], provenance)
+    return SampleSet(qubits, spins, energies, params), doc["model_hash"], provenance
 
 
 def sampleset_to_csv(ss: SampleSet) -> str:

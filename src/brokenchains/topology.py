@@ -8,8 +8,7 @@ shore 0 horizontal and shore 1 vertical.  An ``Embedding`` is its chain
 arrays, and ``chain_columns`` gives the same embedding over a sample set's
 spin-array columns instead of qubit ids.  ``embed_bqm`` compiles a logical
 Ising model into a ``PhysicalModel``, which stores the compiled model, a
-``BinaryQuadraticModel`` over qubit ids, next to the chain strength and
-the embedding.
+``BinaryQuadraticModel`` over qubit ids, next to the embedding.
 """
 
 import itertools
@@ -378,15 +377,14 @@ def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor: float = 1.41
 
 @dataclass(frozen=True, eq=False)
 class PhysicalModel:
-    """An Ising model over physical qubits, the chain strength it was
-    compiled at and the embedding that produced it.  ``embed_bqm`` lists
+    """An Ising model over physical qubits and the embedding that produced
+    it; the chain strength lives in its chain couplers.  ``embed_bqm`` lists
     the couplers between chains in the logical model's term order, then
     those inside chains in ascending order; the anneal and the energies sum
     in that order.  A logical model annealed directly is its own physical
     model, over qubits named by its variables."""
 
     ising: BinaryQuadraticModel
-    chain_strength: float
     source_embedding: Embedding
 
     def qubits(self) -> list:
@@ -443,8 +441,7 @@ def embed_bqm(
                                links.inside])
     j = np.concatenate([np.repeat(j / counts, counts),
                         np.full(len(links.inside), -float(chain_strength))])
-    return PhysicalModel(BinaryQuadraticModel(ISING, qubit_ids, fields, couplers, j, m.offset),
-                         chain_strength, e)
+    return PhysicalModel(BinaryQuadraticModel(ISING, qubit_ids, fields, couplers, j, m.offset), e)
 
 
 def embedding_to_json(e: Embedding) -> str:

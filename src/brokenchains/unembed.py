@@ -66,11 +66,13 @@ def decompose_set(spins, chains: Embedding) -> ReadoutSet:
     ``spins`` is the set's ``(reads, qubits)`` spin array and ``chains`` the
     embedding over its columns that ``chain_columns`` gives.  A chain is
     broken when some but not all of its qubits are at +1.  ``ValueError`` on
-    an array that is not 2-D.
+    an array that is not 2-D, or naming the first empty chain.
     """
     spins = np.asarray(spins)
     if spins.ndim != 2:
         raise ValueError(f"spins must be a 2-D (reads, qubits) array, not {spins.ndim}-D")
+    if not chains.lengths.all():
+        raise ValueError(f"chain {chains.ids[np.argmin(chains.lengths)]} is empty")
     high = spins[:, chains.qubits] > 0
     ones = np.add.reduceat(high, chains.starts, axis=1)
     return ReadoutSet(

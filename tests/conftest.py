@@ -87,7 +87,7 @@ def spin_glass(hw, seed, scale=1.0):
     linear = dict(zip(qubits, (scale * rng.uniform(-1.0, 1.0, len(qubits))).tolist()))
     quadratic = dict(zip(couplers, (scale * rng.uniform(-1.0, 1.0, len(couplers))).tolist()))
     ising = BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
-    return PhysicalModel(ising, 1.0, identity_embedding(qubits))
+    return PhysicalModel(ising, identity_embedding(qubits))
 
 
 def intra_chain_couplers(pm):

@@ -218,9 +218,7 @@ class TestCriterion3AgreementOnUnbroken:
                 }[problem]
                 model = builder(g)
                 ising = convert(model, ISING)
-                logical_pm = PhysicalModel(
-                    ising, 1.0, identity_embedding(ising.variables())
-                )
+                logical_pm = PhysicalModel(ising, identity_embedding(ising.variables()))
                 ss = simulated_anneal(
                     logical_pm, AnnealParams(num_reads=20, sweeps=300, seed=500 + k)
                 )

@@ -18,6 +18,7 @@ from brokenchains.bench import (
     ExperimentConfig,
     MetricRow,
     broken_chain_proportion,
+    chain_strength_setting,
     improvement_ratio,
     normalize_group,
     normalize_objectives,
@@ -422,6 +423,17 @@ class TestManifest:
         write_experiment(tmp_path, name, cfg, [], time.perf_counter())
         manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
         assert manifest["chain_strength"] == expected
+
+    @pytest.mark.parametrize("name", ["fig2-maxcut", "fig5", "FIG2"])
+    def test_unknown_experiment_rejected(self, tmp_path, name):
+        # no default is resolved for a name that is not one of the three experiments
+        cfg = small_config()
+        message = rf"^unknown experiment '{name}'; expected fig2, fig3 or fig4$"
+        with pytest.raises(ValueError, match=message):
+            chain_strength_setting(name, cfg)
+        with pytest.raises(ValueError, match=message):
+            write_experiment(tmp_path, name, cfg, [], time.perf_counter())
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig2_rows_ran_at_the_recorded_strength(self, tmp_path):
         cfg = small_config(reads=4, sweeps=10)

@@ -14,6 +14,7 @@ from brokenchains.bqm import (
     convert,
     energy,
     from_json,
+    partition_weight,
     scale_to_unit_range,
     to_json,
 )
@@ -211,13 +212,16 @@ class TestMaxCutBuilder:
 
 class TestPartitioningBuilder:
     def test_balanced_split_zero_penalty(self):
-        m = build_graph_partitioning_ising(empty_graph(2))
-        assert m.metadata["partition_weight"] == 2 / 8
+        g = empty_graph(2)
+        m = build_graph_partitioning_ising(g)
+        assert partition_weight(g) == 2 / 8 == m.j[0] / 2
         assert energy(m, {0: 1, 1: -1}) == 0.0
 
     def test_k4_split_value(self):
-        m = build_graph_partitioning_ising(complete_graph(4))
-        assert m.metadata["partition_weight"] == pytest.approx(0.375)
+        g = complete_graph(4)
+        m = build_graph_partitioning_ising(g)
+        assert partition_weight(g) == pytest.approx(0.375)
+        assert m.offset == partition_weight(g) * 4 + 6 / 2
         assert energy(m, {0: 1, 1: 1, 2: -1, 3: -1}) == pytest.approx(4.0)
 
     def test_oracle_equivalence_on_balanced(self):
@@ -237,8 +241,9 @@ class TestPartitioningBuilder:
         assert cuts == {opt}
 
     def test_edgeless_weight_convention(self):
-        m = build_graph_partitioning_ising(empty_graph(8))
-        assert m.metadata["partition_weight"] == 1.0
+        g = empty_graph(8)
+        m = build_graph_partitioning_ising(g)
+        assert partition_weight(g) == 1.0 == m.offset / 8
 
 
 class TestScaleToUnitRange:

@@ -8,7 +8,7 @@ from brokenchains import bench
 from brokenchains.bqm import build_max_cut_ising, to_json
 from brokenchains.cli import main
 from brokenchains.graphs import read_edge_list
-from brokenchains.sampler import AnnealParams, sampleset_to_json, simulated_anneal
+from brokenchains.sampler import AnnealParams, model_hash, sampleset_to_json, simulated_anneal
 from brokenchains.topology import Embedding, chimera, embed_bqm
 
 
@@ -167,7 +167,9 @@ class TestSampleValidation:
         pm = embed_bqm(model, Embedding.from_chains({}), chimera(2, 2, 4), 1.0)
         provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [2, 2, 4]}
         samples = simulated_anneal(pm, AnnealParams(num_reads=2, sweeps=3))
-        (tmp_path / "samples.json").write_text(sampleset_to_json(samples, provenance))
+        (tmp_path / "samples.json").write_text(
+            sampleset_to_json(samples, model_hash(pm.ising), provenance)
+        )
         rc = main(["unembed", "--graph", str(graph), "--problem", "max_cut",
                    "--samples", str(tmp_path / "samples.json"),
                    "--embedding", str(tmp_path / "embedding.json"),

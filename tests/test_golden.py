@@ -136,7 +136,7 @@ def field_order_spins():
     linear = {0: -1e20, 1: -0.2, 2: -1e20, 3: 0.0}
     quadratic = {(0, 1): 0.7, (1, 2): 0.3, (0, 3): 1e16, (1, 3): 1.0, (2, 3): -1e16}
     ising = BinaryQuadraticModel.from_terms(ISING, linear, quadratic)
-    pm = PhysicalModel(ising, 1.0, identity_embedding(linear))
+    pm = PhysicalModel(ising, identity_embedding(linear))
     return simulated_anneal(pm, AnnealParams(200, 20, seed=3)).spins.tobytes()
 
 

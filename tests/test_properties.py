@@ -531,7 +531,7 @@ def reference_simulated_anneal(pm, params):
         spins.append(states.T.astype(np.int8))
     spins = np.concatenate(spins)
     # summed per block of _READ_BATCH reads, as the anneal sums them
-    return SampleSet(pm.ising.ids, spins, _block_energies(pm.ising, spins), params, pm)
+    return SampleSet(pm.ising.ids, spins, _block_energies(pm.ising, spins), params)
 
 
 def assert_same_anneal(got, want):
@@ -553,7 +553,7 @@ def zero_field_glass(hw, seed):
     ising = BinaryQuadraticModel.from_terms(
         ISING, dict.fromkeys(hw.qubits, 0.0), dict(zip(couplers, signs.tolist()))
     )
-    return PhysicalModel(ising, 1.0, identity_embedding(list(hw.qubits)))
+    return PhysicalModel(ising, identity_embedding(list(hw.qubits)))
 
 
 @PROPERTY
@@ -666,7 +666,6 @@ def check_grid(problem, n, graph_seed, strengths, reads, sweeps, seed, alone):
     grid = anneal_grid(pms, params)
     assert len(grid) == len(pms)
     for pm, got in zip(pms, grid):
-        assert got.model is pm
         assert got.spins.dtype == np.int8 and got.spins.flags.c_contiguous
         assert_same_anneal(got, alone(pm, params))
     return _batch_shape(len(grid[0].qubits), sweeps, len(pms))[0]
@@ -723,7 +722,7 @@ def tv_bound(p, reads, failure=1e-9):
 @pytest.mark.parametrize("model_seed", range(3))
 def test_fixed_beta_anneal_samples_the_boltzmann_law(model_seed):
     model = frustrated_model(model_seed)
-    pm = PhysicalModel(model, 1.0, identity_embedding(model.variables()))
+    pm = PhysicalModel(model, identity_embedding(model.variables()))
     beta = STATIONARY_BETA
     samples = simulated_anneal(pm, AnnealParams(
         STATIONARY_READS, STATIONARY_SWEEPS, (beta, beta * (1 + 1e-9)), seed=model_seed

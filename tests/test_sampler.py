@@ -1,17 +1,18 @@
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel, build_max_cut_ising, energy
-from brokenchains import sampler
+from brokenchains import cli, sampler
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
     anneal_grid,
     inject_chain_breaks,
+    model_hash,
     sampleset_from_json,
     sampleset_to_csv,
     sampleset_to_json,
@@ -28,7 +29,7 @@ from brokenchains.topology import (
     identity_embedding,
 )
 from brokenchains.unembed import decompose
-from brokenchains.graphs import erdos_renyi
+from brokenchains.graphs import PROBLEMS, erdos_renyi, write_edge_list
 from conftest import (
     chain_break_probability,
     complete_graph,
@@ -41,7 +42,7 @@ from conftest import (
 
 
 def logical_pm(model):
-    return PhysicalModel(model, 1.0, identity_embedding(model.variables()))
+    return PhysicalModel(model, identity_embedding(model.variables()))
 
 
 class TestAnnealParams:
@@ -194,7 +195,7 @@ class TestInjectChainBreaks:
     def test_qubit_outside_the_chains(self):
         # qubit 2 carries a field, but no chain of the embedding holds it
         ising = BinaryQuadraticModel.from_terms(ISING, {0: 0.0, 1: 0.0, 2: 0.5}, {(0, 1): -1.0})
-        pm = PhysicalModel(ising, 1.0, Embedding.from_chains({0: (0, 1)}))
+        pm = PhysicalModel(ising, Embedding.from_chains({0: (0, 1)}))
         with pytest.raises(ValueError, match=r"^the physical model has qubits outside the chains$"):
             inject_chain_breaks(one_read({0: 1}), 0.1, 0, pm)
 
@@ -239,17 +240,29 @@ class TestSampleSetExport:
         m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))
         pm = logical_pm(m)
         ss = simulated_anneal(pm, AnnealParams(num_reads=5, sweeps=10, seed=1))
-        back = sampleset_from_json(sampleset_to_json(ss))
-        assert back.model is None
-        # a read-back set names its model only by hash; attach the model to
-        # write it again
-        again = sampleset_to_json(replace(back, model=pm))
-        assert again == sampleset_to_json(ss)
+        provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [1, 1, 4]}
+        back, stored_hash, stored = sampleset_from_json(
+            sampleset_to_json(ss, model_hash(pm.ising), provenance)
+        )
+        assert stored_hash == model_hash(pm.ising)
+        assert stored == provenance
+        assert [f.name for f in fields(back)] == ["qubits", "spins", "energy_source", "params"]
         assert len(back) == len(ss)
         assert back.qubits.dtype == np.int64 and not back.qubits.flags.writeable
         assert np.array_equal(back.qubits, ss.qubits)
         assert np.array_equal(back.spins, ss.spins)
         assert np.array_equal(back.energies, ss.energies)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_sample_file_round_trip(self, tmp_path, problem, seed):
+        # the reader and the writer are inverses on every file ``sample`` writes
+        write_edge_list(erdos_renyi(4 + 2 * seed, 0.5, seed), tmp_path / "graph.txt")
+        assert cli.main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", problem,
+                         "--reads", "6", "--sweeps", "5", "--topology", "2,2,4",
+                         "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "samples.json").read_text()
+        assert sampleset_to_json(*sampleset_from_json(text)) == text
 
     def test_csv_shape(self):
         m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))

@@ -141,6 +141,16 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_read(s, bigger)
 
+    @pytest.mark.parametrize("chains,empty", [
+        ({0: (), 1: (0, 1)}, 0),  # would read chain 1's qubit as its side
+        ({0: (0, 1), 1: ()}, 1),  # would index past the last qubit
+        ({0: (0,), 1: (), 2: (1,), 3: ()}, 1),
+    ])
+    def test_empty_chain_rejected(self, chains, empty):
+        columns = chain_columns(Embedding.from_chains(chains), np.array([0, 1]))
+        with pytest.raises(ValueError, match=rf"^chain {empty} is empty$"):
+            decompose_set(np.array([[1, -1]], np.int8), columns)
+
 
 class TestStack:
     def test_rows_are_reads_and_columns_chains(self):
