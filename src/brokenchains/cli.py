@@ -4,11 +4,16 @@ Subcommands: gen, embed, sample, unembed, fig2, fig3, fig4.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error's message names the exception type and the innermost frame it was
 raised in: ``error: ValueError in anneal_grid (sampler.py:<line>): ...``.
+
+The parser is built once per process (``build_parser`` is cached), so a
+process that calls ``main`` many times, as a ``sample`` then ``unembed``
+round trip in one interpreter does, builds it once; each call parses into
+a fresh namespace, so no option carries over from one call to the next.
 """
 
 import argparse
 import contextlib
-import csv
+import functools
 import json
 import os
 import sys
@@ -254,17 +259,16 @@ def cmd_unembed(args):
     broken = rs.broken.sum(axis=1).tolist()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "unembedded.csv")
+    # the bytes ``csv.writer`` gives: no field needs quoting, and a float's str
+    # is its repr, as csv writes it; a row's last two fields depend only on its
+    # broken-chain count, so they are formatted once per count
+    tails = [f"{count},{count / len(chains.ids)}\n" for count in range(len(chains.ids) + 1)]
+    rows = zip(objectives.tolist(), feasible.tolist(), broken)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["read", "method", "objective", "feasible", "broken_chains", "broken_frac"]
-        )
-        for read, (objective, ok, count) in enumerate(
-            zip(objectives.tolist(), feasible.tolist(), broken)
-        ):
-            writer.writerow(
-                [read, args.method, objective, ok, count, count / len(chains.ids)]
-            )
+        fh.write("read,method,objective,feasible,broken_chains,broken_frac\n" + "".join(
+            f"{read},{args.method},{objective},{ok},{tails[count]}"
+            for read, (objective, ok, count) in enumerate(rows)
+        ))
     print(path)
     return 0
 
@@ -279,6 +283,7 @@ def cmd_experiment(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="brokenchains",

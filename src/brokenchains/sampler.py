@@ -47,6 +47,14 @@ energy agrees with ``bqm.energy`` to 1e-9 but can differ in the last bit
 between two read counts that end in a different last block.  The
 injector sums all its reads as one block.
 
+A sample file (``sampleset_to_json``) holds the bytes of
+``json.dumps(doc, indent=2)``, but only its head goes through ``json``:
+the samples block, whose indent would put ``json`` on its pure-Python
+encoder, is one join of formatted records.  ``sampleset_from_json``
+checks every read at once and decodes all spins in one array operation;
+only a fault sends it through the reads one by one, to name the first bad
+read.
+
 The anneal and the energies are the package's only users of scipy: the
 three functions that build a CSR (``_coupling_matrix``, ``_class_layout``
 and ``_block_energies``) import ``scipy.sparse`` when first called, so a
@@ -80,6 +88,21 @@ exactly when ``u < exp(x)`` and +0 when they are equal, and flips ``s``
 by xor-ing that sign bit into the sign bit of ``s``: the new spin is
 ``copysign(1, s (u - exp(x)))``.  Accept decisions, and so spins, are
 those of the explicit ``delta`` form bit for bit.
+
+A class whose fields can take ``x`` past about -707.5, where numpy's
+``exp`` leaves its vector path (on an AVX-512 Xeon, about 17 ns a value
+there and 140-200 ns where the result is subnormal, against 0.9 ns
+inside), floors ``x`` at ``_EXP_FLOOR`` = -707 before the ``exp``.
+That changes no decision: for ``x < -707``, ``exp(x)`` and ``exp(-707)`` both lie below 1e-307 < 2**-53,
+the smallest nonzero uniform, so both reject every nonzero ``u``.  They
+part only at ``u = 0.0`` when ``exp(x)`` underflows to 0, where
+``0 - 0 = +0`` keeps ``s`` but ``0 - exp(-707) < 0`` flips it, so a draw
+call that holds a 0.0 uniform takes no floor (checked once per call, and
+only when some class would floor).  A class floors when its static field
+bound (the largest ``|h| + sum |J|`` over its rows, taken once per anneal
+from the models' own arrays) times ``2 beta`` exceeds ``_FLOOR_FROM`` =
+700; a model whose fields stay small, such as max cut at fig4's chain
+strengths, pays one compare per class update.
 
 A class whose field ``h`` is zero on every qubit of every model (max cut
 and partitioning have no field) skips the add ``x += h``, which is exact:
@@ -120,6 +143,11 @@ _DRAWS_PER_CALL = 1024
 _DRAW_BUFFER = 512 * 1024
 # the sign bit of a float64, as the anneal flips it
 _SIGN_BIT = np.uint64(1 << 63)
+# below about -707.5 numpy's exp leaves its vector path; any x below the
+# floor rejects every nonzero uniform, as the floor itself does
+_EXP_FLOOR = -707.0
+# a class floors x when its field bound times 2 beta exceeds this
+_FLOOR_FROM = 700.0
 
 
 @dataclass(frozen=True)
@@ -288,13 +316,23 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         2.0 * np.geomspace(params.beta_range[0], params.beta_range[1], params.sweeps)
     ).tolist()
     batch, chunk = _batch_shape(n, params.sweeps, models)
-    row_of, layout = _class_layout([_coupling_matrix(pm.ising) for pm in pms])
+    j_syms = [_coupling_matrix(pm.ising) for pm in pms]
+    row_of, layout = _class_layout(j_syms)
     h = np.empty(models * n)
-    for pm, rows in zip(pms, row_of):
+    # |h| + sum |J| of each row bounds its |f|: summed here from the models'
+    # arrays, since scipy's abs of a class CSR would sort its entries in place
+    # and so change the order its fields are summed in
+    field_bound = np.empty(models * n)
+    entry_rows = np.repeat(np.arange(n), np.diff(j_syms[0].indptr))
+    for pm, j_sym, rows in zip(pms, j_syms, row_of):
         h[rows] = pm.ising.h
+        field_bound[rows] = np.abs(pm.ising.h) + np.bincount(
+            entry_rows, np.abs(j_sym.data), n
+        )
     classes = [
         # adding a zero field changes no spin
-        (cls, rows, h[rows, None] if h[rows].any() else None, j_rows)
+        (cls, rows, h[rows, None] if h[rows].any() else None,
+         float(field_bound[rows].max(initial=0.0)), j_rows)
         for cls, rows, j_rows in layout
     ]
 
@@ -317,24 +355,33 @@ def anneal_grid(pms, params: AnnealParams) -> list:
         # each class's spins in every model: a view of ``states``, updated in
         # place through its bits
         updates = [
-            (cls, states[rows], states[rows].view(np.uint64), h_rows, j_rows)
-            for cls, rows, h_rows, j_rows in classes
+            (cls, states[rows], states[rows].view(np.uint64), h_rows, bound, j_rows)
+            for cls, rows, h_rows, bound, j_rows in classes
         ]
         # exp overflows to inf on steep downhill moves, which accept all the same
         with np.errstate(over="ignore"):
             for first in range(0, params.sweeps, chunk):
                 chunk_two_betas = two_betas[first : first + chunk]
-                for rng, block in zip(rngs, draws):
-                    rng.random(out=block[: len(chunk_two_betas)])
+                filled = draws[:, : len(chunk_two_betas)]  # this call's uniforms
+                for rng, block in zip(rngs, filled):
+                    rng.random(out=block)
+                # whether this call may floor x: decided when a class first
+                # would, since a 0.0 uniform tells the floor from exp(x)
+                floor = None
                 for t, two_beta in enumerate(chunk_two_betas):
                     uniforms = draws[:, t].T  # uniforms[i, r]
-                    for cls, s, s_bits, h_rows, j_rows in updates:
+                    for cls, s, s_bits, h_rows, bound, j_rows in updates:
                         # x = 2 beta s_i f_i, where f_i = h_i + sum_j J_ij s_j
                         x = j_rows @ states
                         if h_rows is not None:
                             x += h_rows
                         x *= s
                         x *= two_beta
+                        if bound * two_beta > _FLOOR_FROM:
+                            if floor is None:
+                                floor = bool(filled.all())
+                            if floor:
+                                np.maximum(x, _EXP_FLOOR, out=x)
                         np.exp(x, out=x)
                         # u - exp(x) < 0 exactly when the flip is accepted, so
                         # its sign bit flips s (a zero keeps s); every model
@@ -433,31 +480,71 @@ def model_hash(model: BinaryQuadraticModel) -> str:
 
 
 def _spin_strings(ss: SampleSet) -> list:
-    """One '+'/'-' string per read, in column order."""
-    chars = np.where(ss.spins > 0, ord("+"), ord("-")).astype(np.uint8)
-    return [row.tobytes().decode("ascii") for row in chars]
+    """One '+'/'-' string per read, in column order, cut from one decoded
+    buffer: '+' is 43 and '-' 45 in ASCII, so 44 - s spells s."""
+    reads, width = ss.spins.shape
+    text = (44 - ss.spins).astype(np.uint8).tobytes().decode("ascii")
+    return [text[r * width : (r + 1) * width] for r in range(reads)]
 
 
 def sampleset_to_json(ss: SampleSet, model_hash: str, provenance: dict) -> str:
     """The sample set as JSON, with the hash of its physical model and the
     record of how that model was built, as given: ``sampleset_from_json``'s
-    inverse."""
-    doc = dict(
-        model_hash=model_hash,
-        provenance=provenance,
-        qubits=ss.qubits.tolist(),
-        params={
-            "num_reads": ss.params.num_reads,
-            "sweeps": ss.params.sweeps,
-            "beta_range": list(ss.params.beta_range),
-            "seed": ss.params.seed,
-        },
-        samples=[
-            {"energy": energy, "spins": spins}
-            for energy, spins in zip(ss.energies.tolist(), _spin_strings(ss))
-        ],
+    inverse.
+
+    The text is that of ``json.dumps(doc, indent=2)`` on the whole document,
+    ``samples`` last; the head is dumped so, and the samples block is
+    written as one join of formatted records, since ``indent`` puts
+    ``json`` on its pure-Python encoder.  An energy is spelled as ``json``
+    spells a float: its repr, or ``NaN``, ``Infinity`` and ``-Infinity``.
+    """
+    head = json.dumps(
+        dict(
+            model_hash=model_hash,
+            provenance=provenance,
+            qubits=ss.qubits.tolist(),
+            params={
+                "num_reads": ss.params.num_reads,
+                "sweeps": ss.params.sweeps,
+                "beta_range": list(ss.params.beta_range),
+                "seed": ss.params.seed,
+            },
+        ),
+        indent=2,
     )
-    return json.dumps(doc, indent=2)
+    spell = repr if np.isfinite(ss.energies).all() else json.dumps
+    records = ",\n".join(
+        f'    {{\n      "energy": {spell(energy)},\n      "spins": "{spins}"\n    }}'
+        for energy, spins in zip(ss.energies.tolist(), _spin_strings(ss))
+    )
+    samples = f"[\n{records}\n  ]" if records else "[]"
+    # the head ends in "\n}", which the samples close again
+    return f'{head[:-2]},\n  "samples": {samples}\n}}'
+
+
+def _read_records(records: list) -> tuple:
+    """(energies, spin rows) of the reads ``records``, once every read is a
+    JSON object holding 'energy' and 'spins' and its energy is a finite real
+    number; otherwise ``ValueError`` naming the first read that is not,
+    checked key and then energy, read by read.
+
+    All reads are checked at once; only a failure walks them one by one,
+    to name the first bad read.
+    """
+    try:
+        values = [rec["energy"] for rec in records]
+        rows = [rec["spins"] for rec in records]
+        # json gives bool, None, str, list and dict for the other values
+        if set(map(type, values)) <= {float, int}:
+            energies = np.array(values, dtype=np.float64)
+            if np.isfinite(energies).all():
+                return energies, rows
+    except (KeyError, TypeError, OverflowError):
+        pass  # a read that is not an object, lacks a key, or overflows a float
+    for read, rec in enumerate(records):
+        require_keys(rec, ("energy", "spins"), f"read {read}")
+        require_real(rec["energy"], f"read {read} energy")
+    raise AssertionError("the reads failed together but passed one by one")
 
 
 def sampleset_from_json(text: str) -> tuple:
@@ -470,7 +557,8 @@ def sampleset_from_json(text: str) -> tuple:
     finite real number, on a provenance chain strength or prefactor that is
     not a positive real number, on a provenance topology that
     ``require_topology`` rejects, or when ``params.num_reads`` is not the
-    number of stored reads.
+    number of stored reads.  The reads are checked and decoded in bulk; a
+    fault names the first read that holds one.
     """
     doc = require_keys(
         json.loads(text), ("model_hash", "qubits", "params", "samples"), "sample set"
@@ -493,16 +581,13 @@ def sampleset_from_json(text: str) -> tuple:
     records = doc["samples"]
     if not isinstance(records, list):
         raise ValueError("samples must be a list of reads")
-    for read, rec in enumerate(records):
-        require_keys(rec, ("energy", "spins"), f"read {read}")
-        require_real(rec["energy"], f"read {read} energy")
-    rows = [rec["spins"] for rec in records]
+    energies, rows = _read_records(records)
     if params.num_reads != len(rows):
         raise ValueError(
             f"params.num_reads is {params.num_reads} but {len(rows)} reads are stored"
         )
     width = len(qubits)
-    shaped = all(isinstance(row, str) and len(row) == width for row in rows)
+    shaped = set(map(type, rows)) <= {str} and set(map(len, rows)) <= {width}
     # one byte per character: "replace" turns each non-ASCII one into '?'
     joined = "".join(rows).encode("ascii", "replace") if shaped else b"?"
     # translate deletes every '+' and '-', so bytes remain exactly when a bad
@@ -514,9 +599,9 @@ def sampleset_from_json(text: str) -> tuple:
             if not isinstance(row, str) or len(row) != width or row.strip("+-")
         )
         raise ValueError(f"read {read}: spins must be {width} characters of '+' and '-'")
+    # 44 - c is +1 for '+' (43) and -1 for '-' (45)
     chars = np.frombuffer(joined, dtype=np.uint8)
-    spins = np.where(chars == ord("+"), 1, -1).astype(np.int8).reshape(len(rows), width)
-    energies = np.array([rec["energy"] for rec in records], dtype=np.float64)
+    spins = np.subtract(44, chars, dtype=np.int8).reshape(len(rows), width)
     return SampleSet(qubits, spins, energies, params), doc["model_hash"], provenance
 
 

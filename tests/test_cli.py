@@ -4,12 +4,12 @@ import os
 
 import pytest
 
-from brokenchains import bench
-from brokenchains.bqm import build_max_cut_ising, to_json
+from brokenchains import bench, cli
+from brokenchains.bqm import ISING, build_max_cut_ising, convert, to_json
 from brokenchains.cli import main
 from brokenchains.graphs import read_edge_list
 from brokenchains.sampler import AnnealParams, model_hash, sampleset_to_json, simulated_anneal
-from brokenchains.topology import Embedding, chimera, embed_bqm
+from brokenchains.topology import Embedding, chimera, embed_bqm, uniform_torque_compensation
 
 
 class TestGen:
@@ -180,6 +180,37 @@ class TestSampleValidation:
             f"configuration error: {graph} has no vertices; unembed needs at least one\n"
         )
         assert not (tmp_path / "out").exists()
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    # the parser is built once per process, yet no option leaks between calls
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["gen", "--n", "6", "--density", "0.5", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    graph = str(tmp_path / "graph.txt")
+
+    def sample(out, *options):
+        assert main(["sample", "--graph", graph, "--problem", "max_cut", "--reads", "4",
+                     "--sweeps", "5", "--topology", "2,2,4", "--out", str(tmp_path / out),
+                     *options]) == 0
+        return json.loads((tmp_path / out / "samples.json").read_text())["provenance"]
+
+    assert sample("fixed", "--chain-strength", "3")["chain_strength"] == 3.0
+    ising = convert(build_max_cut_ising(read_edge_list(graph)), ISING)
+    utc = uniform_torque_compensation(ising, prefactor=bench.ExperimentConfig.prefactor)
+    assert utc != 3.0
+    assert sample("utc") == {"chain_strength": utc, "prefactor": bench.ExperimentConfig.prefactor,
+                             "topology": [2, 2, 4]}
+    outputs = []
+    for _ in range(2):
+        assert main(["unembed", "--graph", graph, "--problem", "max_cut",
+                     "--samples", str(tmp_path / "utc" / "samples.json"),
+                     "--embedding", str(tmp_path / "utc" / "embedding.json"),
+                     "--model", str(tmp_path / "utc" / "model.json"),
+                     "--method", "random", "--seed", "4", "--out", str(tmp_path / "out")]) == 0
+        outputs.append((tmp_path / "out" / "unembedded.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"read,method,objective,feasible,broken_chains,broken_frac\n")
 
 
 @pytest.mark.parametrize("argv", [

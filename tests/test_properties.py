@@ -146,7 +146,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from brokenchains import bench
+from brokenchains import bench, sampler
 from brokenchains.bqm import (
     ISING,
     QUBO,
@@ -185,6 +185,7 @@ from brokenchains.sampler import (
     inject_chain_breaks,
     model_hash,
     sampleset_from_json,
+    sampleset_to_json,
     simulated_anneal,
 )
 from brokenchains.seeding import (
@@ -497,10 +498,16 @@ def test_derive_seeds_equal_derive_seed(seed, stream, reads, after):
         assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
 
 
-def reference_simulated_anneal(pm, params):
+def reference_simulated_anneal(pm, params, read_rng=None, exponents=None):
     """The anneal with one ``rng.random`` call per read per sweep and the
     explicit ``delta`` accept test, as ``simulated_anneal`` ran before its
-    draws were chunked and its class update made in place."""
+    draws were chunked, its class update made in place and its ``exp``
+    floored.  ``read_rng(r)`` gives read ``r``'s generator (its own stream
+    by default); ``exponents``, when given, collects every array passed to
+    ``exp``."""
+    if read_rng is None:
+        def read_rng(r):
+            return rng_from(params.seed, STREAM_READ, r)
     n = len(pm.ising.ids)
     j_sym = _coupling_matrix(pm.ising)
     classes = _colour_classes(j_sym)
@@ -509,7 +516,7 @@ def reference_simulated_anneal(pm, params):
     spins = []
     for start in range(0, params.num_reads, _READ_BATCH):
         reads = range(start, min(start + _READ_BATCH, params.num_reads))
-        rngs = [rng_from(params.seed, STREAM_READ, r) for r in reads]
+        rngs = [read_rng(r) for r in reads]
         states = np.stack(
             [rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0 for rng in rngs],
             axis=1,
@@ -524,9 +531,10 @@ def reference_simulated_anneal(pm, params):
                 fields = pm.ising.h[cls][:, None] + j_sym[cls] @ states
                 # flipping s_i changes the energy by -2 s_i (h_i + sum_j J_ij s_j)
                 delta = -2.0 * spins_cls * fields
-                accept = (delta <= 0.0) | (
-                    uniforms[cls] < np.exp(-beta * np.clip(delta, 0.0, None))
-                )
+                exponent = -beta * np.clip(delta, 0.0, None)
+                if exponents is not None:
+                    exponents.append(exponent.ravel())
+                accept = (delta <= 0.0) | (uniforms[cls] < np.exp(exponent))
                 states[cls] = np.where(accept, -spins_cls, spins_cls)
         spins.append(states.T.astype(np.int8))
     spins = np.concatenate(spins)
@@ -680,6 +688,74 @@ def test_strong_couplings_overflow_exp_silently():
         warnings.simplefilter("error")
         got = simulated_anneal(pm, params)
     assert_same_anneal(got, reference_simulated_anneal(pm, params))
+
+
+# x = 2 beta s f of an uphill flip: below -745 exp(x) underflows to 0, and
+# between -745 and -707.5 it is subnormal; above -707.5 numpy's exp is fast
+UNDERFLOW, FAST_FROM = -745.2, -707.5
+
+
+def test_exp_floor_matches_reference_across_exp_ranges():
+    # fields up to about 73 at beta up to 10 put x in all three ranges,
+    # so the anneal floors x in most of its class updates
+    pm = spin_glass(HW, 5, scale=20.0)
+    params = AnnealParams(70, CHUNK + 5, seed=5)
+    exponents = []
+    want = reference_simulated_anneal(pm, params, exponents=exponents)
+    x = np.concatenate(exponents)
+    assert (x < UNDERFLOW).any()
+    assert ((UNDERFLOW < x) & (x < FAST_FROM)).any()
+    assert ((FAST_FROM < x) & (x < 0.0)).any()
+    assert_same_anneal(simulated_anneal(pm, params), want)
+
+
+class ZeroDraw:
+    """A read's generator that gives 0.0 for its uniform number ``target``,
+    counted in stream order, and its own draws for every other."""
+
+    def __init__(self, rng, target):
+        self.rng, self.target, self.drawn = rng, target, 0
+        self.bit_generator = rng.bit_generator  # the anneal's initial spins
+
+    def integers(self, *args):  # the reference's initial spins
+        return self.rng.integers(*args)
+
+    def random(self, out):
+        self.rng.random(out=out)
+        if 0 <= self.target - self.drawn < out.size:
+            out[np.unravel_index(self.target - self.drawn, out.shape)] = 0.0
+        self.drawn += out.size
+        return out
+
+
+def test_exp_floor_skips_a_draw_call_with_a_zero_uniform(monkeypatch):
+    # at u = 0.0 an x below -745 keeps its spin (0 - exp(x) is +0), but the
+    # floor's exp(-707) > 0 would flip it: a call holding that draw must not floor
+    pm = spin_glass(HW, 5, scale=20.0)
+    params = AnnealParams(3, CHUNK + 5, seed=5)
+    n, read = len(QUBITS), 1
+    want = reference_simulated_anneal(pm, params)
+    # a qubit of the last colour class updates after all its neighbours, so
+    # its x in the last sweep follows from the final spins
+    j_sym = _coupling_matrix(pm.ising)
+    final = want.spins[read].astype(np.float64)
+    x = 2.0 * params.beta_range[1] * final * (pm.ising.h + j_sym @ final)
+    last = _colour_classes(j_sym)[-1]
+    qubit = last[np.argmax(x[last] < UNDERFLOW)]
+    assert x[qubit] < UNDERFLOW
+    target = (params.sweeps - 1) * n + qubit  # the last sweep's uniform of that qubit
+
+    def read_rng(r):
+        rng = rng_from(params.seed, STREAM_READ, r)
+        return ZeroDraw(rng, target) if r == read else rng
+
+    zeroed = reference_simulated_anneal(pm, params, read_rng)
+    assert zeroed.spins.tobytes() == want.spins.tobytes()  # exp(x) is 0, and 0 < 0 fails
+    monkeypatch.setattr(
+        sampler, "streams",
+        lambda seed, stream: (read_rng(r) for r in itertools.count()),
+    )
+    assert_same_anneal(simulated_anneal(pm, params), zeroed)
 
 
 # every state of 7 spins: state s holds spin i at +1 when bit 6 - i of s is set
@@ -1736,6 +1812,80 @@ def test_validate_embedding_matches_reference(e, data):
     problems = validate_embedding(e, logical, HW)
     assert problems == reference_violations(e, logical, HW)
     fault_events(problems)
+
+
+def reference_sampleset_to_json(ss, model_hash, provenance):
+    """The sample file as ``sampleset_to_json`` wrote it before it joined
+    its samples block itself: the whole document through ``json.dumps``."""
+    doc = dict(
+        model_hash=model_hash,
+        provenance=provenance,
+        qubits=ss.qubits.tolist(),
+        params={
+            "num_reads": ss.params.num_reads,
+            "sweeps": ss.params.sweeps,
+            "beta_range": list(ss.params.beta_range),
+            "seed": ss.params.seed,
+        },
+        samples=[
+            {"energy": energy, "spins": "".join("+" if s > 0 else "-" for s in row)}
+            for energy, row in zip(ss.energies.tolist(), ss.spins.tolist())
+        ],
+    )
+    return json.dumps(doc, indent=2)
+
+
+EDGE_ENERGIES = (-0.0, 5e-324, 0.1, 1e16)
+provenances = st.one_of(st.none(), st.fixed_dictionaries({
+    "chain_strength": st.floats(1e-3, 1e3),
+    "prefactor": st.floats(1e-3, 1e3),
+    "topology": st.lists(st.integers(1, 16), min_size=3, max_size=3),
+}))
+
+
+@st.composite
+def stored_sets(draw, energies, min_reads):
+    """(set, model hash, provenance) of ``min_reads``-6 reads over 0-5
+    qubits, whose params count its reads when it holds any."""
+    reads, width = draw(st.integers(min_reads, 6)), draw(st.integers(0, 5))
+    qubits = sorted(draw(st.sets(st.integers(0, 2**62), min_size=width, max_size=width)))
+    spins = draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=width, max_size=width),
+                          min_size=reads, max_size=reads))
+    values = draw(st.lists(st.one_of(st.sampled_from(EDGE_ENERGIES), energies),
+                           min_size=reads, max_size=reads))
+    beta_min = draw(st.floats(1e-3, 1.0))
+    params = AnnealParams(max(reads, 1), draw(st.integers(1, 10**6)),
+                          (beta_min, draw(st.floats(1.5, 1e3))), draw(seeds))
+    ss = SampleSet(np.array(qubits, dtype=np.int64),
+                   np.array(spins, dtype=np.int8).reshape(reads, width),
+                   np.array(values, dtype=np.float64), params)
+    return ss, draw(st.text(max_size=8)), draw(provenances)
+
+
+@PROPERTY
+@given(stored_sets(st.floats(), 0))
+@example((SampleSet(np.arange(2), np.ones((4, 2), dtype=np.int8),
+                    np.array([float("nan"), float("inf"), float("-inf"), -0.0]),
+                    AnnealParams(4)), "h", None))
+def test_sample_writer_equals_json_dumps(case):
+    # NaN and +-inf too, which the reader refuses but the writer spells as json does
+    assert sampleset_to_json(*case) == reference_sampleset_to_json(*case)
+
+
+@PROPERTY
+@given(stored_sets(st.floats(allow_nan=False, allow_infinity=False), 1))
+@example((SampleSet(np.arange(0), np.ones((4, 0), dtype=np.int8), np.array(EDGE_ENERGIES),
+                    AnnealParams(4)), "h", None))
+def test_sample_reader_inverts_writer(case):
+    ss, stored_hash, provenance = case
+    text = sampleset_to_json(ss, stored_hash, provenance)
+    back, back_hash, back_provenance = sampleset_from_json(text)
+    assert (back_hash, back_provenance, back.params) == (stored_hash, provenance, ss.params)
+    assert back.qubits.dtype == np.int64 and back.qubits.tolist() == ss.qubits.tolist()
+    assert back.spins.dtype == np.int8 and back.spins.shape == ss.spins.shape
+    assert back.spins.tobytes() == ss.spins.tobytes()
+    assert back.energies.dtype == np.float64 and back.energies.tobytes() == ss.energies.tobytes()
+    assert sampleset_to_json(back, back_hash, back_provenance) == text
 
 
 # one setting of any kind: the values every boundary must decide alike

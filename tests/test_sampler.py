@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -39,6 +41,8 @@ from conftest import (
     spin_glass,
     spins_of,
 )
+
+DELETE = object()  # an edit that deletes its key
 
 
 def logical_pm(model):
@@ -263,6 +267,47 @@ class TestSampleSetExport:
                          "--seed", str(seed), "--out", str(tmp_path)]) == 0
         text = (tmp_path / "samples.json").read_text()
         assert sampleset_to_json(*sampleset_from_json(text)) == text
+
+    @staticmethod
+    def edited(edits):
+        """A sample file of four reads over three qubits, read back after
+        ``edits`` (``{read: {key: value or DELETE}}``, or a read's whole
+        record) are made to its records."""
+        ss = sample_set([[1, -1, 1]] * 4, range(3))
+        doc = json.loads(sampleset_to_json(ss, "h", None))
+        for read, edit in edits.items():
+            if not isinstance(edit, dict):
+                doc["samples"][read] = edit
+                continue
+            for key, value in edit.items():
+                if value is DELETE:
+                    del doc["samples"][read][key]
+                else:
+                    doc["samples"][read][key] = value
+        return sampleset_from_json(json.dumps(doc))[0]
+
+    @pytest.mark.parametrize("edits,expect", [
+        # the first bad read is named, whatever fault a later read holds
+        ({1: {"energy": "x"}, 3: {"spins": DELETE}}, "read 1 energy must be a real number, not 'x'"),
+        ({1: {"spins": DELETE}, 3: {"energy": "x"}}, "read 1 has no 'spins'"),
+        # a read's keys are checked before its energy
+        ({2: {"energy": "x", "spins": DELETE}}, "read 2 has no 'spins'"),
+        # every energy before any spins
+        ({0: {"spins": "+"}, 2: {"energy": None}}, "read 2 energy must be a real number, not None"),
+        ({2: [1.0, "+-+"]}, "read 2 must be a JSON object, not list"),
+        ({0: {"energy": True}}, "read 0 energy must be a real number, not True"),
+        ({1: {"spins": "+\u00e9+"}}, "read 1: spins must be 3 characters of '+' and '-'"),
+        ({0: {"spins": "+-"}, 2: {"spins": "\u00e9"}},
+         "read 0: spins must be 3 characters of '+' and '-'"),
+    ])
+    def test_reader_names_the_first_bad_read(self, edits, expect):
+        with pytest.raises(ValueError, match=f"^{re.escape(expect)}$"):
+            self.edited(edits)
+
+    def test_integer_energy_loads_as_float(self):
+        ss = self.edited({1: {"energy": -3}})
+        assert ss.energies.dtype == np.float64 and ss.energies.tolist() == [0.0, -3.0, 0.0, 0.0]
+        assert ss.spins.dtype == np.int8 and ss.spins.tolist() == [[1, -1, 1]] * 4
 
     def test_csv_shape(self):
         m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))
