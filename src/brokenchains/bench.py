@@ -46,14 +46,15 @@ from brokenchains import __version__
 from brokenchains import bqm as bqmlib
 from brokenchains.bqm import ISING, convert, scale_to_unit_range
 from brokenchains.graphs import (  # noqa: F401 (cut_size, is_*: wrapped by the harness)
+    MAXIMIZED,
     Graph,
-    PROBLEMS,
     cut_size,
     erdos_renyi,
     is_clique,
     is_vertex_cover,
     require_int,
     require_probability,
+    require_problem,
     require_real,
     score_rows,
     witness_row,
@@ -68,6 +69,7 @@ from brokenchains.seeding import (
     streams,
 )
 from brokenchains.topology import (
+    UTC_PREFACTOR,
     Embedding,
     HardwareGraph,
     PhysicalModel,
@@ -109,9 +111,6 @@ from brokenchains.unembed import (
 # ``cut_size``, which are one-row ``score_rows`` calls.  They go when the
 # harness stops wrapping them.
 
-MAXIMIZATION = {"max_clique", "max_cut"}
-MINIMIZATION = {"min_vertex_cover", "graph_partitioning"}
-
 FIG2_CHAIN_STRENGTH = {
     "max_cut": 2.0,
     "max_clique": 0.3,
@@ -140,7 +139,7 @@ class ExperimentConfig:
     sweeps: int = 1000
     beta_range: tuple = (0.1, 10.0)
     chain_strength: object = None  # None (experiment default) | float | "utc"
-    prefactor: float = 1.414
+    prefactor: float = UTC_PREFACTOR
     seed: int = 0
     topology: tuple = (8, 8, 4)
     aggregate: str = "best"
@@ -154,8 +153,7 @@ class ExperimentConfig:
         are decided by ``AnnealParams``, the topology by
         ``require_topology`` and whether ``n`` vertices fit it by
         ``require_clique_fits``, as everywhere else."""
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
+        require_problem(self.problem)
         if not self.densities:
             raise ValueError("at least one density is required")
         for p in self.densities:
@@ -209,11 +207,9 @@ def improvement_ratio(problem: str, ours: float, baseline: float):
     reciprocal.  A zero denominator returns ``None`` so the caller can flag
     and exclude the row from averages.
     """
-    if problem in MAXIMIZATION:
+    if require_problem(problem) in MAXIMIZED:
         return None if baseline == 0 else ours / baseline
-    if problem in MINIMIZATION:
-        return None if ours == 0 else baseline / ours
-    raise ValueError(f"unknown problem {problem!r}")
+    return None if ours == 0 else baseline / ours
 
 
 def normalize_group(values):
@@ -307,12 +303,6 @@ class GraphRun:
     witnesses: dict = field(default_factory=dict)  # method -> (reads, n) bool rows
 
 
-def _resolve_chain_strength(strength, ising, prefactor):
-    if strength == "utc":
-        return uniform_torque_compensation(ising, prefactor=prefactor)
-    return float(strength)
-
-
 def _draw_physical_samples(config, pms, ising, graph_seed):
     """One sample set per model of ``pms``, each ``ising`` embedded at one
     chain strength, from one anneal."""
@@ -357,7 +347,10 @@ def run_graph_pipeline(
     ising = convert(problem_model, ISING)
     if scale:
         ising = scale_to_unit_range(ising)
-    chain_strengths = [_resolve_chain_strength(s, ising, config.prefactor) for s in strengths]
+    chain_strengths = [
+        uniform_torque_compensation(ising, prefactor=config.prefactor) if s == "utc" else float(s)
+        for s in strengths
+    ]
     pms = [embed_bqm(ising, embedding, hw, c) for c in chain_strengths]
     sample_sets = _draw_physical_samples(config, pms, ising, graph_seed)
 
@@ -390,31 +383,46 @@ def aggregate_objective(config: ExperimentConfig, run: GraphRun, method: str):
     if config.aggregate == "mean":
         return float(np.mean(objectives)), sum(ok) / len(ok)
     feasible = [obj for obj, good in zip(objectives, ok) if good]
-    best = max if config.problem in MAXIMIZATION else min
+    best = max if config.problem in MAXIMIZED else min
     return best(feasible or objectives), bool(feasible)
 
 
 def chain_strength_setting(experiment: str, config: ExperimentConfig):
-    """The chain strength an experiment runs at, with its default resolved.
+    """The chain strength an experiment runs at, with its default resolved,
+    and the one rule for which settings an experiment reads.
 
     fig2 defaults to ``FIG2_CHAIN_STRENGTH`` of the problem, fig3 to
-    ``"utc"``; fig4 runs at every strength of its grid, which must not be
-    empty.  ``ValueError`` naming another experiment, or a setting one does not read.
+    ``"utc"``; fig4 runs at its grid, which must not be empty.
+    ``ValueError`` names another experiment or a setting it does not read:
+    a grid at fig2 or fig3, a strength at fig4, fig2's ``aggregate`` unless
+    ``"best"``, and a non-default prefactor unless the strength is UTC.
     """
     if experiment not in ("fig2", "fig3", "fig4"):
         raise ValueError(f"unknown experiment {experiment!r}; expected fig2, fig3 or fig4")
-    grid = config.chain_strength_grid
+    grid, strength = config.chain_strength_grid, config.chain_strength
+    if experiment == "fig2" and config.aggregate != "best":
+        raise ValueError(f"fig2 does not read aggregate {config.aggregate!r}")
     if experiment == "fig4":
-        if config.chain_strength is not None:
-            raise ValueError(f"fig4 does not read chain_strength {config.chain_strength!r}")
+        if strength is not None:
+            raise ValueError(f"fig4 does not read chain_strength {strength!r}")
         if not grid:
             raise ValueError("fig4 requires a chain_strength_grid")
-        return list(grid)
-    if grid:
+        strength = list(grid)
+    elif grid:
         raise ValueError(f"{experiment} does not read chain_strength_grid {grid!r}")
-    if config.chain_strength is not None:
-        return config.chain_strength
-    return FIG2_CHAIN_STRENGTH[config.problem] if experiment == "fig2" else "utc"
+    elif strength is None:
+        strength = FIG2_CHAIN_STRENGTH[config.problem] if experiment == "fig2" else "utc"
+    require_prefactor_read(experiment, config.prefactor, strength)
+    return strength
+
+
+def require_prefactor_read(command: str, prefactor, strength):
+    """``ValueError`` for a prefactor other than the default, which every
+    run records, where ``command`` runs at a strength other than UTC."""
+    if prefactor != UTC_PREFACTOR and strength != "utc":
+        raise ValueError(
+            f"{command} does not read prefactor {prefactor!r}; only chain strength 'utc' does"
+        )
 
 
 def _graph_runs(config: ExperimentConfig, strengths, methods, scale: bool = False):

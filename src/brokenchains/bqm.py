@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from brokenchains.graphs import Graph, complement, is_int, require_real
+from brokenchains.graphs import Graph, complement, is_int, require_problem, require_real
 
 QUBO = "qubo"
 ISING = "ising"
@@ -217,9 +217,7 @@ def build_model(problem: str, g: Graph) -> BinaryQuadraticModel:
         "max_cut": build_max_cut_ising,
         "graph_partitioning": build_graph_partitioning_ising,
     }
-    if problem not in builders:
-        raise ValueError(f"unknown problem {problem!r}")
-    return builders[problem](g)
+    return builders[require_problem(problem)](g)
 
 
 def scale_to_unit_range(m: BinaryQuadraticModel) -> BinaryQuadraticModel:

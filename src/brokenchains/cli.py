@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.  A runtime
 error's message names the exception type and the innermost frame it was
 raised in: ``error: ValueError in anneal_grid (sampler.py:<line>): ...``.
 
+A subcommand offers only the options it reads; argparse refuses others
+(exit 2), and ``bench.chain_strength_setting`` decides which settings an
+experiment reads.  ``unembed --seed`` serves all four methods, drawing or not.
+
 The parser is built once per process (``build_parser`` is cached), so a
 process that calls ``main`` many times, as a ``sample`` then ``unembed``
 round trip in one interpreter does, builds it once; each call parses into
@@ -43,6 +47,7 @@ from brokenchains.sampler import (
     simulated_anneal,
 )
 from brokenchains.topology import (
+    UTC_PREFACTOR,
     chain_columns,
     chimera,
     clique_embedding,
@@ -111,19 +116,11 @@ def _add_experiment_args(parser):
     parser.add_argument("--graphs", type=int, default=5)
     parser.add_argument("--reads", type=int, default=200)
     parser.add_argument("--sweeps", type=int, default=1000)
-    parser.add_argument("--chain-strength", type=_chain_strength, default=None)
-    parser.add_argument("--prefactor", type=float, default=None)
+    parser.add_argument("--prefactor", type=float, default=UTC_PREFACTOR)
     parser.add_argument("--topology", type=_topology, default=(8, 8, 4))
-    parser.add_argument("--aggregate", choices=("best", "mean"), default="best")
     parser.add_argument("--source", choices=("anneal", "inject"), default="anneal")
     parser.add_argument("--p-break", type=float, default=0.0)
     _add_common(parser)
-
-
-def _prefactor(args):
-    """``--prefactor``, or when it is not given the library's default, which
-    a run records even where it reads no prefactor."""
-    return ExperimentConfig.prefactor if args.prefactor is None else args.prefactor
 
 
 def _config_from_args(args):
@@ -134,11 +131,11 @@ def _config_from_args(args):
         graphs_per_density=args.graphs,
         reads=args.reads,
         sweeps=args.sweeps,
-        chain_strength=args.chain_strength,
-        prefactor=_prefactor(args),
+        chain_strength=getattr(args, "chain_strength", None),
+        prefactor=args.prefactor,
         seed=args.seed,
         topology=tuple(args.topology),
-        aggregate=args.aggregate,
+        aggregate=getattr(args, "aggregate", ExperimentConfig.aggregate),
         source=args.source,
         p_break=args.p_break,
         chain_strength_grid=getattr(args, "grid", ()),
@@ -171,9 +168,8 @@ def cmd_sample(args):
         require_clique_fits(g.n, args.topology)
     model = bqmlib.build_model(args.problem, g)
     ising = convert(model, ISING)
-    prefactor = _prefactor(args)
-    if args.chain_strength in (None, "utc"):
-        strength = uniform_torque_compensation(ising, prefactor=prefactor)
+    if args.chain_strength == "utc":
+        strength = uniform_torque_compensation(ising, prefactor=args.prefactor)
     else:
         strength = float(args.chain_strength)
     hw = chimera(*args.topology)
@@ -185,7 +181,7 @@ def cmd_sample(args):
     base = os.path.join(args.out, "samples")
     provenance = {
         "chain_strength": strength,
-        "prefactor": prefactor,
+        "prefactor": args.prefactor,
         "topology": list(args.topology),
     }
     with open(base + ".json", "w") as fh:
@@ -302,7 +298,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True, help="clique size")
     p.add_argument("--topology", type=_topology, default=(8, 8, 4))
     p.add_argument("--name", default="embedding.json")
-    _add_common(p)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("sample", help="embed a graph problem and draw samples")
@@ -310,8 +306,8 @@ def build_parser():
     p.add_argument("--problem", choices=PROBLEMS, required=True)
     p.add_argument("--reads", type=int, default=200)
     p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--chain-strength", type=_chain_strength, default=None)
-    p.add_argument("--prefactor", type=float, default=None)
+    p.add_argument("--chain-strength", type=_chain_strength, default="utc")
+    p.add_argument("--prefactor", type=float, default=UTC_PREFACTOR)
     p.add_argument("--topology", type=_topology, default=(8, 8, 4))
     _add_common(p)
     p.set_defaults(func=cmd_sample)
@@ -332,6 +328,10 @@ def build_parser():
         if name == "fig4":
             p.add_argument("--grid", type=_float_list, required=True,
                            help="comma-separated chain strengths")
+        else:
+            p.add_argument("--chain-strength", type=_chain_strength, default=None)
+        if name != "fig2":
+            p.add_argument("--aggregate", choices=("best", "mean"), default="best")
         p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -368,8 +368,7 @@ def _validate_args(args):
     if command in ("fig2", "fig3", "fig4"):
         config = _config_from_args(args)
         config.validate()
-        _require_prefactor_read(command, args.prefactor,
-                                bench.chain_strength_setting(command, config))
+        bench.chain_strength_setting(command, config)
     if command == "gen":
         require_probability(args.density, "density")
         require_int(args.n, "n", positive=True)
@@ -377,21 +376,10 @@ def _validate_args(args):
         require_clique_fits(args.k, args.topology)
     if command == "sample":
         AnnealParams(args.reads, args.sweeps, seed=args.seed)
-        if args.chain_strength not in (None, "utc"):
+        if args.chain_strength != "utc":
             require_real(args.chain_strength, "chain_strength", positive=True)
-        if args.prefactor is not None:
-            require_real(args.prefactor, "prefactor", positive=True)
-        _require_prefactor_read(command, args.prefactor,
-                                "utc" if args.chain_strength is None else args.chain_strength)
-
-
-def _require_prefactor_read(command, prefactor, strength):
-    """A ``--prefactor`` given where the chain strength ``strength`` is not
-    ``"utc"`` would go unread, yet be echoed into the outputs."""
-    if prefactor is not None and strength != "utc":
-        raise ValueError(
-            f"{command} does not read prefactor {prefactor!r}; only chain strength 'utc' does"
-        )
+        require_real(args.prefactor, "prefactor", positive=True)
+        bench.require_prefactor_read(command, args.prefactor, args.chain_strength)
 
 
 if __name__ == "__main__":

@@ -26,8 +26,10 @@ MAX_CUT = "max_cut"
 MIN_VERTEX_COVER = "min_vertex_cover"
 GRAPH_PARTITIONING = "graph_partitioning"
 PROBLEMS = (MAX_CLIQUE, MAX_CUT, MIN_VERTEX_COVER, GRAPH_PARTITIONING)
+MAXIMIZED = frozenset((MAX_CLIQUE, MAX_CUT))  # the other two are minimized
 
 BRUTE_FORCE_MAX_N = 24
+_BRUTE_FORCE_BLOCK = 1 << 18  # subsets scored per einsum
 
 
 def is_int(value) -> bool:
@@ -65,6 +67,13 @@ def require_probability(value, what: str):
     if not 0.0 <= require_real(value, what) <= 1.0:
         raise ValueError(f"{what} must be in [0, 1], not {value!r}")
     return value
+
+
+def require_problem(problem):
+    """``problem``, once it is one of ``PROBLEMS``; otherwise ``ValueError``."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    return problem
 
 
 class Graph:
@@ -166,6 +175,7 @@ def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
     ``n``, and an unbalanced partition keeps its cut size but is flagged
     infeasible.
     """
+    require_problem(problem)
     u, v = rows[:, g.u], rows[:, g.v]
     k = rows.sum(axis=1)
     if problem == MAX_CLIQUE:
@@ -176,9 +186,7 @@ def score_rows(problem: str, g: Graph, rows: np.ndarray) -> tuple:
         return np.where(ok, k, g.n), ok
     if problem == MAX_CUT:
         return (u != v).sum(axis=1), np.ones(len(rows), dtype=bool)
-    if problem == GRAPH_PARTITIONING:
-        return (u != v).sum(axis=1), np.abs(2 * k - g.n) <= 1
-    raise ValueError(f"unknown problem {problem!r}")
+    return (u != v).sum(axis=1), np.abs(2 * k - g.n) <= 1  # graph partitioning
 
 
 def witness_row(g: Graph, vertices) -> np.ndarray:
@@ -214,7 +222,7 @@ def _subset_matrix(lo: int, hi: int, n: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
-def brute_force(problem: str, g: Graph, block: int = 1 << 18):
+def brute_force(problem: str, g: Graph):
     """Exact optimum by exhaustive enumeration over subsets / partitions.
 
     Returns ``(value, row)``, where ``row`` is a boolean ``(g.n,)`` witness
@@ -225,8 +233,7 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
     (bit ``v`` set for vertex ``v`` in the set) wins.  Refuses graphs with
     more than ``BRUTE_FORCE_MAX_N`` vertices.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}")
+    maximize = require_problem(problem) in MAXIMIZED
     if g.n > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"graph has {g.n} > {BRUTE_FORCE_MAX_N} vertices; enumeration refused"
@@ -237,9 +244,8 @@ def brute_force(problem: str, g: Graph, block: int = 1 << 18):
 
     best_val = None
     best_mask = None
-    maximize = problem in (MAX_CLIQUE, MAX_CUT)
-    for lo in range(0, 1 << n, block):
-        hi = min(lo + block, 1 << n)
+    for lo in range(0, 1 << n, _BRUTE_FORCE_BLOCK):
+        hi = min(lo + _BRUTE_FORCE_BLOCK, 1 << n)
         x = _subset_matrix(lo, hi, n)
         sizes = x.sum(axis=1)
         if problem == MAX_CLIQUE:

@@ -228,7 +228,7 @@ def _colour_classes(j_sym) -> list:
     return [np.flatnonzero(color == c) for c in range(color.max(initial=-1) + 1)]
 
 
-def _batch_shape(n: int, sweeps: int, models: int = 1) -> tuple:
+def _batch_shape(n: int, sweeps: int, models: int) -> tuple:
     """(reads per spin batch, sweeps per draw call) of an anneal of
     ``models`` models of ``n`` qubits each.  A batch counts model-reads,
     reads times ``models``: it holds at least ``_READ_BATCH`` of them, and

@@ -24,6 +24,7 @@ from brokenchains.graphs import Graph, is_int, require_real
 
 HORIZONTAL = 0
 VERTICAL = 1
+UTC_PREFACTOR = 1.414  # uniform torque compensation's default prefactor
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +36,7 @@ class HardwareGraph:
     shape: tuple  # (rows m, cols n, shore t)
 
 
-def chimera_qubit(m: int, n: int, t: int, row: int, col: int, shore: int, k: int) -> int:
+def chimera_qubit(n: int, t: int, row: int, col: int, shore: int, k: int) -> int:
     return ((row * n + col) * 2 + shore) * t + k
 
 
@@ -186,10 +187,10 @@ def clique_embedding(k: int, hw: HardwareGraph) -> Embedding:
     require_clique_fits(k, hw.shape)
 
     def hq(row, col, a):
-        return chimera_qubit(m, n, t, row, col, HORIZONTAL, a)
+        return chimera_qubit(n, t, row, col, HORIZONTAL, a)
 
     def vq(row, col, a):
-        return chimera_qubit(m, n, t, row, col, VERTICAL, a)
+        return chimera_qubit(n, t, row, col, VERTICAL, a)
 
     chains = {}
     if k <= t * m:
@@ -358,7 +359,7 @@ def validate_embedding(e: Embedding, logical: Graph, hw: HardwareGraph):
     return _chain_couplers(e, hw, edges).violations
 
 
-def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor: float = 1.414) -> float:
+def uniform_torque_compensation(m: BinaryQuadraticModel, prefactor=UTC_PREFACTOR) -> float:
     """Chain strength heuristic: prefactor * RMS(|couplers|) * sqrt(avg degree).
 
     The model is converted to Ising form first.  Average degree is taken

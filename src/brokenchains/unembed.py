@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from brokenchains.bqm import ISING, QUBO, BinaryQuadraticModel
-from brokenchains.graphs import Graph
+from brokenchains.graphs import Graph, require_problem
 from brokenchains.topology import Embedding
 
 
@@ -353,12 +353,11 @@ def unembed_tailored(rs: ReadoutSet, graph: Graph, problem: str, rngs) -> np.nda
     """One boolean ``(reads, n)`` witness row per read from the tailored
     algorithm of ``problem``.  ``rngs`` yields read ``r``'s generator in read
     order; only max cut and partitioning draw, so only they take one."""
+    require_problem(problem)
     if problem == "max_clique":
         return max_clique_rows(rs, graph)
     if problem == "min_vertex_cover":
         return vertex_cover_rows(rs, graph)
     if problem == "max_cut":
         return max_cut_rows(rs, graph, rngs)
-    if problem == "graph_partitioning":
-        return partitioning_rows(rs, graph, rngs)
-    raise ValueError(f"no tailored algorithm for problem {problem!r}")
+    return partitioning_rows(rs, graph, rngs)

@@ -31,7 +31,7 @@ from brokenchains.bench import (
     write_experiment,
 )
 from brokenchains.bqm import BinaryQuadraticModel, build_max_cut_ising
-from brokenchains.graphs import erdos_renyi
+from brokenchains.graphs import brute_force, erdos_renyi, require_problem, score_rows
 from brokenchains.sampler import inject_chain_breaks
 from brokenchains.topology import (
     PhysicalModel,
@@ -40,7 +40,7 @@ from brokenchains.topology import (
     clique_embedding,
     embed_bqm,
 )
-from brokenchains.unembed import decompose
+from brokenchains.unembed import decompose, unembed_tailored
 from conftest import complete_graph, one_read, path_graph, spins_of
 
 
@@ -72,6 +72,21 @@ class TestImprovementRatio:
     def test_zero_denominator_flagged(self):
         assert improvement_ratio("max_clique", 5, 0) is None
         assert improvement_ratio("graph_partitioning", 0, 5) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: require_problem("tsp"),
+    lambda g: score_rows("tsp", g, np.zeros((1, g.n), dtype=bool)),
+    lambda g: brute_force("tsp", g),
+    lambda g: bqm.build_model("tsp", g),
+    lambda g: unembed_tailored(None, g, "tsp", []),
+    lambda g: improvement_ratio("tsp", 1, 1),
+    lambda g: small_config(problem="tsp").validate(),
+])
+def test_every_problem_taker_names_an_unknown_problem(call):
+    # graphs.require_problem is the one rule, so every caller words it alike
+    with pytest.raises(ValueError, match=r"^unknown problem 'tsp'$"):
+        call(path_graph(3))
 
 
 class TestNormalize:
@@ -320,6 +335,13 @@ class TestFig4:
         (run_fig3, {"chain_strength_grid": (0.5,)}, "chain_strength_grid"),
         (run_fig4, {"chain_strength_grid": (0.5, 2.0), "chain_strength": 3.0},
          "chain_strength 3.0"),
+        # fig2 scores no method, so it aggregates nothing
+        (run_fig2, {"aggregate": "mean"}, "aggregate 'mean'"),
+        # only a UTC strength reads the prefactor: fig2's default strength,
+        # a fixed fig3 strength and a fig4 grid do not
+        (run_fig2, {"prefactor": 9.0}, "prefactor 9.0"),
+        (run_fig3, {"chain_strength": 2.0, "prefactor": 9.0}, "prefactor 9.0"),
+        (run_fig4, {"chain_strength_grid": (0.5, 2.0), "prefactor": 9.0}, "prefactor 9.0"),
     ])
     def test_setting_the_run_does_not_read_is_refused(self, run, settings, unread):
         with pytest.raises(ValueError, match=f"does not read {unread}"):
@@ -479,7 +501,7 @@ def test_only_an_anneal_loads_scipy_sparse(tmp_path):
                          "--sweeps", "5", "--out", work] + common) == 0
     calls = [
         ["gen", "--n", "6", "--density", "0.5", "--out", f"{work}/gen"],
-        ["embed", "--k", "6", "--out", f"{work}/embed"] + common,
+        ["embed", "--k", "6", "--topology", "2,2,4", "--out", f"{work}/embed"],
     ]
     calls += [
         ["unembed", "--graph", graph, "--problem", "max_cut",

@@ -123,6 +123,8 @@ class TestSampleValidation:
         (["--prefactor", "9"], 9.0),
         # the default is recorded where no prefactor is read
         (["--chain-strength", "2"], 1.414),
+        # so giving it there records the same, and is accepted
+        (["--chain-strength", "2", "--prefactor", "1.414"], 1.414),
     ])
     def test_provenance_records_prefactor(self, tmp_path, capsys, flags, prefactor):
         assert main(["gen", "--n", "6", "--density", "0.5", "--out", str(tmp_path)]) == 0
@@ -211,6 +213,21 @@ def test_one_parser_serves_repeated_calls(tmp_path, capsys):
         outputs.append((tmp_path / "out" / "unembedded.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(b"read,method,objective,feasible,broken_chains,broken_frac\n")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["embed", "--k", "3", "--topology", "2,2,4", "--seed", "5"], "--seed 5"),
+    (["fig2", "--problem", "max_cut", "--n", "6", "--density", "0.5", "--graphs", "1",
+      "--reads", "4", "--sweeps", "5", "--topology", "2,2,4", "--aggregate", "mean"],
+     "--aggregate mean"),
+])
+def test_option_the_command_does_not_read_exit_2(tmp_path, capsys, argv, option):
+    # embed draws nothing and fig2 scores no method, so neither offers the option
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,15 +567,16 @@ class TestExperimentCommands:
         assert (tmp_path / "fig4.csv").exists()
 
     def test_fig4_chain_strength_exit_2(self, tmp_path, capsys):
-        # fig4 runs at its grid, so a --chain-strength it would not read is
-        # refused, not echoed into the manifest beside the grid
-        rc = main([
-            "fig4", "--problem", "max_cut", "--n", "8", "--density", "0.5",
-            "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
-            "--grid", "0.5,2", "--chain-strength", "3", "--out", str(tmp_path / "out"),
-        ])
-        assert rc == 2
-        assert "does not read chain_strength 3.0" in capsys.readouterr().err
+        # fig4 runs at its grid, so it offers no --chain-strength, which would
+        # go unread yet be echoed into the manifest beside the grid
+        with pytest.raises(SystemExit) as err:
+            main([
+                "fig4", "--problem", "max_cut", "--n", "8", "--density", "0.5",
+                "--graphs", "1", "--reads", "4", "--sweeps", "5", "--topology", "2,2,4",
+                "--grid", "0.5,2", "--chain-strength", "3", "--out", str(tmp_path / "out"),
+            ])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --chain-strength 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_2(self, tmp_path, capsys):
@@ -601,6 +619,9 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("flags,prefactor", [
         (["--chain-strength", "utc", "--prefactor", "9"], 9.0),
         ([], 1.414),
+        # fig2's fixed default strength reads no prefactor, but the explicit
+        # default records exactly what leaving it out records
+        (["--prefactor", "1.414"], 1.414),
     ])
     def test_manifest_records_prefactor(self, tmp_path, capsys, flags, prefactor):
         rc = main([

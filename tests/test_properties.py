@@ -428,7 +428,7 @@ def test_injecting_a_prefix_gives_the_prefix(n, data, p_break, seed):
 @PROPERTY
 @given(st.integers(1, 4), st.data(), seeds, seeds)
 def test_read_does_not_depend_on_batching(sweeps, data, model_seed, seed):
-    batch, _ = _batch_shape(len(QUBITS), sweeps)
+    batch, _ = _batch_shape(len(QUBITS), sweeps, 1)
     assert batch >= 2 * _READ_BATCH
     # the k2 reads take one more spin batch, or one more energy block
     # inside their one spin batch, than the first k1 reads

@@ -60,7 +60,7 @@ class TestChimera:
     ])
     def test_couplers_match_per_cell_reference(self, m, n, t):
         def q(row, col, shore, k):
-            return chimera_qubit(m, n, t, row, col, shore, k)
+            return chimera_qubit(n, t, row, col, shore, k)
 
         couplers = []
         for row in range(m):
