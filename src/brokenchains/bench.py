@@ -393,10 +393,12 @@ def chain_strength_setting(experiment: str, config: ExperimentConfig):
 
     fig2 defaults to ``FIG2_CHAIN_STRENGTH`` of the problem, fig3 to
     ``"utc"``; fig4 runs at its grid, which must not be empty.
-    ``ValueError`` names another experiment or a setting it does not read:
-    a grid at fig2 or fig3, a strength at fig4, fig2's ``aggregate`` unless
-    ``"best"``, and a non-default prefactor unless the strength is UTC.
+    ``ValueError`` names an unknown problem, another experiment or a
+    setting it does not read: a grid at fig2 or fig3, a strength at fig4,
+    fig2's ``aggregate`` unless ``"best"``, and a non-default prefactor
+    unless the strength is UTC.
     """
+    require_problem(config.problem)
     if experiment not in ("fig2", "fig3", "fig4"):
         raise ValueError(f"unknown experiment {experiment!r}; expected fig2, fig3 or fig4")
     grid, strength = config.chain_strength_grid, config.chain_strength
@@ -430,9 +432,7 @@ def _graph_runs(config: ExperimentConfig, strengths, methods, scale: bool = Fals
     row order: density, then strength, then graph index.
 
     Builds the experiment's hardware graph and clique embedding once, and
-    each graph once for all ``strengths``, and yields
-    ``(density, strength, run)``; ``strength`` is the setting as given,
-    ``run.chain_strength`` its resolved value.
+    each graph once for all ``strengths``, and yields ``(density, run)``.
     """
     hw = chimera(*config.topology)
     embedding = clique_embedding(config.n, hw)
@@ -442,9 +442,9 @@ def _graph_runs(config: ExperimentConfig, strengths, methods, scale: bool = Fals
             run_graph_pipeline(config, hw, embedding, density, index, strengths, scale, methods)
             for index in range(config.graphs_per_density)
         ]
-        for strength, runs in zip(strengths, zip(*graphs)):
+        for runs in zip(*graphs):
             for run in runs:
-                yield density, strength, run
+                yield density, run
 
 
 def _row(config: ExperimentConfig, density: float, run: GraphRun, method: str, **cells):
@@ -469,7 +469,7 @@ def run_fig2(config: ExperimentConfig):
     return [
         _row(config, density, run, "",
              feasible="" if run.ising.j.any() else "degenerate")
-        for density, _, run in _graph_runs(config, [strength], methods=())
+        for density, run in _graph_runs(config, [strength], methods=())
     ]
 
 
@@ -478,7 +478,7 @@ def run_fig3(config: ExperimentConfig):
     config.validate()
     strength = chain_strength_setting("fig3", config)
     rows = []
-    for density, _, run in _graph_runs(config, [strength], METHODS):
+    for density, run in _graph_runs(config, [strength], METHODS):
         scores = {m: aggregate_objective(config, run, m) for m in METHODS}
         ratios = {
             f"ratio_vs_{SHORT_NAMES[b]}": improvement_ratio(
@@ -509,7 +509,7 @@ def run_fig4(config: ExperimentConfig):
     strengths = chain_strength_setting("fig4", config)
     scale = config.problem == "graph_partitioning"
     rows = []
-    for density, _, run in _graph_runs(config, strengths, ("tailored",), scale):
+    for density, run in _graph_runs(config, strengths, ("tailored",), scale):
         objective, feasible = aggregate_objective(config, run, "tailored")
         rows.append(_row(config, density, run, "tailored", objective=objective, feasible=feasible))
     k = config.graphs_per_density

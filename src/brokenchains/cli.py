@@ -45,6 +45,7 @@ from brokenchains.sampler import (
     sampleset_to_csv,
     sampleset_to_json,
     simulated_anneal,
+    spin_energies,
 )
 from brokenchains.topology import (
     UTC_PREFACTOR,
@@ -177,6 +178,7 @@ def cmd_sample(args):
     pm = embed_bqm(ising, e, hw, strength)
     params = AnnealParams(args.reads, args.sweeps, seed=args.seed)
     samples = simulated_anneal(pm, params)
+    energies = spin_energies(pm.ising, samples.spins)  # once, for both files
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, "samples")
     provenance = {
@@ -185,9 +187,9 @@ def cmd_sample(args):
         "topology": list(args.topology),
     }
     with open(base + ".json", "w") as fh:
-        fh.write(sampleset_to_json(samples, model_hash(pm.ising), provenance))
+        fh.write(sampleset_to_json(samples, energies, model_hash(pm.ising), provenance))
     with open(base + ".csv", "w") as fh:
-        fh.write(sampleset_to_csv(samples))
+        fh.write(sampleset_to_csv(samples, energies))
     with open(os.path.join(args.out, "embedding.json"), "w") as fh:
         fh.write(embedding_to_json(e))
     with open(os.path.join(args.out, "model.json"), "w") as fh:
@@ -244,7 +246,7 @@ def cmd_unembed(args):
         model = bqmlib.from_json(fh.read())
     _check_artifacts(args, g, e, model)
     with open(args.samples) as fh, _blame(args.samples):
-        samples, stored_hash, provenance = sampleset_from_json(fh.read())
+        samples, _, stored_hash, provenance = sampleset_from_json(fh.read())
         chains = chain_columns(e, samples.qubits)  # every chain qubit is a column
     _check_provenance(args, stored_hash, provenance, e, model)
 

@@ -38,14 +38,14 @@ first k reads of a logical set gives the first k injected reads.  Both
 take their per-read generators from ``seeding.streams``, which builds
 exactly these streams.
 
-A ``SampleSet``'s energies are computed from its spins the first time
-``energies`` is read, so the fig2/3/4 experiments, which never read
-them, never compute them.  The anneal sums them per block of
-``_READ_BATCH`` reads (reads 0-63, 64-127, ...) with BLAS and scipy
-products over ``pm``'s arrays, whatever the spin batches, so read ``r``'s
-energy agrees with ``bqm.energy`` to 1e-9 but can differ in the last bit
-between two read counts that end in a different last block.  The
-injector sums all its reads as one block.
+A ``SampleSet`` holds only its reads, drawn or read back alike: no
+sampler computes energies, and the fig2/3/4 experiments, which repair
+spins alone, never ask for them.  ``spin_energies`` is the one energy
+sum, which ``brokenchains sample`` calls once for the file it writes.  It
+sums per block of ``_READ_BATCH`` reads (reads 0-63, 64-127, ...) with
+BLAS and scipy products over the model's arrays, so read ``r``'s energy
+agrees with ``bqm.energy`` to 1e-9 but can differ in the last bit between
+two read counts that end in a different last block.
 
 A sample file (``sampleset_to_json``) holds the bytes of
 ``json.dumps(doc, indent=2)``, but only its head goes through ``json``:
@@ -57,8 +57,8 @@ read.
 
 The anneal and the energies are the package's only users of scipy: the
 three functions that build a CSR (``_coupling_matrix``, ``_class_layout``
-and ``_block_energies``) import ``scipy.sparse`` when first called, so a
-process that neither anneals nor reads energies, such as ``brokenchains
+and ``spin_energies``) import ``scipy.sparse`` when first called, so a
+process that neither anneals nor sums energies, such as ``brokenchains
 gen``, ``embed`` or ``unembed``, starts without it.
 
 Spin update order within a sweep is by independent color classes of the
@@ -111,7 +111,6 @@ through ``* s`` and ``* 2 beta`` to a zero of either sign, whose ``exp``
 is 1.0 either way.
 """
 
-import functools
 import hashlib
 import itertools
 import json
@@ -131,7 +130,7 @@ from brokenchains.topology import (
     require_topology,
 )
 
-# reads per energy block, and the fewest reads per spin batch
+# reads per block of ``spin_energies``, and the fewest reads per spin batch
 _READ_BATCH = 64
 # uniforms one ``rng.random`` call fills per read: each call covers
 # max(1, _DRAWS_PER_CALL // qubits) sweeps
@@ -183,19 +182,10 @@ class SampleSet:
 
     qubits: np.ndarray  # read-only int64 ascending qubit ids: the physical model's ids
     spins: np.ndarray  # (reads, len(qubits)) int8 of -1 | +1
-    # float64, one per read, or a function of no arguments computing them from
-    # ``spins``, which ``energies`` calls the first time it is read
-    energy_source: object
     params: AnnealParams
 
     def __len__(self):
         return len(self.spins)
-
-    @functools.cached_property
-    def energies(self) -> np.ndarray:
-        """One float64 energy per read."""
-        source = self.energy_source
-        return source() if callable(source) else source
 
 
 def _coupling_matrix(m: BinaryQuadraticModel):
@@ -393,10 +383,7 @@ def anneal_grid(pms, params: AnnealParams) -> list:
                         s_bits ^= signs
         for rows, out in zip(row_of, spins):
             out[start : start + len(rngs)] = states[rows].T
-    return [
-        SampleSet(pm.ising.ids, out, functools.partial(_block_energies, pm.ising, out), params)
-        for pm, out in zip(pms, spins)
-    ]
+    return [SampleSet(pm.ising.ids, out, params) for pm, out in zip(pms, spins)]
 
 
 def _initial_states(rngs, n: int, out: np.ndarray) -> np.ndarray:
@@ -418,18 +405,19 @@ def _initial_states(rngs, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_energies(m: BinaryQuadraticModel, spins, block: int = _READ_BATCH) -> np.ndarray:
-    """The energy under Ising model ``m`` of each read of ``spins``, summed
-    over C-ordered float64 ``(reads, variables)`` blocks of ``block`` rows:
-    the last bits of a BLAS sum depend on the shape and layout it is given."""
+def spin_energies(m: BinaryQuadraticModel, spins) -> np.ndarray:
+    """The float64 energy under Ising model ``m`` of each read of ``spins``
+    (``(reads, variables)`` of -1 | +1), summed over C-ordered float64
+    blocks of ``_READ_BATCH`` reads: the last bits of a BLAS sum depend on
+    the shape and layout it is given."""
     import scipy.sparse as sp
 
     j_upper = sp.triu(_coupling_matrix(m), k=1).tocsr()
     energies = np.empty(len(spins))
-    for first in range(0, len(spins), block):
-        s = spins[first : first + block].astype(np.float64, order="C")
-        energies[first : first + block] = (s @ m.h + np.einsum("ri,ri->r", s @ j_upper.T, s)
-                                           + m.offset)
+    for first in range(0, len(spins), _READ_BATCH):
+        block = slice(first, first + _READ_BATCH)
+        s = spins[block].astype(np.float64, order="C")
+        energies[block] = s @ m.h + np.einsum("ri,ri->r", s @ j_upper.T, s) + m.offset
     return energies
 
 
@@ -462,10 +450,7 @@ def inject_chain_breaks(
     flips = np.empty(copied.shape, dtype=bool)
     for row, rng in zip(flips, streams(seed, STREAM_INJECT, 0)):
         np.less(rng.random(len(qubits)), p_break, out=row)
-    spins = np.where(flips, -copied, copied)
-    # summed over all reads as one block, when first read
-    energies = functools.partial(_block_energies, pm.ising, spins, max(len(spins), 1))
-    return SampleSet(qubits, spins, energies, logical.params)
+    return SampleSet(qubits, np.where(flips, -copied, copied), logical.params)
 
 
 def model_hash(model: BinaryQuadraticModel) -> str:
@@ -479,18 +464,24 @@ def model_hash(model: BinaryQuadraticModel) -> str:
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-def _spin_strings(ss: SampleSet) -> list:
-    """One '+'/'-' string per read, in column order, cut from one decoded
-    buffer: '+' is 43 and '-' 45 in ASCII, so 44 - s spells s."""
+def _read_rows(ss: SampleSet, energies: np.ndarray) -> zip:
+    """(energy, spins) of each read: ``energies`` as floats, and the spins as
+    one '+'/'-' string per read, in column order, cut from one decoded
+    buffer: '+' is 43 and '-' 45 in ASCII, so 44 - s spells s.  Raises
+    ``ValueError`` unless ``energies`` holds one energy per read."""
     reads, width = ss.spins.shape
+    if len(energies) != reads:
+        raise ValueError(f"{len(energies)} energies given for {reads} reads")
     text = (44 - ss.spins).astype(np.uint8).tobytes().decode("ascii")
-    return [text[r * width : (r + 1) * width] for r in range(reads)]
+    return zip(energies.tolist(), (text[r * width : (r + 1) * width] for r in range(reads)))
 
 
-def sampleset_to_json(ss: SampleSet, model_hash: str, provenance: dict) -> str:
-    """The sample set as JSON, with the hash of its physical model and the
-    record of how that model was built, as given: ``sampleset_from_json``'s
-    inverse.
+def sampleset_to_json(
+    ss: SampleSet, energies: np.ndarray, model_hash: str, provenance: dict
+) -> str:
+    """The sample set as JSON, with one float64 energy per read, the hash
+    of its physical model and the record of how that model was built, as
+    given: ``sampleset_from_json``'s inverse.
 
     The text is that of ``json.dumps(doc, indent=2)`` on the whole document,
     ``samples`` last; the head is dumped so, and the samples block is
@@ -512,10 +503,10 @@ def sampleset_to_json(ss: SampleSet, model_hash: str, provenance: dict) -> str:
         ),
         indent=2,
     )
-    spell = repr if np.isfinite(ss.energies).all() else json.dumps
+    spell = repr if np.isfinite(energies).all() else json.dumps
     records = ",\n".join(
         f'    {{\n      "energy": {spell(energy)},\n      "spins": "{spins}"\n    }}'
-        for energy, spins in zip(ss.energies.tolist(), _spin_strings(ss))
+        for energy, spins in _read_rows(ss, energies)
     )
     samples = f"[\n{records}\n  ]" if records else "[]"
     # the head ends in "\n}", which the samples close again
@@ -548,9 +539,10 @@ def _read_records(records: list) -> tuple:
 
 
 def sampleset_from_json(text: str) -> tuple:
-    """Read ``sampleset_to_json`` output as ``(samples, model_hash,
-    provenance)``, the ``SampleSet`` and the hash and record stored with it;
-    ``provenance`` is ``None`` for a file that holds none.
+    """Read ``sampleset_to_json`` output as ``(samples, energies,
+    model_hash, provenance)``: the ``SampleSet``, its float64 energies, and
+    the hash and record stored with it; ``provenance`` is ``None`` for a
+    file that holds none.
 
     Raises ``ValueError`` on a missing key, on malformed qubits or spins,
     on ``params`` that ``AnnealParams`` rejects, on an energy that is not a
@@ -602,11 +594,11 @@ def sampleset_from_json(text: str) -> tuple:
     # 44 - c is +1 for '+' (43) and -1 for '-' (45)
     chars = np.frombuffer(joined, dtype=np.uint8)
     spins = np.subtract(44, chars, dtype=np.int8).reshape(len(rows), width)
-    return SampleSet(qubits, spins, energies, params), doc["model_hash"], provenance
+    return SampleSet(qubits, spins, params), energies, doc["model_hash"], provenance
 
 
-def sampleset_to_csv(ss: SampleSet) -> str:
+def sampleset_to_csv(ss: SampleSet, energies: np.ndarray) -> str:
     # the bytes ``csv.writer`` gives: no field needs quoting, because the repr
     # of a float and a '+'/'-' string hold no comma, quote or newline
-    rows = zip(ss.energies.tolist(), _spin_strings(ss))
+    rows = _read_rows(ss, energies)
     return "energy,spins\n" + "".join(f"{energy!r},{spins}\n" for energy, spins in rows)

@@ -65,7 +65,7 @@ def sample_set(rows, qubits):
     """A SampleSet over ``qubits`` holding ``rows``, one sequence of +-1 per read."""
     qubits = read_only_ids(qubits)
     spins = np.array(rows, dtype=np.int8).reshape(-1, len(qubits))
-    return SampleSet(qubits, spins, np.zeros(len(spins)), AnnealParams(num_reads=len(spins)))
+    return SampleSet(qubits, spins, AnnealParams(num_reads=len(spins)))
 
 
 def one_read(assignment, reads=1):

@@ -47,6 +47,7 @@ from brokenchains.sampler import (
     AnnealParams,
     inject_chain_breaks,
     simulated_anneal,
+    spin_energies,
 )
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
@@ -222,7 +223,7 @@ class TestCriterion3AgreementOnUnbroken:
                 ss = simulated_anneal(
                     logical_pm, AnnealParams(num_reads=20, sweeps=300, seed=500 + k)
                 )
-                best = int(np.argmin(ss.energies))
+                best = int(np.argmin(spin_energies(logical_pm.ising, ss.spins)))
 
                 hw = chimera(8, 8, 4)
                 e = clique_embedding(20, hw)

@@ -457,6 +457,19 @@ class TestManifest:
             write_experiment(tmp_path, name, cfg, [], time.perf_counter())
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name,settings", [
+        ("fig2", {}), ("fig3", {}), ("fig4", {"chain_strength_grid": (0.5, 2.0)}),
+    ])
+    def test_unknown_problem_rejected(self, tmp_path, name, settings):
+        # fig2 looks its default strength up by problem; fig3 and fig4 read none
+        cfg = small_config(problem="tsp", **settings)
+        with pytest.raises(ValueError, match=r"^unknown problem 'tsp'$"):
+            chain_strength_setting(name, cfg)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"^unknown problem 'tsp'$"):
+            write_experiment(out, name, cfg, [], time.perf_counter())
+        assert not out.exists()
+
     def test_fig2_rows_ran_at_the_recorded_strength(self, tmp_path):
         cfg = small_config(reads=4, sweeps=10)
         rows = run_fig2(cfg)

@@ -8,7 +8,13 @@ from brokenchains import bench, cli
 from brokenchains.bqm import ISING, build_max_cut_ising, convert, to_json
 from brokenchains.cli import main
 from brokenchains.graphs import read_edge_list
-from brokenchains.sampler import AnnealParams, model_hash, sampleset_to_json, simulated_anneal
+from brokenchains.sampler import (
+    AnnealParams,
+    model_hash,
+    sampleset_to_json,
+    simulated_anneal,
+    spin_energies,
+)
 from brokenchains.topology import Embedding, chimera, embed_bqm, uniform_torque_compensation
 
 
@@ -170,7 +176,9 @@ class TestSampleValidation:
         provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [2, 2, 4]}
         samples = simulated_anneal(pm, AnnealParams(num_reads=2, sweeps=3))
         (tmp_path / "samples.json").write_text(
-            sampleset_to_json(samples, model_hash(pm.ising), provenance)
+            sampleset_to_json(
+                samples, spin_energies(pm.ising, samples.spins), model_hash(pm.ising), provenance
+            )
         )
         rc = main(["unembed", "--graph", str(graph), "--problem", "max_cut",
                    "--samples", str(tmp_path / "samples.json"),

@@ -38,7 +38,7 @@ from brokenchains import bench
 from brokenchains.bqm import ISING, BinaryQuadraticModel
 from brokenchains.cli import main
 from brokenchains.graphs import PROBLEMS
-from brokenchains.sampler import AnnealParams, sampleset_to_csv, simulated_anneal
+from brokenchains.sampler import AnnealParams, sampleset_to_csv, simulated_anneal, spin_energies
 from brokenchains.topology import PhysicalModel, chimera, identity_embedding
 from conftest import spin_glass
 
@@ -119,7 +119,8 @@ def multi_batch_csv():
     """``sampleset_to_csv`` of a 130-read x 20-sweep anneal of a random model
     over all of chimera(2,2,4)."""
     pm = spin_glass(chimera(2, 2, 4), SEED)
-    return sampleset_to_csv(simulated_anneal(pm, AnnealParams(130, 20, seed=SEED)))
+    samples = simulated_anneal(pm, AnnealParams(130, 20, seed=SEED))
+    return sampleset_to_csv(samples, spin_energies(pm.ising, samples.spins))
 
 
 def field_order_spins():

@@ -19,26 +19,27 @@
 * read ``r`` of an anneal does not depend on batching: the first k1
   reads of a k1-read and a k2-read anneal agree when the k2 reads take one
   more spin batch than the k1 reads, or one more 64-read energy block
-  inside one spin batch, and every energy matches ``bqm.energy``;
+  inside one spin batch, and every energy ``spin_energies`` sums for them
+  matches ``bqm.energy``;
 * ``seeding.streams`` gives, for every read, the generator
   ``np.random.default_rng(derive_seed(...))`` gives (state and draws), with
   and without a trailing 0 index, ``derive_seeds`` equals ``derive_seed``
   elementwise, and the seed words equal ``SeedSequence``'s, edge seeds
   included: this pins the reimplemented numpy seeding;
 * ``simulated_anneal`` equals the per-sweep loop it replaced (kept here as
-  ``reference_simulated_anneal``) byte for byte, spins and energies, on
+  ``reference_simulated_anneal``) spin for spin, byte for byte, on
   random spin glasses, and zero-field ones whose local fields reach +-0,
   over 1-140 reads and sweep counts below, at and past the sweeps one draw
   call covers; with couplings strong enough that ``exp`` overflows on
   downhill moves it still does, and warns of nothing;
 * ``anneal_grid`` of 1-4 embeddings of one model at chain strengths that
-  may repeat gives each model the spins and first-read energy bytes of
-  ``simulated_anneal`` on that model alone, for zero-field (max cut) and
-  field-carrying (vertex cover) models over 1, 23, 65 and 100 reads and
-  1-3 sweeps or half to a full draw call of them, so that a grid takes one or several
-  spin batches and they end inside an energy block; two grids of 3 and 4
-  models that take 3-6 spin batches match the per-sweep reference, and so
-  do grids of a graph whose greedy colouring has a one-qubit class;
+  may repeat gives each model the spins of ``simulated_anneal`` on that
+  model alone, for zero-field (max cut) and field-carrying (vertex cover)
+  models over 1, 23, 65 and 100 reads and 1-3 sweeps or half to a full
+  draw call of them, so that a grid takes one or several spin batches;
+  two grids of 3 and 4 models that take 3-6 spin batches match the
+  per-sweep reference, and so do grids of a graph whose greedy colouring
+  has a one-qubit class;
 * the class-major layout of 1-4 such models is a bijection from (model,
   qubit) onto the rows, puts each colour class of every model in one
   slice (model by model, ascending qubit), and keeps every class row's
@@ -176,7 +177,6 @@ from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
     _batch_shape,
-    _block_energies,
     _class_layout,
     _colour_classes,
     _coupling_matrix,
@@ -187,6 +187,7 @@ from brokenchains.sampler import (
     sampleset_from_json,
     sampleset_to_json,
     simulated_anneal,
+    spin_energies,
 )
 from brokenchains.seeding import (
     STREAM_INJECT,
@@ -422,7 +423,6 @@ def test_injecting_a_prefix_gives_the_prefix(n, data, p_break, seed):
     head = inject_chain_breaks(sample_set(rows[:k], range(n)), p_break, seed, pm)
     assert np.array_equal(head.qubits, full.qubits)
     assert np.array_equal(head.spins, full.spins[:k])
-    assert np.allclose(head.energies, full.energies[:k], rtol=0, atol=1e-9)
 
 
 @PROPERTY
@@ -442,7 +442,7 @@ def test_read_does_not_depend_on_batching(sweeps, data, model_seed, seed):
     assert np.array_equal(head.spins, full.spins[:k1])
     for ss in (head, full):
         expected = [energy(pm.ising, spins_of(ss, r)) for r in range(len(ss))]
-        assert np.allclose(ss.energies, expected, rtol=0, atol=1e-9)
+        assert np.allclose(spin_energies(pm.ising, ss.spins), expected, rtol=0, atol=1e-9)
 
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
@@ -537,15 +537,12 @@ def reference_simulated_anneal(pm, params, read_rng=None, exponents=None):
                 accept = (delta <= 0.0) | (uniforms[cls] < np.exp(exponent))
                 states[cls] = np.where(accept, -spins_cls, spins_cls)
         spins.append(states.T.astype(np.int8))
-    spins = np.concatenate(spins)
-    # summed per block of _READ_BATCH reads, as the anneal sums them
-    return SampleSet(pm.ising.ids, spins, _block_energies(pm.ising, spins), params)
+    return SampleSet(pm.ising.ids, np.concatenate(spins), params)
 
 
 def assert_same_anneal(got, want):
     assert got.qubits.tolist() == want.qubits.tolist()
     assert got.spins.tobytes() == want.spins.tobytes()
-    assert got.energies.tobytes() == want.energies.tobytes()
 
 
 CHUNK = _DRAWS_PER_CALL // len(QUBITS)  # sweeps per draw call on chimera(2,2,4)
@@ -1814,7 +1811,7 @@ def test_validate_embedding_matches_reference(e, data):
     fault_events(problems)
 
 
-def reference_sampleset_to_json(ss, model_hash, provenance):
+def reference_sampleset_to_json(ss, energies, model_hash, provenance):
     """The sample file as ``sampleset_to_json`` wrote it before it joined
     its samples block itself: the whole document through ``json.dumps``."""
     doc = dict(
@@ -1829,7 +1826,7 @@ def reference_sampleset_to_json(ss, model_hash, provenance):
         },
         samples=[
             {"energy": energy, "spins": "".join("+" if s > 0 else "-" for s in row)}
-            for energy, row in zip(ss.energies.tolist(), ss.spins.tolist())
+            for energy, row in zip(energies.tolist(), ss.spins.tolist())
         ],
     )
     return json.dumps(doc, indent=2)
@@ -1845,8 +1842,8 @@ provenances = st.one_of(st.none(), st.fixed_dictionaries({
 
 @st.composite
 def stored_sets(draw, energies, min_reads):
-    """(set, model hash, provenance) of ``min_reads``-6 reads over 0-5
-    qubits, whose params count its reads when it holds any."""
+    """(set, energies, model hash, provenance) of ``min_reads``-6 reads over
+    0-5 qubits, whose params count its reads when it holds any."""
     reads, width = draw(st.integers(min_reads, 6)), draw(st.integers(0, 5))
     qubits = sorted(draw(st.sets(st.integers(0, 2**62), min_size=width, max_size=width)))
     spins = draw(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=width, max_size=width),
@@ -1857,16 +1854,14 @@ def stored_sets(draw, energies, min_reads):
     params = AnnealParams(max(reads, 1), draw(st.integers(1, 10**6)),
                           (beta_min, draw(st.floats(1.5, 1e3))), draw(seeds))
     ss = SampleSet(np.array(qubits, dtype=np.int64),
-                   np.array(spins, dtype=np.int8).reshape(reads, width),
-                   np.array(values, dtype=np.float64), params)
-    return ss, draw(st.text(max_size=8)), draw(provenances)
+                   np.array(spins, dtype=np.int8).reshape(reads, width), params)
+    return ss, np.array(values, dtype=np.float64), draw(st.text(max_size=8)), draw(provenances)
 
 
 @PROPERTY
 @given(stored_sets(st.floats(), 0))
-@example((SampleSet(np.arange(2), np.ones((4, 2), dtype=np.int8),
-                    np.array([float("nan"), float("inf"), float("-inf"), -0.0]),
-                    AnnealParams(4)), "h", None))
+@example((SampleSet(np.arange(2), np.ones((4, 2), dtype=np.int8), AnnealParams(4)),
+          np.array([float("nan"), float("inf"), float("-inf"), -0.0]), "h", None))
 def test_sample_writer_equals_json_dumps(case):
     # NaN and +-inf too, which the reader refuses but the writer spells as json does
     assert sampleset_to_json(*case) == reference_sampleset_to_json(*case)
@@ -1874,18 +1869,18 @@ def test_sample_writer_equals_json_dumps(case):
 
 @PROPERTY
 @given(stored_sets(st.floats(allow_nan=False, allow_infinity=False), 1))
-@example((SampleSet(np.arange(0), np.ones((4, 0), dtype=np.int8), np.array(EDGE_ENERGIES),
-                    AnnealParams(4)), "h", None))
+@example((SampleSet(np.arange(0), np.ones((4, 0), dtype=np.int8), AnnealParams(4)),
+          np.array(EDGE_ENERGIES), "h", None))
 def test_sample_reader_inverts_writer(case):
-    ss, stored_hash, provenance = case
-    text = sampleset_to_json(ss, stored_hash, provenance)
-    back, back_hash, back_provenance = sampleset_from_json(text)
+    ss, energies, stored_hash, provenance = case
+    text = sampleset_to_json(*case)
+    back, back_energies, back_hash, back_provenance = sampleset_from_json(text)
     assert (back_hash, back_provenance, back.params) == (stored_hash, provenance, ss.params)
     assert back.qubits.dtype == np.int64 and back.qubits.tolist() == ss.qubits.tolist()
     assert back.spins.dtype == np.int8 and back.spins.shape == ss.spins.shape
     assert back.spins.tobytes() == ss.spins.tobytes()
-    assert back.energies.dtype == np.float64 and back.energies.tobytes() == ss.energies.tobytes()
-    assert sampleset_to_json(back, back_hash, back_provenance) == text
+    assert back_energies.dtype == np.float64 and back_energies.tobytes() == energies.tobytes()
+    assert sampleset_to_json(back, back_energies, back_hash, back_provenance) == text
 
 
 # one setting of any kind: the values every boundary must decide alike

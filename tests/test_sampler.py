@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from brokenchains.bqm import ISING, BinaryQuadraticModel, build_max_cut_ising, energy
-from brokenchains import cli, sampler
+from brokenchains import bench, cli, sampler
 from brokenchains.sampler import (
     AnnealParams,
     SampleSet,
@@ -19,6 +19,7 @@ from brokenchains.sampler import (
     sampleset_to_csv,
     sampleset_to_json,
     simulated_anneal,
+    spin_energies,
 )
 from brokenchains.seeding import rng_from
 from brokenchains.topology import (
@@ -102,7 +103,7 @@ class TestSimulatedAnneal:
         params = AnnealParams(num_reads=50, sweeps=40, seed=11)
         a = simulated_anneal(logical_pm(m), params)
         b = simulated_anneal(logical_pm(m), params)
-        assert np.array_equal(a.spins, b.spins) and np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.spins, b.spins)
 
     def test_read_count(self):
         m = BinaryQuadraticModel.from_terms(ISING, {0: 1.0}, {})
@@ -110,16 +111,17 @@ class TestSimulatedAnneal:
         assert len(ss) == 7
 
     def test_model_without_qubits(self):
-        m = BinaryQuadraticModel.from_terms(ISING, {}, {})
-        ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=3, sweeps=5, seed=0))
-        assert ss.spins.shape == (3, 0) and ss.energies.tolist() == [0.0] * 3
+        pm = logical_pm(BinaryQuadraticModel.from_terms(ISING, {}, {}))
+        ss = simulated_anneal(pm, AnnealParams(num_reads=3, sweeps=5, seed=0))
+        assert ss.spins.shape == (3, 0)
+        assert spin_energies(pm.ising, ss.spins).tolist() == [0.0] * 3
 
     def test_energies_finite_and_match_recompute(self):
         g = erdos_renyi(12, 0.5, 8)
         m = build_max_cut_ising(g)
         pm = logical_pm(m)
         ss = simulated_anneal(pm, AnnealParams(num_reads=20, sweeps=30, seed=2))
-        for read, e in enumerate(ss.energies):
+        for read, e in enumerate(spin_energies(pm.ising, ss.spins)):
             assert math.isfinite(e)
             assert abs(e - energy(pm.ising, spins_of(ss, read))) <= 1e-9
 
@@ -134,7 +136,7 @@ class TestSimulatedAnneal:
             energy(pm.ising, {q: int(rng.choice((-1, 1))) for q in qubits})
             for _ in range(200)
         ])
-        assert ss.energies.mean() <= random_mean
+        assert spin_energies(pm.ising, ss.spins).mean() <= random_mean
 
     def test_batch_boundary_independence(self):
         # reads are seeded individually, so truncating num_reads keeps a prefix
@@ -170,7 +172,8 @@ class TestInjectChainBreaks:
 
     def test_energy_recomputed(self):
         s = inject_chain_breaks(one_read(self.logical), 0.3, 5, self.pm)
-        assert abs(s.energies[0] - energy(self.pm.ising, spins_of(s, 0))) <= 1e-9
+        energies = spin_energies(self.pm.ising, s.spins)
+        assert abs(energies[0] - energy(self.pm.ising, spins_of(s, 0))) <= 1e-9
 
     def test_break_statistics(self):
         # chains of length 5: broken with probability 1 - p^5 - (1-p)^5
@@ -244,18 +247,20 @@ class TestSampleSetExport:
         m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))
         pm = logical_pm(m)
         ss = simulated_anneal(pm, AnnealParams(num_reads=5, sweeps=10, seed=1))
+        energies = spin_energies(pm.ising, ss.spins)
         provenance = {"chain_strength": 1.0, "prefactor": 1.414, "topology": [1, 1, 4]}
-        back, stored_hash, stored = sampleset_from_json(
-            sampleset_to_json(ss, model_hash(pm.ising), provenance)
-        )
+        text = sampleset_to_json(ss, energies, model_hash(pm.ising), provenance)
+        back, back_energies, stored_hash, stored = sampleset_from_json(text)
         assert stored_hash == model_hash(pm.ising)
         assert stored == provenance
-        assert [f.name for f in fields(back)] == ["qubits", "spins", "energy_source", "params"]
-        assert len(back) == len(ss)
+        assert [f.name for f in fields(back)] == ["qubits", "spins", "params"]
+        assert len(back) == len(ss) and back.params == ss.params
         assert back.qubits.dtype == np.int64 and not back.qubits.flags.writeable
         assert np.array_equal(back.qubits, ss.qubits)
         assert np.array_equal(back.spins, ss.spins)
-        assert np.array_equal(back.energies, ss.energies)
+        assert back_energies.dtype == np.float64
+        assert back_energies.tobytes() == energies.tobytes()
+        assert sampleset_to_json(back, back_energies, stored_hash, stored) == text
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("problem", PROBLEMS)
@@ -270,11 +275,11 @@ class TestSampleSetExport:
 
     @staticmethod
     def edited(edits):
-        """A sample file of four reads over three qubits, read back after
-        ``edits`` (``{read: {key: value or DELETE}}``, or a read's whole
-        record) are made to its records."""
+        """(samples, energies) of a sample file of four reads over three
+        qubits, read back after ``edits`` (``{read: {key: value or
+        DELETE}}``, or a read's whole record) are made to its records."""
         ss = sample_set([[1, -1, 1]] * 4, range(3))
-        doc = json.loads(sampleset_to_json(ss, "h", None))
+        doc = json.loads(sampleset_to_json(ss, np.zeros(4), "h", None))
         for read, edit in edits.items():
             if not isinstance(edit, dict):
                 doc["samples"][read] = edit
@@ -284,7 +289,7 @@ class TestSampleSetExport:
                     del doc["samples"][read][key]
                 else:
                     doc["samples"][read][key] = value
-        return sampleset_from_json(json.dumps(doc))[0]
+        return sampleset_from_json(json.dumps(doc))[:2]
 
     @pytest.mark.parametrize("edits,expect", [
         # the first bad read is named, whatever fault a later read holds
@@ -305,22 +310,32 @@ class TestSampleSetExport:
             self.edited(edits)
 
     def test_integer_energy_loads_as_float(self):
-        ss = self.edited({1: {"energy": -3}})
-        assert ss.energies.dtype == np.float64 and ss.energies.tolist() == [0.0, -3.0, 0.0, 0.0]
+        ss, energies = self.edited({1: {"energy": -3}})
+        assert energies.dtype == np.float64 and energies.tolist() == [0.0, -3.0, 0.0, 0.0]
         assert ss.spins.dtype == np.int8 and ss.spins.tolist() == [[1, -1, 1]] * 4
 
     def test_csv_shape(self):
-        m = build_max_cut_ising(erdos_renyi(6, 0.5, 2))
-        ss = simulated_anneal(logical_pm(m), AnnealParams(num_reads=5, sweeps=10, seed=1))
-        lines = sampleset_to_csv(ss).strip().splitlines()
+        pm = logical_pm(build_max_cut_ising(erdos_renyi(6, 0.5, 2)))
+        ss = simulated_anneal(pm, AnnealParams(num_reads=5, sweeps=10, seed=1))
+        lines = sampleset_to_csv(ss, spin_energies(pm.ising, ss.spins)).strip().splitlines()
         assert lines[0] == "energy,spins"
         assert len(lines) == 6
         assert set(lines[1].split(",")[1]) <= {"+", "-"}
 
+    @pytest.mark.parametrize("write", [
+        lambda ss, energies: sampleset_to_json(ss, energies, "h", None),
+        sampleset_to_csv,
+    ])
+    def test_writers_need_one_energy_per_read(self, write):
+        ss = sample_set([[1, -1, 1]] * 4, range(3))
+        for count in (3, 5):
+            with pytest.raises(ValueError, match=rf"^{count} energies given for 4 reads$"):
+                write(ss, np.zeros(count))
+
 
 class TestEnergySum:
-    """Energies are summed on first read: over C-ordered blocks of 64 reads
-    for the anneal, over all reads at once for the injector."""
+    """``spin_energies`` sums over C-ordered blocks of 64 reads, and only the
+    ``sample`` command calls it."""
 
     def test_anneal_energy_bytes_pinned(self):
         # read 68 sits in a 6-read block of the 70-read run and in a 36-read
@@ -328,27 +343,40 @@ class TestEnergySum:
         pm = spin_glass(chimera(4, 4, 4), 0)
         short, long = (simulated_anneal(pm, AnnealParams(k, 5, seed=0)) for k in (70, 100))
         assert np.array_equal(short.spins, long.spins[:70])
-        assert np.flatnonzero(short.energies != long.energies[:70]).tolist() == [68]
-        digests = [hashlib.sha256(ss.energies.tobytes()).hexdigest() for ss in (short, long)]
+        short, long = (spin_energies(pm.ising, ss.spins) for ss in (short, long))
+        assert np.flatnonzero(short != long[:70]).tolist() == [68]
+        digests = [hashlib.sha256(energies.tobytes()).hexdigest() for energies in (short, long)]
         assert digests == [
             "5c1df644cef8a3fb86c365b20f2c586fc83b7312e44343fc0b1760daab616a1d",
             "4043ee43c82609dd72afbc291b12761499346a2fdea694ac40d0ac460fe59398",
         ]
 
-    def test_injected_energies_computed_on_first_read(self, monkeypatch):
-        hw = chimera(2, 2, 4)
-        pm = embed_bqm(build_max_cut_ising(complete_graph(5)), clique_embedding(5, hw), hw, 2.0)
-        rows = rng_from(3).choice((-1, 1), size=(70, 5))
-        block_energies, calls = sampler._block_energies, []
-        monkeypatch.setattr(sampler, "_block_energies", lambda model, spins, block: (
-            calls.append((model, block)) or block_energies(model, spins, block)
+    def test_only_the_sample_command_sums_energies(self, monkeypatch, tmp_path):
+        def refuse(model, spins):
+            raise AssertionError("energies summed outside the sample command")
+
+        monkeypatch.setattr(sampler, "spin_energies", refuse)
+        monkeypatch.setattr(cli, "spin_energies", refuse)
+        # an anneal, injected breaks and a grid of strengths, none summing energies
+        for run, settings in [
+            (bench.run_fig2, {}),
+            (bench.run_fig3, {"source": "inject", "p_break": 0.2}),
+            (bench.run_fig4, {"chain_strength_grid": (0.5, 2.0)}),
+        ]:
+            config = bench.ExperimentConfig("max_cut", (0.5,), n=5, graphs_per_density=2,
+                                            reads=3, sweeps=4, topology=(2, 2, 4), **settings)
+            assert run(config)
+        calls = []
+        monkeypatch.setattr(cli, "spin_energies", lambda model, spins: (
+            calls.append(len(spins)) or spin_energies(model, spins)
         ))
-        ss = inject_chain_breaks(sample_set(rows, range(5)), 0.3, 7, pm)
-        assert calls == []
-        energies = ss.energies
-        # one block of all 70 reads, summed once
-        assert calls == [(pm.ising, 70)] and ss.energies is energies
-        # summed over the stored model itself, not over a model built from it
-        assert calls[0][0] is pm.ising
-        for read, value in enumerate(energies):
-            assert abs(value - energy(pm.ising, spins_of(ss, read))) <= 1e-9
+        write_edge_list(erdos_renyi(5, 0.5, 1), tmp_path / "graph.txt")
+        assert cli.main(["sample", "--graph", str(tmp_path / "graph.txt"), "--problem", "max_cut",
+                         "--reads", "6", "--sweeps", "5", "--topology", "2,2,4",
+                         "--out", str(tmp_path)]) == 0
+        # one sum of all six reads serves both files
+        assert calls == [6]
+        energies = [float(line.split(",")[0])
+                    for line in (tmp_path / "samples.csv").read_text().splitlines()[1:]]
+        doc = json.loads((tmp_path / "samples.json").read_text())
+        assert [rec["energy"] for rec in doc["samples"]] == energies
